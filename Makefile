@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke simkernel-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke simkernel-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke simkernel-smoke
+check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke simkernel-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -43,6 +43,13 @@ autosearch-smoke:
 simkernel-smoke:
 	$(GO) test -race -run 'TestSimKernelSmoke' -count=1 .
 	$(GO) test -race -run 'TestSched|TestPDES' -count=1 ./internal/sim/
+
+# Planning-request benchmark smoke: benchmark/ is a module of its own,
+# so go build ./... never compiles it, yet it calls plan, graph, exec
+# and pipeline directly. Build it and run every workload at one op,
+# checking each simulated output against the committed digests (~7 s).
+benchmark-smoke:
+	cd benchmark && $(GO) test -count=1 .
 
 # Performance trajectory: Go micro-benchmarks plus the scaling,
 # resilience and planner experiments, each writing machine-readable

@@ -14,7 +14,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mpress/internal/cluster"
 	"mpress/internal/fabric"
@@ -212,12 +212,15 @@ type engine struct {
 	pinned  *memsim.PinnedPool
 	compute []*sim.Queue
 
-	g         *graph.Graph
-	preds     []int
-	succs     [][]graph.OpID
-	lastFree  map[graph.OpID][]tensor.ID // tensors to free after op completes
-	state     []residency
-	pinnedBuf map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
+	g     *graph.Graph
+	preds []int
+	// Op i's successors in dispatch order are succ[succOff[i]:succOff[i+1]];
+	// the tensors to free after it completes are free[freeOff[i]:freeOff[i+1]].
+	succOff, freeOff []int32
+	succ             []graph.OpID
+	free             []tensor.ID
+	state            []residency
+	pinnedBuf        map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
 
 	spans        []Span
 	oom          *memsim.OOMError
@@ -377,35 +380,45 @@ func (e *engine) init() error {
 		}
 	}
 
+	// Order, adjacency and liveness come from the graph's cache: a
+	// validated graph already holds the first two, and the liveness is
+	// derived at most once per graph.
 	order, err := e.g.TopoOrder()
 	if err != nil {
 		return fmt.Errorf("exec: %w", err)
 	}
-	preds := e.g.Preds()
-	e.preds = make([]int, e.g.Len())
-	e.succs = make([][]graph.OpID, e.g.Len())
-	for i, ps := range preds {
-		e.preds[i] = len(ps)
-		for _, p := range ps {
-			e.succs[p] = append(e.succs[p], graph.OpID(i))
-		}
+	live, err := e.g.Liveness()
+	if err != nil {
+		return fmt.Errorf("exec: %w", err)
+	}
+	n := e.g.Len()
+	e.preds = make([]int, n)
+	edges := 0
+	for i := range e.preds {
+		e.preds[i] = len(e.g.Preds(graph.OpID(i)))
+		edges += e.preds[i]
 	}
 	// Memory-releasing successors (drops, swap-outs) dispatch before
 	// memory-consuming ones so that a completed forward's evictions
 	// free space before the next slot allocates — matching how the
-	// runtime issues releases eagerly on the swap streams.
+	// runtime issues releases eagerly on the swap streams. Each group
+	// keeps the graph's ascending ID order.
 	releasing := func(id graph.OpID) bool {
 		k := e.g.Op(id).Kind
 		return k == graph.Drop || k == graph.SwapOut
 	}
-	for _, ss := range e.succs {
-		sort.SliceStable(ss, func(a, b int) bool {
-			ra, rb := releasing(ss[a]), releasing(ss[b])
-			if ra != rb {
-				return ra
+	e.succOff = make([]int32, n+1)
+	e.succ = make([]graph.OpID, 0, edges)
+	for i := 0; i < n; i++ {
+		ss := e.g.Succs(graph.OpID(i))
+		for _, first := range [2]bool{true, false} {
+			for _, s := range ss {
+				if releasing(s) == first {
+					e.succ = append(e.succ, s)
+				}
 			}
-			return ss[a] < ss[b]
-		})
+		}
+		e.succOff[i+1] = int32(len(e.succ))
 	}
 	if e.sync != nil {
 		// Gate every optimizer-step op behind its minibatch's gradient
@@ -441,21 +454,34 @@ func (e *engine) init() error {
 	}
 	// Freeing points: after a tensor's last-consuming op, or after its
 	// producer if nothing consumes it. Persistent tensors never free.
-	live := e.g.Analyze(order)
-	e.lastFree = make(map[graph.OpID][]tensor.ID)
-	for t := 0; t < e.g.Tensors.Len(); t++ {
+	// Stored per op in CSR form, each op's tensors ascending.
+	nt := e.g.Tensors.Len()
+	freeAt := make([]graph.OpID, nt)
+	e.freeOff = make([]int32, n+1)
+	for t := 0; t < nt; t++ {
 		id := tensor.ID(t)
+		freeAt[t] = -1
 		if b.PersistentSet[id] {
 			continue
 		}
-		var at graph.OpID = -1
 		if uses := live.Uses[id]; len(uses) > 0 {
-			at = uses[len(uses)-1].Op
+			freeAt[t] = uses[len(uses)-1].Op
 		} else if live.Def[id] >= 0 {
-			at = order[live.Def[id]]
+			freeAt[t] = order[live.Def[id]]
 		}
+		if at := freeAt[t]; at >= 0 {
+			e.freeOff[at+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.freeOff[i+1] += e.freeOff[i]
+	}
+	e.free = make([]tensor.ID, e.freeOff[n])
+	fill := slices.Clone(e.freeOff[:n])
+	for t, at := range freeAt {
 		if at >= 0 {
-			e.lastFree[at] = append(e.lastFree[at], id)
+			e.free[fill[at]] = tensor.ID(t)
+			fill[at]++
 		}
 	}
 	return nil
@@ -725,7 +751,7 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 	if end > e.lastEnd {
 		e.lastEnd = end
 	}
-	for _, t := range e.lastFree[id] {
+	for _, t := range e.free[e.freeOff[id]:e.freeOff[id+1]] {
 		if e.state[t] == resOnGPU {
 			e.gpus[e.gpuOf(t)].Release(e.g.Tensors.Get(t).Size)
 			e.state[t] = resFreed
@@ -738,7 +764,7 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 		}
 		e.samples = append(e.samples, MemSample{At: end, InUse: snap})
 	}
-	for _, s := range e.succs[id] {
+	for _, s := range e.succ[e.succOff[id]:e.succOff[id+1]] {
 		e.preds[s]--
 		if e.preds[s] == 0 {
 			e.dispatch(s)

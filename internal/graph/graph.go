@@ -5,12 +5,13 @@
 // The planner's rewriter (paper Fig. 5, step 4) instruments this graph
 // with memory-saving operators (swap-out, swap-in, drop, recompute)
 // placed so that operator dependencies are respected; the executor then
-// walks the instrumented graph.
+// walks the instrumented graph. The planner lowers a job once, freezes
+// that base graph, and instruments a cheap Fork of it per emulation.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mpress/internal/tensor"
 	"mpress/internal/units"
@@ -118,9 +119,48 @@ type Op struct {
 type Graph struct {
 	Tensors *tensor.Registry
 	ops     []Op
-	// frozen caches the topological order once computed; any mutation
-	// invalidates it.
-	topoCache []OpID
+
+	// Derived views, each computed on first use: the adjacency (CSR
+	// predecessor and successor lists), the topological order and the
+	// liveness over that order. AddOp and AddDep drop all three. A fork
+	// starts out sharing its parent's views, which stay correct until
+	// the fork's first mutation.
+	adj   *adjacency
+	order []OpID
+	live  *Liveness
+
+	// base is the adjacency of the graph this one was forked from.
+	// Rebuilding a fork's adjacency copies a base op's row from it
+	// unless the overlay touched that op: touched[i] marks base ops
+	// that gained a dep, and inputs whose producer changed are caught
+	// by comparing producer tables.
+	base    *adjacency
+	touched []bool
+
+	// frozen forbids mutation (see Freeze); shared marks a fork still
+	// reading its parent's op array (see Fork).
+	frozen, shared bool
+}
+
+// adjacency is the full dependency structure in compressed sparse row
+// form: op i's predecessors are pred[predOff[i]:predOff[i+1]] (sorted,
+// deduplicated) and its successors succ[succOff[i]:succOff[i+1]]
+// (ascending). prod maps each tensor to the last op outputting it, -1
+// if none.
+type adjacency struct {
+	predOff, succOff []int32
+	pred, succ       []OpID
+	prod             []OpID
+}
+
+func (a *adjacency) preds(id OpID) []OpID {
+	lo, hi := a.predOff[id], a.predOff[id+1]
+	return a.pred[lo:hi:hi]
+}
+
+func (a *adjacency) succs(id OpID) []OpID {
+	lo, hi := a.succOff[id], a.succOff[id+1]
+	return a.succ[lo:hi:hi]
 }
 
 // New returns an empty graph backed by the given tensor registry. A nil
@@ -132,11 +172,48 @@ func New(reg *tensor.Registry) *Graph {
 	return &Graph{Tensors: reg}
 }
 
+// mutate drops the derived views ahead of a structural change, first
+// giving a fork its own op array.
+func (g *Graph) mutate() {
+	if g.frozen {
+		panic("graph: mutation of a frozen graph (instrument a Fork instead)")
+	}
+	if g.shared {
+		g.own(len(g.ops) / 4)
+	}
+	g.adj, g.order, g.live = nil, nil, nil
+}
+
+// own copies a fork's op array, with room for extra more ops, and clips
+// every Deps slice so AddDep reallocates instead of writing into the
+// parent's arrays.
+func (g *Graph) own(extra int) {
+	ops := make([]Op, len(g.ops), len(g.ops)+extra)
+	copy(ops, g.ops)
+	for i := range ops {
+		ops[i].Deps = slices.Clip(ops[i].Deps)
+	}
+	g.ops, g.shared = ops, false
+}
+
+// Grow makes room for n more ops, so an instrumentation pass that knows
+// its overlay size copies a fork's op array exactly once. It changes no
+// op and keeps the derived views.
+func (g *Graph) Grow(n int) {
+	switch {
+	case g.frozen || n <= 0:
+	case g.shared:
+		g.own(n)
+	default:
+		g.ops = slices.Grow(g.ops, n)
+	}
+}
+
 // AddOp appends op (ignoring op.ID) and returns the assigned ID.
 func (g *Graph) AddOp(op Op) OpID {
+	g.mutate()
 	op.ID = OpID(len(g.ops))
 	g.ops = append(g.ops, op)
-	g.topoCache = nil
 	return op.ID
 }
 
@@ -152,17 +229,60 @@ func (g *Graph) Ops() []Op { return g.ops }
 
 // AddDep records that op `after` must run after op `before`.
 func (g *Graph) AddDep(after, before OpID) {
-	op := &g.ops[after]
-	for _, d := range op.Deps {
-		if d == before {
-			return
-		}
+	if slices.Contains(g.ops[after].Deps, before) {
+		return
 	}
+	g.mutate()
+	op := &g.ops[after]
 	op.Deps = append(op.Deps, before)
-	g.topoCache = nil
+	if g.base != nil && int(after) < len(g.base.predOff)-1 {
+		if g.touched == nil {
+			g.touched = make([]bool, len(g.base.predOff)-1)
+		}
+		g.touched[after] = true
+	}
 }
 
-// producers maps each tensor to the op that outputs it (-1 if none).
+// Fork returns a copy of g to instrument without touching g. The fork
+// reads g's op array until its first mutation, then copies it and
+// clips every Deps slice, so AddDep on the fork reallocates instead of
+// writing into g's arrays; the tensor registry and each op's
+// Inputs/Outputs/Name stay shared, so callers must not add tensors to a
+// fork nor modify ops through Op. The fork shares g's derived views
+// until its first mutation and afterwards reuses g's adjacency rows for
+// the ops the overlay left alone.
+//
+// Fork only reads g: forking a frozen graph from several goroutines at
+// once is safe.
+func (g *Graph) Fork() *Graph {
+	return &Graph{
+		Tensors: g.Tensors,
+		ops:     slices.Clip(g.ops),
+		adj:     g.adj,
+		order:   g.order,
+		live:    g.live,
+		base:    g.adj,
+		shared:  true,
+	}
+}
+
+// Freeze validates g, computes every derived view (adjacency,
+// topological order, liveness) and forbids further mutation: AddOp and
+// AddDep panic on a frozen graph. A frozen graph is safe to read and
+// Fork from many goroutines at once.
+func (g *Graph) Freeze() error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if _, err := g.Liveness(); err != nil {
+		return err
+	}
+	g.frozen = true
+	return nil
+}
+
+// producers maps each tensor to the last op that outputs it (-1 if
+// none).
 func (g *Graph) producers() []OpID {
 	prod := make([]OpID, g.Tensors.Len())
 	for i := range prod {
@@ -176,35 +296,89 @@ func (g *Graph) producers() []OpID {
 	return prod
 }
 
-// Preds returns, for every op, its full predecessor list: explicit
-// Deps plus dataflow (input tensors' producers), deduplicated and
-// sorted. The executor uses this to count unfinished dependencies.
-func (g *Graph) Preds() [][]OpID { return g.edges() }
-
-// edges builds the full predecessor lists: explicit Deps plus dataflow
-// (input tensors' producers).
-func (g *Graph) edges() [][]OpID {
-	prod := g.producers()
-	preds := make([][]OpID, len(g.ops))
-	for i := range g.ops {
-		op := &g.ops[i]
-		seen := make(map[OpID]bool, len(op.Deps)+len(op.Inputs))
-		add := func(p OpID) {
-			if p >= 0 && p != op.ID && !seen[p] {
-				seen[p] = true
-				preds[i] = append(preds[i], p)
-			}
-		}
-		for _, d := range op.Deps {
-			add(d)
-		}
-		for _, in := range op.Inputs {
-			add(prod[in])
-		}
-		sort.Slice(preds[i], func(a, b int) bool { return preds[i][a] < preds[i][b] })
+// adjacency returns the cached CSR adjacency, building it on first use.
+// An op's predecessors are its explicit Deps plus the producers of its
+// input tensors, deduplicated and sorted; the executor counts them as
+// unfinished dependencies.
+func (g *Graph) adjacency() *adjacency {
+	if g.adj != nil {
+		return g.adj
 	}
-	return preds
+	n := len(g.ops)
+	a := &adjacency{prod: g.producers(), predOff: make([]int32, n+1)}
+	if g.base != nil {
+		a.pred = make([]OpID, 0, len(g.base.pred)+2*(n-len(g.base.predOff)+1))
+	}
+	// seen[p] == i+1 once p is in op i's row.
+	seen := make([]int32, n)
+	for i := range g.ops {
+		start := len(a.pred)
+		if row, ok := g.baseRow(OpID(i), a.prod); ok {
+			a.pred = append(a.pred, row...)
+		} else {
+			op := &g.ops[i]
+			stamp := int32(i + 1)
+			add := func(p OpID) {
+				if p >= 0 && p != op.ID && seen[p] != stamp {
+					seen[p] = stamp
+					a.pred = append(a.pred, p)
+				}
+			}
+			for _, d := range op.Deps {
+				add(d)
+			}
+			for _, in := range op.Inputs {
+				add(a.prod[in])
+			}
+			slices.Sort(a.pred[start:])
+		}
+		a.predOff[i+1] = int32(len(a.pred))
+	}
+	// Successor rows by counting sort: visiting ops in ID order keeps
+	// every row ascending.
+	a.succOff = make([]int32, n+1)
+	for _, p := range a.pred {
+		a.succOff[p+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.succOff[i+1] += a.succOff[i]
+	}
+	a.succ = make([]OpID, len(a.pred))
+	fill := slices.Clone(a.succOff[:n])
+	for i := 0; i < n; i++ {
+		for _, p := range a.preds(OpID(i)) {
+			a.succ[fill[p]] = OpID(i)
+			fill[p]++
+		}
+	}
+	g.adj = a
+	return a
 }
+
+// baseRow returns the fork base's predecessor row for op id when it is
+// still exact: id is a base op, gained no dep, and each of its inputs
+// has the same producer as in the base.
+func (g *Graph) baseRow(id OpID, prod []OpID) ([]OpID, bool) {
+	b := g.base
+	if b == nil || int(id) >= len(b.predOff)-1 || (g.touched != nil && g.touched[id]) {
+		return nil, false
+	}
+	for _, in := range g.ops[id].Inputs {
+		if int(in) >= len(b.prod) || prod[in] != b.prod[in] {
+			return nil, false
+		}
+	}
+	return b.preds(id), true
+}
+
+// Preds returns op id's predecessors: explicit Deps plus dataflow
+// (input tensors' producers), deduplicated and sorted. The slice
+// aliases the graph's cache; callers must not modify it.
+func (g *Graph) Preds(id OpID) []OpID { return g.adjacency().preds(id) }
+
+// Succs returns the ops that list id among their Preds, ascending. The
+// slice aliases the graph's cache; callers must not modify it.
+func (g *Graph) Succs(id OpID) []OpID { return g.adjacency().succs(id) }
 
 // CycleError reports a dependency cycle found during topological sorting.
 type CycleError struct {
@@ -216,49 +390,77 @@ func (e *CycleError) Error() string {
 	return fmt.Sprintf("graph: dependency cycle among %d operators (first: %v)", len(e.Remaining), e.Remaining[0])
 }
 
+// idHeap is a binary min-heap of op IDs: Kahn's ready set.
+type idHeap []OpID
+
+func (h *idHeap) push(id OpID) {
+	s := append(*h, id)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *idHeap) pop() OpID {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < last && s[l] < s[least] {
+			least = l
+		}
+		if r < last && s[r] < s[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
+}
+
 // TopoOrder returns a deterministic topological ordering of the ops
-// (Kahn's algorithm, ties broken by op ID) or a *CycleError.
+// (Kahn's algorithm, ties broken by smallest op ID) or a *CycleError.
+// The order is cached until the next mutation; callers must not modify
+// it.
 func (g *Graph) TopoOrder() ([]OpID, error) {
-	if g.topoCache != nil {
-		return g.topoCache, nil
+	if g.order != nil {
+		return g.order, nil
 	}
-	preds := g.edges()
-	indeg := make([]int, len(g.ops))
-	succs := make([][]OpID, len(g.ops))
-	for i, ps := range preds {
-		indeg[i] = len(ps)
-		for _, p := range ps {
-			succs[p] = append(succs[p], OpID(i))
-		}
-	}
-	// Min-heap on op ID implemented as a sorted frontier; counts here
-	// are small enough that an O(n log n) insertion approach is fine
-	// and keeps the order fully deterministic.
-	var frontier []OpID
-	push := func(id OpID) {
-		i := sort.Search(len(frontier), func(j int) bool { return frontier[j] > id })
-		frontier = append(frontier, 0)
-		copy(frontier[i+1:], frontier[i:])
-		frontier[i] = id
-	}
-	for i := range g.ops {
+	a := g.adjacency()
+	n := len(g.ops)
+	indeg := make([]int32, n)
+	// Zero-indegree ops in ascending order already form a valid heap.
+	var ready idHeap
+	for i := 0; i < n; i++ {
+		indeg[i] = a.predOff[i+1] - a.predOff[i]
 		if indeg[i] == 0 {
-			frontier = append(frontier, OpID(i))
+			ready = append(ready, OpID(i))
 		}
 	}
-	order := make([]OpID, 0, len(g.ops))
-	for len(frontier) > 0 {
-		id := frontier[0]
-		frontier = frontier[1:]
+	order := make([]OpID, 0, n)
+	for len(ready) > 0 {
+		id := ready.pop()
 		order = append(order, id)
-		for _, s := range succs[id] {
+		for _, s := range a.succs(id) {
 			indeg[s]--
 			if indeg[s] == 0 {
-				push(s)
+				ready.push(s)
 			}
 		}
 	}
-	if len(order) != len(g.ops) {
+	if len(order) != n {
 		var remaining []OpID
 		for i, d := range indeg {
 			if d > 0 {
@@ -267,14 +469,18 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 		}
 		return nil, &CycleError{Remaining: remaining}
 	}
-	g.topoCache = order
+	g.order = order
 	return order, nil
 }
 
 // Validate checks structural invariants: tensor references in range,
 // no self-dependencies, acyclicity, and single-producer tensors.
 func (g *Graph) Validate() error {
-	seenProducer := make(map[tensor.ID]OpID)
+	nt := g.Tensors.Len()
+	producer := make([]OpID, nt)
+	for i := range producer {
+		producer[i] = -1
+	}
 	for i := range g.ops {
 		op := &g.ops[i]
 		for _, d := range op.Deps {
@@ -285,16 +491,18 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: op %d (%s) has out-of-range dep %d", op.ID, op.Name, d)
 			}
 		}
-		for _, tid := range append(append([]tensor.ID{}, op.Inputs...), op.Outputs...) {
-			if tid < 0 || int(tid) >= g.Tensors.Len() {
-				return fmt.Errorf("graph: op %d (%s) references unknown tensor %d", op.ID, op.Name, tid)
+		for _, ts := range [2][]tensor.ID{op.Inputs, op.Outputs} {
+			for _, tid := range ts {
+				if tid < 0 || int(tid) >= nt {
+					return fmt.Errorf("graph: op %d (%s) references unknown tensor %d", op.ID, op.Name, tid)
+				}
 			}
 		}
 		for _, out := range op.Outputs {
-			if p, dup := seenProducer[out]; dup && g.ops[p].Kind != Recompute && op.Kind != Recompute && op.Kind != SwapIn {
+			if p := producer[out]; p >= 0 && g.ops[p].Kind != Recompute && op.Kind != Recompute && op.Kind != SwapIn {
 				return fmt.Errorf("graph: tensor %d produced by both op %d and op %d", out, p, op.ID)
 			}
-			seenProducer[out] = op.ID
+			producer[out] = op.ID
 		}
 	}
 	if _, err := g.TopoOrder(); err != nil {
@@ -329,34 +537,60 @@ func (l *Liveness) LastUse(t tensor.ID) int {
 	return us[len(us)-1].Index
 }
 
+// Liveness returns the liveness of the graph's own topological order,
+// cached until the next mutation; callers must not modify it.
+func (g *Graph) Liveness() (*Liveness, error) {
+	if g.live != nil {
+		return g.live, nil
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	g.live = g.Analyze(order)
+	return g.live, nil
+}
+
 // Analyze performs live-variable analysis (paper Sec. III-D performs
 // "a live variable analysis [23] to compute the per tensor live
 // intervals"). The returned indices refer to positions in order.
 func (g *Graph) Analyze(order []OpID) *Liveness {
+	nt := g.Tensors.Len()
 	l := &Liveness{
-		Def:  make([]int, g.Tensors.Len()),
-		Uses: make([][]Use, g.Tensors.Len()),
+		Def:  make([]int, nt),
+		Uses: make([][]Use, nt),
 	}
 	for i := range l.Def {
 		l.Def[i] = -1
 	}
-	pos := make([]int, len(g.ops))
-	for i, id := range order {
-		pos[id] = i
-	}
+	// Every tensor's uses share one backing array, sized by a counting
+	// pass; walking order appends them already sorted by Index.
+	count := make([]int32, nt)
+	total := 0
 	for _, id := range order {
+		for _, in := range g.ops[id].Inputs {
+			count[in]++
+			total++
+		}
+	}
+	flat := make([]Use, total)
+	off := 0
+	for t, c := range count {
+		if c > 0 {
+			l.Uses[t] = flat[off : off : off+int(c)]
+			off += int(c)
+		}
+	}
+	for i, id := range order {
 		op := &g.ops[id]
 		for _, out := range op.Outputs {
 			if l.Def[out] == -1 {
-				l.Def[out] = pos[id]
+				l.Def[out] = i
 			}
 		}
 		for _, in := range op.Inputs {
-			l.Uses[in] = append(l.Uses[in], Use{Op: id, Index: pos[id]})
+			l.Uses[in] = append(l.Uses[in], Use{Op: id, Index: i})
 		}
-	}
-	for t := range l.Uses {
-		sort.Slice(l.Uses[t], func(a, b int) bool { return l.Uses[t][a].Index < l.Uses[t][b].Index })
 	}
 	return l
 }

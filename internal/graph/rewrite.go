@@ -30,7 +30,7 @@ func (g *Graph) InstrumentSwap(t tensor.ID, afterOp, beforeOp, gate OpID, route 
 	tn := g.Tensors.Get(t)
 	stage := g.ops[afterOp].Stage
 	out := g.AddOp(Op{
-		Name:       fmt.Sprintf("%s-swapout:%s", route, tn.Name),
+		Name:       route + "-swapout:" + tn.Name,
 		Kind:       SwapOut,
 		Stage:      stage,
 		Layer:      tn.Layer,
@@ -44,7 +44,7 @@ func (g *Graph) InstrumentSwap(t tensor.ID, afterOp, beforeOp, gate OpID, route 
 		deps = append(deps, gate)
 	}
 	in := g.AddOp(Op{
-		Name:       fmt.Sprintf("%s-swapin:%s", route, tn.Name),
+		Name:       route + "-swapin:" + tn.Name,
 		Kind:       SwapIn,
 		Stage:      stage,
 		Layer:      tn.Layer,
@@ -68,7 +68,7 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 		deps = append(deps, gate)
 	}
 	in := g.AddOp(Op{
-		Name:       fmt.Sprintf("%s-swapin:%s", route, tn.Name),
+		Name:       route + "-swapin:" + tn.Name,
 		Kind:       SwapIn,
 		Stage:      tn.Stage,
 		Layer:      tn.Layer,
@@ -87,7 +87,7 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 func (g *Graph) InstrumentSwapOut(t tensor.ID, afterOp OpID, route string) OpID {
 	tn := g.Tensors.Get(t)
 	return g.AddOp(Op{
-		Name:       fmt.Sprintf("%s-swapout:%s", route, tn.Name),
+		Name:       route + "-swapout:" + tn.Name,
 		Kind:       SwapOut,
 		Stage:      tn.Stage,
 		Layer:      tn.Layer,

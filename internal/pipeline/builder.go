@@ -62,6 +62,8 @@ type Built struct {
 	// Acts[k] lists the activation tensors (one per block, plus
 	// embedding/logits entries) produced by forward slot k.
 	Acts map[SlotKey][]tensor.ID
+	// ActSlot inverts Acts: the forward slot producing each activation.
+	ActSlot map[tensor.ID]SlotKey
 	// BoundIn[k] is the retained stage-input tensor of slot k
 	// (absent for stage 0).
 	BoundIn map[SlotKey]tensor.ID
@@ -102,6 +104,15 @@ type Built struct {
 // NumStages returns the stage count.
 func (b *Built) NumStages() int { return len(b.Profiles) }
 
+// Fork returns a shallow copy of b whose Graph is a graph.Fork of b's:
+// instrumenting the fork (plan.Apply) leaves b untouched. Every other
+// field is shared and must be treated as read-only.
+func (b *Built) Fork() *Built {
+	f := *b
+	f.Graph = b.Graph.Fork()
+	return &f
+}
+
 // SamplesProcessed returns the sequences consumed by the whole run.
 func (b *Built) SamplesProcessed() int {
 	return b.Cfg.MicrobatchSize * b.TotalMicrobatches
@@ -137,6 +148,7 @@ func Build(bc BuildConfig) (*Built, error) {
 		Persistent:        make([][]tensor.ID, S),
 		PersistentSet:     make(map[tensor.ID]bool),
 		Acts:              make(map[SlotKey][]tensor.ID),
+		ActSlot:           make(map[tensor.ID]SlotKey),
 		BoundIn:           make(map[SlotKey]tensor.ID),
 		FwOps:             make(map[SlotKey]graph.OpID),
 		BwOps:             make(map[SlotKey]graph.OpID),
@@ -244,6 +256,9 @@ func Build(bc BuildConfig) (*Built, error) {
 				}))
 			}
 			b.Acts[k] = acts
+			for _, id := range acts {
+				b.ActSlot[id] = k
+			}
 
 			fwIn := append([]tensor.ID(nil), paramT[s]...)
 			if s > 0 {

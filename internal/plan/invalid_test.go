@@ -1,0 +1,119 @@
+package plan
+
+import (
+	"errors"
+	"maps"
+	"slices"
+	"testing"
+
+	"mpress/internal/exec"
+	"mpress/internal/fabric"
+	"mpress/internal/hw"
+	"mpress/internal/pipeline"
+	"mpress/internal/tensor"
+)
+
+// TestApplyRejectsInvalidPlans: one poisoned field per case, each of
+// which used to pass Apply and panic (or silently misbehave) in the
+// executor. Apply must return an *InvalidError naming the tensor and
+// leave the build uninstrumented.
+func TestApplyRejectsInvalidPlans(t *testing.T) {
+	build := smallJob(t, pipeline.DAPPLE)
+	base, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Graph.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	topo := hw.DGX1()
+
+	// A valid starting point: one stage-0 activation D2D-swapped to GPU 5.
+	var acts []tensor.ID
+	for id := range base.RecomputeFLOPs {
+		if base.ActSlot[id].Stage == 0 {
+			acts = append(acts, id)
+		}
+	}
+	slices.Sort(acts)
+	act := acts[0]
+	size := base.Graph.Tensors.Get(act).Size
+	valid := func() *Plan {
+		return &Plan{
+			Mapping:     exec.IdentityMapping(base.NumStages()),
+			Act:         map[tensor.ID]Mechanism{act: MechD2D},
+			Parts:       map[tensor.ID][]fabric.Part{act: {{Peer: 5, Bytes: size}}},
+			HostPersist: map[tensor.ID]bool{},
+		}
+	}
+	opts, err := Apply(valid(), base.Fork(), topo)
+	if err != nil {
+		t.Fatalf("valid plan rejected: %v", err)
+	}
+	if _, err := exec.Run(*opts); err != nil {
+		t.Fatalf("valid plan does not run: %v", err)
+	}
+
+	var grad tensor.ID = -1
+	for _, id := range base.Persistent[0] {
+		if base.Graph.Tensors.Get(id).Class == tensor.Gradient {
+			grad = id
+			break
+		}
+	}
+	cases := []struct {
+		name   string
+		tensor tensor.ID
+		poison func(pl *Plan)
+	}{
+		{"peer outside the topology", act, func(pl *Plan) {
+			pl.Parts[act] = []fabric.Part{{Peer: 99, Bytes: size}}
+		}},
+		{"peer is the host", act, func(pl *Plan) {
+			pl.Parts[act] = []fabric.Part{{Peer: hw.Host, Bytes: size}}
+		}},
+		{"peer is the tensor's own device", act, func(pl *Plan) {
+			pl.Parts[act] = []fabric.Part{{Peer: 0, Bytes: size}}
+		}},
+		{"empty stripe", act, func(pl *Plan) {
+			pl.Parts[act] = []fabric.Part{{Peer: 5, Bytes: size}, {Peer: 6, Bytes: 0}}
+		}},
+		{"mechanism out of range", act, func(pl *Plan) {
+			pl.Act[act] = MechD2D + 1
+		}},
+		{"negative mechanism", act, func(pl *Plan) {
+			pl.Act[act] = -1
+		}},
+		{"host-parked tensor not persistent", act, func(pl *Plan) {
+			pl.HostPersist[act] = true
+		}},
+		{"host-parked tensor out of range", 1 << 30, func(pl *Plan) {
+			pl.HostPersist[1<<30] = true
+		}},
+		{"mapping too short", -1, func(pl *Plan) {
+			pl.Mapping = pl.Mapping[:len(pl.Mapping)-1]
+		}},
+		{"activation mechanism on a persistent tensor", grad, func(pl *Plan) {
+			pl.Act[grad] = MechRecompute
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pl := valid()
+			pl.Parts = maps.Clone(pl.Parts)
+			c.poison(pl)
+			b := base.Fork()
+			_, err := Apply(pl, b, topo)
+			var inv *InvalidError
+			if !errors.As(err, &inv) {
+				t.Fatalf("Apply = %v, want *InvalidError", err)
+			}
+			if inv.Tensor != c.tensor {
+				t.Errorf("error names tensor %d, want %d (%v)", inv.Tensor, c.tensor, err)
+			}
+			if b.Graph.Len() != base.Graph.Len() {
+				t.Errorf("rejected plan still instrumented %d ops", b.Graph.Len()-base.Graph.Len())
+			}
+		})
+	}
+}

@@ -86,9 +86,10 @@ func AllMechanisms() Allowed { return Allowed{Recompute: true, HostSwap: true, D
 // Options configures the planner.
 type Options struct {
 	Topo *hw.Topology
-	// Build returns a fresh lowering of the job. Builds are
-	// deterministic, so tensor and op IDs are stable across calls;
-	// the planner instruments fresh copies for each emulation.
+	// Build returns a fresh lowering of the job. Compute calls it
+	// exactly once and freezes the result (graph.Graph.Freeze), so Build
+	// must not hand out a Built its caller later mutates; every
+	// emulation instruments a pipeline.Built.Fork of that base.
 	Build   func() (*pipeline.Built, error)
 	Allowed Allowed
 	// SafetyMargin widens each stage's savings target to absorb the
@@ -120,8 +121,8 @@ type groupKey struct {
 	Block int
 }
 
-// Plan is the planner's output, applicable to any fresh Built of the
-// same job.
+// Plan is the planner's output, applicable to any uninstrumented Built
+// (or fork of one) of the same job.
 type Plan struct {
 	Mapping []hw.DeviceID
 	// Act assigns a mechanism to individual activation tensors.
@@ -159,15 +160,14 @@ func (pl *Plan) Device(s int) hw.DeviceID {
 // planner carries the working state of one Compute call.
 type planner struct {
 	o       Options
-	built   *pipeline.Built // reference lowering (never instrumented)
+	built   *pipeline.Built // the one frozen base lowering (never instrumented)
 	profile *profiler.Profile
 	mapRes  *mapping.Result
 	spare   compaction.SpareBudget
 
-	slotOf map[tensor.ID]pipeline.SlotKey
 	// groups indexes each (stage, block) activation group's instances
 	// in microbatch order — precomputed once so the refinement loop's
-	// candidate enumeration does not rescan slotOf.
+	// candidate enumeration does not rescan the build's activations.
 	groups     map[groupKey][]tensor.ID
 	inUse      map[groupKey]Mechanism
 	plan       *Plan
@@ -192,6 +192,11 @@ func Compute(o Options) (*Plan, error) {
 	if p.built, err = o.Build(); err != nil {
 		return nil, err
 	}
+	// Lower once, emulate many: the base is frozen with its order,
+	// adjacency and liveness computed, and each emulation forks it.
+	if err = p.built.Graph.Freeze(); err != nil {
+		return nil, err
+	}
 	if p.profile, err = profiler.Collect(o.Topo, p.built, nil); err != nil {
 		return nil, err
 	}
@@ -210,14 +215,8 @@ func Compute(o Options) (*Plan, error) {
 		}
 	}
 
-	p.slotOf = make(map[tensor.ID]pipeline.SlotKey)
-	for k, acts := range p.built.Acts {
-		for _, id := range acts {
-			p.slotOf[id] = k
-		}
-	}
 	p.groups = make(map[groupKey][]tensor.ID)
-	for id, k := range p.slotOf {
+	for id, k := range p.built.ActSlot {
 		if _, ok := p.built.RecomputeFLOPs[id]; !ok {
 			continue
 		}
@@ -676,7 +675,7 @@ func (p *planner) planStripes(budget compaction.SpareBudget, src hw.DeviceID, si
 // be in flight (allocated but not yet drained) before the forward must
 // wait, and whether restores must strictly serialize behind evictions
 // (only one evicted instance fits at a time).
-func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology, slotOf map[tensor.ID]pipeline.SlotKey) ([]int, []bool) {
+func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]int, []bool) {
 	S := b.NumStages()
 	evictedPerMB := make([]units.Bytes, S)    // bytes leaving per microbatch (hostswap + d2d)
 	recomputedPerMB := make([]units.Bytes, S) // bytes dropped and rematerialized per microbatch
@@ -745,11 +744,126 @@ func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology, slotOf map[tens
 	return windows, serialize
 }
 
-// Apply instruments a fresh Built with the plan and assembles the
-// executor options. The Built must come from the same BuildConfig the
-// plan was computed for (tensor and op IDs are positional).
+// InvalidError reports a plan that does not fit the build or topology
+// it is applied to (a corrupted or foreign plan file, for instance).
+// Apply returns it before instrumenting anything.
+type InvalidError struct {
+	// Tensor is the offending tensor, or -1 when the fault is not
+	// about one tensor.
+	Tensor tensor.ID
+	Reason string
+}
+
+func (e *InvalidError) Error() string {
+	if e.Tensor < 0 {
+		return "plan: invalid plan: " + e.Reason
+	}
+	return fmt.Sprintf("plan: invalid plan: tensor %d: %s", e.Tensor, e.Reason)
+}
+
+// actUse is one validated activation assignment of a plan.
+type actUse struct {
+	id   tensor.ID
+	mech Mechanism
+	slot pipeline.SlotKey
+}
+
+// check validates pl against the build and topology Apply is about to
+// instrument, so a bad plan fails with an *InvalidError instead of
+// panicking the executor. It returns pl's activation assignments in
+// tensor order.
+func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, error) {
+	invalid := func(id tensor.ID, format string, args ...any) error {
+		return &InvalidError{Tensor: id, Reason: fmt.Sprintf(format, args...)}
+	}
+	if len(pl.Mapping) != b.NumStages() {
+		return nil, invalid(-1, "mapping has %d entries for %d stages", len(pl.Mapping), b.NumStages())
+	}
+	ids := make([]tensor.ID, 0, len(pl.Act))
+	for id := range pl.Act {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	acts := make([]actUse, len(ids))
+	for i, id := range ids {
+		a := &acts[i]
+		a.id, a.mech = id, pl.Act[id]
+		if a.mech < MechNone || a.mech > MechD2D {
+			return nil, invalid(a.id, "mechanism %v is out of range", a.mech)
+		}
+		var ok bool
+		if a.slot, ok = b.ActSlot[a.id]; !ok {
+			return nil, invalid(a.id, "not an activation of this build")
+		}
+		switch a.mech {
+		case MechRecompute:
+			if _, ok := b.RecomputeFLOPs[a.id]; !ok {
+				return nil, invalid(a.id, "not recomputable")
+			}
+		case MechD2D:
+			parts := pl.Parts[a.id]
+			if len(parts) == 0 {
+				return nil, invalid(a.id, "D2D swap without stripes")
+			}
+			own := pl.Device(a.slot.Stage)
+			for _, part := range parts {
+				switch {
+				case !part.Peer.IsGPU() || int(part.Peer) >= topo.NumGPUs:
+					return nil, invalid(a.id, "D2D peer %v is not a GPU of the topology", part.Peer)
+				case part.Peer == own:
+					return nil, invalid(a.id, "D2D peer %v is the tensor's own device", part.Peer)
+				case part.Bytes <= 0:
+					return nil, invalid(a.id, "D2D stripe to %v has %d bytes", part.Peer, part.Bytes)
+				}
+			}
+		}
+	}
+	for id := range pl.HostPersist {
+		if !b.PersistentSet[id] {
+			return nil, invalid(id, "host-parked tensor is not persistent in this build")
+		}
+	}
+	return acts, nil
+}
+
+// Apply instruments b with the plan and assembles the executor
+// options. b must be an uninstrumented lowering of the BuildConfig the
+// plan was computed for (tensor and op IDs are positional) — a fresh
+// Build, or a Fork of a frozen one, which is how the planner emulates
+// without ever touching its base. A plan that does not fit b or topo
+// returns an *InvalidError and leaves b untouched.
 func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error) {
 	g := b.Graph
+	acts, err := check(pl, b, topo)
+	if err != nil {
+		return nil, err
+	}
+	persIDs := make([]tensor.ID, 0, len(pl.HostPersist))
+	for id := range pl.HostPersist {
+		persIDs = append(persIDs, id)
+	}
+	slices.Sort(persIDs)
+	overlay := 0 // ops the instrumentation adds: two per mechanism use
+	for _, a := range acts {
+		if a.mech != MechNone {
+			overlay += 2
+		}
+	}
+	// A persistent tensor is used only by its stage's compute ops,
+	// which the stage's schedule chain totally orders, so the use
+	// sequence read off the uninstrumented graph (cached for a fork) is
+	// the sequence in any instrumented order too.
+	var live *graph.Liveness
+	if len(persIDs) > 0 {
+		if live, err = g.Liveness(); err != nil {
+			return nil, err
+		}
+		for _, id := range persIDs {
+			overlay += 2 * len(live.Uses[id])
+		}
+	}
+	g.Grow(overlay)
+
 	opts := &exec.Options{
 		Topo:             topo,
 		Built:            b,
@@ -758,51 +872,29 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		InitiallySwapped: make(map[tensor.ID]bool),
 	}
 
-	slotOf := make(map[tensor.ID]pipeline.SlotKey)
-	for k, acts := range b.Acts {
-		for _, id := range acts {
-			slotOf[id] = k
-		}
+	// Activation instrumentation. swaps pairs each swapped tensor's
+	// slot with its swap ops, in tensor order.
+	type swap struct {
+		slot pipeline.SlotKey
+		pair graph.SwapPair
 	}
-
-	// Activation instrumentation.
-	actIDs := make([]tensor.ID, 0, len(pl.Act))
-	for id := range pl.Act {
-		actIDs = append(actIDs, id)
-	}
-	slices.Sort(actIDs)
-	swapOuts := make(map[tensor.ID]graph.OpID)
-	swapIns := make(map[tensor.ID]graph.OpID)
-	for _, id := range actIDs {
-		mech := pl.Act[id]
-		k, ok := slotOf[id]
-		if !ok {
-			return nil, fmt.Errorf("plan: tensor %d is not an activation of this build", id)
-		}
+	var swaps []swap
+	for _, a := range acts {
+		k := a.slot
 		after := b.FwOps[k]
 		before := b.BwOps[k]
 		gate := b.PrevOnStage[before]
-		switch mech {
+		switch a.mech {
 		case MechRecompute:
-			fl, ok := b.RecomputeFLOPs[id]
-			if !ok {
-				return nil, fmt.Errorf("plan: tensor %d is not recomputable", id)
-			}
-			g.InstrumentRecompute(id, after, before, gate, fl)
+			g.InstrumentRecompute(a.id, after, before, gate, b.RecomputeFLOPs[a.id])
 		case MechHostSwap:
-			pair := g.InstrumentSwap(id, after, before, gate, "h2d")
-			swapOuts[id] = pair.Out
-			swapIns[id] = pair.In
+			swaps = append(swaps, swap{k, g.InstrumentSwap(a.id, after, before, gate, "h2d")})
 		case MechD2D:
-			parts := pl.Parts[id]
-			if len(parts) == 0 {
-				return nil, fmt.Errorf("plan: D2D tensor %d has no stripes", id)
-			}
-			pair := g.InstrumentSwap(id, after, before, gate, "d2d")
+			parts := pl.Parts[a.id]
+			pair := g.InstrumentSwap(a.id, after, before, gate, "d2d")
 			opts.D2DRoutes[pair.Out] = parts
 			opts.D2DRoutes[pair.In] = parts
-			swapOuts[id] = pair.Out
-			swapIns[id] = pair.In
+			swaps = append(swaps, swap{k, pair})
 		}
 	}
 
@@ -814,22 +906,21 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 	// W is per stage: how many evicted instance-sets fit in the memory
 	// left after the reserve, resident persistent state and retained
 	// activations.
-	windows, serialize := swapWindows(pl, b, topo, slotOf)
+	windows, serialize := swapWindows(pl, b, topo)
 	outsBySlot := make(map[pipeline.SlotKey][]graph.OpID)
-	for id, out := range swapOuts {
-		k := slotOf[id]
-		outsBySlot[k] = append(outsBySlot[k], out)
-		w := windows[k.Stage]
-		next := pipeline.SlotKey{Stage: k.Stage, Microbatch: k.Microbatch + w}
+	for _, sw := range swaps {
+		k := sw.slot
+		outsBySlot[k] = append(outsBySlot[k], sw.pair.Out)
+		next := pipeline.SlotKey{Stage: k.Stage, Microbatch: k.Microbatch + windows[k.Stage]}
 		if fw, ok := b.FwOps[next]; ok {
-			g.AddDep(fw, out)
+			g.AddDep(fw, sw.pair.Out)
 		}
 	}
 	// Strict mode: the swap-in restoring microbatch m may only begin
 	// once the forward instance just ahead of B(m) in the stage order
 	// has fully drained, keeping a single evicted instance resident.
-	for id, in := range swapIns {
-		k := slotOf[id]
+	for _, sw := range swaps {
+		k := sw.slot
 		if !serialize[k.Stage] {
 			continue
 		}
@@ -839,21 +930,11 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		}
 		prevSlot := pipeline.SlotKey{Stage: k.Stage, Microbatch: g.Op(prev).Microbatch}
 		for _, out := range outsBySlot[prevSlot] {
-			g.AddDep(in, out)
+			g.AddDep(sw.pair.In, out)
 		}
 	}
 
 	// Persistent host-parking: swap in around each use.
-	persIDs := make([]tensor.ID, 0, len(pl.HostPersist))
-	for id := range pl.HostPersist {
-		persIDs = append(persIDs, id)
-	}
-	slices.Sort(persIDs)
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	live := g.Analyze(order)
 	for _, id := range persIDs {
 		opts.InitiallySwapped[id] = true
 		var prevOut graph.OpID = -1
@@ -869,6 +950,8 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		}
 	}
 
+	// The one ordering of the instrumented graph: Validate caches it,
+	// with the adjacency, for exec.
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: instrumented graph invalid: %w", err)
 	}

@@ -20,8 +20,8 @@
 //     busiest serial resource's total work);
 //   - a memo keyed by trial-plan fingerprint reuses emulation verdicts
 //     across rounds (emulation is a pure function of plan content —
-//     Options.Build is deterministic — so equal fingerprints imply
-//     equal verdicts).
+//     every emulation instruments a fork of the same frozen base
+//     lowering — so equal fingerprints imply equal verdicts).
 package plan
 
 import (
@@ -481,16 +481,12 @@ func (p *planner) convertToRecompute(t *trial, key groupKey) bool {
 	return true
 }
 
-// simulate applies pl to a fresh Built and runs it bounded. Pure with
-// respect to planner state, so refinement workers may call it
-// concurrently; emulate is the sequential counting wrapper the
-// OOM-retry loop uses.
+// simulate applies pl to a fork of the frozen base lowering and runs it
+// bounded. Pure with respect to planner state, so refinement workers
+// may call it concurrently; emulate is the sequential counting wrapper
+// the OOM-retry loop uses.
 func (p *planner) simulate(pl *Plan) (*exec.Result, error) {
-	b, err := p.o.Build()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := Apply(pl, b, p.o.Topo)
+	opts, err := Apply(pl, p.built.Fork(), p.o.Topo)
 	if err != nil {
 		return nil, err
 	}

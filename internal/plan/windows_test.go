@@ -38,16 +38,6 @@ func buildForWindows(t *testing.T) (*pipeline.Built, *Plan) {
 	return b, pl
 }
 
-func slotIndex(b *pipeline.Built) map[tensor.ID]pipeline.SlotKey {
-	out := make(map[tensor.ID]pipeline.SlotKey)
-	for k, acts := range b.Acts {
-		for _, id := range acts {
-			out[id] = k
-		}
-	}
-	return out
-}
-
 func TestSwapWindowsTightCapacitySerializes(t *testing.T) {
 	b, pl := buildForWindows(t)
 	topo := hw.DGX1()
@@ -67,7 +57,7 @@ func TestSwapWindowsTightCapacitySerializes(t *testing.T) {
 		}
 	}
 	topo.GPU.Memory = pipeline.RuntimeReserve + persistent + instance + units.GB(1)
-	windows, serialize := swapWindows(pl, b, topo, slotIndex(b))
+	windows, serialize := swapWindows(pl, b, topo)
 	if windows[0] != 1 {
 		t.Errorf("tight capacity window = %d, want 1", windows[0])
 	}
@@ -80,7 +70,7 @@ func TestSwapWindowsAmpleCapacity(t *testing.T) {
 	b, pl := buildForWindows(t)
 	topo := hw.DGX1()
 	topo.GPU.Memory = 512 * units.GiB
-	windows, serialize := swapWindows(pl, b, topo, slotIndex(b))
+	windows, serialize := swapWindows(pl, b, topo)
 	inflight := b.Cfg.Kind.InFlight(0, b.NumStages(), b.Cfg.Microbatches)
 	if windows[0] != inflight {
 		t.Errorf("ample capacity window = %d, want in-flight %d", windows[0], inflight)
@@ -98,7 +88,7 @@ func TestSwapWindowsNoEvictionsUnconstrained(t *testing.T) {
 		Parts:       make(map[tensor.ID][]fabric.Part),
 		HostPersist: make(map[tensor.ID]bool),
 	}
-	windows, serialize := swapWindows(empty, b, hw.DGX1(), slotIndex(b))
+	windows, serialize := swapWindows(empty, b, hw.DGX1())
 	for s, w := range windows {
 		inflight := b.Cfg.Kind.InFlight(s, b.NumStages(), b.Cfg.Microbatches)
 		if w != inflight || serialize[s] {

@@ -91,7 +91,10 @@ func Collect(topo *hw.Topology, built *pipeline.Built, mapping []hw.DeviceID) (*
 	if err != nil {
 		return nil, err
 	}
-	live := g.Analyze(order)
+	live, err := g.Liveness()
+	if err != nil {
+		return nil, err
+	}
 
 	p := &Profile{
 		Stats:    make([]TensorStat, g.Tensors.Len()),
