@@ -13,9 +13,12 @@ smoke:
 # Fleet acceptance: boot a 3-peer in-process fleet, push 200 mixed
 # requests through the ring-aware client, require byte-identical plans
 # vs local runner.Train, exactly-once planning for a 64-request burst,
-# and zero goroutine leaks on drain.
+# and zero goroutine leaks on drain. The result-memo suite rides along
+# under the race detector: repeated and concurrent identical requests
+# must run their job once and serve byte-identical reports, plans and
+# traces under fresh job IDs.
 fleet-smoke:
-	$(GO) test -run 'TestFleet' -count=1 ./internal/serve/
+	$(GO) test -race -run 'TestFleet|TestResultMemo' -count=1 ./internal/serve/
 
 # Capacity-planner acceptance: a two-candidate catalog where the
 # cheaper feasible machine must win the ranking, plus the determinism

@@ -94,6 +94,7 @@ func jobMix(distinct int) ([]runner.Config, error) {
 // across the run.
 type serverCounters struct {
 	planHits, planMisses, planComputes float64
+	memoHits                           float64
 	forwardsSent, forwardsReceived     float64
 	forwardErrors, sfWaits             float64
 	tierHits, tierServes, tierPushes   float64
@@ -111,6 +112,7 @@ func scrapeCounters(httpc *http.Client, base string) (serverCounters, error) {
 		"mpressd_plan_cache_hits_total":          &c.planHits,
 		"mpressd_plan_cache_misses_total":        &c.planMisses,
 		"mpressd_plan_computes_total":            &c.planComputes,
+		"mpressd_result_memo_hits_total":         &c.memoHits,
 		"mpressd_fleet_forwards_sent_total":      &c.forwardsSent,
 		"mpressd_fleet_forwards_received_total":  &c.forwardsReceived,
 		"mpressd_fleet_forward_errors_total":     &c.forwardErrors,
@@ -138,7 +140,7 @@ func scrapeCounters(httpc *http.Client, base string) (serverCounters, error) {
 func (a serverCounters) sub(b serverCounters) serverCounters {
 	return serverCounters{
 		planHits: a.planHits - b.planHits, planMisses: a.planMisses - b.planMisses,
-		planComputes: a.planComputes - b.planComputes,
+		planComputes: a.planComputes - b.planComputes, memoHits: a.memoHits - b.memoHits,
 		forwardsSent: a.forwardsSent - b.forwardsSent, forwardsReceived: a.forwardsReceived - b.forwardsReceived,
 		forwardErrors: a.forwardErrors - b.forwardErrors, sfWaits: a.sfWaits - b.sfWaits,
 		tierHits: a.tierHits - b.tierHits, tierServes: a.tierServes - b.tierServes,
@@ -149,7 +151,7 @@ func (a serverCounters) sub(b serverCounters) serverCounters {
 func (a serverCounters) add(b serverCounters) serverCounters {
 	return serverCounters{
 		planHits: a.planHits + b.planHits, planMisses: a.planMisses + b.planMisses,
-		planComputes: a.planComputes + b.planComputes,
+		planComputes: a.planComputes + b.planComputes, memoHits: a.memoHits + b.memoHits,
 		forwardsSent: a.forwardsSent + b.forwardsSent, forwardsReceived: a.forwardsReceived + b.forwardsReceived,
 		forwardErrors: a.forwardErrors + b.forwardErrors, sfWaits: a.sfWaits + b.sfWaits,
 		tierHits: a.tierHits + b.tierHits, tierServes: a.tierServes + b.tierServes,
@@ -179,6 +181,7 @@ type record struct {
 	P99MS        float64 `json:"p99_ms"`
 	PlanHitRate  float64 `json:"plan_cache_hit_rate"`
 	PlanComputes float64 `json:"plan_computes"`
+	MemoHits     float64 `json:"result_memo_hits"`
 	Forwards     float64 `json:"forwards"`
 	ForwardErrs  float64 `json:"forward_errors"`
 	SFWaits      float64 `json:"singleflight_waits"`
@@ -344,6 +347,7 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 		P50MS:       pct(50), P95MS: pct(95), P99MS: pct(99),
 		PlanHitRate:  hitRate,
 		PlanComputes: delta.planComputes,
+		MemoHits:     delta.memoHits,
 		Forwards:     delta.forwardsSent,
 		ForwardErrs:  delta.forwardErrors,
 		SFWaits:      delta.sfWaits,
@@ -363,8 +367,8 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 	fmt.Printf("mpress-load: %d requests, %d errors, %.1fs wall (%.1f req/s) against %d peer(s)\n",
 		requests, errors, wall.Seconds(), rec.AchievedRPS, len(peers))
 	fmt.Printf("  latency  p50 %.1fms  p95 %.1fms  p99 %.1fms\n", rec.P50MS, rec.P95MS, rec.P99MS)
-	fmt.Printf("  plan cache hit rate %.1f%% (%d computes)  singleflight waits %d\n",
-		hitRate*100, int(delta.planComputes), int(delta.sfWaits))
+	fmt.Printf("  plan cache hit rate %.1f%% (%d computes)  result memo hits %d  singleflight waits %d\n",
+		hitRate*100, int(delta.planComputes), int(delta.memoHits), int(delta.sfWaits))
 	fmt.Printf("  forwards %d (errors %d)  cache tier hits %d pushes %d\n",
 		int(delta.forwardsSent), int(delta.forwardErrors), int(delta.tierHits), int(delta.tierPushes))
 	fmt.Printf("  hedges sent %d won %d  (server saw %d)\n", st.HedgesSent, st.HedgeWins, int(delta.hedgesReceived))

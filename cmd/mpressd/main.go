@@ -45,7 +45,7 @@ func main() {
 	simScheduler := flag.String("sim-scheduler", "", "simulation event scheduler: auto, heap, or calendar (results identical under every scheduler)")
 	queue := flag.Int("queue", 16, "admission queue depth (in-service + waiting requests)")
 	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
-	retain := flag.Int("retain", 64, "completed jobs retained for the trace endpoint")
+	retain := flag.Int("retain", 64, "completed jobs retained for the trace endpoint and the result memo (0 disables both)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested deadlines")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain bound")
@@ -68,6 +68,9 @@ func main() {
 		}
 	}
 
+	if *retain == 0 {
+		*retain = -1 // Options reads 0 as "default"; the flag's 0 means off
+	}
 	srv := serve.New(serve.Options{
 		Runner: runner.Options{
 			Workers:          *workers,

@@ -44,6 +44,19 @@ func LookupSchedule(name string) (ScheduleKind, error) {
 		name, strings.Join(ScheduleNames(), ", "))
 }
 
+// KnownSchedule reports whether k is a registered schedule — the
+// validation gate behind runner.Config.WithDefaults, so an
+// out-of-range value from hand-built JSON fails at config time instead
+// of silently simulating as some other schedule.
+func KnownSchedule(k ScheduleKind) bool {
+	for _, e := range scheduleNames {
+		if e.kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 // ScheduleName returns the CLI name of a schedule (the inverse of
 // LookupSchedule), or its String form for unknown values.
 func ScheduleName(k ScheduleKind) string {
@@ -86,6 +99,17 @@ func LookupStrategy(name string) (Strategy, error) {
 	}
 	return 0, fmt.Errorf("pipeline: unknown strategy %q (valid names: %s)",
 		name, strings.Join(StrategyNames(), ", "))
+}
+
+// KnownStrategy reports whether s is a registered partition strategy
+// (the Strategy counterpart of KnownSchedule).
+func KnownStrategy(s Strategy) bool {
+	for _, e := range strategyNames {
+		if e.strat == s {
+			return true
+		}
+	}
+	return false
 }
 
 // StrategyName returns the CLI name of a strategy (the inverse of

@@ -99,7 +99,10 @@ type Config struct {
 	// Model is required (see the facade's MustBert/MustGPT or build
 	// your own).
 	Model model.Config
-	// Schedule defaults to DAPPLE; Strategy to ComputeBalanced.
+	// Schedule and Strategy take their zero values when unset:
+	// PipeDream and ComputeBalanced. Values outside the registered
+	// sets (pipeline.ScheduleNames, pipeline.StrategyNames) fail
+	// validation.
 	Schedule pipeline.ScheduleKind
 	Strategy pipeline.Strategy
 	// Precision defaults to mixed-precision Adam for fp16 models and
@@ -112,7 +115,7 @@ type Config struct {
 	MicrobatchSize int
 	Microbatches   int
 	Minibatches    int
-	// System defaults to SystemMPress.
+	// System takes its zero value, SystemPlain, when unset.
 	System System
 	// DisableMappingSearch / DisableStriping are the Fig. 9 ablation
 	// knobs (only meaningful for the MPress systems).
@@ -256,6 +259,14 @@ func (c Config) WithDefaults() (Config, error) {
 	if !KnownSystem(c.System) {
 		return c, fmt.Errorf("mpress: unknown system %v (valid systems: %s)",
 			c.System, strings.Join(SystemNames(), ", "))
+	}
+	if !pipeline.KnownSchedule(c.Schedule) {
+		return c, fmt.Errorf("mpress: unknown schedule %v (valid schedules: %s)",
+			c.Schedule, strings.Join(pipeline.ScheduleNames(), ", "))
+	}
+	if !pipeline.KnownStrategy(c.Strategy) {
+		return c, fmt.Errorf("mpress: unknown strategy %v (valid strategies: %s)",
+			c.Strategy, strings.Join(pipeline.StrategyNames(), ", "))
 	}
 	if c.Topology == nil {
 		return c, fmt.Errorf("mpress: Topology is required")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpress/internal/hw"
@@ -240,6 +241,40 @@ func TestRunConfigsSlotsValidationErrors(t *testing.T) {
 func TestTrainRejectsInvalidConfig(t *testing.T) {
 	if _, err := Train(Config{}); err == nil {
 		t.Error("Train accepted an empty config")
+	}
+}
+
+// TestWithDefaultsRejectsUnknownEnums: an out-of-range Schedule used to
+// simulate silently as PipeDream (under a bogus fingerprint) and an
+// out-of-range Strategy failed only inside PartitionModel; both must
+// fail validation with the valid names listed, while every registered
+// value still validates.
+func TestWithDefaultsRejectsUnknownEnums(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string // "" = must validate
+	}{
+		{"schedule 99", func(c *Config) { c.Schedule = 99 }, "valid schedules: pipedream, dapple, gpipe"},
+		{"schedule -1", func(c *Config) { c.Schedule = -1 }, "unknown schedule"},
+		{"schedule 99 on ZeRO", func(c *Config) { c.System = SystemZeRO3; c.Schedule = 99 }, "unknown schedule"},
+		{"strategy 7", func(c *Config) { c.Strategy = 7 }, "valid strategies: compute-balanced, memory-balanced"},
+		{"system 42", func(c *Config) { c.System = 42 }, "unknown system"},
+		{"dapple", func(c *Config) { c.Schedule = pipeline.DAPPLE }, ""},
+		{"gpipe", func(c *Config) { c.Schedule = pipeline.GPipe }, ""},
+		{"memory-balanced", func(c *Config) { c.Strategy = pipeline.MemoryBalanced }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := bertCfg(t, "0.64B", SystemMPress)
+			tc.mutate(&cfg)
+			_, err := NewJob(cfg)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("valid config rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("error = %v, want it to contain %q", err, tc.want)
+			}
+		})
 	}
 }
 

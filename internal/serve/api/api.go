@@ -130,10 +130,14 @@ type PlanResponse struct {
 	// embedded verbatim — feed it to plan.Load (or write it to disk
 	// for mpress-plan -load). Absent for systems that do not plan.
 	Plan json.RawMessage `json:"plan,omitempty"`
-	// PlanCacheHit reports the daemon reused a cached plan.
+	// PlanCacheHit reports the daemon reused a cached plan. A response
+	// served from the daemon's result memo (an earlier request with the
+	// same fingerprint already ran the job) reuses its plan by
+	// definition.
 	PlanCacheHit bool `json:"plan_cache_hit"`
 	// ElapsedMS is the job's wall-clock on the daemon, with StageMS
-	// the per-stage breakdown.
+	// the per-stage breakdown; both are empty when the response was
+	// served from the result memo, because no job ran for it.
 	ElapsedMS float64            `json:"elapsed_ms"`
 	StageMS   map[string]float64 `json:"stage_ms,omitempty"`
 }

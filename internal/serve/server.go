@@ -51,9 +51,11 @@ type Options struct {
 	// request's own timeout is clamped to MaxTimeout. Defaults: 2m/10m.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// RetainJobs bounds how many completed jobs keep their execution
-	// timeline for GET /v1/jobs/<id>/trace. Default 64; 0 disables
-	// retention.
+	// RetainJobs bounds how many served plan requests the job store
+	// keeps: their execution timelines for GET /v1/jobs/<id>/trace,
+	// and the settled results that answer repeated requests for the
+	// same fingerprint without running the job again (the result
+	// memo). Default 64; negative disables both.
 	RetainJobs int
 	// DrainTimeout bounds graceful shutdown: how long Serve waits for
 	// in-flight requests after its context is cancelled. Default 30s.
@@ -85,10 +87,16 @@ type Server struct {
 	jobSeq   atomic.Int64
 	draining atomic.Bool
 
-	// Resilience counters, accumulated over completed jobs.
+	// Resilience counters, accumulated over simulations run (memo hits
+	// leave them unchanged).
 	failuresTotal  atomic.Int64
 	ckptsTotal     atomic.Int64
 	ckptBytesTotal atomic.Int64
+
+	// Result-memo counters: plan requests answered from a settled
+	// result, and plan requests that ran their job.
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
 
 	// Fleet state: membership view (nil standalone), the HTTP client
 	// for peer traffic (forwards + cache tier), and the singleflight
@@ -343,6 +351,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	// Result memo: the job is deterministic, so a fingerprint this
+	// daemon has already completed is answered from its settled result
+	// without admission, queueing or running the job.
+	if res, ok := s.store.lookup(j.Fingerprint()); ok {
+		s.memoHits.Add(1)
+		writeJSON(w, http.StatusOK, s.response(j, res, nil, true))
+		return
+	}
 	if !s.adm.tryAcquire() {
 		s.rejectSaturated(w, "plan")
 		return
@@ -357,14 +373,23 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// fleet-wide singleflight — a 64-request burst for one popular job
 	// plans (and simulates) exactly once.
 	type planOutcome struct {
-		resp   *api.PlanResponse
+		resp   *api.PlanResponse // the response of the request that ran the job
+		res    *result
 		status int
 		err    error
 	}
 	key := j.Fingerprint() + "\x00" + req.Timeout
 	v, shared, err := s.sf.Do(ctx, key, func() any {
-		resp, status, err := s.planJob(ctx, j, true)
-		return planOutcome{resp, status, err}
+		// A flight for this fingerprint may have settled since the
+		// lookup above; checking again under the flight keeps "one run
+		// per fingerprint" exact.
+		if res, ok := s.store.lookup(j.Fingerprint()); ok {
+			s.memoHits.Add(1)
+			return planOutcome{res: res}
+		}
+		s.memoMisses.Add(1)
+		resp, res, status, err := s.planJob(ctx, j)
+		return planOutcome{resp, res, status, err}
 	})
 	if err != nil {
 		// This waiter's own deadline expired while the leader ran on.
@@ -379,11 +404,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.sfWaits.Add(1)
 	}
 	out := v.(planOutcome)
-	if out.err != nil {
+	switch {
+	case out.err != nil:
 		writeError(w, out.status, "%v", out.err)
-		return
+	case out.resp != nil && !shared:
+		writeJSON(w, http.StatusOK, out.resp)
+	default:
+		// A waiter on another request's run, or a late memo hit.
+		writeJSON(w, http.StatusOK, s.response(j, out.res, nil, true))
 	}
-	writeJSON(w, http.StatusOK, out.resp)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -430,21 +459,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = api.SweepResult{Error: res.Err.Error()}
 			continue
 		}
-		pr, err := s.response(res)
+		settled, err := s.settle(res)
 		if err != nil {
 			resp.Results[i] = api.SweepResult{Error: err.Error()}
 			continue
 		}
-		resp.Results[i] = api.SweepResult{Response: pr}
+		resp.Results[i] = api.SweepResult{Response: s.response(res.Job, settled, &res, false)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// planJob runs a validated job, retaining its timeline for the trace
-// endpoint when retain is set. In a fleet it brackets the run with the
+// planJob runs a validated job and settles its result into the job
+// store, where it also answers later requests for the fingerprint
+// (errors are never memoized). In a fleet it brackets the run with the
 // shared cache tier: a cold local plan cache is seeded from the
 // plan-key owner first, and a freshly computed plan is pushed back.
-func (s *Server) planJob(ctx context.Context, j *runner.Job, retain bool) (*api.PlanResponse, int, error) {
+func (s *Server) planJob(ctx context.Context, j *runner.Job) (*api.PlanResponse, *result, int, error) {
 	s.seedPlanFromTier(ctx, j)
 	res := s.runJob(ctx, j)
 	if res.Err == nil && !res.PlanCacheHit {
@@ -464,39 +494,58 @@ func (s *Server) planJob(ctx context.Context, j *runner.Job, retain bool) (*api.
 		} else if errors.Is(res.Err, context.Canceled) {
 			status = http.StatusServiceUnavailable
 		}
-		return nil, status, res.Err
+		return nil, nil, status, res.Err
 	}
-	resp, err := s.response(res)
+	settled, err := s.settle(res)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return nil, nil, http.StatusInternalServerError, err
 	}
-	if retain && res.State != nil && res.State.Built != nil && res.State.Exec != nil {
+	return s.response(j, settled, &res, true), settled, http.StatusOK, nil
+}
+
+// settle turns a completed run into its immutable result, serializing
+// the plan in the plan.Save file format (fingerprint-labelled) and
+// extracting the execution timeline when the run kept its artifacts.
+// Every simulation is settled exactly once, so this is where the
+// resilience counters accumulate.
+func (s *Server) settle(run runner.JobResult) (*result, error) {
+	rep := run.Report
+	if rep == nil {
+		return nil, fmt.Errorf("job %s produced no report", run.Job.Fingerprint())
+	}
+	s.failuresTotal.Add(int64(rep.Failures))
+	s.ckptsTotal.Add(int64(rep.Checkpoints))
+	s.ckptBytesTotal.Add(int64(rep.CheckpointBytes))
+	cfg := run.Job.Config
+	res := &result{
+		report: rep,
+		info: api.JobInfo{
+			Fingerprint: run.Job.Fingerprint(),
+			System:      cfg.System.String(),
+			Model:       cfg.Model.Name,
+			Nodes:       nodesOf(cfg),
+			Failures:    rep.Failures,
+		},
+	}
+	if rep.Plan != nil {
+		var buf bytes.Buffer
+		if err := run.Job.SavePlan(&buf, rep.Plan); err != nil {
+			return nil, fmt.Errorf("serialize plan: %w", err)
+		}
+		res.plan = buf.Bytes()
+	}
+	if st := run.State; st != nil && st.Built != nil && st.Exec != nil {
 		// Resilient runs carry their merged wall-clock timeline
 		// (failures, recoveries and checkpoints marked); fault-free
 		// runs collect the executor's.
-		tl := res.State.Timeline
-		if tl == nil {
-			tl = trace.Collect(res.State.Built, res.State.Exec)
-			tl.LaneNames = res.State.TraceLaneNames()
+		res.timeline = st.Timeline
+		if res.timeline == nil {
+			res.timeline = trace.Collect(st.Built, st.Exec)
+			res.timeline.LaneNames = st.TraceLaneNames()
 		}
-		failures := 0
-		if res.Report != nil {
-			failures = res.Report.Failures
-		}
-		s.store.put(&jobRecord{
-			info: api.JobInfo{
-				ID:          resp.ID,
-				Fingerprint: resp.Fingerprint,
-				System:      res.Job.Config.System.String(),
-				Model:       res.Job.Config.Model.Name,
-				Nodes:       nodesOf(res.Job.Config),
-				Failures:    failures,
-				HasTrace:    true,
-			},
-			timeline: tl,
-		})
+		res.info.HasTrace = true
 	}
-	return resp, http.StatusOK, nil
+	return res, nil
 }
 
 // nodesOf reports a config's replica count for the wire, zero (elided)
@@ -508,35 +557,38 @@ func nodesOf(c runner.Config) int {
 	return 0
 }
 
-// response assembles the wire response for a completed job, embedding
-// the plan in the plan.Save file format (fingerprint-labelled).
-func (s *Server) response(res runner.JobResult) (*api.PlanResponse, error) {
+// response assembles the wire response for one request for job j
+// served from res, under a fresh job ID, and retains the request in
+// the job store when retain is set. run is the runner's outcome when
+// this request ran the job itself; nil means res was computed earlier
+// (a memo hit or a singleflight waiter), so no stage timings apply and
+// a plan on the report was necessarily reused. The report always
+// echoes j's own config: fields outside the fingerprint (PlanWorkers)
+// may differ between requests sharing one result.
+func (s *Server) response(j *runner.Job, res *result, run *runner.JobResult, retain bool) *api.PlanResponse {
+	rep := *res.report
+	rep.Config = j.Config
 	resp := &api.PlanResponse{
 		ID:           fmt.Sprintf("job-%06d", s.jobSeq.Add(1)),
-		Fingerprint:  res.Job.Fingerprint(),
-		Report:       res.Report,
-		PlanCacheHit: res.PlanCacheHit,
-		ElapsedMS:    float64(res.Elapsed) / float64(time.Millisecond),
+		Fingerprint:  j.Fingerprint(),
+		Report:       &rep,
+		Plan:         res.plan,
+		PlanCacheHit: res.plan != nil,
 	}
-	if rep := res.Report; rep != nil {
-		s.failuresTotal.Add(int64(rep.Failures))
-		s.ckptsTotal.Add(int64(rep.Checkpoints))
-		s.ckptBytesTotal.Add(int64(rep.CheckpointBytes))
-	}
-	if len(res.StageTimes) > 0 {
-		resp.StageMS = make(map[string]float64, len(res.StageTimes))
-		for name, d := range res.StageTimes {
-			resp.StageMS[name] = float64(d) / float64(time.Millisecond)
+	if run != nil {
+		resp.PlanCacheHit = run.PlanCacheHit
+		resp.ElapsedMS = float64(run.Elapsed) / float64(time.Millisecond)
+		if len(run.StageTimes) > 0 {
+			resp.StageMS = make(map[string]float64, len(run.StageTimes))
+			for name, d := range run.StageTimes {
+				resp.StageMS[name] = float64(d) / float64(time.Millisecond)
+			}
 		}
 	}
-	if res.Report != nil && res.Report.Plan != nil {
-		var buf bytes.Buffer
-		if err := res.Job.SavePlan(&buf, res.Report.Plan); err != nil {
-			return nil, fmt.Errorf("serialize plan: %w", err)
-		}
-		resp.Plan = json.RawMessage(buf.Bytes())
+	if retain {
+		s.store.put(resp.ID, res)
 	}
-	return resp, nil
+	return resp
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -546,12 +598,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rec, ok := s.store.get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "job %q is unknown or its trace has been evicted", id)
+	if !ok || rec.res.timeline == nil {
+		writeError(w, http.StatusNotFound, "job %q is unknown, has no trace, or has been evicted", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := rec.writeTrace(w); err != nil {
+	if err := rec.res.timeline.WriteChrome(w); err != nil {
 		s.logger.Printf("trace %s: write: %v", id, err)
 	}
 }
@@ -579,10 +631,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"mpressd_plan_computes_total", "counter", "Planner searches actually run.", float64(st.PlanComputes)},
 		{"mpressd_runner_plan_seconds_total", "counter", "Cumulative wall-clock in the planning stage.", st.PlanTime.Seconds()},
 		{"mpressd_runner_exec_seconds_total", "counter", "Cumulative wall-clock in the execution stage.", st.ExecTime.Seconds()},
-		{"mpressd_retained_jobs", "gauge", "Completed jobs retained for the trace endpoint.", float64(len(s.store.list()))},
-		{"mpressd_failures_injected_total", "counter", "Simulated hardware faults injected across completed jobs.", float64(s.failuresTotal.Load())},
-		{"mpressd_checkpoints_total", "counter", "Checkpoint snapshots taken across completed jobs.", float64(s.ckptsTotal.Load())},
-		{"mpressd_checkpoint_bytes_total", "counter", "Cumulative checkpoint payload bytes across completed jobs.", float64(s.ckptBytesTotal.Load())},
+		{"mpressd_retained_jobs", "gauge", "Completed jobs retained for the trace endpoint and the result memo.", float64(len(s.store.list()))},
+		{"mpressd_result_memo_hits_total", "counter", "Plan requests answered from a memoized result without running the job.", float64(s.memoHits.Load())},
+		{"mpressd_result_memo_misses_total", "counter", "Plan requests that ran their job because no memoized result existed.", float64(s.memoMisses.Load())},
+		{"mpressd_failures_injected_total", "counter", "Simulated hardware faults injected across simulations run (memo hits do not count).", float64(s.failuresTotal.Load())},
+		{"mpressd_checkpoints_total", "counter", "Checkpoint snapshots taken across simulations run (memo hits do not count).", float64(s.ckptsTotal.Load())},
+		{"mpressd_checkpoint_bytes_total", "counter", "Cumulative checkpoint payload bytes across simulations run (memo hits do not count).", float64(s.ckptBytesTotal.Load())},
 	}
 	fleetPeers := 0
 	if s.fleet != nil {
