@@ -313,3 +313,30 @@ func TestKeepArtifacts(t *testing.T) {
 		t.Error("State retained without KeepArtifacts")
 	}
 }
+
+// TestFingerprintsStable pins the exact fingerprint and plan-key
+// strings of one planned job at three tensor-parallel degrees. Both
+// are hashed into plan-cache keys and SavePlan labels, so any change
+// to the canonical rendering — including the ";tp=%d;cp=1" suffix a
+// TP > 1 job carries — invalidates every saved plan and must fail
+// here first.
+func TestFingerprintsStable(t *testing.T) {
+	for _, tc := range []struct {
+		tp          int
+		fp, planKey string
+	}{
+		{0, "1543ff566a1f3aa96136c89fb27670a7", "c4debc937d6107e356c549d6f15e6429"},
+		{2, "501bfb7d10b79d4172cfe05c15c6221c", "fba936e84f0cfd0b7a1358c9f1ad9028"},
+		{4, "0474d31ada7f961eaf6c1bf7ef0ffc31", "e8aa3e10beb042eaa806f502a043a610"},
+	} {
+		cfg := bertCfg(t, "0.64B", SystemMPress)
+		cfg.TPDegree = tc.tp
+		j := mustJob(t, cfg)
+		if got := j.Fingerprint(); got != tc.fp {
+			t.Errorf("tp=%d: fingerprint %s, want %s", tc.tp, got, tc.fp)
+		}
+		if got := j.PlanKey(); got != tc.planKey {
+			t.Errorf("tp=%d: plan key %s, want %s", tc.tp, got, tc.planKey)
+		}
+	}
+}
