@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke simkernel-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke simkernel-smoke benchmark-smoke
+check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -36,17 +36,6 @@ fleet-plan-smoke:
 autosearch-smoke:
 	$(GO) test -race -run 'TestAutoSearch' -count=1 .
 
-# Simulation-kernel acceptance: every artifact (report JSON, canonical
-# plan file, Chrome trace) byte-identical between the serial kernel,
-# each forced scheduler, and conservative PDES at 1 and 8 workers, for
-# every determinism preset — under the race detector, which also
-# hammers the PDES worker pool. The sim package run adds the
-# heap-vs-calendar ordering-equivalence fuzz and the PDES engine's own
-# determinism/stop/interrupt suite.
-simkernel-smoke:
-	$(GO) test -race -run 'TestSimKernelSmoke' -count=1 .
-	$(GO) test -race -run 'TestSched|TestPDES' -count=1 ./internal/sim/
-
 # Planning-request benchmark smoke: benchmark/ is a module of its own,
 # so go build ./... never compiles it, yet it calls plan, graph, exec
 # and pipeline directly. Build it and run every workload at one op,
@@ -65,7 +54,6 @@ bench:
 	$(GO) run ./cmd/mpress-bench -exp resilience -perf BENCH_resilience.json > /dev/null
 	$(GO) run ./cmd/mpress-bench -exp planner -perf BENCH_planner.json > /dev/null
 	$(GO) run ./cmd/mpress-bench -exp autosearch -perf BENCH_search.json > /dev/null
-	$(GO) run ./cmd/mpress-bench -exp simkernel -perf BENCH_sim.json > /dev/null
 
 # Single-iteration smoke of the refinement-loop and sim-kernel
 # benchmarks, so check catches them compiling or asserting badly
@@ -99,7 +87,7 @@ vet:
 
 # Placement discipline: stage → device lookups go through the shard
 # grid (grid.Placement / Plan.Device), never by indexing a raw Mapping
-# slice — direct indexing silently ignores the TP/CP axes.
+# slice — direct indexing silently ignores the TP axis.
 vet-grid:
 	@out="$$(grep -rn 'Mapping\[' --include='*.go' cmd internal examples *.go 2>/dev/null \
 		| grep -v '_test\.go' | grep -v '^internal/grid/' || true)"; \

@@ -50,16 +50,7 @@ type perfRecord struct {
 	PlanCacheHit    bool    `json:"plan_cache_hit,omitempty"`
 	SimEvents       int64   `json:"sim_events,omitempty"`
 	SimEventsPerSec float64 `json:"sim_events_per_sec,omitempty"`
-	// Kernel fields label simulation-kernel measurements (the simkernel
-	// experiment): the runner's PDES worker count and scheduler knob on
-	// job records, plus — on the status="kernel" records its synthetic
-	// cells emit — the resolved scheduler, window count, and the
-	// kernel's own real-time event rate. Fingerprint then holds the
-	// cell name.
-	SimWorkers   int    `json:"sim_workers,omitempty"`
-	SimScheduler string `json:"sim_scheduler,omitempty"`
-	SimWindows   int64  `json:"sim_windows,omitempty"`
-	Status       string `json:"status"`
+	Status          string  `json:"status"`
 	// Search fields, set on the one status="search" record each
 	// auto-search emits (the autosearch experiment): the branch-and-
 	// bound counters and the winner strategy. Fingerprint then holds
@@ -139,8 +130,6 @@ func main() {
 				PlanMS:       float64(jr.StageTimes["plan"].Microseconds()) / 1e3,
 				PlanWorkers:  jr.Job.Config.PlanWorkers,
 				PlanCacheHit: jr.PlanCacheHit,
-				SimWorkers:   jr.SimWorkers,
-				SimScheduler: jr.SimScheduler,
 				Status:       "ok",
 			}
 			switch {
@@ -155,21 +144,6 @@ func main() {
 				if d := jr.StageTimes["execute"]; d > 0 {
 					rec.SimEventsPerSec = float64(rec.SimEvents) / d.Seconds()
 				}
-			}
-			mu.Lock()
-			records = append(records, rec)
-			mu.Unlock()
-		})
-		experiments.SetKernelObserver(func(s experiments.KernelSample) {
-			rec := perfRecord{
-				Experiment:      current,
-				Fingerprint:     s.Bench,
-				SimWorkers:      s.Workers,
-				SimScheduler:    s.Scheduler,
-				SimWindows:      s.Windows,
-				SimEvents:       s.Events,
-				SimEventsPerSec: s.EventsPerSec,
-				Status:          "kernel",
 			}
 			mu.Lock()
 			records = append(records, rec)
@@ -210,16 +184,9 @@ func main() {
 				return records[i].Fingerprint < records[j].Fingerprint
 			}
 			// The planner experiment reruns one fingerprint at several
-			// worker settings, and simkernel at several kernel knobs
-			// (neither joins the config fingerprint); keep those rows
-			// in a stable order too.
-			if records[i].PlanWorkers != records[j].PlanWorkers {
-				return records[i].PlanWorkers < records[j].PlanWorkers
-			}
-			if records[i].SimWorkers != records[j].SimWorkers {
-				return records[i].SimWorkers < records[j].SimWorkers
-			}
-			return records[i].SimScheduler < records[j].SimScheduler
+			// worker settings (not part of the config fingerprint);
+			// keep those rows in a stable order too.
+			return records[i].PlanWorkers < records[j].PlanWorkers
 		})
 		out, err := json.MarshalIndent(records, "", "  ")
 		if err == nil {

@@ -63,8 +63,6 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedule")
 	jobs := flag.Int("jobs", 0, "concurrent training jobs (default GOMAXPROCS)")
 	planWorkers := flag.Int("plan-workers", 0, "concurrent candidate evaluations inside each planner refinement round (plans are byte-identical at any setting; 0 sequential)")
-	simWorkers := flag.Int("sim-workers", 0, "PDES simulation workers per job (reports are byte-identical at any setting; 0 serial kernel)")
-	simScheduler := flag.String("sim-scheduler", "", "simulation event scheduler: auto, heap, or calendar (results identical under every scheduler)")
 	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
 	timeout := flag.Duration("timeout", 0, "abort the whole sweep after this long (default none)")
 	quiet := flag.Bool("quiet", false, "suppress the progress line and summary on stderr")
@@ -204,8 +202,6 @@ func main() {
 		Workers:          *jobs,
 		PlanWorkers:      *planWorkers,
 		PlanCacheEntries: *cacheEntries,
-		SimWorkers:       *simWorkers,
-		SimScheduler:     *simScheduler,
 		OnJobDone: func(jr mpress.JobResult) {
 			if *quiet {
 				return

@@ -11,13 +11,14 @@
 //	mpress-topo -topo dgx1 -json               # the topology as mpressd wire JSON
 //	mpress-topo -topo dgx1 -nodes 4 -fabric fast
 //	mpress-topo -topo dgx1 -nodes 4 -json      # the cluster as JSON
-//	mpress-topo -topo dgx1 -tp 2               # the TP(2)×PP(4)×DP(1)×CP(1) grid
+//	mpress-topo -topo dgx1 -tp 2               # the TP(2)×PP(4)×DP(1) grid
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,83 +30,101 @@ import (
 )
 
 func main() {
-	topoName := flag.String("topo", "dgx1", "topology, one of: "+strings.Join(hw.TopologyNames(), ", "))
-	sizeStr := flag.String("size", "256MiB", "transfer size for the bandwidth probe")
-	nodes := flag.Int("nodes", 1, "node count; > 1 composes a multi-node cluster")
-	tp := flag.Int("tp", 1, "tensor-parallel degree for the grid factorization")
-	cp := flag.Int("cp", 1, "context-parallel degree for the grid factorization (stub axis; must be 1)")
-	fabricName := flag.String("fabric", "fast", "inter-node fabric, one of: "+strings.Join(cluster.FabricNames(), ", "))
-	asJSON := flag.Bool("json", false, "emit the topology (or cluster, with -nodes > 1) as JSON and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command, parameterized over its arguments and
+// output streams so tests can drive it; it returns the exit code: 0 on
+// success, 1 on an output failure, 2 on invalid input. Every input —
+// the grid included — is validated before anything is written to
+// stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpress-topo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topoName := fs.String("topo", "dgx1", "topology, one of: "+strings.Join(hw.TopologyNames(), ", "))
+	sizeStr := fs.String("size", "256MiB", "transfer size for the bandwidth probe")
+	nodes := fs.Int("nodes", 1, "node count; > 1 composes a multi-node cluster")
+	tp := fs.Int("tp", 1, "tensor-parallel degree for the grid factorization")
+	fabricName := fs.String("fabric", "fast", "inter-node fabric, one of: "+strings.Join(cluster.FabricNames(), ", "))
+	asJSON := fs.Bool("json", false, "emit the topology (or cluster, with -nodes > 1) as JSON and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "mpress-topo: %v\n", err)
+		return code
+	}
 
 	topo, err := hw.LookupTopology(*topoName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpress-topo: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	var clus *cluster.Cluster
 	if *nodes > 1 {
 		fab, err := cluster.LookupFabric(*fabricName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpress-topo: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		if clus, err = cluster.New(*nodes, topo, fab); err != nil {
-			fmt.Fprintf(os.Stderr, "mpress-topo: %v\n", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 	}
+	g, err := grid.New(topo, *nodes, *tp)
+	if err != nil {
+		return fail(2, err)
+	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		var v interface{} = topo
 		if clus != nil {
 			v = clus
 		}
 		if err := enc.Encode(v); err != nil {
-			fmt.Fprintf(os.Stderr, "mpress-topo: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 	size, err := units.ParseBytes(*sizeStr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpress-topo: %v\n", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	if clus != nil {
-		fmt.Printf("%s: %d nodes, %d GPUs, %v total GPU memory\n",
+		fmt.Fprintf(stdout, "%s: %d nodes, %d GPUs, %v total GPU memory\n",
 			clus.Name, clus.Nodes, clus.TotalGPUs(), clus.TotalGPUMemory())
-		fmt.Printf("inter-node %s (%s/node aggregate)\n\n", clus.Net.String(), clus.Net.NodeBW().BitString())
+		fmt.Fprintf(stdout, "inter-node %s (%s/node aggregate)\n\n", clus.Net.String(), clus.Net.NodeBW().BitString())
 		for n := 0; n < clus.Nodes; n++ {
 			devs := make([]string, topo.NumGPUs)
 			for g := range devs {
 				devs[g] = hw.DeviceID(g).On(n).String()
 			}
-			fmt.Printf("node %d: %s .. %s\n", n, devs[0], devs[len(devs)-1])
+			fmt.Fprintf(stdout, "node %d: %s .. %s\n", n, devs[0], devs[len(devs)-1])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Printf("%s: %d x %s (%v each), host %v\n", topo.Name, topo.NumGPUs,
+	fmt.Fprintf(stdout, "%s: %d x %s (%v each), host %v\n", topo.Name, topo.NumGPUs,
 		topo.GPU.Name, topo.GPU.Memory, topo.HostMemory)
-	fmt.Printf("NVLink: %v/lane, %d lanes per GPU; PCIe %v", topo.NVLinkLaneBW,
+	fmt.Fprintf(stdout, "NVLink: %v/lane, %d lanes per GPU; PCIe %v", topo.NVLinkLaneBW,
 		topo.LanesPerGPU, topo.PCIeBW)
 	if topo.NVMeBW > 0 {
-		fmt.Printf("; NVMe %v (%v)", topo.NVMeBW, topo.NVMeSize)
+		fmt.Fprintf(stdout, "; NVMe %v (%v)", topo.NVMeBW, topo.NVMeSize)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if topo.Switched {
-		fmt.Println("\nsymmetric NVSwitch fabric: every pair fully connected")
+		fmt.Fprintln(stdout, "\nsymmetric NVSwitch fabric: every pair fully connected")
 	} else {
-		fmt.Println("\nlane matrix:")
-		fmt.Print(topo.LaneMatrixString())
+		fmt.Fprintln(stdout, "\nlane matrix:")
+		fmt.Fprint(stdout, topo.LaneMatrixString())
 	}
 
-	fmt.Printf("\neffective bandwidth at %v from gpu0:\n", size)
-	fmt.Printf("  PCIe (to host): %v\n", fabric.EffectiveHostBandwidth(topo, 0, size))
+	fmt.Fprintf(stdout, "\neffective bandwidth at %v from gpu0:\n", size)
+	fmt.Fprintf(stdout, "  PCIe (to host): %v\n", fabric.EffectiveHostBandwidth(topo, 0, size))
 	for _, nb := range topo.NVLinkNeighbors(0) {
-		fmt.Printf("  -> %v (%d lanes): %v\n", nb, topo.LanesBetween(0, nb),
+		fmt.Fprintf(stdout, "  -> %v (%d lanes): %v\n", nb, topo.LanesBetween(0, nb),
 			fabric.EffectiveBandwidth(topo, 0, nb, size, 0))
 	}
 	if !topo.Switched {
@@ -113,31 +132,25 @@ func main() {
 			{Peer: 1, Bytes: size / 6}, {Peer: 2, Bytes: size / 6},
 			{Peer: 3, Bytes: size / 3}, {Peer: 4, Bytes: size - size/6*2 - size/3},
 		}
-		fmt.Printf("  6-lane weighted scatter: %v\n", fabric.EffectiveScatterBandwidth(topo, 0, parts))
+		fmt.Fprintf(stdout, "  6-lane weighted scatter: %v\n", fabric.EffectiveScatterBandwidth(topo, 0, parts))
 	}
 	if clus != nil {
-		fmt.Printf("\nring all-reduce of %v across %d nodes (4 buckets):\n", size, clus.Nodes)
-		fmt.Printf("  ideal (latency-free): %v\n", clus.IdealAllReduceTime(size))
-		fmt.Printf("  simulated: %v (algbw %v)\n",
+		fmt.Fprintf(stdout, "\nring all-reduce of %v across %d nodes (4 buckets):\n", size, clus.Nodes)
+		fmt.Fprintf(stdout, "  ideal (latency-free): %v\n", clus.IdealAllReduceTime(size))
+		fmt.Fprintf(stdout, "  simulated: %v (algbw %v)\n",
 			cluster.MeasureAllReduce(clus, size, 4),
 			cluster.EffectiveAllReduceBandwidth(clus, size, 4))
 	}
 
-	g, err := grid.New(topo, *nodes, *tp, *cp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mpress-topo: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Printf("\ngrid: %s\n", g.Shape)
-	if g.Shape.TP > 1 || g.Shape.CP > 1 {
+	fmt.Fprintf(stdout, "\ngrid: %s\n", g.Shape)
+	if g.Shape.TP > 1 {
 		for n := 0; n < g.Shape.DP; n++ {
-			fmt.Printf("  node %d:\n", n)
+			fmt.Fprintf(stdout, "  node %d:\n", n)
 			for pp := 0; pp < g.Shape.PP; pp++ {
-				for c := 0; c < g.Shape.CP; c++ {
-					fmt.Printf("    %s\n", g.GroupString(pp, c, n))
-				}
+				fmt.Fprintf(stdout, "    %s\n", g.GroupString(pp, n))
 			}
 		}
-		fmt.Printf("  TP ring hop bandwidth: %v\n", g.TPRingBandwidth())
+		fmt.Fprintf(stdout, "  TP ring hop bandwidth: %v\n", g.TPRingBandwidth())
 	}
+	return 0
 }

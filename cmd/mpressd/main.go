@@ -41,8 +41,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7323", "listen address")
 	workers := flag.Int("workers", 0, "concurrent planning jobs (default GOMAXPROCS)")
 	planWorkers := flag.Int("plan-workers", 0, "concurrent candidate evaluations inside each planner refinement round (plans are byte-identical at any setting; 0 sequential)")
-	simWorkers := flag.Int("sim-workers", 0, "PDES simulation workers per job (reports are byte-identical at any setting; 0 serial kernel)")
-	simScheduler := flag.String("sim-scheduler", "", "simulation event scheduler: auto, heap, or calendar (results identical under every scheduler)")
 	queue := flag.Int("queue", 16, "admission queue depth (in-service + waiting requests)")
 	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
 	retain := flag.Int("retain", 64, "completed jobs retained for the trace endpoint and the result memo (0 disables both)")
@@ -76,8 +74,6 @@ func main() {
 			Workers:          *workers,
 			PlanWorkers:      *planWorkers,
 			PlanCacheEntries: *cacheEntries,
-			SimWorkers:       *simWorkers,
-			SimScheduler:     *simScheduler,
 		},
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,

@@ -89,19 +89,6 @@ type Options struct {
 	// per-operator tensor-parallel all-reduces to its compute ops and
 	// accounts their NVLink traffic in Result.TPAllReduceBytes.
 	TP *TPSpec
-	// SimWorkers, when positive, runs the event kernel in conservative
-	// PDES mode (internal/sim/pdes.go) with that many drain goroutines,
-	// partitioned per PlanPartitions. Results are byte-identical to the
-	// serial kernel at every worker count; the knob changes only how
-	// the simulator spends real time, so it must never join a job
-	// fingerprint or plan key.
-	SimWorkers int
-	// SimLookahead overrides the PDES window span; zero derives it from
-	// the topology's minimum nonzero link latency (fabric.MinLinkLatency).
-	SimLookahead units.Duration
-	// SimScheduler selects the kernel's event-store structure (auto,
-	// heap, calendar). Scheduler choice never changes results.
-	SimScheduler sim.SchedMode
 	// GradSync, when non-nil, joins this run to its data-parallel
 	// replicas (internal/cluster): called once at setup with the run's
 	// clock, it returns the synchronizer invoked whenever a stage's
@@ -180,12 +167,6 @@ type Result struct {
 	// records and planner tuning.
 	Events       int64
 	EventsPerSec float64
-	// SimScheduler names the event structure the kernel ended on and
-	// SimWindows counts PDES lookahead windows (zero for serial runs).
-	// Like EventsPerSec, these describe the simulator, not the job —
-	// they stay out of reports.
-	SimScheduler string
-	SimWindows   int64
 }
 
 // residency tracks where a tensor's bytes currently live.
@@ -281,18 +262,6 @@ func Run(o Options) (*Result, error) {
 	// instance can be released as soon as Run returns.
 	e := &engine{o: o, place: grid.Flat(o.Mapping), sim: sim.Get(), g: o.Built.Graph}
 	defer sim.Put(e.sim)
-	e.sim.SetScheduler(o.SimScheduler)
-	if o.SimWorkers > 0 {
-		pp := PlanPartitions(o.Topo, o.Mapping, o.SimLookahead)
-		err := e.sim.EnablePDES(sim.PDESConfig{
-			Partitions: pp.Partitions,
-			Lookahead:  pp.Lookahead,
-			Workers:    o.SimWorkers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exec: %w", err)
-		}
-	}
 	e.fab = fabric.New(e.sim, o.Topo)
 	e.gpus = make([]*memsim.Device, o.Topo.NumGPUs)
 	e.compute = make([]*sim.Queue, o.Topo.NumGPUs)
@@ -841,8 +810,6 @@ func (e *engine) result() *Result {
 	st := e.sim.Stats()
 	r.Events = st.Events
 	r.EventsPerSec = st.EventsPerSec
-	r.SimScheduler = st.Scheduler
-	r.SimWindows = st.Windows
 	return r
 }
 

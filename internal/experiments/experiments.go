@@ -46,9 +46,8 @@ func newSharedRunner() *mpress.Runner {
 }
 
 // notifyObserver forwards a completed job to the registered observer.
-// Runners built outside the shared pool (trainWith, the simkernel
-// variants) hang their OnJobDone off this so -perf records cover their
-// jobs too.
+// Runners built outside the shared pool (trainWith) hang their
+// OnJobDone off this so -perf records cover their jobs too.
 func notifyObserver(jr mpress.JobResult) {
 	if observer != nil {
 		observer(jr)
@@ -69,31 +68,6 @@ func SetParallelism(n int) {
 // Call it before running experiments, not concurrently with them; nil
 // unregisters.
 func SetObserver(fn func(mpress.JobResult)) { observer = fn }
-
-// KernelSample is one synthetic simulation-kernel measurement from the
-// simkernel experiment: a scheduler micro-benchmark cell or a PDES
-// replica run. Events is the deterministic event count, EventsPerSec
-// the real-time rate the kernel processed them at.
-type KernelSample struct {
-	// Bench names the cell, e.g. "dense-10k" or "pdes-replicas-p4".
-	Bench string
-	// Scheduler is the resolved scheduler name ("heap", "calendar",
-	// "calendar+heap-fallback").
-	Scheduler string
-	// Workers and Windows are set on PDES cells (0 otherwise).
-	Workers      int
-	Windows      int64
-	Events       int64
-	EventsPerSec float64
-}
-
-var kernelObserver func(KernelSample)
-
-// SetKernelObserver registers fn to receive the simkernel experiment's
-// synthetic measurements — the cells that are not training jobs and so
-// never reach the job observer. mpress-bench turns them into -perf
-// records. Call before running experiments; nil unregisters.
-func SetKernelObserver(fn func(KernelSample)) { kernelObserver = fn }
 
 // Stats exposes the shared runner's counters (jobs, plan-cache
 // hits/misses) for the CLI's summary line.

@@ -73,9 +73,7 @@ var plannerWorkerPoints = []int{1, 4}
 // plan stage is timed cold — the shared runner's plan cache keys plans
 // by config fingerprint, so reusing it would hand every point after
 // the first a cached plan and time nothing. The observer still sees
-// the job, so -perf records include these points. Callers that want
-// to share a plan anyway seed the fresh runner explicitly
-// (Runner.SeedPlan), as the simkernel experiment does.
+// the job, so -perf records include these points.
 func trainWith(cfg mpress.Config, opts mpress.RunnerOptions) mpress.JobResult {
 	j, err := mpress.NewJob(cfg)
 	if err != nil {

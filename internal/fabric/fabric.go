@@ -80,26 +80,6 @@ func New(s *sim.Sim, topo *hw.Topology) *Fabric {
 // Topology returns the hardware description the fabric simulates.
 func (f *Fabric) Topology() *hw.Topology { return f.topo }
 
-// MinLinkLatency returns the smallest nonzero link latency in the
-// topology. It is the natural conservative-PDES lookahead within one
-// server: no effect crosses devices faster than the fastest link's
-// setup latency, so partitions drained inside a window of this span
-// are causally independent.
-func MinLinkLatency(topo *hw.Topology) units.Duration {
-	var min units.Duration
-	consider := func(d units.Duration) {
-		if d > 0 && (min == 0 || d < min) {
-			min = d
-		}
-	}
-	consider(topo.NVLinkLatency)
-	consider(topo.PCIeLatency)
-	if topo.NVMeBW > 0 {
-		consider(topo.NVMeLatency)
-	}
-	return min
-}
-
 // Stats aggregates traffic per link class.
 type Stats struct {
 	// NVLinkBytes / PCIeBytes / NVMeBytes are total bytes moved.

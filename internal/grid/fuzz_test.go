@@ -7,15 +7,15 @@ import "testing"
 // every in-shape coordinate, CoordOf(Rank(c)) == c and Rank stays
 // inside [0, World).
 func FuzzCoordRank(f *testing.F) {
-	f.Add(2, 4, 2, 1, 1, 3, 1, 0)
-	f.Add(1, 8, 1, 1, 0, 7, 0, 0)
-	f.Add(4, 2, 3, 2, 3, 1, 2, 1)
-	f.Fuzz(func(t *testing.T, tp, pp, dp, cp, ct, cpp, cdp, ccp int) {
-		s := Shape{TP: tp, PP: pp, DP: dp, CP: cp}
-		if tp < 1 || pp < 1 || dp < 1 || cp < 1 || s.World() > 1<<16 || s.World() < 0 {
+	f.Add(2, 4, 2, 1, 3, 1)
+	f.Add(1, 8, 1, 0, 7, 0)
+	f.Add(4, 2, 3, 3, 1, 2)
+	f.Fuzz(func(t *testing.T, tp, pp, dp, ct, cpp, cdp int) {
+		s := Shape{TP: tp, PP: pp, DP: dp}
+		if tp < 1 || pp < 1 || dp < 1 || s.World() > 1<<16 || s.World() < 0 {
 			t.Skip()
 		}
-		c := Coord{TP: ct, PP: cpp, DP: cdp, CP: ccp}
+		c := Coord{TP: ct, PP: cpp, DP: cdp}
 		if !s.Valid(c) {
 			// Out-of-shape coordinates are the caller's bug; the
 			// round-trip contract only covers valid ones.

@@ -1,6 +1,6 @@
-// Package grid factors a cluster's device world into a 4D
-// shard-coordinate grid — (TP, PP, DP, CP) — generalizing the flat
-// `stage → GPU` placement MPress was built around (ROADMAP item 1).
+// Package grid factors a cluster's device world into a 3D
+// shard-coordinate grid — (TP, PP, DP) — generalizing the flat
+// `stage → GPU` placement MPress was built around.
 //
 // The axes follow the Megatron-style model-parallel-unit decomposition:
 //
@@ -11,14 +11,11 @@
 //     span TP groups within one node.
 //   - DP (data parallel): whole-pipeline replicas, one per node,
 //     synchronized over the inter-node fabric (internal/cluster).
-//   - CP (context parallel): sequence sharding. The axis exists so the
-//     coordinate space is complete; only degree 1 is validated today
-//     (ring-attention communication modeling is deferred).
 //
-// Because TP (and CP) ranks of one group do symmetric work on
-// symmetric shards, the simulator models one representative rank per
-// group — the "plane": a derived topology whose devices are the
-// rank-0 representatives. When TP·CP == 1 the plane *is* the original
+// Because the TP ranks of one group do symmetric work on symmetric
+// shards, the simulator models one representative rank per group —
+// the "plane": a derived topology whose devices are the rank-0
+// representatives. When TP == 1 the plane *is* the original
 // topology (the same pointer), so the entire planner/executor stack
 // runs byte-identically to the pre-grid code.
 package grid
@@ -30,17 +27,16 @@ import (
 	"mpress/internal/units"
 )
 
-// Coord addresses one shard of the 4D parallelism grid.
+// Coord addresses one shard of the 3D parallelism grid.
 type Coord struct {
 	TP int `json:"tp"`
 	PP int `json:"pp"`
 	DP int `json:"dp"`
-	CP int `json:"cp"`
 }
 
-// String renders the coordinate, e.g. "(tp1,pp3,dp0,cp0)".
+// String renders the coordinate, e.g. "(tp1,pp3,dp0)".
 func (c Coord) String() string {
-	return fmt.Sprintf("(tp%d,pp%d,dp%d,cp%d)", c.TP, c.PP, c.DP, c.CP)
+	return fmt.Sprintf("(tp%d,pp%d,dp%d)", c.TP, c.PP, c.DP)
 }
 
 // Shape is the degree of each axis; its product is the world size.
@@ -48,25 +44,23 @@ type Shape struct {
 	TP int `json:"tp"`
 	PP int `json:"pp"`
 	DP int `json:"dp"`
-	CP int `json:"cp"`
 }
 
-// World returns the total shard count TP×PP×DP×CP.
-func (s Shape) World() int { return s.TP * s.PP * s.DP * s.CP }
+// World returns the total shard count TP×PP×DP.
+func (s Shape) World() int { return s.TP * s.PP * s.DP }
 
 // Valid reports whether c lies inside the shape.
 func (s Shape) Valid(c Coord) bool {
 	return c.TP >= 0 && c.TP < s.TP &&
 		c.PP >= 0 && c.PP < s.PP &&
-		c.DP >= 0 && c.DP < s.DP &&
-		c.CP >= 0 && c.CP < s.CP
+		c.DP >= 0 && c.DP < s.DP
 }
 
-// Rank linearizes a coordinate: TP fastest, then CP, then PP, then DP
-// slowest — so one TP group is a contiguous device run inside a node,
-// and DP strides across nodes. The inverse is CoordOf.
+// Rank linearizes a coordinate: TP fastest, then PP, then DP slowest —
+// so one TP group is a contiguous device run inside a node, and DP
+// strides across nodes. The inverse is CoordOf.
 func (s Shape) Rank(c Coord) int {
-	return ((c.DP*s.PP+c.PP)*s.CP+c.CP)*s.TP + c.TP
+	return (c.DP*s.PP+c.PP)*s.TP + c.TP
 }
 
 // CoordOf inverts Rank.
@@ -74,22 +68,20 @@ func (s Shape) CoordOf(rank int) Coord {
 	var c Coord
 	c.TP = rank % s.TP
 	rank /= s.TP
-	c.CP = rank % s.CP
-	rank /= s.CP
 	c.PP = rank % s.PP
 	c.DP = rank / s.PP
 	return c
 }
 
 // String renders the factorization, e.g.
-// "world 16 = TP(2) × PP(4) × DP(2) × CP(1)".
+// "world 16 = TP(2) × PP(4) × DP(2)".
 func (s Shape) String() string {
-	return fmt.Sprintf("world %d = TP(%d) × PP(%d) × DP(%d) × CP(%d)",
-		s.World(), s.TP, s.PP, s.DP, s.CP)
+	return fmt.Sprintf("world %d = TP(%d) × PP(%d) × DP(%d)",
+		s.World(), s.TP, s.PP, s.DP)
 }
 
 // Grid factors a cluster's device world — `nodes` replicas of one
-// server topology — into process groups along the four axes.
+// server topology — into process groups along the three axes.
 type Grid struct {
 	Shape Shape
 	// Topo is the physical per-node server topology.
@@ -98,42 +90,38 @@ type Grid struct {
 	plane *hw.Topology
 }
 
-// New validates and builds the grid: TP·CP must divide the server's
-// GPU count (PP = NumGPUs/(TP·CP) falls out), DP is the node count,
-// and every TP group must form an NVLink island — consecutive ring
-// members directly connected — because per-operator all-reduces are
-// only viable over NVLink.
-func New(topo *hw.Topology, nodes, tp, cp int) (*Grid, error) {
+// New validates and builds the grid: TP must divide the server's GPU
+// count (PP = NumGPUs/TP falls out), DP is the node count, and every
+// TP group must form an NVLink island — consecutive ring members
+// directly connected — because per-operator all-reduces are only
+// viable over NVLink.
+func New(topo *hw.Topology, nodes, tp int) (*Grid, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("grid: topology is required")
 	}
 	if nodes < 1 {
 		nodes = 1
 	}
-	if tp < 1 || cp < 1 {
-		return nil, fmt.Errorf("grid: degrees must be positive (tp=%d, cp=%d)", tp, cp)
+	if tp < 1 {
+		return nil, fmt.Errorf("grid: TP degree must be positive (got %d)", tp)
 	}
-	if cp != 1 {
-		return nil, fmt.Errorf("grid: context parallelism is a stub axis; only CPDegree 1 is supported (got %d)", cp)
-	}
-	span := tp * cp
-	if topo.NumGPUs%span != 0 {
-		return nil, fmt.Errorf("grid: TP(%d)×CP(%d) does not divide the %d GPUs of %q", tp, cp, topo.NumGPUs, topo.Name)
+	if topo.NumGPUs%tp != 0 {
+		return nil, fmt.Errorf("grid: TP(%d) does not divide the %d GPUs of %q", tp, topo.NumGPUs, topo.Name)
 	}
 	g := &Grid{
-		Shape: Shape{TP: tp, PP: topo.NumGPUs / span, DP: nodes, CP: cp},
+		Shape: Shape{TP: tp, PP: topo.NumGPUs / tp, DP: nodes},
 		Topo:  topo,
 	}
 	if err := g.validateIslands(); err != nil {
 		return nil, err
 	}
-	g.plane = derivePlane(topo, span, g.Shape)
+	g.plane = derivePlane(topo, tp)
 	return g, nil
 }
 
 // MustNew is New panicking on invalid input, for tests and examples.
-func MustNew(topo *hw.Topology, nodes, tp, cp int) *Grid {
-	g, err := New(topo, nodes, tp, cp)
+func MustNew(topo *hw.Topology, nodes, tp int) *Grid {
+	g, err := New(topo, nodes, tp)
 	if err != nil {
 		panic(err)
 	}
@@ -149,17 +137,15 @@ func (g *Grid) validateIslands() error {
 		return nil
 	}
 	for pp := 0; pp < g.Shape.PP; pp++ {
-		for cp := 0; cp < g.Shape.CP; cp++ {
-			members := g.TPGroup(pp, cp)
-			for i, m := range members {
-				next := members[(i+1)%len(members)]
-				if m == next {
-					continue
-				}
-				if g.Topo.LanesBetween(m, next) == 0 {
-					return fmt.Errorf("grid: TP group %d (%v) is not an NVLink island on %q: %v and %v share no lanes",
-						pp, members, g.Topo.Name, m, next)
-				}
+		members := g.TPGroup(pp)
+		for i, m := range members {
+			next := members[(i+1)%len(members)]
+			if m == next {
+				continue
+			}
+			if g.Topo.LanesBetween(m, next) == 0 {
+				return fmt.Errorf("grid: TP group %d (%v) is not an NVLink island on %q: %v and %v share no lanes",
+					pp, members, g.Topo.Name, m, next)
 			}
 		}
 	}
@@ -169,7 +155,7 @@ func (g *Grid) validateIslands() error {
 // Device maps a coordinate to its physical endpoint: the node is the
 // DP rank, the device follows the Rank layout within the node.
 func (g *Grid) Device(c Coord) hw.NodeDevice {
-	d := (c.PP*g.Shape.CP+c.CP)*g.Shape.TP + c.TP
+	d := c.PP*g.Shape.TP + c.TP
 	return hw.DeviceID(d).On(c.DP)
 }
 
@@ -178,17 +164,16 @@ func (g *Grid) CoordOf(nd hw.NodeDevice) Coord {
 	d := int(nd.Device)
 	return Coord{
 		TP: d % g.Shape.TP,
-		CP: (d / g.Shape.TP) % g.Shape.CP,
-		PP: d / (g.Shape.TP * g.Shape.CP),
+		PP: d / g.Shape.TP,
 		DP: nd.Node,
 	}
 }
 
-// TPGroup lists the physical devices of the TP group at (pp, cp), in
-// ring order (TP rank 0 first).
-func (g *Grid) TPGroup(pp, cp int) []hw.DeviceID {
+// TPGroup lists the physical devices of pipeline stage pp's TP group,
+// in ring order (TP rank 0 first).
+func (g *Grid) TPGroup(pp int) []hw.DeviceID {
 	out := make([]hw.DeviceID, g.Shape.TP)
-	base := (pp*g.Shape.CP + cp) * g.Shape.TP
+	base := pp * g.Shape.TP
 	for t := range out {
 		out[t] = hw.DeviceID(base + t)
 	}
@@ -198,16 +183,16 @@ func (g *Grid) TPGroup(pp, cp int) []hw.DeviceID {
 // Representative returns the TP-rank-0 physical device of plane
 // device p — the rank the simulator models for the whole group.
 func (g *Grid) Representative(p hw.DeviceID) hw.DeviceID {
-	return hw.DeviceID(int(p) * g.Shape.TP * g.Shape.CP)
+	return hw.DeviceID(int(p) * g.Shape.TP)
 }
 
 // PlaneOf returns the plane device whose group hosts physical device d.
 func (g *Grid) PlaneOf(d hw.DeviceID) hw.DeviceID {
-	return hw.DeviceID(int(d) / (g.Shape.TP * g.Shape.CP))
+	return hw.DeviceID(int(d) / g.Shape.TP)
 }
 
 // Plane returns the representative-rank topology the simulator runs
-// on: one device per TP×CP group. When TP·CP == 1 it is the original
+// on: one device per TP group. When TP == 1 it is the original
 // *hw.Topology pointer — the identity that keeps TPDegree=1 runs
 // byte-identical to pre-grid code.
 func (g *Grid) Plane() *hw.Topology { return g.plane }
@@ -216,15 +201,12 @@ func (g *Grid) Plane() *hw.Topology { return g.plane }
 // the representatives' physical lanes; shared host-side resources
 // (DRAM, NVMe capacity) are divided across the span since every rank
 // of a group consumes its own equal share.
-func derivePlane(topo *hw.Topology, span int, shape Shape) *hw.Topology {
+func derivePlane(topo *hw.Topology, span int) *hw.Topology {
 	if span == 1 {
 		return topo
 	}
 	p := *topo
-	p.Name = fmt.Sprintf("%s[tp=%d]", topo.Name, shape.TP)
-	if shape.CP > 1 {
-		p.Name = fmt.Sprintf("%s[tp=%d,cp=%d]", topo.Name, shape.TP, shape.CP)
-	}
+	p.Name = fmt.Sprintf("%s[tp=%d]", topo.Name, span)
 	p.NumGPUs = topo.NumGPUs / span
 	p.HostMemory = topo.HostMemory / units.Bytes(span)
 	p.NVMeSize = topo.NVMeSize / units.Bytes(span)
@@ -254,16 +236,14 @@ func (g *Grid) TPRingBandwidth() units.Bandwidth {
 	}
 	minLanes := -1
 	for pp := 0; pp < g.Shape.PP; pp++ {
-		for cp := 0; cp < g.Shape.CP; cp++ {
-			members := g.TPGroup(pp, cp)
-			for i, m := range members {
-				next := members[(i+1)%len(members)]
-				if m == next {
-					continue
-				}
-				if l := g.Topo.LanesBetween(m, next); minLanes < 0 || l < minLanes {
-					minLanes = l
-				}
+		members := g.TPGroup(pp)
+		for i, m := range members {
+			next := members[(i+1)%len(members)]
+			if m == next {
+				continue
+			}
+			if l := g.Topo.LanesBetween(m, next); minLanes < 0 || l < minLanes {
+				minLanes = l
 			}
 		}
 	}
@@ -275,13 +255,9 @@ func (g *Grid) TPRingBandwidth() units.Bandwidth {
 
 // GroupString renders one TP group's member list, e.g.
 // "tp group 2 (pp=2): n0/gpu4 n0/gpu5".
-func (g *Grid) GroupString(pp, cp, node int) string {
-	s := fmt.Sprintf("tp group %d (pp=%d", pp, pp)
-	if g.Shape.CP > 1 {
-		s += fmt.Sprintf(",cp=%d", cp)
-	}
-	s += "):"
-	for _, d := range g.TPGroup(pp, cp) {
+func (g *Grid) GroupString(pp, node int) string {
+	s := fmt.Sprintf("tp group %d (pp=%d):", pp, pp)
+	for _, d := range g.TPGroup(pp) {
 		s += " " + d.On(node).String()
 	}
 	return s

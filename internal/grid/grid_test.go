@@ -19,7 +19,7 @@ func TestGridCoversWorld(t *testing.T) {
 				if topo.NumGPUs%tp != 0 {
 					continue
 				}
-				g, err := New(topo, nodes, tp, 1)
+				g, err := New(topo, nodes, tp)
 				if err != nil {
 					// Non-island groupings are legitimately rejected on
 					// direct fabrics; they must not cover anything.
@@ -33,31 +33,29 @@ func TestGridCoversWorld(t *testing.T) {
 				seenDev := make(map[hw.NodeDevice]bool, world)
 				for dp := 0; dp < g.Shape.DP; dp++ {
 					for pp := 0; pp < g.Shape.PP; pp++ {
-						for cp := 0; cp < g.Shape.CP; cp++ {
-							for tpr := 0; tpr < g.Shape.TP; tpr++ {
-								c := Coord{TP: tpr, PP: pp, DP: dp, CP: cp}
-								r := g.Shape.Rank(c)
-								if r < 0 || r >= world {
-									t.Fatalf("%v: rank %d outside world %d", c, r, world)
-								}
-								if seenRank[r] {
-									t.Fatalf("%v: rank %d assigned twice", c, r)
-								}
-								seenRank[r] = true
-								if got := g.Shape.CoordOf(r); got != c {
-									t.Fatalf("CoordOf(Rank(%v)) = %v", c, got)
-								}
-								nd := g.Device(c)
-								if err := nd.Validate(nodes, topo); err != nil {
-									t.Fatalf("%v → %v: %v", c, nd, err)
-								}
-								if seenDev[nd] {
-									t.Fatalf("%v: device %v assigned twice", c, nd)
-								}
-								seenDev[nd] = true
-								if got := g.CoordOf(nd); got != c {
-									t.Fatalf("CoordOf(Device(%v)) = %v", c, got)
-								}
+						for tpr := 0; tpr < g.Shape.TP; tpr++ {
+							c := Coord{TP: tpr, PP: pp, DP: dp}
+							r := g.Shape.Rank(c)
+							if r < 0 || r >= world {
+								t.Fatalf("%v: rank %d outside world %d", c, r, world)
+							}
+							if seenRank[r] {
+								t.Fatalf("%v: rank %d assigned twice", c, r)
+							}
+							seenRank[r] = true
+							if got := g.Shape.CoordOf(r); got != c {
+								t.Fatalf("CoordOf(Rank(%v)) = %v", c, got)
+							}
+							nd := g.Device(c)
+							if err := nd.Validate(nodes, topo); err != nil {
+								t.Fatalf("%v → %v: %v", c, nd, err)
+							}
+							if seenDev[nd] {
+								t.Fatalf("%v: device %v assigned twice", c, nd)
+							}
+							seenDev[nd] = true
+							if got := g.CoordOf(nd); got != c {
+								t.Fatalf("CoordOf(Device(%v)) = %v", c, got)
 							}
 						}
 					}
@@ -72,11 +70,11 @@ func TestGridCoversWorld(t *testing.T) {
 }
 
 // TestPlaneIdentityAtDegreeOne pins the refactor's safety net: with
-// TP·CP == 1 the plane topology is the *same pointer* as the input, so
+// TP == 1 the plane topology is the *same pointer* as the input, so
 // every downstream component sees literally the pre-grid inputs.
 func TestPlaneIdentityAtDegreeOne(t *testing.T) {
 	topo := hw.DGX1()
-	g, err := New(topo, 2, 1, 1)
+	g, err := New(topo, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func TestPlaneIdentityAtDegreeOne(t *testing.T) {
 // half the devices, halved host share, representative lane counts.
 func TestPlaneDerivation(t *testing.T) {
 	topo := hw.DGX1()
-	g, err := New(topo, 1, 2, 1)
+	g, err := New(topo, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,36 +119,33 @@ func TestPlaneDerivation(t *testing.T) {
 // islands, TP=8's naive ring is not (gpu7 and gpu0 share no lanes);
 // the switched DGX-2 accepts everything.
 func TestIslandValidation(t *testing.T) {
-	if _, err := New(hw.DGX1(), 1, 2, 1); err != nil {
+	if _, err := New(hw.DGX1(), 1, 2); err != nil {
 		t.Fatalf("DGX-1 tp=2: %v", err)
 	}
-	if _, err := New(hw.DGX1(), 1, 4, 1); err != nil {
+	if _, err := New(hw.DGX1(), 1, 4); err != nil {
 		t.Fatalf("DGX-1 tp=4: %v", err)
 	}
-	if _, err := New(hw.DGX1(), 1, 8, 1); err == nil {
+	if _, err := New(hw.DGX1(), 1, 8); err == nil {
 		t.Fatal("DGX-1 tp=8 accepted, want NVLink-island rejection")
 	}
-	if _, err := New(hw.DGX2(), 1, 8, 1); err != nil {
+	if _, err := New(hw.DGX2(), 1, 8); err != nil {
 		t.Fatalf("DGX-2 tp=8: %v", err)
 	}
 }
 
-// TestStubAxes pins the CP stub and divisibility errors.
+// TestStubAxes pins the TP degree's divisibility and positivity errors.
 func TestStubAxes(t *testing.T) {
-	if _, err := New(hw.DGX1(), 1, 1, 2); err == nil {
-		t.Fatal("cp=2 accepted, want stub-axis rejection")
-	}
-	if _, err := New(hw.DGX1(), 1, 3, 1); err == nil {
+	if _, err := New(hw.DGX1(), 1, 3); err == nil {
 		t.Fatal("tp=3 accepted on 8 GPUs, want divisibility rejection")
 	}
-	if _, err := New(hw.DGX1(), 1, 0, 1); err == nil {
+	if _, err := New(hw.DGX1(), 1, 0); err == nil {
 		t.Fatal("tp=0 accepted, want rejection")
 	}
 }
 
 // TestPlacement checks plane→physical shard expansion.
 func TestPlacement(t *testing.T) {
-	g := MustNew(hw.DGX1(), 1, 2, 1)
+	g := MustNew(hw.DGX1(), 1, 2)
 	// Stage 1 on plane device 3 → physical group {6, 7}.
 	p := g.Place([]hw.DeviceID{0, 3})
 	if got := p.GPU(1); got != 3 {

@@ -7,14 +7,14 @@ import "mpress/internal/hw"
 // every other package by `make vet-grid`): the flat wire-format slice
 // stays — plan files and reports serialize it unchanged — but code
 // resolves stages through a Placement, which also knows how to expand
-// a plane device into the physical shards of its TP×CP group.
+// a plane device into the physical shards of its TP group.
 type Placement struct {
 	g    *Grid
 	reps []hw.DeviceID
 }
 
 // Flat wraps a plane-space stage→device slice with no grid attached:
-// plane devices are physical devices (the TP·CP == 1 world every
+// plane devices are physical devices (the TP == 1 world every
 // pre-grid component lives in). The slice is aliased, not copied.
 func Flat(mapping []hw.DeviceID) Placement {
 	return Placement{reps: mapping}
@@ -38,23 +38,13 @@ func (p Placement) GPU(s int) hw.DeviceID { return p.reps[s] }
 // serialization and wire formats.
 func (p Placement) Mapping() []hw.DeviceID { return p.reps }
 
-// Coord returns the full shard coordinate of stage s's (tp, cp)
-// shard on DP rank dp. Without a grid the coordinate is the trivial
-// (0, s-as-device, dp, 0) in plane space.
-func (p Placement) Coord(s, tp, dp, cp int) Coord {
-	if p.g == nil {
-		return Coord{TP: tp, PP: int(p.reps[s]), DP: dp, CP: cp}
-	}
-	return Coord{TP: tp, PP: int(p.reps[s]), DP: dp, CP: cp}
-}
-
-// Shard returns the physical endpoint of stage s's TP rank tp (CP
-// rank 0) on node 0. Without a grid, rank 0 is the device itself.
+// Shard returns the physical endpoint of stage s's TP rank tp on
+// node 0. Without a grid, rank 0 is the device itself.
 func (p Placement) Shard(s, tp int) hw.NodeDevice {
 	if p.g == nil {
 		return p.reps[s].On(0)
 	}
-	return p.g.Device(Coord{TP: tp, PP: int(p.reps[s]), DP: 0, CP: 0})
+	return p.g.Device(Coord{TP: tp, PP: int(p.reps[s]), DP: 0})
 }
 
 // Shards lists every physical device of stage s's TP group on node 0,
@@ -63,7 +53,7 @@ func (p Placement) Shards(s int) []hw.NodeDevice {
 	if p.g == nil {
 		return []hw.NodeDevice{p.reps[s].On(0)}
 	}
-	members := p.g.TPGroup(int(p.reps[s]), 0)
+	members := p.g.TPGroup(int(p.reps[s]))
 	out := make([]hw.NodeDevice, len(members))
 	for i, d := range members {
 		out[i] = d.On(0)

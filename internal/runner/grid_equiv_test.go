@@ -10,8 +10,8 @@ import (
 )
 
 // TestTPDegreeOneEquivalence is the refactor's compatibility promise:
-// a degenerate grid (TPDegree=1, CPDegree=1 — explicitly spelled out
-// or left zero) is not a new configuration but the exact legacy one.
+// a degenerate grid (TPDegree=1 — explicitly spelled out or left
+// zero) is not a new configuration but the exact legacy one.
 // Fingerprints, plan keys, reports, canonical plan files and Chrome
 // traces must all be byte-identical to the pre-grid flat mapping, for
 // every system the determinism tests cover.
@@ -29,9 +29,9 @@ func TestTPDegreeOneEquivalence(t *testing.T) {
 	r := New(Options{Workers: 1, KeepArtifacts: true})
 	for _, p := range presets {
 		t.Run(p.name, func(t *testing.T) {
-			legacy := p.cfg // TPDegree/CPDegree zero: the pre-grid config
+			legacy := p.cfg // TPDegree zero: the pre-grid config
 			explicit := p.cfg
-			explicit.TPDegree, explicit.CPDegree = 1, 1
+			explicit.TPDegree = 1
 
 			jl, je := mustJob(t, legacy), mustJob(t, explicit)
 			if jl.Fingerprint() != je.Fingerprint() {

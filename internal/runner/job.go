@@ -128,9 +128,6 @@ type Config struct {
 	// charges the group's per-operator all-reduces on top. Incompatible
 	// with the ZeRO baselines and with resilient runs.
 	TPDegree int `json:",omitempty"`
-	// CPDegree is the context-parallel axis of the shard grid — a stub
-	// today: only 0/1 validates.
-	CPDegree int `json:",omitempty"`
 	// Cluster, when non-nil with Nodes > 1, scales the job out: each
 	// node runs one pipeline replica of this config (hybrid
 	// data+pipeline parallelism) and replicas synchronize gradients
@@ -202,19 +199,11 @@ func (c Config) TP() int {
 	return 1
 }
 
-// CP returns the normalized context-parallel degree (>= 1).
-func (c Config) CP() int {
-	if c.CPDegree > 1 {
-		return c.CPDegree
-	}
-	return 1
-}
-
-// Grid factors the job's device world into its 4D shard grid
-// (TP x PP x DP x CP) and derives the representative plane the
-// simulator runs on. At TP = CP = 1 the plane is Topology itself.
+// Grid factors the job's device world into its shard grid
+// (TP x PP x DP) and derives the representative plane the simulator
+// runs on. At TP = 1 the plane is Topology itself.
 func (c Config) Grid() (*grid.Grid, error) {
-	return grid.New(c.Topology, c.Replicas(), c.TP(), c.CP())
+	return grid.New(c.Topology, c.Replicas(), c.TP())
 }
 
 // Replicas returns the data-parallel replica count: the cluster's node
@@ -277,18 +266,15 @@ func (c Config) WithDefaults() (Config, error) {
 	if err := c.Model.Validate(); err != nil {
 		return c, err
 	}
-	if c.TPDegree < 0 || c.CPDegree < 0 {
-		return c, fmt.Errorf("mpress: parallel degrees must be non-negative (tp=%d, cp=%d)", c.TPDegree, c.CPDegree)
+	if c.TPDegree < 0 {
+		return c, fmt.Errorf("mpress: TPDegree %d is negative", c.TPDegree)
 	}
 	// Degree 1 is the off state; normalize so fingerprints, JSON and
 	// reports render identically whether the caller wrote 0 or 1.
 	if c.TPDegree == 1 {
 		c.TPDegree = 0
 	}
-	if c.CPDegree == 1 {
-		c.CPDegree = 0
-	}
-	if c.TP()*c.CP() > 1 {
+	if c.TP() > 1 {
 		if c.System.IsZeRO() {
 			return c, fmt.Errorf("mpress: TPDegree is a pipeline-system axis; %v shards its own way", c.System)
 		}
@@ -300,7 +286,7 @@ func (c Config) WithDefaults() (Config, error) {
 		}
 	}
 	if c.Stages == 0 {
-		c.Stages = c.Topology.NumGPUs / (c.TP() * c.CP())
+		c.Stages = c.Topology.NumGPUs / c.TP()
 	}
 	if c.MicrobatchSize == 0 {
 		c.MicrobatchSize = 2
@@ -515,11 +501,14 @@ func canonical(c Config, withMinibatches, withCluster bool) string {
 		}
 	}
 	fmt.Fprintf(&b, "sys=%d;nomap=%v;nostripe=%v", int(c.System), c.DisableMappingSearch, c.DisableStriping)
-	if c.TP() > 1 || c.CP() > 1 {
+	if c.TP() > 1 {
 		// The shard grid reshapes the simulated plane, so it keys both
 		// the fingerprint and the plan; absent at degree 1 to keep
-		// legacy fingerprints stable.
-		fmt.Fprintf(&b, ";tp=%d;cp=%d", c.TP(), c.CP())
+		// legacy fingerprints stable. The ";cp=1" suffix is a remnant of
+		// a retired context-parallel axis, kept verbatim because this
+		// string is hashed into fingerprints, plan keys and SavePlan
+		// labels: dropping it would orphan every saved TP plan.
+		fmt.Fprintf(&b, ";tp=%d;cp=1", c.TP())
 	}
 	if withCluster && c.Replicas() > 1 {
 		f := c.Cluster.Net

@@ -259,9 +259,6 @@ func stageResilience(ctx context.Context, st *State) error {
 		opts := *seg.state.ExecOpts
 		opts.Ctx = ctx
 		opts.Checkpoint = spec
-		if err := st.applySimKnobs(&opts); err != nil {
-			return err
-		}
 		if fault != nil {
 			rel := fault.At - wall
 			if rel <= 0 {

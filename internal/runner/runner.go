@@ -35,20 +35,6 @@ type Options struct {
 	// field — plans are byte-identical at any setting). Zero means
 	// sequential refinement.
 	PlanWorkers int
-	// SimWorkers enables the conservative-PDES simulation kernel for
-	// every job: 0 keeps the serial kernel, N ≥ 1 partitions the event
-	// space (exec.PlanPartitions) and drains windows on N goroutines.
-	// Like PlanWorkers this is an execution knob, not a job input: it
-	// lives on Options — never Config — so it stays out of job
-	// fingerprints, plan keys, and report JSON, and reports are
-	// byte-identical at any setting (enforced by the simkernel smoke
-	// test).
-	SimWorkers int
-	// SimScheduler selects the kernel's event scheduler: "" or "auto"
-	// (heap that migrates to a calendar queue under load), "heap", or
-	// "calendar". Same fingerprint exclusion as SimWorkers; results
-	// are identical under every scheduler.
-	SimScheduler string
 }
 
 // JobResult pairs a job with its outcome.
@@ -64,11 +50,6 @@ type JobResult struct {
 	// PlanCacheHit reports the job reused a plan computed by another
 	// job (or an earlier run) instead of searching itself.
 	PlanCacheHit bool
-	// SimWorkers and SimScheduler echo the runner's kernel knobs so
-	// benchmark harnesses can label results; they never enter the
-	// Report itself.
-	SimWorkers   int
-	SimScheduler string
 	// State holds the job's intermediates; only populated when
 	// Options.KeepArtifacts is set.
 	State *State
@@ -169,14 +150,8 @@ func (r *Runner) run(ctx context.Context, j *Job, keep bool) JobResult {
 	if planWorkers == 0 {
 		planWorkers = r.opts.PlanWorkers
 	}
-	st := &State{
-		Job: j, cache: r.cache, planWorkers: planWorkers,
-		simWorkers: r.opts.SimWorkers, simSched: r.opts.SimScheduler,
-	}
-	res := JobResult{
-		Job: j, StageTimes: make(map[string]time.Duration),
-		SimWorkers: r.opts.SimWorkers, SimScheduler: r.opts.SimScheduler,
-	}
+	st := &State{Job: j, cache: r.cache, planWorkers: planWorkers}
+	res := JobResult{Job: j, StageTimes: make(map[string]time.Duration)}
 	for _, stage := range stagesFor(j) {
 		if err := ctx.Err(); err != nil {
 			res.Err = err

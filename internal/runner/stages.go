@@ -31,8 +31,8 @@ const canonicalMinibatches = 2
 type State struct {
 	Job *Job
 
-	// Grid is the job's 4D shard grid (after Partition); Grid.Plane()
-	// is the topology every later stage simulates on. At TP = CP = 1
+	// Grid is the job's shard grid (after Partition); Grid.Plane()
+	// is the topology every later stage simulates on. At TP = 1
 	// the plane is Config.Topology itself, so legacy runs are
 	// untouched.
 	Grid *grid.Grid
@@ -74,25 +74,6 @@ type State struct {
 	// stage hands to plan.Options.Workers (plans are byte-identical
 	// at any setting).
 	planWorkers int
-	// simWorkers and simSched are the runner's kernel knobs
-	// (Options.SimWorkers / Options.SimScheduler), applied to every
-	// exec.Run this job performs — including resilience replays. They
-	// never reach Config, fingerprints, or reports.
-	simWorkers int
-	simSched   string
-}
-
-// applySimKnobs copies the runner's simulation-kernel knobs onto an
-// executor configuration. Every exec.Run a stage performs must go
-// through this so replays and the main run use the same kernel.
-func (st *State) applySimKnobs(opts *exec.Options) error {
-	mode, err := sim.ParseSchedMode(st.simSched)
-	if err != nil {
-		return err
-	}
-	opts.SimWorkers = st.simWorkers
-	opts.SimScheduler = mode
-	return nil
 }
 
 // TraceLaneNames labels each stage lane of an exported trace with the
@@ -307,9 +288,6 @@ func stageApply(ctx context.Context, st *State) error {
 func stageExecute(ctx context.Context, st *State) error {
 	opts := *st.ExecOpts
 	opts.Ctx = ctx
-	if err := st.applySimKnobs(&opts); err != nil {
-		return err
-	}
 	res, err := exec.Run(opts)
 	if err != nil {
 		return err
@@ -414,7 +392,7 @@ func reportFrom(c Config, res *exec.Result, pl *plan.Plan, m []hw.DeviceID, net 
 	rep := &Report{Config: c, OOM: res.OOM, Plan: pl, Mapping: m, Replicas: c.Replicas()}
 	rep.SimEvents = res.Events
 	rep.TPDegree = c.TPDegree
-	T := c.TP() * c.CP()
+	T := c.TP()
 	if res.OOM == nil {
 		rep.Duration = res.Duration
 		rep.TFLOPS = res.TFLOPS * float64(T)

@@ -82,7 +82,7 @@ func lowerBound(c runner.Config, workload int64) units.Duration {
 		}
 		sum += stage
 	}
-	plane := c.Topology.NumGPUs / (tp * c.CP())
+	plane := c.Topology.NumGPUs / tp
 	if plane < 1 {
 		plane = 1
 	}

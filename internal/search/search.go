@@ -31,7 +31,7 @@ type Space struct {
 	// TPDegrees are tensor-parallel degrees (1 or 0 = off).
 	TPDegrees []int `json:"tp_degrees,omitempty"`
 	// StageCounts are pipeline stage counts; 0 means the plane
-	// default (GPUs / (TP·CP)), which aliases across TP degrees into
+	// default (GPUs / TP), which aliases across TP degrees into
 	// transposition hits.
 	StageCounts []int `json:"stage_counts,omitempty"`
 	// Partitions are the stage-partitioning strategies.
@@ -433,7 +433,7 @@ func classify(base runner.Config, sp Space, st Strategy, c *Candidate, workload 
 	// The shard grid first, checked directly so its failures — TP not
 	// dividing the world, a TP group spanning NVLink islands — get
 	// their own reason even though NewJob would reject them too.
-	if cfg.TP()*cfg.CP() > 1 && !cfg.System.IsZeRO() && !cfg.Resilient() {
+	if cfg.TP() > 1 && !cfg.System.IsZeRO() && !cfg.Resilient() {
 		if _, err := cfg.Grid(); err != nil {
 			skip(SkipGrid, "%v", err)
 			return
@@ -450,7 +450,7 @@ func classify(base runner.Config, sp Space, st Strategy, c *Candidate, workload 
 			skip(SkipPartition, "%d stages for %d model layers", dc.Stages, dc.Model.Layers)
 			return
 		}
-		if plane := dc.Topology.NumGPUs / (dc.TP() * dc.CP()); dc.Stages > plane && dc.System != runner.SystemPlain {
+		if plane := dc.Topology.NumGPUs / dc.TP(); dc.Stages > plane && dc.System != runner.SystemPlain {
 			skip(SkipPartition, "%d virtual stages on a %d-GPU plane need %v",
 				dc.Stages, plane, runner.SystemPlain)
 			return

@@ -118,12 +118,11 @@ func TestTimelineArenaRecycles(t *testing.T) {
 // queued while `churn` additional events flow through, with inter-event
 // gaps drawn from one horizon regime. It reports the kernel's own
 // events/sec.
-func benchHorizon(b *testing.B, mode SchedMode, pending, churn int, maxGap int64) {
+func benchHorizon(b *testing.B, pending, churn int, maxGap int64) {
 	b.ReportAllocs()
 	total := int64(pending + churn)
 	for i := 0; i < b.N; i++ {
 		s := Get()
-		s.SetScheduler(mode)
 		rng := rand.New(rand.NewSource(42))
 		remaining := churn
 		var fn func()
@@ -145,11 +144,9 @@ func benchHorizon(b *testing.B, mode SchedMode, pending, churn int, maxGap int64
 	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// horizonRegimes are the gap distributions the heap-vs-calendar grid
-// runs: dense is µs-scale gaps (the executor's regime — the calendar
-// queue's home turf), burst packs hundreds of events per nanosecond
-// tick (bucket scans degenerate, the heap/auto-fallback case), sparse
-// spreads events over seconds (width adaptation keeps buckets useful).
+// horizonRegimes are the gap distributions the horizon grid runs:
+// dense is µs-scale gaps (the executor's regime), burst packs hundreds
+// of events per nanosecond tick, sparse spreads events over seconds.
 var horizonRegimes = []struct {
 	name   string
 	maxGap int64
@@ -162,9 +159,8 @@ var horizonRegimes = []struct {
 // BenchmarkSimKernel measures the kernel hot path. The pooled/fresh
 // pair pins steady-state allocations (event store and lane timelines
 // are recycled, so allocs/op stays at the workload's own closures); the
-// horizon grid compares the heap against the calendar queue on dense
-// and sparse horizons at 1k and 100k pending events — the calendar's
-// win on dense horizons is the headline number in BENCH_sim.json.
+// horizon grid reports the heap's events/sec on each gap regime at 1k
+// and 100k pending events.
 func BenchmarkSimKernel(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
@@ -182,12 +178,9 @@ func BenchmarkSimKernel(b *testing.B) {
 	})
 	for _, hz := range horizonRegimes {
 		for _, pending := range []int{1_000, 100_000} {
-			for _, mode := range []SchedMode{SchedHeap, SchedCalendar, SchedAuto} {
-				hz, pending, mode := hz, pending, mode
-				b.Run(fmt.Sprintf("%s-%dk-%s", hz.name, pending/1000, mode), func(b *testing.B) {
-					benchHorizon(b, mode, pending, 100_000, hz.maxGap)
-				})
-			}
+			b.Run(fmt.Sprintf("%s-%dk", hz.name, pending/1000), func(b *testing.B) {
+				benchHorizon(b, pending, 100_000, hz.maxGap)
+			})
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 // submission order.
 type Queue struct {
 	sim  *Sim
-	part *partition // non-nil when bound to a PDES partition
 	name string
 	// busyUntil is when the queue becomes free.
 	busyUntil Time
@@ -27,28 +26,6 @@ func NewQueue(s *Sim, name string) *Queue {
 	return &Queue{sim: s, name: name}
 }
 
-// NewQueueOn creates a serial queue bound to a PDES partition: its
-// clock and completion callbacks live on that partition.
-func NewQueueOn(pt Part, name string) *Queue {
-	return &Queue{sim: pt.p.s, part: pt.p, name: name}
-}
-
-// now returns the owning clock (partition-bound or Sim-level).
-func (q *Queue) now() Time {
-	if q.part != nil {
-		return q.part.now
-	}
-	return q.sim.Now()
-}
-
-func (q *Queue) at(t Time, fn func()) {
-	if q.part != nil {
-		q.part.at(t, fn)
-		return
-	}
-	q.sim.At(t, fn)
-}
-
 // Name returns the queue's label.
 func (q *Queue) Name() string { return q.name }
 
@@ -60,7 +37,7 @@ func (q *Queue) Submit(dur units.Duration, done func(start, end Time)) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: queue %s: negative duration %v", q.name, dur))
 	}
-	start := q.now()
+	start := q.sim.Now()
 	if q.busyUntil > start {
 		start = q.busyUntil
 	}
@@ -69,7 +46,7 @@ func (q *Queue) Submit(dur units.Duration, done func(start, end Time)) {
 	q.busyTime += dur
 	q.tasks++
 	if done != nil {
-		q.at(end, func() { done(start, end) })
+		q.sim.At(end, func() { done(start, end) })
 	}
 }
 
@@ -96,7 +73,6 @@ func (q *Queue) Utilization(horizon units.Duration) float64 {
 // striped transfer reserves several lanes concurrently.
 type LaneSet struct {
 	sim   *Sim
-	part  *partition // non-nil when bound to a PDES partition
 	name  string
 	lanes []Time // per-lane busy-until
 	moved units.Bytes
@@ -111,25 +87,6 @@ func NewLaneSet(s *Sim, name string, n int) *LaneSet {
 		panic(fmt.Sprintf("sim: lane set %s needs at least one lane", name))
 	}
 	return &LaneSet{sim: s, name: name, lanes: s.timeline(n)}
-}
-
-// NewLaneSetOn creates a lane pool bound to a PDES partition; its
-// reservations read that partition's clock. The lane timelines still
-// come from the shared Sim arena, so build lane sets during setup (the
-// arena is not safe for concurrent growth inside a window).
-func NewLaneSetOn(pt Part, name string, n int) *LaneSet {
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: lane set %s needs at least one lane", name))
-	}
-	return &LaneSet{sim: pt.p.s, part: pt.p, name: name, lanes: pt.p.s.timeline(n)}
-}
-
-// now returns the owning clock (partition-bound or Sim-level).
-func (l *LaneSet) now() Time {
-	if l.part != nil {
-		return l.part.now
-	}
-	return l.sim.Now()
 }
 
 // Name returns the lane set's label.
@@ -161,7 +118,7 @@ func (l *LaneSet) earliestLane() int {
 // times. The lane chosen is the one that frees first.
 func (l *LaneSet) Reserve(size units.Bytes, bw units.Bandwidth, lat units.Duration) (start, end Time) {
 	i := l.earliestLane()
-	start = l.now()
+	start = l.sim.Now()
 	if l.lanes[i] > start {
 		start = l.lanes[i]
 	}
@@ -206,7 +163,7 @@ func (l *LaneSet) ReserveStriped(size units.Bytes, k int, bw units.Bandwidth, la
 // the caller computes the shared completion time.
 func (l *LaneSet) ReserveUntil(until Time, size units.Bytes) {
 	i := l.earliestLane()
-	start := l.now()
+	start := l.sim.Now()
 	if l.lanes[i] > start {
 		start = l.lanes[i]
 	}
@@ -221,7 +178,7 @@ func (l *LaneSet) ReserveUntil(until Time, size units.Bytes) {
 // NextFree reports when at least one lane is free.
 func (l *LaneSet) NextFree() Time {
 	t := l.lanes[l.earliestLane()]
-	if now := l.now(); t < now {
+	if now := l.sim.Now(); t < now {
 		return now
 	}
 	return t

@@ -7,14 +7,8 @@
 // simulation with identical inputs always produces identical timings,
 // and tests can assert exact values.
 //
-// The event store (sched.go) is a calendar queue with struct-of-arrays
-// storage for the dense horizons training graphs produce, with a binary
-// heap for small or sparse ones; both realize the same (time, seq)
-// total order, so scheduler choice never changes results. A
-// conservative parallel mode (pdes.go) partitions the event space and
-// drains partitions on worker goroutines inside lookahead windows,
-// merging deterministically so parallel runs are byte-identical to
-// serial ones.
+// The event store (sched.go) is a binary heap over struct-of-arrays
+// event slots, ordered by (time, seq).
 //
 // The kernel is built to be reused: Reset returns a Sim to its pristine
 // state without releasing its event store or timeline arena, and the
@@ -48,9 +42,6 @@ type Sim struct {
 	executed int64
 	// wall accumulates real time spent inside Run, for Stats.
 	wall time.Duration
-	// pdes, when non-nil, is the conservative parallel engine; At/After/
-	// Run route through it. See EnablePDES.
-	pdes *pdes
 	// arena backs resource timelines (LaneSet lanes); arenaUsed is the
 	// high-water mark of the current block. Reset recycles the block, so
 	// pooled Sims hand out timelines without allocating.
@@ -99,12 +90,8 @@ func Put(s *Sim) {
 // Reset returns s to its pristine post-New state while keeping the
 // event store's and timeline arena's capacity, so a recycled Sim runs
 // without reallocating either. Queued closures are zeroed to keep them
-// collectable. Any PDES engine is torn down (worker goroutines joined).
+// collectable.
 func (s *Sim) Reset() {
-	if s.pdes != nil {
-		s.pdes.shutdown()
-		s.pdes = nil
-	}
 	s.q.reset()
 	s.arenaUsed = 0
 	s.now = 0
@@ -116,18 +103,6 @@ func (s *Sim) Reset() {
 	s.MaxEvents = 0
 	s.Interrupt = nil
 	s.InterruptEvery = 0
-}
-
-// SetScheduler selects the event-store structure: SchedAuto (default),
-// SchedHeap, or SchedCalendar. Scheduler choice never changes results —
-// only the constant factor of the event loop.
-func (s *Sim) SetScheduler(m SchedMode) {
-	s.q.setMode(m)
-	if s.pdes != nil {
-		for _, p := range s.pdes.parts {
-			p.q.setMode(m)
-		}
-	}
 }
 
 // timeline hands out a zeroed n-entry Time slice from the Sim's arena,
@@ -151,9 +126,7 @@ func (s *Sim) timeline(n int) []Time {
 	return tl
 }
 
-// Now returns the current simulated time. Under PDES this is the
-// coordinator partition's clock (partition 0), which is where all
-// events scheduled through the Sim-level API run.
+// Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
 // Executed returns the number of events whose closures have run.
@@ -164,10 +137,6 @@ func (s *Sim) Executed() int64 { return s.executed }
 func (s *Sim) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	if s.pdes != nil {
-		s.pdes.parts[0].at(t, fn)
-		return
 	}
 	s.seq++
 	s.q.push(t, s.seq, fn)
@@ -182,16 +151,8 @@ func (s *Sim) After(d units.Duration, fn func()) {
 }
 
 // Stop makes Run return after the current event completes. Pending
-// events remain queued. Under PDES, Stop from inside an event halts the
-// calling partition immediately (so a single-partition run matches the
-// serial kernel exactly); other partitions finish the current window.
+// events remain queued.
 func (s *Sim) Stop() {
-	if s.pdes != nil {
-		// Legal only from setup or a coordinator (partition 0) event;
-		// the flag write below would race from any other partition.
-		s.pdes.stop()
-		return
-	}
 	s.stopped = true
 }
 
@@ -209,12 +170,7 @@ func (s *Sim) Run() Time {
 	s.stopped = false
 	s.Interrupted = false
 	t0 := time.Now()
-	if s.pdes != nil {
-		s.pdes.run(max, every)
-		s.wall += time.Since(t0)
-		return s.now
-	}
-	for s.q.count > 0 && !s.stopped {
+	for s.q.len() > 0 && !s.stopped {
 		// Poll before popping: an interrupted Run leaves the unexecuted
 		// event queued and uncounted.
 		if s.Interrupt != nil && s.executed > 0 && s.executed%every == 0 && s.Interrupt() {
@@ -237,22 +193,16 @@ func (s *Sim) Run() Time {
 // consumed, the real time it spent doing so, and the resulting
 // throughput. EventsPerSec is the simulator's own processing rate (not
 // a simulated quantity) — the figure of merit for the planner's
-// emulation loop. Scheduler names the active event structure; Windows
-// counts PDES lookahead windows (zero for serial runs).
+// emulation loop.
 type Stats struct {
 	Events       int64
 	Wall         time.Duration
 	EventsPerSec float64
-	Scheduler    string
-	Windows      int64
 }
 
 // Stats returns the run statistics accumulated since New or Reset.
 func (s *Sim) Stats() Stats {
-	st := Stats{Events: s.executed, Wall: s.wall, Scheduler: s.q.name()}
-	if s.pdes != nil {
-		st.Windows = s.pdes.windows
-	}
+	st := Stats{Events: s.executed, Wall: s.wall}
 	if s.wall > 0 {
 		st.EventsPerSec = float64(s.executed) / s.wall.Seconds()
 	}
@@ -260,12 +210,4 @@ func (s *Sim) Stats() Stats {
 }
 
 // Pending returns the number of queued events, for tests.
-func (s *Sim) Pending() int {
-	n := s.q.count
-	if s.pdes != nil {
-		for _, p := range s.pdes.parts {
-			n += p.q.count
-		}
-	}
-	return n
-}
+func (s *Sim) Pending() int { return s.q.len() }

@@ -284,11 +284,11 @@ type (
 )
 
 // The shard-coordinate grid behind Config.TPDegree: the device world
-// factors into TP × PP × DP × CP process groups, and every pipeline
+// factors into TP × PP × DP process groups, and every pipeline
 // placement is a stage → shard-group assignment rather than a flat
 // stage → GPU array. See "Tensor parallelism" in the README.
 type (
-	// Coord locates one shard in the 4D grid.
+	// Coord locates one shard in the 3D grid.
 	Coord = grid.Coord
 	// Shape is the per-axis degree; its product is the world size.
 	Shape = grid.Shape
@@ -298,11 +298,11 @@ type (
 	Placement = grid.Placement
 )
 
-// NewGrid validates and builds a shard grid over topo: TP·CP must
-// divide the server's GPU count and every TP group must form an
-// NVLink island. nodes is the DP degree.
-func NewGrid(topo *Topology, nodes, tp, cp int) (*Grid, error) {
-	return grid.New(topo, nodes, tp, cp)
+// NewGrid validates and builds a shard grid over topo: TP must divide
+// the server's GPU count and every TP group must form an NVLink
+// island. nodes is the DP degree.
+func NewGrid(topo *Topology, nodes, tp int) (*Grid, error) {
+	return grid.New(topo, nodes, tp)
 }
 
 // FlatPlacement wraps a legacy stage → GPU mapping as a Placement.
