@@ -55,12 +55,13 @@ bench:
 	$(GO) run ./cmd/mpress-bench -exp planner -perf BENCH_planner.json > /dev/null
 	$(GO) run ./cmd/mpress-bench -exp autosearch -perf BENCH_search.json > /dev/null
 
-# Single-iteration smoke of the refinement-loop and sim-kernel
-# benchmarks, so check catches them compiling or asserting badly
-# without paying for full benchmark runs.
+# Single-iteration smoke of the refinement-loop, sim-kernel and
+# mapping-search benchmarks, so check catches them compiling or
+# asserting badly without paying for full benchmark runs.
 benchcheck:
 	$(GO) test -run '^$$' -bench '^BenchmarkRefine$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkSimKernel$$' -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench '^BenchmarkMappingSearch$$' -benchtime 1x ./internal/mapping
 
 # CPU and heap profiles of the planner experiment (the refinement loop
 # plus its emulations); inspect with `go tool pprof cpu.pprof`.

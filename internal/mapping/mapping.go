@@ -8,7 +8,9 @@
 // exporters, scoring the assignment by the ratio of revenue (bytes
 // offloadable over NVLink) to cost (the slowest exporter's one-way
 // transfer time). Symmetric (switched) topologies skip the search:
-// every mapping is equivalent there (Sec. III-C).
+// every mapping is equivalent there (Sec. III-C). Each search derives
+// its neighbour tables and lane bandwidths from the topology once, so
+// scoring one assignment allocates nothing.
 package mapping
 
 import (
@@ -67,55 +69,30 @@ type Result struct {
 // count returns an *InfeasibleError.
 func Search(topo *hw.Topology, demands []units.Bytes) (*Result, error) {
 	start := time.Now()
-	n := topo.NumGPUs
-	S := len(demands)
-	if S > n {
-		return nil, &InfeasibleError{Stages: S, GPUs: n}
+	sc, err := newScorer(topo, demands)
+	if err != nil {
+		return nil, err
 	}
-	cap := topo.GPU.Memory
-
-	overflow := make([]units.Bytes, S)
-	spareOf := make([]units.Bytes, S)
-	anyOverflow := false
-	for s, d := range demands {
-		if d > cap {
-			overflow[s] = d - cap
-			anyOverflow = true
-		} else if free := cap - d; free > SpareMargin {
-			spareOf[s] = free - SpareMargin
-		}
-	}
-
-	identity := make([]hw.DeviceID, S)
-	for i := range identity {
-		identity[i] = hw.DeviceID(i)
-	}
-
-	if !anyOverflow || topo.Switched {
+	if !sc.anyOverflow || topo.Switched {
 		// Nothing to place, or every placement is equivalent: keep
 		// the identity mapping (the paper "randomly maps stages to
 		// devices" for symmetric fabrics).
-		r := &Result{Mapping: identity, NoOverflow: !anyOverflow, Searched: 1, Elapsed: time.Since(start)}
-		r.Spare = spareUnder(topo, identity, spareOf)
-		r.Placed, r.MaxTime, r.Score = evaluate(topo, identity, overflow, spareOf)
-		return r, nil
+		return sc.identity(start), nil
 	}
 
-	best := &Result{Mapping: identity, Score: -1}
+	n, S := topo.NumGPUs, len(demands)
+	best := &Result{Mapping: make([]hw.DeviceID, S), Score: -1}
 	perm := make([]hw.DeviceID, S)
 	used := make([]bool, n)
 	var walk func(int)
-	var searched int
-	var bestPlaced units.Bytes
-	var bestTime units.Duration
 	walk = func(s int) {
 		if s == S {
-			searched++
-			placed, maxTime, score := evaluate(topo, perm, overflow, spareOf)
+			best.Searched++
+			placed, maxTime, score := sc.score(perm)
 			if score > best.Score {
 				best.Score = score
-				best.Mapping = append([]hw.DeviceID(nil), perm...)
-				bestPlaced, bestTime = placed, maxTime
+				copy(best.Mapping, perm)
+				best.Placed, best.MaxTime = placed, maxTime
 			}
 			return
 		}
@@ -131,68 +108,160 @@ func Search(topo *hw.Topology, demands []units.Bytes) (*Result, error) {
 	}
 	walk(0)
 
-	best.Placed = bestPlaced
-	best.MaxTime = bestTime
-	best.Searched = searched
+	best.Spare = sc.spareMap(best.Mapping)
 	best.Elapsed = time.Since(start)
-	best.Spare = spareUnder(topo, best.Mapping, spareOf)
 	return best, nil
 }
 
-// spareUnder converts per-stage spare into per-GPU budgets, counting
-// GPUs that host no stage as fully spare.
-func spareUnder(topo *hw.Topology, mapping []hw.DeviceID, spareOf []units.Bytes) map[hw.DeviceID]units.Bytes {
-	spare := make(map[hw.DeviceID]units.Bytes)
-	hosted := make(map[hw.DeviceID]bool)
-	for s, g := range mapping {
-		hosted[g] = true
-		if spareOf[s] > 0 {
-			spare[g] = spareOf[s]
+// Identity scores the identity mapping (stage s on GPU s) without
+// searching: the placement for symmetric fabrics, and for planners
+// that disable the search. Like Search, it returns an *InfeasibleError
+// when there are more stages than GPUs.
+func Identity(topo *hw.Topology, demands []units.Bytes) (*Result, error) {
+	start := time.Now()
+	sc, err := newScorer(topo, demands)
+	if err != nil {
+		return nil, err
+	}
+	return sc.identity(start), nil
+}
+
+// neighbor is one NVLink peer of an exporter and the bandwidth of the
+// lanes between them.
+type neighbor struct {
+	gpu hw.DeviceID
+	bw  units.Bandwidth
+}
+
+// scorer holds everything one search derives from the topology and
+// the demands, plus the scratch spare budget it reuses for every
+// assignment.
+type scorer struct {
+	// nbrs[g] lists g's NVLink peers with 1..LanesPerGPU lanes, fattest
+	// pairs first and ascending GPU id among equals: the order the
+	// greedy fill visits them in.
+	nbrs    [][]neighbor
+	latency units.Duration
+	// idle is the import budget of a GPU that hosts no stage.
+	idle units.Bytes
+
+	overflow, spareOf []units.Bytes
+	anyOverflow       bool
+
+	// spare[g] is GPU g's remaining import budget during one score.
+	spare []units.Bytes
+}
+
+// newScorer splits demands into per-stage overflow and spare and
+// derives the neighbour tables from topo; more stages than GPUs is an
+// *InfeasibleError.
+func newScorer(topo *hw.Topology, demands []units.Bytes) (*scorer, error) {
+	n, S := topo.NumGPUs, len(demands)
+	if S > n {
+		return nil, &InfeasibleError{Stages: S, GPUs: n}
+	}
+	cap := topo.GPU.Memory
+	sc := &scorer{
+		nbrs:     make([][]neighbor, n),
+		latency:  topo.NVLinkLatency,
+		overflow: make([]units.Bytes, S),
+		spareOf:  make([]units.Bytes, S),
+		spare:    make([]units.Bytes, n),
+	}
+	if cap > SpareMargin {
+		sc.idle = cap - SpareMargin
+	}
+	for s, d := range demands {
+		if d > cap {
+			sc.overflow[s] = d - cap
+			sc.anyOverflow = true
+		} else if free := cap - d; free > SpareMargin {
+			sc.spareOf[s] = free - SpareMargin
 		}
 	}
-	for g := 0; g < topo.NumGPUs; g++ {
-		id := hw.DeviceID(g)
-		if !hosted[id] && topo.GPU.Memory > SpareMargin {
-			spare[id] = topo.GPU.Memory - SpareMargin
+
+	laneBW := float64(topo.NVLinkLaneBW)
+	for g := range sc.nbrs {
+		for lanes := topo.LanesPerGPU; lanes >= 1; lanes-- {
+			bw := units.Bandwidth(laneBW * float64(lanes))
+			for j := 0; j < n; j++ {
+				if topo.LanesBetween(hw.DeviceID(g), hw.DeviceID(j)) == lanes {
+					sc.nbrs[g] = append(sc.nbrs[g], neighbor{hw.DeviceID(j), bw})
+				}
+			}
+		}
+	}
+	return sc, nil
+}
+
+// identity scores the identity mapping and reports it as a one-
+// assignment search that started at start.
+func (sc *scorer) identity(start time.Time) *Result {
+	m := make([]hw.DeviceID, len(sc.overflow))
+	for i := range m {
+		m[i] = hw.DeviceID(i)
+	}
+	r := &Result{Mapping: m, NoOverflow: !sc.anyOverflow, Searched: 1}
+	r.Placed, r.MaxTime, r.Score = sc.score(m)
+	r.Spare = sc.spareMap(m)
+	r.Elapsed = time.Since(start)
+	return r
+}
+
+// resetSpare fills sc.spare with the per-GPU import budgets under
+// mapping (one GPU per stage), counting GPUs that host no stage as
+// fully spare.
+func (sc *scorer) resetSpare(mapping []hw.DeviceID) {
+	for g := range sc.spare {
+		sc.spare[g] = sc.idle
+	}
+	for s, g := range mapping {
+		sc.spare[g] = sc.spareOf[s]
+	}
+}
+
+// spareMap returns the budgets under mapping as the Result.Spare map,
+// which lists only GPUs with budget left.
+func (sc *scorer) spareMap(mapping []hw.DeviceID) map[hw.DeviceID]units.Bytes {
+	sc.resetSpare(mapping)
+	spare := make(map[hw.DeviceID]units.Bytes)
+	for g, b := range sc.spare {
+		if b > 0 {
+			spare[hw.DeviceID(g)] = b
 		}
 	}
 	return spare
 }
 
-// evaluate scores one assignment: distribute reachable spare over the
-// exporters proportionally to pair bandwidth (partial placement
-// allowed) and compute revenue/cost.
-func evaluate(topo *hw.Topology, mapping []hw.DeviceID, overflow, spareOf []units.Bytes) (placed units.Bytes, maxTime units.Duration, score float64) {
-	spare := spareUnder(topo, mapping, spareOf)
-	laneBW := float64(topo.NVLinkLaneBW)
-
+// score evaluates one assignment: distribute reachable spare over the
+// exporters, fattest pairs first (partial placement allowed), and
+// compute revenue/cost. It allocates nothing.
+func (sc *scorer) score(mapping []hw.DeviceID) (placed units.Bytes, maxTime units.Duration, score float64) {
+	sc.resetSpare(mapping)
 	// Exporters in descending overflow order would need a sort; with
-	// ≤8 stages a fixed stage order is stable enough and keeps the
-	// hot path allocation-free.
-	for s, ov := range overflow {
+	// ≤8 stages a fixed stage order is stable enough.
+	for s, ov := range sc.overflow {
 		if ov == 0 {
 			continue
 		}
-		g := mapping[s]
-		// Greedily fill from the fattest pairs.
 		remaining := ov
 		var slowest units.Duration
-		for lanes := topo.LanesPerGPU; lanes >= 1 && remaining > 0; lanes-- {
-			for _, nb := range topo.NVLinkNeighbors(g) {
-				if topo.LanesBetween(g, nb) != lanes || spare[nb] == 0 || remaining == 0 {
-					continue
-				}
-				take := spare[nb]
-				if take > remaining {
-					take = remaining
-				}
-				spare[nb] -= take
-				remaining -= take
-				placed += take
-				bw := units.Bandwidth(laneBW * float64(lanes))
-				if t := topo.NVLinkLatency + bw.TransferTime(take); t > slowest {
-					slowest = t
-				}
+		for _, nb := range sc.nbrs[mapping[s]] {
+			if remaining == 0 {
+				break
+			}
+			take := sc.spare[nb.gpu]
+			if take == 0 {
+				continue
+			}
+			if take > remaining {
+				take = remaining
+			}
+			sc.spare[nb.gpu] -= take
+			remaining -= take
+			placed += take
+			if t := sc.latency + nb.bw.TransferTime(take); t > slowest {
+				slowest = t
 			}
 		}
 		if slowest > maxTime {

@@ -202,17 +202,12 @@ func Compute(o Options) (*Plan, error) {
 	}
 
 	// Step 2: device mapping (Fig. 6).
+	search := mapping.Search
 	if o.DisableMappingSearch || o.Topo.Switched {
-		identity := exec.IdentityMapping(p.built.NumStages())
-		if p.mapRes, err = mapping.Search(o.Topo, p.profile.StagePeak); err != nil {
-			return nil, err
-		}
-		p.mapRes.Mapping = identity
-		p.mapRes.Spare = spareFromPeaks(o.Topo, identity, p.profile.StagePeak)
-	} else {
-		if p.mapRes, err = mapping.Search(o.Topo, p.profile.StagePeak); err != nil {
-			return nil, err
-		}
+		search = mapping.Identity
+	}
+	if p.mapRes, err = search(o.Topo, p.profile.StagePeak); err != nil {
+		return nil, err
 	}
 
 	p.groups = make(map[groupKey][]tensor.ID)
@@ -277,25 +272,6 @@ func (p *planner) finalizeSummary() {
 		tn := b.Graph.Tensors.Get(id)
 		p.note(MechHostSwap, tn.Stage, tn.Size)
 	}
-}
-
-// spareFromPeaks derives per-GPU import budgets from measured peaks
-// under a fixed mapping.
-func spareFromPeaks(topo *hw.Topology, m []hw.DeviceID, peaks []units.Bytes) compaction.SpareBudget {
-	spare := make(compaction.SpareBudget)
-	hosted := make(map[hw.DeviceID]bool)
-	for s, g := range m {
-		hosted[g] = true
-		if free := topo.GPU.Memory - peaks[s]; free > mapping.SpareMargin {
-			spare[g] = free - mapping.SpareMargin
-		}
-	}
-	for g := 0; g < topo.NumGPUs; g++ {
-		if id := hw.DeviceID(g); !hosted[id] {
-			spare[id] = topo.GPU.Memory - mapping.SpareMargin
-		}
-	}
-	return spare
 }
 
 // newPlan resets the working plan.

@@ -10,6 +10,8 @@ import (
 	"mpress/internal/hw"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
+	"mpress/internal/plan"
+	"mpress/internal/units"
 )
 
 // bertCfg is the test workhorse: small enough to simulate in well
@@ -172,6 +174,40 @@ func TestKnobVariantsMissCache(t *testing.T) {
 	}
 	if st := r.Stats(); st.PlanComputes != 3 || st.PlanCacheHits != 0 {
 		t.Errorf("plan cache: %d computes, %d hits; want 3, 0", st.PlanComputes, st.PlanCacheHits)
+	}
+}
+
+// TestDisableMappingSearchSavedBytes pins the Fig. 9 "no mapping
+// search" ablation on DGX-1: the identity placement is scored without
+// walking the 8! assignments, and the plan saves exactly what it did
+// when the walk ran and its winner was discarded.
+func TestDisableMappingSearchSavedBytes(t *testing.T) {
+	cfg := bertCfg(t, "0.64B", SystemMPress)
+	cfg.DisableMappingSearch = true
+	r, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OOM != nil {
+		t.Fatalf("OOM: %v", r.OOM)
+	}
+	for s, g := range r.Plan.Mapping {
+		if int(g) != s {
+			t.Fatalf("mapping not identity: %v", r.Plan.Mapping)
+		}
+	}
+	want := map[plan.Mechanism]units.Bytes{
+		plan.MechRecompute: 0,
+		plan.MechHostSwap:  6782402560,
+		plan.MechD2D:       7332691968,
+	}
+	for mech, b := range want {
+		if got := r.Plan.SavedByMech[mech]; got != b {
+			t.Errorf("%v saved %d bytes, want %d", mech, int64(got), int64(b))
+		}
+	}
+	if r.Plan.Emulations != 2 || r.Duration != 41096553958 {
+		t.Errorf("emulations %d, duration %d; want 2, 41096553958", r.Plan.Emulations, int64(r.Duration))
 	}
 }
 
