@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke benchmark-smoke
+check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -35,6 +35,16 @@ fleet-plan-smoke:
 # the race detector.
 autosearch-smoke:
 	$(GO) test -race -run 'TestAutoSearch' -count=1 .
+
+# Shared-lowering acceptance: a batch whose jobs share frozen
+# lowerings (scale-out node counts x minibatches 8/32, a plain-system
+# job, resilience cells whose GPU failure forces a re-plan) runs
+# through RunAll at 1 and 4 workers under the race detector; reports,
+# saved plans and Chrome traces must be byte-identical to each job run
+# alone, each distinct lowering is built once, jobs are dispatched
+# grouped by lowering, and the runner retains none after the batch.
+sweep-smoke:
+	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering' -count=1 ./internal/runner/
 
 # Planning-request benchmark smoke: benchmark/ is a module of its own,
 # so go build ./... never compiles it, yet it calls plan, graph, exec

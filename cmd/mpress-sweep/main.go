@@ -289,9 +289,10 @@ func main() {
 	if !*quiet {
 		st := r.Stats()
 		fmt.Fprintf(os.Stderr,
-			"mpress-sweep: %d jobs in %s (%d workers); plan cache: %d hits, %d misses, %d computed, %d evicted; plan %s, exec %s\n",
+			"mpress-sweep: %d jobs in %s (%d workers); plan cache: %d hits, %d misses, %d computed, %d evicted; lowerings: %d built, %d shared; plan %s, exec %s\n",
 			st.Jobs, elapsed.Round(time.Millisecond), r.Workers(),
 			st.PlanCacheHits, st.PlanCacheMisses, st.PlanComputes, st.PlanCacheEvictions,
+			st.LoweringBuilds, st.LoweringShared,
 			st.PlanTime.Round(time.Millisecond), st.ExecTime.Round(time.Millisecond))
 	}
 	if err := ctx.Err(); err != nil {

@@ -579,8 +579,13 @@ func (e *engine) dispatch(id graph.OpID) {
 		gpu := e.gpuOf(op.Subject)
 		size := e.g.Tensors.Get(op.Subject).Size
 		if parts, ok := e.o.D2DRoutes[id]; ok {
+			name := e.g.Tensors.Get(op.Subject).Name
 			for _, p := range parts {
-				if !e.alloc(p.Peer, p.Bytes, "d2d import:"+e.g.Tensors.Get(op.Subject).Name) {
+				// The stripe's OOM label is built only when it fails.
+				if err := e.gpus[p.Peer].Alloc(p.Bytes, name); err != nil {
+					oom := err.(*memsim.OOMError)
+					oom.What = "d2d import:" + name
+					e.fail(oom)
 					return
 				}
 			}

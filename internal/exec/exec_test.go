@@ -390,3 +390,31 @@ func TestIdentityMappingHelper(t *testing.T) {
 		t.Errorf("IdentityMapping = %v", m)
 	}
 }
+
+// TestD2DImportOOMLabel: a D2D stripe that does not fit its peer
+// reports the OOM against that peer, labelled "d2d import:" plus the
+// swapped tensor's name.
+func TestD2DImportOOMLabel(t *testing.T) {
+	b := buildTiny(t, pipeline.DAPPLE, 4)
+	routes := map[graph.OpID][]fabric.Part{}
+	instrumentSwap(t, b, routes, true)
+	var first graph.OpID = -1
+	for id := range routes {
+		if b.Graph.Op(id).Kind == graph.SwapOut && (first < 0 || id < first) {
+			first = id
+		}
+	}
+	if first < 0 {
+		t.Fatal("no swap-outs instrumented")
+	}
+	huge := []fabric.Part{{Peer: 3, Bytes: hw.DGX1().GPU.Memory}}
+	routes[first] = huge
+	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "d2d import:" + b.Graph.Tensors.Get(b.Graph.Op(first).Subject).Name
+	if r.OOM == nil || r.OOM.What != want || r.OOM.Requested != huge[0].Bytes {
+		t.Fatalf("OOM = %+v, want %q of %v", r.OOM, want, huge[0].Bytes)
+	}
+}

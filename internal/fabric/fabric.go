@@ -125,21 +125,18 @@ func (f *Fabric) Stats() Stats {
 
 // reservePairJoint books one lane from each of two pooled sets for the
 // same transfer: the sub-block starts when both a source egress lane
-// and a destination ingress lane are free.
+// and a destination ingress lane are free. Each set's lanes are scanned
+// once; the picked lane is then booked directly.
 func reservePairJoint(now sim.Time, a, b *sim.LaneSet, size units.Bytes, bw units.Bandwidth, lat units.Duration) (start, end sim.Time) {
-	start = now
-	if t := a.NextFree(); t > start {
-		start = t
-	}
-	if t := b.NextFree(); t > start {
-		start = t
-	}
+	la, ta := a.Earliest()
+	lb, tb := b.Earliest()
+	start = max(now, ta, tb)
 	dur := lat + bw.TransferTime(size)
 	// Occupy both sets until the joint end by reserving the idle gap
 	// plus the transfer on each.
 	end = start + dur
-	a.ReserveUntil(end, size)
-	b.ReserveUntil(end, 0)
+	a.ReserveLaneUntil(la, end, size)
+	b.ReserveLaneUntil(lb, end, 0)
 	return start, end
 }
 

@@ -269,8 +269,13 @@ func (g *Graph) Fork() *Graph {
 // Freeze validates g, computes every derived view (adjacency,
 // topological order, liveness) and forbids further mutation: AddOp and
 // AddDep panic on a frozen graph. A frozen graph is safe to read and
-// Fork from many goroutines at once.
+// Fork from many goroutines at once. Freezing an already frozen graph
+// is a no-op that writes nothing, so a shared frozen graph may be
+// handed to code that freezes what it is given.
 func (g *Graph) Freeze() error {
+	if g.frozen {
+		return nil
+	}
 	if err := g.Validate(); err != nil {
 		return err
 	}

@@ -267,3 +267,39 @@ func TestTopoOrderRandomDAGProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestFreezeFrozenIsNoop: re-freezing a frozen graph returns nil and
+// writes nothing, so goroutines sharing one frozen graph may freeze,
+// fork and read it at once (run under -race).
+func TestFreezeFrozenIsNoop(t *testing.T) {
+	g, _, _ := buildChain(t)
+	if err := g.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	order, _ := g.TopoOrder()
+	live, _ := g.Liveness()
+	done := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			if err := g.Freeze(); err != nil {
+				t.Error(err)
+			}
+			f := g.Fork()
+			f.AddDep(2, 0)
+			if _, err := f.TopoOrder(); err != nil {
+				t.Error(err)
+			}
+			_ = g.Preds(2)
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		<-done
+	}
+	if o, _ := g.TopoOrder(); &o[0] != &order[0] {
+		t.Error("re-freezing rebuilt the cached order")
+	}
+	if l, _ := g.Liveness(); l != live {
+		t.Error("re-freezing rebuilt the cached liveness")
+	}
+}

@@ -86,10 +86,13 @@ func AllMechanisms() Allowed { return Allowed{Recompute: true, HostSwap: true, D
 // Options configures the planner.
 type Options struct {
 	Topo *hw.Topology
-	// Build returns a fresh lowering of the job. Compute calls it
-	// exactly once and freezes the result (graph.Graph.Freeze), so Build
-	// must not hand out a Built its caller later mutates; every
-	// emulation instruments a pipeline.Built.Fork of that base.
+	// Build returns the job's uninstrumented lowering: a fresh one, or
+	// a frozen one shared with other goroutines (the runner hands out
+	// one frozen lowering per distinct BuildConfig). Compute calls it
+	// exactly once and freezes the result (graph.Graph.Freeze, a no-op
+	// on a frozen graph), then only reads it; every emulation
+	// instruments a pipeline.Built.Fork of that base. Build must not
+	// hand out a Built its caller later mutates.
 	Build   func() (*pipeline.Built, error)
 	Allowed Allowed
 	// SafetyMargin widens each stage's savings target to absorb the

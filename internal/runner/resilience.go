@@ -171,8 +171,11 @@ type segment struct {
 
 // replan re-runs the partition → apply pipeline for the remaining
 // minibatches on a (possibly degraded) topology, reusing the runner's
-// plan cache across repeated failures with identical degradation.
-func replan(ctx context.Context, base Config, topo *hw.Topology, remaining int, cache *planCache) (*segment, error) {
+// plan cache and shared lowerings across repeated failures with
+// identical degradation. The segment's lowerings are held by the
+// resilient job's own lease, st.
+func replan(ctx context.Context, st *State, topo *hw.Topology, remaining int) (*segment, error) {
+	base := st.Job.Config
 	sub := base
 	sub.Topology = topo
 	sub.Faults, sub.Checkpoint = nil, nil
@@ -196,18 +199,18 @@ func replan(ctx context.Context, base Config, topo *hw.Topology, remaining int, 
 	if err != nil {
 		return nil, fmt.Errorf("mpress: re-planning on %q: %w", topo.Name, err)
 	}
-	st := &State{Job: j, cache: cache}
+	seg := &State{Job: j, cache: st.cache, lowers: st.lowers}
 	for _, stage := range []Stage{
 		{"partition", stagePartition},
 		{"build", stageBuild},
 		{"plan", stagePlan},
 		{"apply", stageApply},
 	} {
-		if err := stage.Run(ctx, st); err != nil {
+		if err := stage.Run(ctx, seg); err != nil {
 			return nil, fmt.Errorf("mpress: re-planning on %q: %w", topo.Name, err)
 		}
 	}
-	return &segment{topo: topo, state: st}, nil
+	return &segment{topo: topo, state: seg}, nil
 }
 
 // stageResilience runs the checkpointed, fault-injected replay. It
@@ -309,12 +312,12 @@ func stageResilience(ctx context.Context, st *State) error {
 		}
 		fi++
 		if !skip && newTopo != seg.topo {
-			if seg, err = replan(ctx, c, newTopo, remaining, st.cache); err != nil {
+			if seg, err = replan(ctx, st, newTopo, remaining); err != nil {
 				return err
 			}
 		} else if remaining != seg.state.Built.Cfg.Minibatches {
 			// Same topology (NIC flap), fewer minibatches left.
-			if seg, err = replan(ctx, c, seg.topo, remaining, st.cache); err != nil {
+			if seg, err = replan(ctx, st, seg.topo, remaining); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,6 +73,11 @@ type Stats struct {
 	PlanCacheEvictions int64
 	PlanCacheEntries   int
 	PlanCacheBytes     units.Bytes
+	// LoweringBuilds counts pipeline.Build calls: one per distinct
+	// lowering among the jobs needing it at once. LoweringShared counts
+	// fetches answered by another job's lowering, built or in flight.
+	LoweringBuilds int64
+	LoweringShared int64
 	// PlanTime and ExecTime accumulate real time across jobs in the
 	// planning and execution stages respectively.
 	PlanTime time.Duration
@@ -79,10 +85,12 @@ type Stats struct {
 }
 
 // Runner executes jobs through a bounded worker pool over a shared
-// plan cache. The zero value is not usable; call New.
+// plan cache and shared frozen lowerings. The zero value is not
+// usable; call New.
 type Runner struct {
-	opts  Options
-	cache *planCache
+	opts   Options
+	cache  *planCache
+	lowers *lowerings
 
 	mu       sync.Mutex
 	jobs     int64
@@ -95,7 +103,7 @@ func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{opts: opts, cache: newPlanCache(opts.PlanCacheEntries)}
+	return &Runner{opts: opts, cache: newPlanCache(opts.PlanCacheEntries), lowers: newLowerings()}
 }
 
 // Workers returns the pool size jobs run at.
@@ -130,7 +138,7 @@ func (r *Runner) SeedPlan(key string, pl *plan.Plan) bool {
 // reported inside the Report, matching how the paper's figures show
 // failed runs.
 func (r *Runner) Run(ctx context.Context, j *Job) JobResult {
-	return r.run(ctx, j, r.opts.KeepArtifacts)
+	return r.run(ctx, j, r.opts.KeepArtifacts, r.lowers.lease(nil))
 }
 
 // RunKeep is Run with the job's State retained on the result
@@ -138,10 +146,12 @@ func (r *Runner) Run(ctx context.Context, j *Job) JobResult {
 // layer's trace endpoint) that need one job's intermediates without
 // paying for artifact retention across a whole sweep.
 func (r *Runner) RunKeep(ctx context.Context, j *Job) JobResult {
-	return r.run(ctx, j, true)
+	return r.run(ctx, j, true, r.lowers.lease(nil))
 }
 
-func (r *Runner) run(ctx context.Context, j *Job, keep bool) JobResult {
+// run executes j holding the lowerings lease l, released once the job
+// is done.
+func (r *Runner) run(ctx context.Context, j *Job, keep bool, l *lease) JobResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -150,7 +160,7 @@ func (r *Runner) run(ctx context.Context, j *Job, keep bool) JobResult {
 	if planWorkers == 0 {
 		planWorkers = r.opts.PlanWorkers
 	}
-	st := &State{Job: j, cache: r.cache, planWorkers: planWorkers}
+	st := &State{Job: j, cache: r.cache, lowers: l, planWorkers: planWorkers}
 	res := JobResult{Job: j, StageTimes: make(map[string]time.Duration)}
 	for _, stage := range stagesFor(j) {
 		if err := ctx.Err(); err != nil {
@@ -167,6 +177,7 @@ func (r *Runner) run(ctx context.Context, j *Job, keep bool) JobResult {
 			break
 		}
 	}
+	l.release()
 	res.Report = st.Report
 	res.PlanCacheHit = st.PlanCacheHit
 	res.Elapsed = time.Since(start)
@@ -183,9 +194,13 @@ func (r *Runner) run(ctx context.Context, j *Job, keep bool) JobResult {
 }
 
 // RunAll executes the jobs through the worker pool and returns their
-// results in input order. Cancelling ctx stops in-flight simulations
-// at their next interrupt poll; jobs not yet finished report ctx's
-// error.
+// results in input order. Jobs that lower identically share one frozen
+// lowering: every job's lowerings are reserved before dispatch, jobs
+// are dispatched grouped by lowering (groups in first-appearance
+// order), and each lowering is dropped once no pending or running job
+// needs it, so the runner retains none after RunAll returns.
+// Cancelling ctx stops in-flight simulations at their next interrupt
+// poll; jobs not yet finished report ctx's error.
 func (r *Runner) RunAll(ctx context.Context, jobs []*Job) []JobResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,6 +209,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []*Job) []JobResult {
 	if len(jobs) == 0 {
 		return results
 	}
+	leases, order := r.reserve(jobs)
 	workers := r.opts.Workers
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -205,16 +221,42 @@ func (r *Runner) RunAll(ctx context.Context, jobs []*Job) []JobResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = r.Run(ctx, jobs[i])
+				results[i] = r.run(ctx, jobs[i], r.opts.KeepArtifacts, leases[i])
 			}
 		}()
 	}
-	for i := range jobs {
+	for _, i := range order {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	return results
+}
+
+// reserve leases every job's lowerings and returns the dispatch order:
+// job indices sorted stably by their lowering keys' first-appearance
+// ranks, so jobs sharing a canonical lowering run together and, within
+// that, jobs sharing their own lowering do too.
+func (r *Runner) reserve(jobs []*Job) ([]*lease, []int) {
+	leases := make([]*lease, len(jobs))
+	ranks := make([][]int, len(jobs))
+	first := make(map[string]int)
+	order := make([]int, len(jobs))
+	for i, j := range jobs {
+		var keys []string
+		for _, bc := range lowerConfigs(j.Config) {
+			k := lowerKey(bc)
+			if _, ok := first[k]; !ok {
+				first[k] = len(first)
+			}
+			keys = append(keys, k)
+			ranks[i] = append(ranks[i], first[k])
+		}
+		leases[i] = r.lowers.lease(keys)
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(ranks[a], ranks[b]) })
+	return leases, order
 }
 
 // RunConfigs validates the configs into jobs and runs them all. A
@@ -250,6 +292,7 @@ func (r *Runner) RunConfigs(ctx context.Context, cfgs []Config) []JobResult {
 // Stats returns the runner's aggregate counters.
 func (r *Runner) Stats() Stats {
 	hits, misses, computes, evictions, entries, bytes := r.cache.stats()
+	builds, shared := r.lowers.stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Stats{
@@ -260,6 +303,8 @@ func (r *Runner) Stats() Stats {
 		PlanCacheEvictions: evictions,
 		PlanCacheEntries:   entries,
 		PlanCacheBytes:     bytes,
+		LoweringBuilds:     builds,
+		LoweringShared:     shared,
 		PlanTime:           r.planTime,
 		ExecTime:           r.execTime,
 	}

@@ -70,6 +70,9 @@ type State struct {
 	shared bool
 	// cache is the runner's plan cache (nil runs the planner inline).
 	cache *planCache
+	// lowers is the job's claim on the runner's shared frozen
+	// lowerings; every stage lowers through it.
+	lowers *lease
 	// planWorkers is the resolved refinement parallelism the Plan
 	// stage hands to plan.Options.Workers (plans are byte-identical
 	// at any setting).
@@ -128,49 +131,75 @@ func stagesFor(j *Job) []Stage {
 	}
 }
 
-// buildFn returns a builder closure for the config at the given
-// minibatch count — the planner emulates fresh copies through it.
-func buildFn(c Config, part pipeline.Partition, minibatches int) func() (*pipeline.Built, error) {
-	return func() (*pipeline.Built, error) {
-		return pipeline.Build(pipeline.BuildConfig{
-			Model: c.Model, Prec: *c.Precision, Part: part, Kind: c.Schedule,
-			MicrobatchSize: c.MicrobatchSize,
-			Microbatches:   c.Microbatches,
-			Minibatches:    minibatches,
-			TP:             c.TPDegree,
-		})
+// buildConfig is the lowering of the config's partition at the given
+// minibatch count.
+func buildConfig(c Config, part pipeline.Partition, minibatches int) pipeline.BuildConfig {
+	return pipeline.BuildConfig{
+		Model: c.Model, Prec: *c.Precision, Part: part, Kind: c.Schedule,
+		MicrobatchSize: c.MicrobatchSize,
+		Microbatches:   c.Microbatches,
+		Minibatches:    minibatches,
+		TP:             c.TPDegree,
 	}
 }
 
-func stagePartition(ctx context.Context, st *State) error {
-	c := st.Job.Config
+// lowerConfigs lists the lowerings a job's stages fetch: the canonical
+// one its plan is computed on and rebased from (planned systems only),
+// then its own. Jobs that never lower (ZeRO) or fail partitioning
+// (their run reports why) need none.
+func lowerConfigs(c Config) []pipeline.BuildConfig {
+	if c.System.IsZeRO() {
+		return nil
+	}
+	_, part, err := partition(c)
+	if err != nil {
+		return nil
+	}
+	var out []pipeline.BuildConfig
+	if c.System != SystemPlain && c.Minibatches != canonicalMinibatches {
+		out = append(out, buildConfig(c, part, canonicalMinibatches))
+	}
+	return append(out, buildConfig(c, part, c.Minibatches))
+}
+
+// partition validates the config's shard grid and stage count and
+// partitions the model across the stages.
+func partition(c Config) (*grid.Grid, pipeline.Partition, error) {
 	g, err := c.Grid()
 	if err != nil {
-		return err
+		return nil, pipeline.Partition{}, err
 	}
-	st.Grid = g
 	if plane := g.Plane(); c.Stages > plane.NumGPUs && c.System != SystemPlain {
 		// Typed so service layers classify the infeasible placement as
 		// a caller mistake (HTTP 400) instead of a server fault.
-		return fmt.Errorf("mpress: virtual stages are only supported with SystemPlain: %w",
+		return nil, pipeline.Partition{}, fmt.Errorf("mpress: virtual stages are only supported with SystemPlain: %w",
 			&mapping.InfeasibleError{Stages: c.Stages, GPUs: plane.NumGPUs})
 	}
 	part, err := pipeline.PartitionModel(c.Model, c.Stages, c.Strategy, c.Schedule,
 		*c.Precision, c.MicrobatchSize, c.Microbatches)
 	if err != nil {
-		return err
+		return nil, pipeline.Partition{}, err
 	}
-	st.Part = part
-	return nil
+	return g, part, nil
 }
 
-func stageBuild(ctx context.Context, st *State) error {
-	c := st.Job.Config
-	b, err := buildFn(c, st.Part, c.Minibatches)()
+func stagePartition(ctx context.Context, st *State) error {
+	g, part, err := partition(st.Job.Config)
 	if err != nil {
 		return err
 	}
-	st.Built = b
+	st.Grid, st.Part = g, part
+	return nil
+}
+
+// stageBuild hands the job a fork of the shared frozen lowering, so
+// the Apply stage instruments the job's own copy.
+func stageBuild(ctx context.Context, st *State) error {
+	b, err := st.lowers.get(buildConfig(st.Job.Config, st.Part, st.Job.Config.Minibatches))
+	if err != nil {
+		return err
+	}
+	st.Built = b.Fork()
 	return nil
 }
 
@@ -212,10 +241,13 @@ func stagePlan(ctx context.Context, st *State) error {
 	if err != nil {
 		return err
 	}
+	canonical := func() (*pipeline.Built, error) {
+		return st.lowers.get(buildConfig(c, st.Part, canonicalMinibatches))
+	}
 	compute := func() (*plan.Plan, error) {
 		return plan.Compute(plan.Options{
 			Topo:                 plane,
-			Build:                buildFn(c, st.Part, canonicalMinibatches),
+			Build:                canonical,
 			Allowed:              allowed,
 			DisableMappingSearch: c.DisableMappingSearch,
 			DisableStriping:      c.DisableStriping,
@@ -233,7 +265,7 @@ func stagePlan(ctx context.Context, st *State) error {
 		return err
 	}
 	if c.Minibatches != canonicalMinibatches {
-		from, err := buildFn(c, st.Part, canonicalMinibatches)()
+		from, err := canonical()
 		if err != nil {
 			return err
 		}

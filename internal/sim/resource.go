@@ -162,24 +162,37 @@ func (l *LaneSet) ReserveStriped(size units.Bytes, k int, bw units.Bandwidth, la
 // (e.g. an egress lane and an ingress lane of a switched fabric) where
 // the caller computes the shared completion time.
 func (l *LaneSet) ReserveUntil(until Time, size units.Bytes) {
-	i := l.earliestLane()
+	l.ReserveLaneUntil(l.earliestLane(), until, size)
+}
+
+// ReserveLaneUntil is ReserveUntil on a lane the caller already picked
+// with Earliest, sparing a second scan of the lanes.
+func (l *LaneSet) ReserveLaneUntil(lane int, until Time, size units.Bytes) {
 	start := l.sim.Now()
-	if l.lanes[i] > start {
-		start = l.lanes[i]
+	if l.lanes[lane] > start {
+		start = l.lanes[lane]
 	}
 	if until < start {
 		panic(fmt.Sprintf("sim: lane set %s: ReserveUntil(%v) before lane free at %v", l.name, until, start))
 	}
 	l.busy += until - start
-	l.lanes[i] = until
+	l.lanes[lane] = until
 	l.moved += size
+}
+
+// Earliest returns the lane that frees up first (the lowest index on
+// ties) and when it is free, no earlier than now.
+func (l *LaneSet) Earliest() (lane int, free Time) {
+	lane = l.earliestLane()
+	free = l.lanes[lane]
+	if now := l.sim.Now(); free < now {
+		free = now
+	}
+	return lane, free
 }
 
 // NextFree reports when at least one lane is free.
 func (l *LaneSet) NextFree() Time {
-	t := l.lanes[l.earliestLane()]
-	if now := l.sim.Now(); t < now {
-		return now
-	}
+	_, t := l.Earliest()
 	return t
 }

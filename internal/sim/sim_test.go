@@ -262,3 +262,30 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("two identical runs ended at %v and %v", a, b)
 	}
 }
+
+// TestLaneSetEarliestTies: Earliest picks the lowest index among
+// equally free lanes, reports no time before now, and
+// ReserveLaneUntil books exactly the lane it picked.
+func TestLaneSetEarliestTies(t *testing.T) {
+	s := New()
+	l := NewLaneSet(s, "l", 3)
+	l.ReserveUntil(30, 0) // lane 0
+	l.ReserveUntil(20, 0) // lane 1
+	l.ReserveUntil(20, 0) // lane 2
+	if lane, free := l.Earliest(); lane != 1 || free != 20 {
+		t.Fatalf("Earliest = lane %d at %v, want lane 1 at 20", lane, free)
+	}
+	l.ReserveLaneUntil(1, 40, 8)
+	if lane, free := l.Earliest(); lane != 2 || free != 20 {
+		t.Fatalf("after booking lane 1: Earliest = lane %d at %v, want lane 2 at 20", lane, free)
+	}
+	s.At(25, func() {
+		if lane, free := l.Earliest(); lane != 2 || free != 25 {
+			t.Errorf("at 25: Earliest = lane %d at %v, want lane 2 at 25", lane, free)
+		}
+	})
+	s.Run()
+	if l.Moved() != 8 || l.BusyTime() != 30+20+20+20 {
+		t.Errorf("moved %v, busy %v", l.Moved(), l.BusyTime())
+	}
+}

@@ -312,14 +312,20 @@ func FlatPlacement(mapping []DeviceID) Placement { return grid.Flat(mapping) }
 // Jobs with NewJob, then push them through a Runner's worker pool with
 // RunAll. Jobs that share a plan (same point, different Minibatches)
 // hit the runner's fingerprint-keyed plan cache instead of
-// re-searching. See "Running sweeps in parallel" in the README.
+// re-searching, and RunAll lowers each distinct job graph once per
+// batch: jobs that lower identically (e.g. the node counts of a
+// scale-out sweep) share one frozen lowering, each instrumenting its
+// own fork, and the runner drops it when the last job needing it
+// finishes. See "Running sweeps in parallel" in the README.
 type (
 	// Runner executes jobs through a bounded worker pool over a
-	// shared, singleflight-deduplicated plan cache.
+	// shared, singleflight-deduplicated plan cache and shared frozen
+	// lowerings.
 	Runner = runner.Runner
 	// RunnerOptions configures a Runner (worker count, callbacks).
 	RunnerOptions = runner.Options
-	// RunnerStats reports a runner's job and plan-cache counters.
+	// RunnerStats reports a runner's job, plan-cache and lowering
+	// counters.
 	RunnerStats = runner.Stats
 	// Job is a validated Config plus its canonical fingerprint.
 	Job = runner.Job
