@@ -12,13 +12,18 @@ smoke:
 
 # Fleet acceptance: boot a 3-peer in-process fleet, push 200 mixed
 # requests through the ring-aware client, require byte-identical plans
-# vs local runner.Train, exactly-once planning for a 64-request burst,
-# and zero goroutine leaks on drain. The result-memo suite rides along
-# under the race detector: repeated and concurrent identical requests
-# must run their job once and serve byte-identical reports, plans and
-# traces under fresh job IDs.
+# vs local runner.Train, every request routed to the ring owner of its
+# route key (the plan key), one planner search per distinct plan key,
+# exactly-once planning for a 64-request burst and for eight
+# fingerprints sharing one plan key, and zero goroutine leaks on
+# drain. The client's and the ring's own tests run alongside, so the
+# client and the daemons provably agree on every route key's owner.
+# The result-memo suite rides along under the race detector: repeated
+# and concurrent identical requests must run their job once and serve
+# byte-identical reports, plans and traces under fresh job IDs.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleet|TestResultMemo' -count=1 ./internal/serve/
+	$(GO) test -race -run 'TestFleet|TestResultMemo|TestRing|TestGroup' -count=1 \
+		./internal/serve/ ./internal/serve/client/ ./internal/fleet/
 
 # Capacity-planner acceptance: a two-candidate catalog where the
 # cheaper feasible machine must win the ranking, plus the determinism

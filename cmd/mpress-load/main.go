@@ -1,6 +1,6 @@
 // Command mpress-load drives an mpressd planning fleet (or one
 // standalone daemon) with a Zipf-skewed job mix and reports the
-// latency distribution, cache behaviour and fleet traffic, appending
+// latency distribution, cache behaviour and forwarding, appending
 // a machine-readable record to a BENCH file for commit-over-commit
 // comparison.
 //
@@ -52,7 +52,6 @@ func main() {
 	zipfS := flag.Float64("zipf", 1.2, "Zipf skew of the job mix (>1; larger = more popular-job repeats)")
 	seed := flag.Int64("seed", 1, "deterministic seed for the job mix")
 	timeout := flag.String("timeout", "", "server-side per-request timeout (empty: daemon default)")
-	hedge := flag.Bool("hedge", true, "hedge slow requests to the next ring peer")
 	waitHealthy := flag.Duration("wait-healthy", 10*time.Second, "wait up to this long for every peer's /healthz")
 	verify := flag.Bool("verify", false, "recompute every distinct config locally and require byte-identical plans")
 	out := flag.String("out", "", "append the run record to this JSON file (e.g. BENCH_serve.json)")
@@ -60,7 +59,7 @@ func main() {
 	flag.Parse()
 
 	if err := run(*peers, *mode, *concurrency, *rps, *requests, *distinct, *zipfS,
-		*seed, *timeout, *hedge, *waitHealthy, *verify, *out, *note); err != nil {
+		*seed, *timeout, *waitHealthy, *verify, *out, *note); err != nil {
 		fmt.Fprintf(os.Stderr, "mpress-load: %v\n", err)
 		os.Exit(1)
 	}
@@ -97,8 +96,6 @@ type serverCounters struct {
 	memoHits                           float64
 	forwardsSent, forwardsReceived     float64
 	forwardErrors, sfWaits             float64
-	tierHits, tierServes, tierPushes   float64
-	hedgesReceived                     float64
 }
 
 func scrapeCounters(httpc *http.Client, base string) (serverCounters, error) {
@@ -117,10 +114,6 @@ func scrapeCounters(httpc *http.Client, base string) (serverCounters, error) {
 		"mpressd_fleet_forwards_received_total":  &c.forwardsReceived,
 		"mpressd_fleet_forward_errors_total":     &c.forwardErrors,
 		"mpressd_fleet_singleflight_waits_total": &c.sfWaits,
-		"mpressd_fleet_cache_tier_hits_total":    &c.tierHits,
-		"mpressd_fleet_cache_tier_serves_total":  &c.tierServes,
-		"mpressd_fleet_cache_tier_pushes_total":  &c.tierPushes,
-		"mpressd_hedges_received_total":          &c.hedgesReceived,
 	}
 	body, err := io.ReadAll(res.Body)
 	if err != nil {
@@ -143,8 +136,6 @@ func (a serverCounters) sub(b serverCounters) serverCounters {
 		planComputes: a.planComputes - b.planComputes, memoHits: a.memoHits - b.memoHits,
 		forwardsSent: a.forwardsSent - b.forwardsSent, forwardsReceived: a.forwardsReceived - b.forwardsReceived,
 		forwardErrors: a.forwardErrors - b.forwardErrors, sfWaits: a.sfWaits - b.sfWaits,
-		tierHits: a.tierHits - b.tierHits, tierServes: a.tierServes - b.tierServes,
-		tierPushes: a.tierPushes - b.tierPushes, hedgesReceived: a.hedgesReceived - b.hedgesReceived,
 	}
 }
 
@@ -154,8 +145,6 @@ func (a serverCounters) add(b serverCounters) serverCounters {
 		planComputes: a.planComputes + b.planComputes, memoHits: a.memoHits + b.memoHits,
 		forwardsSent: a.forwardsSent + b.forwardsSent, forwardsReceived: a.forwardsReceived + b.forwardsReceived,
 		forwardErrors: a.forwardErrors + b.forwardErrors, sfWaits: a.sfWaits + b.sfWaits,
-		tierHits: a.tierHits + b.tierHits, tierServes: a.tierServes + b.tierServes,
-		tierPushes: a.tierPushes + b.tierPushes, hedgesReceived: a.hedgesReceived + b.hedgesReceived,
 	}
 }
 
@@ -170,7 +159,6 @@ type record struct {
 	Requests    int     `json:"requests"`
 	Distinct    int     `json:"distinct_jobs"`
 	ZipfS       float64 `json:"zipf_s"`
-	Hedging     bool    `json:"hedging"`
 	Cores       int     `json:"host_cores"`
 
 	Errors       int     `json:"errors"`
@@ -185,23 +173,18 @@ type record struct {
 	Forwards     float64 `json:"forwards"`
 	ForwardErrs  float64 `json:"forward_errors"`
 	SFWaits      float64 `json:"singleflight_waits"`
-	TierHits     float64 `json:"cache_tier_hits"`
-	TierPushes   float64 `json:"cache_tier_pushes"`
-	HedgesSent   int64   `json:"hedges_sent"`
-	HedgeWins    int64   `json:"hedge_wins"`
 	Verified     bool    `json:"plans_verified_byte_identical,omitempty"`
 	Note         string  `json:"note,omitempty"`
 }
 
 func run(peerList, mode string, concurrency int, rps float64, requests, distinct int,
-	zipfS float64, seed int64, timeout string, hedge bool, waitHealthy time.Duration,
+	zipfS float64, seed int64, timeout string, waitHealthy time.Duration,
 	verify bool, out, note string) error {
 	peers := strings.Split(peerList, ",")
 	fc, err := client.NewFleet(peers)
 	if err != nil {
 		return err
 	}
-	fc.DisableHedging = !hedge
 	defer fc.CloseIdleConnections()
 
 	httpc := &http.Client{Transport: &http.Transport{}}
@@ -329,7 +312,6 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 	if lookups := delta.planHits + delta.planMisses; lookups > 0 {
 		hitRate = delta.planHits / lookups
 	}
-	st := fc.Stats()
 
 	rec := record{
 		Experiment:  "serve_load",
@@ -339,7 +321,6 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 		Requests:    requests,
 		Distinct:    distinct,
 		ZipfS:       zipfS,
-		Hedging:     hedge,
 		Cores:       runtime.NumCPU(),
 		Errors:      errors,
 		WallSeconds: wall.Seconds(),
@@ -351,10 +332,6 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 		Forwards:     delta.forwardsSent,
 		ForwardErrs:  delta.forwardErrors,
 		SFWaits:      delta.sfWaits,
-		TierHits:     delta.tierHits,
-		TierPushes:   delta.tierPushes,
-		HedgesSent:   st.HedgesSent,
-		HedgeWins:    st.HedgeWins,
 		Verified:     verified,
 		Note:         note,
 	}
@@ -369,9 +346,7 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 	fmt.Printf("  latency  p50 %.1fms  p95 %.1fms  p99 %.1fms\n", rec.P50MS, rec.P95MS, rec.P99MS)
 	fmt.Printf("  plan cache hit rate %.1f%% (%d computes)  result memo hits %d  singleflight waits %d\n",
 		hitRate*100, int(delta.planComputes), int(delta.memoHits), int(delta.sfWaits))
-	fmt.Printf("  forwards %d (errors %d)  cache tier hits %d pushes %d\n",
-		int(delta.forwardsSent), int(delta.forwardErrors), int(delta.tierHits), int(delta.tierPushes))
-	fmt.Printf("  hedges sent %d won %d  (server saw %d)\n", st.HedgesSent, st.HedgeWins, int(delta.hedgesReceived))
+	fmt.Printf("  forwards %d (errors %d)\n", int(delta.forwardsSent), int(delta.forwardErrors))
 	if verified {
 		fmt.Printf("  all distinct plans byte-identical to local runner.Train\n")
 	}

@@ -15,10 +15,10 @@
 //
 // Fleet mode: -peers lists every daemon of a planning fleet (including
 // this one) and turns the process into one peer of a coordinated tier —
-// requests route to their consistent-hash owner, popular jobs plan once
-// fleet-wide, and computed plans are shared over /v1/cache. All peers
-// must run the identical -peers list and -cache-epoch. See the README
-// section "Running a fleet".
+// plan and search requests route to the consistent-hash owner of their
+// route key (the plan key, so every job sharing a plan lands on one
+// peer), and each plan is computed once fleet-wide. All peers must run
+// the identical -peers list. See the README section "Running a fleet".
 package main
 
 import (
@@ -49,7 +49,6 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain bound")
 	peers := flag.String("peers", "", "comma-separated base URLs of every fleet peer (empty: standalone)")
 	self := flag.String("self", "", "this daemon's own base URL in -peers (default http://<addr>)")
-	epoch := flag.String("cache-epoch", "", "fleet cache-invalidation epoch; bump to drop all cross-peer plan sharing from older epochs")
 	flag.Parse()
 
 	var fl *fleet.Fleet
@@ -59,7 +58,7 @@ func main() {
 			selfURL = "http://" + *addr
 		}
 		var err error
-		fl, err = fleet.New(selfURL, strings.Split(*peers, ","), *epoch)
+		fl, err = fleet.New(selfURL, strings.Split(*peers, ","))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mpressd: %v\n", err)
 			os.Exit(1)
@@ -92,8 +91,7 @@ func main() {
 	defer stop()
 
 	if fl != nil {
-		fmt.Fprintf(os.Stderr, "mpressd: fleet peer %s of %d (cache version %s)\n",
-			fl.Self(), fl.Size(), fl.Version())
+		fmt.Fprintf(os.Stderr, "mpressd: fleet peer %s of %d\n", fl.Self(), fl.Size())
 	}
 	fmt.Fprintf(os.Stderr, "mpressd: listening on http://%s (workers=%d queue=%d)\n",
 		ln.Addr(), srv.Runner().Workers(), *queue)

@@ -1,85 +1,39 @@
 package fleet
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 )
 
-// wireVersion is folded into every cache-tier version so incompatible
-// plan wire formats never exchange entries, even at the same epoch.
-const wireVersion = "mpress-fleet-v1"
-
 // Fleet is one peer's view of a static-membership planning tier: the
-// consistent-hash ring plus this process's own identity and the
-// cache-tier version. A nil *Fleet means "not in a fleet" throughout
-// the serving layer.
+// consistent-hash ring plus this process's own identity. A nil *Fleet
+// means "not in a fleet" throughout the serving layer.
 type Fleet struct {
-	self    string
-	ring    *Ring
-	epoch   string
-	version string
+	self string
+	ring *Ring
 }
 
 // New builds a peer's fleet view. self must appear in members (after
-// normalization); epoch is the operator-bumped cache-invalidation
-// token — change it when topologies or config presets change meaning,
-// and every cross-peer cache exchange from the old epoch is refused.
-func New(self string, members []string, epoch string) (*Fleet, error) {
+// normalization).
+func New(self string, members []string) (*Fleet, error) {
 	ring, err := NewRing(members, 0)
 	if err != nil {
 		return nil, err
 	}
 	self = strings.TrimRight(strings.TrimSpace(self), "/")
-	found := false
 	for _, m := range ring.Members() {
 		if m == self {
-			found = true
-			break
+			return &Fleet{self: self, ring: ring}, nil
 		}
 	}
-	if !found {
-		return nil, fmt.Errorf("fleet: self %q is not in the membership %v", self, ring.Members())
-	}
-	return &Fleet{self: self, ring: ring, epoch: epoch, version: versionOf(ring, epoch)}, nil
-}
-
-// versionOf digests the normalized membership and epoch. Peers with
-// the same membership and epoch agree on the version; any divergence
-// (a misconfigured peer list, a stale epoch) makes cache exchanges
-// fail closed instead of serving plans across incompatible views.
-func versionOf(r *Ring, epoch string) string {
-	var b strings.Builder
-	b.WriteString(wireVersion)
-	b.WriteByte('|')
-	b.WriteString(epoch)
-	for _, m := range r.Members() {
-		b.WriteByte('|')
-		b.WriteString(m)
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:8])
+	return nil, fmt.Errorf("fleet: self %q is not in the membership %v", self, ring.Members())
 }
 
 // Self is this process's own base URL, normalized.
 func (f *Fleet) Self() string { return f.self }
 
-// Version is the cache-tier compatibility token carried on every
-// cross-peer cache request and checked by the receiver.
-func (f *Fleet) Version() string { return f.version }
-
-// Epoch returns the operator-set invalidation epoch.
-func (f *Fleet) Epoch() string { return f.epoch }
-
-// Ring exposes the placement ring (for clients embedded in tools).
-func (f *Fleet) Ring() *Ring { return f.ring }
-
 // Size is the membership size.
 func (f *Fleet) Size() int { return f.ring.Size() }
-
-// Peers returns every member, sorted.
-func (f *Fleet) Peers() []string { return f.ring.Members() }
 
 // Owner returns the peer that owns key on the ring.
 func (f *Fleet) Owner(key string) string { return f.ring.Owner(key) }

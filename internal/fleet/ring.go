@@ -1,12 +1,11 @@
 // Package fleet coordinates N mpressd processes into one planning
 // tier. Placement is a consistent-hash ring over a static membership
-// list: every peer derives the same owner for every job fingerprint
-// with no coordination traffic, a popular fingerprint lands on one
-// owner (so its plan is computed once fleet-wide), and membership
-// changes move only the departed peer's share of the keyspace. The
-// ring is the routing substrate for three mechanisms layered above it
-// in internal/serve and internal/serve/client: transparent peer
-// forwarding, the shared plan-cache tier, and hedged client requests.
+// list: every peer derives the same owner for every job's route key
+// (runner.Job.RouteKey) with no coordination traffic, every job that
+// shares a plan lands on one owner (so the plan is computed once
+// fleet-wide), and membership changes move only the departed peer's
+// share of the keyspace. internal/serve forwards requests to their
+// owner over the ring; internal/serve/client routes by the same ring.
 package fleet
 
 import (
@@ -104,25 +103,6 @@ func (r *Ring) Size() int { return len(r.members) }
 // clockwise after the key's hash.
 func (r *Ring) Owner(key string) string {
 	return r.members[r.points[r.locate(key)].member]
-}
-
-// Owners returns up to n distinct members for key in ring order — the
-// owner first, then the peers a hedged or failed-over request should
-// try next.
-func (r *Ring) Owners(key string, n int) []string {
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[int32]bool, n)
-	for i, start := 0, r.locate(key); len(out) < n && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, r.members[p.member])
-		}
-	}
-	return out
 }
 
 // locate returns the index of the first point at or after the key's

@@ -109,31 +109,6 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingOwners verifies the hedging successor list: distinct peers,
-// owner first, bounded by the membership size.
-func TestRingOwners(t *testing.T) {
-	r, err := NewRing(members(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range fingerprints(100) {
-		owners := r.Owners(fp, 5)
-		if len(owners) != 3 {
-			t.Fatalf("owners = %v, want all 3 distinct peers", owners)
-		}
-		if owners[0] != r.Owner(fp) {
-			t.Fatalf("owners[0] = %s, owner = %s", owners[0], r.Owner(fp))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("duplicate peer in owners %v", owners)
-			}
-			seen[o] = true
-		}
-	}
-}
-
 func TestRingRejectsEmpty(t *testing.T) {
 	if _, err := NewRing(nil, 0); err == nil {
 		t.Fatal("empty membership should be rejected")
@@ -145,7 +120,7 @@ func TestRingRejectsEmpty(t *testing.T) {
 
 func TestFleetSelfAndVersion(t *testing.T) {
 	m := members(3)
-	f, err := New(m[1]+"/", m, "epoch-a")
+	f, err := New(m[1]+"/", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,29 +130,10 @@ func TestFleetSelfAndVersion(t *testing.T) {
 	if !f.IsSelf(m[1]) || f.IsSelf(m[0]) {
 		t.Error("IsSelf misidentifies peers")
 	}
-	if f.Size() != 3 || len(f.Peers()) != 3 {
+	if f.Size() != 3 {
 		t.Errorf("size = %d", f.Size())
 	}
-
-	// Same membership + epoch agree on the version; different epochs or
-	// membership do not (that disagreement is the invalidation).
-	same, err := New(m[0], []string{m[2] + "/", m[1], m[0]}, "epoch-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Version() != f.Version() {
-		t.Errorf("equivalent fleets disagree on version: %s vs %s", same.Version(), f.Version())
-	}
-	bumped, _ := New(m[0], m, "epoch-b")
-	if bumped.Version() == f.Version() {
-		t.Error("epoch bump did not change the cache version")
-	}
-	grown, _ := New(m[0], members(4), "epoch-a")
-	if grown.Version() == f.Version() {
-		t.Error("membership change did not change the cache version")
-	}
-
-	if _, err := New("http://elsewhere:1", m, "x"); err == nil {
+	if _, err := New("http://elsewhere:1", m); err == nil {
 		t.Error("self outside the membership should be rejected")
 	}
 }

@@ -8,10 +8,10 @@ import (
 // Group collapses concurrent identical work: the first caller for a
 // key becomes the leader and runs fn, every concurrent caller for the
 // same key waits on the leader's result instead of repeating the work.
-// Combined with ring placement — every peer routes a fingerprint to
-// the same owner — this is what makes a popular job plan once
-// fleet-wide: all N peers forward to the owner, and the owner's Group
-// admits exactly one execution.
+// Combined with ring placement — every peer routes a job to the same
+// owner — this is what makes a popular job run once fleet-wide: all N
+// peers forward to the owner, and the owner's Group admits exactly one
+// execution.
 //
 // Entries live only while the leader runs. A caller that arrives after
 // the leader finished starts fresh (the runner's plan cache makes that

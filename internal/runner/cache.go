@@ -98,8 +98,8 @@ func (c *planCache) getOrCompute(key string, fn func() (*plan.Plan, error)) (pl 
 
 // peek returns the settled plan cached under key without computing or
 // blocking: in-flight entries report a miss. A hit refreshes the
-// entry's LRU position but is not counted in hits/misses — peeks are
-// the cache tier asking "can you serve this", not a job lookup.
+// entry's LRU position but is not counted in hits/misses — a peek
+// inspects the cache, it is not a job lookup.
 func (c *planCache) peek(key string) (*plan.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -109,29 +109,6 @@ func (c *planCache) peek(key string) (*plan.Plan, bool) {
 	}
 	c.lru.MoveToFront(e.elem)
 	return e.pl, true
-}
-
-// seed inserts a plan computed elsewhere (a fleet peer) as a settled
-// entry, reporting whether it was inserted. An existing entry — settled
-// or in flight — wins: seeding never clobbers local work, so a waiter
-// always receives the plan it blocked on.
-func (c *planCache) seed(key string, pl *plan.Plan) bool {
-	if pl == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return false
-	}
-	done := make(chan struct{})
-	close(done)
-	e := &cacheEntry{key: key, done: done, pl: pl, size: planSize(pl)}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.bytes += e.size
-	c.evict()
-	return true
 }
 
 // evict trims the settled-entry LRU down to cap. Called with mu held.

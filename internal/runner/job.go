@@ -452,6 +452,17 @@ func (j *Job) Fingerprint() string { return j.fp }
 // not run the planner.
 func (j *Job) PlanKey() string { return j.planKey }
 
+// RouteKey places the job in a planning fleet: the plan key, or the
+// fingerprint when the system does not plan. Jobs that differ only in
+// plan-invariant fields (minibatch or node count) share one route key,
+// so they land on one peer and share its plan cache.
+func (j *Job) RouteKey() string {
+	if j.planKey != "" {
+		return j.planKey
+	}
+	return j.fp
+}
+
 // canonicalTopo renders a server topology's full parameter set — not
 // just its name, so custom topologies fingerprint distinctly.
 func canonicalTopo(t *hw.Topology) string {

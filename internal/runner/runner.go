@@ -110,27 +110,13 @@ func New(opts Options) *Runner {
 func (r *Runner) Workers() int { return r.opts.Workers }
 
 // CachedPlan returns the settled plan cached under key (a Job.PlanKey)
-// without blocking: an in-flight computation reports a miss. It is the
-// read side of the fleet's shared plan-cache tier — a peer peeks its
-// local cache to answer a cache-tier pull.
+// without blocking: an in-flight computation reports a miss, and the
+// lookup counts as neither a hit nor a miss.
 func (r *Runner) CachedPlan(key string) (*plan.Plan, bool) {
 	if key == "" {
 		return nil, false
 	}
 	return r.cache.peek(key)
-}
-
-// SeedPlan inserts a plan computed elsewhere (a fleet peer) under key,
-// reporting whether it was inserted. An existing local entry — settled
-// or in flight — always wins, so seeding can never change what a
-// concurrent job observes. Plans are read-only after computation, so
-// sharing the pointer across jobs is safe, exactly as the cache
-// already does.
-func (r *Runner) SeedPlan(key string, pl *plan.Plan) bool {
-	if key == "" {
-		return false
-	}
-	return r.cache.seed(key, pl)
 }
 
 // Run executes one job through its stage pipeline. Invalid

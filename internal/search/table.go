@@ -3,8 +3,7 @@ package search
 import "sync"
 
 // Eval is one memoized candidate evaluation — the transposition-table
-// entry, and the JSON payload the fleet cache tier moves between
-// peers. It deliberately stores the candidate's *rate*, not a
+// entry. It deliberately stores the candidate's *rate*, not a
 // time-to-fit: the rate depends only on the lowered job (which the
 // fingerprint identifies), while time-to-fit also depends on the
 // searcher's workload, so one entry serves searches with different

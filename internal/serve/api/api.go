@@ -23,38 +23,17 @@ const (
 	PathJobs    = "/v1/jobs"
 	PathHealthz = "/healthz"
 	PathMetrics = "/metrics"
-	// PathCache is the fleet plan-cache tier: GET /v1/cache/{key}
-	// serves the canonical plan bytes cached under a plan-key
-	// fingerprint, PUT stores them. Peers exchange entries only when
-	// their X-MPress-Cache-Version headers agree.
-	PathCache = "/v1/cache"
 	// PathSearch is the planner-v2 auto-search endpoint: POST a
 	// SearchRequest, get back the deterministic whole-strategy search
 	// result (winner, plan, counters).
 	PathSearch = "/v1/search"
-	// PathSearchCache is the fleet transposition-table tier:
-	// GET/PUT /v1/cache/search/{fp} exchange one strategy evaluation
-	// keyed by its job fingerprint, under the same fail-closed
-	// X-MPress-Cache-Version gate as the plan tier.
-	PathSearchCache = PathCache + "/search"
 )
 
-// Fleet headers.
-const (
-	// HeaderForwarded marks a request already forwarded once by a
-	// fleet peer (value: the forwarding peer's base URL). A receiving
-	// daemon never forwards such a request again — the one-hop guard
-	// that makes routing loops impossible even when peers disagree
-	// about membership.
-	HeaderForwarded = "X-MPress-Forwarded"
-	// HeaderHedge marks a client's hedge (the backup request sent to
-	// the next ring peer after the p99-derived delay), so daemons can
-	// count hedge traffic separately.
-	HeaderHedge = "X-MPress-Hedge"
-	// HeaderCacheVersion carries the sender's fleet cache version on
-	// cache-tier requests; the receiver refuses on mismatch (412).
-	HeaderCacheVersion = "X-MPress-Cache-Version"
-)
+// HeaderForwarded marks a request already forwarded once by a fleet
+// peer (value: the forwarding peer's base URL). A receiving daemon
+// never forwards such a request again — the one-hop guard that makes
+// routing loops impossible even when peers disagree about membership.
+const HeaderForwarded = "X-MPress-Forwarded"
 
 // Machine-readable error codes carried by Error.Code. Clients switch
 // on these instead of parsing messages or bare status codes.
@@ -70,14 +49,11 @@ const (
 	// CodeUnavailable: the daemon is draining or the job was cancelled
 	// server-side (503).
 	CodeUnavailable = "unavailable"
-	// CodeNotFound: the named job or cache entry is unknown (404).
+	// CodeNotFound: the named job is unknown (404).
 	CodeNotFound = "not_found"
 	// CodeJobFailed: the job ran and failed (422) — e.g. the planner
 	// could not produce a plan.
 	CodeJobFailed = "job_failed"
-	// CodeCacheVersion: a cache-tier exchange was refused because the
-	// peers' fleet cache versions disagree (412).
-	CodeCacheVersion = "cache_version"
 	// CodeInternal: a server-side fault (5xx not otherwise classified).
 	CodeInternal = "internal"
 )
@@ -91,8 +67,6 @@ func CodeForStatus(status int) string {
 		return CodeBadRequest
 	case 404:
 		return CodeNotFound
-	case 412:
-		return CodeCacheVersion
 	case 422:
 		return CodeJobFailed
 	case 429:

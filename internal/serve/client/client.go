@@ -112,18 +112,8 @@ func (c *Client) httpClient() *http.Client {
 // Retry-After hint; timeout is the server-side bound ("" for the
 // daemon default).
 func (c *Client) Plan(ctx context.Context, cfg runner.Config, timeout string) (*api.PlanResponse, error) {
-	return c.plan(ctx, cfg, timeout, false)
-}
-
-// plan is Plan with the hedge marker controllable — the fleet client's
-// backup requests carry it so daemons can account hedge traffic.
-func (c *Client) plan(ctx context.Context, cfg runner.Config, timeout string, hedge bool) (*api.PlanResponse, error) {
-	var hdr http.Header
-	if hedge {
-		hdr = http.Header{api.HeaderHedge: []string{"1"}}
-	}
 	var resp api.PlanResponse
-	err := c.post(ctx, api.PathPlan, api.PlanRequest{Config: cfg, Timeout: timeout}, &resp, hdr)
+	err := c.post(ctx, api.PathPlan, api.PlanRequest{Config: cfg, Timeout: timeout}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +200,7 @@ func (c *Client) Healthy(ctx context.Context) error {
 	return c.get(ctx, api.PathHealthz, &status)
 }
 
-func (c *Client) post(ctx context.Context, path string, body, out any, extra ...http.Header) error {
+func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("client: encode request: %w", err)
@@ -220,13 +210,6 @@ func (c *Client) post(ctx context.Context, path string, body, out any, extra ...
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	for _, h := range extra {
-		for k, vs := range h {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
-		}
-	}
 	return c.do(req, out)
 }
 

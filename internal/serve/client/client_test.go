@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpress/internal/fleet"
 	"mpress/internal/hw"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
@@ -159,109 +159,50 @@ func TestErrorCodeDerivedForLegacyBodies(t *testing.T) {
 	}
 }
 
-// TestFleetHedging pins the hedge protocol: when the owner stalls past
-// the hedge delay, a backup request carrying the hedge marker goes to
-// the next ring peer, its response wins, and the stalled primary is
-// cancelled.
-func TestFleetHedging(t *testing.T) {
-	release := make(chan struct{})
-	var slowCancelled atomic.Bool
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Drain the body so the server's background read can observe the
-		// client disconnect and cancel r.Context().
-		io.Copy(io.Discard, r.Body)
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			slowCancelled.Store(true)
-			return
-		}
-		json.NewEncoder(w).Encode(&api.PlanResponse{ID: "slow"})
-	}))
-	defer slow.Close()
-	var sawHedgeHeader atomic.Bool
-	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(api.HeaderHedge) != "" {
-			sawHedgeHeader.Store(true)
-		}
-		json.NewEncoder(w).Encode(&api.PlanResponse{ID: "fast"})
-	}))
-	defer fast.Close()
-
-	f, err := NewFleet([]string{slow.URL, fast.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.HedgeDelay = 30 * time.Millisecond
-	defer f.CloseIdleConnections()
-
-	// Find a config whose ring owner is the slow peer, so the hedge
-	// must rescue it (minibatch count perturbs the fingerprint).
-	cfg := fleetTestConfig(t)
-	for mb := 1; mb <= 16; mb++ {
-		cfg.Minibatches = mb
-		j, err := runner.NewJob(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Ring().Owner(j.Fingerprint()) == slow.URL {
-			break
-		}
-		if mb == 16 {
-			t.Fatal("no test fingerprint routed to the slow peer")
-		}
-	}
-
-	resp, err := f.Plan(context.Background(), cfg, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != "fast" {
-		t.Fatalf("winner = %q, want the hedge", resp.ID)
-	}
-	if !sawHedgeHeader.Load() {
-		t.Error("backup request did not carry the hedge marker")
-	}
-	st := f.Stats()
-	if st.HedgesSent != 1 || st.HedgeWins != 1 {
-		t.Errorf("stats = %+v, want 1 hedge sent and won", st)
-	}
-	// The primary was cancelled once the hedge won (release stays shut,
-	// so the only way out of the stalled handler is the cancel).
-	deadline := time.Now().Add(2 * time.Second)
-	for !slowCancelled.Load() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !slowCancelled.Load() {
-		t.Error("stalled primary was never cancelled")
-	}
-	close(release)
-}
-
 // TestFleetRoutingDeterminism: the fleet client and an independently
-// built ring agree on the owner for every fingerprint, so client-side
-// routing lands exactly where server-side placement expects.
+// built ring agree on the owner of every route key, so client-side
+// routing lands exactly where server-side placement expects. Minibatch
+// variants of one config share a plan key and so an owner; configs
+// with different plan keys spread over the peers.
 func TestFleetRoutingDeterminism(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
 	f, err := NewFleet(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fleetTestConfig(t)
-	counts := map[string]int{}
-	for mb := 1; mb <= 32; mb++ {
-		cfg.Minibatches = mb
+	ring, err := fleet.NewRing([]string{"http://c:3/", "http://a:1", "http://b:2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := func(cfg runner.Config) string {
+		t.Helper()
 		j, err := runner.NewJob(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		owners := f.Ring().Owners(j.Fingerprint(), 2)
-		if owners[0] == owners[1] {
-			t.Fatal("hedge target equals the owner")
+		o := f.Ring().Owner(j.RouteKey())
+		if o != ring.Owner(j.RouteKey()) {
+			t.Fatalf("client and independent ring disagree on the owner of %s", j.RouteKey())
 		}
-		counts[owners[0]]++
+		return o
+	}
+
+	cfg := fleetTestConfig(t)
+	first := owner(cfg)
+	for mb := 1; mb <= 32; mb++ {
+		cfg.Minibatches = mb
+		if o := owner(cfg); o != first {
+			t.Fatalf("minibatches %d routed to %s, want the plan key's owner %s", mb, o, first)
+		}
+	}
+
+	counts := map[string]int{}
+	cfg = fleetTestConfig(t)
+	for mbs := 1; mbs <= 16; mbs++ {
+		cfg.MicrobatchSize = mbs
+		counts[owner(cfg)]++
 	}
 	if len(counts) < 2 {
-		t.Errorf("32 fingerprints all routed to one peer: %v", counts)
+		t.Errorf("16 plan keys all routed to one peer: %v", counts)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,50 +14,27 @@ import (
 )
 
 // Fleet is the ring-aware client of an mpressd planning tier: it
-// derives the same consistent-hash placement the daemons use, sends
-// each plan request straight to its owner (saving the server-side
-// forwarding hop), and hedges slow requests — after a p99-derived
-// delay a backup request goes to the next ring peer, the first
-// response wins, and the loser is cancelled. Safe for concurrent use.
+// derives the same consistent-hash placement the daemons use and sends
+// each plan request straight to the ring owner of its route key
+// (runner.Job.RouteKey), saving the server-side forwarding hop. Safe
+// for concurrent use.
 type Fleet struct {
 	ring    *fleet.Ring
 	clients map[string]*Client
 
-	// HedgeDelay fixes the hedge trigger delay; zero derives it from
-	// the observed p99 of recent successful requests, clamped to
-	// [HedgeMin, HedgeMax].
-	HedgeDelay time.Duration
-	// HedgeMin/HedgeMax clamp the adaptive delay (defaults 25ms / 2s).
-	// Before enough samples exist the delay sits at HedgeMax — hedging
-	// warms up conservatively instead of doubling cold-start load.
-	HedgeMin, HedgeMax time.Duration
-	// DisableHedging turns the backup requests off (routing remains).
-	DisableHedging bool
-
-	mu      sync.Mutex
-	lat     []time.Duration // ring buffer of recent request latencies
-	latNext int
-	latFull bool
-	stats   FleetStats
+	mu    sync.Mutex
+	stats FleetStats
 }
 
 // FleetStats counts the fleet client's traffic.
 type FleetStats struct {
 	// Requests is the number of Plan calls; Errors how many returned
-	// an error after hedging.
+	// an error.
 	Requests int64
 	Errors   int64
-	// HedgesSent counts backup requests actually launched; HedgeWins
-	// how many of them beat the primary.
-	HedgesSent int64
-	HedgeWins  int64
-	// PerPeer counts primary requests routed to each peer.
+	// PerPeer counts requests routed to each peer.
 	PerPeer map[string]int64
 }
-
-// latWindow is the latency sample window the adaptive hedge delay is
-// derived from.
-const latWindow = 256
 
 // NewFleet builds a ring-aware client over the peer base URLs (the
 // same membership list the daemons run with — placement only agrees if
@@ -68,12 +44,7 @@ func NewFleet(peers []string) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{
-		ring:     ring,
-		clients:  make(map[string]*Client, ring.Size()),
-		HedgeMin: 25 * time.Millisecond,
-		HedgeMax: 2 * time.Second,
-	}
+	f := &Fleet{ring: ring, clients: make(map[string]*Client, ring.Size())}
 	tr := &http.Transport{MaxIdleConnsPerHost: 16}
 	for _, p := range ring.Members() {
 		cl := New(p)
@@ -110,16 +81,15 @@ func (f *Fleet) Stats() FleetStats {
 }
 
 // Plan routes one job to its ring owner and returns the planned
-// outcome, hedging to the next ring peer if the owner is slow. The
-// config is validated locally first (the same validation the daemon
-// runs), both to fail fast and because routing needs the canonical
-// fingerprint.
+// outcome. The config is validated locally first (the same validation
+// the daemon runs), both to fail fast and because routing needs the
+// job's route key.
 func (f *Fleet) Plan(ctx context.Context, cfg runner.Config, timeout string) (*api.PlanResponse, error) {
 	j, err := runner.NewJob(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return f.planFingerprint(ctx, j.Fingerprint(), cfg, timeout)
+	return f.route(ctx, j.RouteKey(), cfg, timeout)
 }
 
 // PlanWait is Plan with the same jittered, capped backoff loop the
@@ -131,7 +101,7 @@ func (f *Fleet) PlanWait(ctx context.Context, cfg runner.Config, timeout string)
 	}
 	seed := splitmix64(fleetHashSeed ^ clientSeq.Add(1))
 	for attempt := 0; ; attempt++ {
-		resp, err := f.planFingerprint(ctx, j.Fingerprint(), cfg, timeout)
+		resp, err := f.route(ctx, j.RouteKey(), cfg, timeout)
 		var apiErr *api.Error
 		if err == nil || !errors.As(err, &apiErr) || !apiErr.IsSaturated() {
 			return resp, err
@@ -147,125 +117,19 @@ func (f *Fleet) PlanWait(ctx context.Context, cfg runner.Config, timeout string)
 
 const fleetHashSeed = 0x6d70726573732d66 // "mpress-f"
 
-type planResult struct {
-	resp   *api.PlanResponse
-	err    error
-	hedged bool
-}
-
-// planFingerprint issues the routed (and possibly hedged) request.
-func (f *Fleet) planFingerprint(ctx context.Context, fp string, cfg runner.Config, timeout string) (*api.PlanResponse, error) {
-	owners := f.ring.Owners(fp, 2)
-	primary := f.clients[owners[0]]
-
+// route sends one plan request to the ring owner of key.
+func (f *Fleet) route(ctx context.Context, key string, cfg runner.Config, timeout string) (*api.PlanResponse, error) {
+	owner := f.ring.Owner(key)
+	resp, err := f.clients[owner].Plan(ctx, cfg, timeout)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.stats.Requests++
 	if f.stats.PerPeer == nil {
 		f.stats.PerPeer = make(map[string]int64)
 	}
-	f.stats.PerPeer[owners[0]]++
-	f.mu.Unlock()
-
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan planResult, 2)
-	start := time.Now()
-	go func() {
-		resp, err := primary.plan(hctx, cfg, timeout, false)
-		results <- planResult{resp, err, false}
-	}()
-
-	inflight := 1
-	var hedgeTimer <-chan time.Time
-	if !f.DisableHedging && len(owners) > 1 {
-		hedgeTimer = time.After(f.hedgeDelay())
+	f.stats.PerPeer[owner]++
+	if err != nil {
+		f.stats.Errors++
 	}
-	var firstErr error
-	for inflight > 0 {
-		select {
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			backup := f.clients[owners[1]]
-			f.mu.Lock()
-			f.stats.HedgesSent++
-			f.mu.Unlock()
-			inflight++
-			go func() {
-				resp, err := backup.plan(hctx, cfg, timeout, true)
-				results <- planResult{resp, err, true}
-			}()
-		case r := <-results:
-			inflight--
-			if r.err == nil {
-				cancel() // the loser's request aborts
-				f.observe(time.Since(start))
-				if r.hedged {
-					f.mu.Lock()
-					f.stats.HedgeWins++
-					f.mu.Unlock()
-				}
-				return r.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		}
-	}
-	f.mu.Lock()
-	f.stats.Errors++
-	f.mu.Unlock()
-	return nil, firstErr
-}
-
-// observe folds a successful request latency into the hedge-delay
-// sample window.
-func (f *Fleet) observe(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.lat == nil {
-		f.lat = make([]time.Duration, latWindow)
-	}
-	f.lat[f.latNext] = d
-	f.latNext = (f.latNext + 1) % latWindow
-	if f.latNext == 0 {
-		f.latFull = true
-	}
-}
-
-// hedgeDelay resolves the backup-request trigger delay: the fixed
-// override if set, else the p99 of the recent latency window, clamped.
-// Hedging at the p99 bounds extra load at ~1% of requests while
-// cutting exactly the tail the percentile names — the classic
-// tail-at-scale trade.
-func (f *Fleet) hedgeDelay() time.Duration {
-	if f.HedgeDelay > 0 {
-		return f.HedgeDelay
-	}
-	lo, hi := f.HedgeMin, f.HedgeMax
-	if lo <= 0 {
-		lo = 25 * time.Millisecond
-	}
-	if hi <= 0 {
-		hi = 2 * time.Second
-	}
-	f.mu.Lock()
-	n := f.latNext
-	if f.latFull {
-		n = latWindow
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, f.lat[:n])
-	f.mu.Unlock()
-	if n < 20 {
-		return hi // not enough signal yet; hedge conservatively
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	p99 := samples[(n*99)/100]
-	if p99 < lo {
-		return lo
-	}
-	if p99 > hi {
-		return hi
-	}
-	return p99
+	return resp, err
 }

@@ -2,52 +2,57 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
-	"net/url"
-	"time"
 
-	"mpress/internal/plan"
-	"mpress/internal/runner"
 	"mpress/internal/serve/api"
 )
 
-// This file is the server side of the planning fleet: transparent
-// one-hop forwarding of plan requests to their ring owner, and the
-// shared plan-cache tier (GET/PUT /v1/cache/{key}) that lets a plan
-// computed anywhere be reused everywhere. Requests route by job
-// FINGERPRINT; cache entries key by PLAN KEY (the fingerprint minus
-// the plan-invariant fields), so the two may live on different peers —
-// the fingerprint owner computes, then pushes the canonical plan to
-// the plan-key owner, where any peer's next cold run finds it.
+// This file is the server side of the planning fleet: one-hop
+// forwarding of plan and search requests to the ring owner of their
+// route key (runner.Job.RouteKey). Every job that shares a plan routes
+// to one owner, so that owner's plan cache, result memo and search
+// table answer all of them; nothing is exchanged between peers.
 
-// peerTimeout bounds one cache-tier exchange. Entries are small (plan
-// files are tens of KB) and a slow peer must not stall planning — a
-// miss just means computing locally, which always works.
-const peerTimeout = 5 * time.Second
-
-// forwardPlan proxies a plan request to its ring owner, streaming the
-// owner's response (success or failure) back verbatim. It returns
-// false — with nothing written — when the owner is unreachable, so the
-// caller can fall back to planning locally.
-func (s *Server) forwardPlan(w http.ResponseWriter, r *http.Request, body []byte, owner string) bool {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		owner+api.PathPlan, bytes.NewReader(body))
+// forwarded sends a request whose route key another peer owns to that
+// owner, streaming the owner's response (success or failure) back
+// verbatim, and reports whether the request has been answered. It
+// returns false — with nothing written — when this daemon must serve
+// the request itself: standalone, owner of the key, already forwarded
+// once (the X-MPress-Forwarded guard that makes routing loops
+// impossible even under membership disagreement), or the owner is
+// unreachable. Wrong-peer service costs cache locality, not
+// availability. A caller that went away is not an unreachable owner:
+// the request is answered 503 (to nobody), no forward error is
+// counted, and no local work starts for it.
+func (s *Server) forwarded(w http.ResponseWriter, r *http.Request, path string, body []byte, key string) bool {
+	if s.fleet == nil {
+		return false
+	}
+	if r.Header.Get(api.HeaderForwarded) != "" {
+		s.forwardsReceived.Add(1)
+		return false
+	}
+	owner := s.fleet.Owner(key)
+	if s.fleet.IsSelf(owner) {
+		return false
+	}
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+path, bytes.NewReader(body))
 	if err != nil {
 		s.forwardErrors.Add(1)
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(api.HeaderForwarded, s.fleet.Self())
-	if h := r.Header.Get(api.HeaderHedge); h != "" {
-		req.Header.Set(api.HeaderHedge, h)
-	}
 	s.forwardsSent.Add(1)
 	res, err := s.peers.Do(req)
 	if err != nil {
+		if err := r.Context().Err(); err != nil {
+			writeError(w, http.StatusServiceUnavailable, "request cancelled while forwarded to %s: %v", owner, err)
+			return true
+		}
 		s.forwardErrors.Add(1)
-		s.logger.Printf("forward to %s failed, planning locally: %v", owner, err)
+		s.logger.Printf("forward to %s failed, serving locally: %v", owner, err)
 		return false
 	}
 	defer res.Body.Close()
@@ -61,190 +66,4 @@ func (s *Server) forwardPlan(w http.ResponseWriter, r *http.Request, body []byte
 		s.logger.Printf("forward to %s: relay response: %v", owner, err)
 	}
 	return true
-}
-
-// seedPlanFromTier pulls the job's plan from its plan-key owner into
-// the local runner cache, so the upcoming run hits instead of
-// computing. Returns true when the plan is locally available after the
-// call (already cached, or seeded from the tier). Every failure mode
-// degrades to a miss — the job then computes the plan itself.
-func (s *Server) seedPlanFromTier(ctx context.Context, j *runner.Job) bool {
-	if s.fleet == nil {
-		return false
-	}
-	key := j.PlanKey()
-	if key == "" {
-		return false
-	}
-	if _, ok := s.runner.CachedPlan(key); ok {
-		return true
-	}
-	owner := s.fleet.Owner(key)
-	if s.fleet.IsSelf(owner) {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		owner+api.PathCache+"/"+url.PathEscape(key), nil)
-	if err != nil {
-		s.cacheTierMisses.Add(1)
-		return false
-	}
-	req.Header.Set(api.HeaderCacheVersion, s.fleet.Version())
-	res, err := s.peers.Do(req)
-	if err != nil {
-		s.cacheTierMisses.Add(1)
-		return false
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, res.Body)
-		s.cacheTierMisses.Add(1)
-		return false
-	}
-	pl, label, err := plan.Load(io.LimitReader(res.Body, maxPlanBody))
-	if err != nil || label != key {
-		s.cacheTierMisses.Add(1)
-		s.logger.Printf("cache tier: bad entry for %s from %s (label %q, err %v)", key, owner, label, err)
-		return false
-	}
-	s.runner.SeedPlan(key, pl)
-	s.cacheTierHits.Add(1)
-	return true
-}
-
-// pushPlanToTier sends the canonical plan cached under key to the
-// key's ring owner. Only the CANONICAL plan crosses the wire — the
-// runner's cache entry, never a response's possibly-rebased copy — so
-// a peer seeding from the tier rebases exactly as it would from its
-// own cache and plans stay byte-identical fleet-wide. Runs on its own
-// deadline: the triggering request may already be finished.
-func (s *Server) pushPlanToTier(key string) {
-	if s.fleet == nil || key == "" {
-		return
-	}
-	owner := s.fleet.Owner(key)
-	if s.fleet.IsSelf(owner) {
-		return
-	}
-	pl, ok := s.runner.CachedPlan(key)
-	if !ok {
-		return
-	}
-	var buf bytes.Buffer
-	if err := pl.Save(&buf, key); err != nil {
-		s.logger.Printf("cache tier: serialize %s: %v", key, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		owner+api.PathCache+"/"+url.PathEscape(key), &buf)
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.HeaderCacheVersion, s.fleet.Version())
-	res, err := s.peers.Do(req)
-	if err != nil {
-		s.logger.Printf("cache tier: push %s to %s: %v", key, owner, err)
-		return
-	}
-	defer res.Body.Close()
-	io.Copy(io.Discard, res.Body)
-	if res.StatusCode != http.StatusOK {
-		s.logger.Printf("cache tier: push %s to %s: status %d", key, owner, res.StatusCode)
-		return
-	}
-	s.cacheTierPushes.Add(1)
-}
-
-// seedSweepFromTier warms the local plan cache for every distinct plan
-// key in a sweep batch and returns the keys the tier could not supply
-// — the ones the sweep will compute and should push back afterwards.
-func (s *Server) seedSweepFromTier(ctx context.Context, cfgs []runner.Config) []string {
-	if s.fleet == nil {
-		return nil
-	}
-	seen := make(map[string]bool)
-	var toPush []string
-	for _, cfg := range cfgs {
-		j, err := runner.NewJob(cfg)
-		if err != nil {
-			continue // RunConfigs reports the error in order
-		}
-		key := j.PlanKey()
-		if key == "" || seen[key] {
-			continue
-		}
-		seen[key] = true
-		if !s.seedPlanFromTier(ctx, j) {
-			toPush = append(toPush, key)
-		}
-	}
-	return toPush
-}
-
-// cacheVersionOK gates a cache-tier exchange on an exact fleet-version
-// match. The version digests the wire format, the operator epoch and
-// the normalized membership, so any divergence — a stale epoch, a
-// misconfigured peer list — fails closed (412) instead of serving
-// plans across incompatible views.
-func (s *Server) cacheVersionOK(w http.ResponseWriter, r *http.Request) bool {
-	if s.fleet == nil {
-		writeError(w, http.StatusNotFound, "this daemon is not in a fleet")
-		return false
-	}
-	if got := r.Header.Get(api.HeaderCacheVersion); got != s.fleet.Version() {
-		s.cacheTierRejects.Add(1)
-		writeJSON(w, http.StatusPreconditionFailed, &api.Error{
-			Status:  http.StatusPreconditionFailed,
-			Code:    api.CodeCacheVersion,
-			Message: "cache version " + got + " does not match " + s.fleet.Version(),
-		})
-		return false
-	}
-	return true
-}
-
-// handleCacheGet serves the canonical plan cached under a plan key to
-// a fleet peer, in the plan.Save file format.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if !s.cacheVersionOK(w, r) {
-		return
-	}
-	key := r.PathValue("key")
-	pl, ok := s.runner.CachedPlan(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no plan cached under %q", key)
-		return
-	}
-	s.cacheTierServes.Add(1)
-	w.Header().Set(api.HeaderCacheVersion, s.fleet.Version())
-	w.Header().Set("Content-Type", "application/json")
-	if err := pl.Save(w, key); err != nil {
-		s.logger.Printf("cache tier: serve %s: %v", key, err)
-	}
-}
-
-// handleCachePut stores a plan a peer computed under its plan key. The
-// plan file's own job label must match the key — a mislabelled entry
-// would otherwise poison every future rebase from it.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if !s.cacheVersionOK(w, r) {
-		return
-	}
-	key := r.PathValue("key")
-	pl, label, err := plan.Load(io.LimitReader(r.Body, maxPlanBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decode plan: %v", err)
-		return
-	}
-	if label != key {
-		writeError(w, http.StatusBadRequest, "plan label %q does not match cache key %q", label, key)
-		return
-	}
-	s.runner.SeedPlan(key, pl)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

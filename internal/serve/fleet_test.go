@@ -3,14 +3,16 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mpress/internal/fleet"
 	"mpress/internal/hw"
@@ -32,7 +34,7 @@ type testFleet struct {
 
 // startFleet boots n mpressd peers with a shared membership. Listeners
 // are created first so every peer's fleet view can name the final URLs.
-func startFleet(t *testing.T, n int, epoch string) *testFleet {
+func startFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -46,7 +48,7 @@ func startFleet(t *testing.T, n int, epoch string) *testFleet {
 	}
 	tf := &testFleet{urls: urls}
 	for i := 0; i < n; i++ {
-		fl, err := fleet.New(urls[i], urls, epoch)
+		fl, err := fleet.New(urls[i], urls)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,11 +165,12 @@ func metricValue(t *testing.T, body, name string) float64 {
 // TestFleetSmoke is the acceptance run behind `make fleet-smoke`: a
 // 3-peer fleet serves 200 mixed requests through the ring-aware
 // client; every plan that comes back is byte-identical to a local
-// runner.Train, requests demonstrably crossed peers, and the fleet
-// drains without leaking a goroutine.
+// runner.Train, every request went to the ring owner of its route
+// key, each distinct plan key was planned exactly once fleet-wide,
+// and the fleet drains without leaking a goroutine.
 func TestFleetSmoke(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tf := startFleet(t, 3, "e1")
+	tf := startFleet(t, 3)
 
 	cfgs := smokeConfigs(t)
 	want := localCanonicalPlans(t, cfgs)
@@ -176,7 +179,6 @@ func TestFleetSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.DisableHedging = true // hedging has its own test; keep load deterministic
 
 	// 200 requests, skewed toward the first configs (a Zipf-flavored
 	// mix: popular jobs dominate, the tail still appears).
@@ -250,27 +252,29 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("%d/%d requests failed or diverged", failed, requests)
 	}
 
-	// The fleet actually behaved as a fleet: with 6 fingerprints spread
-	// over 3 owners and the client routing directly, every peer served
-	// traffic; cross-peer machinery (forwarding or the cache tier) is
-	// exercised by the owner-side cache pushes.
+	// Every request went straight to the ring owner of its route key,
+	// and that owner's plan cache planned each distinct plan key once.
 	st := fc.Stats()
 	if st.Requests != requests {
 		t.Errorf("client counted %d requests, want %d", st.Requests, requests)
 	}
-	if len(st.PerPeer) < 2 {
-		t.Errorf("all traffic went to one peer: %+v", st.PerPeer)
+	wantPerPeer := map[string]int64{}
+	planKeys := map[string]bool{}
+	for _, pick := range picks {
+		j, err := runner.NewJob(cfgs[pick])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPerPeer[tf.servers[0].fleet.Owner(j.RouteKey())]++
+		if j.PlanKey() != "" {
+			planKeys[j.PlanKey()] = true
+		}
 	}
-
-	var computes int64
-	for _, s := range tf.servers {
-		computes += s.runner.Stats().PlanComputes
+	if fmt.Sprint(st.PerPeer) != fmt.Sprint(wantPerPeer) {
+		t.Errorf("per-peer requests %v, want the route-key owners %v", st.PerPeer, wantPerPeer)
 	}
-	// 5 planning configs share 2 distinct plan keys per system family;
-	// whatever the exact dedup, the fleet must not have planned per
-	// request.
-	if computes >= requests/2 {
-		t.Errorf("fleet ran %d planner searches for %d requests — caching is off", computes, requests)
+	if n := fleetPlanComputes(tf); n != int64(len(planKeys)) {
+		t.Errorf("fleet ran %d planner searches for %d distinct plan keys, want one each", n, len(planKeys))
 	}
 
 	fc.CloseIdleConnections()
@@ -284,14 +288,13 @@ func TestFleetSmoke(t *testing.T) {
 // same bytes.
 func TestFleetBurstSingleflight(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tf := startFleet(t, 3, "e1")
+	tf := startFleet(t, 3)
 
 	cfg := smokeConfigs(t)[0]
 	fc, err := client.NewFleet(tf.urls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.DisableHedging = true
 
 	const burst = 64
 	var wg sync.WaitGroup
@@ -329,11 +332,7 @@ func TestFleetBurstSingleflight(t *testing.T) {
 		}
 	}
 
-	var computes int64
-	for _, s := range tf.servers {
-		computes += s.runner.Stats().PlanComputes
-	}
-	if computes != 1 {
+	if computes := fleetPlanComputes(tf); computes != 1 {
 		t.Errorf("burst of %d identical requests ran %d planner searches, want exactly 1", burst, computes)
 	}
 
@@ -346,14 +345,14 @@ func TestFleetBurstSingleflight(t *testing.T) {
 // byte-identical to the local result — forwarding is transparent.
 func TestFleetForwardParity(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tf := startFleet(t, 3, "e1")
+	tf := startFleet(t, 3)
 
 	cfg := smokeConfigs(t)[0]
 	j, err := runner.NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := tf.servers[0].fleet.Owner(j.Fingerprint())
+	owner := tf.servers[0].fleet.Owner(j.RouteKey())
 	nonOwner := -1
 	for i, u := range tf.urls {
 		if u != owner {
@@ -412,7 +411,7 @@ func TestFleetForwardFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveURL := "http://" + liveLn.Addr().String()
-	fl, err := fleet.New(liveURL, []string{liveURL, deadURL}, "e1")
+	fl, err := fleet.New(liveURL, []string{liveURL, deadURL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,16 +421,17 @@ func TestFleetForwardFallback(t *testing.T) {
 	go func() { errc <- s.Serve(ctx, liveLn) }()
 
 	// Find a config the DEAD peer owns, so the live peer must try (and
-	// fail) to forward it.
+	// fail) to forward it. The minibatch count is outside the route
+	// key; the microbatch size is not.
 	cfg := smokeConfigs(t)[0]
 	found := false
-	for mb := 2; mb <= 32; mb++ {
-		cfg.Minibatches = mb
+	for mbs := 1; mbs <= 32; mbs++ {
+		cfg.MicrobatchSize = mbs
 		j, err := runner.NewJob(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fl.Owner(j.Fingerprint()) == deadURL {
+		if fl.Owner(j.RouteKey()) == deadURL {
 			found = true
 			break
 		}
@@ -467,94 +467,14 @@ func TestFleetForwardFallback(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestFleetCacheVersioning pins the cache tier's fail-closed contract:
-// wrong or missing version headers are refused with a typed 412, a
-// matching version with an unknown key is a typed 404, and a
-// standalone daemon exposes no tier at all.
-func TestFleetCacheVersioning(t *testing.T) {
-	tf := startFleet(t, 2, "e1")
-	defer tf.shutdown(t)
-
-	httpc := &http.Client{Transport: &http.Transport{}}
-	defer httpc.CloseIdleConnections()
-	version := tf.servers[0].fleet.Version()
-
-	get := func(url, ver string) (*http.Response, error) {
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
-			return nil, err
-		}
-		if ver != "" {
-			req.Header.Set(api.HeaderCacheVersion, ver)
-		}
-		return httpc.Do(req)
-	}
-
-	// Wrong version: refused 412/cache_version.
-	res, err := get(tf.urls[0]+api.PathCache+"/some-key", "bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var apiErr api.Error
-	decodeBody(t, res, &apiErr)
-	if res.StatusCode != http.StatusPreconditionFailed || apiErr.Code != api.CodeCacheVersion {
-		t.Errorf("wrong version: status %d code %q", res.StatusCode, apiErr.Code)
-	}
-
-	// Missing version: also refused (fail closed, not fail open).
-	res, err = get(tf.urls[0]+api.PathCache+"/some-key", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeBody(t, res, &apiErr)
-	if res.StatusCode != http.StatusPreconditionFailed {
-		t.Errorf("missing version: status %d", res.StatusCode)
-	}
-
-	// Matching version, unknown key: typed 404.
-	res, err = get(tf.urls[0]+api.PathCache+"/some-key", version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeBody(t, res, &apiErr)
-	if res.StatusCode != http.StatusNotFound || apiErr.Code != api.CodeNotFound {
-		t.Errorf("unknown key: status %d code %q", res.StatusCode, apiErr.Code)
-	}
-
-	// Epoch bump changes the version — the invalidation lever.
-	fl2, err := fleet.New(tf.urls[0], tf.urls, "e2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl2.Version() == version {
-		t.Error("epoch bump did not change the cache version")
-	}
-
-	// A standalone daemon refuses the tier outright.
-	solo := New(Options{Runner: runner.Options{Workers: 1}, Logger: testLogger(t)})
-	scl, cancel, wait := startDaemon(t, solo)
-	res, err = get(scl.BaseURL+api.PathCache+"/some-key", "anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodeBody(t, res, &apiErr)
-	if res.StatusCode != http.StatusNotFound {
-		t.Errorf("standalone cache tier: status %d", res.StatusCode)
-	}
-	scl.HTTPClient.CloseIdleConnections()
-	cancel()
-	_ = wait()
-}
-
-// TestFleetCacheTierReuse: a plan computed on one peer is pulled from
-// the tier by another peer planning a different fingerprint with the
-// same plan key — no second planner search.
-func TestFleetCacheTierReuse(t *testing.T) {
+// TestFleetPlanKeyReuse: two jobs with different fingerprints but one
+// plan key (the minibatch count is outside it) route to one owner,
+// whose plan cache answers the second job — one planner search, and
+// the rebased plan is byte-identical to a local run.
+func TestFleetPlanKeyReuse(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tf := startFleet(t, 3, "e1")
+	tf := startFleet(t, 3)
 
-	// Two configs, same plan key (minibatch count is outside the plan
-	// key), different fingerprints — usually different ring owners.
 	cfgA := smokeConfigs(t)[0]
 	cfgB := cfgA
 	cfgB.Minibatches = cfgA.Minibatches + 7
@@ -566,16 +486,15 @@ func TestFleetCacheTierReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jA.PlanKey() != jB.PlanKey() || jA.Fingerprint() == jB.Fingerprint() {
-		t.Fatalf("test premise broken: keys %q/%q fps equal=%v",
-			jA.PlanKey(), jB.PlanKey(), jA.Fingerprint() == jB.Fingerprint())
+	if jA.RouteKey() != jB.RouteKey() || jA.Fingerprint() == jB.Fingerprint() {
+		t.Fatalf("test premise broken: route keys %q/%q fps equal=%v",
+			jA.RouteKey(), jB.RouteKey(), jA.Fingerprint() == jB.Fingerprint())
 	}
 
 	fc, err := client.NewFleet(tf.urls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.DisableHedging = true
 	if _, err := fc.Plan(context.Background(), cfgA, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -589,15 +508,10 @@ func TestFleetCacheTierReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Error("tier-seeded plan differs from local")
+		t.Error("plan rebased from the owner's cache differs from local")
 	}
-
-	var computes int64
-	for _, s := range tf.servers {
-		computes += s.runner.Stats().PlanComputes
-	}
-	if computes != 1 {
-		t.Errorf("two same-plan-key jobs ran %d planner searches, want 1 (tier reuse)", computes)
+	if computes := fleetPlanComputes(tf); computes != 1 {
+		t.Errorf("two same-plan-key jobs ran %d planner searches, want 1", computes)
 	}
 
 	fc.CloseIdleConnections()
@@ -605,14 +519,153 @@ func TestFleetCacheTierReuse(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-func decodeBody(t *testing.T, res *http.Response, out any) {
-	t.Helper()
-	defer res.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(res.Body); err != nil {
+// TestFleetPlanKeyBurst: eight fingerprints that share one plan key
+// (minibatch counts 2..9), released together through the ring-aware
+// client, plan once fleet-wide — they all route to one owner, whose
+// plan cache collapses the concurrent computations — and every plan is
+// byte-identical to a local runner.Train.
+func TestFleetPlanKeyBurst(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tf := startFleet(t, 3)
+
+	var cfgs []runner.Config
+	for mb := 2; mb <= 9; mb++ {
+		cfg := smokeConfigs(t)[0]
+		cfg.Minibatches = mb
+		cfgs = append(cfgs, cfg)
+	}
+	want := localCanonicalPlans(t, cfgs)
+
+	fc, err := client.NewFleet(tf.urls)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
-		t.Fatalf("decode %q: %v", buf.String(), err)
+	start := make(chan struct{})
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func(i int, cfg runner.Config) {
+			defer wg.Done()
+			<-start
+			resp, err := fc.Plan(context.Background(), cfg, "")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			got, err := resp.CanonicalPlanFile()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if !bytes.Equal(got, want[i]) {
+				errs[i] = fmt.Errorf("plan differs from local (%d vs %d bytes)", len(got), len(want[i]))
+			}
+		}(i, cfg)
 	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("minibatches %d: %v", cfgs[i].Minibatches, err)
+		}
+	}
+	if computes := fleetPlanComputes(tf); computes != 1 {
+		t.Errorf("%d concurrent same-plan-key jobs ran %d planner searches, want 1", len(cfgs), computes)
+	}
+
+	fc.CloseIdleConnections()
+	tf.shutdown(t)
+	waitGoroutines(t, base)
+}
+
+// TestFleetForwardCallerGone: a caller that cancels while its request
+// is forwarded is not an unreachable owner. The non-owner counts no
+// forward error and runs no job of its own for the dead request.
+func TestFleetForwardCallerGone(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tf := startFleet(t, 3)
+
+	cfg := smokeConfigs(t)[0]
+	j, err := runner.NewJob(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, nonOwner := -1, -1
+	for i, s := range tf.servers {
+		if s.fleet.IsSelf(s.fleet.Owner(j.RouteKey())) {
+			owner = i
+		} else if nonOwner < 0 {
+			nonOwner = i
+		}
+	}
+	// The owner stalls until its request is cancelled; every other
+	// peer counts the jobs it runs.
+	started := make(chan struct{}, 1)
+	var localRuns atomic.Int64
+	for i, s := range tf.servers {
+		if i == owner {
+			s.runJob = func(ctx context.Context, j *runner.Job) runner.JobResult {
+				started <- struct{}{}
+				<-ctx.Done()
+				return runner.JobResult{Job: j, Err: ctx.Err()}
+			}
+			continue
+		}
+		s.runJob = func(ctx context.Context, j *runner.Job) runner.JobResult {
+			localRuns.Add(1)
+			return runner.JobResult{Job: j, Err: errors.New("non-owner ran a job")}
+		}
+	}
+
+	cl := tf.peerClient(nonOwner)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Plan(ctx, cfg, "")
+		done <- err
+	}()
+	<-started
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled request succeeded")
+	}
+	// Wait for the non-owner's handler to finish — it answers 503 to
+	// the departed caller — before reading its counters.
+	s := tf.servers[nonOwner]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.met.mu.Lock()
+		n := s.met.requests["plan"]["503"]
+		s.met.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("non-owner never finished the cancelled request")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := s.forwardsSent.Load(); n != 1 {
+		t.Errorf("forwards_sent = %d, want 1", n)
+	}
+	if n := s.forwardErrors.Load(); n != 0 {
+		t.Errorf("forward_errors = %d, want 0 for a caller that went away", n)
+	}
+	if n := localRuns.Load(); n != 0 {
+		t.Errorf("non-owners ran %d jobs for a cancelled request, want 0", n)
+	}
+
+	cl.HTTPClient.CloseIdleConnections()
+	tf.shutdown(t)
+	waitGoroutines(t, base)
+}
+
+// fleetPlanComputes sums the planner searches every peer ran.
+func fleetPlanComputes(tf *testFleet) int64 {
+	var n int64
+	for _, s := range tf.servers {
+		n += s.runner.Stats().PlanComputes
+	}
+	return n
 }

@@ -1,33 +1,33 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
+	"mpress/internal/runner"
 	"mpress/internal/search"
 	"mpress/internal/serve/api"
 )
 
 // This file is the service side of planner v2: POST /v1/search runs a
-// whole-strategy auto-search on the daemon's runner (sharing its plan
-// cache), and in a fleet the transposition table becomes a shared tier
-// — GET/PUT /v1/cache/search/{fp} exchange one strategy evaluation per
-// job fingerprint under the same fail-closed version gate as the plan
-// tier, so a strategy simulated by any peer is a memo hit everywhere.
-
-// maxEvalBody bounds one transposition-tier payload (a tiny JSON
-// object).
-const maxEvalBody = 1 << 16
+// whole-strategy auto-search on the daemon's runner, sharing its plan
+// cache, against one transposition table that every search on the
+// daemon shares. In a fleet the search is forwarded to the ring owner
+// of its base config's route key, so a repeated search through any
+// peer finds that owner's table warm and simulates nothing.
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxPlanBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		return
+	}
 	var req api.SearchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxPlanBody)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -36,15 +36,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// An invalid base config is not forwarded: search.Run reports it
+	// here.
+	if j, err := runner.NewJob(req.Config); err == nil &&
+		s.forwarded(w, r, api.PathSearch, body, j.RouteKey()) {
+		return
+	}
 	sp := search.DefaultSpace(req.Config)
 	if req.Space != nil {
 		sp = *req.Space
 	}
 	// A search occupies one admission slot, like a sweep: it is a batch
-	// of candidate evaluations through the shared runner. Searches are
-	// served where they land (no forwarding — candidates span many ring
-	// owners by construction); the transposition tier is what peers
-	// share.
+	// of candidate evaluations through the shared runner.
 	if !s.adm.tryAcquire() {
 		s.rejectSaturated(w, "search")
 		return
@@ -56,7 +59,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, err := search.Run(ctx, req.Config, sp, search.Options{
 		Runner: s.runner,
-		Table:  s.searchTable(),
+		Table:  s.searchTab,
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -72,142 +75,4 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Result:    res,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	})
-}
-
-// searchTable returns the table /v1/search evaluates against: the
-// local one standalone, the fleet tier otherwise.
-func (s *Server) searchTable() search.Table {
-	if s.fleet == nil {
-		return s.searchTab
-	}
-	return &tierTable{s: s}
-}
-
-// tierTable implements search.Table over the fleet: reads check the
-// local table first, then the fingerprint's ring owner; writes land
-// locally and are pushed to the owner. Every failure mode degrades to
-// a miss — the searcher then simulates the strategy itself, which
-// always works.
-type tierTable struct {
-	s *Server
-}
-
-func (t *tierTable) Get(fp string) (search.Eval, bool) {
-	s := t.s
-	if e, ok := s.searchTab.Get(fp); ok {
-		return e, true
-	}
-	owner := s.fleet.Owner(fp)
-	if s.fleet.IsSelf(owner) {
-		return search.Eval{}, false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		owner+api.PathSearchCache+"/"+url.PathEscape(fp), nil)
-	if err != nil {
-		s.searchTierMisses.Add(1)
-		return search.Eval{}, false
-	}
-	req.Header.Set(api.HeaderCacheVersion, s.fleet.Version())
-	res, err := s.peers.Do(req)
-	if err != nil {
-		s.searchTierMisses.Add(1)
-		return search.Eval{}, false
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, res.Body)
-		s.searchTierMisses.Add(1)
-		return search.Eval{}, false
-	}
-	var e search.Eval
-	if err := json.NewDecoder(io.LimitReader(res.Body, maxEvalBody)).Decode(&e); err != nil {
-		s.searchTierMisses.Add(1)
-		s.logger.Printf("search tier: bad entry for %s from %s: %v", fp, owner, err)
-		return search.Eval{}, false
-	}
-	s.searchTab.Put(fp, e)
-	s.searchTierHits.Add(1)
-	return e, true
-}
-
-func (t *tierTable) Put(fp string, e search.Eval) {
-	t.s.searchTab.Put(fp, e)
-	t.s.pushEvalToTier(fp, e)
-}
-
-// pushEvalToTier sends one evaluation to its fingerprint's ring owner.
-// Runs on its own deadline, mirroring pushPlanToTier.
-func (s *Server) pushEvalToTier(fp string, e search.Eval) {
-	owner := s.fleet.Owner(fp)
-	if s.fleet.IsSelf(owner) {
-		return
-	}
-	body, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		owner+api.PathSearchCache+"/"+url.PathEscape(fp), bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.HeaderCacheVersion, s.fleet.Version())
-	res, err := s.peers.Do(req)
-	if err != nil {
-		s.logger.Printf("search tier: push %s to %s: %v", fp, owner, err)
-		return
-	}
-	defer res.Body.Close()
-	io.Copy(io.Discard, res.Body)
-	if res.StatusCode != http.StatusOK {
-		s.logger.Printf("search tier: push %s to %s: status %d", fp, owner, res.StatusCode)
-		return
-	}
-	s.searchTierPushes.Add(1)
-}
-
-// handleSearchCacheGet serves one strategy evaluation to a fleet peer.
-func (s *Server) handleSearchCacheGet(w http.ResponseWriter, r *http.Request) {
-	if !s.cacheVersionOK(w, r) {
-		return
-	}
-	fp := r.PathValue("fp")
-	e, ok := s.searchTab.Get(fp)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no evaluation cached under %q", fp)
-		return
-	}
-	s.searchTierServes.Add(1)
-	w.Header().Set(api.HeaderCacheVersion, s.fleet.Version())
-	writeJSON(w, http.StatusOK, e)
-}
-
-// handleSearchCachePut stores an evaluation a peer computed. An entry
-// claiming both OOM and a positive rate is malformed — refused rather
-// than poisoning future searches.
-func (s *Server) handleSearchCachePut(w http.ResponseWriter, r *http.Request) {
-	if !s.cacheVersionOK(w, r) {
-		return
-	}
-	fp := r.PathValue("fp")
-	var e search.Eval
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxEvalBody)).Decode(&e); err != nil {
-		writeError(w, http.StatusBadRequest, "decode evaluation: %v", err)
-		return
-	}
-	if e.OOM && e.EffSamplesPerSec != 0 {
-		writeError(w, http.StatusBadRequest, "evaluation claims both OOM and a rate")
-		return
-	}
-	if e.EffSamplesPerSec < 0 {
-		writeError(w, http.StatusBadRequest, "negative rate %v", e.EffSamplesPerSec)
-		return
-	}
-	s.searchTab.Put(fp, e)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

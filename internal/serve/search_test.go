@@ -5,17 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
 
-	"mpress/internal/fleet"
 	"mpress/internal/pipeline"
 	"mpress/internal/runner"
 	"mpress/internal/search"
 	"mpress/internal/serve/api"
-	"mpress/internal/serve/client"
 )
 
 // smallSearchSpace keeps daemon search tests cheap but real: two
@@ -105,11 +102,12 @@ func TestServerPlanUnknownSystem(t *testing.T) {
 	}
 }
 
-// In a fleet, evaluations flow through the shared transposition tier:
-// a search on peer B after the same search on peer A simulates
-// nothing, and the two canonical results are byte-identical.
+// In a fleet, a search is forwarded to the ring owner of its base
+// config's route key: a search on peer B after the same search on peer
+// A finds the owner's table warm and simulates nothing, and the two
+// canonical results are byte-identical.
 func TestFleetSearchTier(t *testing.T) {
-	tf := startFleet(t, 2, "epoch-1")
+	tf := startFleet(t, 2)
 	defer tf.shutdown(t)
 
 	cfg := testConfig(t, runner.SystemMPress)
@@ -125,7 +123,7 @@ func TestFleetSearchTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rb.Result.Expanded != 0 {
-		t.Fatalf("peer B re-simulated %d strategies despite the tier", rb.Result.Expanded)
+		t.Fatalf("peer B re-simulated %d strategies despite the owner's warm table", rb.Result.Expanded)
 	}
 	if rb.Result.MemoHits == 0 {
 		t.Fatal("peer B hit nothing")
@@ -135,7 +133,7 @@ func TestFleetSearchTier(t *testing.T) {
 		cp := *r
 		cp.Wall = 0
 		// The memo/expanded split legitimately differs between a cold
-		// and a tier-served search; the strategy outcomes must not.
+		// and a warm-table search; the strategy outcomes must not.
 		cp.Expanded, cp.MemoHits = 0, 0
 		for i := range cp.Candidates {
 			if cp.Candidates[i].Outcome == search.OutcomeMemo {
@@ -156,66 +154,11 @@ func TestFleetSearchTier(t *testing.T) {
 		t.Fatalf("fleet peers disagree on the search result:\n--- A ---\n%s\n--- B ---\n%s", ba, bb)
 	}
 
-	served := tf.servers[0].searchTierServes.Load() + tf.servers[1].searchTierServes.Load()
-	pushed := tf.servers[0].searchTierPushes.Load() + tf.servers[1].searchTierPushes.Load()
-	if served+pushed == 0 {
-		t.Fatal("no transposition entries crossed the tier")
-	}
-}
-
-// A version mismatch fails the tier closed: the skewed peer evaluates
-// locally (correct, just slower) and the refused exchanges are
-// counted.
-func TestFleetSearchTierVersionMismatch(t *testing.T) {
-	// Two peers that agree on membership but not on the epoch, so their
-	// cache versions differ and every tier exchange between them is
-	// refused with 412.
-	lns := make([]net.Listener, 2)
-	urls := make([]string, 2)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	epochs := []string{"epoch-1", "epoch-2"}
-	servers := make([]*Server, 2)
-	for i := range servers {
-		fl, err := fleet.New(urls[i], urls, epochs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := New(Options{Runner: runner.Options{Workers: 2}, Fleet: fl, Logger: testLogger(t)})
-		ctx, cancel := context.WithCancel(context.Background())
-		errc := make(chan error, 1)
-		go func(s *Server, ln net.Listener) { errc <- s.Serve(ctx, ln) }(s, lns[i])
-		defer func() { cancel(); <-errc }()
-		servers[i] = s
-	}
-	peerClient := func(i int) *client.Client {
-		cl := client.New(urls[i])
-		cl.HTTPClient = &http.Client{Transport: &http.Transport{}}
-		return cl
-	}
-
-	cfg := testConfig(t, runner.SystemMPress)
-	if _, err := peerClient(0).Search(context.Background(), cfg, smallSearchSpace(), ""); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := peerClient(1).Search(context.Background(), cfg, smallSearchSpace(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Result.Winner < 0 {
-		t.Fatalf("skewed peer found no winner: %+v", rb.Result)
-	}
-	if rb.Result.Expanded == 0 {
-		t.Fatal("skewed peer should have evaluated locally, not hit the tier")
-	}
-	rejects := servers[0].cacheTierRejects.Load() + servers[1].cacheTierRejects.Load()
-	if rejects == 0 {
-		t.Fatal("no version rejects counted despite the skew")
+	// Exactly one of the two searches entered through the non-owner and
+	// was forwarded; the owner ran both.
+	sent := tf.servers[0].forwardsSent.Load() + tf.servers[1].forwardsSent.Load()
+	received := tf.servers[0].forwardsReceived.Load() + tf.servers[1].forwardsReceived.Load()
+	if sent != 1 || received != 1 {
+		t.Fatalf("forwards sent %d, received %d; want 1 each", sent, received)
 	}
 }

@@ -63,11 +63,12 @@ type Options struct {
 	// MaxSweepConfigs bounds one sweep request's batch size. Default 4096.
 	MaxSweepConfigs int
 	// Fleet, when set, makes this daemon one peer of a planning fleet:
-	// plan requests whose ring owner is another peer are transparently
-	// forwarded there (one hop, guarded by X-MPress-Forwarded), owners
-	// collapse concurrent identical requests through a singleflight
-	// group, and canonical plans are exchanged with peers over the
-	// /v1/cache tier. Nil serves standalone, exactly as before.
+	// plan and search requests go to the ring owner of their route key
+	// (runner.Job.RouteKey), forwarded one hop and guarded by
+	// X-MPress-Forwarded, so every job sharing a plan is served by one
+	// owner's caches; owners collapse concurrent identical requests
+	// through a singleflight group. Sweeps are served where they land.
+	// Nil serves standalone.
 	Fleet *fleet.Fleet
 	// Logger receives structured request logs; default logs to stderr.
 	Logger *log.Logger
@@ -99,15 +100,14 @@ type Server struct {
 	memoMisses atomic.Int64
 
 	// Fleet state: membership view (nil standalone), the HTTP client
-	// for peer traffic (forwards + cache tier), and the singleflight
-	// group collapsing concurrent identical plan requests.
+	// for forwards, and the singleflight group collapsing concurrent
+	// identical plan requests.
 	fleet *fleet.Fleet
 	peers *http.Client
 	sf    fleet.Group
 
 	// searchTab is the daemon's transposition table for /v1/search: one
-	// strategy evaluation per job fingerprint, shared across searches
-	// (and, in a fleet, exchanged with peers over /v1/cache/search).
+	// strategy evaluation per job fingerprint, shared across searches.
 	searchTab *search.MemTable
 
 	// Fleet counters (all zero when standalone; the metric families are
@@ -116,16 +116,6 @@ type Server struct {
 	forwardErrors    atomic.Int64
 	forwardsReceived atomic.Int64
 	sfWaits          atomic.Int64
-	cacheTierHits    atomic.Int64
-	cacheTierMisses  atomic.Int64
-	cacheTierServes  atomic.Int64
-	cacheTierPushes  atomic.Int64
-	cacheTierRejects atomic.Int64
-	hedgesReceived   atomic.Int64
-	searchTierHits   atomic.Int64
-	searchTierMisses atomic.Int64
-	searchTierServes atomic.Int64
-	searchTierPushes atomic.Int64
 
 	// runJob executes one job; tests stub it to make service time
 	// controllable.
@@ -178,12 +168,6 @@ func New(opts Options) *Server {
 	mux.HandleFunc("GET "+api.PathHealthz, s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("GET "+api.PathMetrics, s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("POST "+api.PathSearch, s.instrument("search", s.handleSearch))
-	mux.HandleFunc("GET "+api.PathCache+"/{key}", s.instrument("cache_get", s.handleCacheGet))
-	mux.HandleFunc("PUT "+api.PathCache+"/{key}", s.instrument("cache_put", s.handleCachePut))
-	// The literal "search" segment is more specific than {key}, so the
-	// transposition tier wins these paths over the plan tier.
-	mux.HandleFunc("GET "+api.PathSearchCache+"/{fp}", s.instrument("search_cache_get", s.handleSearchCacheGet))
-	mux.HandleFunc("PUT "+api.PathSearchCache+"/{fp}", s.instrument("search_cache_put", s.handleSearchCachePut))
 	s.mux = mux
 	return s
 }
@@ -307,7 +291,7 @@ func (s *Server) requestTimeout(spec string) (time.Duration, error) {
 	return d, nil
 }
 
-// maxPlanBody bounds plan request and cache-tier payloads.
+// maxPlanBody bounds plan and search request payloads.
 const maxPlanBody = 16 << 20
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -326,30 +310,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if r.Header.Get(api.HeaderHedge) != "" {
-		s.hedgesReceived.Add(1)
-	}
-	forwarded := r.Header.Get(api.HeaderForwarded) != ""
-	if forwarded {
-		s.forwardsReceived.Add(1)
-	}
 	j, err := runner.NewJob(req.Config)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Ring routing: a request whose fingerprint another peer owns is
-	// forwarded there, exactly once — a request already forwarded by a
-	// peer is always handled locally (the one-hop guard that makes
-	// routing loops impossible even under membership disagreement). A
-	// failed forward falls back to local planning: wrong-peer service
-	// costs cache locality, not availability.
-	if s.fleet != nil && !forwarded {
-		if owner := s.fleet.Owner(j.Fingerprint()); !s.fleet.IsSelf(owner) {
-			if s.forwardPlan(w, r, body, owner) {
-				return
-			}
-		}
+	if s.forwarded(w, r, api.PathPlan, body, j.RouteKey()) {
+		return
 	}
 	// Result memo: the job is deterministic, so a fingerprint this
 	// daemon has already completed is answered from its settled result
@@ -369,9 +336,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	// Collapse concurrent identical requests: with ring routing, every
-	// peer sends a given fingerprint here, so this in-process group is
+	// peer sends a given job here, so this in-process group is
 	// fleet-wide singleflight — a 64-request burst for one popular job
-	// plans (and simulates) exactly once.
+	// plans (and simulates) exactly once. Jobs that differ only in
+	// plan-invariant fields share this owner's plan cache instead.
 	type planOutcome struct {
 		resp   *api.PlanResponse // the response of the request that ran the job
 		res    *result
@@ -444,16 +412,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	// In a fleet, warm the local plan cache from the tier for every
-	// distinct plan key in the batch, and push back the keys the sweep
-	// had to compute itself. Sweeps are served where they land (no
-	// forwarding — a batch spans many ring owners by construction).
-	toPush := s.seedSweepFromTier(ctx, req.Configs)
+	// Sweeps are served where they land: a batch spans many ring owners
+	// by construction.
 	resp := api.SweepResponse{Results: make([]api.SweepResult, len(req.Configs))}
 	results := s.runner.RunConfigs(ctx, req.Configs)
-	for _, key := range toPush {
-		s.pushPlanToTier(key)
-	}
 	for i, res := range results {
 		if res.Err != nil {
 			resp.Results[i] = api.SweepResult{Error: res.Err.Error()}
@@ -471,15 +433,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // planJob runs a validated job and settles its result into the job
 // store, where it also answers later requests for the fingerprint
-// (errors are never memoized). In a fleet it brackets the run with the
-// shared cache tier: a cold local plan cache is seeded from the
-// plan-key owner first, and a freshly computed plan is pushed back.
+// (errors are never memoized).
 func (s *Server) planJob(ctx context.Context, j *runner.Job) (*api.PlanResponse, *result, int, error) {
-	s.seedPlanFromTier(ctx, j)
 	res := s.runJob(ctx, j)
-	if res.Err == nil && !res.PlanCacheHit {
-		s.pushPlanToTier(j.PlanKey())
-	}
 	if res.Err != nil {
 		status := http.StatusUnprocessableEntity
 		var infeasible *mapping.InfeasibleError
@@ -644,21 +600,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	gauges = append(gauges,
 		gauge{"mpressd_fleet_peers", "gauge", "Planning-fleet membership size (0 when standalone).", float64(fleetPeers)},
-		gauge{"mpressd_fleet_forwards_sent_total", "counter", "Plan requests forwarded to their ring owner.", float64(s.forwardsSent.Load())},
-		gauge{"mpressd_fleet_forward_errors_total", "counter", "Forwards that failed and fell back to local planning.", float64(s.forwardErrors.Load())},
-		gauge{"mpressd_fleet_forwards_received_total", "counter", "Forwarded plan requests received from peers.", float64(s.forwardsReceived.Load())},
+		gauge{"mpressd_fleet_forwards_sent_total", "counter", "Plan and search requests forwarded to their ring owner.", float64(s.forwardsSent.Load())},
+		gauge{"mpressd_fleet_forward_errors_total", "counter", "Forwards that failed and fell back to local service.", float64(s.forwardErrors.Load())},
+		gauge{"mpressd_fleet_forwards_received_total", "counter", "Forwarded plan and search requests received from peers.", float64(s.forwardsReceived.Load())},
 		gauge{"mpressd_fleet_singleflight_waits_total", "counter", "Plan requests that shared an identical in-flight request's result.", float64(s.sfWaits.Load())},
-		gauge{"mpressd_fleet_cache_tier_hits_total", "counter", "Plans seeded from a peer's cache instead of computed.", float64(s.cacheTierHits.Load())},
-		gauge{"mpressd_fleet_cache_tier_misses_total", "counter", "Cache-tier lookups that found no usable peer entry.", float64(s.cacheTierMisses.Load())},
-		gauge{"mpressd_fleet_cache_tier_serves_total", "counter", "Cached plans served to peers over /v1/cache.", float64(s.cacheTierServes.Load())},
-		gauge{"mpressd_fleet_cache_tier_pushes_total", "counter", "Freshly computed plans pushed to their plan-key owner.", float64(s.cacheTierPushes.Load())},
-		gauge{"mpressd_fleet_cache_tier_rejects_total", "counter", "Cache-tier requests refused for a version mismatch.", float64(s.cacheTierRejects.Load())},
-		gauge{"mpressd_hedges_received_total", "counter", "Plan requests marked as client hedges.", float64(s.hedgesReceived.Load())},
 		gauge{"mpressd_search_table_entries", "gauge", "Strategy evaluations in the auto-search transposition table.", float64(s.searchTab.Len())},
-		gauge{"mpressd_fleet_search_tier_hits_total", "counter", "Strategy evaluations seeded from a peer's transposition table.", float64(s.searchTierHits.Load())},
-		gauge{"mpressd_fleet_search_tier_misses_total", "counter", "Transposition-tier lookups that found no usable peer entry.", float64(s.searchTierMisses.Load())},
-		gauge{"mpressd_fleet_search_tier_serves_total", "counter", "Strategy evaluations served to peers over /v1/cache/search.", float64(s.searchTierServes.Load())},
-		gauge{"mpressd_fleet_search_tier_pushes_total", "counter", "Freshly evaluated strategies pushed to their fingerprint owner.", float64(s.searchTierPushes.Load())},
 	)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.met.writeText(w, gauges)
