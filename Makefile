@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke benchmark-smoke
+check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -50,6 +50,17 @@ autosearch-smoke:
 # grouped by lowering, and the runner retains none after the batch.
 sweep-smoke:
 	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering' -count=1 ./internal/runner/
+
+# Certified-fork acceptance: every emulation of every planner preset
+# must certify its instrumented fork against the frozen base without a
+# full re-sort, and the def ops and free points exec reads off the base
+# must equal a full Validate + Kahn + liveness derivation; the
+# FuzzSplice seed corpus holds the certifier to the full Validate on
+# random overlays, and TestForkIsolation checks forks of one frozen
+# lowering stay independent — all under the race detector.
+splice-smoke:
+	$(GO) test -race -run 'TestSpliceDifferential' -count=1 .
+	$(GO) test -race -run 'FuzzSplice|TestForkIsolation' -count=1 ./internal/graph/ ./internal/pipeline/
 
 # Planning-request benchmark smoke: benchmark/ is a module of its own,
 # so go build ./... never compiles it, yet it calls plan, graph, exec

@@ -195,13 +195,12 @@ type engine struct {
 
 	g     *graph.Graph
 	preds []int
-	// Op i's successors in dispatch order are succ[succOff[i]:succOff[i+1]];
-	// the tensors to free after it completes are free[freeOff[i]:freeOff[i+1]].
-	succOff, freeOff []int32
-	succ             []graph.OpID
-	free             []tensor.ID
-	state            []residency
-	pinnedBuf        map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
+	// The tensors to free after op i completes are
+	// free[freeOff[i]:freeOff[i+1]].
+	freeOff   []int32
+	free      []tensor.ID
+	state     []residency
+	pinnedBuf map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
 
 	spans        []Span
 	oom          *memsim.OOMError
@@ -306,7 +305,10 @@ func Run(o Options) (*Result, error) {
 }
 
 // init allocates the runtime reserve and persistent state, and builds
-// the dependency bookkeeping.
+// the dependency bookkeeping. It re-derives nothing the graph caches:
+// dependency counts and successor rows come from its adjacency, and on
+// a certified fork of a frozen lowering the freeing points come from
+// the base's liveness (initFree), with no sort or analysis per run.
 func (e *engine) init() error {
 	b := e.o.Built
 	// Allocate spans first: a Result carries graph-length Spans even
@@ -349,51 +351,24 @@ func (e *engine) init() error {
 		}
 	}
 
-	// Order, adjacency and liveness come from the graph's cache: a
-	// validated graph already holds the first two, and the liveness is
-	// derived at most once per graph.
-	order, err := e.g.TopoOrder()
-	if err != nil {
-		return fmt.Errorf("exec: %w", err)
+	if err := e.initFree(); err != nil {
+		return err
 	}
-	live, err := e.g.Liveness()
-	if err != nil {
-		return fmt.Errorf("exec: %w", err)
-	}
+	// The adjacency's successor rows list memory-releasing ops (drops,
+	// swap-outs) first, and complete dispatches them in that order: a
+	// completed forward's evictions free space before the next slot
+	// allocates, matching how the runtime issues releases eagerly on
+	// the swap streams.
 	n := e.g.Len()
 	e.preds = make([]int, n)
-	edges := 0
 	for i := range e.preds {
 		e.preds[i] = len(e.g.Preds(graph.OpID(i)))
-		edges += e.preds[i]
-	}
-	// Memory-releasing successors (drops, swap-outs) dispatch before
-	// memory-consuming ones so that a completed forward's evictions
-	// free space before the next slot allocates — matching how the
-	// runtime issues releases eagerly on the swap streams. Each group
-	// keeps the graph's ascending ID order.
-	releasing := func(id graph.OpID) bool {
-		k := e.g.Op(id).Kind
-		return k == graph.Drop || k == graph.SwapOut
-	}
-	e.succOff = make([]int32, n+1)
-	e.succ = make([]graph.OpID, 0, edges)
-	for i := 0; i < n; i++ {
-		ss := e.g.Succs(graph.OpID(i))
-		for _, first := range [2]bool{true, false} {
-			for _, s := range ss {
-				if releasing(s) == first {
-					e.succ = append(e.succ, s)
-				}
-			}
-		}
-		e.succOff[i+1] = int32(len(e.succ))
 	}
 	if e.sync != nil {
 		// Gate every optimizer-step op behind its minibatch's gradient
 		// synchronization: one extra pseudo-dependency, released by
 		// syncDone when the all-reduce completes.
-		e.bwOf = make(map[graph.OpID]pipeline.SlotKey, len(b.BwOps))
+		e.bwOf = make(map[graph.OpID]pipeline.SlotKey, b.NumStages()*b.TotalMicrobatches)
 		S := b.NumStages()
 		e.bwLeft = make([][]int, S)
 		e.gradBytes = make([]units.Bytes, S)
@@ -405,9 +380,12 @@ func (e *engine) init() error {
 				}
 			}
 		}
-		for key, id := range b.BwOps {
-			e.bwOf[id] = key
-			e.bwLeft[key.Stage][key.Microbatch/b.Cfg.Microbatches]++
+		for s := 0; s < S; s++ {
+			for m := 0; m < b.TotalMicrobatches; m++ {
+				key := pipeline.SlotKey{Stage: s, Microbatch: m}
+				e.bwOf[b.BwOp(key)] = key
+				e.bwLeft[s][m/b.Cfg.Microbatches]++
+			}
 		}
 		for _, perMini := range b.OptOps {
 			for _, ops := range perMini {
@@ -418,27 +396,34 @@ func (e *engine) init() error {
 		}
 	}
 	e.opsLeft = e.g.Len()
-	if err := e.initResilience(); err != nil {
-		return err
+	return e.initResilience()
+}
+
+// initFree lays out the freeing points per op, in CSR form with each
+// op's tensors ascending. Def ops and uses come from the frozen base
+// when Validate certified the graph's overlay against it and the
+// lowering's multi-use tensors are chain-ordered
+// (pipeline.Built.ChainedUses): the overlay then consumes no tensor,
+// so each tensor keeps its base uses, and chain-ordered uses have the
+// same last member in any order. That spares every emulation a Kahn
+// sort and a liveness analysis of its fork. Any other graph derives
+// them from its own order and liveness.
+func (e *engine) initFree() error {
+	src := e.g
+	if base := e.g.Base(); base != nil && e.g.Certified() && e.o.Built.ChainedUses() {
+		src = base
 	}
-	// Freeing points: after a tensor's last-consuming op, or after its
-	// producer if nothing consumes it. Persistent tensors never free.
-	// Stored per op in CSR form, each op's tensors ascending.
-	nt := e.g.Tensors.Len()
-	freeAt := make([]graph.OpID, nt)
+	freeAt, err := freePoints(e.o.Built, src)
+	if err != nil {
+		return fmt.Errorf("exec: %w", err)
+	}
+	if SpliceCheck != nil && e.g.Base() != nil {
+		SpliceCheck(checkSplice(e.o.Built, src != e.g, freeAt))
+	}
+	n := e.g.Len()
 	e.freeOff = make([]int32, n+1)
-	for t := 0; t < nt; t++ {
-		id := tensor.ID(t)
-		freeAt[t] = -1
-		if b.PersistentSet[id] {
-			continue
-		}
-		if uses := live.Uses[id]; len(uses) > 0 {
-			freeAt[t] = uses[len(uses)-1].Op
-		} else if live.Def[id] >= 0 {
-			freeAt[t] = order[live.Def[id]]
-		}
-		if at := freeAt[t]; at >= 0 {
+	for _, at := range freeAt {
+		if at >= 0 {
 			e.freeOff[at+1]++
 		}
 	}
@@ -454,6 +439,92 @@ func (e *engine) init() error {
 		}
 	}
 	return nil
+}
+
+// freePoints returns, per tensor, the op after which the executor
+// frees it, read off g's order and liveness: its last consumer, or its
+// producer if nothing consumes it; -1 for persistent tensors, which
+// never free, and for tensors nothing defines or uses.
+func freePoints(b *pipeline.Built, g *graph.Graph) ([]graph.OpID, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	live, err := g.Liveness()
+	if err != nil {
+		return nil, err
+	}
+	freeAt := make([]graph.OpID, len(live.Def))
+	for t := range freeAt {
+		id := tensor.ID(t)
+		freeAt[t] = -1
+		switch uses := live.Uses[id]; {
+		case b.PersistentSet[id]:
+		case len(uses) > 0:
+			freeAt[t] = uses[len(uses)-1].Op
+		case live.Def[id] >= 0:
+			freeAt[t] = order[live.Def[id]]
+		}
+	}
+	return freeAt, nil
+}
+
+// SpliceCheck, when non-nil, receives the outcome of every Run on a
+// fork of a frozen graph. Tests set it to hold the certified fast path
+// to the slow derivation, at the cost of a full Validate, Kahn sort and
+// liveness analysis of a copy of the graph per run.
+var SpliceCheck func(SpliceOutcome)
+
+// SpliceOutcome compares one run's def ops and free points with the
+// ones derived the slow way.
+type SpliceOutcome struct {
+	// Spliced reports that the run read them off the frozen base.
+	Spliced bool
+	// Err is the full Validate's error (a cycle, say), or names the
+	// first tensor whose def op or free point differs.
+	Err error
+}
+
+// checkSplice derives b's def ops and free points on an unforked copy of
+// its graph, which Validate checks in full, and compares them with the
+// run's (read off its base when spliced).
+func checkSplice(b *pipeline.Built, spliced bool, freeAt []graph.OpID) SpliceOutcome {
+	out := SpliceOutcome{Spliced: spliced}
+	src := b.Graph
+	if spliced {
+		src = src.Base()
+	}
+	cp := graph.New(b.Graph.Tensors)
+	for _, op := range b.Graph.Ops() {
+		cp.AddOp(op)
+	}
+	if out.Err = cp.Validate(); out.Err != nil {
+		return out
+	}
+	want, err := freePoints(b, cp)
+	if err != nil {
+		out.Err = err
+		return out
+	}
+	defOp := func(g *graph.Graph, t int) graph.OpID {
+		order, _ := g.TopoOrder()
+		live, _ := g.Liveness()
+		if d := live.Def[t]; d >= 0 {
+			return order[d]
+		}
+		return -1
+	}
+	for t := range want {
+		if want[t] != freeAt[t] {
+			out.Err = fmt.Errorf("exec: tensor %d frees after op %d, full derivation says %d", t, freeAt[t], want[t])
+			return out
+		}
+		if got, w := defOp(src, t), defOp(cp, t); got != w {
+			out.Err = fmt.Errorf("exec: tensor %d defined by op %d, full derivation says %d", t, got, w)
+			return out
+		}
+	}
+	return out
 }
 
 // start dispatches every dependency-free op at time zero.
@@ -738,7 +809,7 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 		}
 		e.samples = append(e.samples, MemSample{At: end, InUse: snap})
 	}
-	for _, s := range e.succ[e.succOff[id]:e.succOff[id+1]] {
+	for _, s := range e.g.Succs(id) {
 		e.preds[s]--
 		if e.preds[s] == 0 {
 			e.dispatch(s)

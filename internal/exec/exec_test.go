@@ -211,11 +211,11 @@ func instrumentRecompute(t *testing.T, b *pipeline.Built) {
 	for m := 0; m < b.TotalMicrobatches; m++ {
 		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
 		for _, id := range b.Acts[k] {
-			fl, ok := b.RecomputeFLOPs[id]
+			fl, ok := b.RecomputeFLOPs(id)
 			if !ok {
 				continue
 			}
-			b.Graph.InstrumentRecompute(id, b.FwOps[k], b.BwOps[k], b.PrevOnStage[b.BwOps[k]], fl)
+			b.Graph.InstrumentRecompute(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), fl)
 		}
 	}
 	if err := b.Graph.Validate(); err != nil {
@@ -256,14 +256,14 @@ func instrumentSwap(t *testing.T, b *pipeline.Built, routes map[graph.OpID][]fab
 	for m := 0; m < b.TotalMicrobatches; m++ {
 		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
 		for _, id := range b.Acts[k] {
-			if _, ok := b.RecomputeFLOPs[id]; !ok {
+			if _, ok := b.RecomputeFLOPs(id); !ok {
 				continue
 			}
 			route := "h2d"
 			if d2d {
 				route = "d2d"
 			}
-			pair := b.Graph.InstrumentSwap(id, b.FwOps[k], b.BwOps[k], b.PrevOnStage[b.BwOps[k]], route)
+			pair := b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), route)
 			if d2d {
 				size := b.Graph.Tensors.Get(id).Size
 				parts := []fabric.Part{

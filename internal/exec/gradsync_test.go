@@ -98,9 +98,12 @@ func TestGradSyncDelaysOptimizer(t *testing.T) {
 	// optimizer step, so every backward still runs before its stage's
 	// sync completes being useful. Spot-check that at least one backward
 	// op per stage finishes before that stage's last sync + delay slack.
-	for k, id := range b.BwOps {
-		if r.Spans[id].End == 0 && b.Graph.Op(id).Kind == graph.Backward {
-			t.Errorf("backward op %v never ran", k)
+	for s := 0; s < b.NumStages(); s++ {
+		for m := 0; m < b.TotalMicrobatches; m++ {
+			k := pipeline.SlotKey{Stage: s, Microbatch: m}
+			if id := b.BwOp(k); r.Spans[id].End == 0 && b.Graph.Op(id).Kind == graph.Backward {
+				t.Errorf("backward op %v never ran", k)
+			}
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TableIII(w io.Writer) error {
 				}
 			} else {
 				for _, id := range b.Acts[k] {
-					if _, ok := b.RecomputeFLOPs[id]; ok {
+					if _, ok := b.RecomputeFLOPs(id); ok {
 						chosen = id
 						break
 					}
@@ -91,7 +91,7 @@ func TableIII(w io.Writer) error {
 			tn := b.Graph.Tensors.Get(chosen)
 			win := prof.Stats[chosen].LongestWindow()
 			recomp := "n/a"
-			if fl, ok := b.RecomputeFLOPs[tn.ID]; ok {
+			if fl, ok := b.RecomputeFLOPs(tn.ID); ok {
 				recomp = compaction.RecomputeCost(fl, rate).String()
 			}
 			host := compaction.HostSwapCost(topo, tn.Size)

@@ -226,10 +226,23 @@ func assertMatchesReference(t *testing.T, g *Graph, what string) {
 		if !slices.Equal(got, ref[i]) {
 			t.Fatalf("%s: Preds(%d) = %v, reference %v", what, i, got, ref[i])
 		}
-		for _, p := range got {
-			if !slices.Contains(g.Succs(p), OpID(i)) {
-				t.Fatalf("%s: %d missing from Succs(%d)", what, i, p)
+	}
+	// Successor rows in dispatch order: releasing ops first, each group
+	// ascending.
+	succs := make([][]OpID, len(ops))
+	for _, releasing := range [2]bool{true, false} {
+		for i := range ops {
+			if (ops[i].Kind == Drop || ops[i].Kind == SwapOut) != releasing {
+				continue
 			}
+			for _, p := range ref[i] {
+				succs[p] = append(succs[p], OpID(i))
+			}
+		}
+	}
+	for p := range ops {
+		if got := g.Succs(OpID(p)); len(got)+len(succs[p]) > 0 && !slices.Equal(got, succs[p]) {
+			t.Fatalf("%s: Succs(%d) = %v, reference %v", what, p, got, succs[p])
 		}
 	}
 	wantOrder, wantErr := refTopoOrder(ops, nt)

@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"mpress/internal/tensor"
 	"mpress/internal/units"
@@ -129,17 +130,71 @@ type Graph struct {
 	order []OpID
 	live  *Liveness
 
-	// base is the adjacency of the graph this one was forked from.
-	// Rebuilding a fork's adjacency copies a base op's row from it
-	// unless the overlay touched that op: touched[i] marks base ops
-	// that gained a dep, and inputs whose producer changed are caught
-	// by comparing producer tables.
-	base    *adjacency
+	// base is the frozen graph this one was forked from (nil for a
+	// graph made by New or forked from an unfrozen graph). Rebuilding a
+	// fork's adjacency copies a base op's row from it unless the
+	// overlay touched that op: touched[i] marks base ops that gained a
+	// dep, and inputs whose producer changed are caught by comparing
+	// producer tables. keys[i] is overlay op len(base.ops)+i's
+	// placement key (see certify), zero when the op is unplaced.
+	base    *Graph
 	touched []bool
+	keys    []int32
+
+	// pos[id] is a frozen graph's op id's position in its order, and
+	// names interns the op names its forks' Instrument primitives
+	// build; Freeze sets both.
+	pos   []int32
+	names nameCache
+
+	// deps and outs are the arenas Instrument and AddDep carve Deps and
+	// Outputs slices from.
+	deps arena[OpID]
+	outs arena[tensor.ID]
 
 	// frozen forbids mutation (see Freeze); shared marks a fork still
-	// reading its parent's op array (see Fork).
-	frozen, shared bool
+	// reading its parent's op array (see Fork); certified marks a fork
+	// whose overlay the last Validate certified (see certify).
+	frozen, shared, certified bool
+}
+
+// arena hands out small slices carved from one backing array, so an
+// instrumentation pass allocates its overlay's Deps and Outputs in a
+// few chunks instead of one slice per op. Each carved slice is capped,
+// so appending to it never writes into its neighbour.
+type arena[T any] struct{ free []T }
+
+// reserve makes room for n more elements in the current chunk.
+func (a *arena[T]) reserve(n int) {
+	if len(a.free) < n {
+		a.free = make([]T, n)
+	}
+}
+
+// take returns an empty slice with capacity c.
+func (a *arena[T]) take(c int) []T {
+	if len(a.free) < c {
+		a.reserve(max(c, 256))
+	}
+	s := a.free[:0:c]
+	a.free = a.free[c:]
+	return s
+}
+
+// nameCache interns, per tensor, the names forks of one frozen graph
+// give the ops instrumenting it: the first fork to instrument a tensor
+// builds them, later forks reuse them. Only instrumented tensors get
+// entries. Forks on several goroutines share it without locking; each
+// slot is replaced, never modified, and a lost race only rebuilds a
+// name.
+type nameCache []atomic.Pointer[[]opName]
+
+// opName is one interned name: route+infix+tensor name, keyed by route
+// and op kind.
+type opName struct {
+	route string
+	kind  OpKind
+	name  string
 }
 
 // adjacency is the full dependency structure in compressed sparse row
@@ -182,6 +237,7 @@ func (g *Graph) mutate() {
 		g.own(len(g.ops) / 4)
 	}
 	g.adj, g.order, g.live = nil, nil, nil
+	g.certified = false
 }
 
 // own copies a fork's op array, with room for extra more ops, and clips
@@ -197,24 +253,81 @@ func (g *Graph) own(extra int) {
 }
 
 // Grow makes room for n more ops, so an instrumentation pass that knows
-// its overlay size copies a fork's op array exactly once. It changes no
-// op and keeps the derived views.
+// its overlay size copies a fork's op array exactly once and carves the
+// overlay's Deps (about two per op, plus the deps they add to base ops)
+// and Outputs from one arena each. It changes no op and keeps the
+// derived views.
 func (g *Graph) Grow(n int) {
-	switch {
-	case g.frozen || n <= 0:
-	case g.shared:
+	if g.frozen || n <= 0 {
+		return
+	}
+	if g.shared {
 		g.own(n)
-	default:
+	} else {
 		g.ops = slices.Grow(g.ops, n)
 	}
+	if g.base != nil {
+		g.keys = slices.Grow(g.keys, n)
+	}
+	g.deps.reserve(4 * n)
+	g.outs.reserve(n / 2)
 }
 
-// AddOp appends op (ignoring op.ID) and returns the assigned ID.
+// AddOp appends op (ignoring op.ID) and returns the assigned ID. On a
+// fork the new op is unplaced, so Validate checks the fork in full.
 func (g *Graph) AddOp(op Op) OpID {
 	g.mutate()
 	op.ID = OpID(len(g.ops))
 	g.ops = append(g.ops, op)
+	if g.base != nil {
+		g.keys = append(g.keys, 0)
+	}
 	return op.ID
+}
+
+// addPlaced adds an Instrument primitive's op: its Deps are carved from
+// the dep arena, and on a fork its placement key puts it just after
+// (side +1) or just before (side -1) the base op anchor.
+func (g *Graph) addPlaced(op Op, anchor OpID, side int32, deps ...OpID) OpID {
+	op.Deps = append(g.deps.take(len(deps)), deps...)
+	id := g.AddOp(op)
+	if b := g.base; b != nil && int(anchor) < len(b.ops) {
+		g.keys[len(g.keys)-1] = b.key(anchor) + side
+	}
+	return id
+}
+
+// key is a frozen graph's op id's placement key: 4·pos+2, so the ops an
+// overlay places just before or after it (4·pos+1, 4·pos+3) sit
+// strictly between it and its neighbours in the order.
+func (g *Graph) key(id OpID) int32 { return 4*g.pos[id] + 2 }
+
+// opName returns route+infix+the tensor's name. A fork interns it on its
+// frozen base, so re-instrumenting a tensor across emulations builds
+// its op names once.
+func (g *Graph) opName(route, infix string, kind OpKind, t tensor.ID) string {
+	if g.base == nil {
+		return route + infix + g.Tensors.Get(t).Name
+	}
+	slot := &g.base.names[t]
+	for {
+		old := slot.Load()
+		if old != nil {
+			for _, n := range *old {
+				if n.route == route && n.kind == kind {
+					return n.name
+				}
+			}
+		}
+		name := route + infix + g.Tensors.Get(t).Name
+		next := []opName{{route, kind, name}}
+		if old != nil {
+			next = append(next, *old...)
+		}
+		if slot.CompareAndSwap(old, &next) {
+			return name
+		}
+	}
 }
 
 // Op returns the operator with the given id.
@@ -234,10 +347,13 @@ func (g *Graph) AddDep(after, before OpID) {
 	}
 	g.mutate()
 	op := &g.ops[after]
+	if len(op.Deps) == cap(op.Deps) {
+		op.Deps = append(g.deps.take(max(2*len(op.Deps), 4)), op.Deps...)
+	}
 	op.Deps = append(op.Deps, before)
-	if g.base != nil && int(after) < len(g.base.predOff)-1 {
+	if b := g.base; b != nil && int(after) < len(b.ops) {
 		if g.touched == nil {
-			g.touched = make([]bool, len(g.base.predOff)-1)
+			g.touched = make([]bool, len(b.ops))
 		}
 		g.touched[after] = true
 	}
@@ -249,29 +365,46 @@ func (g *Graph) AddDep(after, before OpID) {
 // writing into g's arrays; the tensor registry and each op's
 // Inputs/Outputs/Name stay shared, so callers must not add tensors to a
 // fork nor modify ops through Op. The fork shares g's derived views
-// until its first mutation and afterwards reuses g's adjacency rows for
-// the ops the overlay left alone.
+// until its first mutation.
 //
-// Fork only reads g: forking a frozen graph from several goroutines at
-// once is safe.
+// A fork of a frozen g also remembers g as its base (see Base): it
+// reuses g's adjacency rows for the ops its overlay left alone, and
+// its Validate certifies just the overlay against g's order instead of
+// re-sorting the whole graph. Fork only reads g: forking a frozen graph
+// from several goroutines at once is safe.
 func (g *Graph) Fork() *Graph {
-	return &Graph{
-		Tensors: g.Tensors,
-		ops:     slices.Clip(g.ops),
-		adj:     g.adj,
-		order:   g.order,
-		live:    g.live,
-		base:    g.adj,
-		shared:  true,
+	f := &Graph{
+		Tensors:   g.Tensors,
+		ops:       slices.Clip(g.ops),
+		adj:       g.adj,
+		order:     g.order,
+		live:      g.live,
+		shared:    true,
+		certified: g.frozen,
 	}
+	if g.frozen {
+		f.base = g
+	}
+	return f
 }
 
+// Base returns the frozen graph g was forked from, or nil.
+func (g *Graph) Base() *Graph { return g.base }
+
+// Certified reports whether g is a fork whose overlay its last Validate
+// certified against its base, with no mutation since. The base's
+// liveness then names every tensor's uses in g as well: a certified
+// overlay consumes no tensor and recomputes only tensors the base
+// consumes.
+func (g *Graph) Certified() bool { return g.certified }
+
 // Freeze validates g, computes every derived view (adjacency,
-// topological order, liveness) and forbids further mutation: AddOp and
-// AddDep panic on a frozen graph. A frozen graph is safe to read and
-// Fork from many goroutines at once. Freezing an already frozen graph
-// is a no-op that writes nothing, so a shared frozen graph may be
-// handed to code that freezes what it is given.
+// topological order, liveness) plus each op's position in that order,
+// and forbids further mutation: AddOp and AddDep panic on a frozen
+// graph. A frozen graph is safe to read and Fork from many goroutines
+// at once. Freezing an already frozen graph is a no-op that writes
+// nothing, so a shared frozen graph may be handed to code that freezes
+// what it is given.
 func (g *Graph) Freeze() error {
 	if g.frozen {
 		return nil
@@ -282,18 +415,29 @@ func (g *Graph) Freeze() error {
 	if _, err := g.Liveness(); err != nil {
 		return err
 	}
+	g.adjacency()
+	g.pos = make([]int32, len(g.ops))
+	for i, id := range g.order {
+		g.pos[id] = int32(i)
+	}
+	g.names = make(nameCache, g.Tensors.Len())
 	g.frozen = true
 	return nil
 }
 
 // producers maps each tensor to the last op that outputs it (-1 if
-// none).
+// none). A fork starts from its base's table and scans only its
+// overlay.
 func (g *Graph) producers() []OpID {
 	prod := make([]OpID, g.Tensors.Len())
-	for i := range prod {
+	from, known := 0, []OpID(nil)
+	if b := g.base; b != nil {
+		from, known = len(b.ops), b.adj.prod
+	}
+	for i := copy(prod, known); i < len(prod); i++ {
 		prod[i] = -1
 	}
-	for i := range g.ops {
+	for i := from; i < len(g.ops); i++ {
 		for _, out := range g.ops[i].Outputs {
 			prod[out] = g.ops[i].ID
 		}
@@ -304,15 +448,17 @@ func (g *Graph) producers() []OpID {
 // adjacency returns the cached CSR adjacency, building it on first use.
 // An op's predecessors are its explicit Deps plus the producers of its
 // input tensors, deduplicated and sorted; the executor counts them as
-// unfinished dependencies.
+// unfinished dependencies. Each successor row lists memory-releasing
+// ops (Drop, SwapOut) first, then the rest, each group ascending: the
+// order the executor dispatches them in, so it reads rows in place.
 func (g *Graph) adjacency() *adjacency {
 	if g.adj != nil {
 		return g.adj
 	}
 	n := len(g.ops)
 	a := &adjacency{prod: g.producers(), predOff: make([]int32, n+1)}
-	if g.base != nil {
-		a.pred = make([]OpID, 0, len(g.base.pred)+2*(n-len(g.base.predOff)+1))
+	if b := g.base; b != nil {
+		a.pred = make([]OpID, 0, len(b.adj.pred)+2*(n-len(b.ops)))
 	}
 	// seen[p] == i+1 once p is in op i's row.
 	seen := make([]int32, n)
@@ -339,8 +485,8 @@ func (g *Graph) adjacency() *adjacency {
 		}
 		a.predOff[i+1] = int32(len(a.pred))
 	}
-	// Successor rows by counting sort: visiting ops in ID order keeps
-	// every row ascending.
+	// Successor rows by counting sort: visiting the releasing ops, then
+	// the others, each in ID order, fills every row in dispatch order.
 	a.succOff = make([]int32, n+1)
 	for _, p := range a.pred {
 		a.succOff[p+1]++
@@ -350,24 +496,32 @@ func (g *Graph) adjacency() *adjacency {
 	}
 	a.succ = make([]OpID, len(a.pred))
 	fill := slices.Clone(a.succOff[:n])
-	for i := 0; i < n; i++ {
-		for _, p := range a.preds(OpID(i)) {
-			a.succ[fill[p]] = OpID(i)
-			fill[p]++
+	for _, releasing := range [2]bool{true, false} {
+		for i := 0; i < n; i++ {
+			if g.ops[i].Kind.releases() != releasing {
+				continue
+			}
+			for _, p := range a.preds(OpID(i)) {
+				a.succ[fill[p]] = OpID(i)
+				fill[p]++
+			}
 		}
 	}
 	g.adj = a
 	return a
 }
 
+// releases reports whether the op frees GPU memory when it runs.
+func (k OpKind) releases() bool { return k == Drop || k == SwapOut }
+
 // baseRow returns the fork base's predecessor row for op id when it is
 // still exact: id is a base op, gained no dep, and each of its inputs
 // has the same producer as in the base.
 func (g *Graph) baseRow(id OpID, prod []OpID) ([]OpID, bool) {
-	b := g.base
-	if b == nil || int(id) >= len(b.predOff)-1 || (g.touched != nil && g.touched[id]) {
+	if g.base == nil || int(id) >= len(g.base.ops) || (g.touched != nil && g.touched[id]) {
 		return nil, false
 	}
+	b := g.base.adj
 	for _, in := range g.ops[id].Inputs {
 		if int(in) >= len(b.prod) || prod[in] != b.prod[in] {
 			return nil, false
@@ -381,7 +535,8 @@ func (g *Graph) baseRow(id OpID, prod []OpID) ([]OpID, bool) {
 // aliases the graph's cache; callers must not modify it.
 func (g *Graph) Preds(id OpID) []OpID { return g.adjacency().preds(id) }
 
-// Succs returns the ops that list id among their Preds, ascending. The
+// Succs returns the ops that list id among their Preds: the releasing
+// ones (Drop, SwapOut) first, then the rest, each group ascending. The
 // slice aliases the graph's cache; callers must not modify it.
 func (g *Graph) Succs(id OpID) []OpID { return g.adjacency().succs(id) }
 
@@ -480,7 +635,23 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 
 // Validate checks structural invariants: tensor references in range,
 // no self-dependencies, acyclicity, and single-producer tensors.
+//
+// On a fork of a frozen graph it first tries to certify just the
+// overlay (see certify), in time proportional to the overlay, and
+// caches no order: TopoOrder still sorts on demand. Whatever it cannot
+// certify gets the full check, which reports the same errors as on any
+// other graph.
 func (g *Graph) Validate() error {
+	if g.certified || g.certify() {
+		g.certified = true
+		return nil
+	}
+	return g.validateAll()
+}
+
+// validateAll is Validate's full check: a producer scan over every op,
+// then Kahn's sort.
+func (g *Graph) validateAll() error {
 	nt := g.Tensors.Len()
 	producer := make([]OpID, nt)
 	for i := range producer {
@@ -514,6 +685,67 @@ func (g *Graph) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// certify reports whether a fork's overlay provably leaves the graph
+// valid, given that its frozen base is. It looks only at the overlay:
+// the ops the Instrument primitives placed, the deps appended to base
+// ops, and the re-producer edges from each recompute to its tensor's
+// base uses. Every such edge must be in range and run strictly forward
+// in placement-key order (base ops keyed by their order position, each
+// placed op just after or before its anchor). The base's own edges run
+// forward in that order too, so the whole graph is acyclic. The overlay
+// must also consume no tensor and produce only recomputed tensors the
+// base consumes, which keeps every producer rule and tensor use of the
+// base. False means "not shown", not "invalid": an unplaced op, an op
+// with Inputs or a backward edge sends Validate to the full check.
+func (g *Graph) certify() bool {
+	b := g.base
+	if b == nil {
+		return false
+	}
+	nb, n, nt := len(b.ops), len(g.ops), g.Tensors.Len()
+	key := func(id OpID) int32 {
+		if int(id) < nb {
+			return b.key(id)
+		}
+		return g.keys[int(id)-nb]
+	}
+	forward := func(from, to OpID) bool {
+		return from >= 0 && int(from) < n && key(from) < key(to)
+	}
+	for i := nb; i < n; i++ {
+		op := &g.ops[i]
+		if g.keys[i-nb] == 0 || len(op.Inputs) > 0 {
+			return false
+		}
+		for _, d := range op.Deps {
+			if !forward(d, op.ID) {
+				return false
+			}
+		}
+		for _, t := range op.Outputs {
+			if op.Kind != Recompute || t < 0 || int(t) >= nt || len(b.live.Uses[t]) == 0 {
+				return false
+			}
+			for _, u := range b.live.Uses[t] {
+				if !forward(op.ID, u.Op) {
+					return false
+				}
+			}
+		}
+	}
+	for i, touched := range g.touched {
+		if !touched {
+			continue
+		}
+		for _, d := range g.ops[i].Deps[len(b.ops[i].Deps):] {
+			if !forward(d, OpID(i)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Use marks where in a schedule a tensor is touched.

@@ -29,32 +29,35 @@ type SwapPair struct {
 func (g *Graph) InstrumentSwap(t tensor.ID, afterOp, beforeOp, gate OpID, route string) SwapPair {
 	tn := g.Tensors.Get(t)
 	stage := g.ops[afterOp].Stage
-	out := g.AddOp(Op{
-		Name:       route + "-swapout:" + tn.Name,
+	out := g.addPlaced(Op{
+		Name:       g.opName(route, "-swapout:", SwapOut, t),
 		Kind:       SwapOut,
 		Stage:      stage,
 		Layer:      tn.Layer,
 		Microbatch: g.ops[afterOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Deps:       []OpID{afterOp},
-	})
-	deps := []OpID{out}
-	if gate >= 0 {
-		deps = append(deps, gate)
-	}
-	in := g.AddOp(Op{
-		Name:       route + "-swapin:" + tn.Name,
+	}, afterOp, +1, afterOp)
+	in := g.addPlaced(Op{
+		Name:       g.opName(route, "-swapin:", SwapIn, t),
 		Kind:       SwapIn,
 		Stage:      stage,
 		Layer:      tn.Layer,
 		Microbatch: g.ops[beforeOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Deps:       deps,
-	})
+	}, beforeOp, -1, gated(out, gate)...)
 	g.AddDep(beforeOp, in)
 	return SwapPair{Out: out, In: in}
+}
+
+// gated returns the deps of an op that follows dep and, when gate >= 0,
+// waits for gate too.
+func gated(dep, gate OpID) []OpID {
+	if gate >= 0 {
+		return []OpID{dep, gate}
+	}
+	return []OpID{dep}
 }
 
 // InstrumentSwapIn adds a standalone swap-in restoring tensor t before
@@ -65,18 +68,17 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 	tn := g.Tensors.Get(t)
 	var deps []OpID
 	if gate >= 0 {
-		deps = append(deps, gate)
+		deps = []OpID{gate}
 	}
-	in := g.AddOp(Op{
-		Name:       route + "-swapin:" + tn.Name,
+	in := g.addPlaced(Op{
+		Name:       g.opName(route, "-swapin:", SwapIn, t),
 		Kind:       SwapIn,
 		Stage:      tn.Stage,
 		Layer:      tn.Layer,
 		Microbatch: g.ops[beforeOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Deps:       deps,
-	})
+	}, beforeOp, -1, deps...)
 	g.AddDep(beforeOp, in)
 	return in
 }
@@ -86,16 +88,15 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 // the run ends or a later InstrumentSwapIn restores it).
 func (g *Graph) InstrumentSwapOut(t tensor.ID, afterOp OpID, route string) OpID {
 	tn := g.Tensors.Get(t)
-	return g.AddOp(Op{
-		Name:       route + "-swapout:" + tn.Name,
+	return g.addPlaced(Op{
+		Name:       g.opName(route, "-swapout:", SwapOut, t),
 		Kind:       SwapOut,
 		Stage:      tn.Stage,
 		Layer:      tn.Layer,
 		Microbatch: g.ops[afterOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Deps:       []OpID{afterOp},
-	})
+	}, afterOp, +1, afterOp)
 }
 
 // RecomputePair identifies the two operators created by
@@ -118,22 +119,17 @@ func (g *Graph) InstrumentRecompute(t tensor.ID, afterOp, beforeOp, gate OpID, f
 		panic(fmt.Sprintf("graph: cannot recompute %s tensor %q", tn.Class, tn.Name))
 	}
 	stage := g.ops[afterOp].Stage
-	drop := g.AddOp(Op{
-		Name:       "drop:" + tn.Name,
+	drop := g.addPlaced(Op{
+		Name:       g.opName("", "drop:", Drop, t),
 		Kind:       Drop,
 		Stage:      stage,
 		Layer:      tn.Layer,
 		Microbatch: g.ops[afterOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Deps:       []OpID{afterOp},
-	})
-	deps := []OpID{drop}
-	if gate >= 0 {
-		deps = append(deps, gate)
-	}
-	rec := g.AddOp(Op{
-		Name:       "recompute:" + tn.Name,
+	}, afterOp, +1, afterOp)
+	rec := g.addPlaced(Op{
+		Name:       g.opName("", "recompute:", Recompute, t),
 		Kind:       Recompute,
 		Stage:      stage,
 		Layer:      tn.Layer,
@@ -141,9 +137,8 @@ func (g *Graph) InstrumentRecompute(t tensor.ID, afterOp, beforeOp, gate OpID, f
 		FLOPs:      flops,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Outputs:    []tensor.ID{t},
-		Deps:       deps,
-	})
+		Outputs:    append(g.outs.take(1), t),
+	}, beforeOp, -1, gated(drop, gate)...)
 	g.AddDep(beforeOp, rec)
 	return RecomputePair{Drop: drop, Recompute: rec}
 }

@@ -62,28 +62,28 @@ type Built struct {
 	// Acts[k] lists the activation tensors (one per block, plus
 	// embedding/logits entries) produced by forward slot k.
 	Acts map[SlotKey][]tensor.ID
-	// ActSlot inverts Acts: the forward slot producing each activation.
-	ActSlot map[tensor.ID]SlotKey
 	// BoundIn[k] is the retained stage-input tensor of slot k
 	// (absent for stage 0).
 	BoundIn map[SlotKey]tensor.ID
 
-	FwOps map[SlotKey]graph.OpID
-	BwOps map[SlotKey]graph.OpID
+	// The planner's lookups, dense and indexed by ID (see FwOp, BwOp,
+	// ActSlot, RecomputeFLOPs and PrevOnStage): fwOps and bwOps by
+	// slot index s·TotalMicrobatches+m, actSlot and recomputeFLOPs by
+	// tensor, prevOnStage by op.
+	fwOps, bwOps   []graph.OpID
+	actSlot        []SlotKey
+	recomputeFLOPs []units.FLOPs
+	prevOnStage    []graph.OpID
+	// chainedUses records that every non-persistent tensor consumed
+	// more than once has all its consumers on one stage's schedule
+	// chain (see ChainedUses).
+	chainedUses bool
+
 	// OptOps[s][q] lists stage s's optimizer-step operators for
 	// minibatch q — one per parameter group (block/embedding), run in
 	// sequence, so host-parked optimizer states stream through GPU
 	// memory one group at a time instead of spiking all at once.
 	OptOps [][][]graph.OpID
-
-	// RecomputeFLOPs[t] is the forward cost to regenerate activation
-	// t if dropped (used by the planner's cost model).
-	RecomputeFLOPs map[tensor.ID]units.FLOPs
-
-	// PrevOnStage maps each compute op to its predecessor in the
-	// stage's local schedule chain (-1 at the head). The planner uses
-	// it as the prefetch gate for swap-in/recompute instrumentation.
-	PrevOnStage map[graph.OpID]graph.OpID
 
 	// TPFwAllReduce / TPBwAllReduce list, per stage, the NVLink
 	// all-reduce payload one forward / backward op of that stage
@@ -103,6 +103,70 @@ type Built struct {
 
 // NumStages returns the stage count.
 func (b *Built) NumStages() int { return len(b.Profiles) }
+
+// slot returns k's index into the slot-indexed tables, -1 when k is not
+// a slot of the build.
+func (b *Built) slot(k SlotKey) int {
+	if k.Stage < 0 || k.Stage >= b.NumStages() || k.Microbatch < 0 || k.Microbatch >= b.TotalMicrobatches {
+		return -1
+	}
+	return k.Stage*b.TotalMicrobatches + k.Microbatch
+}
+
+// FwOp returns slot k's forward op, -1 when k is not a slot of the
+// build.
+func (b *Built) FwOp(k SlotKey) graph.OpID {
+	if i := b.slot(k); i >= 0 {
+		return b.fwOps[i]
+	}
+	return -1
+}
+
+// BwOp returns slot k's backward op, -1 when k is not a slot of the
+// build.
+func (b *Built) BwOp(k SlotKey) graph.OpID {
+	if i := b.slot(k); i >= 0 {
+		return b.bwOps[i]
+	}
+	return -1
+}
+
+// ActSlot returns the forward slot producing activation t; ok is false
+// when t is not an activation in Acts.
+func (b *Built) ActSlot(t tensor.ID) (k SlotKey, ok bool) {
+	if t < 0 || int(t) >= len(b.actSlot) || b.actSlot[t].Stage < 0 {
+		return SlotKey{}, false
+	}
+	return b.actSlot[t], true
+}
+
+// RecomputeFLOPs returns the forward cost to regenerate activation t
+// if dropped (the planner's cost model); ok is false when t is not a
+// recomputable (per-block) activation.
+func (b *Built) RecomputeFLOPs(t tensor.ID) (flops units.FLOPs, ok bool) {
+	if t < 0 || int(t) >= len(b.recomputeFLOPs) || b.recomputeFLOPs[t] < 0 {
+		return 0, false
+	}
+	return b.recomputeFLOPs[t], true
+}
+
+// PrevOnStage returns compute op id's predecessor in its stage's local
+// schedule chain, -1 at the head or for an op on no chain. The planner
+// uses it as the prefetch gate for swap-in/recompute instrumentation.
+func (b *Built) PrevOnStage(id graph.OpID) graph.OpID {
+	if id < 0 || int(id) >= len(b.prevOnStage) {
+		return -1
+	}
+	return b.prevOnStage[id]
+}
+
+// ChainedUses reports whether every non-persistent tensor the lowering
+// consumes more than once has all its consumers on one stage's
+// schedule chain. The chain's explicit deps then order those uses in
+// every instrumented fork as in the base, so the last use — the
+// executor's free point — is the same op in any topological order.
+// Build checks it once per lowering.
+func (b *Built) ChainedUses() bool { return b.chainedUses }
 
 // Fork returns a shallow copy of b whose Graph is a graph.Fork of b's:
 // instrumenting the fork (plan.Apply) leaves b untouched. Every other
@@ -148,15 +212,16 @@ func Build(bc BuildConfig) (*Built, error) {
 		Persistent:        make([][]tensor.ID, S),
 		PersistentSet:     make(map[tensor.ID]bool),
 		Acts:              make(map[SlotKey][]tensor.ID),
-		ActSlot:           make(map[tensor.ID]SlotKey),
 		BoundIn:           make(map[SlotKey]tensor.ID),
-		FwOps:             make(map[SlotKey]graph.OpID),
-		BwOps:             make(map[SlotKey]graph.OpID),
+		fwOps:             make([]graph.OpID, S*total),
+		bwOps:             make([]graph.OpID, S*total),
 		OptOps:            make([][][]graph.OpID, S),
-		RecomputeFLOPs:    make(map[tensor.ID]units.FLOPs),
-		PrevOnStage:       make(map[graph.OpID]graph.OpID),
 		TotalMicrobatches: total,
 	}
+	// blockActs lists the recomputable (per-block) activations, each
+	// costing blockFLOPs to regenerate.
+	var blockActs []tensor.ID
+	blockFLOPs := bc.Model.BlockForwardFLOPs(bc.MicrobatchSize) / units.FLOPs(T)
 	if T > 1 {
 		b.TPFwAllReduce = make([]units.Bytes, S)
 		b.TPBwAllReduce = make([]units.Bytes, S)
@@ -247,7 +312,7 @@ func Build(bc BuildConfig) (*Built, error) {
 					DType: bc.Model.DType, Size: sp.BlockActBytes, Stage: s, Layer: blk,
 				})
 				acts = append(acts, id)
-				b.RecomputeFLOPs[id] = bc.Model.BlockForwardFLOPs(bc.MicrobatchSize) / units.FLOPs(T)
+				blockActs = append(blockActs, id)
 			}
 			if st.HasHead {
 				acts = append(acts, g.Tensors.Add(tensor.Tensor{
@@ -256,9 +321,6 @@ func Build(bc BuildConfig) (*Built, error) {
 				}))
 			}
 			b.Acts[k] = acts
-			for _, id := range acts {
-				b.ActSlot[id] = k
-			}
 
 			fwIn := append([]tensor.ID(nil), paramT[s]...)
 			if s > 0 {
@@ -279,7 +341,7 @@ func Build(bc BuildConfig) (*Built, error) {
 				actOut[k] = bndOut
 				fwOut = append(fwOut, bndOut)
 			}
-			b.FwOps[k] = g.AddOp(graph.Op{
+			b.fwOps[b.slot(k)] = g.AddOp(graph.Op{
 				Name: fmt.Sprintf("F:s%d:mb%d", s, m), Kind: graph.Forward,
 				Stage: s, Layer: -1, Microbatch: m,
 				FLOPs: sp.FwFLOPs, Inputs: fwIn, Outputs: fwOut,
@@ -339,7 +401,7 @@ func Build(bc BuildConfig) (*Built, error) {
 				gradIn[k] = gin
 				bwOut = append(bwOut, gout)
 			}
-			b.BwOps[k] = g.AddOp(graph.Op{
+			b.bwOps[b.slot(k)] = g.AddOp(graph.Op{
 				Name: fmt.Sprintf("B:s%d:mb%d", s, m), Kind: graph.Backward,
 				Stage: s, Layer: -1, Microbatch: m,
 				FLOPs: sp.BwFLOPs, Inputs: bwIn, Outputs: bwOut,
@@ -368,7 +430,7 @@ func Build(bc BuildConfig) (*Built, error) {
 		for q := 0; q < bc.Minibatches; q++ {
 			var deps []graph.OpID
 			for m := q * bc.Microbatches; m < (q+1)*bc.Microbatches; m++ {
-				deps = append(deps, b.BwOps[SlotKey{s, m}])
+				deps = append(deps, b.BwOp(SlotKey{s, m}))
 			}
 			for gi := 0; gi < groups; gi++ {
 				groupBytes := g.Tensors.Get(paramT[s][gi]).Size +
@@ -395,21 +457,27 @@ func Build(bc BuildConfig) (*Built, error) {
 	// Enforce the exact per-stage schedule order (1F1B etc.) by
 	// chaining each stage's slots. An OptPass slot expands to its
 	// per-group operator sequence.
+	b.prevOnStage = make([]graph.OpID, g.Len())
+	onChain := make([]bool, g.Len())
+	for i := range b.prevOnStage {
+		b.prevOnStage[i] = -1
+	}
 	for s := 0; s < S; s++ {
 		var prev graph.OpID = -1
 		chain := func(op graph.OpID) {
 			if prev >= 0 {
 				g.AddDep(op, prev)
 			}
-			b.PrevOnStage[op] = prev
+			b.prevOnStage[op] = prev
+			onChain[op] = true
 			prev = op
 		}
 		for _, slot := range bc.Kind.StageOrder(s, S, bc.Microbatches, bc.Minibatches) {
 			switch slot.Pass {
 			case FwdPass:
-				chain(b.FwOps[SlotKey{s, slot.Microbatch}])
+				chain(b.FwOp(SlotKey{s, slot.Microbatch}))
 			case BwdPass:
-				chain(b.BwOps[SlotKey{s, slot.Microbatch}])
+				chain(b.BwOp(SlotKey{s, slot.Microbatch}))
 			case OptPass:
 				for _, op := range b.OptOps[s][slot.Microbatch] {
 					chain(op)
@@ -418,8 +486,48 @@ func Build(bc BuildConfig) (*Built, error) {
 		}
 	}
 
+	nt := g.Tensors.Len()
+	b.actSlot = make([]SlotKey, nt)
+	b.recomputeFLOPs = make([]units.FLOPs, nt)
+	for t := range b.actSlot {
+		b.actSlot[t] = SlotKey{-1, -1}
+		b.recomputeFLOPs[t] = -1
+	}
+	for k, acts := range b.Acts {
+		for _, id := range acts {
+			b.actSlot[id] = k
+		}
+	}
+	for _, id := range blockActs {
+		b.recomputeFLOPs[id] = blockFLOPs
+	}
+	b.chainedUses = b.usesChained(onChain)
+
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: built graph invalid: %w", err)
 	}
 	return b, nil
+}
+
+// usesChained reports whether every non-persistent tensor with more
+// than one consumer has them all on one stage's schedule chain
+// (onChain marks the chained ops).
+func (b *Built) usesChained(onChain []bool) bool {
+	g := b.Graph
+	first := make([]graph.OpID, g.Tensors.Len())
+	for i := range first {
+		first[i] = -1
+	}
+	for _, op := range g.Ops() {
+		for _, t := range op.Inputs {
+			switch f := first[t]; {
+			case b.PersistentSet[t]:
+			case f < 0:
+				first[t] = op.ID
+			case !onChain[f] || !onChain[op.ID] || g.Op(f).Stage != op.Stage:
+				return false
+			}
+		}
+	}
+	return true
 }

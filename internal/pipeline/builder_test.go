@@ -145,7 +145,7 @@ func TestBuildActsAndRecomputeFLOPs(t *testing.T) {
 				if tn.Class != tensor.Activation {
 					t.Errorf("%s: class %v", tn.Name, tn.Class)
 				}
-				if _, ok := b.RecomputeFLOPs[id]; ok {
+				if _, ok := b.RecomputeFLOPs(id); ok {
 					blockActs++
 				}
 			}
@@ -175,11 +175,11 @@ func TestBuildScheduleOrderIsRespected(t *testing.T) {
 		pos[id] = i
 	}
 	// Stage 0 of 4, warmup 4: B0 must precede F4.
-	if pos[b.BwOps[SlotKey{0, 0}]] > pos[b.FwOps[SlotKey{0, 4}]] {
+	if pos[b.BwOp(SlotKey{0, 0})] > pos[b.FwOp(SlotKey{0, 4})] {
 		t.Error("1F1B violated: F4 scheduled before B0 on stage 0")
 	}
 	// And F3 (warmup) must precede B0.
-	if pos[b.FwOps[SlotKey{0, 3}]] > pos[b.BwOps[SlotKey{0, 0}]] {
+	if pos[b.FwOp(SlotKey{0, 3})] > pos[b.BwOp(SlotKey{0, 0})] {
 		t.Error("warmup violated: B0 before F3 on stage 0")
 	}
 }

@@ -35,10 +35,11 @@ func TestForkIsolation(t *testing.T) {
 	wantOrder := slices.Clone(order)
 
 	var acts []tensor.ID
-	for id := range b.RecomputeFLOPs {
-		acts = append(acts, id)
+	for t := 0; t < b.Graph.Tensors.Len(); t++ {
+		if _, ok := b.RecomputeFLOPs(tensor.ID(t)); ok {
+			acts = append(acts, tensor.ID(t))
+		}
 	}
-	slices.Sort(acts)
 
 	const workers = 8
 	forks := make([]*Built, workers)
@@ -53,12 +54,13 @@ func TestForkIsolation(t *testing.T) {
 			// alternating recomputation and host swap.
 			for i := w; i < len(acts); i += workers {
 				id := acts[i]
-				k := f.ActSlot[id]
-				fw, bw := f.FwOps[k], f.BwOps[k]
+				k, _ := f.ActSlot(id)
+				fw, bw := f.FwOp(k), f.BwOp(k)
 				if (i/workers)%2 == 0 {
-					f.Graph.InstrumentRecompute(id, fw, bw, f.PrevOnStage[bw], f.RecomputeFLOPs[id])
+					flops, _ := f.RecomputeFLOPs(id)
+					f.Graph.InstrumentRecompute(id, fw, bw, f.PrevOnStage(bw), flops)
 				} else {
-					f.Graph.InstrumentSwap(id, fw, bw, f.PrevOnStage[bw], "h2d")
+					f.Graph.InstrumentSwap(id, fw, bw, f.PrevOnStage(bw), "h2d")
 				}
 			}
 			if err := f.Graph.Validate(); err != nil {

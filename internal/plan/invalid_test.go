@@ -3,7 +3,6 @@ package plan
 import (
 	"errors"
 	"maps"
-	"slices"
 	"testing"
 
 	"mpress/internal/exec"
@@ -30,12 +29,13 @@ func TestApplyRejectsInvalidPlans(t *testing.T) {
 
 	// A valid starting point: one stage-0 activation D2D-swapped to GPU 5.
 	var acts []tensor.ID
-	for id := range base.RecomputeFLOPs {
-		if base.ActSlot[id].Stage == 0 {
+	for t := 0; t < base.Graph.Tensors.Len(); t++ {
+		id := tensor.ID(t)
+		k, _ := base.ActSlot(id)
+		if _, ok := base.RecomputeFLOPs(id); ok && k.Stage == 0 {
 			acts = append(acts, id)
 		}
 	}
-	slices.Sort(acts)
 	act := acts[0]
 	size := base.Graph.Tensors.Get(act).Size
 	valid := func() *Plan {
@@ -90,6 +90,17 @@ func TestApplyRejectsInvalidPlans(t *testing.T) {
 		{"host-parked tensor out of range", 1 << 30, func(pl *Plan) {
 			pl.HostPersist[1<<30] = true
 		}},
+		{"host-parking entry is false", grad, func(pl *Plan) {
+			pl.HostPersist[grad] = false
+		}},
+		{"two bad host-parked tensors name the smaller", act, func(pl *Plan) {
+			pl.HostPersist[act] = true
+			pl.HostPersist[act+1] = true
+		}},
+		{"false entry and a non-persistent one name the smaller", grad, func(pl *Plan) {
+			pl.HostPersist[grad] = false
+			pl.HostPersist[act] = true
+		}},
 		{"mapping too short", -1, func(pl *Plan) {
 			pl.Mapping = pl.Mapping[:len(pl.Mapping)-1]
 		}},
@@ -102,17 +113,20 @@ func TestApplyRejectsInvalidPlans(t *testing.T) {
 			pl := valid()
 			pl.Parts = maps.Clone(pl.Parts)
 			c.poison(pl)
-			b := base.Fork()
-			_, err := Apply(pl, b, topo)
-			var inv *InvalidError
-			if !errors.As(err, &inv) {
-				t.Fatalf("Apply = %v, want *InvalidError", err)
-			}
-			if inv.Tensor != c.tensor {
-				t.Errorf("error names tensor %d, want %d (%v)", inv.Tensor, c.tensor, err)
-			}
-			if b.Graph.Len() != base.Graph.Len() {
-				t.Errorf("rejected plan still instrumented %d ops", b.Graph.Len()-base.Graph.Len())
+			// Map order varies run to run: the error must not.
+			for i := 0; i < 8; i++ {
+				b := base.Fork()
+				_, err := Apply(pl, b, topo)
+				var inv *InvalidError
+				if !errors.As(err, &inv) {
+					t.Fatalf("Apply = %v, want *InvalidError", err)
+				}
+				if inv.Tensor != c.tensor {
+					t.Fatalf("error names tensor %d, want %d (%v)", inv.Tensor, c.tensor, err)
+				}
+				if b.Graph.Len() != base.Graph.Len() {
+					t.Fatalf("rejected plan still instrumented %d ops", b.Graph.Len()-base.Graph.Len())
+				}
 			}
 		})
 	}

@@ -213,16 +213,16 @@ func Compute(o Options) (*Plan, error) {
 		return nil, err
 	}
 
+	// Walking tensors in ID order keeps each group's instances sorted.
 	p.groups = make(map[groupKey][]tensor.ID)
-	for id, k := range p.built.ActSlot {
-		if _, ok := p.built.RecomputeFLOPs[id]; !ok {
+	for t := 0; t < p.built.Graph.Tensors.Len(); t++ {
+		id := tensor.ID(t)
+		k, ok := p.built.ActSlot(id)
+		if _, recomputable := p.built.RecomputeFLOPs(id); !ok || !recomputable {
 			continue
 		}
 		key := groupKey{k.Stage, p.built.Graph.Tensors.Get(id).Layer}
 		p.groups[key] = append(p.groups[key], id)
-	}
-	for _, ids := range p.groups {
-		slices.Sort(ids)
 	}
 
 	// Per-stage savings targets.
@@ -516,7 +516,8 @@ func (p *planner) chooseGroupMech(stage, blk int, rate units.FLOPSRate) Mechanis
 	size := p.built.Graph.Tensors.Get(sample).Size
 	recompute := units.MaxDuration
 	if p.o.Allowed.Recompute {
-		recompute = compaction.RecomputeCost(p.built.RecomputeFLOPs[sample], rate)
+		flops, _ := p.built.RecomputeFLOPs(sample)
+		recompute = compaction.RecomputeCost(flops, rate)
 	}
 	hostswap := units.MaxDuration
 	if p.o.Allowed.HostSwap {
@@ -660,7 +661,6 @@ func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]int, []bool)
 	recomputedPerMB := make([]units.Bytes, S) // bytes dropped and rematerialized per microbatch
 	retainedPerMB := make([]units.Bytes, S)   // activation bytes kept resident per microbatch
 	persistent := make([]units.Bytes, S)      // resident persistent state
-	counted := make(map[pipeline.SlotKey]bool)
 	for s := 0; s < S; s++ {
 		for _, id := range b.Persistent[s] {
 			if !pl.HostPersist[id] {
@@ -669,12 +669,9 @@ func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]int, []bool)
 		}
 	}
 	// Use microbatch 0's slots as the representative instance set.
-	for k, acts := range b.Acts {
-		if k.Microbatch != 0 || counted[k] {
-			continue
-		}
-		counted[k] = true
-		for _, id := range acts {
+	for s := 0; s < S; s++ {
+		k := pipeline.SlotKey{Stage: s, Microbatch: 0}
+		for _, id := range b.Acts[k] {
 			switch m, ok := pl.Act[id]; {
 			case ok && m == MechRecompute:
 				recomputedPerMB[k.Stage] += b.Graph.Tensors.Get(id).Size
@@ -742,67 +739,81 @@ func (e *InvalidError) Error() string {
 
 // actUse is one validated activation assignment of a plan.
 type actUse struct {
-	id   tensor.ID
-	mech Mechanism
-	slot pipeline.SlotKey
+	id    tensor.ID
+	mech  Mechanism
+	slot  pipeline.SlotKey
+	flops units.FLOPs // recompute cost, for MechRecompute
 }
 
 // check validates pl against the build and topology Apply is about to
 // instrument, so a bad plan fails with an *InvalidError instead of
-// panicking the executor. It returns pl's activation assignments in
-// tensor order.
-func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, error) {
+// panicking the executor. It returns pl's activation assignments and
+// its host-parked tensors, each in tensor order; a plan with several
+// faults names its smallest faulty tensor of the first kind checked.
+func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.ID, error) {
 	invalid := func(id tensor.ID, format string, args ...any) error {
 		return &InvalidError{Tensor: id, Reason: fmt.Sprintf(format, args...)}
 	}
 	if len(pl.Mapping) != b.NumStages() {
-		return nil, invalid(-1, "mapping has %d entries for %d stages", len(pl.Mapping), b.NumStages())
+		return nil, nil, invalid(-1, "mapping has %d entries for %d stages", len(pl.Mapping), b.NumStages())
 	}
-	ids := make([]tensor.ID, 0, len(pl.Act))
-	for id := range pl.Act {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	ids := sortedIDs(pl.Act)
 	acts := make([]actUse, len(ids))
 	for i, id := range ids {
 		a := &acts[i]
 		a.id, a.mech = id, pl.Act[id]
 		if a.mech < MechNone || a.mech > MechD2D {
-			return nil, invalid(a.id, "mechanism %v is out of range", a.mech)
+			return nil, nil, invalid(a.id, "mechanism %v is out of range", a.mech)
 		}
 		var ok bool
-		if a.slot, ok = b.ActSlot[a.id]; !ok {
-			return nil, invalid(a.id, "not an activation of this build")
+		if a.slot, ok = b.ActSlot(a.id); !ok {
+			return nil, nil, invalid(a.id, "not an activation of this build")
 		}
 		switch a.mech {
 		case MechRecompute:
-			if _, ok := b.RecomputeFLOPs[a.id]; !ok {
-				return nil, invalid(a.id, "not recomputable")
+			if a.flops, ok = b.RecomputeFLOPs(a.id); !ok {
+				return nil, nil, invalid(a.id, "not recomputable")
 			}
 		case MechD2D:
 			parts := pl.Parts[a.id]
 			if len(parts) == 0 {
-				return nil, invalid(a.id, "D2D swap without stripes")
+				return nil, nil, invalid(a.id, "D2D swap without stripes")
 			}
 			own := pl.Device(a.slot.Stage)
 			for _, part := range parts {
 				switch {
 				case !part.Peer.IsGPU() || int(part.Peer) >= topo.NumGPUs:
-					return nil, invalid(a.id, "D2D peer %v is not a GPU of the topology", part.Peer)
+					return nil, nil, invalid(a.id, "D2D peer %v is not a GPU of the topology", part.Peer)
 				case part.Peer == own:
-					return nil, invalid(a.id, "D2D peer %v is the tensor's own device", part.Peer)
+					return nil, nil, invalid(a.id, "D2D peer %v is the tensor's own device", part.Peer)
 				case part.Bytes <= 0:
-					return nil, invalid(a.id, "D2D stripe to %v has %d bytes", part.Peer, part.Bytes)
+					return nil, nil, invalid(a.id, "D2D stripe to %v has %d bytes", part.Peer, part.Bytes)
 				}
 			}
 		}
 	}
-	for id := range pl.HostPersist {
-		if !b.PersistentSet[id] {
-			return nil, invalid(id, "host-parked tensor is not persistent in this build")
+	// A HostPersist key means "parked": a false entry is a malformed
+	// plan, not an opt-out.
+	parked := sortedIDs(pl.HostPersist)
+	for _, id := range parked {
+		switch {
+		case !pl.HostPersist[id]:
+			return nil, nil, invalid(id, "host-parking entry is false")
+		case !b.PersistentSet[id]:
+			return nil, nil, invalid(id, "host-parked tensor is not persistent in this build")
 		}
 	}
-	return acts, nil
+	return acts, parked, nil
+}
+
+// sortedIDs returns m's keys in ascending order.
+func sortedIDs[V any](m map[tensor.ID]V) []tensor.ID {
+	ids := make([]tensor.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Apply instruments b with the plan and assembles the executor
@@ -813,15 +824,10 @@ func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, error) {
 // returns an *InvalidError and leaves b untouched.
 func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error) {
 	g := b.Graph
-	acts, err := check(pl, b, topo)
+	acts, persIDs, err := check(pl, b, topo)
 	if err != nil {
 		return nil, err
 	}
-	persIDs := make([]tensor.ID, 0, len(pl.HostPersist))
-	for id := range pl.HostPersist {
-		persIDs = append(persIDs, id)
-	}
-	slices.Sort(persIDs)
 	overlay := 0 // ops the instrumentation adds: two per mechanism use
 	for _, a := range acts {
 		if a.mech != MechNone {
@@ -860,12 +866,12 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 	var swaps []swap
 	for _, a := range acts {
 		k := a.slot
-		after := b.FwOps[k]
-		before := b.BwOps[k]
-		gate := b.PrevOnStage[before]
+		after := b.FwOp(k)
+		before := b.BwOp(k)
+		gate := b.PrevOnStage(before)
 		switch a.mech {
 		case MechRecompute:
-			g.InstrumentRecompute(a.id, after, before, gate, b.RecomputeFLOPs[a.id])
+			g.InstrumentRecompute(a.id, after, before, gate, a.flops)
 		case MechHostSwap:
 			swaps = append(swaps, swap{k, g.InstrumentSwap(a.id, after, before, gate, "h2d")})
 		case MechD2D:
@@ -886,30 +892,47 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 	// left after the reserve, resident persistent state and retained
 	// activations.
 	windows, serialize := swapWindows(pl, b, topo)
-	outsBySlot := make(map[pipeline.SlotKey][]graph.OpID)
 	for _, sw := range swaps {
 		k := sw.slot
-		outsBySlot[k] = append(outsBySlot[k], sw.pair.Out)
 		next := pipeline.SlotKey{Stage: k.Stage, Microbatch: k.Microbatch + windows[k.Stage]}
-		if fw, ok := b.FwOps[next]; ok {
+		if fw := b.FwOp(next); fw >= 0 {
 			g.AddDep(fw, sw.pair.Out)
 		}
 	}
 	// Strict mode: the swap-in restoring microbatch m may only begin
 	// once the forward instance just ahead of B(m) in the stage order
 	// has fully drained, keeping a single evicted instance resident.
-	for _, sw := range swaps {
-		k := sw.slot
-		if !serialize[k.Stage] {
-			continue
+	// Slot i's swap-outs are outs[off[i]:off[i+1]], in tensor order (a
+	// counting sort: one allocation each, not one per slot).
+	if slices.Contains(serialize, true) {
+		slot := func(k pipeline.SlotKey) int { return k.Stage*b.TotalMicrobatches + k.Microbatch }
+		off := make([]int32, b.NumStages()*b.TotalMicrobatches+1)
+		for _, sw := range swaps {
+			off[slot(sw.slot)+1]++
 		}
-		prev := b.PrevOnStage[b.BwOps[k]]
-		if prev < 0 || g.Op(prev).Kind != graph.Forward {
-			continue
+		for i := 1; i < len(off); i++ {
+			off[i] += off[i-1]
 		}
-		prevSlot := pipeline.SlotKey{Stage: k.Stage, Microbatch: g.Op(prev).Microbatch}
-		for _, out := range outsBySlot[prevSlot] {
-			g.AddDep(sw.pair.In, out)
+		outs := make([]graph.OpID, len(swaps))
+		fill := slices.Clone(off)
+		for _, sw := range swaps {
+			i := slot(sw.slot)
+			outs[fill[i]] = sw.pair.Out
+			fill[i]++
+		}
+		for _, sw := range swaps {
+			k := sw.slot
+			if !serialize[k.Stage] {
+				continue
+			}
+			prev := b.PrevOnStage(b.BwOp(k))
+			if prev < 0 || g.Op(prev).Kind != graph.Forward {
+				continue
+			}
+			i := slot(pipeline.SlotKey{Stage: k.Stage, Microbatch: g.Op(prev).Microbatch})
+			for _, out := range outs[off[i]:off[i+1]] {
+				g.AddDep(sw.pair.In, out)
+			}
 		}
 	}
 
@@ -918,7 +941,7 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		opts.InitiallySwapped[id] = true
 		var prevOut graph.OpID = -1
 		for _, u := range live.Uses[id] {
-			gate := b.PrevOnStage[u.Op]
+			gate := b.PrevOnStage(u.Op)
 			in := g.InstrumentSwapIn(id, u.Op, gate, "h2d")
 			if prevOut >= 0 {
 				// A restore may only begin once the previous
@@ -929,8 +952,9 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		}
 	}
 
-	// The one ordering of the instrumented graph: Validate caches it,
-	// with the adjacency, for exec.
+	// On a fork of a frozen lowering Validate certifies just the
+	// overlay against the base's order; exec then reuses the base's
+	// free points instead of re-sorting the instrumented graph.
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("plan: instrumented graph invalid: %w", err)
 	}

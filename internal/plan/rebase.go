@@ -46,11 +46,11 @@ func Rebase(pl *Plan, from, to *pipeline.Built) (*Plan, error) {
 		Baseline:    pl.Baseline,
 		Planned:     pl.Planned,
 	}
-	for id := range pl.HostPersist {
+	for id, parked := range pl.HostPersist {
 		if !to.PersistentSet[id] {
 			return nil, fmt.Errorf("plan: rebase: host-parked tensor %d is not persistent in the target build", id)
 		}
-		out.HostPersist[id] = true
+		out.HostPersist[id] = parked // a false entry stays for Apply to reject
 	}
 
 	micro := fc.Microbatches

@@ -191,7 +191,8 @@ func (rc *refineCtx) rank() []candidate {
 		size := p.built.Graph.Tensors.Get(ids[0]).Size
 		var ov units.Duration
 		if mech == MechRecompute {
-			ov = compaction.RecomputeCost(p.built.RecomputeFLOPs[ids[0]], rc.rate)
+			flops, _ := p.built.RecomputeFLOPs(ids[0])
+			ov = compaction.RecomputeCost(flops, rc.rate)
 		} else {
 			live := p.groupLive(key.Stage, key.Block)
 			ov = compaction.Overhead(compaction.HostSwapCost(p.o.Topo, size), live)
@@ -325,7 +326,8 @@ func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
 		case MechRecompute:
 			tn := p.built.Graph.Tensors.Get(id)
 			dev := pl.Device(tn.Stage)
-			extra[dev] += compaction.RecomputeCost(p.built.RecomputeFLOPs[id], rc.rate)
+			flops, _ := p.built.RecomputeFLOPs(id)
+			extra[dev] += compaction.RecomputeCost(flops, rc.rate)
 		case MechD2D:
 			tn := p.built.Graph.Tensors.Get(id)
 			src := pl.Device(tn.Stage)

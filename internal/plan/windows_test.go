@@ -30,7 +30,7 @@ func buildForWindows(t *testing.T) (*pipeline.Built, *Plan) {
 	for m := 0; m < b.TotalMicrobatches; m++ {
 		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
 		for _, id := range b.Acts[k] {
-			if _, ok := b.RecomputeFLOPs[id]; ok {
+			if _, ok := b.RecomputeFLOPs(id); ok {
 				pl.Act[id] = MechHostSwap
 			}
 		}
@@ -107,9 +107,10 @@ func TestApplyRejectsBadPlans(t *testing.T) {
 
 	// A D2D assignment without stripes must be rejected.
 	var act tensor.ID = -1
-	for id := range b.RecomputeFLOPs {
-		act = id
-		break
+	for t := 0; act < 0; t++ {
+		if _, ok := b.RecomputeFLOPs(tensor.ID(t)); ok {
+			act = tensor.ID(t)
+		}
 	}
 	bad := &Plan{
 		Mapping: exec.IdentityMapping(b.NumStages()),

@@ -74,13 +74,13 @@ func TestActivationWindows(t *testing.T) {
 	k := pipeline.SlotKey{Stage: 0, Microbatch: 0}
 	var checked int
 	for _, id := range b.Acts[k] {
-		if _, ok := b.RecomputeFLOPs[id]; !ok {
+		if _, ok := b.RecomputeFLOPs(id); !ok {
 			continue
 		}
 		st := p.Stats[id]
 		w := st.LongestWindow()
-		if w.From != b.FwOps[k] || w.To != b.BwOps[k] {
-			t.Errorf("act %d window %v, want F->B (%d->%d)", id, w, b.FwOps[k], b.BwOps[k])
+		if w.From != b.FwOp(k) || w.To != b.BwOp(k) {
+			t.Errorf("act %d window %v, want F->B (%d->%d)", id, w, b.FwOp(k), b.BwOp(k))
 		}
 		if w.Gap <= 0 {
 			t.Errorf("act %d has zero live interval", id)
@@ -110,7 +110,7 @@ func TestLastMicrobatchHasShortWindow(t *testing.T) {
 	first := pipeline.SlotKey{Stage: 0, Microbatch: 0}
 	gapOf := func(k pipeline.SlotKey) int64 {
 		for _, id := range b.Acts[k] {
-			if _, ok := b.RecomputeFLOPs[id]; ok {
+			if _, ok := b.RecomputeFLOPs(id); ok {
 				return int64(p.Stats[id].LongestWindow().Gap)
 			}
 		}
@@ -166,13 +166,13 @@ func TestWindowBetween(t *testing.T) {
 	k := pipeline.SlotKey{Stage: 0, Microbatch: 1}
 	var act tensor.ID = -1
 	for _, id := range b.Acts[k] {
-		if _, ok := b.RecomputeFLOPs[id]; ok {
+		if _, ok := b.RecomputeFLOPs(id); ok {
 			act = id
 			break
 		}
 	}
-	w, ok := p.WindowBetween(act, b.BwOps[k])
-	if !ok || w.To != b.BwOps[k] {
+	w, ok := p.WindowBetween(act, b.BwOp(k))
+	if !ok || w.To != b.BwOp(k) {
 		t.Errorf("WindowBetween failed: %v %v", w, ok)
 	}
 	if _, ok := p.WindowBetween(act, graph.OpID(0)); ok {

@@ -1,0 +1,62 @@
+package mpress_test
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"mpress"
+	"mpress/internal/exec"
+	"mpress/internal/experiments"
+)
+
+// TestSpliceDifferential holds the certified fork path to the slow one
+// on every emulation of every planner preset. Each emulation forks the
+// frozen lowering and instruments it. Its Validate must certify the
+// overlay without falling back to the full check. The def ops and free
+// points exec reads off the frozen base must equal those a full
+// Validate, Kahn sort and liveness analysis derive on an unforked copy,
+// which must also be acyclic.
+func TestSpliceDifferential(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		runs      int
+		fallbacks int
+		firstErr  error
+	)
+	exec.SpliceCheck = func(o exec.SpliceOutcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		runs++
+		if !o.Spliced {
+			fallbacks++
+		}
+		if o.Err != nil && firstErr == nil {
+			firstErr = o.Err
+		}
+	}
+	defer func() { exec.SpliceCheck = nil }()
+
+	for _, p := range experiments.PlannerPresets() {
+		before := runs
+		j, err := mpress.NewJob(p.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mpress.NewRunner(mpress.RunnerOptions{Workers: 1}).Run(context.Background(), j)
+		if res.Err != nil {
+			t.Fatalf("%s: %v", p.Name, res.Err)
+		}
+		emulations := res.Report.Plan.Emulations
+		t.Logf("%s: %d emulations, %d fork runs checked", p.Name, emulations, runs-before)
+		if runs-before == 0 {
+			t.Errorf("%s: no fork run reached the check", p.Name)
+		}
+	}
+	if fallbacks != 0 {
+		t.Errorf("%d of %d fork runs fell back to the full derivation", fallbacks, runs)
+	}
+	if firstErr != nil {
+		t.Errorf("fast path disagrees with the full derivation: %v", firstErr)
+	}
+}
