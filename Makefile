@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke benchmark-smoke
+check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -61,6 +61,16 @@ sweep-smoke:
 splice-smoke:
 	$(GO) test -race -run 'TestSpliceDifferential' -count=1 .
 	$(GO) test -race -run 'FuzzSplice|TestForkIsolation' -count=1 ./internal/graph/ ./internal/pipeline/
+
+# Event-loop acceptance: on the FuzzJointStriped seed corpus the
+# sorted joint striped reservation books exactly the lanes, times and
+# counters of the k-round reference scan, and closures (At) and typed
+# events (Post) run in strict (time, seq) order — under the race
+# detector. Then, without it (its instrumentation allocates), exec.Run's
+# allocation count must stay flat as its event count doubles.
+sim-smoke:
+	$(GO) test -race -run 'FuzzJointStriped|TestSchedOrderingEquivalence|TestSimSchedulerEquivalence' -count=1 ./internal/sim/
+	$(GO) test -run 'TestEventLoopAllocsFlat' -count=1 ./internal/exec/
 
 # Planning-request benchmark smoke: benchmark/ is a module of its own,
 # so go build ./... never compiles it, yet it calls plan, graph, exec

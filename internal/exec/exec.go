@@ -52,7 +52,10 @@ type Options struct {
 	Mapping []hw.DeviceID
 	// D2DRoutes gives the striping plan for D2D swap operators, keyed
 	// by the swap-out AND swap-in op IDs. Swap ops absent from this
-	// map are routed over PCIe to host memory.
+	// map are routed over PCIe to host memory. Run returns an error
+	// for a key that is not a swap op, a part naming no other GPU of
+	// the topology or negative bytes, and a swap pair routed on one op
+	// only or with unequal parts.
 	D2DRoutes map[graph.OpID][]fabric.Part
 	// InitiallySwapped marks persistent tensors that start in host
 	// memory instead of on their GPU (their first use must be
@@ -235,6 +238,11 @@ type engine struct {
 // Run simulates the job and returns its result. Configuration errors
 // (bad mapping, mismatched routes) return an error; OOM is reported
 // inside the Result, mirroring how a real job fails at runtime.
+//
+// The event loop is closure-free: every op that takes simulated time
+// books its resource and posts one typed completion event (see handle),
+// so running an op allocates nothing. Closures remain only for the
+// fault, checkpoint-drain and gradient-sync events, a few per run.
 func Run(o Options) (*Result, error) {
 	if o.Topo == nil || o.Built == nil {
 		return nil, fmt.Errorf("exec: Topo and Built are required")
@@ -256,11 +264,16 @@ func Run(o Options) (*Result, error) {
 
 	// The kernel is pooled: the planner emulates hundreds of candidate
 	// plans per job, and recycling the event heap and lane timelines
-	// keeps that loop allocation-free. Nothing in a Result aliases sim
+	// spares each run regrowing them. Nothing in a Result aliases sim
 	// state (lane sets only feed scalar counters into stats), so the
 	// instance can be released as soon as Run returns.
-	e := &engine{o: o, place: grid.Flat(o.Mapping), sim: sim.Get(), g: o.Built.Graph}
+	e := &engine{o: o, place: grid.Flat(o.Mapping), g: o.Built.Graph}
+	if err := e.checkRoutes(); err != nil {
+		return nil, err
+	}
+	e.sim = sim.Get()
 	defer sim.Put(e.sim)
+	e.sim.Handle = e.handle
 	e.fab = fabric.New(e.sim, o.Topo)
 	e.gpus = make([]*memsim.Device, o.Topo.NumGPUs)
 	e.compute = make([]*sim.Queue, o.Topo.NumGPUs)
@@ -302,6 +315,67 @@ func Run(o Options) (*Result, error) {
 		}
 	}
 	return e.result(), nil
+}
+
+// checkRoutes validates Options.D2DRoutes in time linear in the routes.
+// Each key must be a swap-out or swap-in of the graph; each part must
+// name a GPU of the topology other than the one hosting the swapped
+// tensor, with non-negative bytes; and each routed op's partner must be
+// routed with equal parts: a swap-out's swap-in of the same tensor
+// among its successors, a swap-in's swap-out among its predecessors. A
+// routed swap-in must have such a swap-out, or it would read its tensor
+// back from peers that never received it. Of several violations, the
+// one on the smallest op ID is reported.
+func (e *engine) checkRoutes() error {
+	var bad graph.OpID
+	var err error
+	for id, parts := range e.o.D2DRoutes {
+		if err != nil && id > bad {
+			continue
+		}
+		if rerr := e.checkRoute(id, parts); rerr != nil {
+			bad, err = id, rerr
+		}
+	}
+	return err
+}
+
+// checkRoute checks one D2DRoutes entry (see checkRoutes).
+func (e *engine) checkRoute(id graph.OpID, parts []fabric.Part) error {
+	if id < 0 || int(id) >= e.g.Len() {
+		return fmt.Errorf("exec: D2D route for op %d of a %d-op graph", id, e.g.Len())
+	}
+	op := e.g.Op(id)
+	partners, partner := e.g.Succs(id), graph.SwapIn
+	switch op.Kind {
+	case graph.SwapOut:
+	case graph.SwapIn:
+		partners, partner = e.g.Preds(id), graph.SwapOut
+	default:
+		return fmt.Errorf("exec: D2D route for %v op %s", op.Kind, op.Name)
+	}
+	home := e.gpuOf(op.Subject)
+	for _, p := range parts {
+		if !p.Peer.IsGPU() || int(p.Peer) >= e.o.Topo.NumGPUs || p.Peer == home {
+			return fmt.Errorf("exec: D2D route of %s stripes to %v (tensor on %v, %d GPUs)", op.Name, p.Peer, home, e.o.Topo.NumGPUs)
+		}
+		if p.Bytes < 0 {
+			return fmt.Errorf("exec: D2D route of %s stripes %d bytes to %v", op.Name, p.Bytes, p.Peer)
+		}
+	}
+	paired := false
+	for _, q := range partners {
+		if qo := e.g.Op(q); qo.Kind == partner && qo.Subject == op.Subject {
+			if other, ok := e.o.D2DRoutes[q]; !ok || !slices.Equal(other, parts) {
+				return fmt.Errorf("exec: D2D routes of %s and %s differ", op.Name, qo.Name)
+			}
+			paired = true
+		}
+	}
+	if op.Kind == graph.SwapIn && !paired {
+		return fmt.Errorf("exec: D2D route of %s has no routed swap-out", op.Name)
+	}
+	return nil
 }
 
 // init allocates the runtime reserve and persistent state, and builds
@@ -531,10 +605,76 @@ func checkSplice(b *pipeline.Built, spliced bool, freeAt []graph.OpID) SpliceOut
 func (e *engine) start() {
 	for i := range e.preds {
 		if e.preds[i] == 0 {
-			id := graph.OpID(i)
-			e.sim.At(0, func() { e.dispatch(id) })
+			e.sim.Post(0, sim.Event{Kind: evDispatch, Arg: int32(i)})
 		}
 	}
+}
+
+// The kinds of the typed events the engine posts. Arg is always an op
+// ID. evDispatch starts the op; every other kind is the completion of
+// an op dispatched at Start, and handle finishes it at the event's time
+// after the kind's own residency change.
+const (
+	evDispatch uint8 = iota
+	// evComplete: a compute op, a transfer, or any op with no residency
+	// change left to make.
+	evComplete
+	// evComputeTP: a compute op whose TP all-reduce now runs.
+	evComputeTP
+	// evSwapOutPeers, evSwapOutNVMe, evSwapOutHost: a swap-out's copy
+	// landed on its D2D peers, the SSD tier or host memory.
+	evSwapOutPeers
+	evSwapOutNVMe
+	evSwapOutHost
+	// evSwapInPeers, evSwapInNVMe, evSwapInHost: a swap-in's copy is
+	// back on its GPU from peers, the SSD tier or host memory.
+	evSwapInPeers
+	evSwapInNVMe
+	evSwapInHost
+)
+
+// post schedules op id's completion event of the given kind at end.
+func (e *engine) post(kind uint8, id graph.OpID, start, end sim.Time) {
+	e.sim.Post(end, sim.Event{Kind: kind, Arg: int32(id), Start: start})
+}
+
+// handle runs one typed event (Sim.Handle).
+func (e *engine) handle(ev sim.Event) {
+	id := graph.OpID(ev.Arg)
+	if ev.Kind == evDispatch {
+		e.dispatch(id)
+		return
+	}
+	op := e.g.Op(id)
+	switch ev.Kind {
+	case evComputeTP:
+		// The op is not done until its TP group's collective drains;
+		// downstream consumers (the next stage's transfer, the schedule
+		// chain) wait on the reduced tensor, exactly like the compute
+		// itself.
+		ar, _ := e.tpAllReduce(op)
+		e.post(evComplete, id, ev.Start, e.sim.Now()+ar)
+		return
+	case evSwapOutPeers:
+		e.releaseSubject(op.Subject, e.gpuOf(op.Subject), resSwappedPeers)
+	case evSwapOutNVMe:
+		e.releaseSubject(op.Subject, e.gpuOf(op.Subject), resSwappedNVMe)
+	case evSwapOutHost:
+		e.releaseSubject(op.Subject, e.gpuOf(op.Subject), resSwappedHost)
+	case evSwapInPeers:
+		for _, p := range e.o.D2DRoutes[id] {
+			e.gpus[p.Peer].Release(p.Bytes)
+		}
+		e.state[op.Subject] = resOnGPU
+	case evSwapInNVMe:
+		e.nvme.Release(e.g.Tensors.Get(op.Subject).Size)
+		e.state[op.Subject] = resOnGPU
+	case evSwapInHost:
+		e.pinned.Put(e.pinnedBuf[op.Subject])
+		delete(e.pinnedBuf, op.Subject)
+		e.state[op.Subject] = resOnGPU
+	}
+	e.complete(id, ev.Start, e.sim.Now())
 }
 
 func (e *engine) fail(oom *memsim.OOMError) {
@@ -613,18 +753,14 @@ func (e *engine) dispatch(id graph.OpID) {
 		if op.Kind == graph.OptimizerStep {
 			dur = e.o.Topo.GPU.HBM.TransferTime(op.MoveBytes)
 		}
-		ar := e.tpAllReduceDur(op)
-		e.compute[gpu].Submit(dur, func(start, end sim.Time) {
-			if ar > 0 {
-				// The op is not done until its TP group's collective
-				// drains; downstream consumers (the next stage's
-				// transfer, the schedule chain) wait on the reduced
-				// tensor, exactly like the compute itself.
-				e.sim.At(end+ar, func() { e.complete(id, start, end+ar) })
-				return
-			}
-			e.complete(id, start, end)
-		})
+		kind := evComplete
+		ar, bytes := e.tpAllReduce(op)
+		e.tpBytes += bytes
+		if ar > 0 {
+			kind = evComputeTP
+		}
+		start, end := e.compute[gpu].Book(dur)
+		e.post(kind, id, start, end)
 
 	case graph.Transfer:
 		in := e.g.Tensors.Get(op.Inputs[0])
@@ -638,13 +774,11 @@ func (e *engine) dispatch(id graph.OpID) {
 		if src == dst {
 			// Co-located virtual stages hand off through device
 			// memory at HBM speed.
-			dur := e.o.Topo.GPU.HBM.TransferTime(op.MoveBytes)
-			start := now
-			e.sim.At(now+dur, func() { e.complete(id, start, now+dur) })
+			e.post(evComplete, id, now, now+e.o.Topo.GPU.HBM.TransferTime(op.MoveBytes))
 			return
 		}
 		start, end := e.fab.P2P(src, dst, op.MoveBytes, 0)
-		e.sim.At(end, func() { e.complete(id, start, end) })
+		e.post(evComplete, id, start, end)
 
 	case graph.SwapOut:
 		gpu := e.gpuOf(op.Subject)
@@ -661,10 +795,7 @@ func (e *engine) dispatch(id graph.OpID) {
 				}
 			}
 			start, end := e.fab.Scatter(gpu, parts)
-			e.sim.At(end, func() {
-				e.releaseSubject(op.Subject, gpu, resSwappedPeers)
-				e.complete(id, start, end)
-			})
+			e.post(evSwapOutPeers, id, start, end)
 			return
 		}
 		buf, err := e.pinned.Get(size)
@@ -681,14 +812,7 @@ func (e *engine) dispatch(id graph.OpID) {
 				// legs pipeline, so the slower one bounds completion.
 				start, e1 := e.fab.HostLink(gpu, size, true)
 				_, e2 := e.fab.NVMeXfer(size)
-				end := e1
-				if e2 > end {
-					end = e2
-				}
-				e.sim.At(end, func() {
-					e.releaseSubject(op.Subject, gpu, resSwappedNVMe)
-					e.complete(id, start, end)
-				})
+				e.post(evSwapOutNVMe, id, start, max(e1, e2))
 				return
 			}
 			e.fail(&memsim.OOMError{Device: "host", Requested: size, InUse: e.host.InUse(), Capacity: e.host.Capacity(), What: "pinned swap buffer"})
@@ -696,10 +820,7 @@ func (e *engine) dispatch(id graph.OpID) {
 		}
 		e.pinnedBuf[op.Subject] = buf
 		start, end := e.fab.HostLink(gpu, size, true)
-		e.sim.At(end, func() {
-			e.releaseSubject(op.Subject, gpu, resSwappedHost)
-			e.complete(id, start, end)
-		})
+		e.post(evSwapOutHost, id, start, end)
 
 	case graph.SwapIn:
 		gpu := e.gpuOf(op.Subject)
@@ -712,36 +833,21 @@ func (e *engine) dispatch(id graph.OpID) {
 				panic(fmt.Sprintf("exec: d2d swap-in of %s in state %d", tn.Name, e.state[op.Subject]))
 			}
 			start, end := e.fab.Gather(gpu, parts)
-			e.sim.At(end, func() {
-				for _, p := range parts {
-					e.gpus[p.Peer].Release(p.Bytes)
-				}
-				e.state[op.Subject] = resOnGPU
-				e.complete(id, start, end)
-			})
+			e.post(evSwapInPeers, id, start, end)
 			return
 		}
 		if e.state[op.Subject] == resSwappedNVMe {
 			// Read back through the SSD tier and PCIe.
 			start, _ := e.fab.NVMeXfer(tn.Size)
 			_, end := e.fab.HostLink(gpu, tn.Size, false)
-			e.sim.At(end, func() {
-				e.nvme.Release(tn.Size)
-				e.state[op.Subject] = resOnGPU
-				e.complete(id, start, end)
-			})
+			e.post(evSwapInNVMe, id, start, end)
 			return
 		}
 		if e.state[op.Subject] != resSwappedHost {
 			panic(fmt.Sprintf("exec: host swap-in of %s in state %d", tn.Name, e.state[op.Subject]))
 		}
 		start, end := e.fab.HostLink(gpu, tn.Size, false)
-		e.sim.At(end, func() {
-			e.pinned.Put(e.pinnedBuf[op.Subject])
-			delete(e.pinnedBuf, op.Subject)
-			e.state[op.Subject] = resOnGPU
-			e.complete(id, start, end)
-		})
+		e.post(evSwapInHost, id, start, end)
 
 	case graph.Drop:
 		gpu := e.gpuOf(op.Subject)
@@ -753,16 +859,16 @@ func (e *engine) dispatch(id graph.OpID) {
 	}
 }
 
-// tpAllReduceDur returns the ring time of the tensor-parallel
-// all-reduce appended to op — zero without TP or for op kinds that
-// run no collective — and accounts its group-wide NVLink traffic:
-// each of the Degree members moves 2(Degree-1)/Degree × payload, so
-// the group total is 2(Degree-1) × payload, charged once since the
-// one simulated device stands in for the whole group.
-func (e *engine) tpAllReduceDur(op *graph.Op) units.Duration {
+// tpAllReduce returns the ring time of the tensor-parallel all-reduce
+// appended to op — zero without TP or for op kinds that run no
+// collective — and its group-wide NVLink traffic: each of the Degree
+// members moves 2(Degree-1)/Degree × payload, so the group total is
+// 2(Degree-1) × payload, charged once since the one simulated device
+// stands in for the whole group.
+func (e *engine) tpAllReduce(op *graph.Op) (units.Duration, units.Bytes) {
 	tp := e.o.TP
 	if tp == nil || tp.Degree <= 1 {
-		return 0
+		return 0, 0
 	}
 	var payload units.Bytes
 	switch op.Kind {
@@ -771,13 +877,13 @@ func (e *engine) tpAllReduceDur(op *graph.Op) units.Duration {
 	case graph.Backward:
 		payload = e.o.Built.TPBwAllReduce[op.Stage]
 	default:
-		return 0
+		return 0, 0
 	}
 	if payload <= 0 {
-		return 0
+		return 0, 0
 	}
-	e.tpBytes += units.Bytes(2*(tp.Degree-1)) * payload
-	return cluster.RingAllReduceTime(tp.Degree, payload, tp.HopBW, tp.Latency)
+	return cluster.RingAllReduceTime(tp.Degree, payload, tp.HopBW, tp.Latency),
+		units.Bytes(2*(tp.Degree-1)) * payload
 }
 
 // releaseSubject returns a swapped/dropped tensor's GPU bytes.

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"strings"
 	"testing"
 
 	"mpress/internal/fabric"
@@ -407,8 +408,14 @@ func TestD2DImportOOMLabel(t *testing.T) {
 	if first < 0 {
 		t.Fatal("no swap-outs instrumented")
 	}
+	// The swap-in pairs with the swap-out, so it carries the same stripe.
 	huge := []fabric.Part{{Peer: 3, Bytes: hw.DGX1().GPU.Memory}}
-	routes[first] = huge
+	subject := b.Graph.Op(first).Subject
+	for id := range routes {
+		if op := b.Graph.Op(id); op.Subject == subject {
+			routes[id] = huge
+		}
+	}
 	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes})
 	if err != nil {
 		t.Fatal(err)
@@ -416,5 +423,86 @@ func TestD2DImportOOMLabel(t *testing.T) {
 	want := "d2d import:" + b.Graph.Tensors.Get(b.Graph.Op(first).Subject).Name
 	if r.OOM == nil || r.OOM.What != want || r.OOM.Requested != huge[0].Bytes {
 		t.Fatalf("OOM = %+v, want %q of %v", r.OOM, want, huge[0].Bytes)
+	}
+}
+
+// TestRunRejectsBadRoutes: Run validates D2DRoutes up front and returns
+// an error, never panics, for each rule: keys are swap ops of the
+// graph, peers are other GPUs of the topology, bytes are non-negative,
+// and a swap pair is routed on both ops with equal parts or on neither.
+func TestRunRejectsBadRoutes(t *testing.T) {
+	good := []fabric.Part{{Peer: 3, Bytes: 1 << 20}, {Peer: 2, Bytes: 1 << 20}}
+	cases := []struct {
+		name string
+		edit func(b *pipeline.Built, routes map[graph.OpID][]fabric.Part, out, in graph.OpID)
+		want string
+	}{
+		{"key past the graph", func(b *pipeline.Built, r map[graph.OpID][]fabric.Part, _, _ graph.OpID) {
+			r[graph.OpID(b.Graph.Len())] = good
+		}, "-op graph"},
+		{"negative key", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, _, _ graph.OpID) {
+			r[-1] = good
+		}, "-op graph"},
+		{"key is a compute op", func(b *pipeline.Built, r map[graph.OpID][]fabric.Part, _, _ graph.OpID) {
+			r[b.FwOp(pipeline.SlotKey{Stage: 1, Microbatch: 0})] = good
+		}, "D2D route for forward op"},
+		{"peer is the host", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
+			p := []fabric.Part{{Peer: hw.Host, Bytes: 1}}
+			r[out], r[in] = p, p
+		}, "stripes to"},
+		{"peer past the topology", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
+			p := []fabric.Part{{Peer: 8, Bytes: 1}}
+			r[out], r[in] = p, p
+		}, "stripes to"},
+		{"peer is the tensor's own GPU", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
+			p := []fabric.Part{{Peer: 0, Bytes: 1}}
+			r[out], r[in] = p, p
+		}, "stripes to"},
+		{"negative bytes", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
+			p := []fabric.Part{{Peer: 3, Bytes: -1}}
+			r[out], r[in] = p, p
+		}, "stripes -1 bytes"},
+		{"swap-in routed, swap-out not", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, _ graph.OpID) {
+			delete(r, out)
+		}, "differ"},
+		{"swap-out routed, swap-in not", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, _, in graph.OpID) {
+			delete(r, in)
+		}, "differ"},
+		{"unequal parts", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, _, in graph.OpID) {
+			r[in] = good
+		}, "differ"},
+		{"valid routes", func(*pipeline.Built, map[graph.OpID][]fabric.Part, graph.OpID, graph.OpID) {}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := buildTiny(t, pipeline.DAPPLE, 4)
+			routes := map[graph.OpID][]fabric.Part{}
+			instrumentSwap(t, b, routes, true)
+			var out, in graph.OpID = -1, -1
+			for id := range routes {
+				if b.Graph.Op(id).Kind == graph.SwapOut && (out < 0 || id < out) {
+					out = id
+				}
+			}
+			for id := range routes {
+				if op := b.Graph.Op(id); op.Kind == graph.SwapIn && op.Subject == b.Graph.Op(out).Subject {
+					in = id
+				}
+			}
+			if out < 0 || in < 0 {
+				t.Fatal("no routed swap pair")
+			}
+			tc.edit(b, routes, out, in)
+			r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes})
+			if tc.want == "" {
+				if err != nil || r.OOM != nil {
+					t.Fatalf("valid routes: err %v, OOM %v", err, r.OOM)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

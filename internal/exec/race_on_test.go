@@ -1,0 +1,7 @@
+//go:build race
+
+package exec
+
+// raceEnabled reports whether this test binary was built with -race,
+// whose instrumentation allocates and so voids allocation counts.
+const raceEnabled = true

@@ -123,23 +123,6 @@ func (f *Fabric) Stats() Stats {
 	return s
 }
 
-// reservePairJoint books one lane from each of two pooled sets for the
-// same transfer: the sub-block starts when both a source egress lane
-// and a destination ingress lane are free. Each set's lanes are scanned
-// once; the picked lane is then booked directly.
-func reservePairJoint(now sim.Time, a, b *sim.LaneSet, size units.Bytes, bw units.Bandwidth, lat units.Duration) (start, end sim.Time) {
-	la, ta := a.Earliest()
-	lb, tb := b.Earliest()
-	start = max(now, ta, tb)
-	dur := lat + bw.TransferTime(size)
-	// Occupy both sets until the joint end by reserving the idle gap
-	// plus the transfer on each.
-	end = start + dur
-	a.ReserveLaneUntil(la, end, size)
-	b.ReserveLaneUntil(lb, end, 0)
-	return start, end
-}
-
 // P2P transfers size bytes from one GPU to another, striping across up
 // to maxStripes lanes (0 means all available). Pairs without NVLink
 // connectivity (possible in DGX-1's cube mesh) fall back to the PCIe
@@ -162,32 +145,12 @@ func (f *Fabric) P2P(src, dst hw.DeviceID, size units.Bytes, maxStripes int) (st
 		k = maxStripes
 	}
 	if f.topo.Switched {
-		return f.switchedTransfer(src, dst, size, k)
+		// Each stripe holds one source egress lane and one destination
+		// ingress lane through the switch for its whole transfer.
+		return sim.ReserveJoint(f.egress[src], f.ingress[dst], size, k, f.topo.NVLinkLaneBW, f.topo.NVLinkLatency)
 	}
 	n := f.topo.NumGPUs
 	return f.pair[int(src)*n+int(dst)].ReserveStriped(size, k, f.topo.NVLinkLaneBW, f.topo.NVLinkLatency)
-}
-
-// switchedTransfer stripes size over k joint egress/ingress lane pairs.
-func (f *Fabric) switchedTransfer(src, dst hw.DeviceID, size units.Bytes, k int) (start, end sim.Time) {
-	now := f.sim.Now()
-	per := size / units.Bytes(k)
-	rem := size - per*units.Bytes(k)
-	start = sim.Time(units.MaxDuration)
-	for i := 0; i < k; i++ {
-		blk := per
-		if i == 0 {
-			blk += rem
-		}
-		s, e := reservePairJoint(now, f.egress[src], f.ingress[dst], blk, f.topo.NVLinkLaneBW, f.topo.NVLinkLatency)
-		if s < start {
-			start = s
-		}
-		if e > end {
-			end = e
-		}
-	}
-	return start, end
 }
 
 // Part is one stripe of a scatter/gather D2D swap: Bytes of the tensor

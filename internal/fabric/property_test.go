@@ -117,50 +117,3 @@ func TestGraceHopperC2CStandsInForPCIe(t *testing.T) {
 		t.Errorf("C2C host link = %.1f GB/s, want ≈64", g)
 	}
 }
-
-// TestReservePairJointMatchesTwoScan: booking the lanes Earliest
-// picked gives the same starts, ends and lane accounting as the
-// NextFree-then-ReserveUntil sequence that scans each set twice, over
-// random joint reservations on 12-lane sets at random times.
-func TestReservePairJointMatchesTwoScan(t *testing.T) {
-	twoScan := func(now sim.Time, a, b *sim.LaneSet, size units.Bytes, bw units.Bandwidth, lat units.Duration) (start, end sim.Time) {
-		start = max(now, a.NextFree(), b.NextFree())
-		end = start + lat + bw.TransferTime(size)
-		a.ReserveUntil(end, size)
-		b.ReserveUntil(end, 0)
-		return start, end
-	}
-	s := sim.New()
-	const lanes = 12
-	var sets [4]*sim.LaneSet
-	for i := range sets {
-		sets[i] = sim.NewLaneSet(s, "l", lanes)
-	}
-	bw := units.GBps(25)
-	rng := uint64(7)
-	next := func(n uint64) uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng % n
-	}
-	for i := 0; i < 2000; i++ {
-		at := sim.Time(next(1 << 20))
-		size := units.Bytes(1 + next(1<<22))
-		s.At(at, func() {
-			now := s.Now()
-			s1, e1 := reservePairJoint(now, sets[0], sets[1], size, bw, 100)
-			s2, e2 := twoScan(now, sets[2], sets[3], size, bw, 100)
-			if s1 != s2 || e1 != e2 {
-				t.Fatalf("reservation at %v: joint (%v, %v), two-scan (%v, %v)", now, s1, e1, s2, e2)
-			}
-		})
-	}
-	s.Run()
-	for i := 0; i < 2; i++ {
-		a, b := sets[i], sets[i+2]
-		if a.Moved() != b.Moved() || a.BusyTime() != b.BusyTime() || a.NextFree() != b.NextFree() {
-			t.Errorf("set %d: moved %v/%v, busy %v/%v", i, a.Moved(), b.Moved(), a.BusyTime(), b.BusyTime())
-		}
-	}
-}

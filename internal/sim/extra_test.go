@@ -35,12 +35,11 @@ func TestQueueZeroDuration(t *testing.T) {
 	q := NewQueue(s, "q")
 	var done bool
 	s.At(3, func() {
-		q.Submit(0, func(start, end Time) {
-			if start != 3 || end != 3 {
-				t.Errorf("zero-duration span %v..%v", start, end)
-			}
-			done = true
-		})
+		start, end := q.Book(0)
+		if start != 3 || end != 3 {
+			t.Errorf("zero-duration span %v..%v", start, end)
+		}
+		s.At(end, func() { done = true })
 	})
 	s.Run()
 	if !done {

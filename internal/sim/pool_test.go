@@ -9,17 +9,20 @@ import (
 )
 
 // kernelWorkload drives a small but representative event mix through s:
-// a serial queue, a striped lane set, and chained events. It returns
-// the final simulated time so callers can assert determinism.
+// a serial queue whose completions are typed events, a striped lane
+// set, and chained events. It returns the final simulated time so
+// callers can assert determinism.
 func kernelWorkload(s *Sim) Time {
 	q := NewQueue(s, "compute")
 	l := NewLaneSet(s, "nvlink", 4)
+	s.Handle = func(Event) {
+		l.ReserveStriped(units.Bytes(1<<20), 2, units.GBps(50), units.Microsecond)
+	}
 	for i := 0; i < 32; i++ {
 		d := units.Duration(10 + i)
 		s.At(units.Duration(i), func() {
-			q.Submit(d, func(start, end Time) {
-				l.ReserveStriped(units.Bytes(1<<20), 2, units.GBps(50), units.Microsecond)
-			})
+			_, end := q.Book(d)
+			s.Post(end, Event{Arg: int32(i)})
 		})
 	}
 	return s.Run()
@@ -46,6 +49,7 @@ func TestResetClearsPendingAndFlags(t *testing.T) {
 	s.MaxEvents = 5
 	s.InterruptEvery = 1
 	s.Interrupt = func() bool { return false }
+	s.Handle = func(Event) {}
 	s.At(1, func() { s.Stop() })
 	s.At(2, func() { t.Fatal("event after Stop ran") })
 	s.Run()
@@ -56,7 +60,7 @@ func TestResetClearsPendingAndFlags(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("Reset left %d pending events", s.Pending())
 	}
-	if s.MaxEvents != 0 || s.Interrupt != nil || s.InterruptEvery != 0 {
+	if s.MaxEvents != 0 || s.Interrupt != nil || s.InterruptEvery != 0 || s.Handle != nil {
 		t.Fatal("Reset did not clear configuration knobs")
 	}
 }

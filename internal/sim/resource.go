@@ -29,25 +29,20 @@ func NewQueue(s *Sim, name string) *Queue {
 // Name returns the queue's label.
 func (q *Queue) Name() string { return q.name }
 
-// Submit enqueues a task of the given duration at the current simulated
-// time. The task starts as soon as the queue is free and done (if
-// non-nil) is invoked at its completion time with the actual start and
-// end times.
-func (q *Queue) Submit(dur units.Duration, done func(start, end Time)) {
+// Book reserves the queue for a task of the given duration submitted at
+// the current simulated time and returns its window: the task starts as
+// soon as the queue is free. Book schedules nothing; the caller posts
+// the task's completion at end.
+func (q *Queue) Book(dur units.Duration) (start, end Time) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: queue %s: negative duration %v", q.name, dur))
 	}
-	start := q.sim.Now()
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	end := start + dur
+	start = max(q.sim.Now(), q.busyUntil)
+	end = start + dur
 	q.busyUntil = end
 	q.busyTime += dur
 	q.tasks++
-	if done != nil {
-		q.sim.At(end, func() { done(start, end) })
-	}
+	return start, end
 }
 
 // BusyUntil reports when the queue next becomes free.
@@ -56,7 +51,7 @@ func (q *Queue) BusyUntil() Time { return q.busyUntil }
 // BusyTime reports the total occupied time so far.
 func (q *Queue) BusyTime() units.Duration { return q.busyTime }
 
-// Tasks reports how many tasks have been submitted.
+// Tasks reports how many tasks have been booked.
 func (q *Queue) Tasks() int64 { return q.tasks }
 
 // Utilization reports busyTime divided by the given horizon.
@@ -159,19 +154,16 @@ func (l *LaneSet) ReserveStriped(size units.Bytes, k int, bw units.Bandwidth, la
 
 // ReserveUntil books the earliest-free lane through the absolute time
 // until, recording size bytes moved. It supports joint reservations
-// (e.g. an egress lane and an ingress lane of a switched fabric) where
-// the caller computes the shared completion time.
+// (e.g. a NIC's send and mirrored receive lanes) where the caller
+// computes the shared completion time.
 func (l *LaneSet) ReserveUntil(until Time, size units.Bytes) {
-	l.ReserveLaneUntil(l.earliestLane(), until, size)
+	l.book(l.earliestLane(), until, size)
 }
 
-// ReserveLaneUntil is ReserveUntil on a lane the caller already picked
-// with Earliest, sparing a second scan of the lanes.
-func (l *LaneSet) ReserveLaneUntil(lane int, until Time, size units.Bytes) {
-	start := l.sim.Now()
-	if l.lanes[lane] > start {
-		start = l.lanes[lane]
-	}
+// book occupies lane through until, recording size bytes moved and the
+// occupied time from when the lane frees (no earlier than now).
+func (l *LaneSet) book(lane int, until Time, size units.Bytes) {
+	start := max(l.sim.Now(), l.lanes[lane])
 	if until < start {
 		panic(fmt.Sprintf("sim: lane set %s: ReserveUntil(%v) before lane free at %v", l.name, until, start))
 	}
@@ -180,19 +172,100 @@ func (l *LaneSet) ReserveLaneUntil(lane int, until Time, size units.Bytes) {
 	l.moved += size
 }
 
-// Earliest returns the lane that frees up first (the lowest index on
-// ties) and when it is free, no earlier than now.
-func (l *LaneSet) Earliest() (lane int, free Time) {
-	lane = l.earliestLane()
-	free = l.lanes[lane]
-	if now := l.sim.Now(); free < now {
-		free = now
-	}
-	return lane, free
+// NextFree reports when at least one lane is free, no earlier than now.
+func (l *LaneSet) NextFree() Time {
+	return max(l.sim.Now(), l.lanes[l.earliestLane()])
 }
 
-// NextFree reports when at least one lane is free.
-func (l *LaneSet) NextFree() Time {
-	_, t := l.Earliest()
-	return t
+// ReserveJoint books a transfer of size bytes striped over k joint lane
+// pairs, one lane of src (the sender's egress) and one of dst (the
+// receiver's ingress) per stripe, as on a switched fabric. Stripe i
+// carries size/k bytes (stripe 0 also the remainder); it starts when
+// the earliest-free lane of each set is free (lowest index on ties)
+// and holds both lanes until it ends. ReserveJoint returns the earliest
+// start and the latest end. src and dst must be distinct sets with at
+// least k lanes each.
+//
+// The stripes are booked in order, on the lanes one sort of each set
+// picks when that provably matches a per-stripe scan (see jointOrder),
+// and by that scan otherwise.
+func ReserveJoint(src, dst *LaneSet, size units.Bytes, k int, bw units.Bandwidth, lat units.Duration) (start, end Time) {
+	if src == dst || k <= 0 || k > len(src.lanes) || k > len(dst.lanes) {
+		panic(fmt.Sprintf("sim: joint stripe width %d over lane sets %s (%d lanes) and %s (%d lanes)",
+			k, src.name, len(src.lanes), dst.name, len(dst.lanes)))
+	}
+	var bufS, bufD [maxSortedLanes]int8
+	srcOrder, dstOrder := jointOrder(src, dst, size, k, bw, lat, &bufS, &bufD)
+	return bookJoint(src, dst, size, k, bw, lat, srcOrder, dstOrder)
+}
+
+// bookJoint books ReserveJoint's stripes in order. Stripe i takes lanes
+// srcOrder[i] and dstOrder[i] when the orders are given; with nil
+// orders — the reference — it scans each set for its earliest-free
+// lane.
+func bookJoint(src, dst *LaneSet, size units.Bytes, k int, bw units.Bandwidth, lat units.Duration, srcOrder, dstOrder []int8) (start, end Time) {
+	now := src.sim.Now()
+	per := size / units.Bytes(k)
+	start = Time(units.MaxDuration)
+	for i := 0; i < k; i++ {
+		blk := per
+		if i == 0 {
+			blk += size - per*units.Bytes(k)
+		}
+		var ls, ld int
+		if srcOrder != nil {
+			ls, ld = int(srcOrder[i]), int(dstOrder[i])
+		} else {
+			ls, ld = src.earliestLane(), dst.earliestLane()
+		}
+		s := max(now, src.lanes[ls], dst.lanes[ld])
+		e := s + lat + bw.TransferTime(blk)
+		src.book(ls, e, blk)
+		dst.book(ld, e, 0)
+		start, end = min(start, s), max(end, e)
+	}
+	return start, end
+}
+
+// maxSortedLanes bounds the lane sets jointOrder sorts on the stack; a
+// DGX-2 GPU has 12 NVSwitch lanes.
+const maxSortedLanes = 32
+
+// jointOrder returns each set's lanes sorted by (busy-until, index),
+// filling bufS and bufD, when booking stripe i on the i-th lane of each
+// provably gives what the per-stripe scan gives; nil, nil otherwise.
+//
+// Stripe 0 takes the first lane of each order and starts at s0. Every
+// later stripe's lanes free no earlier, so every stripe ends at or
+// after bound = s0 + lat + TransferTime(size/k). If the k-th lane of
+// each set frees strictly before bound, a lane booked by an earlier
+// stripe is busy later than every lane stripe i could take, so the
+// scan for stripe i returns the i-th lane of each order exactly: the
+// same lanes, starts, ends, bytes moved and busy time.
+func jointOrder(src, dst *LaneSet, size units.Bytes, k int, bw units.Bandwidth, lat units.Duration, bufS, bufD *[maxSortedLanes]int8) (srcOrder, dstOrder []int8) {
+	if len(src.lanes) > maxSortedLanes || len(dst.lanes) > maxSortedLanes {
+		return nil, nil
+	}
+	srcOrder, dstOrder = src.sortLanes(bufS[:len(src.lanes)]), dst.sortLanes(bufD[:len(dst.lanes)])
+	s0 := max(src.sim.Now(), src.lanes[srcOrder[0]], dst.lanes[dstOrder[0]])
+	bound := s0 + lat + bw.TransferTime(size/units.Bytes(k))
+	if src.lanes[srcOrder[k-1]] >= bound || dst.lanes[dstOrder[k-1]] >= bound {
+		return nil, nil
+	}
+	return srcOrder, dstOrder
+}
+
+// sortLanes fills idx with the lane indices ordered by (busy-until,
+// index): an insertion sort, stable, so equal busy-until times keep
+// ascending indices.
+func (l *LaneSet) sortLanes(idx []int8) []int8 {
+	for i := range idx {
+		t := l.lanes[i]
+		j := i
+		for ; j > 0 && l.lanes[idx[j-1]] > t; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = int8(i)
+	}
+	return idx
 }

@@ -2,8 +2,9 @@ package sim
 
 // sched.go is the kernel's event store: a binary min-heap over
 // struct-of-arrays event slots, ordered by the strict total order
-// (time, key). The heap compares only at/key; closures sit in their own
-// slice and are touched once per pop.
+// (time, key). The heap compares only at/key; an event's payload (a
+// closure or a typed Event) sits in its own slice and is touched once
+// per pop.
 //
 // The store is pooled with its Sim: every slice below keeps its
 // capacity across Reset, so the planner's emulate-hundreds-of-plans
@@ -11,11 +12,13 @@ package sim
 
 // sched is one event store. The zero value is ready to use.
 type sched struct {
-	// Struct-of-arrays event storage: slot i is (at[i], key[i], fn[i]).
-	// free lists recycled slots.
+	// Struct-of-arrays event storage: slot i is (at[i], key[i], fn[i],
+	// ev[i]); a slot with a nil fn carries the typed event ev. free
+	// lists recycled slots.
 	at   []Time
 	key  []int64
 	fn   []func()
+	ev   []Event
 	free []int32
 
 	// Binary min-heap of slots, ordered by less.
@@ -33,39 +36,40 @@ func (q *sched) less(a, b int32) bool {
 // len returns the number of pending events.
 func (q *sched) len() int { return len(q.heap) }
 
-// push schedules an event.
-func (q *sched) push(t Time, k int64, f func()) {
+// push schedules an event: the closure f, or ev when f is nil.
+func (q *sched) push(t Time, k int64, f func(), ev Event) {
 	var s int32
 	if n := len(q.free); n > 0 {
 		s = q.free[n-1]
 		q.free = q.free[:n-1]
-		q.at[s], q.key[s], q.fn[s] = t, k, f
+		q.at[s], q.key[s], q.fn[s], q.ev[s] = t, k, f, ev
 	} else {
 		q.at = append(q.at, t)
 		q.key = append(q.key, k)
 		q.fn = append(q.fn, f)
+		q.ev = append(q.ev, ev)
 		s = int32(len(q.at) - 1)
 	}
 	q.heapPush(s)
 }
 
 // pop removes and returns the earliest event.
-func (q *sched) pop() (Time, int64, func(), bool) {
+func (q *sched) pop() (Time, int64, func(), Event, bool) {
 	if len(q.heap) == 0 {
-		return 0, 0, nil, false
+		return 0, 0, nil, Event{}, false
 	}
 	s := q.heapPop()
-	t, k, f := q.at[s], q.key[s], q.fn[s]
+	t, k, f, ev := q.at[s], q.key[s], q.fn[s], q.ev[s]
 	// Recycle the slot, dropping the closure so it is collectable.
 	q.fn[s] = nil
 	q.free = append(q.free, s)
-	return t, k, f, true
+	return t, k, f, ev, true
 }
 
 // reset empties the store keeping every capacity.
 func (q *sched) reset() {
 	clear(q.fn)
-	q.at, q.key, q.fn = q.at[:0], q.key[:0], q.fn[:0]
+	q.at, q.key, q.fn, q.ev = q.at[:0], q.key[:0], q.fn[:0], q.ev[:0]
 	q.free = q.free[:0]
 	q.heap = q.heap[:0]
 }

@@ -8,7 +8,15 @@
 // and tests can assert exact values.
 //
 // The event store (sched.go) is a binary heap over struct-of-arrays
-// event slots, ordered by (time, seq).
+// event slots, ordered by (time, seq). An event is either a closure
+// (At) or a small typed value (Post) that Run hands to the Sim's one
+// Handle function; the hot caller, the executor, posts typed events
+// only, so its event loop allocates nothing per event. Resources book
+// time and schedule nothing: Queue.Book and the LaneSet reservations
+// return a (start, end) window and the caller posts its own
+// completion. ReserveJoint books a transfer striped over joint lane
+// pairs (a switched fabric's egress and ingress lanes) with one sort
+// of each set instead of a scan per stripe.
 //
 // The kernel is built to be reused: Reset returns a Sim to its pristine
 // state without releasing its event store or timeline arena, and the
@@ -27,6 +35,15 @@ import (
 
 // Time is the simulated clock, in nanoseconds since simulation start.
 type Time = units.Duration
+
+// Event is a typed event: what happens (Kind) to which object (Arg) and
+// one carried time (Start), all owned by the Sim's Handle. Posting one
+// allocates nothing, unlike a closure passed to At.
+type Event struct {
+	Kind  uint8
+	Arg   int32
+	Start Time
+}
 
 // Sim is one simulation instance. The zero value is not usable; call New
 // (or Get, which recycles instances through the package pool).
@@ -62,6 +79,9 @@ type Sim struct {
 	// Interrupted reports whether the last Run was halted by the
 	// Interrupt hook (as opposed to draining its events or Stop).
 	Interrupted bool
+	// Handle receives every event scheduled with Post, at its time. It
+	// must be set before Run pops the first such event.
+	Handle func(Event)
 }
 
 // New returns a simulation positioned at time zero.
@@ -89,8 +109,8 @@ func Put(s *Sim) {
 
 // Reset returns s to its pristine post-New state while keeping the
 // event store's and timeline arena's capacity, so a recycled Sim runs
-// without reallocating either. Queued closures are zeroed to keep them
-// collectable.
+// without reallocating either. Queued closures and Handle are zeroed to
+// keep them collectable: a pooled Sim holds on to no caller state.
 func (s *Sim) Reset() {
 	s.q.reset()
 	s.arenaUsed = 0
@@ -103,6 +123,7 @@ func (s *Sim) Reset() {
 	s.MaxEvents = 0
 	s.Interrupt = nil
 	s.InterruptEvery = 0
+	s.Handle = nil
 }
 
 // timeline hands out a zeroed n-entry Time slice from the Sim's arena,
@@ -129,17 +150,31 @@ func (s *Sim) timeline(n int) []Time {
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Executed returns the number of events whose closures have run.
+// Executed returns the number of events that have run.
 func (s *Sim) Executed() int64 { return s.executed }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it always indicates a modelling bug.
 func (s *Sim) At(t Time, fn func()) {
+	if fn == nil {
+		panic("sim: At with a nil func")
+	}
+	s.schedule(t, fn, Event{})
+}
+
+// Post schedules ev to be handed to Handle at absolute time t. It takes
+// its place in the (time, seq) order exactly as At does, so the two
+// forms interleave deterministically.
+func (s *Sim) Post(t Time, ev Event) {
+	s.schedule(t, nil, ev)
+}
+
+func (s *Sim) schedule(t Time, fn func(), ev Event) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.q.push(t, s.seq, fn)
+	s.q.push(t, s.seq, fn, ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -177,13 +212,17 @@ func (s *Sim) Run() Time {
 			s.Interrupted = true
 			break
 		}
-		t, _, fn, _ := s.q.pop()
+		t, _, fn, ev, _ := s.q.pop()
 		s.now = t
 		s.executed++
 		if s.executed > max {
 			panic(fmt.Sprintf("sim: exceeded %d events at t=%v — runaway event loop?", max, s.now))
 		}
-		fn()
+		if fn != nil {
+			fn()
+		} else {
+			s.Handle(ev)
+		}
 	}
 	s.wall += time.Since(t0)
 	return s.now

@@ -106,13 +106,18 @@ func TestQueueSerializes(t *testing.T) {
 	q := NewQueue(s, "compute")
 	type span struct{ start, end Time }
 	var spans []span
-	record := func(start, end Time) { spans = append(spans, span{start, end}) }
+	// Each task's span is recorded by its completion event, so spans
+	// lists completions in the order the kernel ran them.
+	book := func(dur Time) {
+		start, end := q.Book(dur)
+		s.At(end, func() { spans = append(spans, span{start, end}) })
+	}
 	s.At(0, func() {
-		q.Submit(100, record)
-		q.Submit(50, record)
+		book(100)
+		book(50)
 	})
 	s.At(120, func() {
-		q.Submit(10, record)
+		book(10)
 	})
 	s.Run()
 	want := []span{{0, 100}, {100, 150}, {150, 160}}
@@ -139,8 +144,8 @@ func TestQueueIdleGap(t *testing.T) {
 	s := New()
 	q := NewQueue(s, "q")
 	var first, second Time
-	s.At(0, func() { q.Submit(10, func(st, _ Time) { first = st }) })
-	s.At(50, func() { q.Submit(10, func(st, _ Time) { second = st }) })
+	s.At(0, func() { first, _ = q.Book(10) })
+	s.At(50, func() { second, _ = q.Book(10) })
 	s.Run()
 	if first != 0 || second != 50 {
 		t.Errorf("starts = %v, %v; want 0, 50", first, second)
@@ -155,7 +160,7 @@ func TestQueueNegativeDurationPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	q.Submit(-1, nil)
+	q.Book(-1)
 }
 
 func TestLaneSetSingle(t *testing.T) {
@@ -247,12 +252,14 @@ func TestDeterminism(t *testing.T) {
 		s := New()
 		q := NewQueue(s, "q")
 		l := NewLaneSet(s, "l", 4)
+		s.Handle = func(ev Event) {
+			l.ReserveStriped(units.Bytes(1000*(int(ev.Arg)+1)), 2, units.GBps(5), 2)
+		}
 		for i := 0; i < 20; i++ {
 			d := units.Duration(i * 7 % 13)
 			s.At(Time(i), func() {
-				q.Submit(d*3+1, func(_, _ Time) {
-					l.ReserveStriped(units.Bytes(1000*(int(d)+1)), 2, units.GBps(5), 2)
-				})
+				_, end := q.Book(d*3 + 1)
+				s.Post(end, Event{Arg: int32(d)})
 			})
 		}
 		return s.Run()
@@ -263,25 +270,25 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestLaneSetEarliestTies: Earliest picks the lowest index among
-// equally free lanes, reports no time before now, and
-// ReserveLaneUntil books exactly the lane it picked.
+// TestLaneSetEarliestTies: earliestLane picks the lowest index among
+// equally free lanes, NextFree reports no time before now, and book
+// occupies exactly the lane it is given.
 func TestLaneSetEarliestTies(t *testing.T) {
 	s := New()
 	l := NewLaneSet(s, "l", 3)
 	l.ReserveUntil(30, 0) // lane 0
 	l.ReserveUntil(20, 0) // lane 1
 	l.ReserveUntil(20, 0) // lane 2
-	if lane, free := l.Earliest(); lane != 1 || free != 20 {
-		t.Fatalf("Earliest = lane %d at %v, want lane 1 at 20", lane, free)
+	if lane, free := l.earliestLane(), l.NextFree(); lane != 1 || free != 20 {
+		t.Fatalf("earliest = lane %d at %v, want lane 1 at 20", lane, free)
 	}
-	l.ReserveLaneUntil(1, 40, 8)
-	if lane, free := l.Earliest(); lane != 2 || free != 20 {
-		t.Fatalf("after booking lane 1: Earliest = lane %d at %v, want lane 2 at 20", lane, free)
+	l.book(1, 40, 8)
+	if lane, free := l.earliestLane(), l.NextFree(); lane != 2 || free != 20 {
+		t.Fatalf("after booking lane 1: earliest = lane %d at %v, want lane 2 at 20", lane, free)
 	}
 	s.At(25, func() {
-		if lane, free := l.Earliest(); lane != 2 || free != 25 {
-			t.Errorf("at 25: Earliest = lane %d at %v, want lane 2 at 25", lane, free)
+		if lane, free := l.earliestLane(), l.NextFree(); lane != 2 || free != 25 {
+			t.Errorf("at 25: earliest = lane %d at %v, want lane 2 at 25", lane, free)
 		}
 	})
 	s.Run()
