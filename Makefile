@@ -64,13 +64,15 @@ splice-smoke:
 
 # Event-loop acceptance: on the FuzzJointStriped seed corpus the
 # sorted joint striped reservation books exactly the lanes, times and
-# counters of the k-round reference scan, and closures (At) and typed
-# events (Post) run in strict (time, seq) order — under the race
-# detector. Then, without it (its instrumentation allocates), exec.Run's
-# allocation count must stay flat as its event count doubles.
+# counters of the k-round reference scan, and posted events run in
+# strict (time, seq) order — under the race detector. Then, without it
+# (its instrumentation allocates), exec.Run's allocation count must
+# stay flat as its event count doubles, on one node and as one of two
+# data-parallel replicas (whose gradient all-reduce ring steps are
+# events too).
 sim-smoke:
 	$(GO) test -race -run 'FuzzJointStriped|TestSchedOrderingEquivalence|TestSimSchedulerEquivalence' -count=1 ./internal/sim/
-	$(GO) test -run 'TestEventLoopAllocsFlat' -count=1 ./internal/exec/
+	$(GO) test -run 'TestEventLoopAllocsFlat/(single-node|data-parallel)$$' -count=1 ./internal/exec/
 
 # Planning-request benchmark smoke: benchmark/ is a module of its own,
 # so go build ./... never compiles it, yet it calls plan, graph, exec
@@ -79,24 +81,17 @@ sim-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) test -count=1 .
 
-# Performance trajectory: Go micro-benchmarks plus the scaling,
-# resilience and planner experiments, each writing machine-readable
-# per-job perf records (BENCH_*.json: fingerprint, samples/sec, wall
-# time, plan time) for commit-over-commit comparison. Non-blocking in
-# CI.
+# One pass of every Go benchmark, kept in BENCH_go.txt. Non-blocking
+# in CI. Before/after performance evidence comes from the
+# planning-request benchmark (benchmark/, see its README).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... | tee BENCH_go.txt
-	$(GO) run ./cmd/mpress-bench -exp scaling -perf BENCH_scaling.json > /dev/null
-	$(GO) run ./cmd/mpress-bench -exp resilience -perf BENCH_resilience.json > /dev/null
-	$(GO) run ./cmd/mpress-bench -exp planner -perf BENCH_planner.json > /dev/null
-	$(GO) run ./cmd/mpress-bench -exp autosearch -perf BENCH_search.json > /dev/null
 
-# Single-iteration smoke of the refinement-loop, sim-kernel and
-# mapping-search benchmarks, so check catches them compiling or
-# asserting badly without paying for full benchmark runs.
+# Single-iteration smoke of the refinement-loop and mapping-search
+# benchmarks, so check catches them compiling or asserting badly
+# without paying for full benchmark runs.
 benchcheck:
 	$(GO) test -run '^$$' -bench '^BenchmarkRefine$$' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '^BenchmarkSimKernel$$' -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench '^BenchmarkMappingSearch$$' -benchtime 1x ./internal/mapping
 
 # CPU and heap profiles of the planner experiment (the refinement loop

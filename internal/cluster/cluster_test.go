@@ -180,9 +180,16 @@ func TestStats(t *testing.T) {
 	const size = 32 * units.MiB
 	c := MustNew(4, hw.DGX1(), InfiniBand4x100())
 	s := newTestSim()
-	n := NewNet(s, c)
-	done := false
-	n.AllReduce(4)(0, 0, size, func() { done = true })
+	n := NewNet(s, c, 4, 0)
+	done := n.AllReduce(7, size)
+	s.Handle = func(ev sim.Event) {
+		if token, ok := n.Handle(ev); ok {
+			if token != 7 {
+				t.Errorf("completed token %d, want 7", token)
+			}
+			done = true
+		}
+	}
 	s.Run()
 	if !done {
 		t.Fatal("all-reduce never completed")
@@ -209,12 +216,21 @@ func TestContention(t *testing.T) {
 	solo := MeasureAllReduce(c, size, 2)
 
 	s := newTestSim()
-	n := NewNet(s, c)
-	var first, second units.Duration
-	sync := n.AllReduce(2)
-	sync(0, 0, size, func() { first = s.Now() })
-	sync(1, 0, size, func() { second = s.Now() })
+	n := NewNet(s, c, 2, 0)
+	var ends [2]units.Duration
+	s.Handle = func(ev sim.Event) {
+		if token, ok := n.Handle(ev); ok {
+			ends[token] = s.Now()
+		}
+	}
+	if n.AllReduce(0, size) || n.AllReduce(1, size) {
+		t.Fatal("a multi-node all-reduce completed at once")
+	}
 	s.Run()
+	first, second := ends[0], ends[1]
+	if first == 0 || second == 0 {
+		t.Fatalf("all-reduces finished at %v and %v", first, second)
+	}
 	last := first
 	if second > last {
 		last = second

@@ -10,7 +10,7 @@ import (
 // Net is the simulated inter-node fabric of one cluster, attached to a
 // run's discrete-event clock. It models node 0's NIC ports as lane
 // resources (per-port serialization, striping across ports, setup
-// latency) and schedules bucketed ring all-reduces on them.
+// latency) and runs bucketed ring all-reduces on them.
 //
 // Symmetry argument: every node hosts an identical pipeline replica
 // driven by the same deterministic schedule, so at every simulated
@@ -19,9 +19,15 @@ import (
 // N-1 completes exactly when node 0's own send does. Modeling one
 // node's ports therefore reproduces the whole ring's timing, the same
 // one-rank-by-symmetry device the ZeRO baselines use (internal/zero).
+//
+// A ring runs as a state machine over typed events: each step's
+// completion is posted as an event of the kind the Net's owner
+// assigned, and the owner's Sim.Handle passes those events to Handle.
 type Net struct {
-	sim *sim.Sim
-	c   *Cluster
+	sim     *sim.Sim
+	c       *Cluster
+	buckets int
+	kind    uint8
 
 	// egress is node 0's NIC send side; ingress mirrors the receive
 	// side's occupancy (bytes are counted once, on egress, as
@@ -29,14 +35,36 @@ type Net struct {
 	egress  *sim.LaneSet
 	ingress *sim.LaneSet
 
+	// rings holds every all-reduce put on the wire and wire every bucket
+	// of them; a step event's Arg indexes wire.
+	rings []ring
+	wire  []bucket
+
 	allReduces int64
 }
 
-// NewNet builds the fabric resources for c on simulation s. For
-// single-node clusters the NIC lanes are not instantiated — there is
-// no ring to run.
-func NewNet(s *sim.Sim, c *Cluster) *Net {
-	n := &Net{sim: s, c: c}
+// ring is one all-reduce on the wire: the caller's token and the
+// number of its buckets still running.
+type ring struct {
+	token int32
+	left  int
+}
+
+// bucket is one bucket's progress through its ring's 2(N-1) steps:
+// the step on the wire and the bytes each step moves per node.
+type bucket struct {
+	ring  int32
+	step  int
+	chunk units.Bytes
+}
+
+// NewNet builds the fabric resources for c on simulation s. Each
+// all-reduce splits into buckets pipelined buckets (values below 1
+// mean one), and its ring steps are posted as events of the given
+// kind. For single-node clusters the NIC lanes are not instantiated —
+// there is no ring to run.
+func NewNet(s *sim.Sim, c *Cluster, buckets int, kind uint8) *Net {
+	n := &Net{sim: s, c: c, buckets: max(buckets, 1), kind: kind}
 	if c.Nodes > 1 {
 		n.egress = sim.NewLaneSet(s, "nic-egress", c.Net.NICs)
 		n.ingress = sim.NewLaneSet(s, "nic-ingress", c.Net.NICs)
@@ -44,13 +72,11 @@ func NewNet(s *sim.Sim, c *Cluster) *Net {
 	return n
 }
 
-// Cluster returns the topology the net simulates.
-func (n *Net) Cluster() *Cluster { return n.c }
-
 // NetStats aggregates inter-node traffic, per node (all nodes are
 // symmetric: multiply by Cluster.Nodes for fleet totals).
 type NetStats struct {
-	// AllReduces counts completed collective operations.
+	// AllReduces counts started collective operations, including
+	// those that needed no traffic (one node or an empty payload).
 	AllReduces int64
 	// EgressBytes is one node's total NIC egress traffic.
 	EgressBytes units.Bytes
@@ -68,10 +94,11 @@ func (n *Net) Stats() NetStats {
 	return st
 }
 
-// AllReduce returns the gradient synchronizer for this net: a function
-// invoked at the simulated time a bucket of gradients becomes final,
-// which schedules a bucketed ring all-reduce of size bytes across the
-// cluster's nodes and invokes done at its simulated completion time.
+// AllReduce starts a bucketed ring all-reduce of size bytes across the
+// cluster's nodes at the current simulated time; token names it to the
+// caller. It reports true when the all-reduce completes at once (one
+// node, or nothing to send); otherwise Handle reports token at its
+// simulated completion.
 //
 // The ring follows the classic 2(N-1)-step schedule — N-1 reduce-
 // scatter steps then N-1 all-gather steps, each moving size/(B*N)
@@ -83,59 +110,54 @@ func (n *Net) Stats() NetStats {
 // finishing their backward passes at different times) contend on the
 // same lanes, which is exactly how overlap with backward compute is —
 // or is not — achieved.
-//
-// The signature matches exec.GradSyncFn so a Net plugs directly into
-// the executor's Options.GradSync hook.
-func (n *Net) AllReduce(buckets int) func(stage, minibatch int, size units.Bytes, done func()) {
-	if buckets <= 0 {
-		buckets = 1
+func (n *Net) AllReduce(token int32, size units.Bytes) bool {
+	n.allReduces++
+	if n.c.Nodes <= 1 || size <= 0 {
+		return true
 	}
-	return func(stage, minibatch int, size units.Bytes, done func()) {
-		n.allReduces++
-		if n.c.Nodes <= 1 || size <= 0 {
-			done()
-			return
-		}
-		b := buckets
-		if units.Bytes(b) > size {
-			b = int(size)
-		}
-		per := size / units.Bytes(b)
-		rem := size - per*units.Bytes(b)
-		pending := b
-		bucketDone := func() {
-			pending--
-			if pending == 0 {
-				done()
-			}
-		}
-		for i := 0; i < b; i++ {
-			bucket := per
-			if i == 0 {
-				bucket += rem
-			}
-			n.ringBucket(bucket, bucketDone)
-		}
+	b := n.buckets
+	if units.Bytes(b) > size {
+		b = int(size)
 	}
+	per := size / units.Bytes(b)
+	rem := size - per*units.Bytes(b)
+	r := int32(len(n.rings))
+	n.rings = append(n.rings, ring{token: token, left: b})
+	for i := 0; i < b; i++ {
+		bytes := per
+		if i == 0 {
+			bytes += rem
+		}
+		chunk := (bytes + units.Bytes(n.c.Nodes) - 1) / units.Bytes(n.c.Nodes)
+		n.wire = append(n.wire, bucket{ring: r, chunk: chunk})
+		n.send(int32(len(n.wire) - 1))
+	}
+	return false
 }
 
-// ringBucket schedules one bucket's 2(N-1) ring steps. Each step's
-// chunk transfer must wait for both a free NIC lane and the previous
-// step's chunk to arrive from the ring predecessor (which, by
-// symmetry, lands when this node's own previous send completes).
-func (n *Net) ringBucket(bucket units.Bytes, done func()) {
-	steps := 2 * (n.c.Nodes - 1)
-	chunk := (bucket + units.Bytes(n.c.Nodes) - 1) / units.Bytes(n.c.Nodes)
-	var step func(k int)
-	step = func(k int) {
-		if k == steps {
-			done()
-			return
-		}
-		end := n.sendChunk(chunk)
-		n.sim.At(end, func() { step(k + 1) })
+// Handle runs one step event: bucket ev.Arg's chunk has arrived, so
+// its next step starts, or after the last step the bucket retires. It
+// returns the all-reduce's token and true when that retired its last
+// bucket.
+func (n *Net) Handle(ev sim.Event) (int32, bool) {
+	b := &n.wire[ev.Arg]
+	b.step++
+	if b.step < 2*(n.c.Nodes-1) {
+		n.send(ev.Arg)
+		return 0, false
 	}
-	step(0)
+	r := &n.rings[b.ring]
+	r.left--
+	return r.token, r.left == 0
+}
+
+// send books bucket i's current step and posts its completion. A step
+// must wait for both a free NIC lane and the previous step's chunk to
+// arrive from the ring predecessor (which, by symmetry, lands when this
+// node's own previous send completes).
+func (n *Net) send(i int32) {
+	end := n.sendChunk(n.wire[i].chunk)
+	n.sim.Post(end, sim.Event{Kind: n.kind, Arg: i})
 }
 
 // sendChunk reserves the node's NIC lanes for one ring chunk, striping
@@ -170,14 +192,13 @@ func (n *Net) sendChunk(chunk units.Bytes) sim.Time {
 // cmd/mpress-topo's probe and the closed-form tests.
 func MeasureAllReduce(c *Cluster, size units.Bytes, buckets int) units.Duration {
 	s := sim.New()
-	n := NewNet(s, c)
-	var end units.Duration
-	fired := false
-	n.AllReduce(buckets)(0, 0, size, func() {
-		end = s.Now()
-		fired = true
-	})
-	s.Run()
+	n := NewNet(s, c, buckets, 0)
+	fired := n.AllReduce(0, size)
+	s.Handle = func(ev sim.Event) {
+		_, done := n.Handle(ev)
+		fired = fired || done
+	}
+	end := s.Run()
 	if !fired {
 		panic(fmt.Sprintf("cluster: all-reduce of %v never completed", size))
 	}

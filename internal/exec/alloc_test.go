@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"mpress/internal/cluster"
 	"mpress/internal/fabric"
 	"mpress/internal/graph"
 	"mpress/internal/hw"
@@ -15,11 +16,25 @@ import (
 // half its swappable activations routed D2D and half to host memory,
 // runs about twice the events in the second lowering; its allocation
 // count may differ only by a small constant (slice growth, map buckets),
-// so no event allocates — no closure, no per-op record.
+// so no event allocates — no closure, no per-op record. The data-parallel
+// case runs the job as one of two replicas, so every minibatch adds
+// gradient all-reduces whose ring steps are events too.
 func TestEventLoopAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	for _, tc := range []struct {
+		name string
+		dp   *DPSpec
+	}{
+		{"single-node", nil},
+		{"data-parallel", &DPSpec{Cluster: cluster.MustNew(2, hw.DGX2(), cluster.InfiniBand4x100()), Buckets: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testAllocsFlat(t, tc.dp) })
+	}
+}
+
+func testAllocsFlat(t *testing.T, dp *DPSpec) {
 	type run struct {
 		events int64
 		allocs float64
@@ -53,13 +68,16 @@ func TestEventLoopAllocsFlat(t *testing.T) {
 				}
 			}
 		}
-		o := Options{Topo: hw.DGX2(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes}
+		o := Options{Topo: hw.DGX2(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes, DataParallel: dp}
 		r, err := Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.OOM != nil || len(routes) == 0 {
 			t.Fatalf("degenerate run: OOM %v, %d routes", r.OOM, len(routes))
+		}
+		if dp != nil && r.NICBytes == 0 {
+			t.Fatalf("data-parallel run sent nothing over the NICs (%d all-reduces)", r.AllReduces)
 		}
 		return run{r.Events, testing.AllocsPerRun(20, func() {
 			if _, err := Run(o); err != nil {

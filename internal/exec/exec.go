@@ -72,13 +72,10 @@ type Options struct {
 	// memory. Without it, duplicate mapping entries are rejected.
 	AllowSharedDevices bool
 	// Ctx, when non-nil, cancels the run: the event loop polls
-	// ctx.Err() every InterruptEvery events (default a few thousand)
-	// and Run returns ctx's error instead of a result, so a cancelled
-	// sweep stops mid-simulation instead of finishing a 200M-event run.
+	// ctx.Err() at the simulator's stride (every 8,192 events) and Run
+	// returns ctx's error instead of a result, so a cancelled sweep
+	// stops mid-simulation instead of finishing a 200M-event run.
 	Ctx context.Context
-	// InterruptEvery overrides the cancellation polling stride; zero
-	// keeps the simulator's default.
-	InterruptEvery int64
 	// Checkpoint, when non-nil, snapshots every stage's weights and
 	// optimizer state to the host/NVMe tier at minibatch boundaries,
 	// at least Every apart (internal/ckpt picks the interval). The
@@ -92,23 +89,27 @@ type Options struct {
 	// per-operator tensor-parallel all-reduces to its compute ops and
 	// accounts their NVLink traffic in Result.TPAllReduceBytes.
 	TP *TPSpec
-	// GradSync, when non-nil, joins this run to its data-parallel
-	// replicas (internal/cluster): called once at setup with the run's
-	// clock, it returns the synchronizer invoked whenever a stage's
-	// gradients for one minibatch become final (the stage's last
-	// backward of that minibatch completes). The stage's
-	// optimizer-step operators for that minibatch are held until the
-	// synchronizer signals completion, so gradient all-reduce overlaps
-	// the remaining backward compute and delays only the dependent
-	// optimizer step.
-	GradSync func(s *sim.Sim) GradSyncFn
+	// DataParallel, when non-nil, joins this run to its data-parallel
+	// replicas and synchronizes their gradients (see DPSpec).
+	DataParallel *DPSpec
 }
 
-// GradSyncFn models one data-parallel gradient synchronization: it is
-// invoked at the simulated time stage's accumulated gradients for
-// minibatch become final, and must invoke done exactly once at the
-// synchronization's simulated completion time (possibly immediately).
-type GradSyncFn func(stage, minibatch int, bytes units.Bytes, done func())
+// DPSpec joins a run to its data-parallel replicas, one per node of
+// Cluster. By symmetry every node runs this same replica, so one
+// executor plus node 0's NIC model (cluster.Net, on the run's clock)
+// reproduces the cluster's timing. Whenever a stage's gradients for
+// one minibatch become final (the stage's last backward of that
+// minibatch completes), a ring all-reduce of the stage's gradients
+// starts. The stage's optimizer-step operators for that minibatch are
+// held until it completes, so gradient all-reduce overlaps the
+// remaining backward compute and delays only the dependent optimizer
+// step.
+type DPSpec struct {
+	Cluster *cluster.Cluster
+	// Buckets is the number of pipelined buckets each all-reduce splits
+	// into (values below 1 mean one).
+	Buckets int
+}
 
 // MemSample is one point of the memory-over-time curve.
 type MemSample struct {
@@ -153,6 +154,11 @@ type Result struct {
 	// MemorySamples is the Fig. 1 memory-over-time series (only when
 	// Options.SampleMemory is set).
 	MemorySamples []MemSample
+	// AllReduces counts the gradient all-reduces the run started
+	// (Options.DataParallel), and NICBytes is one node's inter-node
+	// egress traffic.
+	AllReduces int64
+	NICBytes   units.Bytes
 	// Checkpoints lists completed snapshots (Options.Checkpoint), and
 	// CheckpointBytes their cumulative payload.
 	Checkpoints     []Checkpoint
@@ -211,12 +217,12 @@ type engine struct {
 	samples      []MemSample
 	rate         units.FLOPSRate
 
-	// Gradient-synchronization state (only when Options.GradSync set):
-	// bwOf maps each backward op to its slot, bwLeft[s][q] counts stage
-	// s's outstanding backward ops for minibatch q, and gradBytes[s] is
-	// the stage's persistent gradient footprint (the all-reduce
-	// payload).
-	sync      GradSyncFn
+	// Gradient-synchronization state (only with Options.DataParallel):
+	// net runs the all-reduces, bwOf maps each backward op to its slot,
+	// bwLeft[s][q] counts stage s's outstanding backward ops for
+	// minibatch q, and gradBytes[s] is the stage's persistent gradient
+	// footprint (the all-reduce payload).
+	net       *cluster.Net
 	bwOf      map[graph.OpID]pipeline.SlotKey
 	bwLeft    [][]int
 	gradBytes []units.Bytes
@@ -241,8 +247,9 @@ type engine struct {
 //
 // The event loop is closure-free: every op that takes simulated time
 // books its resource and posts one typed completion event (see handle),
-// so running an op allocates nothing. Closures remain only for the
-// fault, checkpoint-drain and gradient-sync events, a few per run.
+// so running an op allocates nothing. The injected fault, checkpoint
+// drains and the gradient all-reduce's ring steps are typed events
+// too.
 func Run(o Options) (*Result, error) {
 	if o.Topo == nil || o.Built == nil {
 		return nil, fmt.Errorf("exec: Topo and Built are required")
@@ -298,10 +305,9 @@ func Run(o Options) (*Result, error) {
 
 	if ctx := o.Ctx; ctx != nil {
 		e.sim.Interrupt = func() bool { return ctx.Err() != nil }
-		e.sim.InterruptEvery = o.InterruptEvery
 	}
-	if o.GradSync != nil {
-		e.sync = o.GradSync(e.sim)
+	if dp := o.DataParallel; dp != nil {
+		e.net = cluster.NewNet(e.sim, dp.Cluster, dp.Buckets, evRingStep)
 	}
 
 	if err := e.init(); err != nil {
@@ -438,7 +444,7 @@ func (e *engine) init() error {
 	for i := range e.preds {
 		e.preds[i] = len(e.g.Preds(graph.OpID(i)))
 	}
-	if e.sync != nil {
+	if e.net != nil {
 		// Gate every optimizer-step op behind its minibatch's gradient
 		// synchronization: one extra pseudo-dependency, released by
 		// syncDone when the all-reduce completes.
@@ -610,10 +616,11 @@ func (e *engine) start() {
 	}
 }
 
-// The kinds of the typed events the engine posts. Arg is always an op
-// ID. evDispatch starts the op; every other kind is the completion of
-// an op dispatched at Start, and handle finishes it at the event's time
-// after the kind's own residency change.
+// The kinds of the typed events the engine posts. Up to evSwapInHost,
+// Arg is an op ID: evDispatch starts the op, and every other such kind
+// is the completion of an op dispatched at Start, which handle finishes
+// at the event's time after the kind's own residency change. The last
+// three kinds carry no op.
 const (
 	evDispatch uint8 = iota
 	// evComplete: a compute op, a transfer, or any op with no residency
@@ -631,6 +638,14 @@ const (
 	evSwapInPeers
 	evSwapInNVMe
 	evSwapInHost
+	// evRingStep: a step of a gradient all-reduce's ring landed; Arg
+	// is the Net's, and handle passes the event to cluster.Net.Handle.
+	evRingStep
+	// evFail: the injected fault (Options.FailAt) fires.
+	evFail
+	// evDrained: the snapshot taken at minibatch Arg's boundary, which
+	// started at Start, is durable.
+	evDrained
 )
 
 // post schedules op id's completion event of the given kind at end.
@@ -641,8 +656,20 @@ func (e *engine) post(kind uint8, id graph.OpID, start, end sim.Time) {
 // handle runs one typed event (Sim.Handle).
 func (e *engine) handle(ev sim.Event) {
 	id := graph.OpID(ev.Arg)
-	if ev.Kind == evDispatch {
+	switch ev.Kind {
+	case evDispatch:
 		e.dispatch(id)
+		return
+	case evRingStep:
+		if token, done := e.net.Handle(ev); done {
+			e.syncDone(token)
+		}
+		return
+	case evFail:
+		e.failNow()
+		return
+	case evDrained:
+		e.drained(int(ev.Arg), ev.Start)
 		return
 	}
 	op := e.g.Op(id)
@@ -921,13 +948,16 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 			e.dispatch(s)
 		}
 	}
-	if e.sync != nil {
+	if e.net != nil {
 		if key, ok := e.bwOf[id]; ok {
 			q := key.Microbatch / e.o.Built.Cfg.Microbatches
 			e.bwLeft[key.Stage][q]--
 			if e.bwLeft[key.Stage][q] == 0 {
-				s := key.Stage
-				e.sync(s, q, e.gradBytes[s], func() { e.syncDone(s, q) })
+				// The all-reduce's token is its (stage, minibatch).
+				token := int32(key.Stage*e.o.Built.Cfg.Minibatches + q)
+				if e.net.AllReduce(token, e.gradBytes[key.Stage]) {
+					e.syncDone(token)
+				}
 			}
 		}
 	}
@@ -941,10 +971,12 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 	}
 }
 
-// syncDone releases one (stage, minibatch)'s optimizer-step ops once
-// their gradients have been synchronized across replicas.
-func (e *engine) syncDone(stage, minibatch int) {
-	for _, id := range e.o.Built.OptOps[stage][minibatch] {
+// syncDone releases the optimizer-step ops of the (stage, minibatch)
+// that token names once their gradients have been synchronized across
+// replicas.
+func (e *engine) syncDone(token int32) {
+	m := int32(e.o.Built.Cfg.Minibatches)
+	for _, id := range e.o.Built.OptOps[token/m][token%m] {
 		e.preds[id]--
 		if e.preds[id] == 0 {
 			e.dispatch(id)
@@ -977,6 +1009,10 @@ func (e *engine) result() *Result {
 		r.GPUs = append(r.GPUs, d.Stats())
 	}
 	r.TPAllReduceBytes = e.tpBytes
+	if e.net != nil {
+		st := e.net.Stats()
+		r.AllReduces, r.NICBytes = st.AllReduces, st.EgressBytes
+	}
 	r.Host = e.host.Stats()
 	r.NVMe = e.nvme.Stats()
 	r.Fabric = e.fab.Stats()

@@ -99,7 +99,7 @@ func (e *engine) initResilience() error {
 		return fmt.Errorf("exec: negative FailAt %v", e.o.FailAt)
 	}
 	if e.o.FailAt > 0 {
-		e.sim.At(e.o.FailAt, e.failNow)
+		e.sim.Post(e.o.FailAt, sim.Event{Kind: evFail})
 	}
 	return nil
 }
@@ -150,17 +150,24 @@ func (e *engine) boundary(q int) {
 			end = e2
 		}
 	}
-	e.sim.At(end, func() {
-		if c.retained > 0 {
-			c.tier.Release(c.retained)
-		}
-		c.retained = c.total
-		c.records = append(c.records, Checkpoint{Start: now, End: end, Bytes: c.total, Minibatch: q})
-		if end > e.lastEnd {
-			e.lastEnd = end
-		}
-		e.releaseOptGate(q + 1)
-	})
+	e.sim.Post(end, sim.Event{Kind: evDrained, Arg: int32(q), Start: now})
+}
+
+// drained runs when the snapshot taken at minibatch q's boundary, which
+// started at start, is durable: it replaces the previous snapshot and
+// releases minibatch q+1's optimizer steps.
+func (e *engine) drained(q int, start sim.Time) {
+	c := e.ckpt
+	end := e.sim.Now()
+	if c.retained > 0 {
+		c.tier.Release(c.retained)
+	}
+	c.retained = c.total
+	c.records = append(c.records, Checkpoint{Start: start, End: end, Bytes: c.total, Minibatch: q})
+	if end > e.lastEnd {
+		e.lastEnd = end
+	}
+	e.releaseOptGate(q + 1)
 }
 
 // releaseOptGate drops the checkpoint gate from every stage's

@@ -16,16 +16,6 @@ func init() {
 	})
 }
 
-// searchObserver, when set, receives every preset's search result —
-// mpress-bench uses it to emit BENCH_search.json records (nodes
-// expanded, pruned, memo hits, search wall time).
-var searchObserver func(preset string, r *mpress.SearchResult)
-
-// SetSearchObserver registers fn to be called with each auto-search
-// the autosearch experiment completes. Call it before running
-// experiments, not concurrently with them; nil unregisters.
-func SetSearchObserver(fn func(preset string, r *mpress.SearchResult)) { searchObserver = fn }
-
 // autosearchSpace is the per-preset strategy space: every hand-preset
 // system at the preset's own stage count and partition. Each candidate
 // is therefore exactly one hand preset, so the searched winner beating
@@ -52,9 +42,6 @@ func Autosearch(w io.Writer) error {
 			mpress.SearchOptions{Runner: sharedRunner})
 		if err != nil {
 			return fmt.Errorf("autosearch %s: %w", p.Name, err)
-		}
-		if searchObserver != nil {
-			searchObserver(p.Name, res)
 		}
 		best := res.Best()
 		if best == nil {

@@ -47,7 +47,7 @@ func capacitySpec() *capacity.Spec {
 // reasons).
 func Capacity(w io.Writer) error {
 	res, err := capacity.Evaluate(context.Background(), capacitySpec(),
-		capacity.Options{Workers: parallelism, OnJobDone: observer})
+		capacity.Options{Workers: parallelism})
 	if err != nil {
 		return err
 	}

@@ -34,24 +34,11 @@ func register(e Experiment) { registry = append(registry, e) }
 // share, so e.g. fig7 and table4 reuse each other's Bert plans.
 var (
 	parallelism  int
-	observer     func(mpress.JobResult)
 	sharedRunner = newSharedRunner()
 )
 
 func newSharedRunner() *mpress.Runner {
-	return mpress.NewRunner(mpress.RunnerOptions{
-		Workers:   parallelism,
-		OnJobDone: notifyObserver,
-	})
-}
-
-// notifyObserver forwards a completed job to the registered observer.
-// Runners built outside the shared pool (trainWith) hang their
-// OnJobDone off this so -perf records cover their jobs too.
-func notifyObserver(jr mpress.JobResult) {
-	if observer != nil {
-		observer(jr)
-	}
+	return mpress.NewRunner(mpress.RunnerOptions{Workers: parallelism})
 }
 
 // SetParallelism rebuilds the shared runner with n workers (n <= 0
@@ -61,13 +48,6 @@ func SetParallelism(n int) {
 	parallelism = n
 	sharedRunner = newSharedRunner()
 }
-
-// SetObserver registers fn to be called with every job the shared
-// runner completes (from worker goroutines — fn must be safe for
-// concurrent use). mpress-bench uses it to emit per-job perf records.
-// Call it before running experiments, not concurrently with them; nil
-// unregisters.
-func SetObserver(fn func(mpress.JobResult)) { observer = fn }
 
 // Stats exposes the shared runner's counters (jobs, plan-cache
 // hits/misses) for the CLI's summary line.

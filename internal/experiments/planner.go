@@ -21,8 +21,8 @@ func init() {
 // refinement loop does real work (the initial assignment overflows and
 // the planner must arbitrate D2D/recompute conversions by emulation).
 // The root-level BenchmarkRefine and the parallel-planner determinism
-// test run exactly these presets, so benchmark names, BENCH_planner
-// records and acceptance coverage all refer to the same points.
+// test run exactly these presets, so benchmark names and acceptance
+// coverage refer to the same points.
 type PlannerPreset struct {
 	Name string
 	Cfg  mpress.Config
@@ -68,25 +68,16 @@ func PlannerPresets() []PlannerPreset {
 // plannerWorkerPoints is the PlanWorkers axis the experiment sweeps.
 var plannerWorkerPoints = []int{1, 4}
 
-// trainWith runs one job on a fresh single-worker runner built from
-// opts (Workers and OnJobDone are overridden). Isolation means the
-// plan stage is timed cold — the shared runner's plan cache keys plans
-// by config fingerprint, so reusing it would hand every point after
-// the first a cached plan and time nothing. The observer still sees
-// the job, so -perf records include these points.
-func trainWith(cfg mpress.Config, opts mpress.RunnerOptions) mpress.JobResult {
+// trainIsolated runs one job on a fresh single-worker runner.
+// Isolation means the plan stage is timed cold — the shared runner's
+// plan cache keys plans by config fingerprint, so reusing it would
+// hand every point after the first a cached plan and time nothing.
+func trainIsolated(cfg mpress.Config) mpress.JobResult {
 	j, err := mpress.NewJob(cfg)
 	if err != nil {
 		return mpress.JobResult{Err: err}
 	}
-	opts.Workers = 1
-	opts.OnJobDone = notifyObserver
-	return mpress.NewRunner(opts).Run(context.Background(), j)
-}
-
-// trainIsolated is trainWith at default runner options.
-func trainIsolated(cfg mpress.Config) mpress.JobResult {
-	return trainWith(cfg, mpress.RunnerOptions{})
+	return mpress.NewRunner(mpress.RunnerOptions{Workers: 1}).Run(context.Background(), j)
 }
 
 // Planner measures the refinement loop itself: for each preset and

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"mpress/internal/chaos"
+	"mpress/internal/ckpt"
 	"mpress/internal/cluster"
 	"mpress/internal/hw"
 )
@@ -160,5 +162,34 @@ func TestClusterConfigErrors(t *testing.T) {
 	cfg.AllReduceBuckets = -1
 	if _, err := NewJob(cfg); err == nil {
 		t.Error("negative bucket count validated")
+	}
+}
+
+// TestClusterResilientReportsIdealTraffic: a resilient multi-node job
+// reports the inter-node traffic of its fault-free run, like every
+// other traffic field — one all-reduce per (stage, minibatch) — not
+// that of a replay segment a fault cut short.
+func TestClusterResilientReportsIdealTraffic(t *testing.T) {
+	cfg := clusterCfg(t, 2, cluster.InfiniBand4x100(), SystemPlain)
+	cfg.MicrobatchSize = 2
+	ideal := idealRun(t, cfg)
+	base, built := ideal.Report, ideal.State.Built
+	if want := int64(built.NumStages() * built.Cfg.Minibatches); base.AllReduces != want || base.NICBytes <= 0 {
+		t.Fatalf("fault-free run: %d all-reduces, %v NIC bytes; want %d all-reduces", base.AllReduces, base.NICBytes, want)
+	}
+	cfg.Faults = &chaos.Config{Script: []chaos.Fault{
+		{Kind: chaos.GPUFail, At: base.Duration / 3, GPU: 3},
+	}}
+	cfg.Checkpoint = &ckpt.Policy{Interval: base.Duration / 10}
+	rep, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OOM != nil || rep.Failures != 1 {
+		t.Fatalf("resilient run: OOM %v, %d failures; want one recovered failure", rep.OOM, rep.Failures)
+	}
+	if rep.AllReduces != base.AllReduces || rep.NICBytes != base.NICBytes {
+		t.Errorf("resilient run reports %d all-reduces and %v NIC bytes, its fault-free run %d and %v",
+			rep.AllReduces, rep.NICBytes, base.AllReduces, base.NICBytes)
 	}
 }

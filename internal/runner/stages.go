@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"strings"
 
-	"mpress/internal/cluster"
 	"mpress/internal/exec"
 	"mpress/internal/grid"
 	"mpress/internal/hw"
 	"mpress/internal/mapping"
 	"mpress/internal/pipeline"
 	"mpress/internal/plan"
-	"mpress/internal/sim"
 	"mpress/internal/trace"
 	"mpress/internal/units"
 	"mpress/internal/zero"
@@ -53,10 +51,6 @@ type State struct {
 	ExecOpts *exec.Options
 	Exec     *exec.Result
 	Report   *Report
-	// Net is the inter-node fabric instance of a multi-node run,
-	// attached to the executor's clock by the Apply stage (nil for
-	// single-server jobs).
-	Net *cluster.Net
 	// Timeline is the merged wall-clock trace of a resilient run
 	// (after Resilience; nil otherwise), and Resil its accounting.
 	Timeline *trace.Timeline
@@ -304,15 +298,9 @@ func stageApply(ctx context.Context, st *State) error {
 		}
 	}
 	if c.Replicas() > 1 {
-		// Hybrid parallelism: by symmetry every node runs this same
-		// replica, so one executor plus node 0's NIC model reproduces
-		// the cluster's timing. The fabric shares the run's clock and
-		// gates each stage's optimizer step on its gradient all-reduce.
-		st.ExecOpts.GradSync = func(s *sim.Sim) exec.GradSyncFn {
-			net := cluster.NewNet(s, c.Cluster)
-			st.Net = net
-			return net.AllReduce(c.AllReduceBuckets)
-		}
+		// Hybrid parallelism: each stage's optimizer step waits for
+		// its gradient all-reduce across the cluster's replicas.
+		st.ExecOpts.DataParallel = &exec.DPSpec{Cluster: c.Cluster, Buckets: c.AllReduceBuckets}
 	}
 	return nil
 }
@@ -329,7 +317,7 @@ func stageExecute(ctx context.Context, st *State) error {
 }
 
 func stageReport(ctx context.Context, st *State) error {
-	st.Report = reportFrom(st.Job.Config, st.Exec, st.Plan, st.Mapping, st.Net)
+	st.Report = reportFrom(st.Job.Config, st.Exec, st.Plan, st.Mapping)
 	if sum := st.Resil; sum != nil {
 		mergeResilience(st.Report, st.Exec, sum)
 	}
@@ -420,7 +408,7 @@ func stageZeRO(ctx context.Context, st *State) error {
 // equals its representative's, and the TP collectives' own traffic
 // (already a group total) is added on top. T = 1 reproduces the
 // pre-grid report bit for bit.
-func reportFrom(c Config, res *exec.Result, pl *plan.Plan, m []hw.DeviceID, net *cluster.Net) *Report {
+func reportFrom(c Config, res *exec.Result, pl *plan.Plan, m []hw.DeviceID) *Report {
 	rep := &Report{Config: c, OOM: res.OOM, Plan: pl, Mapping: m, Replicas: c.Replicas()}
 	rep.SimEvents = res.Events
 	rep.TPDegree = c.TPDegree
@@ -441,11 +429,8 @@ func reportFrom(c Config, res *exec.Result, pl *plan.Plan, m []hw.DeviceID, net 
 				rep.PerGPUPeak = append(rep.PerGPUPeak, g.Peak)
 			}
 		}
-		if net != nil {
-			st := net.Stats()
-			rep.NICBytes = st.EgressBytes
-			rep.AllReduces = st.AllReduces
-		}
+		rep.NICBytes = res.NICBytes
+		rep.AllReduces = res.AllReduces
 	}
 	return rep
 }

@@ -6,18 +6,17 @@ import (
 )
 
 // TestInterruptCountsOnlyExecuted pins the interrupt-accounting fix:
-// Executed() counts exactly the events whose closures ran. The poll
+// Executed() counts exactly the events handed to Handle. The poll
 // happens before the pop, so the event that would have run in the
 // interrupting iteration stays queued and uncounted.
 func TestInterruptCountsOnlyExecuted(t *testing.T) {
 	s := New()
 	ran := 0
-	var next func()
-	next = func() {
+	s.Handle = func(ev Event) {
 		ran++
-		s.After(1, next)
+		s.Post(s.Now()+1, ev)
 	}
-	s.At(0, next)
+	s.Post(0, Event{})
 	s.InterruptEvery = 10
 	polls := 0
 	s.Interrupt = func() bool {
@@ -29,7 +28,7 @@ func TestInterruptCountsOnlyExecuted(t *testing.T) {
 		t.Fatal("Interrupted not set")
 	}
 	if int64(ran) != s.Executed() {
-		t.Fatalf("Executed() = %d but %d closures ran", s.Executed(), ran)
+		t.Fatalf("Executed() = %d but %d events ran", s.Executed(), ran)
 	}
 	if want := int64(30); s.Executed() != want {
 		t.Fatalf("Executed() = %d, want %d (3 polls at stride 10)", s.Executed(), want)

@@ -8,8 +8,9 @@ import (
 
 func TestExecutedCounter(t *testing.T) {
 	s := New()
+	s.Handle = func(Event) {}
 	for i := 0; i < 5; i++ {
-		s.At(Time(i), func() {})
+		s.Post(Time(i), Event{})
 	}
 	s.Run()
 	if s.Executed() != 5 {
@@ -19,11 +20,12 @@ func TestExecutedCounter(t *testing.T) {
 
 func TestRunTwice(t *testing.T) {
 	s := New()
-	var order []int
-	s.At(1, func() { order = append(order, 1) })
+	var order []int32
+	recordArgs(s, &order)
+	s.Post(1, Event{Arg: 1})
 	s.Run()
 	// New events after a completed run continue from the final time.
-	s.At(5, func() { order = append(order, 2) })
+	s.Post(5, Event{Arg: 2})
 	end := s.Run()
 	if end != 5 || len(order) != 2 {
 		t.Errorf("end = %v, order = %v", end, order)
@@ -34,16 +36,21 @@ func TestQueueZeroDuration(t *testing.T) {
 	s := New()
 	q := NewQueue(s, "q")
 	var done bool
-	s.At(3, func() {
+	s.Handle = func(ev Event) {
+		if ev.Kind == 1 {
+			done = true
+			return
+		}
 		start, end := q.Book(0)
 		if start != 3 || end != 3 {
 			t.Errorf("zero-duration span %v..%v", start, end)
 		}
-		s.At(end, func() { done = true })
-	})
+		s.Post(end, Event{Kind: 1})
+	}
+	s.Post(3, Event{})
 	s.Run()
 	if !done {
-		t.Error("callback never ran")
+		t.Error("completion event never ran")
 	}
 	if q.Name() != "q" {
 		t.Error("queue name lost")

@@ -2,18 +2,16 @@ package sim
 
 import "testing"
 
-// chain schedules n self-perpetuating events so Run has work to poll
-// the interrupt hook against.
+// chain posts n self-perpetuating events so Run has work to poll the
+// interrupt hook against: each event's Arg counts the events left, and
+// it posts the next one a tick later.
 func chain(s *Sim, n int) {
-	var step func()
-	left := n
-	step = func() {
-		left--
-		if left > 0 {
-			s.After(1, step)
+	s.Handle = func(ev Event) {
+		if ev.Arg > 1 {
+			s.Post(s.Now()+1, Event{Arg: ev.Arg - 1})
 		}
 	}
-	s.After(1, step)
+	s.Post(s.Now()+1, Event{Arg: int32(n)})
 }
 
 func TestInterruptStopsRun(t *testing.T) {

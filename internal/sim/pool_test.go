@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"mpress/internal/units"
@@ -15,15 +13,18 @@ import (
 func kernelWorkload(s *Sim) Time {
 	q := NewQueue(s, "compute")
 	l := NewLaneSet(s, "nvlink", 4)
-	s.Handle = func(Event) {
+	// Kind 0 books task Arg on the queue; kind 1, its completion,
+	// reserves a striped transfer.
+	s.Handle = func(ev Event) {
+		if ev.Kind == 0 {
+			_, end := q.Book(units.Duration(10 + ev.Arg))
+			s.Post(end, Event{Kind: 1, Arg: ev.Arg})
+			return
+		}
 		l.ReserveStriped(units.Bytes(1<<20), 2, units.GBps(50), units.Microsecond)
 	}
 	for i := 0; i < 32; i++ {
-		d := units.Duration(10 + i)
-		s.At(units.Duration(i), func() {
-			_, end := q.Book(d)
-			s.Post(end, Event{Arg: int32(i)})
-		})
+		s.Post(units.Duration(i), Event{Arg: int32(i)})
 	}
 	return s.Run()
 }
@@ -49,9 +50,14 @@ func TestResetClearsPendingAndFlags(t *testing.T) {
 	s.MaxEvents = 5
 	s.InterruptEvery = 1
 	s.Interrupt = func() bool { return false }
-	s.Handle = func(Event) {}
-	s.At(1, func() { s.Stop() })
-	s.At(2, func() { t.Fatal("event after Stop ran") })
+	s.Handle = func(ev Event) {
+		if ev.Arg == 2 {
+			t.Fatal("event after Stop ran")
+		}
+		s.Stop()
+	}
+	s.Post(1, Event{Arg: 1})
+	s.Post(2, Event{Arg: 2})
 	s.Run()
 	if s.Pending() == 0 {
 		t.Fatal("expected a leftover queued event")
@@ -115,76 +121,5 @@ func TestTimelineArenaRecycles(t *testing.T) {
 	c.lanes[3] = 99
 	if d.lanes[0] == 99 {
 		t.Fatal("adjacent timelines share storage")
-	}
-}
-
-// benchHorizon drives a steady-state event churn: `pending` events stay
-// queued while `churn` additional events flow through, with inter-event
-// gaps drawn from one horizon regime. It reports the kernel's own
-// events/sec.
-func benchHorizon(b *testing.B, pending, churn int, maxGap int64) {
-	b.ReportAllocs()
-	total := int64(pending + churn)
-	for i := 0; i < b.N; i++ {
-		s := Get()
-		rng := rand.New(rand.NewSource(42))
-		remaining := churn
-		var fn func()
-		fn = func() {
-			if remaining > 0 {
-				remaining--
-				s.After(Time(1+rng.Int63n(maxGap)), fn)
-			}
-		}
-		for j := 0; j < pending; j++ {
-			s.At(Time(1+rng.Int63n(maxGap)), fn)
-		}
-		s.Run()
-		if got := s.Executed(); got != total {
-			b.Fatalf("executed %d events, want %d", got, total)
-		}
-		Put(s)
-	}
-	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// horizonRegimes are the gap distributions the horizon grid runs:
-// dense is µs-scale gaps (the executor's regime), burst packs hundreds
-// of events per nanosecond tick, sparse spreads events over seconds.
-var horizonRegimes = []struct {
-	name   string
-	maxGap int64
-}{
-	{"dense", 4096},
-	{"burst", 256},
-	{"sparse", 1 << 32},
-}
-
-// BenchmarkSimKernel measures the kernel hot path. The pooled/fresh
-// pair pins steady-state allocations (event store and lane timelines
-// are recycled, so allocs/op stays at the workload's own closures); the
-// horizon grid reports the heap's events/sec on each gap regime at 1k
-// and 100k pending events.
-func BenchmarkSimKernel(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := Get()
-			kernelWorkload(s)
-			Put(s)
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			kernelWorkload(New())
-		}
-	})
-	for _, hz := range horizonRegimes {
-		for _, pending := range []int{1_000, 100_000} {
-			b.Run(fmt.Sprintf("%s-%dk", hz.name, pending/1000), func(b *testing.B) {
-				benchHorizon(b, pending, 100_000, hz.maxGap)
-			})
-		}
 	}
 }

@@ -47,7 +47,7 @@ func TestSchedOrderingEquivalence(t *testing.T) {
 		var ref, batch []event
 		pops := 0
 		pop := func() {
-			at, key, _, _, ok := q.pop()
+			at, key, _, ok := q.pop()
 			if len(batch) > 0 {
 				sort.SliceStable(batch, func(i, j int) bool { return batch[i].less(batch[j]) })
 				merged := make([]event, 0, len(ref)+len(batch))
@@ -77,7 +77,7 @@ func TestSchedOrderingEquivalence(t *testing.T) {
 			if rng.Intn(10) < 6 {
 				at := randomAt(rng)
 				key++
-				q.push(at, key, nil, Event{})
+				q.push(at, key, Event{})
 				batch = append(batch, event{at, key})
 			} else {
 				pop()
@@ -94,35 +94,27 @@ func TestSchedOrderingEquivalence(t *testing.T) {
 
 // TestSimSchedulerEquivalence checks the same order at Sim level:
 // events scheduled up front and from inside running events (never
-// before Now), half as closures (At) and half as typed events (Post),
-// must run in (time, scheduling order) — the sorted order of
-// everything scheduled.
+// before Now) must run in (time, scheduling order) — the sorted order
+// of everything posted.
 func TestSimSchedulerEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		var scheduled, ran []event
 		var n int64
-		var schedule func(at Time)
-		run := func(ev event) {
-			ran = append(ran, ev)
+		schedule := func(at Time) {
+			n++
+			scheduled = append(scheduled, event{at, n})
+			s.Post(at, Event{Arg: int32(len(scheduled) - 1)})
+		}
+		s.Handle = func(ev Event) {
+			ran = append(ran, scheduled[ev.Arg])
 			if len(scheduled) < 20000 {
 				for i := rng.Intn(4); i > 0; i-- {
 					// Capped so chained sparse delays cannot overflow.
 					schedule(s.Now() + randomAt(rng)%(1<<40))
 				}
 			}
-		}
-		s.Handle = func(ev Event) { run(scheduled[ev.Arg]) }
-		schedule = func(at Time) {
-			n++
-			ev := event{at, n}
-			scheduled = append(scheduled, ev)
-			if n%2 == 0 {
-				s.Post(at, Event{Arg: int32(len(scheduled) - 1)})
-				return
-			}
-			s.At(at, func() { run(ev) })
 		}
 		for i := 0; i < 64; i++ {
 			schedule(randomAt(rng))

@@ -8,13 +8,15 @@
 // and tests can assert exact values.
 //
 // The event store (sched.go) is a binary heap over struct-of-arrays
-// event slots, ordered by (time, seq). An event is either a closure
-// (At) or a small typed value (Post) that Run hands to the Sim's one
-// Handle function; the hot caller, the executor, posts typed events
-// only, so its event loop allocates nothing per event. Resources book
-// time and schedule nothing: Queue.Book and the LaneSet reservations
-// return a (start, end) window and the caller posts its own
-// completion. ReserveJoint books a transfer striped over joint lane
+// event slots, ordered by (time, seq). Every event is a small typed
+// value (Post) that Run hands to the Sim's one Handle function, so the
+// event loop allocates nothing per event. An owner that shares its Sim
+// with another component (the executor with internal/cluster's ring)
+// assigns that component an event kind and routes those events to it
+// from Handle.
+// Resources book time and schedule nothing: Queue.Book and the LaneSet
+// reservations return a (start, end) window and the caller posts its
+// own completion. ReserveJoint books a transfer striped over joint lane
 // pairs (a switched fabric's egress and ingress lanes) with one sort
 // of each set instead of a scan per stripe.
 //
@@ -38,7 +40,7 @@ type Time = units.Duration
 
 // Event is a typed event: what happens (Kind) to which object (Arg) and
 // one carried time (Start), all owned by the Sim's Handle. Posting one
-// allocates nothing, unlike a closure passed to At.
+// allocates nothing.
 type Event struct {
 	Kind  uint8
 	Arg   int32
@@ -52,7 +54,7 @@ type Sim struct {
 	seq     int64
 	q       sched
 	stopped bool
-	// executed counts events whose closures actually ran, exposed for
+	// executed counts events handed to Handle, exposed for
 	// tests and for the runaway-guard in Run. An event popped in the
 	// iteration where Interrupt fires is not counted: the poll happens
 	// before the pop.
@@ -79,8 +81,8 @@ type Sim struct {
 	// Interrupted reports whether the last Run was halted by the
 	// Interrupt hook (as opposed to draining its events or Stop).
 	Interrupted bool
-	// Handle receives every event scheduled with Post, at its time. It
-	// must be set before Run pops the first such event.
+	// Handle receives every posted event, at its time. It must be set
+	// before Run pops the first one.
 	Handle func(Event)
 }
 
@@ -109,8 +111,8 @@ func Put(s *Sim) {
 
 // Reset returns s to its pristine post-New state while keeping the
 // event store's and timeline arena's capacity, so a recycled Sim runs
-// without reallocating either. Queued closures and Handle are zeroed to
-// keep them collectable: a pooled Sim holds on to no caller state.
+// without reallocating either. Handle and Interrupt are zeroed to keep
+// them collectable: a pooled Sim holds on to no caller state.
 func (s *Sim) Reset() {
 	s.q.reset()
 	s.arenaUsed = 0
@@ -153,36 +155,15 @@ func (s *Sim) Now() Time { return s.now }
 // Executed returns the number of events that have run.
 func (s *Sim) Executed() int64 { return s.executed }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// (t < Now) panics: it always indicates a modelling bug.
-func (s *Sim) At(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: At with a nil func")
-	}
-	s.schedule(t, fn, Event{})
-}
-
-// Post schedules ev to be handed to Handle at absolute time t. It takes
-// its place in the (time, seq) order exactly as At does, so the two
-// forms interleave deterministically.
+// Post schedules ev to be handed to Handle at absolute time t. Events
+// run in (time, seq) order: ties go to the one posted first. Posting
+// in the past (t < Now) panics: it always indicates a modelling bug.
 func (s *Sim) Post(t Time, ev Event) {
-	s.schedule(t, nil, ev)
-}
-
-func (s *Sim) schedule(t Time, fn func(), ev Event) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.q.push(t, s.seq, fn, ev)
-}
-
-// After schedules fn to run d after the current time.
-func (s *Sim) After(d units.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	s.At(s.now+d, fn)
+	s.q.push(t, s.seq, ev)
 }
 
 // Stop makes Run return after the current event completes. Pending
@@ -212,17 +193,13 @@ func (s *Sim) Run() Time {
 			s.Interrupted = true
 			break
 		}
-		t, _, fn, ev, _ := s.q.pop()
+		t, _, ev, _ := s.q.pop()
 		s.now = t
 		s.executed++
 		if s.executed > max {
 			panic(fmt.Sprintf("sim: exceeded %d events at t=%v — runaway event loop?", max, s.now))
 		}
-		if fn != nil {
-			fn()
-		} else {
-			s.Handle(ev)
-		}
+		s.Handle(ev)
 	}
 	s.wall += time.Since(t0)
 	return s.now

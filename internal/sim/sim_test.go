@@ -6,17 +6,23 @@ import (
 	"mpress/internal/units"
 )
 
+// recordArgs sets s's Handle to append each event's Arg to *got.
+func recordArgs(s *Sim, got *[]int32) {
+	s.Handle = func(ev Event) { *got = append(*got, ev.Arg) }
+}
+
 func TestEventOrdering(t *testing.T) {
 	s := New()
-	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
+	var got []int32
+	recordArgs(s, &got)
+	s.Post(30, Event{Arg: 3})
+	s.Post(10, Event{Arg: 1})
+	s.Post(20, Event{Arg: 2})
 	end := s.Run()
 	if end != 30 {
 		t.Errorf("end = %v, want 30", end)
 	}
-	want := []int{1, 2, 3}
+	want := []int32{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("execution order %v, want %v", got, want)
@@ -26,12 +32,13 @@ func TestEventOrdering(t *testing.T) {
 
 func TestTieBreakBySubmission(t *testing.T) {
 	s := New()
-	var got []int
-	s.At(5, func() { got = append(got, 1) })
-	s.At(5, func() { got = append(got, 2) })
-	s.At(5, func() { got = append(got, 3) })
+	var got []int32
+	recordArgs(s, &got)
+	s.Post(5, Event{Arg: 1})
+	s.Post(5, Event{Arg: 2})
+	s.Post(5, Event{Arg: 3})
 	s.Run()
-	for i, want := range []int{1, 2, 3} {
+	for i, want := range []int32{1, 2, 3} {
 		if got[i] != want {
 			t.Fatalf("tie order %v", got)
 		}
@@ -41,9 +48,14 @@ func TestTieBreakBySubmission(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := New()
 	var endTimes []Time
-	s.At(10, func() {
-		s.After(5, func() { endTimes = append(endTimes, s.Now()) })
-	})
+	s.Handle = func(ev Event) {
+		if ev.Kind == 0 {
+			s.Post(s.Now()+5, Event{Kind: 1})
+			return
+		}
+		endTimes = append(endTimes, s.Now())
+	}
+	s.Post(10, Event{})
 	s.Run()
 	if len(endTimes) != 1 || endTimes[0] != 15 {
 		t.Errorf("nested event at %v, want [15]", endTimes)
@@ -52,32 +64,29 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, func() {
+	s.Handle = func(Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		s.At(5, func() {})
-	})
+		s.Post(5, Event{})
+	}
+	s.Post(10, Event{})
 	s.Run()
-}
-
-func TestNegativeDelayPanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for negative delay")
-		}
-	}()
-	s.After(-1, func() {})
 }
 
 func TestStop(t *testing.T) {
 	s := New()
 	ran := 0
-	s.At(1, func() { ran++; s.Stop() })
-	s.At(2, func() { ran++ })
+	s.Handle = func(ev Event) {
+		ran++
+		if ev.Arg == 1 {
+			s.Stop()
+		}
+	}
+	s.Post(1, Event{Arg: 1})
+	s.Post(2, Event{Arg: 2})
 	s.Run()
 	if ran != 1 {
 		t.Errorf("ran %d events, want 1", ran)
@@ -90,9 +99,8 @@ func TestStop(t *testing.T) {
 func TestRunawayGuard(t *testing.T) {
 	s := New()
 	s.MaxEvents = 100
-	var loop func()
-	loop = func() { s.After(1, loop) }
-	s.After(0, loop)
+	s.Handle = func(ev Event) { s.Post(s.Now()+1, ev) }
+	s.Post(0, Event{})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected runaway-guard panic")
@@ -106,19 +114,26 @@ func TestQueueSerializes(t *testing.T) {
 	q := NewQueue(s, "compute")
 	type span struct{ start, end Time }
 	var spans []span
-	// Each task's span is recorded by its completion event, so spans
-	// lists completions in the order the kernel ran them.
+	// Kind 0 books Arg's batch of tasks; each task's completion event
+	// (kind 1, carrying its start) records its span, so spans lists
+	// completions in the order the kernel ran them.
 	book := func(dur Time) {
 		start, end := q.Book(dur)
-		s.At(end, func() { spans = append(spans, span{start, end}) })
+		s.Post(end, Event{Kind: 1, Start: start})
 	}
-	s.At(0, func() {
-		book(100)
-		book(50)
-	})
-	s.At(120, func() {
-		book(10)
-	})
+	s.Handle = func(ev Event) {
+		switch {
+		case ev.Kind == 1:
+			spans = append(spans, span{ev.Start, s.Now()})
+		case ev.Arg == 0:
+			book(100)
+			book(50)
+		default:
+			book(10)
+		}
+	}
+	s.Post(0, Event{Arg: 0})
+	s.Post(120, Event{Arg: 1})
 	s.Run()
 	want := []span{{0, 100}, {100, 150}, {150, 160}}
 	if len(spans) != len(want) {
@@ -143,12 +158,13 @@ func TestQueueSerializes(t *testing.T) {
 func TestQueueIdleGap(t *testing.T) {
 	s := New()
 	q := NewQueue(s, "q")
-	var first, second Time
-	s.At(0, func() { first, _ = q.Book(10) })
-	s.At(50, func() { second, _ = q.Book(10) })
+	var starts [2]Time
+	s.Handle = func(ev Event) { starts[ev.Arg], _ = q.Book(10) }
+	s.Post(0, Event{Arg: 0})
+	s.Post(50, Event{Arg: 1})
 	s.Run()
-	if first != 0 || second != 50 {
-		t.Errorf("starts = %v, %v; want 0, 50", first, second)
+	if starts[0] != 0 || starts[1] != 50 {
+		t.Errorf("starts = %v, %v; want 0, 50", starts[0], starts[1])
 	}
 }
 
@@ -252,15 +268,18 @@ func TestDeterminism(t *testing.T) {
 		s := New()
 		q := NewQueue(s, "q")
 		l := NewLaneSet(s, "l", 4)
+		// Kind 0 books a task of Arg-derived length; kind 1, its
+		// completion, reserves a striped transfer.
 		s.Handle = func(ev Event) {
+			if ev.Kind == 0 {
+				_, end := q.Book(units.Duration(ev.Arg)*3 + 1)
+				s.Post(end, Event{Kind: 1, Arg: ev.Arg})
+				return
+			}
 			l.ReserveStriped(units.Bytes(1000*(int(ev.Arg)+1)), 2, units.GBps(5), 2)
 		}
 		for i := 0; i < 20; i++ {
-			d := units.Duration(i * 7 % 13)
-			s.At(Time(i), func() {
-				_, end := q.Book(d*3 + 1)
-				s.Post(end, Event{Arg: int32(d)})
-			})
+			s.Post(Time(i), Event{Arg: int32(i * 7 % 13)})
 		}
 		return s.Run()
 	}
@@ -286,11 +305,12 @@ func TestLaneSetEarliestTies(t *testing.T) {
 	if lane, free := l.earliestLane(), l.NextFree(); lane != 2 || free != 20 {
 		t.Fatalf("after booking lane 1: earliest = lane %d at %v, want lane 2 at 20", lane, free)
 	}
-	s.At(25, func() {
+	s.Handle = func(Event) {
 		if lane, free := l.earliestLane(), l.NextFree(); lane != 2 || free != 25 {
 			t.Errorf("at 25: earliest = lane %d at %v, want lane 2 at 25", lane, free)
 		}
-	})
+	}
+	s.Post(25, Event{})
 	s.Run()
 	if l.Moved() != 8 || l.BusyTime() != 30+20+20+20 {
 		t.Errorf("moved %v, busy %v", l.Moved(), l.BusyTime())
