@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid vet-onepath smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke
+check: fmt vet vet-grid vet-onepath build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -125,5 +125,18 @@ vet-grid:
 		| grep -v '_test\.go' | grep -v '^internal/grid/' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "direct Mapping[...] indexing outside internal/grid (use grid.Placement):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One job path: a plan reaches a graph only through the runner's Apply
+# stage (and the planner's own emulations). Every other driver runs its
+# jobs through internal/runner (Run, RunKeep, RunPlan), so a second
+# Build -> Apply -> Run copy cannot return. benchmark/ is exempt: it
+# times the layers one by one.
+vet-onepath:
+	@out="$$(grep -rn 'plan\.Apply(' --include='*.go' cmd internal examples *.go 2>/dev/null \
+		| grep -v '_test\.go' | grep -v '^internal/runner/' | grep -v '^internal/plan/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "plan.Apply called outside internal/runner and internal/plan (run jobs through runner.Runner):"; \
 		echo "$$out"; exit 1; \
 	fi

@@ -53,7 +53,7 @@ func TestAutoSearchBeatsPresets(t *testing.T) {
 			// pruned cross-check re-decides every candidate without
 			// re-simulating anything.
 			tab := mpress.NewSearchTable()
-			res := autoSearch(t, p.Cfg, mpress.SearchOptions{Workers: 2, FullEnum: true, Table: tab})
+			res := autoSearch(t, p.Cfg, mpress.SearchOptions{Runner: mpress.NewRunner(mpress.RunnerOptions{Workers: 2}), FullEnum: true, Table: tab})
 			best := res.Best()
 			if best == nil {
 				t.Fatal("no feasible strategy among the hand presets")
@@ -69,7 +69,7 @@ func TestAutoSearchBeatsPresets(t *testing.T) {
 				}
 			}
 			// And the pruned search agrees with full enumeration.
-			pruned := autoSearch(t, p.Cfg, mpress.SearchOptions{Workers: 2, Table: tab})
+			pruned := autoSearch(t, p.Cfg, mpress.SearchOptions{Runner: mpress.NewRunner(mpress.RunnerOptions{Workers: 2}), Table: tab})
 			pb := pruned.Best()
 			if pb == nil || pb.Key != best.Key || pb.TimeToFit != best.TimeToFit {
 				t.Errorf("pruned winner %+v differs from full enumeration %+v", pb, best)
@@ -89,7 +89,7 @@ func TestAutoSearchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		t.Run(p.Name, func(t *testing.T) {
 			canonical := func(workers int) []byte {
-				res := autoSearch(t, p.Cfg, mpress.SearchOptions{Workers: workers})
+				res := autoSearch(t, p.Cfg, mpress.SearchOptions{Runner: mpress.NewRunner(mpress.RunnerOptions{Workers: workers})})
 				cp := *res
 				cp.Wall = 0
 				var buf bytes.Buffer

@@ -44,7 +44,7 @@ func runAuto(w io.Writer, base runner.Config, tpFlag, workers int) (*search.Resu
 		sp.Size(base), len(sp.Systems), len(sp.TPDegrees),
 		len(sp.StageCounts), len(sp.Partitions))
 
-	res, err := search.Run(context.Background(), base, sp, search.Options{Workers: workers})
+	res, err := search.Run(context.Background(), base, sp, search.Options{Runner: runner.New(runner.Options{Workers: workers})})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -75,5 +77,87 @@ func TestAutoSpaceFoldsTPFlag(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("tp=4 missing from the axis: %v", sp.TPDegrees)
+	}
+}
+
+// Every system runs through the command on a small job without a
+// panic: the planless ones (plain, ZeRO) say they do not plan instead
+// of printing one. DGX-1 with NVMe gives ZeRO-Infinity its swap tier.
+func TestRunEverySystem(t *testing.T) {
+	for _, sys := range runner.SystemNames() {
+		t.Run(sys, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			code := run([]string{"-model", "bert-0.64B", "-topo", "dgx1-nvme", "-system", sys}, &out, &errOut)
+			if code != 0 && code != 3 {
+				t.Fatalf("exit %d, want 0 or 3; stderr:\n%s", code, errOut.String())
+			}
+			s, err := runner.LookupSystem(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "memory-saving plan:"
+			if !s.Planned() {
+				want = "does not plan"
+			}
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("output missing %q:\n%s", want, out.String())
+			}
+		})
+	}
+}
+
+// Flags a planless system cannot honour fail with a message, before
+// anything runs.
+func TestRunRejectsPlanlessFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-system", "plain", "-save", "p.json"},
+		{"-system", "zero3", "-save", "p.json"},
+		{"-system", "plain", "-load", "p.json"},
+		{"-system", "zero3", "-trace", "t.json"},
+		{"-system", "offload", "-gantt"},
+	} {
+		var out, errOut bytes.Buffer
+		args = append([]string{"-model", "bert-0.64B"}, args...)
+		if code := run(args, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "mpress-plan: ") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 with a message", args, code, errOut.String())
+		}
+	}
+}
+
+// A plan saved by a tensor-parallel run loads back through the runner:
+// the replay prints the same result and writes the same trace bytes.
+func TestSaveLoadRoundTripTP(t *testing.T) {
+	dir := t.TempDir()
+	planFile := filepath.Join(dir, "plan.json")
+	job := []string{"-model", "bert-1.67B", "-tp", "2"}
+	runOK := func(extra ...string) string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := run(append(append([]string{}, job...), extra...), &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d; stderr:\n%s", extra, code, errOut.String())
+		}
+		return out.String()
+	}
+	saved := runOK("-save", planFile, "-trace", filepath.Join(dir, "saved.json"))
+	loaded := runOK("-load", planFile, "-trace", filepath.Join(dir, "loaded.json"))
+	if !strings.Contains(loaded, "loaded plan from") {
+		t.Fatalf("-load did not load:\n%s", loaded)
+	}
+	result := func(out string) string {
+		return out[strings.Index(out, "device mapping"):strings.Index(out, "trace written")]
+	}
+	if a, b := result(saved), result(loaded); a != b {
+		t.Fatalf("replayed result differs:\n--- saved\n%s--- loaded\n%s", a, b)
+	}
+	a, err := os.ReadFile(filepath.Join(dir, "saved.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "loaded.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("traces differ: %d vs %d bytes", len(a), len(b))
 	}
 }

@@ -62,7 +62,6 @@ func main() {
 	ckptInterval := flag.Duration("ckpt-interval", 0, "checkpoint interval (simulated; with -mtbf, 0 means the Young–Daly optimum)")
 	faultSeed := flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedule")
 	jobs := flag.Int("jobs", 0, "concurrent training jobs (default GOMAXPROCS)")
-	planWorkers := flag.Int("plan-workers", 0, "concurrent candidate evaluations inside each planner refinement round (plans are byte-identical at any setting; 0 sequential)")
 	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
 	timeout := flag.Duration("timeout", 0, "abort the whole sweep after this long (default none)")
 	quiet := flag.Bool("quiet", false, "suppress the progress line and summary on stderr")
@@ -200,7 +199,6 @@ func main() {
 	var r *mpress.Runner
 	r = mpress.NewRunner(mpress.RunnerOptions{
 		Workers:          *jobs,
-		PlanWorkers:      *planWorkers,
 		PlanCacheEntries: *cacheEntries,
 		OnJobDone: func(jr mpress.JobResult) {
 			if *quiet {

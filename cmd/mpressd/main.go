@@ -40,7 +40,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7323", "listen address")
 	workers := flag.Int("workers", 0, "concurrent planning jobs (default GOMAXPROCS)")
-	planWorkers := flag.Int("plan-workers", 0, "concurrent candidate evaluations inside each planner refinement round (plans are byte-identical at any setting; 0 sequential)")
 	queue := flag.Int("queue", 16, "admission queue depth (in-service + waiting requests)")
 	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
 	retain := flag.Int("retain", 64, "completed jobs retained for the trace endpoint and the result memo (0 disables both)")
@@ -71,7 +70,6 @@ func main() {
 	srv := serve.New(serve.Options{
 		Runner: runner.Options{
 			Workers:          *workers,
-			PlanWorkers:      *planWorkers,
 			PlanCacheEntries: *cacheEntries,
 		},
 		QueueDepth:     *queue,

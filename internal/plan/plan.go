@@ -83,6 +83,15 @@ type Allowed struct {
 // AllMechanisms enables everything (full MPress).
 func AllMechanisms() Allowed { return Allowed{Recompute: true, HostSwap: true, D2D: true} }
 
+const (
+	// safetyMargin widens each stage's savings target to absorb the
+	// timing shifts instrumentation itself introduces.
+	safetyMargin = 512 * units.MiB
+	// maxRefinements bounds the emulator-feedback loop: both the OOM
+	// retries of the initial assignment and the D2D refinement rounds.
+	maxRefinements = 6
+)
+
 // Options configures the planner.
 type Options struct {
 	Topo *hw.Topology
@@ -95,11 +104,6 @@ type Options struct {
 	// hand out a Built its caller later mutates.
 	Build   func() (*pipeline.Built, error)
 	Allowed Allowed
-	// SafetyMargin widens each stage's savings target to absorb the
-	// timing shifts instrumentation itself introduces. Default 512 MiB.
-	SafetyMargin units.Bytes
-	// MaxRefinements bounds the emulator-feedback loop. Default 6.
-	MaxRefinements int
 	// DisableMappingSearch keeps the identity stage→GPU mapping
 	// (Fig. 9's "default setting" ablation).
 	DisableMappingSearch bool
@@ -183,12 +187,6 @@ func Compute(o Options) (*Plan, error) {
 	if o.Topo == nil || o.Build == nil {
 		return nil, fmt.Errorf("plan: Topo and Build are required")
 	}
-	if o.SafetyMargin == 0 {
-		o.SafetyMargin = 512 * units.MiB
-	}
-	if o.MaxRefinements == 0 {
-		o.MaxRefinements = 6
-	}
 
 	p := &planner{o: o}
 	var err error
@@ -229,7 +227,7 @@ func Compute(o Options) (*Plan, error) {
 	p.targets = make([]units.Bytes, p.built.NumStages())
 	for s, peak := range p.profile.StagePeak {
 		if peak > o.Topo.GPU.Memory {
-			p.targets[s] = peak - o.Topo.GPU.Memory + o.SafetyMargin
+			p.targets[s] = peak - o.Topo.GPU.Memory + safetyMargin
 		}
 	}
 
@@ -322,7 +320,7 @@ func (p *planner) assignAndRefine() (units.Duration, error) {
 			lastDur = res.Duration
 			break
 		}
-		if attempt >= p.o.MaxRefinements {
+		if attempt >= maxRefinements {
 			// Let the caller see the OOM through a final Apply/Run;
 			// planning cannot satisfy the job (e.g. D2D-only on a
 			// model whose overflow exceeds all spare memory).

@@ -216,8 +216,7 @@ func TestD2DOnlyFailsUnderHeavyPressure(t *testing.T) {
 	topo := topoWithCapacity(float64(min) * 0.98 / float64(units.GiB))
 	pl, err := Compute(Options{
 		Topo: topo, Build: build,
-		Allowed:        Allowed{D2D: true},
-		MaxRefinements: 2,
+		Allowed: Allowed{D2D: true},
 	})
 	if err != nil {
 		t.Fatal(err)

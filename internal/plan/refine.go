@@ -128,7 +128,7 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 		workers = 1
 	}
 	rc := newRefineCtx(p)
-	for round := 0; round < p.o.MaxRefinements; round++ {
+	for round := 0; round < maxRefinements; round++ {
 		cands := rc.rank()
 		if len(cands) == 0 {
 			return current, nil

@@ -151,8 +151,8 @@ type Config struct {
 	// refinement loop emulates concurrently (plan.Options.Workers).
 	// Plans are byte-identical at any setting — the knob only changes
 	// how fast the search runs — so it joins neither the fingerprint
-	// nor the plan key. Zero defers to the runner's default
-	// (Options.PlanWorkers, else sequential).
+	// nor the plan key. Zero or one means sequential. A re-plan after
+	// a failure inherits it.
 	PlanWorkers int
 	// Price, when non-nil, attaches node economics to the job: the
 	// Report then carries EnergyKWh and CostUSD for the whole run

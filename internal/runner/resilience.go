@@ -200,13 +200,8 @@ func replan(ctx context.Context, st *State, topo *hw.Topology, remaining int) (*
 		return nil, fmt.Errorf("mpress: re-planning on %q: %w", topo.Name, err)
 	}
 	seg := &State{Job: j, cache: st.cache, lowers: st.lowers}
-	for _, stage := range []Stage{
-		{"partition", stagePartition},
-		{"build", stageBuild},
-		{"plan", stagePlan},
-		{"apply", stageApply},
-	} {
-		if err := stage.Run(ctx, seg); err != nil {
+	for _, s := range prepStages {
+		if err := s.run(ctx, seg); err != nil {
 			return nil, fmt.Errorf("mpress: re-planning on %q: %w", topo.Name, err)
 		}
 	}

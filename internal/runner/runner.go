@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -31,11 +32,6 @@ type Options struct {
 	// that small sweeps behave as if unbounded); negative means
 	// unbounded.
 	PlanCacheEntries int
-	// PlanWorkers is the default per-job planner refinement
-	// parallelism for jobs whose Config.PlanWorkers is zero (see that
-	// field — plans are byte-identical at any setting). Zero means
-	// sequential refinement.
-	PlanWorkers int
 }
 
 // JobResult pairs a job with its outcome.
@@ -124,7 +120,7 @@ func (r *Runner) CachedPlan(key string) (*plan.Plan, bool) {
 // reported inside the Report, matching how the paper's figures show
 // failed runs.
 func (r *Runner) Run(ctx context.Context, j *Job) JobResult {
-	return r.run(ctx, j, r.opts.KeepArtifacts, r.lowers.lease(nil))
+	return r.run(ctx, j, r.opts.KeepArtifacts, r.lowers.lease(nil), nil)
 }
 
 // RunKeep is Run with the job's State retained on the result
@@ -132,32 +128,42 @@ func (r *Runner) Run(ctx context.Context, j *Job) JobResult {
 // layer's trace endpoint) that need one job's intermediates without
 // paying for artifact retention across a whole sweep.
 func (r *Runner) RunKeep(ctx context.Context, j *Job) JobResult {
-	return r.run(ctx, j, true, r.lowers.lease(nil))
+	return r.run(ctx, j, true, r.lowers.lease(nil), nil)
+}
+
+// RunPlan is RunKeep with a plan the caller already holds — typically
+// one computed offline and read back with Job.LoadPlan (paper
+// Sec. III-B). The Plan stage adopts pl as is: no planner, no plan
+// cache and no rebase, so pl must have been computed for this job's
+// own lowering (a nil pl plans as RunKeep does). Systems that do not
+// plan (SystemPlain and ZeRO) return an error.
+func (r *Runner) RunPlan(ctx context.Context, j *Job, pl *plan.Plan) JobResult {
+	if s := j.Config.System; !s.Planned() {
+		return JobResult{Job: j, Err: fmt.Errorf("runner: %v does not plan; run it without a plan", s)}
+	}
+	return r.run(ctx, j, true, r.lowers.lease(nil), pl)
 }
 
 // run executes j holding the lowerings lease l, released once the job
-// is done.
-func (r *Runner) run(ctx context.Context, j *Job, keep bool, l *lease) JobResult {
+// is done. A non-nil adopt is the plan the Plan stage takes instead of
+// planning.
+func (r *Runner) run(ctx context.Context, j *Job, keep bool, l *lease, adopt *plan.Plan) JobResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	planWorkers := j.Config.PlanWorkers
-	if planWorkers == 0 {
-		planWorkers = r.opts.PlanWorkers
-	}
-	st := &State{Job: j, cache: r.cache, lowers: l, planWorkers: planWorkers}
+	st := &State{Job: j, cache: r.cache, lowers: l, adopt: adopt}
 	res := JobResult{Job: j, StageTimes: make(map[string]time.Duration)}
-	for _, stage := range stagesFor(j) {
+	for _, s := range stagesFor(j) {
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			break
 		}
 		s0 := time.Now()
-		err := stage.Run(ctx, st)
+		err := s.run(ctx, st)
 		d := time.Since(s0)
-		res.StageTimes[stage.Name] = d
-		r.account(stage.Name, d)
+		res.StageTimes[s.name] = d
+		r.account(s.name, d)
 		if err != nil {
 			res.Err = err
 			break
@@ -207,7 +213,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []*Job) []JobResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = r.run(ctx, jobs[i], r.opts.KeepArtifacts, leases[i])
+				results[i] = r.run(ctx, jobs[i], r.opts.KeepArtifacts, leases[i], nil)
 			}
 		}()
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -373,6 +374,63 @@ func TestFingerprintsStable(t *testing.T) {
 		}
 		if got := j.PlanKey(); got != tc.planKey {
 			t.Errorf("tp=%d: plan key %s, want %s", tc.tp, got, tc.planKey)
+		}
+	}
+}
+
+// TestRunPlanMatchesPlanned: a plan saved from a planned run and read
+// back replays through RunPlan on a fresh runner to byte-identical
+// report JSON, plan file and Chrome trace — on one node, under TP and
+// at a non-canonical minibatch count (whose saved plan is the rebased
+// one). Systems that do not plan refuse a plan.
+func TestRunPlanMatchesPlanned(t *testing.T) {
+	tp := bertCfg(t, "1.67B", SystemMPress)
+	tp.TPDegree = 2
+	mini := bertCfg(t, "1.67B", SystemMPress)
+	mini.Minibatches = 3
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"single-node", bertCfg(t, "1.67B", SystemMPress)},
+		{"tp2", tp},
+		{"minibatches3", mini},
+	} {
+		cfg := tc.cfg
+		t.Run(tc.name, func(t *testing.T) {
+			planned := New(Options{Workers: 1}).RunKeep(context.Background(), mustJob(t, cfg))
+			rep, pf, chrome := jobArtifacts(t, planned)
+			var saved bytes.Buffer
+			if err := planned.Job.SavePlan(&saved, planned.Report.Plan); err != nil {
+				t.Fatal(err)
+			}
+			j := mustJob(t, cfg)
+			pl, err := j.LoadPlan(&saved, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New(Options{Workers: 1})
+			replayed := r.RunPlan(context.Background(), j, pl)
+			if st := r.Stats(); st.PlanComputes != 0 || st.PlanCacheHits+st.PlanCacheMisses != 0 || replayed.PlanCacheHit {
+				t.Errorf("RunPlan planned or used the plan cache: %+v", st)
+			}
+			rep2, pf2, chrome2 := jobArtifacts(t, replayed)
+			if !bytes.Equal(rep, rep2) {
+				t.Errorf("report JSON differs:\n%s\n%s", rep, rep2)
+			}
+			if !bytes.Equal(pf, pf2) {
+				t.Error("plan file differs")
+			}
+			if !bytes.Equal(chrome, chrome2) {
+				t.Errorf("Chrome trace differs: %d vs %d bytes", len(chrome), len(chrome2))
+			}
+		})
+	}
+
+	pl := New(Options{Workers: 1}).Run(context.Background(), mustJob(t, bertCfg(t, "1.67B", SystemMPress))).Report.Plan
+	for _, sys := range []System{SystemPlain, SystemZeRO3, SystemZeROOffload, SystemZeROInfinity} {
+		if res := New(Options{Workers: 1}).RunPlan(context.Background(), mustJob(t, bertCfg(t, "0.64B", sys)), pl); res.Err == nil {
+			t.Errorf("RunPlan ran %v, which does not plan", sys)
 		}
 	}
 }

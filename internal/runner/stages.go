@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mpress/internal/exec"
@@ -23,9 +24,10 @@ import (
 // results under concurrency.
 const canonicalMinibatches = 2
 
-// State carries one job through its stages. Stages communicate only
-// through it, so a custom driver can run a prefix of the pipeline and
-// inspect the intermediates (the Fig. 9 ablation does exactly that).
+// State carries one job through its stages, which communicate only
+// through it. Callers see it on a JobResult when they ask for artifacts
+// (Options.KeepArtifacts, RunKeep, RunPlan); the Fig. 9 ablation reads
+// its intermediates that way.
 type State struct {
 	Job *Job
 
@@ -62,15 +64,14 @@ type State struct {
 
 	// shared marks virtual-stage runs (several stages per GPU).
 	shared bool
-	// cache is the runner's plan cache (nil runs the planner inline).
+	// cache is the runner's plan cache.
 	cache *planCache
 	// lowers is the job's claim on the runner's shared frozen
 	// lowerings; every stage lowers through it.
 	lowers *lease
-	// planWorkers is the resolved refinement parallelism the Plan
-	// stage hands to plan.Options.Workers (plans are byte-identical
-	// at any setting).
-	planWorkers int
+	// adopt, when set, is the plan the Plan stage takes instead of
+	// planning (Runner.RunPlan).
+	adopt *plan.Plan
 }
 
 // TraceLaneNames labels each stage lane of an exported trace with the
@@ -89,40 +90,33 @@ func (st *State) TraceLaneNames() []string {
 	return names
 }
 
-// Stage is one composable step of the job pipeline.
-type Stage struct {
-	Name string
-	Run  func(ctx context.Context, st *State) error
+// stage is one step of the job pipeline.
+type stage struct {
+	name string
+	run  func(ctx context.Context, st *State) error
+}
+
+// prepStages lower and plan a job into an executable configuration;
+// a re-plan after a failure runs just these.
+var prepStages = []stage{
+	{"partition", stagePartition},
+	{"build", stageBuild},
+	{"plan", stagePlan},
+	{"apply", stageApply},
 }
 
 // stagesFor returns the job's stage sequence. ZeRO baselines use an
-// analytic model with no partition/plan phases, so their pipeline is
-// just Execute → Report.
-func stagesFor(j *Job) []Stage {
+// analytic model with no partition/plan phases: one stage executes
+// them and assembles the report.
+func stagesFor(j *Job) []stage {
 	if j.Config.System.IsZeRO() {
-		return []Stage{
-			{"execute", stageZeRO},
-		}
+		return []stage{{"execute", stageZeRO}}
 	}
+	ss := append(slices.Clip(prepStages), stage{"execute", stageExecute})
 	if j.Config.Resilient() {
-		return []Stage{
-			{"partition", stagePartition},
-			{"build", stageBuild},
-			{"plan", stagePlan},
-			{"apply", stageApply},
-			{"execute", stageExecute},
-			{"resilience", stageResilience},
-			{"report", stageReport},
-		}
+		ss = append(ss, stage{"resilience", stageResilience})
 	}
-	return []Stage{
-		{"partition", stagePartition},
-		{"build", stageBuild},
-		{"plan", stagePlan},
-		{"apply", stageApply},
-		{"execute", stageExecute},
-		{"report", stageReport},
-	}
+	return append(ss, stage{"report", stageReport})
 }
 
 // buildConfig is the lowering of the config's partition at the given
@@ -230,6 +224,10 @@ func stagePlan(ctx context.Context, st *State) error {
 		st.Mapping = m
 		return nil
 	}
+	if st.adopt != nil {
+		st.Plan, st.Mapping = st.adopt, st.adopt.Mapping
+		return nil
+	}
 
 	allowed, err := allowedFor(c.System)
 	if err != nil {
@@ -245,16 +243,12 @@ func stagePlan(ctx context.Context, st *State) error {
 			Allowed:              allowed,
 			DisableMappingSearch: c.DisableMappingSearch,
 			DisableStriping:      c.DisableStriping,
-			Workers:              st.planWorkers,
+			Workers:              c.PlanWorkers,
 			Ctx:                  ctx,
 		})
 	}
-	var pl *plan.Plan
-	if st.cache != nil {
-		pl, st.PlanCacheHit, err = st.cache.getOrCompute(st.Job.PlanKey(), compute)
-	} else {
-		pl, err = compute()
-	}
+	pl, hit, err := st.cache.getOrCompute(st.Job.PlanKey(), compute)
+	st.PlanCacheHit = hit
 	if err != nil {
 		return err
 	}

@@ -221,17 +221,13 @@ func (r *Result) Find(k Key) *Candidate {
 
 // Options tunes one search.
 type Options struct {
-	// Workers sizes the evaluation worker pool (0 = GOMAXPROCS).
-	// The result is byte-identical at every setting.
-	Workers int
-	// PlanWorkers is forwarded to the runner (see runner.Options).
-	PlanWorkers int
 	// Table is the transposition table (nil = fresh in-process one).
 	// A warm table changes the memo/expanded split, never the winner.
-	Table Table
-	// Runner, when set, evaluates candidates on an existing runner
-	// (sharing its plan cache and worker pool); Workers and
-	// PlanWorkers are then ignored.
+	Table *MemTable
+	// Runner evaluates the candidates, sharing its plan cache, and its
+	// worker pool sizes each speculative wave (nil = a fresh
+	// runner.New(runner.Options{}), GOMAXPROCS workers). The result is
+	// byte-identical at every worker count.
 	Runner *runner.Runner
 	// FullEnum disables bound pruning — every candidate is evaluated.
 	// The winner is provably identical; the soundness cross-check
@@ -260,12 +256,9 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 	}
 	rnr := o.Runner
 	if rnr == nil {
-		rnr = runner.New(runner.Options{Workers: o.Workers, PlanWorkers: o.PlanWorkers})
+		rnr = runner.New(runner.Options{})
 	}
 	waveSize := rnr.Workers()
-	if waveSize < 1 {
-		waveSize = 1
-	}
 
 	start := time.Now()
 	res := &Result{

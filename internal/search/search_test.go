@@ -59,6 +59,10 @@ func canonical(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
+// pool is a fresh runner of the given worker count: each search's
+// wave size.
+func pool(workers int) *runner.Runner { return runner.New(runner.Options{Workers: workers}) }
+
 func run(t *testing.T, base runner.Config, sp Space, o Options) *Result {
 	t.Helper()
 	r, err := Run(context.Background(), base, sp, o)
@@ -72,8 +76,8 @@ func run(t *testing.T, base runner.Config, sp Space, o Options) *Result {
 // rendered report are byte-identical at every worker count.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	base := testBase(t)
-	r1 := run(t, base, smallSpace(), Options{Workers: 1})
-	r8 := run(t, base, smallSpace(), Options{Workers: 8})
+	r1 := run(t, base, smallSpace(), Options{Runner: pool(1)})
+	r8 := run(t, base, smallSpace(), Options{Runner: pool(8)})
 	b1, b8 := canonical(t, r1), canonical(t, r8)
 	if !bytes.Equal(b1, b8) {
 		t.Fatalf("results differ between workers 1 and 8:\n--- w1 ---\n%s\n--- w8 ---\n%s", b1, b8)
@@ -91,8 +95,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // candidate anywhere beats it.
 func TestPruningSoundVsFullEnumeration(t *testing.T) {
 	base := testBase(t)
-	pruned := run(t, base, smallSpace(), Options{Workers: 2})
-	full := run(t, base, smallSpace(), Options{Workers: 2, FullEnum: true})
+	pruned := run(t, base, smallSpace(), Options{Runner: pool(2)})
+	full := run(t, base, smallSpace(), Options{Runner: pool(2), FullEnum: true})
 	if full.Pruned != 0 {
 		t.Fatalf("full enumeration pruned %d", full.Pruned)
 	}
@@ -119,7 +123,7 @@ func TestPruningSoundVsFullEnumeration(t *testing.T) {
 // simulated: bound ≤ measured time-to-fit.
 func TestBoundBelowMeasured(t *testing.T) {
 	base := testBase(t)
-	full := run(t, base, smallSpace(), Options{Workers: 2, FullEnum: true})
+	full := run(t, base, smallSpace(), Options{Runner: pool(2), FullEnum: true})
 	checked := 0
 	for i := range full.Candidates {
 		c := &full.Candidates[i]
@@ -145,7 +149,7 @@ func TestNormalizationAliasesMemoize(t *testing.T) {
 		Systems:     []runner.System{runner.SystemRecompute},
 		StageCounts: []int{0, 8},
 	}
-	r := run(t, base, sp, Options{Workers: 1})
+	r := run(t, base, sp, Options{Runner: pool(1)})
 	if r.MemoHits != 1 || r.Expanded != 1 {
 		t.Fatalf("expanded %d, memo hits %d; want 1 and 1", r.Expanded, r.MemoHits)
 	}
@@ -160,8 +164,8 @@ func TestNormalizationAliasesMemoize(t *testing.T) {
 func TestWarmTableServesEverything(t *testing.T) {
 	base := testBase(t)
 	table := NewMemTable()
-	cold := run(t, base, smallSpace(), Options{Workers: 2, Table: table})
-	warm := run(t, base, smallSpace(), Options{Workers: 2, Table: table})
+	cold := run(t, base, smallSpace(), Options{Runner: pool(2), Table: table})
+	warm := run(t, base, smallSpace(), Options{Runner: pool(2), Table: table})
 	if warm.Expanded != 0 {
 		t.Fatalf("warm search expanded %d", warm.Expanded)
 	}
@@ -186,7 +190,7 @@ func TestInfeasibleCandidatesSkipTyped(t *testing.T) {
 		TPDegrees:   []int{1, 3, 16}, // 3 and 16 cannot shard 8 GPUs
 		StageCounts: []int{0, 64, 6}, // 64 > 24 model layers; 6 is fine
 	}
-	r := run(t, base, sp, Options{Workers: 2})
+	r := run(t, base, sp, Options{Runner: pool(2)})
 	if r.Best() == nil {
 		t.Fatal("feasible candidates exist; want a winner")
 	}
@@ -231,7 +235,7 @@ func TestResilientBaseAxes(t *testing.T) {
 		TPDegrees:     []int{1, 2},
 		CheckpointsNS: []int64{CkptInherit, 0},
 	}
-	r := run(t, base, sp, Options{Workers: 2})
+	r := run(t, base, sp, Options{Runner: pool(2)})
 	best := r.Best()
 	if best == nil {
 		t.Fatal("no winner")
@@ -256,7 +260,7 @@ func TestResilientBaseAxes(t *testing.T) {
 // An empty space searches exactly the base strategy.
 func TestEmptySpaceIsBaseOnly(t *testing.T) {
 	base := testBase(t)
-	r := run(t, base, Space{}, Options{Workers: 1})
+	r := run(t, base, Space{}, Options{Runner: pool(1)})
 	if len(r.Candidates) != 1 || r.Expanded != 1 {
 		t.Fatalf("candidates %d expanded %d; want 1 and 1", len(r.Candidates), r.Expanded)
 	}

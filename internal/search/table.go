@@ -17,16 +17,10 @@ type Eval struct {
 	EffSamplesPerSec float64 `json:"eff_samples_per_sec,omitempty"`
 }
 
-// Table is a transposition table keyed by strategy fingerprint (the
-// lowered job's canonical fingerprint). Implementations must be safe
-// for concurrent use; Get/Put may be called from commit loops of
-// concurrent searches sharing one table.
-type Table interface {
-	Get(fingerprint string) (Eval, bool)
-	Put(fingerprint string, e Eval)
-}
-
-// MemTable is the in-process Table.
+// MemTable is the in-process transposition table, keyed by strategy
+// fingerprint (the lowered job's canonical fingerprint). It is safe for
+// concurrent use: the commit loops of concurrent searches may share
+// one table.
 type MemTable struct {
 	mu sync.Mutex
 	m  map[string]Eval

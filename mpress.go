@@ -349,7 +349,7 @@ type (
 	// SearchSpace is the cartesian strategy space to enumerate; empty
 	// axes inherit the base config's value.
 	SearchSpace = search.Space
-	// SearchOptions tunes one search (workers, transposition table).
+	// SearchOptions tunes one search (runner, transposition table).
 	SearchOptions = search.Options
 	// SearchResult is the canonical search outcome: every candidate,
 	// the winner, and the expanded/pruned/memo counters.
@@ -360,9 +360,9 @@ type (
 	// SearchEval is one transposition-table entry (the strategy's
 	// effective training rate, or OOM).
 	SearchEval = search.Eval
-	// SearchTable is the transposition-table interface; NewSearchTable
-	// returns the in-process implementation.
-	SearchTable = search.Table
+	// SearchTable is the in-process transposition table; share one
+	// (NewSearchTable) across searches to memoize repeated strategies.
+	SearchTable = search.MemTable
 	// SearchCandidate is one enumerated strategy and what became of it.
 	SearchCandidate = search.Candidate
 	// SearchOutcome classifies what the searcher did with a candidate.
