@@ -94,10 +94,13 @@ benchcheck:
 	$(GO) test -run '^$$' -bench '^BenchmarkRefine$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkMappingSearch$$' -benchtime 1x ./internal/mapping
 
-# CPU and heap profiles of the planner experiment (the refinement loop
-# plus its emulations); inspect with `go tool pprof cpu.pprof`.
+# CPU and heap profiles of one BenchmarkRefine pass (the refinement
+# loop plus its emulations, on every planner preset at workers 1 and
+# 4); inspect with `go tool pprof cpu.pprof`. go test leaves its test
+# binary behind when profiling, so it is removed.
 profile:
-	$(GO) run ./cmd/mpress-bench -exp planner -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	$(GO) test -run '^$$' -bench '^BenchmarkRefine$$' -benchtime 1x -cpuprofile cpu.pprof -memprofile mem.pprof .
+	rm -f mpress.test
 	@echo "wrote cpu.pprof and mem.pprof; try: $(GO) tool pprof -top cpu.pprof"
 
 build:

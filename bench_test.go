@@ -174,13 +174,14 @@ func BenchmarkMPressGPT255BOnDGX2(b *testing.B) {
 }
 
 // BenchmarkRefine times the planner refinement loop on the planner
-// presets (the same points the "planner" experiment and the
-// determinism acceptance test use), at sequential and 4-way candidate
+// presets (the same points the determinism acceptance test and the
+// plan-cold benchmark workload use), at sequential and 4-way candidate
 // evaluation. Each iteration plans from scratch on a fresh
 // single-worker runner; plan-ms isolates the refinement stage from
 // build/execute, and emulations is the arbitration count — identical
 // across worker settings by construction, so a change in that metric
 // between sub-benchmarks is a determinism bug, not a perf change.
+// `make profile` runs one pass under the CPU and heap profilers.
 func BenchmarkRefine(b *testing.B) {
 	for _, p := range experiments.PlannerPresets() {
 		b.Run(p.Name, func(b *testing.B) {

@@ -6,16 +6,16 @@
 //	mpress-bench -list
 //	mpress-bench -exp fig7
 //	mpress-bench -exp all -jobs 4
-//	mpress-bench -exp planner -cpuprofile cpu.pprof -memprofile mem.pprof
 //	mpress-bench            # run everything
+//
+// Planner cost is measured by BenchmarkRefine (`make profile` runs it
+// under the CPU and heap profilers) and by the benchmark/ module.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"mpress/internal/experiments"
@@ -25,8 +25,6 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	exp := flag.String("exp", "", `run only the named experiment, or "all"; one of: `+strings.Join(experiments.Names(), ", "))
 	jobs := flag.Int("jobs", 0, "concurrent training jobs per experiment (default GOMAXPROCS)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
 	flag.Parse()
 
 	if *list {
@@ -35,38 +33,6 @@ func main() {
 		}
 		return
 	}
-
-	fatal := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "mpress-bench: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("starting CPU profile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	// Deferred so it runs on every exit path below; profiles the live
-	// heap after a GC, which is what leak hunting wants.
-	writeMemProfile := func() {
-		if *memprofile == "" {
-			return
-		}
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal("writing heap profile: %v", err)
-		}
-	}
-	defer writeMemProfile()
 
 	experiments.SetParallelism(*jobs)
 

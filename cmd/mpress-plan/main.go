@@ -16,6 +16,8 @@
 // count, partition strategy, TP degree), prints the winning strategy,
 // its plan, and the search report (nodes expanded / pruned / memo
 // hits). The winner is byte-identical at every -workers setting.
+// -auto runs no single job, so it refuses -trace, -gantt, -load,
+// -force and -remote; -workers needs -auto and -force needs -load.
 //
 // Saved plans record the job's canonical fingerprint as their label;
 // loading a plan under a different job is refused unless -force is
@@ -148,8 +150,25 @@ func (o *options) config() (runner.Config, error) {
 	}, nil
 }
 
+// checkModes rejects flags the chosen mode would silently ignore.
+func (o *options) checkModes() error {
+	if o.auto && (o.trace != "" || o.gantt || o.load != "" || o.force || o.remote != "") {
+		return errors.New("-auto runs no single job; -trace, -gantt, -load, -force and -remote do not apply")
+	}
+	if o.workers != 0 && !o.auto {
+		return errors.New("-workers sizes the -auto search; it needs -auto")
+	}
+	if o.force && o.load == "" {
+		return errors.New("-force overrides the job check of -load; it needs -load")
+	}
+	return nil
+}
+
 // execute runs the command against w and returns its exit code.
 func (o *options) execute(w io.Writer) (int, error) {
+	if err := o.checkModes(); err != nil {
+		return 0, err
+	}
 	cfg, err := o.config()
 	if err != nil {
 		return 0, err

@@ -106,10 +106,20 @@ func TestRunEverySystem(t *testing.T) {
 	}
 }
 
-// Flags a planless system cannot honour fail with a message, before
+// Flags a planless system cannot honour, and flags the chosen mode
+// would ignore (-auto runs no single job, -workers only sizes -auto,
+// -force only overrides -load's job check), fail with a message before
 // anything runs.
 func TestRunRejectsPlanlessFlags(t *testing.T) {
 	for _, args := range [][]string{
+		{"-auto", "-trace", "t.json"},
+		{"-auto", "-gantt"},
+		{"-auto", "-load", "p.json"},
+		{"-auto", "-force"},
+		{"-auto", "-remote", "http://127.0.0.1:1"},
+		{"-workers", "2"},
+		{"-force"},
+		{"-force", "-save", "p.json"},
 		{"-system", "plain", "-save", "p.json"},
 		{"-system", "zero3", "-save", "p.json"},
 		{"-system", "plain", "-load", "p.json"},

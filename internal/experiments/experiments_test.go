@@ -32,7 +32,7 @@ func TestRegistry(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "table4", "fig1", "fig2",
 		"fig4", "fig7", "fig8a", "fig8b", "fig9", "mapping-cost",
 		"partition-ablation", "grace", "schedules", "scaling", "resilience",
-		"planner", "tp", "capacity", "autosearch"}
+		"tp", "capacity", "autosearch"}
 	if len(names) != len(want) {
 		t.Fatalf("registered %d experiments (%v), want %d", len(names), names, len(want))
 	}

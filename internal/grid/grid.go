@@ -186,11 +186,6 @@ func (g *Grid) Representative(p hw.DeviceID) hw.DeviceID {
 	return hw.DeviceID(int(p) * g.Shape.TP)
 }
 
-// PlaneOf returns the plane device whose group hosts physical device d.
-func (g *Grid) PlaneOf(d hw.DeviceID) hw.DeviceID {
-	return hw.DeviceID(int(d) / g.Shape.TP)
-}
-
 // Plane returns the representative-rank topology the simulator runs
 // on: one device per TP group. When TP == 1 it is the original
 // *hw.Topology pointer — the identity that keeps TPDegree=1 runs

@@ -57,17 +57,6 @@ func KnownSchedule(k ScheduleKind) bool {
 	return false
 }
 
-// ScheduleName returns the CLI name of a schedule (the inverse of
-// LookupSchedule), or its String form for unknown values.
-func ScheduleName(k ScheduleKind) string {
-	for _, e := range scheduleNames {
-		if e.kind == k {
-			return e.name
-		}
-	}
-	return k.String()
-}
-
 // strategyNames lists the partition strategies in declaration order.
 var strategyNames = []struct {
 	name  string

@@ -146,13 +146,13 @@ type Plan struct {
 	SavedByMech map[Mechanism]units.Bytes
 	StageRange  map[Mechanism][2]int
 
-	// Emulations counts the emulator arbitrations planning consumed.
-	// The count is defined by the sequential candidate scan — memo
-	// hits count, lower-bound prunes do not, and a parallel refinement
-	// (Options.Workers > 1) charges exactly the arbitrations the
-	// sequential scan would have reached — so it is identical at any
-	// worker setting (plans are serialized byte-for-byte, and this
-	// field rides along).
+	// Emulations counts the emulator arbitrations planning consumed;
+	// every arbitration is one emulation, and lower-bound prunes are
+	// not charged. The count is defined by the sequential candidate
+	// scan — a parallel refinement (Options.Workers > 1) charges
+	// exactly the arbitrations the sequential scan would have reached —
+	// so it is identical at any worker setting (plans are serialized
+	// byte-for-byte, and this field rides along).
 	Emulations int
 	Baseline   units.Duration
 	Planned    units.Duration

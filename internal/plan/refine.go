@@ -11,23 +11,15 @@
 // have accepted — so plans are byte-identical at any Options.Workers
 // setting.
 //
-// Two shortcuts keep the search incremental without changing its
-// outcome:
-//
-//   - a static lower bound prunes candidates that provably cannot beat
-//     the incumbent duration (acceptance needs emulated duration ≤
-//     current, and the emulated duration can never fall below the
-//     busiest serial resource's total work);
-//   - a memo keyed by trial-plan fingerprint reuses emulation verdicts
-//     across rounds (emulation is a pure function of plan content —
-//     every emulation instruments a fork of the same frozen base
-//     lowering — so equal fingerprints imply equal verdicts).
+// One shortcut skips emulations without changing the outcome: a static
+// lower bound prunes candidates that provably cannot beat the incumbent
+// duration (acceptance needs emulated duration ≤ current, and the
+// emulated duration can never fall below the busiest serial resource's
+// total work). Every other candidate is settled by one emulation.
 package plan
 
 import (
 	"cmp"
-	"crypto/sha256"
-	"encoding/binary"
 	"maps"
 	"slices"
 	"sync"
@@ -37,7 +29,6 @@ import (
 	"mpress/internal/fabric"
 	"mpress/internal/graph"
 	"mpress/internal/hw"
-	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
 
@@ -81,32 +72,21 @@ type candidate struct {
 	recompute bool
 }
 
-// emVerdict is an emulation outcome reduced to what arbitration needs.
-type emVerdict struct {
-	dur units.Duration
-	oom bool
-}
-
 // evalResult is one candidate's evaluated outcome.
 type evalResult struct {
 	t   *trial // improving trial to adopt; nil when rejected
 	dur units.Duration
-	// arbs counts the emulator arbitrations the candidate consumed
-	// (memo hits included, lower-bound prunes not) — the deterministic
-	// currency behind Plan.Emulations.
+	// arbs counts the emulations the candidate consumed (lower-bound
+	// prunes are not emulated) — the deterministic currency behind
+	// Plan.Emulations.
 	arbs int
 	err  error
 }
 
-// refineCtx carries one refineWithD2D call's shared read-only inputs
-// and its memo. The memo is the only mutable shared state workers
-// touch.
+// refineCtx carries one refineWithD2D call's inputs. Workers only
+// read it: each evaluation mutates its own trial snapshot.
 type refineCtx struct {
 	p *planner
-	// ids is the sorted Act key set — invariant during refinement
-	// (conversions retarget existing assignments) — used for
-	// canonical fingerprints.
-	ids []tensor.ID
 	// base is per-device serial compute-queue work excluding
 	// recomputation: forward/backward compute plus optimizer HBM
 	// time, from the reference lowering.
@@ -114,9 +94,6 @@ type refineCtx struct {
 	rate units.FLOPSRate
 	// current is the incumbent duration of the round being evaluated.
 	current units.Duration
-
-	mu   sync.Mutex
-	memo map[[sha256.Size]byte]emVerdict
 }
 
 // refineWithD2D is step 4: convert the worst-overhead groups to D2D
@@ -254,59 +231,17 @@ func (rc *refineCtx) arbitrate(t *trial, res *evalResult) bool {
 		// deterministic at any worker count.
 		return false
 	}
-	v, err := rc.verdict(t.plan)
+	r, err := rc.p.simulate(t.plan)
 	if err != nil {
 		res.err = err
 		return true
 	}
 	res.arbs++
-	if !v.oom && v.dur <= rc.current {
-		res.t, res.dur = t, v.dur
+	if r.OOM == nil && r.Duration <= rc.current {
+		res.t, res.dur = t, r.Duration
 		return true
 	}
 	return false
-}
-
-// verdict returns the memoized emulation outcome for pl, emulating on
-// a miss. Safe for concurrent use.
-func (rc *refineCtx) verdict(pl *Plan) (emVerdict, error) {
-	fp := rc.fingerprint(pl)
-	rc.mu.Lock()
-	v, ok := rc.memo[fp]
-	rc.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	r, err := rc.p.simulate(pl)
-	if err != nil {
-		return emVerdict{}, err
-	}
-	v = emVerdict{dur: r.Duration, oom: r.OOM != nil}
-	rc.mu.Lock()
-	rc.memo[fp] = v
-	rc.mu.Unlock()
-	return v, nil
-}
-
-// fingerprint canonically hashes the plan content emulation depends
-// on. During refinement only Act and Parts vary (Mapping, HostPersist
-// and the build are fixed), and the Act key set is invariant, so
-// hashing each id's mechanism and stripe layout in sorted-id order is
-// a complete content key.
-func (rc *refineCtx) fingerprint(pl *Plan) [sha256.Size]byte {
-	buf := make([]byte, 0, len(rc.ids)*8)
-	for _, id := range rc.ids {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(pl.Act[id]))
-		if pl.Act[id] == MechD2D {
-			for _, part := range pl.Parts[id] {
-				buf = binary.AppendUvarint(buf, uint64(part.Peer))
-				buf = binary.AppendUvarint(buf, uint64(part.Bytes))
-			}
-		}
-		buf = append(buf, 0xff)
-	}
-	return sha256.Sum256(buf)
 }
 
 // lowerBound returns a provable lower bound on pl's emulated duration
@@ -321,8 +256,10 @@ func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
 	extra := make([]units.Duration, len(rc.base))
 	type pair struct{ src, dst hw.DeviceID }
 	var link map[pair]units.Bytes
-	for _, id := range rc.ids {
-		switch pl.Act[id] {
+	// Integer sums and maxima: the map's iteration order cannot move
+	// the bound.
+	for id, mech := range pl.Act {
+		switch mech {
 		case MechRecompute:
 			tn := p.built.Graph.Tensors.Get(id)
 			dev := pl.Device(tn.Stage)
@@ -361,20 +298,14 @@ func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
 	return bound
 }
 
-// newRefineCtx precomputes the call-lifetime inputs: the sorted Act
-// key set, the per-device base compute load, and the memo.
+// newRefineCtx precomputes the call-lifetime inputs: the compute rate
+// and the per-device base compute load.
 func newRefineCtx(p *planner) *refineCtx {
 	rc := &refineCtx{
 		p:    p,
 		rate: p.rate(),
-		memo: make(map[[sha256.Size]byte]emVerdict),
 		base: make([]units.Duration, p.o.Topo.NumGPUs),
 	}
-	rc.ids = make([]tensor.ID, 0, len(p.plan.Act))
-	for id := range p.plan.Act {
-		rc.ids = append(rc.ids, id)
-	}
-	slices.Sort(rc.ids)
 	g := p.built.Graph
 	for i := 0; i < g.Len(); i++ {
 		op := g.Op(graph.OpID(i))

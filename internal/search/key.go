@@ -13,8 +13,6 @@ package search
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"mpress/internal/pipeline"
 	"mpress/internal/runner"
@@ -24,8 +22,7 @@ import (
 // Key is the canonical, human-readable identity of one whole-training
 // strategy after normalization: it is derived from the *defaulted*
 // lowered config, so raw strategies that alias (e.g. stages=0 and
-// stages=<plane default>) encode to the same Key. The text form is the
-// strict wire encoding the fuzz test round-trips.
+// stages=<plane default>) normalize to the same Key.
 type Key struct {
 	// System is the pipeline/memory system (runner.SystemPlain …).
 	System runner.System `json:"system"`
@@ -59,17 +56,6 @@ func KeyOf(c runner.Config) Key {
 	return k
 }
 
-// Encode renders the strict canonical text form, e.g.
-//
-//	v1;sys=mpress;tp=1;stages=8;part=compute-balanced;nodes=1;ckpt=-1
-//
-// DecodeKey accepts exactly this form and nothing else.
-func (k Key) Encode() string {
-	return fmt.Sprintf("v1;sys=%s;tp=%d;stages=%d;part=%s;nodes=%d;ckpt=%d",
-		runner.SystemName(k.System), k.TP, k.Stages,
-		pipeline.StrategyName(k.Partition), k.Nodes, k.CheckpointNS)
-}
-
 // String is a compact human form for reports ("sys=mpress tp=1 …").
 func (k Key) String() string {
 	s := fmt.Sprintf("sys=%s tp=%d stages=%d part=%s nodes=%d",
@@ -82,54 +68,4 @@ func (k Key) String() string {
 		s += " ckpt=" + units.Duration(k.CheckpointNS).String()
 	}
 	return s
-}
-
-// DecodeKey parses the canonical text form. It is strict: any input
-// that is not byte-identical to some Key's Encode output is rejected
-// (checked by re-encoding), so accepted inputs always round-trip and
-// the encoding stays a sound transposition/cache key. It never
-// panics, whatever the input.
-func DecodeKey(s string) (Key, error) {
-	fields := strings.Split(s, ";")
-	if len(fields) != 7 || fields[0] != "v1" {
-		return Key{}, fmt.Errorf("search: key %q: want 7 v1 fields, got %d", s, len(fields))
-	}
-	var k Key
-	for i, want := range []string{"sys=", "tp=", "stages=", "part=", "nodes=", "ckpt="} {
-		f := fields[i+1]
-		if !strings.HasPrefix(f, want) {
-			return Key{}, fmt.Errorf("search: key %q: field %d wants prefix %q", s, i+1, want)
-		}
-		v := f[len(want):]
-		var err error
-		switch want {
-		case "sys=":
-			k.System, err = runner.LookupSystem(v)
-		case "part=":
-			k.Partition, err = pipeline.LookupStrategy(v)
-		case "ckpt=":
-			k.CheckpointNS, err = strconv.ParseInt(v, 10, 64)
-		default:
-			var n int
-			n, err = strconv.Atoi(v)
-			switch want {
-			case "tp=":
-				k.TP = n
-			case "stages=":
-				k.Stages = n
-			case "nodes=":
-				k.Nodes = n
-			}
-		}
-		if err != nil {
-			return Key{}, fmt.Errorf("search: key %q: %v", s, err)
-		}
-	}
-	// Reject every non-canonical spelling (case, whitespace, leading
-	// zeros, "+" signs) in one stroke: the parse must re-encode to the
-	// exact input.
-	if enc := k.Encode(); enc != s {
-		return Key{}, fmt.Errorf("search: key %q is not canonical (want %q)", s, enc)
-	}
-	return k, nil
 }

@@ -207,18 +207,6 @@ func (r *Result) Best() *Candidate {
 	return &r.Candidates[r.Winner]
 }
 
-// Find returns the first candidate with the given canonical key, or
-// nil. Hand presets are looked up this way by the autosearch
-// experiment.
-func (r *Result) Find(k Key) *Candidate {
-	for i := range r.Candidates {
-		if r.Candidates[i].Key == k {
-			return &r.Candidates[i]
-		}
-	}
-	return nil
-}
-
 // Options tunes one search.
 type Options struct {
 	// Table is the transposition table (nil = fresh in-process one).

@@ -269,40 +269,3 @@ func TestEmptySpaceIsBaseOnly(t *testing.T) {
 		t.Fatalf("winner %+v is not the defaulted base", best)
 	}
 }
-
-func TestKeyRoundTrip(t *testing.T) {
-	keys := []Key{
-		{System: runner.SystemMPress, TP: 1, Stages: 8, Partition: pipeline.ComputeBalanced, Nodes: 1, CheckpointNS: -1},
-		{System: runner.SystemPlain, TP: 2, Stages: 4, Partition: pipeline.MemoryBalanced, Nodes: 4, CheckpointNS: 0},
-		{System: runner.SystemZeRO3, TP: 1, Stages: 16, Partition: pipeline.ComputeBalanced, Nodes: 2, CheckpointNS: 30_000_000_000},
-	}
-	for _, k := range keys {
-		enc := k.Encode()
-		got, err := DecodeKey(enc)
-		if err != nil {
-			t.Fatalf("DecodeKey(%q): %v", enc, err)
-		}
-		if got != k {
-			t.Fatalf("round trip %q: got %+v want %+v", enc, got, k)
-		}
-	}
-}
-
-func TestDecodeKeyRejectsNonCanonical(t *testing.T) {
-	bad := []string{
-		"",
-		"v2;sys=mpress;tp=1;stages=8;part=compute-balanced;nodes=1;ckpt=-1",
-		"v1;sys=MPRESS;tp=1;stages=8;part=compute-balanced;nodes=1;ckpt=-1",
-		"v1;sys=mpress;tp=01;stages=8;part=compute-balanced;nodes=1;ckpt=-1",
-		"v1;sys=mpress;tp=+1;stages=8;part=compute-balanced;nodes=1;ckpt=-1",
-		"v1;sys=mpress;tp=1;stages=8;part=compute-balanced;nodes=1;ckpt=-1;",
-		"v1;sys=mystery;tp=1;stages=8;part=compute-balanced;nodes=1;ckpt=-1",
-		"v1;sys=mpress;tp=1;stages=8;part=balanced;nodes=1;ckpt=-1",
-		"v1;tp=1;sys=mpress;stages=8;part=compute-balanced;nodes=1;ckpt=-1",
-	}
-	for _, s := range bad {
-		if k, err := DecodeKey(s); err == nil {
-			t.Fatalf("DecodeKey(%q) accepted: %+v", s, k)
-		}
-	}
-}

@@ -234,10 +234,6 @@ func (e *Error) IsSaturated() bool { return e.Code == CodeSaturated || e.Status 
 // the same one will not.
 func (e *Error) IsDeadline() bool { return e.Code == CodeDeadline || e.Status == 504 }
 
-// IsUnavailable reports a transient server condition (draining,
-// cancelled): the request is safe to retry against another peer.
-func (e *Error) IsUnavailable() bool { return e.Code == CodeUnavailable || e.Status == 503 }
-
 // RetryAfterDuration parses the RetryAfter hint, defaulting to one
 // second.
 func (e *Error) RetryAfterDuration() time.Duration {

@@ -224,26 +224,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		h(sw, r.WithContext(withRequestID(r.Context(), id)))
+		h(sw, r)
 		d := time.Since(start)
 		s.met.observe(endpoint, strconv.Itoa(sw.status), d)
 		s.logger.Printf("req=%s endpoint=%s method=%s path=%s status=%d dur=%s",
 			id, endpoint, r.Method, r.URL.Path, sw.status, d.Round(time.Microsecond))
 	}
-}
-
-type requestIDKey struct{}
-
-func withRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestID returns the request ID instrument attached to ctx ("" if
-// none) — job logs downstream of a handler can correlate with the
-// request log.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -45,9 +45,6 @@ func (q *Queue) Book(dur units.Duration) (start, end Time) {
 	return start, end
 }
 
-// BusyUntil reports when the queue next becomes free.
-func (q *Queue) BusyUntil() Time { return q.busyUntil }
-
 // BusyTime reports the total occupied time so far.
 func (q *Queue) BusyTime() units.Duration { return q.busyTime }
 

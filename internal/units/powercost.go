@@ -21,9 +21,6 @@ func KW(n float64) Power { return Power(n * 1e3) }
 // Wattsf reports the power as watts.
 func (p Power) Wattsf() float64 { return float64(p) }
 
-// KWf reports the power as kilowatts.
-func (p Power) KWf() float64 { return float64(p) / 1e3 }
-
 // EnergyKWh returns the electrical energy, in kilowatt-hours, of
 // drawing p for simulated duration d.
 func (p Power) EnergyKWh(d Duration) float64 {

@@ -354,8 +354,8 @@ type (
 	// SearchResult is the canonical search outcome: every candidate,
 	// the winner, and the expanded/pruned/memo counters.
 	SearchResult = search.Result
-	// SearchKey is a strategy's canonical identity ("v1;sys=…" wire
-	// form; see EncodeSearchKey/DecodeSearchKey).
+	// SearchKey is a strategy's canonical identity after normalization;
+	// its String form ("sys=mpress tp=1 …") is what reports print.
 	SearchKey = search.Key
 	// SearchEval is one transposition-table entry (the strategy's
 	// effective training rate, or OOM).
@@ -388,9 +388,6 @@ var (
 	NewSearchTable = search.NewMemTable
 	// WriteSearchReport renders a result's canonical report.
 	WriteSearchReport = search.WriteReport
-	// DecodeSearchKey parses the canonical key wire form, rejecting
-	// any encoding that is not byte-exact.
-	DecodeSearchKey = search.DecodeKey
 )
 
 // Train simulates one training job under the configured system and

@@ -16,7 +16,9 @@ import (
 // overlay without falling back to the full check. The def ops and free
 // points exec reads off the frozen base must equal those a full
 // Validate, Kahn sort and liveness analysis derive on an unforked copy,
-// which must also be acyclic.
+// which must also be acyclic. Every charged arbitration runs exactly
+// one emulation, so each preset's fork runs are its Plan.Emulations
+// plus one for the Execute stage.
 func TestSpliceDifferential(t *testing.T) {
 	var (
 		mu        sync.Mutex
@@ -49,8 +51,8 @@ func TestSpliceDifferential(t *testing.T) {
 		}
 		emulations := res.Report.Plan.Emulations
 		t.Logf("%s: %d emulations, %d fork runs checked", p.Name, emulations, runs-before)
-		if runs-before == 0 {
-			t.Errorf("%s: no fork run reached the check", p.Name)
+		if got := runs - before; got != emulations+1 {
+			t.Errorf("%s: %d fork runs checked, want Plan.Emulations+1 = %d", p.Name, got, emulations+1)
 		}
 	}
 	if fallbacks != 0 {
