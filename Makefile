@@ -2,7 +2,12 @@ GO ?= go
 
 .PHONY: check build test race fmt vet vet-grid vet-onepath smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
 
-check: fmt vet vet-grid vet-onepath build race benchcheck fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke
+# The fleet-smoke, fleet-plan-smoke, autosearch-smoke, sweep-smoke and
+# splice-smoke targets are -race subsets of the tests race already runs
+# (go test -race ./...), so check does not run them a second time; CI
+# runs each as its own step. sim-smoke stays: its allocation half runs
+# without -race.
+check: fmt vet vet-grid vet-onepath build race benchcheck sim-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:

@@ -170,12 +170,8 @@ type Result struct {
 	// per-operator all-reduces, summed over every TP group member
 	// (zero without Options.TP).
 	TPAllReduceBytes units.Bytes
-	// Events is the number of simulator events the run consumed and
-	// EventsPerSec the kernel's real-time processing rate — simulator
-	// throughput (not a simulated quantity), reported for bench
-	// records and planner tuning.
-	Events       int64
-	EventsPerSec float64
+	// Events is the number of simulator events the run consumed.
+	Events int64
 }
 
 // residency tracks where a tensor's bytes currently live.
@@ -481,17 +477,17 @@ func (e *engine) init() error {
 
 // initFree lays out the freeing points per op, in CSR form with each
 // op's tensors ascending. Def ops and uses come from the frozen base
-// when Validate certified the graph's overlay against it and the
-// lowering's multi-use tensors are chain-ordered
-// (pipeline.Built.ChainedUses): the overlay then consumes no tensor,
-// so each tensor keeps its base uses, and chain-ordered uses have the
-// same last member in any order. That spares every emulation a Kahn
-// sort and a liveness analysis of its fork. Any other graph derives
-// them from its own order and liveness.
+// when Validate certified the graph's overlay against it: the overlay
+// then consumes no tensor, so each tensor keeps its base uses, and a
+// lowering chains every multi-use tensor's consumers on one stage's
+// schedule (pipeline's TestMultiUseTensorsChained), so the last use is
+// the same op in any order. That spares every emulation a Kahn sort
+// and a liveness analysis of its fork. Any other graph derives them
+// from its own order and liveness.
 func (e *engine) initFree() error {
 	src := e.g
-	if base := e.g.Base(); base != nil && e.g.Certified() && e.o.Built.ChainedUses() {
-		src = base
+	if e.g.Certified() {
+		src = e.g.Base()
 	}
 	freeAt, err := freePoints(e.o.Built, src)
 	if err != nil {
@@ -1025,9 +1021,7 @@ func (e *engine) result() *Result {
 		r.TFLOPS = r.UsefulFLOPs.TFLOPs() / secs
 		r.SamplesPerSec = float64(e.o.Built.SamplesProcessed()) / secs
 	}
-	st := e.sim.Stats()
-	r.Events = st.Events
-	r.EventsPerSec = st.EventsPerSec
+	r.Events = e.sim.Executed()
 	return r
 }
 

@@ -1,6 +1,6 @@
-// Package grid factors a cluster's device world into a 3D
-// shard-coordinate grid — (TP, PP, DP) — generalizing the flat
-// `stage → GPU` placement MPress was built around.
+// Package grid factors a cluster's device world into (TP, PP, DP)
+// process groups, generalizing the flat `stage → GPU` placement MPress
+// was built around.
 //
 // The axes follow the Megatron-style model-parallel-unit decomposition:
 //
@@ -15,9 +15,10 @@
 // Because the TP ranks of one group do symmetric work on symmetric
 // shards, the simulator models one representative rank per group —
 // the "plane": a derived topology whose devices are the rank-0
-// representatives. When TP == 1 the plane *is* the original
-// topology (the same pointer), so the entire planner/executor stack
-// runs byte-identically to the pre-grid code.
+// representatives (Representative). When TP == 1 the plane *is* the
+// original topology (the same pointer), so the entire
+// planner/executor stack runs byte-identically to the pre-grid code.
+// Stages resolve to plane devices through Placement.
 package grid
 
 import (
@@ -26,18 +27,6 @@ import (
 	"mpress/internal/hw"
 	"mpress/internal/units"
 )
-
-// Coord addresses one shard of the 3D parallelism grid.
-type Coord struct {
-	TP int `json:"tp"`
-	PP int `json:"pp"`
-	DP int `json:"dp"`
-}
-
-// String renders the coordinate, e.g. "(tp1,pp3,dp0)".
-func (c Coord) String() string {
-	return fmt.Sprintf("(tp%d,pp%d,dp%d)", c.TP, c.PP, c.DP)
-}
 
 // Shape is the degree of each axis; its product is the world size.
 type Shape struct {
@@ -48,30 +37,6 @@ type Shape struct {
 
 // World returns the total shard count TP×PP×DP.
 func (s Shape) World() int { return s.TP * s.PP * s.DP }
-
-// Valid reports whether c lies inside the shape.
-func (s Shape) Valid(c Coord) bool {
-	return c.TP >= 0 && c.TP < s.TP &&
-		c.PP >= 0 && c.PP < s.PP &&
-		c.DP >= 0 && c.DP < s.DP
-}
-
-// Rank linearizes a coordinate: TP fastest, then PP, then DP slowest —
-// so one TP group is a contiguous device run inside a node, and DP
-// strides across nodes. The inverse is CoordOf.
-func (s Shape) Rank(c Coord) int {
-	return (c.DP*s.PP+c.PP)*s.TP + c.TP
-}
-
-// CoordOf inverts Rank.
-func (s Shape) CoordOf(rank int) Coord {
-	var c Coord
-	c.TP = rank % s.TP
-	rank /= s.TP
-	c.PP = rank % s.PP
-	c.DP = rank / s.PP
-	return c
-}
 
 // String renders the factorization, e.g.
 // "world 16 = TP(2) × PP(4) × DP(2)".
@@ -150,23 +115,6 @@ func (g *Grid) validateIslands() error {
 		}
 	}
 	return nil
-}
-
-// Device maps a coordinate to its physical endpoint: the node is the
-// DP rank, the device follows the Rank layout within the node.
-func (g *Grid) Device(c Coord) hw.NodeDevice {
-	d := c.PP*g.Shape.TP + c.TP
-	return hw.DeviceID(d).On(c.DP)
-}
-
-// CoordOf inverts Device.
-func (g *Grid) CoordOf(nd hw.NodeDevice) Coord {
-	d := int(nd.Device)
-	return Coord{
-		TP: d % g.Shape.TP,
-		PP: d / g.Shape.TP,
-		DP: nd.Node,
-	}
 }
 
 // TPGroup lists the physical devices of pipeline stage pp's TP group,

@@ -8,9 +8,10 @@ import (
 )
 
 // TestGridCoversWorld is the factorization property test: for every
-// legal (topology, nodes, tp) factorization, mapping each coordinate
-// of the shape to its rank and device must cover the world exactly
-// once — no overlaps, no holes.
+// legal (topology, nodes, tp) factorization, the TP groups must cover
+// each node's GPUs exactly once — no overlaps, no holes — each group's
+// representative must be its rank 0, and the plane must have one
+// device per group.
 func TestGridCoversWorld(t *testing.T) {
 	topos := []*hw.Topology{hw.DGX1(), hw.DGX2(), hw.GraceHopper()}
 	for _, topo := range topos {
@@ -25,44 +26,33 @@ func TestGridCoversWorld(t *testing.T) {
 					// direct fabrics; they must not cover anything.
 					continue
 				}
-				world := g.Shape.World()
-				if want := nodes * topo.NumGPUs; world != want {
-					t.Fatalf("%s tp=%d nodes=%d: world %d, want %d", topo.Name, tp, nodes, world, want)
+				if want := nodes * topo.NumGPUs; g.Shape.World() != want {
+					t.Fatalf("%s tp=%d nodes=%d: world %d, want %d", topo.Name, tp, nodes, g.Shape.World(), want)
 				}
-				seenRank := make(map[int]bool, world)
-				seenDev := make(map[hw.NodeDevice]bool, world)
-				for dp := 0; dp < g.Shape.DP; dp++ {
-					for pp := 0; pp < g.Shape.PP; pp++ {
-						for tpr := 0; tpr < g.Shape.TP; tpr++ {
-							c := Coord{TP: tpr, PP: pp, DP: dp}
-							r := g.Shape.Rank(c)
-							if r < 0 || r >= world {
-								t.Fatalf("%v: rank %d outside world %d", c, r, world)
-							}
-							if seenRank[r] {
-								t.Fatalf("%v: rank %d assigned twice", c, r)
-							}
-							seenRank[r] = true
-							if got := g.Shape.CoordOf(r); got != c {
-								t.Fatalf("CoordOf(Rank(%v)) = %v", c, got)
-							}
-							nd := g.Device(c)
-							if err := nd.Validate(nodes, topo); err != nil {
-								t.Fatalf("%v → %v: %v", c, nd, err)
-							}
-							if seenDev[nd] {
-								t.Fatalf("%v: device %v assigned twice", c, nd)
-							}
-							seenDev[nd] = true
-							if got := g.CoordOf(nd); got != c {
-								t.Fatalf("CoordOf(Device(%v)) = %v", c, got)
-							}
+				seen := make(map[hw.DeviceID]bool, topo.NumGPUs)
+				for pp := 0; pp < g.Shape.PP; pp++ {
+					members := g.TPGroup(pp)
+					if len(members) != tp {
+						t.Fatalf("%s tp=%d: group %d has %d members", topo.Name, tp, pp, len(members))
+					}
+					for _, d := range members {
+						if d < 0 || int(d) >= topo.NumGPUs {
+							t.Fatalf("%s tp=%d: group %d holds %v, outside the node's %d GPUs", topo.Name, tp, pp, d, topo.NumGPUs)
 						}
+						if seen[d] {
+							t.Fatalf("%s tp=%d: device %v in two groups", topo.Name, tp, d)
+						}
+						seen[d] = true
+					}
+					if rep := g.Representative(hw.DeviceID(pp)); rep != members[0] {
+						t.Fatalf("%s tp=%d: Representative(%d) = %v, want rank 0 %v", topo.Name, tp, pp, rep, members[0])
 					}
 				}
-				if len(seenRank) != world || len(seenDev) != world {
-					t.Fatalf("%s tp=%d nodes=%d: covered %d ranks / %d devices, want %d",
-						topo.Name, tp, nodes, len(seenRank), len(seenDev), world)
+				if len(seen) != topo.NumGPUs {
+					t.Fatalf("%s tp=%d: groups cover %d of %d GPUs", topo.Name, tp, len(seen), topo.NumGPUs)
+				}
+				if got := g.Plane().NumGPUs; got != g.Shape.PP {
+					t.Fatalf("%s tp=%d: plane has %d GPUs, want PP=%d", topo.Name, tp, got, g.Shape.PP)
 				}
 			}
 		}
@@ -140,26 +130,5 @@ func TestStubAxes(t *testing.T) {
 	}
 	if _, err := New(hw.DGX1(), 1, 0); err == nil {
 		t.Fatal("tp=0 accepted, want rejection")
-	}
-}
-
-// TestPlacement checks plane→physical shard expansion.
-func TestPlacement(t *testing.T) {
-	g := MustNew(hw.DGX1(), 1, 2)
-	// Stage 1 on plane device 3 → physical group {6, 7}.
-	p := g.Place([]hw.DeviceID{0, 3})
-	if got := p.GPU(1); got != 3 {
-		t.Fatalf("GPU(1) = %v, want 3", got)
-	}
-	if got := p.Shard(1, 1); got != (hw.NodeDevice{Node: 0, Device: 7}) {
-		t.Fatalf("Shard(1,1) = %v, want n0/gpu7", got)
-	}
-	shards := p.Shards(1)
-	if len(shards) != 2 || shards[0].Device != 6 || shards[1].Device != 7 {
-		t.Fatalf("Shards(1) = %v, want [n0/gpu6 n0/gpu7]", shards)
-	}
-	flat := Flat([]hw.DeviceID{2, 5})
-	if got := flat.Shard(0, 0); got != (hw.NodeDevice{Node: 0, Device: 2}) {
-		t.Fatalf("flat Shard(0,0) = %v", got)
 	}
 }

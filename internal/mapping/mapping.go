@@ -43,8 +43,8 @@ func (e *InfeasibleError) Error() string {
 
 // Result describes the chosen mapping.
 type Result struct {
-	// Mapping lists, per stage, the GPU hosting it (plane-space; see
-	// internal/grid.Placement for shard expansion).
+	// Mapping lists, per stage, the GPU hosting it (plane-space: a TP
+	// group's rank-0 representative, see internal/grid).
 	Mapping []hw.DeviceID
 	// Spare[g] is the remaining import budget of each GPU under this
 	// mapping (after the margin), for the planner to consume.

@@ -74,10 +74,6 @@ type Built struct {
 	actSlot        []SlotKey
 	recomputeFLOPs []units.FLOPs
 	prevOnStage    []graph.OpID
-	// chainedUses records that every non-persistent tensor consumed
-	// more than once has all its consumers on one stage's schedule
-	// chain (see ChainedUses).
-	chainedUses bool
 
 	// OptOps[s][q] lists stage s's optimizer-step operators for
 	// minibatch q — one per parameter group (block/embedding), run in
@@ -159,14 +155,6 @@ func (b *Built) PrevOnStage(id graph.OpID) graph.OpID {
 	}
 	return b.prevOnStage[id]
 }
-
-// ChainedUses reports whether every non-persistent tensor the lowering
-// consumes more than once has all its consumers on one stage's
-// schedule chain. The chain's explicit deps then order those uses in
-// every instrumented fork as in the base, so the last use — the
-// executor's free point — is the same op in any topological order.
-// Build checks it once per lowering.
-func (b *Built) ChainedUses() bool { return b.chainedUses }
 
 // Fork returns a shallow copy of b whose Graph is a graph.Fork of b's:
 // instrumenting the fork (plan.Apply) leaves b untouched. Every other
@@ -458,7 +446,6 @@ func Build(bc BuildConfig) (*Built, error) {
 	// chaining each stage's slots. An OptPass slot expands to its
 	// per-group operator sequence.
 	b.prevOnStage = make([]graph.OpID, g.Len())
-	onChain := make([]bool, g.Len())
 	for i := range b.prevOnStage {
 		b.prevOnStage[i] = -1
 	}
@@ -469,7 +456,6 @@ func Build(bc BuildConfig) (*Built, error) {
 				g.AddDep(op, prev)
 			}
 			b.prevOnStage[op] = prev
-			onChain[op] = true
 			prev = op
 		}
 		for _, slot := range bc.Kind.StageOrder(s, S, bc.Microbatches, bc.Minibatches) {
@@ -501,33 +487,9 @@ func Build(bc BuildConfig) (*Built, error) {
 	for _, id := range blockActs {
 		b.recomputeFLOPs[id] = blockFLOPs
 	}
-	b.chainedUses = b.usesChained(onChain)
 
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: built graph invalid: %w", err)
 	}
 	return b, nil
-}
-
-// usesChained reports whether every non-persistent tensor with more
-// than one consumer has them all on one stage's schedule chain
-// (onChain marks the chained ops).
-func (b *Built) usesChained(onChain []bool) bool {
-	g := b.Graph
-	first := make([]graph.OpID, g.Tensors.Len())
-	for i := range first {
-		first[i] = -1
-	}
-	for _, op := range g.Ops() {
-		for _, t := range op.Inputs {
-			switch f := first[t]; {
-			case b.PersistentSet[t]:
-			case f < 0:
-				first[t] = op.ID
-			case !onChain[f] || !onChain[op.ID] || g.Op(f).Stage != op.Stage:
-				return false
-			}
-		}
-	}
-	return true
 }

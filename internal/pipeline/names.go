@@ -66,28 +66,14 @@ var strategyNames = []struct {
 	{"memory-balanced", MemoryBalanced},
 }
 
-// StrategyNames lists every name LookupStrategy accepts, in
-// declaration order.
+// StrategyNames lists every strategy's CLI name, in declaration
+// order.
 func StrategyNames() []string {
 	out := make([]string, len(strategyNames))
 	for i, e := range strategyNames {
 		out[i] = e.name
 	}
 	return out
-}
-
-// LookupStrategy resolves a CLI name ("compute-balanced",
-// "memory-balanced"), case-insensitively. Unknown names error with the
-// full valid list.
-func LookupStrategy(name string) (Strategy, error) {
-	lower := strings.ToLower(strings.TrimSpace(name))
-	for _, e := range strategyNames {
-		if lower == e.name {
-			return e.strat, nil
-		}
-	}
-	return 0, fmt.Errorf("pipeline: unknown strategy %q (valid names: %s)",
-		name, strings.Join(StrategyNames(), ", "))
 }
 
 // KnownStrategy reports whether s is a registered partition strategy
@@ -101,8 +87,8 @@ func KnownStrategy(s Strategy) bool {
 	return false
 }
 
-// StrategyName returns the CLI name of a strategy (the inverse of
-// LookupStrategy), or its String form for unknown values.
+// StrategyName returns the CLI name of a strategy, or its String form
+// for unknown values.
 func StrategyName(s Strategy) string {
 	for _, e := range strategyNames {
 		if e.strat == s {

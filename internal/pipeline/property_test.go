@@ -1,10 +1,12 @@
 package pipeline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"mpress/internal/graph"
 	"mpress/internal/model"
 	"mpress/internal/tensor"
 	"mpress/internal/units"
@@ -223,4 +225,95 @@ func TestProfileConservation(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestMultiUseTensorsChained: in every lowering of the grid below, each
+// non-persistent tensor with more than one consumer has all its
+// consumers on one stage's schedule chain, linked by PrevOnStage. The
+// chain's deps then order those uses in every instrumented fork as in
+// the base, so the last use — the executor's free point — is the same
+// op in any topological order; exec reads free points off the frozen
+// base on that ground (TestSpliceDifferential checks the result
+// against a full re-derivation).
+func TestMultiUseTensorsChained(t *testing.T) {
+	var models []model.Config
+	for _, size := range model.BertSizes()[:2] {
+		models = append(models, mustBert(t, size))
+	}
+	for _, size := range model.GPTSizes()[:2] {
+		models = append(models, mustGPT(t, size))
+	}
+	prec := model.MixedAdam()
+	built := 0
+	for _, cfg := range models {
+		for _, kind := range []ScheduleKind{PipeDream, DAPPLE, GPipe} {
+			for _, stages := range []int{1, 2, 4, 8, 16} {
+				micro := max(stages, 2)
+				for _, strat := range []Strategy{ComputeBalanced, MemoryBalanced} {
+					part, err := PartitionModel(cfg, stages, strat, kind, prec, 1, micro)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tp := range []int{0, 2} {
+						for mini := 1; mini <= 3; mini++ {
+							b, err := Build(BuildConfig{
+								Model: cfg, Prec: prec, Part: part, Kind: kind,
+								MicrobatchSize: 1, Microbatches: micro, Minibatches: mini, TP: tp,
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if err := chainedUses(b); err != nil {
+								t.Fatalf("%s %v S=%d %v tp=%d mini=%d: %v", cfg.Name, kind, stages, strat, tp, mini, err)
+							}
+							built++
+						}
+					}
+				}
+			}
+		}
+	}
+	if built != 720 {
+		t.Fatalf("checked %d lowerings, want 720", built)
+	}
+}
+
+// chainedUses checks one lowering for TestMultiUseTensorsChained.
+func chainedUses(b *Built) error {
+	g := b.Graph
+	// head[op] is the first op of op's schedule chain, -1 for an op on
+	// no chain. Every chain has at least two ops (a forward and a
+	// backward), so an op is chained iff it has, or is, a PrevOnStage.
+	head := make([]graph.OpID, g.Len())
+	for i := range head {
+		head[i] = -1
+	}
+	for _, op := range g.Ops() {
+		if b.PrevOnStage(op.ID) < 0 {
+			continue
+		}
+		h := op.ID
+		for p := b.PrevOnStage(h); p >= 0; p = b.PrevOnStage(h) {
+			h = p
+		}
+		head[op.ID], head[h] = h, h
+	}
+	first := make([]graph.OpID, g.Tensors.Len())
+	for i := range first {
+		first[i] = -1
+	}
+	for _, op := range g.Ops() {
+		for _, t := range op.Inputs {
+			f := first[t]
+			switch {
+			case b.PersistentSet[t]:
+			case f < 0:
+				first[t] = op.ID
+			case head[f] < 0 || head[f] != head[op.ID]:
+				return fmt.Errorf("tensor %s: consumers %s and %s are not on one stage's chain",
+					g.Tensors.Get(t).Name, g.Op(f).Name, op.Name)
+			}
+		}
+	}
+	return nil
 }

@@ -243,9 +243,9 @@ func Compute(o Options) (*Plan, error) {
 	return p.plan, nil
 }
 
-// finalizeSummary recomputes SavedByMech and StageRange from the final
-// per-tensor assignment (partial D2D conversions and refinement undos
-// make the incremental counters unreliable).
+// finalizeSummary computes SavedByMech and StageRange once, from the
+// final per-tensor assignment (partial D2D conversions and refinement
+// undos make per-step counting unreliable).
 func (p *planner) finalizeSummary() {
 	p.plan.SavedByMech = make(map[Mechanism]units.Bytes)
 	p.plan.StageRange = map[Mechanism][2]int{
@@ -282,15 +282,12 @@ func (p *planner) newPlan() {
 		Act:         make(map[tensor.ID]Mechanism),
 		Parts:       make(map[tensor.ID][]fabric.Part),
 		HostPersist: make(map[tensor.ID]bool),
-		SavedByMech: make(map[Mechanism]units.Bytes),
-		StageRange: map[Mechanism][2]int{
-			MechRecompute: {-1, -1}, MechHostSwap: {-1, -1}, MechD2D: {-1, -1},
-		},
 	}
 	p.inUse = make(map[groupKey]Mechanism)
 	p.spare = compaction.SpareBudget(p.mapRes.Spare).Clone()
 }
 
+// note adds one tensor's saving to the summary maps.
 func (p *planner) note(mech Mechanism, stage int, saved units.Bytes) {
 	p.plan.SavedByMech[mech] += saved
 	r := p.plan.StageRange[mech]
@@ -387,7 +384,6 @@ func (p *planner) initialAssignment() error {
 					continue
 				}
 				p.plan.HostPersist[id] = true
-				p.note(MechHostSwap, s, tn.Size)
 				need -= tn.Size
 				parkBudget -= tn.Size
 			}
@@ -460,7 +456,6 @@ func (p *planner) initialAssignment() error {
 					continue
 				}
 				p.plan.HostPersist[id] = true
-				p.note(MechHostSwap, s, tn.Size)
 				need -= tn.Size
 			}
 		}
@@ -582,7 +577,6 @@ func (p *planner) applyGroup(stage, blk int, mech Mechanism, inflight int) units
 	if saved <= 0 {
 		saved = size / 2
 	}
-	p.note(mech, stage, saved)
 	return saved
 }
 
@@ -623,7 +617,6 @@ func (p *planner) applyGroupD2D(stage, blk int) units.Bytes {
 	if saved <= 0 {
 		saved = size / 2
 	}
-	p.note(MechD2D, stage, saved)
 	return saved
 }
 

@@ -41,8 +41,9 @@ type trial struct {
 	inUse map[groupKey]Mechanism
 }
 
-// snapshot clones the refinement-mutable state. Mapping, HostPersist
-// and the summary maps are fixed during refinement and shared.
+// snapshot clones the refinement-mutable state. Mapping and
+// HostPersist are fixed during refinement and shared; the summary maps
+// are filled only after it (finalizeSummary).
 func (p *planner) snapshot() *trial {
 	return &trial{
 		plan: &Plan{
@@ -50,8 +51,6 @@ func (p *planner) snapshot() *trial {
 			Act:         maps.Clone(p.plan.Act),
 			Parts:       maps.Clone(p.plan.Parts),
 			HostPersist: p.plan.HostPersist,
-			SavedByMech: p.plan.SavedByMech,
-			StageRange:  p.plan.StageRange,
 		},
 		spare: p.spare.Clone(),
 		inUse: maps.Clone(p.inUse),

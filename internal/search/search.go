@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"mpress/internal/ckpt"
@@ -46,12 +47,24 @@ type Space struct {
 	CheckpointsNS []int64 `json:"checkpoints_ns,omitempty"`
 }
 
+// maxSpaceSize bounds the raw candidates one Run enumerates: mpressd's
+// default sweep cap, far above DefaultSpace's at most 80.
+const maxSpaceSize = 4096
+
 // Size returns the number of raw candidates the space enumerates for
-// the given base (the product of the resolved axis lengths).
+// the given base (the product of the resolved axis lengths), or
+// math.MaxInt when that product overflows an int.
 func (s Space) Size(base runner.Config) int {
 	r := s.resolve(base)
-	return len(r.Systems) * len(r.TPDegrees) * len(r.StageCounts) *
-		len(r.Partitions) * len(r.Nodes) * len(r.CheckpointsNS)
+	n := 1
+	for _, l := range []int{len(r.Systems), len(r.TPDegrees), len(r.StageCounts),
+		len(r.Partitions), len(r.Nodes), len(r.CheckpointsNS)} {
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
 }
 
 // resolve fills every empty axis with the base config's own value, so
@@ -234,6 +247,10 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 	if err != nil {
 		return nil, fmt.Errorf("search: base config: %w", err)
 	}
+	size := sp.Size(base)
+	if size > maxSpaceSize {
+		return nil, fmt.Errorf("search: space enumerates %d candidates, over the limit of %d", size, maxSpaceSize)
+	}
 	db := baseJob.Config
 	workload := int64(db.MicrobatchSize) * int64(db.Microbatches) *
 		int64(db.Minibatches) * int64(db.Replicas())
@@ -252,7 +269,7 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 	res := &Result{
 		BaseFingerprint: baseJob.Fingerprint(),
 		Workload:        workload,
-		SpaceSize:       sp.Size(base),
+		SpaceSize:       size,
 		Winner:          -1,
 	}
 	pending := enumerate(base, sp.resolve(base), res, workload)
@@ -362,9 +379,7 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 func enumerate(base runner.Config, sp Space, res *Result, workload int64) []*Candidate {
 	// Fixed capacity up front: pending holds pointers into
 	// res.Candidates, so the backing array must never reallocate.
-	n := len(sp.Systems) * len(sp.TPDegrees) * len(sp.StageCounts) *
-		len(sp.Partitions) * len(sp.Nodes) * len(sp.CheckpointsNS)
-	res.Candidates = make([]Candidate, 0, n)
+	res.Candidates = make([]Candidate, 0, res.SpaceSize)
 	var pending []*Candidate
 	rank := 0
 	for _, sys := range sp.Systems {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -267,5 +268,26 @@ func TestEmptySpaceIsBaseOnly(t *testing.T) {
 	best := r.Best()
 	if best == nil || best.Key.System != runner.SystemMPress || best.Key.Stages != 8 {
 		t.Fatalf("winner %+v is not the defaulted base", best)
+	}
+}
+
+// TestOversizeSpaceRejected: a space past the candidate bound is an
+// error, never an allocation sized by its product — whether that
+// product fits an int (StageCounts × Partitions of 3M each, 9×10¹²)
+// or overflows one (four axes of 60,000, ~1.3×10¹⁹).
+func TestOversizeSpaceRejected(t *testing.T) {
+	base := testBase(t)
+	axis := func(n int) []int { return make([]int, n) }
+	big := Space{StageCounts: axis(3_000_000), Partitions: make([]pipeline.Strategy, 3_000_000)}
+	overflow := Space{TPDegrees: axis(60_000), StageCounts: axis(60_000), Nodes: axis(60_000),
+		CheckpointsNS: make([]int64, 60_000)}
+	for name, sp := range map[string]Space{"9e12": big, "overflow": overflow} {
+		_, err := Run(context.Background(), base, sp, Options{Runner: pool(1)})
+		if err == nil || !strings.Contains(err.Error(), "over the limit") {
+			t.Errorf("%s: err = %v, want the space-size limit", name, err)
+		}
+	}
+	if got := overflow.Size(base); got != math.MaxInt {
+		t.Errorf("overflowing Size = %d, want math.MaxInt", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -21,9 +20,9 @@ import (
 // peer finds that owner's table warm and simulates nothing.
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPlanBody))
+	body, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var req api.SearchRequest

@@ -82,6 +82,27 @@ func TestServerSearchBadConfig(t *testing.T) {
 	}
 }
 
+// A space past search's candidate bound is a 400 naming the limit, not
+// a handler panic that drops the connection: four axes of 60,000
+// entries make a ~1 MiB body whose product overflows an int.
+func TestServerSearchOversizeSpace(t *testing.T) {
+	s := New(Options{Runner: runner.Options{Workers: 1}, Logger: testLogger(t)})
+	cl, cancel, wait := startDaemon(t, s)
+	defer func() { cancel(); _ = wait(); cl.HTTPClient.CloseIdleConnections() }()
+
+	axis := make([]int, 60_000)
+	sp := &search.Space{TPDegrees: axis, StageCounts: axis, Nodes: axis,
+		CheckpointsNS: make([]int64, len(axis))}
+	_, err := cl.Search(context.Background(), testConfig(t, runner.SystemMPress), sp, "")
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("want 400 api.Error, got %v", err)
+	}
+	if !strings.Contains(apiErr.Message, "over the limit") {
+		t.Fatalf("error does not name the space limit: %v", apiErr)
+	}
+}
+
 // The plan endpoint shares the same validation: an unregistered
 // system integer is a 400 whose message enumerates the valid names
 // (the same registry the CLI help derives from), not a 422 or a 500.

@@ -277,13 +277,26 @@ func (s *Server) requestTimeout(spec string) (time.Duration, error) {
 	return d, nil
 }
 
-// maxPlanBody bounds plan and search request payloads.
+// maxPlanBody bounds plan, search and sweep request payloads.
 const maxPlanBody = 16 << 20
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPlanBody))
+// readBody reads a request body of at most maxPlanBody bytes; a longer
+// one is an error, never silently truncated.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxPlanBody+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read request: %v", err)
+		return nil, fmt.Errorf("read request: %v", err)
+	}
+	if len(body) > maxPlanBody {
+		return nil, fmt.Errorf("request body exceeds the %d-byte limit", maxPlanBody)
+	}
+	return body, nil
+}
+
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var req api.PlanRequest
@@ -370,8 +383,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}

@@ -362,7 +362,7 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 // TestBadRequests covers the 400 surface: bad JSON, bad timeout
-// strings, invalid configs, oversized sweeps.
+// strings, invalid configs, oversized sweeps and bodies.
 func TestBadRequests(t *testing.T) {
 	s := New(Options{Runner: runner.Options{Workers: 1}, MaxSweepConfigs: 2, Logger: testLogger(t)})
 	cl, cancel, wait := startDaemon(t, s)
@@ -387,6 +387,11 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code := post(api.PathSweep, `{"configs":[{},{},{}]}`); code != http.StatusBadRequest {
 		t.Errorf("oversized sweep: %d", code)
+	}
+	// A sweep body past maxPlanBody is a 400, as for plan and search,
+	// however decodable: 20 MiB padded inside an unknown field.
+	if code := post(api.PathSweep, `{"pad":"`+strings.Repeat("x", 20<<20)+`","configs":[{}]}`); code != http.StatusBadRequest {
+		t.Errorf("20 MiB sweep body: %d", code)
 	}
 	// An invalid config is a 400 with a cause.
 	_, err := cl.Plan(context.Background(), runner.Config{}, "")

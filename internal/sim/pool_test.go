@@ -85,21 +85,6 @@ func TestPoolRecyclesPristine(t *testing.T) {
 	Put(r)
 }
 
-func TestStatsReportThroughput(t *testing.T) {
-	s := New()
-	kernelWorkload(s)
-	st := s.Stats()
-	if st.Events != s.Executed() {
-		t.Fatalf("Stats.Events = %d, want %d", st.Events, s.Executed())
-	}
-	if st.Wall <= 0 {
-		t.Fatalf("Stats.Wall = %v, want > 0", st.Wall)
-	}
-	if st.EventsPerSec <= 0 {
-		t.Fatalf("Stats.EventsPerSec = %v, want > 0", st.EventsPerSec)
-	}
-}
-
 func TestTimelineArenaRecycles(t *testing.T) {
 	s := New()
 	a := NewLaneSet(s, "a", 4)

@@ -5,7 +5,7 @@
 //
 // Determinism is load-bearing: ties are broken by insertion order, so a
 // simulation with identical inputs always produces identical timings,
-// and tests can assert exact values.
+// and tests can assert exact values. The kernel reads no real clock.
 //
 // The event store (sched.go) is a binary heap over struct-of-arrays
 // event slots, ordered by (time, seq). Every event is a small typed
@@ -30,7 +30,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"mpress/internal/units"
 )
@@ -54,13 +53,11 @@ type Sim struct {
 	seq     int64
 	q       sched
 	stopped bool
-	// executed counts events handed to Handle, exposed for
-	// tests and for the runaway-guard in Run. An event popped in the
-	// iteration where Interrupt fires is not counted: the poll happens
-	// before the pop.
+	// executed counts events handed to Handle: Executed reports it
+	// (exec.Result.Events) and Run's runaway guard bounds it. An event
+	// popped in the iteration where Interrupt fires is not counted: the
+	// poll happens before the pop.
 	executed int64
-	// wall accumulates real time spent inside Run, for Stats.
-	wall time.Duration
 	// arena backs resource timelines (LaneSet lanes); arenaUsed is the
 	// high-water mark of the current block. Reset recycles the block, so
 	// pooled Sims hand out timelines without allocating.
@@ -119,7 +116,6 @@ func (s *Sim) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.executed = 0
-	s.wall = 0
 	s.stopped = false
 	s.Interrupted = false
 	s.MaxEvents = 0
@@ -185,7 +181,6 @@ func (s *Sim) Run() Time {
 	}
 	s.stopped = false
 	s.Interrupted = false
-	t0 := time.Now()
 	for s.q.len() > 0 && !s.stopped {
 		// Poll before popping: an interrupted Run leaves the unexecuted
 		// event queued and uncounted.
@@ -201,28 +196,7 @@ func (s *Sim) Run() Time {
 		}
 		s.Handle(ev)
 	}
-	s.wall += time.Since(t0)
 	return s.now
-}
-
-// Stats summarizes the kernel's processed work: how many events Run
-// consumed, the real time it spent doing so, and the resulting
-// throughput. EventsPerSec is the simulator's own processing rate (not
-// a simulated quantity) — the figure of merit for the planner's
-// emulation loop.
-type Stats struct {
-	Events       int64
-	Wall         time.Duration
-	EventsPerSec float64
-}
-
-// Stats returns the run statistics accumulated since New or Reset.
-func (s *Sim) Stats() Stats {
-	st := Stats{Events: s.executed, Wall: s.wall}
-	if s.wall > 0 {
-		st.EventsPerSec = float64(s.executed) / s.wall.Seconds()
-	}
-	return st
 }
 
 // Pending returns the number of queued events, for tests.

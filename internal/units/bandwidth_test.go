@@ -36,48 +36,3 @@ func TestBitString(t *testing.T) {
 		}
 	}
 }
-
-func TestParseBandwidth(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Bandwidth
-	}{
-		{"25GB/s", GBps(25)},
-		{"11.7GBps", GBps(11.7)},
-		{"900MB/s", Bandwidth(900e6)},
-		{"1.5MBps", Bandwidth(1.5e6)},
-		{"100Gbps", Gbps(100)},
-		{"100Gbit/s", Gbps(100)},
-		{" 100 Gbit/s ", Gbps(100)},
-		{"400Mbps", Bandwidth(400e6 / 8)},
-		{"400Mbit/s", Bandwidth(400e6 / 8)},
-		{"12500000000", Bandwidth(12.5e9)},
-	}
-	for _, c := range cases {
-		got, err := ParseBandwidth(c.in)
-		if err != nil {
-			t.Errorf("ParseBandwidth(%q): %v", c.in, err)
-			continue
-		}
-		if math.Abs(float64(got-c.want)) > 1e-3 {
-			t.Errorf("ParseBandwidth(%q) = %g, want %g", c.in, float64(got), float64(c.want))
-		}
-	}
-	for _, bad := range []string{"", "fast", "-3GB/s", "Gbps"} {
-		if _, err := ParseBandwidth(bad); err == nil {
-			t.Errorf("ParseBandwidth(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestParseFormatRoundTrip(t *testing.T) {
-	for _, bw := range []Bandwidth{Gbps(100), Gbps(25), Gbps(10), GBps(11.7)} {
-		got, err := ParseBandwidth(bw.BitString())
-		if err != nil {
-			t.Fatalf("round trip of %s: %v", bw.BitString(), err)
-		}
-		if math.Abs(float64(got-bw)) > 1 { // sub-byte/s rounding
-			t.Errorf("round trip of %s = %g, want %g", bw.BitString(), float64(got), float64(bw))
-		}
-	}
-}

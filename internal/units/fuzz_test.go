@@ -39,68 +39,6 @@ func FuzzParseBytes(f *testing.F) {
 	})
 }
 
-// FuzzParsePower checks the parser never panics and that accepted
-// inputs round-trip through String within formatting tolerance
-// (String keeps two decimals above 1kW).
-func FuzzParsePower(f *testing.F) {
-	for _, seed := range []string{
-		"0", "350W", "6.5kW", "6.5KW", "1.2MW", "500mW", " 3.5kW ", "1200",
-		"", "W", "-5W", "5w", "1e3kW", "NaNW", "9e300MW", "٣W",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, in string) {
-		p, err := ParsePower(in)
-		if err != nil {
-			return
-		}
-		if p != p || p > 1e300 { // NaN / near-overflow values don't round-trip
-			return
-		}
-		again, err := ParsePower(p.String())
-		if err != nil {
-			t.Fatalf("ParsePower(%q) = %v, but its String %q does not re-parse: %v",
-				in, float64(p), p.String(), err)
-		}
-		diff := float64(again - p)
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > float64(p)/100+1e-9 {
-			t.Fatalf("round trip drifted: %v -> %q -> %v", float64(p), p.String(), float64(again))
-		}
-	})
-}
-
-// FuzzParseCost checks the parser never panics and that accepted
-// inputs round-trip through String exactly (String keeps full float
-// precision).
-func FuzzParseCost(f *testing.F) {
-	for _, seed := range []string{
-		"0", "$12.50", "12.50", "$0.004", "$3.25/hr", "3.25/h", " $ 14 ",
-		"", "$", "-3", "$-3", "1e3", "$1e-7", "NaN", "$Inf",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, in string) {
-		c, err := ParseCost(in)
-		if err != nil {
-			return
-		}
-		if c != c { // NaN parses via ParseFloat but cannot round-trip equal
-			return
-		}
-		again, err := ParseCost(c.String())
-		if err != nil {
-			t.Fatalf("ParseCost(%q) = %v, but its String %q does not re-parse: %v",
-				in, float64(c), c.String(), err)
-		}
-		if again != c {
-			t.Fatalf("round trip drifted: %v -> %q -> %v", float64(c), c.String(), float64(again))
-		}
-	})
-}
-
 // FuzzDurationString checks formatting never emits empty or
 // whitespace-only strings.
 func FuzzDurationString(f *testing.F) {

@@ -3,7 +3,6 @@ package units
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Power is an electrical power draw in watts. Machine-type catalog
@@ -44,40 +43,6 @@ func (p Power) String() string {
 	}
 }
 
-// ParsePower parses power strings like "350W", "6.5kW", "1.2MW",
-// "500mW". A bare number is watts.
-//
-// Matching is case-sensitive for the metric prefix — the same
-// discipline ParseBandwidth applies to Gbps-vs-GBps: lowercase "m" is
-// milli and uppercase "M" is mega, so "5mW" and "5MW" differ by nine
-// orders of magnitude and neither is guessed from the other. The unit
-// letter itself must be an uppercase "W" (SI), and "kW" accepts "KW"
-// since no kelvin-watt ambiguity exists.
-func ParsePower(s string) (Power, error) {
-	t := strings.TrimSpace(s)
-	mult := 1.0
-	for _, suf := range []struct {
-		name string
-		m    float64
-	}{
-		{"GW", 1e9}, {"MW", 1e6}, {"mW", 1e-3}, {"kW", 1e3}, {"KW", 1e3}, {"W", 1},
-	} {
-		if strings.HasSuffix(t, suf.name) {
-			mult = suf.m
-			t = strings.TrimSpace(t[:len(t)-len(suf.name)])
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: cannot parse %q as power: %v", s, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("units: negative power %q", s)
-	}
-	return Power(v * mult), nil
-}
-
 // Cost is an amount of money in US dollars. Catalog entries use it as
 // an hourly rental rate ($/hr, see Cost.For); reports use it as the
 // absolute dollar cost of a run.
@@ -95,9 +60,9 @@ func (c Cost) For(d Duration) Cost {
 	return Cost(float64(c) * d.Secondsf() / 3600)
 }
 
-// String formats the cost exactly, e.g. "$12.5", "$0.004". The 'g'
-// formatting with full precision guarantees ParseCost round-trips
-// bit for bit; use PrettyString for fixed-width table output.
+// String formats the cost exactly, e.g. "$12.5", "$0.004": the 'g'
+// formatting keeps full float precision. Use PrettyString for
+// fixed-width table output.
 func (c Cost) String() string {
 	if c < 0 {
 		return "-" + (-c).String()
@@ -116,26 +81,4 @@ func (c Cost) PrettyString() string {
 		return fmt.Sprintf("$%.4f", float64(c))
 	}
 	return fmt.Sprintf("$%.2f", float64(c))
-}
-
-// ParseCost parses dollar amounts like "$12.50", "3.25", "$0.004/hr"
-// — an optional leading "$" and an optional "/hr" or "/h" rate suffix
-// (the rate-ness is contextual, the number is the same either way).
-func ParseCost(s string) (Cost, error) {
-	t := strings.TrimSpace(s)
-	for _, suf := range []string{"/hr", "/h"} {
-		if strings.HasSuffix(t, suf) {
-			t = strings.TrimSpace(t[:len(t)-len(suf)])
-			break
-		}
-	}
-	t = strings.TrimSpace(strings.TrimPrefix(t, "$"))
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: cannot parse %q as cost: %v", s, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("units: negative cost %q", s)
-	}
-	return Cost(v), nil
 }

@@ -5,61 +5,6 @@ import (
 	"testing"
 )
 
-func TestParsePower(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Power
-	}{
-		{"350W", 350},
-		{"350 W", 350},
-		{"0", 0},
-		{"1200", 1200},
-		{"6.5kW", 6500},
-		{"6.5KW", 6500},
-		{"1.2MW", 1.2e6},
-		{"500mW", 0.5},
-		{" 3.5kW ", 3500},
-		{"10.2kW", 10200},
-	}
-	for _, c := range cases {
-		got, err := ParsePower(c.in)
-		if err != nil {
-			t.Fatalf("ParsePower(%q): %v", c.in, err)
-		}
-		if math.Abs(float64(got-c.want)) > 1e-9*math.Abs(float64(c.want)) {
-			t.Errorf("ParsePower(%q) = %v, want %v", c.in, float64(got), float64(c.want))
-		}
-	}
-}
-
-// TestParsePowerCaseSensitivity pins the mW-vs-MW discipline: the
-// metric prefix is case-sensitive, mirroring ParseBandwidth's
-// Gbps-vs-GBps distinction.
-func TestParsePowerCaseSensitivity(t *testing.T) {
-	milli, err := ParsePower("5mW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mega, err := ParsePower("5MW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if milli != Power(0.005) {
-		t.Errorf("5mW = %v W, want 0.005", float64(milli))
-	}
-	if mega != Power(5e6) {
-		t.Errorf("5MW = %v W, want 5e6", float64(mega))
-	}
-}
-
-func TestParsePowerErrors(t *testing.T) {
-	for _, in := range []string{"", "W", "-5W", "watt", "5w"} {
-		if v, err := ParsePower(in); err == nil {
-			t.Errorf("ParsePower(%q) = %v, want error", in, float64(v))
-		}
-	}
-}
-
 func TestPowerString(t *testing.T) {
 	cases := []struct {
 		in   Power
@@ -79,21 +24,6 @@ func TestPowerString(t *testing.T) {
 	}
 }
 
-// TestPowerRoundTrip checks String output re-parses to the same value
-// within formatting tolerance (String keeps two decimals above 1kW).
-func TestPowerRoundTrip(t *testing.T) {
-	for _, p := range []Power{0, 1, 350, 999, 1000, 3500, 6500, 10200, 1.5e6, 0.25} {
-		got, err := ParsePower(p.String())
-		if err != nil {
-			t.Fatalf("ParsePower(%q): %v", p.String(), err)
-		}
-		diff := math.Abs(float64(got - p))
-		if diff > float64(p)/100+1e-9 {
-			t.Errorf("round trip drifted: %v -> %q -> %v", float64(p), p.String(), float64(got))
-		}
-	}
-}
-
 func TestPowerEnergy(t *testing.T) {
 	// 1kW for one simulated hour is exactly 1 kWh.
 	if got := KW(1).EnergyKWh(3600 * Second); math.Abs(got-1) > 1e-12 {
@@ -101,52 +31,6 @@ func TestPowerEnergy(t *testing.T) {
 	}
 	if got := Watts(3500).EnergyKWh(30 * 60 * Second); math.Abs(got-1.75) > 1e-12 {
 		t.Errorf("3.5kW x 30min = %v kWh, want 1.75", got)
-	}
-}
-
-func TestParseCost(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Cost
-	}{
-		{"$12.50", 12.5},
-		{"12.50", 12.5},
-		{"$0.004", 0.004},
-		{"$3.25/hr", 3.25},
-		{"3.25/h", 3.25},
-		{" $ 14 ", 14},
-		{"0", 0},
-	}
-	for _, c := range cases {
-		got, err := ParseCost(c.in)
-		if err != nil {
-			t.Fatalf("ParseCost(%q): %v", c.in, err)
-		}
-		if got != c.want {
-			t.Errorf("ParseCost(%q) = %v, want %v", c.in, float64(got), float64(c.want))
-		}
-	}
-}
-
-func TestParseCostErrors(t *testing.T) {
-	for _, in := range []string{"", "$", "-3", "$-3", "three dollars"} {
-		if v, err := ParseCost(in); err == nil {
-			t.Errorf("ParseCost(%q) = %v, want error", in, float64(v))
-		}
-	}
-}
-
-// TestCostRoundTrip pins the exact round trip: String uses full 'g'
-// precision, so ParseCost(String) is bit-identical.
-func TestCostRoundTrip(t *testing.T) {
-	for _, c := range []Cost{0, 0.004, 1, 3.25, 12.5, 14, 45, 123456.789, 1e-6} {
-		got, err := ParseCost(c.String())
-		if err != nil {
-			t.Fatalf("ParseCost(%q): %v", c.String(), err)
-		}
-		if got != c {
-			t.Errorf("round trip drifted: %v -> %q -> %v", float64(c), c.String(), float64(got))
-		}
 	}
 }
 

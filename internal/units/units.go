@@ -159,56 +159,6 @@ func (bw Bandwidth) BitString() string {
 	return fmt.Sprintf("%gMbit/s", bits/1e6)
 }
 
-// ParseBandwidth parses link-rate strings in either byte or bit units:
-// "25GB/s", "11.7GBps", "900MB/s" (bytes), "100Gbps", "100Gbit/s",
-// "400Mbps" (bits). A bare number is bytes per second.
-func ParseBandwidth(s string) (Bandwidth, error) {
-	t := strings.TrimSpace(s)
-	upper := strings.ToUpper(t)
-	mult := 1.0
-	for _, suf := range []struct {
-		name string
-		m    float64
-	}{
-		// Bit suffixes first: "GBIT/S" would otherwise never match
-		// after "B/S" strips, and "GBPS" (bytes) must not swallow
-		// "GBPS"-meaning-bits — bits use lowercase-b conventions, so we
-		// distinguish on the canonical spellings below.
-		{"GBIT/S", 1e9 / 8}, {"MBIT/S", 1e6 / 8},
-		{"GB/S", 1e9}, {"MB/S", 1e6},
-	} {
-		if strings.HasSuffix(upper, suf.name) {
-			mult = suf.m
-			t = strings.TrimSpace(t[:len(t)-len(suf.name)])
-			goto parse
-		}
-	}
-	// "Gbps"/"Mbps" vs "GBps"/"MBps": lowercase b is bits, uppercase B
-	// is bytes — the one place where case matters.
-	for _, suf := range []struct {
-		name string
-		m    float64
-	}{
-		{"GBps", 1e9}, {"MBps", 1e6},
-		{"Gbps", 1e9 / 8}, {"Mbps", 1e6 / 8},
-	} {
-		if strings.HasSuffix(t, suf.name) {
-			mult = suf.m
-			t = strings.TrimSpace(t[:len(t)-len(suf.name)])
-			goto parse
-		}
-	}
-parse:
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: cannot parse %q as bandwidth: %v", s, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("units: negative bandwidth %q", s)
-	}
-	return Bandwidth(v * mult), nil
-}
-
 // TransferTime computes how long moving size bytes takes at this
 // bandwidth, ignoring latency. Zero or negative bandwidth yields an
 // infinite duration sentinel (MaxDuration).

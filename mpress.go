@@ -29,7 +29,6 @@ import (
 	"mpress/internal/chaos"
 	"mpress/internal/ckpt"
 	"mpress/internal/cluster"
-	"mpress/internal/grid"
 	"mpress/internal/hw"
 	"mpress/internal/memsim"
 	"mpress/internal/model"
@@ -282,31 +281,6 @@ type (
 	// (internal/catalog) are the usual source.
 	Price = runner.Price
 )
-
-// The shard-coordinate grid behind Config.TPDegree: the device world
-// factors into TP × PP × DP process groups, and every pipeline
-// placement is a stage → shard-group assignment rather than a flat
-// stage → GPU array. See "Tensor parallelism" in the README.
-type (
-	// Coord locates one shard in the 3D grid.
-	Coord = grid.Coord
-	// Shape is the per-axis degree; its product is the world size.
-	Shape = grid.Shape
-	// Grid factors a topology (× nodes) into validated process groups.
-	Grid = grid.Grid
-	// Placement assigns pipeline stages to shard groups.
-	Placement = grid.Placement
-)
-
-// NewGrid validates and builds a shard grid over topo: TP must divide
-// the server's GPU count and every TP group must form an NVLink
-// island. nodes is the DP degree.
-func NewGrid(topo *Topology, nodes, tp int) (*Grid, error) {
-	return grid.New(topo, nodes, tp)
-}
-
-// FlatPlacement wraps a legacy stage → GPU mapping as a Placement.
-func FlatPlacement(mapping []DeviceID) Placement { return grid.Flat(mapping) }
 
 // The Job/Runner layer, for batch workloads: validate Configs into
 // Jobs with NewJob, then push them through a Runner's worker pool with
