@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid vet-onepath smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-grid vet-onepath vet-names smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
 
 # The fleet-smoke, fleet-plan-smoke, autosearch-smoke, sweep-smoke and
 # splice-smoke targets are -race subsets of the tests race already runs
 # (go test -race ./...), so check does not run them a second time; CI
 # runs each as its own step. sim-smoke stays: its allocation half runs
 # without -race.
-check: fmt vet vet-grid vet-onepath build race benchcheck sim-smoke benchmark-smoke
+check: fmt vet vet-grid vet-onepath vet-names build race benchcheck sim-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -146,5 +146,18 @@ vet-onepath:
 		| grep -v '_test\.go' | grep -v '^internal/runner/' | grep -v '^internal/plan/' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "plan.Apply called outside internal/runner and internal/plan (run jobs through runner.Runner):"; \
+		echo "$$out"; exit 1; \
+	fi
+
+# One name rule: every preset name (topology, fabric, system, schedule,
+# model size, experiment, ...) resolves through an internal/names
+# table, which alone formats the "(valid names: ...)" list of a miss,
+# so a hand-rolled lookup with its own matching rule cannot return.
+# benchmark/ is exempt: it is a separate module.
+vet-names:
+	@out="$$(grep -rnE '\(valid (names|systems|schedules|strategies)' --include='*.go' cmd internal examples *.go 2>/dev/null \
+		| grep -v '_test\.go' | grep -v '^internal/names/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "valid-name list formatted outside internal/names (register the names in a names.Table):"; \
 		echo "$$out"; exit 1; \
 	fi

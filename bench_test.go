@@ -26,9 +26,9 @@ import (
 // benchExperiment runs a registered experiment once per iteration.
 func benchExperiment(b *testing.B, name string) {
 	b.Helper()
-	e, ok := experiments.Lookup(name)
-	if !ok {
-		b.Fatalf("experiment %q not registered", name)
+	e, err := experiments.Registry.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		if err := e.Run(io.Discard); err != nil {

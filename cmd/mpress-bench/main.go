@@ -23,12 +23,12 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
-	exp := flag.String("exp", "", `run only the named experiment, or "all"; one of: `+strings.Join(experiments.Names(), ", "))
+	exp := flag.String("exp", "", `run only the named experiment, or "all"; one of: `+strings.Join(experiments.Registry.Names(), ", "))
 	jobs := flag.Int("jobs", 0, "concurrent training jobs per experiment (default GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {
-		for _, e := range experiments.All() {
+		for _, e := range experiments.Registry.Values() {
 			fmt.Printf("%-20s %s\n", e.Name, e.Title)
 		}
 		return
@@ -51,18 +51,17 @@ func main() {
 			st.Jobs, st.PlanCacheHits, st.PlanCacheMisses)
 	}
 
-	if *exp != "" && *exp != "all" {
-		e, ok := experiments.Lookup(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mpress-bench: unknown experiment %q (valid names: %s)\n",
-				*exp, strings.Join(experiments.Names(), ", "))
+	if *exp != "" && !strings.EqualFold(strings.TrimSpace(*exp), "all") {
+		e, err := experiments.Registry.Lookup(*exp)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mpress-bench: %v\n", err)
 			os.Exit(2)
 		}
 		run(e)
 		summary()
 		return
 	}
-	for _, e := range experiments.All() {
+	for _, e := range experiments.Registry.Values() {
 		run(e)
 	}
 	summary()

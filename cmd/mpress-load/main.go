@@ -73,7 +73,7 @@ func jobMix(distinct int) ([]runner.Config, error) {
 	systems := []runner.System{runner.SystemMPress, runner.SystemRecompute, runner.SystemGPUCPUSwap}
 	var cfgs []runner.Config
 	for i := 0; i < distinct; i++ {
-		m, err := model.BertVariant(sizes[i%len(sizes)])
+		m, err := model.BertVariants.Lookup(sizes[i%len(sizes)])
 		if err != nil {
 			return nil, err
 		}

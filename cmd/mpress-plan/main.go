@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"mpress/internal/hw"
-	"mpress/internal/model"
 	"mpress/internal/pipeline"
 	"mpress/internal/plan"
 	"mpress/internal/runner"
@@ -70,9 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var o options
 	fs.StringVar(&o.model, "model", "bert-1.67B", "model: bert-<size> or gpt-<size>")
-	fs.StringVar(&o.topo, "topo", "dgx1", "topology, one of: "+strings.Join(hw.TopologyNames(), ", "))
-	fs.StringVar(&o.schedule, "schedule", "", "schedule, one of: "+strings.Join(pipeline.ScheduleNames(), ", ")+" (default by family)")
-	fs.StringVar(&o.system, "system", "mpress", "training system, one of: "+strings.Join(runner.SystemNames(), ", "))
+	fs.StringVar(&o.topo, "topo", "dgx1", "topology, one of: "+strings.Join(hw.Topologies.Names(), ", "))
+	fs.StringVar(&o.schedule, "schedule", "", "schedule, one of: "+strings.Join(pipeline.Schedules.Names(), ", ")+" (default by family)")
+	fs.StringVar(&o.system, "system", "mpress", "training system, one of: "+strings.Join(runner.Systems.Names(), ", "))
 	fs.IntVar(&o.mb, "mb", 0, "microbatch size (default 12 for Bert, 2 for GPT)")
 	fs.IntVar(&o.tp, "tp", 0, "tensor-parallel degree (0 or 1: no TP)")
 	fs.BoolVar(&o.auto, "auto", false, "auto-search the whole strategy space instead of planning one preset")
@@ -97,22 +96,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func parseModel(name string) (model.Config, error) {
-	lower := strings.ToLower(name)
-	switch {
-	case strings.HasPrefix(lower, "bert-"):
-		return model.BertVariant(strings.TrimPrefix(name, "bert-"))
-	case strings.HasPrefix(lower, "gpt-"):
-		return model.GPTVariant(strings.TrimPrefix(name, "gpt-"))
-	default:
-		return model.Config{}, fmt.Errorf("model %q: want bert-<size> or gpt-<size>", name)
-	}
-}
-
 // config is the job as the runner sees it: its canonical fingerprint
 // is the label saved plans carry and loads are checked against.
 func (o *options) config() (runner.Config, error) {
-	m, err := parseModel(o.model)
+	family, size, _ := strings.Cut(o.model, "-")
+	fam, err := runner.Families.Lookup(family)
+	if err != nil {
+		return runner.Config{}, err
+	}
+	m, err := fam.Variants.Lookup(size)
 	if err != nil {
 		return runner.Config{}, err
 	}
@@ -120,25 +112,19 @@ func (o *options) config() (runner.Config, error) {
 	if err != nil {
 		return runner.Config{}, err
 	}
-	kind := pipeline.PipeDream
-	if m.Arch == model.GPT {
-		kind = pipeline.DAPPLE
-	}
+	kind := fam.Schedule
 	if o.schedule != "" {
-		if kind, err = pipeline.LookupSchedule(o.schedule); err != nil {
+		if kind, err = pipeline.Schedules.Lookup(o.schedule); err != nil {
 			return runner.Config{}, err
 		}
 	}
-	sys, err := runner.LookupSystem(o.system)
+	sys, err := runner.Systems.Lookup(o.system)
 	if err != nil {
 		return runner.Config{}, err
 	}
 	micro := o.mb
 	if micro == 0 {
-		micro = 12
-		if m.Arch == model.GPT {
-			micro = 2
-		}
+		micro = fam.MicrobatchSize
 	}
 	return runner.Config{
 		Topology:       topo,

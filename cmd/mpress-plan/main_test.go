@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 func autoBase(t *testing.T) runner.Config {
 	t.Helper()
-	m, err := model.BertVariant("0.64B")
+	m, err := model.BertVariants.Lookup("0.64B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +85,14 @@ func TestAutoSpaceFoldsTPFlag(t *testing.T) {
 // panic: the planless ones (plain, ZeRO) say they do not plan instead
 // of printing one. DGX-1 with NVMe gives ZeRO-Infinity its swap tier.
 func TestRunEverySystem(t *testing.T) {
-	for _, sys := range runner.SystemNames() {
+	for _, sys := range runner.Systems.Names() {
 		t.Run(sys, func(t *testing.T) {
 			var out, errOut bytes.Buffer
 			code := run([]string{"-model", "bert-0.64B", "-topo", "dgx1-nvme", "-system", sys}, &out, &errOut)
 			if code != 0 && code != 3 {
 				t.Fatalf("exit %d, want 0 or 3; stderr:\n%s", code, errOut.String())
 			}
-			s, err := runner.LookupSystem(sys)
+			s, err := runner.Systems.Lookup(sys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,6 +131,36 @@ func TestRunRejectsPlanlessFlags(t *testing.T) {
 		args = append([]string{"-model", "bert-0.64B"}, args...)
 		if code := run(args, &out, &errOut); code != 1 || !strings.Contains(errOut.String(), "mpress-plan: ") {
 			t.Errorf("%v: exit %d, stderr %q; want exit 1 with a message", args, code, errOut.String())
+		}
+	}
+}
+
+// Model, topology, schedule and system names all resolve under one
+// rule: case is ignored and spaces trimmed, so an upper-case family
+// plans exactly the job its lower-case spelling does. Unknown names
+// fail naming the valid ones.
+func TestRunModelNames(t *testing.T) {
+	var want, errOut bytes.Buffer
+	if code := run([]string{"-model", "bert-1.67B"}, &want, &errOut); code != 0 {
+		t.Fatalf("bert-1.67B: exit %d: %s", code, errOut.String())
+	}
+	for _, args := range [][]string{
+		{"-model", "BERT-1.67B"},
+		{"-model", " Bert-1.67b ", "-topo", "DGX1", "-schedule", " PipeDream", "-system", "MPress"},
+	} {
+		var out bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 || out.String() != want.String() {
+			t.Errorf("%v: exit %d, output differs from bert-1.67B's: %s", args, code, errOut.String())
+		}
+	}
+	for args, msg := range map[string]string{
+		"resnet-50": `mpress: unknown family "resnet" (valid names: bert, gpt)`,
+		"gpt-1.67B": `model: unknown GPT variant "1.67B" (valid names: 5.3B, 10.3B, 15.4B, 20.4B, 25.5B)`,
+		"bert":      `model: unknown Bert variant "" (valid names: 0.35B, 0.64B, 1.67B, 4.0B, 6.2B)`,
+	} {
+		errOut.Reset()
+		if code := run([]string{"-model", args}, io.Discard, &errOut); code != 1 || !strings.Contains(errOut.String(), msg) {
+			t.Errorf("-model %s: exit %d, stderr %q; want exit 1 with %q", args, code, errOut.String(), msg)
 		}
 	}
 }

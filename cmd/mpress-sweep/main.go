@@ -20,6 +20,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,82 +28,118 @@ import (
 	"time"
 
 	"mpress"
-	"mpress/internal/model"
+	"mpress/internal/names"
+	"mpress/internal/runner"
 )
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "mpress-sweep: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func parseInts(flagName, s string) []int {
+// options are the parsed command-line flags.
+type options struct {
+	family, topo, systems, mb, tp, minibatches, sizes, nodes, fabric string
+	mtbf, ckptInterval, timeout                                      time.Duration
+	faultSeed                                                        uint64
+	jobs, cacheEntries                                               int
+	quiet                                                            bool
+}
+
+// run is the whole command, parameterized over its arguments and
+// output streams so tests can drive it; it returns the exit code: 0 on
+// success, 1 on an error (a failed job included) and 2 on a malformed
+// command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mpress-sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.family, "family", "bert", "model family to sweep: bert or gpt")
+	fs.StringVar(&o.topo, "topo", "dgx1", "topology, one of: "+strings.Join(mpress.TopologyNames(), ", "))
+	fs.StringVar(&o.systems, "systems", "plain,swap,recompute,d2d,mpress",
+		"comma-separated systems, any of: "+strings.Join(mpress.SystemNames(), ","))
+	fs.StringVar(&o.mb, "mb", "", "comma-separated microbatch sizes (default per family)")
+	fs.StringVar(&o.tp, "tp", "1", "comma-separated tensor-parallel degrees")
+	fs.StringVar(&o.minibatches, "minibatches", "", "comma-separated minibatch counts (default 2)")
+	fs.StringVar(&o.sizes, "sizes", "", "comma-separated variant sizes (default: all)")
+	fs.StringVar(&o.nodes, "nodes", "1", "comma-separated node counts; > 1 runs hybrid data+pipeline parallelism")
+	fs.StringVar(&o.fabric, "fabric", "fast", "inter-node fabric for multi-node points, one of: "+strings.Join(mpress.FabricNames(), ", "))
+	fs.DurationVar(&o.mtbf, "mtbf", 0, "inject seeded faults with this mean time between failures (simulated; 0 disables)")
+	fs.DurationVar(&o.ckptInterval, "ckpt-interval", 0, "checkpoint interval (simulated; with -mtbf, 0 means the Young–Daly optimum)")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "seed for the deterministic fault schedule")
+	fs.IntVar(&o.jobs, "jobs", 0, "concurrent training jobs (default GOMAXPROCS)")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort the whole sweep after this long (default none)")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress the progress line and summary on stderr")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if err := o.execute(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "mpress-sweep: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func parseInts(flagName, s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || v <= 0 {
-			fail("bad %s value %q", flagName, f)
+			return nil, fmt.Errorf("bad %s value %q", flagName, f)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
-func main() {
-	family := flag.String("family", "bert", "model family to sweep: bert or gpt")
-	topoName := flag.String("topo", "dgx1", "topology, one of: "+strings.Join(mpress.TopologyNames(), ", "))
-	systemsFlag := flag.String("systems", "plain,swap,recompute,d2d,mpress",
-		"comma-separated systems, any of: "+strings.Join(mpress.SystemNames(), ","))
-	mbFlag := flag.String("mb", "", "comma-separated microbatch sizes (default per family)")
-	tpFlag := flag.String("tp", "1", "comma-separated tensor-parallel degrees")
-	miniFlag := flag.String("minibatches", "", "comma-separated minibatch counts (default 2)")
-	sizesFlag := flag.String("sizes", "", "comma-separated variant sizes (default: all)")
-	nodesFlag := flag.String("nodes", "1", "comma-separated node counts; > 1 runs hybrid data+pipeline parallelism")
-	fabricFlag := flag.String("fabric", "fast", "inter-node fabric for multi-node points, one of: "+strings.Join(mpress.FabricNames(), ", "))
-	mtbf := flag.Duration("mtbf", 0, "inject seeded faults with this mean time between failures (simulated; 0 disables)")
-	ckptInterval := flag.Duration("ckpt-interval", 0, "checkpoint interval (simulated; with -mtbf, 0 means the Young–Daly optimum)")
-	faultSeed := flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedule")
-	jobs := flag.Int("jobs", 0, "concurrent training jobs (default GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
-	timeout := flag.Duration("timeout", 0, "abort the whole sweep after this long (default none)")
-	quiet := flag.Bool("quiet", false, "suppress the progress line and summary on stderr")
-	flag.Parse()
-
-	topo, err := mpress.LookupTopology(*topoName)
+// execute runs the sweep, writing CSV rows to stdout and progress to
+// stderr.
+func (o *options) execute(stdout, stderr io.Writer) error {
+	topo, err := mpress.LookupTopology(o.topo)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-
-	var sizes []string
-	var variant func(string) mpress.Model
-	var schedule mpress.Schedule
-	var defaultMB int
-	switch strings.ToLower(*family) {
-	case "bert":
-		sizes, variant = model.BertSizes(), mpress.MustBert
-		schedule, defaultMB = mpress.PipeDream, 12
-	case "gpt":
-		sizes, variant = model.GPTSizes(), mpress.MustGPT
-		schedule, defaultMB = mpress.DAPPLE, 2
-	default:
-		fail("unknown family %q", *family)
-	}
-	if *sizesFlag != "" {
-		sizes = strings.Split(*sizesFlag, ",")
-	}
-
-	mbs := []int{defaultMB}
-	if *mbFlag != "" {
-		mbs = parseInts("microbatch", *mbFlag)
-	}
-	nodeCounts := parseInts("nodes", *nodesFlag)
-	tpDegrees := parseInts("tp", *tpFlag)
-	fab, err := mpress.LookupFabric(*fabricFlag)
+	fam, err := runner.Families.Lookup(o.family)
 	if err != nil {
-		fail("%v", err)
+		return err
+	}
+	sizes := fam.Variants.Names()
+	if o.sizes != "" {
+		sizes = strings.Split(o.sizes, ",")
+	}
+	models := make([]mpress.Model, len(sizes))
+	for i, size := range sizes {
+		if models[i], err = fam.Variants.Lookup(size); err != nil {
+			return err
+		}
+	}
+
+	mbs := []int{fam.MicrobatchSize}
+	if o.mb != "" {
+		if mbs, err = parseInts("microbatch", o.mb); err != nil {
+			return err
+		}
+	}
+	nodeCounts, err := parseInts("nodes", o.nodes)
+	if err != nil {
+		return err
+	}
+	tpDegrees, err := parseInts("tp", o.tp)
+	if err != nil {
+		return err
+	}
+	fab, err := mpress.LookupFabric(o.fabric)
+	if err != nil {
+		return err
 	}
 	minis := []int{0} // 0 means the Config default (2)
-	if *miniFlag != "" {
-		minis = parseInts("minibatches", *miniFlag)
+	if o.minibatches != "" {
+		if minis, err = parseInts("minibatches", o.minibatches); err != nil {
+			return err
+		}
 	}
 
 	// Resilience: -mtbf turns on seeded fault injection, and any
@@ -111,35 +148,32 @@ func main() {
 	// checkpoint-only (overhead measurement, no faults).
 	var faults *mpress.Faults
 	var ckptPolicy *mpress.Checkpoint
-	if *mtbf > 0 {
-		faults = &mpress.Faults{Seed: *faultSeed, MTBF: mpress.Duration(*mtbf)}
+	if o.mtbf > 0 {
+		faults = &mpress.Faults{Seed: o.faultSeed, MTBF: mpress.Duration(o.mtbf)}
 	}
-	if *mtbf > 0 || *ckptInterval > 0 {
-		ckptPolicy = &mpress.Checkpoint{Interval: mpress.Duration(*ckptInterval)}
+	if o.mtbf > 0 || o.ckptInterval > 0 {
+		ckptPolicy = &mpress.Checkpoint{Interval: mpress.Duration(o.ckptInterval)}
 	}
 	mtbfCol, ckptCol := "-", "-"
 	if faults != nil {
-		mtbfCol = mtbf.String()
+		mtbfCol = o.mtbf.String()
 	}
 	if ckptPolicy != nil {
 		if ckptPolicy.Interval == 0 {
 			ckptCol = "young-daly"
 		} else {
-			ckptCol = ckptInterval.String()
+			ckptCol = o.ckptInterval.String()
 		}
 	}
 	resilient := faults != nil || ckptPolicy != nil
 
 	var systems []mpress.System
-	var systemNames []string
-	for _, name := range strings.Split(*systemsFlag, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
+	for _, name := range strings.Split(o.systems, ",") {
 		sys, err := mpress.LookupSystem(name)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		systems = append(systems, sys)
-		systemNames = append(systemNames, name)
 	}
 
 	// Build the full grid up front so the runner can overlap jobs and
@@ -155,13 +189,13 @@ func main() {
 	}
 	var cfgs []mpress.Config
 	var points []point
-	for _, size := range sizes {
-		m := variant(size)
+	for _, m := range models {
+		size := names.NameOf(fam.Variants, m)
 		for _, nodes := range nodeCounts {
 			var clus *mpress.Cluster
 			if nodes > 1 {
 				if clus, err = mpress.NewCluster(nodes, topo, fab); err != nil {
-					fail("%v", err)
+					return err
 				}
 			}
 			for _, mini := range minis {
@@ -171,7 +205,7 @@ func main() {
 							cfgs = append(cfgs, mpress.Config{
 								Topology:       topo,
 								Model:          m,
-								Schedule:       schedule,
+								Schedule:       fam.Schedule,
 								System:         sys,
 								MicrobatchSize: mb,
 								Minibatches:    mini,
@@ -189,34 +223,34 @@ func main() {
 	}
 
 	ctx := context.Background()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
 	var done atomic.Int64
 	var r *mpress.Runner
 	r = mpress.NewRunner(mpress.RunnerOptions{
-		Workers:          *jobs,
-		PlanCacheEntries: *cacheEntries,
+		Workers:          o.jobs,
+		PlanCacheEntries: o.cacheEntries,
 		OnJobDone: func(jr mpress.JobResult) {
-			if *quiet {
+			if o.quiet {
 				return
 			}
 			n := done.Add(1)
 			hits := r.Stats().PlanCacheHits
-			fmt.Fprintf(os.Stderr, "\rmpress-sweep: %d/%d jobs done, %d plan-cache hits ", n, len(cfgs), hits)
+			fmt.Fprintf(stderr, "\rmpress-sweep: %d/%d jobs done, %d plan-cache hits ", n, len(cfgs), hits)
 		},
 	})
 	start := time.Now()
 	results := r.RunConfigs(ctx, cfgs)
 	elapsed := time.Since(start)
-	if !*quiet {
-		fmt.Fprintln(os.Stderr)
+	if !o.quiet {
+		fmt.Fprintln(stderr)
 	}
 
-	w := csv.NewWriter(os.Stdout)
+	w := csv.NewWriter(stdout)
 	defer w.Flush()
 	if err := w.Write([]string{
 		"family", "size", "params_b", "topology", "system", "microbatch", "minibatches",
@@ -225,7 +259,7 @@ func main() {
 		"cluster_tflops", "nic_egress_gib", "tp_allreduce_gib",
 		"goodput", "failures", "lost_work_s", "ckpt_gib",
 	}); err != nil {
-		fail("%v", err)
+		return err
 	}
 	failed := 0
 	for i, jr := range results {
@@ -239,8 +273,8 @@ func main() {
 			fabName = fab.Name
 		}
 		row := []string{
-			*family, p.size, fmt.Sprintf("%.2f", p.params),
-			topo.Name, systemNames[p.sysIdx], strconv.Itoa(p.mb), strconv.Itoa(mini),
+			names.NameOf(runner.Families, fam), p.size, fmt.Sprintf("%.2f", p.params),
+			topo.Name, names.NameOf(runner.Systems, systems[p.sysIdx]), strconv.Itoa(p.mb), strconv.Itoa(mini),
 			strconv.Itoa(p.tp), strconv.Itoa(p.nodes), fabName, mtbfCol, ckptCol,
 		}
 		rep := jr.Report
@@ -279,14 +313,17 @@ func main() {
 			}
 		}
 		if err := w.Write(row); err != nil {
-			fail("%v", err)
+			return err
 		}
 	}
 	w.Flush()
+	if err := w.Error(); err != nil {
+		return err
+	}
 
-	if !*quiet {
+	if !o.quiet {
 		st := r.Stats()
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"mpress-sweep: %d jobs in %s (%d workers); plan cache: %d hits, %d misses, %d computed, %d evicted; lowerings: %d built, %d shared; plan %s, exec %s\n",
 			st.Jobs, elapsed.Round(time.Millisecond), r.Workers(),
 			st.PlanCacheHits, st.PlanCacheMisses, st.PlanComputes, st.PlanCacheEvictions,
@@ -294,12 +331,13 @@ func main() {
 			st.PlanTime.Round(time.Millisecond), st.ExecTime.Round(time.Millisecond))
 	}
 	if err := ctx.Err(); err != nil {
-		fail("sweep aborted: %v", err)
+		return fmt.Errorf("sweep aborted: %v", err)
 	}
 	// Per-job errors are data in the CSV ("error" rows), but the
 	// process must not pretend the batch succeeded: scripts and CI
 	// gate on the exit code.
 	if failed > 0 {
-		fail("%d of %d jobs failed", failed, len(results))
+		return fmt.Errorf("%d of %d jobs failed", failed, len(results))
 	}
+	return nil
 }

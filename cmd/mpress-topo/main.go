@@ -41,11 +41,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mpress-topo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	topoName := fs.String("topo", "dgx1", "topology, one of: "+strings.Join(hw.TopologyNames(), ", "))
+	topoName := fs.String("topo", "dgx1", "topology, one of: "+strings.Join(hw.Topologies.Names(), ", "))
 	sizeStr := fs.String("size", "256MiB", "transfer size for the bandwidth probe")
 	nodes := fs.Int("nodes", 1, "node count; > 1 composes a multi-node cluster")
 	tp := fs.Int("tp", 1, "tensor-parallel degree for the grid factorization")
-	fabricName := fs.String("fabric", "fast", "inter-node fabric, one of: "+strings.Join(cluster.FabricNames(), ", "))
+	fabricName := fs.String("fabric", "fast", "inter-node fabric, one of: "+strings.Join(cluster.Fabrics.Names(), ", "))
 	asJSON := fs.Bool("json", false, "emit the topology (or cluster, with -nodes > 1) as JSON and exit")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var clus *cluster.Cluster
 	if *nodes > 1 {
-		fab, err := cluster.LookupFabric(*fabricName)
+		fab, err := cluster.Fabrics.Lookup(*fabricName)
 		if err != nil {
 			return fail(2, err)
 		}

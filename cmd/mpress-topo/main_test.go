@@ -19,6 +19,9 @@ func TestRunValidatesGridFirst(t *testing.T) {
 		{[]string{"-tp", "3"}, 2, true, ""},
 		{[]string{"-json", "-tp", "3"}, 2, true, ""},
 		{[]string{"-tp", "2"}, 0, false, "grid: world 8 = TP(2) × PP(4) × DP(1)\n"},
+		// Fabric names match like topology names: case-insensitively.
+		{[]string{"-topo", "dgx1", "-nodes", "2", "-fabric", "FAST"}, 0, false, "inter-node ib-4x100: "},
+		{[]string{"-topo", "DGX1", "-nodes", "2", "-fabric", "pigeon"}, 2, true, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.args, &stdout, &stderr)

@@ -196,18 +196,18 @@ func Evaluate(ctx context.Context, spec *Spec, opts Options) (*Result, error) {
 // fault-free and are priced by the first-order overhead model instead
 // (the resilient replay does not compose with TP yet).
 func lowerClass(spec *Spec, class *JobClass, machine *catalog.MachineType, cand Candidate) (runner.Config, bool, error) {
-	m, schedule, _, err := modelFor(class)
+	fam, m, err := modelFor(class)
 	if err != nil {
 		return runner.Config{}, false, err
 	}
-	sys, err := runner.LookupSystem(class.System)
+	sys, err := runner.Systems.Lookup(class.System)
 	if err != nil {
 		return runner.Config{}, false, err
 	}
 	cfg := runner.Config{
 		Topology:       machine.Server,
 		Model:          m,
-		Schedule:       schedule,
+		Schedule:       fam.Schedule,
 		System:         sys,
 		MicrobatchSize: class.MicrobatchSize,
 		Minibatches:    class.Minibatches,

@@ -23,7 +23,6 @@ import (
 
 	"mpress/internal/catalog"
 	"mpress/internal/model"
-	"mpress/internal/pipeline"
 	"mpress/internal/runner"
 	"mpress/internal/units"
 )
@@ -120,19 +119,15 @@ func Load(path string) (*Spec, error) {
 	return Parse(data)
 }
 
-// modelFor resolves a class's model preset and its family's default
-// schedule and microbatch size (the same defaults mpress-sweep uses).
-func modelFor(c *JobClass) (model.Config, pipeline.ScheduleKind, int, error) {
-	switch strings.ToLower(c.Family) {
-	case "bert":
-		m, err := model.BertVariant(c.Size)
-		return m, pipeline.PipeDream, 12, err
-	case "gpt":
-		m, err := model.GPTVariant(c.Size)
-		return m, pipeline.DAPPLE, 2, err
-	default:
-		return model.Config{}, 0, 0, fmt.Errorf("capacity: job %q: unknown family %q (valid: bert, gpt)", c.Name, c.Family)
+// modelFor resolves a class's family (with its default schedule and
+// microbatch size) and model preset.
+func modelFor(c *JobClass) (runner.Family, model.Config, error) {
+	fam, err := runner.Families.Lookup(c.Family)
+	if err != nil {
+		return fam, model.Config{}, fmt.Errorf("capacity: job %q: %w", c.Name, err)
 	}
+	m, err := fam.Variants.Lookup(c.Size)
+	return fam, m, err
 }
 
 // Validate checks the spec and fills defaults in place.
@@ -160,15 +155,15 @@ func (s *Spec) Validate() error {
 		if c.System == "" {
 			c.System = "mpress"
 		}
-		if _, err := runner.LookupSystem(c.System); err != nil {
+		if _, err := runner.Systems.Lookup(c.System); err != nil {
 			return fmt.Errorf("capacity: job %q: %w", c.Name, err)
 		}
-		_, _, defaultMB, err := modelFor(c)
+		fam, _, err := modelFor(c)
 		if err != nil {
 			return err
 		}
 		if c.MicrobatchSize == 0 {
-			c.MicrobatchSize = defaultMB
+			c.MicrobatchSize = fam.MicrobatchSize
 		}
 	}
 	if s.SLO.GoodputFrac < 0 || s.SLO.GoodputFrac > 1 {

@@ -10,12 +10,12 @@
 // it searches for the cheapest hardware + parallelism + checkpoint
 // configuration that meets a goodput SLO.
 //
-// Entries resolve by name via Lookup, mirroring cluster.LookupFabric:
-// unknown names fail listing every valid one, and MachineNames feeds
-// CLI help. Every entry is JSON-serializable and round-trips exactly
-// (the topology, fabric and unit types use only exported
-// plain-old-data fields), so job-mix specs and wire formats can embed
-// machines verbatim.
+// Entries resolve by name via Lookup, under the one matching rule of
+// internal/names: unknown names fail listing every valid one, and
+// MachineNames feeds CLI help. Every entry is JSON-serializable and
+// round-trips exactly (the topology, fabric and unit types use only
+// exported plain-old-data fields), so job-mix specs and wire formats
+// can embed machines verbatim.
 //
 // Prices and wattages are representative list numbers for the machine
 // class, not quotes: they only need to be mutually consistent enough
@@ -25,10 +25,10 @@ package catalog
 
 import (
 	"fmt"
-	"strings"
 
 	"mpress/internal/cluster"
 	"mpress/internal/hw"
+	"mpress/internal/names"
 	"mpress/internal/units"
 )
 
@@ -155,10 +155,12 @@ func OffloadA100x4() *hw.Topology {
 	}
 }
 
-// machineEntries builds the catalog in presentation order. Each call
-// constructs fresh topologies, so callers may mutate their copy.
-func machineEntries() []MachineType {
-	return []MachineType{
+// machines is the catalog in presentation order. Lookup and All copy
+// the topologies out, so callers may mutate their copy.
+var machines = names.New[MachineType]("catalog: unknown machine type")
+
+func init() {
+	for _, m := range []MachineType{
 		{
 			Name:        "dgx1-v100",
 			Description: "DGX-1V class: 8x V100-32GB, asymmetric NVLink cube mesh",
@@ -199,33 +201,37 @@ func machineEntries() []MachineType {
 			HourlyCost:  units.USD(11),
 			Power:       units.KW(3),
 		},
+	} {
+		machines.Add(m.Name, m)
 	}
+}
+
+// fresh copies m's topology and fabric list out of the catalog.
+func fresh(m MachineType) MachineType {
+	m.Server = m.Server.Clone()
+	m.Fabrics = append([]cluster.Fabric(nil), m.Fabrics...)
+	return m
 }
 
 // All returns every catalog entry in presentation order. The slice and
 // its topologies are fresh on every call.
-func All() []MachineType { return machineEntries() }
+func All() []MachineType {
+	out := machines.Values()
+	for i := range out {
+		out[i] = fresh(out[i])
+	}
+	return out
+}
 
 // MachineNames lists every name Lookup accepts, in catalog order, for
 // CLI help and error messages.
-func MachineNames() []string {
-	var names []string
-	for _, m := range machineEntries() {
-		names = append(names, m.Name)
-	}
-	return names
-}
+var MachineNames = machines.Names
 
-// Lookup resolves a machine type by name, case-insensitively. Unknown
-// names fail with the full list of valid ones, à la
-// cluster.LookupFabric.
+// Lookup resolves a machine type by name and returns a fresh copy.
 func Lookup(name string) (MachineType, error) {
-	lower := strings.ToLower(name)
-	for _, m := range machineEntries() {
-		if lower == m.Name {
-			return m, nil
-		}
+	m, err := machines.Lookup(name)
+	if err != nil {
+		return MachineType{}, err
 	}
-	return MachineType{}, fmt.Errorf("catalog: unknown machine type %q (valid names: %s)",
-		name, strings.Join(MachineNames(), ", "))
+	return fresh(m), nil
 }

@@ -16,9 +16,9 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 
 	"mpress/internal/hw"
+	"mpress/internal/names"
 	"mpress/internal/units"
 )
 
@@ -98,47 +98,13 @@ func Ethernet10G() Fabric {
 	}
 }
 
-// fabricPresets maps every accepted -fabric name (including aliases)
-// to its preset constructor, in the order FabricNames lists them.
-var fabricPresets = []struct {
-	name    string
-	aliases []string
-	build   func() Fabric
-}{
-	{"ib-4x100", []string{"fast", "ib"}, InfiniBand4x100},
-	{"eth-25g", []string{"25g"}, Ethernet25G},
-	{"eth-10g", []string{"slow", "10g"}, Ethernet10G},
-}
-
-// FabricNames lists every name LookupFabric accepts — canonical preset
-// names first, then their aliases — for CLI help and error messages.
-func FabricNames() []string {
-	var names []string
-	for _, p := range fabricPresets {
-		names = append(names, p.name)
-	}
-	for _, p := range fabricPresets {
-		names = append(names, p.aliases...)
-	}
-	return names
-}
-
-// LookupFabric resolves a CLI fabric name. "fast" and "slow" alias the
-// InfiniBand and 10G-Ethernet presets.
-func LookupFabric(name string) (Fabric, error) {
-	for _, p := range fabricPresets {
-		if name == p.name {
-			return p.build(), nil
-		}
-		for _, a := range p.aliases {
-			if name == a {
-				return p.build(), nil
-			}
-		}
-	}
-	return Fabric{}, fmt.Errorf("cluster: unknown fabric %q (valid names: %s)",
-		name, strings.Join(FabricNames(), ", "))
-}
+// Fabrics maps every accepted -fabric name (including aliases) to its
+// preset. "fast" and "slow" alias the InfiniBand and 10G-Ethernet
+// presets.
+var Fabrics = names.New[Fabric]("cluster: unknown fabric").
+	Add("ib-4x100", InfiniBand4x100(), "fast", "ib").
+	Add("eth-25g", Ethernet25G(), "25g").
+	Add("eth-10g", Ethernet10G(), "slow", "10g")
 
 // Cluster is N identical servers joined by a fabric. Each node hosts
 // one full pipeline replica of the training job; the per-node server
@@ -199,18 +165,6 @@ func (c *Cluster) TotalGPUs() int { return c.Nodes * c.Server.NumGPUs }
 // TotalGPUMemory returns the cluster-wide aggregate GPU memory.
 func (c *Cluster) TotalGPUMemory() units.Bytes {
 	return units.Bytes(c.Nodes) * c.Server.TotalGPUMemory()
-}
-
-// Devices enumerates every GPU in the cluster as node-qualified IDs,
-// node-major.
-func (c *Cluster) Devices() []hw.NodeDevice {
-	out := make([]hw.NodeDevice, 0, c.TotalGPUs())
-	for n := 0; n < c.Nodes; n++ {
-		for g := 0; g < c.Server.NumGPUs; g++ {
-			out = append(out, hw.DeviceID(g).On(n))
-		}
-	}
-	return out
 }
 
 // IdealAllReduceTime is the latency-free lower bound of a ring

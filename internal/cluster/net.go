@@ -198,8 +198,8 @@ func MeasureAllReduce(c *Cluster, size units.Bytes, buckets int) units.Duration 
 		_, done := n.Handle(ev)
 		fired = fired || done
 	}
-	end := s.Run()
-	if !fired {
+	end, err := s.Run()
+	if err != nil || !fired {
 		panic(fmt.Sprintf("cluster: all-reduce of %v never completed", size))
 	}
 	return end

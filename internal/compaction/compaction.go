@@ -177,27 +177,6 @@ func UnplanStripes(budget SpareBudget, parts []fabric.Part) {
 	}
 }
 
-// EqualStripes splits size evenly across the given peers without
-// budget accounting — the naive, unweighted striping used as the
-// ablation baseline in Fig. 9.
-func EqualStripes(peers []hw.DeviceID, size units.Bytes) []fabric.Part {
-	if len(peers) == 0 || size <= 0 {
-		return nil
-	}
-	per := size / units.Bytes(len(peers))
-	parts := make([]fabric.Part, len(peers))
-	var used units.Bytes
-	for i, p := range peers {
-		b := per
-		if i == len(peers)-1 {
-			b = size - used
-		}
-		parts[i] = fabric.Part{Peer: p, Bytes: b}
-		used += b
-	}
-	return parts
-}
-
 // SingleStripe routes the whole tensor to one peer — the "no data
 // stripping" ablation of Fig. 9.
 func SingleStripe(peer hw.DeviceID, size units.Bytes) []fabric.Part {

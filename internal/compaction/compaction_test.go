@@ -166,20 +166,9 @@ func TestSpareBudgetHelpers(t *testing.T) {
 }
 
 func TestEqualAndSingleStripes(t *testing.T) {
-	parts := EqualStripes([]hw.DeviceID{1, 2, 3}, 100)
-	var total units.Bytes
-	for _, p := range parts {
-		total += p.Bytes
-	}
-	if total != 100 || len(parts) != 3 {
-		t.Errorf("equal stripes = %v", parts)
-	}
 	single := SingleStripe(4, 77)
 	if len(single) != 1 || single[0].Peer != 4 || single[0].Bytes != 77 {
 		t.Errorf("single stripe = %v", single)
-	}
-	if EqualStripes(nil, 100) != nil || EqualStripes([]hw.DeviceID{1}, 0) != nil {
-		t.Error("degenerate equal stripes must be nil")
 	}
 }
 

@@ -238,8 +238,10 @@ type engine struct {
 }
 
 // Run simulates the job and returns its result. Configuration errors
-// (bad mapping, mismatched routes) return an error; OOM is reported
-// inside the Result, mirroring how a real job fails at runtime.
+// (bad mapping, mismatched routes), a cancelled Ctx and a run past the
+// kernel's event budget (sim.ErrRunaway) return an error; OOM is
+// reported inside the Result, mirroring how a real job fails at
+// runtime.
 //
 // The event loop is closure-free: every op that takes simulated time
 // books its resource and posts one typed completion event (see handle),
@@ -293,11 +295,7 @@ func Run(o Options) (*Result, error) {
 	e.pinned = memsim.NewPinnedPool(e.host)
 	e.pinnedBuf = make(map[tensor.ID]units.Bytes)
 
-	if o.Built.Cfg.Model.DType == tensor.FP32 {
-		e.rate = o.Topo.GPU.EffectiveFP32()
-	} else {
-		e.rate = o.Topo.GPU.EffectiveFP16()
-	}
+	e.rate = o.Topo.GPU.EffectiveRate(o.Built.Cfg.Model.DType)
 
 	if ctx := o.Ctx; ctx != nil {
 		e.sim.Interrupt = func() bool { return ctx.Err() != nil }
@@ -311,7 +309,9 @@ func Run(o Options) (*Result, error) {
 	}
 	if e.oom == nil {
 		e.start()
-		e.sim.Run()
+		if _, err := e.sim.Run(); err != nil {
+			return nil, err
+		}
 		if e.sim.Interrupted {
 			return nil, o.Ctx.Err()
 		}

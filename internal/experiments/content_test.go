@@ -11,9 +11,9 @@ import (
 // capture runs one experiment and returns its table text.
 func capture(t *testing.T, name string) string {
 	t.Helper()
-	e, ok := Lookup(name)
-	if !ok {
-		t.Fatalf("experiment %q missing", name)
+	e, err := Registry.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := e.Run(&buf); err != nil {

@@ -8,10 +8,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"mpress"
+	"mpress/internal/names"
 )
 
 // Experiment is one runnable paper artifact.
@@ -24,10 +24,10 @@ type Experiment struct {
 	Run func(w io.Writer) error
 }
 
-// registry holds all experiments in presentation order.
-var registry []Experiment
+// Registry holds all experiments in presentation order.
+var Registry = names.New[Experiment]("experiments: unknown experiment")
 
-func register(e Experiment) { registry = append(registry, e) }
+func register(e Experiment) { Registry.Add(e.Name, e) }
 
 // parallelism is the worker count for generator batches (0 means
 // GOMAXPROCS); sharedRunner carries the plan cache all generators
@@ -58,33 +58,6 @@ func Stats() mpress.RunnerStats { return sharedRunner.Stats() }
 // the batched counterpart of mpress.Train.
 func trainAll(cfgs []mpress.Config) []mpress.JobResult {
 	return sharedRunner.RunConfigs(context.Background(), cfgs)
-}
-
-// All returns the experiments in presentation order.
-func All() []Experiment {
-	out := make([]Experiment, len(registry))
-	copy(out, registry)
-	return out
-}
-
-// Lookup finds an experiment by name.
-func Lookup(name string) (Experiment, bool) {
-	for _, e := range registry {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
-// Names lists the registered experiment names.
-func Names() []string {
-	var names []string
-	for _, e := range registry {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // table is a minimal fixed-width text table writer.

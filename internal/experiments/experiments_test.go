@@ -11,7 +11,7 @@ import (
 // produces a non-trivial table (the exact values are asserted by the
 // focused package tests; this guards the generators end to end).
 func TestRunAll(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range Registry.Values() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -28,7 +28,7 @@ func TestRunAll(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	names := Names()
+	names := Registry.Names()
 	want := []string{"table1", "table2", "table3", "table4", "fig1", "fig2",
 		"fig4", "fig7", "fig8a", "fig8b", "fig9", "mapping-cost",
 		"partition-ablation", "grace", "schedules", "scaling", "resilience",
@@ -37,14 +37,14 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("registered %d experiments (%v), want %d", len(names), names, len(want))
 	}
 	for _, n := range want {
-		if _, ok := Lookup(n); !ok {
-			t.Errorf("experiment %q not registered", n)
+		if _, err := Registry.Lookup(n); err != nil {
+			t.Error(err)
 		}
 	}
-	if _, ok := Lookup("nope"); ok {
+	if _, err := Registry.Lookup("nope"); err == nil {
 		t.Error("bogus lookup succeeded")
 	}
-	for _, e := range All() {
+	for _, e := range Registry.Values() {
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("experiment %q incomplete", e.Name)
 		}

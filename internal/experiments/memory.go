@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mpress"
 	"mpress/internal/exec"
 	"mpress/internal/hw"
 	"mpress/internal/model"
@@ -58,7 +59,7 @@ func TableI(w io.Writer) error {
 	t := newTable("Model", "Activation", "Optimizer states", "Params & Gradients")
 	type job struct {
 		name  string
-		cfg   func() (model.Config, error)
+		cfg   model.Config
 		prec  model.Precision
 		kind  pipeline.ScheduleKind
 		mb    int
@@ -67,14 +68,10 @@ func TableI(w io.Writer) error {
 	// Bert runs at microbatch 2, the largest setting where the paper's
 	// PipeDream sustains 0.64B (Table I covers "trainable models").
 	for _, j := range []job{
-		{"Bert-0.64B", func() (model.Config, error) { return model.BertVariant("0.64B") }, model.FP32Adam(), pipeline.PipeDream, 2, 8},
-		{"GPT-5.3B", func() (model.Config, error) { return model.GPTVariant("5.3B") }, model.MixedAdam(), pipeline.DAPPLE, 2, 8},
+		{"Bert-0.64B", mpress.MustBert("0.64B"), model.FP32Adam(), pipeline.PipeDream, 2, 8},
+		{"GPT-5.3B", mpress.MustGPT("5.3B"), model.MixedAdam(), pipeline.DAPPLE, 2, 8},
 	} {
-		cfg, err := j.cfg()
-		if err != nil {
-			return err
-		}
-		act, opt, pg, err := classShares(cfg, j.prec, j.kind, j.mb, j.micro)
+		act, opt, pg, err := classShares(j.cfg, j.prec, j.kind, j.mb, j.micro)
 		if err != nil {
 			return err
 		}
@@ -89,10 +86,7 @@ func TableI(w io.Writer) error {
 // PipeDream (microbatch 2) and DAPPLE (microbatch 12), measured by an
 // unbounded run of the executor.
 func Figure2(w io.Writer) error {
-	cfg, err := model.BertVariant("1.67B")
-	if err != nil {
-		return err
-	}
+	cfg := mpress.MustBert("1.67B")
 	t := newTable("System", "g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7", "max/min")
 	for _, j := range []struct {
 		kind pipeline.ScheduleKind
@@ -157,21 +151,13 @@ func TableII(w io.Writer) error {
 			(s.Min - pipeline.RuntimeReserve).GiBf())
 		return nil
 	}
-	for _, size := range model.BertSizes() {
-		cfg, err := model.BertVariant(size)
-		if err != nil {
-			return err
-		}
-		if err := row("Bert+PipeDream", size, cfg, model.FP32Adam(), pipeline.PipeDream, 12); err != nil {
+	for _, size := range model.BertVariants.Names() {
+		if err := row("Bert+PipeDream", size, mpress.MustBert(size), model.FP32Adam(), pipeline.PipeDream, 12); err != nil {
 			return err
 		}
 	}
-	for _, size := range model.GPTSizes() {
-		cfg, err := model.GPTVariant(size)
-		if err != nil {
-			return err
-		}
-		if err := row("GPT+DAPPLE", size, cfg, model.MixedAdam(), pipeline.DAPPLE, 2); err != nil {
+	for _, size := range model.GPTVariants.Names() {
+		if err := row("GPT+DAPPLE", size, mpress.MustGPT(size), model.MixedAdam(), pipeline.DAPPLE, 2); err != nil {
 			return err
 		}
 	}

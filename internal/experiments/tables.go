@@ -52,10 +52,7 @@ func TableIII(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rate := topo.GPU.EffectiveFP16()
-		if cfg.DType == tensor.FP32 {
-			rate = topo.GPU.EffectiveFP32()
-		}
+		rate := topo.GPU.EffectiveRate(cfg.DType)
 		// Three representative block activations: early stage + early
 		// microbatch (long-lived), middle, and last stage + last
 		// microbatch (short-lived).
@@ -103,17 +100,11 @@ func TableIII(w io.Writer) error {
 		}
 		return nil
 	}
-	bert, err := model.BertVariant("1.67B")
-	if err != nil {
-		return err
-	}
+	bert := mpress.MustBert("1.67B")
 	if err := sample("Bert", bert, model.FP32Adam(), pipeline.PipeDream, 2); err != nil {
 		return err
 	}
-	gpt, err := model.GPTVariant("10.3B")
-	if err != nil {
-		return err
-	}
+	gpt := mpress.MustGPT("10.3B")
 	if err := sample("GPT", gpt, model.MixedAdam(), pipeline.DAPPLE, 2); err != nil {
 		return err
 	}

@@ -161,10 +161,7 @@ func Figure8(w io.Writer, dgx2 bool) error {
 // restore latency, where the two optimizations' bandwidth effect is
 // directly visible.
 func Figure9(w io.Writer) error {
-	bert, err := model.BertVariant("1.67B")
-	if err != nil {
-		return err
-	}
+	bert := mpress.MustBert("1.67B")
 	prec := model.FP32Adam()
 	topos := []struct {
 		name string

@@ -16,6 +16,7 @@ package hw
 import (
 	"fmt"
 
+	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
 
@@ -72,6 +73,15 @@ func (g GPUSpec) EffectiveFP32() units.FLOPSRate {
 // EffectiveFP16 returns the sustained fp16 training rate.
 func (g GPUSpec) EffectiveFP16() units.FLOPSRate {
 	return units.FLOPSRate(float64(g.PeakFP16) * g.Efficiency)
+}
+
+// EffectiveRate returns the sustained training rate for a model of
+// dtype d: FP32 models run at the fp32 rate, every other at fp16.
+func (g GPUSpec) EffectiveRate(d tensor.DType) units.FLOPSRate {
+	if d == tensor.FP32 {
+		return g.EffectiveFP32()
+	}
+	return g.EffectiveFP16()
 }
 
 // V100 is the NVIDIA Tesla V100-SXM2-32GB used in the paper's DGX-1
@@ -167,16 +177,4 @@ func (d DeviceID) On(node int) NodeDevice { return NodeDevice{Node: node, Device
 // String names the endpoint, e.g. "n2/gpu3" or "n0/host".
 func (n NodeDevice) String() string {
 	return fmt.Sprintf("n%d/%s", n.Node, n.Device)
-}
-
-// Validate checks the endpoint against a cluster of `nodes` replicas of
-// topology t.
-func (n NodeDevice) Validate(nodes int, t *Topology) error {
-	if n.Node < 0 || n.Node >= nodes {
-		return fmt.Errorf("hw: node %d out of range [0,%d)", n.Node, nodes)
-	}
-	if n.Device.IsGPU() && int(n.Device) >= t.NumGPUs {
-		return fmt.Errorf("hw: %v exceeds %d GPUs per node", n, t.NumGPUs)
-	}
-	return nil
 }

@@ -1,55 +1,22 @@
 package hw
 
-import (
-	"fmt"
-	"strings"
-)
+import "mpress/internal/names"
 
-// topologyPresets maps every accepted -topo name (including aliases)
-// to its preset constructor, in the order TopologyNames lists them —
-// the same registry pattern cluster.FabricNames/LookupFabric use for
-// -fabric, so CLI help and "unknown name" errors can never drift from
-// the set of servers that actually resolve.
-var topologyPresets = []struct {
-	name    string
-	aliases []string
-	build   func() *Topology
-}{
-	{"dgx1", []string{"dgx-1v", "v100"}, DGX1},
-	{"dgx1-nvme", nil, DGX1WithNVMe},
-	{"dgx2", []string{"dgx-2a100", "a100"}, DGX2},
-	{"dgx2-fastnvme", nil, DGX2FastNVMe},
-	{"grace", []string{"gracehopper", "gh200"}, GraceHopper},
-}
+// Topologies maps every accepted -topo name (including aliases) to its
+// preset constructor.
+var Topologies = names.New[func() *Topology]("hw: unknown topology").
+	Add("dgx1", DGX1, "dgx-1v", "v100").
+	Add("dgx1-nvme", DGX1WithNVMe).
+	Add("dgx2", DGX2, "dgx-2a100", "a100").
+	Add("dgx2-fastnvme", DGX2FastNVMe).
+	Add("grace", GraceHopper, "gracehopper", "gh200")
 
-// TopologyNames lists every name LookupTopology accepts — canonical
-// preset names first, then their aliases — for CLI help and error
-// messages.
-func TopologyNames() []string {
-	var names []string
-	for _, p := range topologyPresets {
-		names = append(names, p.name)
-	}
-	for _, p := range topologyPresets {
-		names = append(names, p.aliases...)
-	}
-	return names
-}
-
-// LookupTopology resolves a CLI topology name, case-insensitively.
-// Unknown names fail with the full list of valid ones.
+// LookupTopology resolves a CLI topology name and builds a fresh
+// preset, so callers may mutate their copy.
 func LookupTopology(name string) (*Topology, error) {
-	lower := strings.ToLower(name)
-	for _, p := range topologyPresets {
-		if lower == p.name {
-			return p.build(), nil
-		}
-		for _, a := range p.aliases {
-			if lower == a {
-				return p.build(), nil
-			}
-		}
+	build, err := Topologies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("hw: unknown topology %q (valid names: %s)",
-		name, strings.Join(TopologyNames(), ", "))
+	return build(), nil
 }

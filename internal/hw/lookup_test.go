@@ -21,7 +21,7 @@ func TestLookupTopology(t *testing.T) {
 		"gracehopper":   "GraceHopper",
 		"gh200":         "GraceHopper",
 	}
-	for _, name := range TopologyNames() {
+	for _, name := range Topologies.Names() {
 		topo, err := LookupTopology(name)
 		if err != nil {
 			t.Fatalf("LookupTopology(%q): %v", name, err)
@@ -33,8 +33,8 @@ func TestLookupTopology(t *testing.T) {
 			t.Errorf("LookupTopology(%q): invalid topology: %v", name, err)
 		}
 	}
-	if len(TopologyNames()) != len(wantByName) {
-		t.Errorf("TopologyNames() has %d entries, test covers %d", len(TopologyNames()), len(wantByName))
+	if len(Topologies.Names()) != len(wantByName) {
+		t.Errorf("Topologies.Names() has %d entries, test covers %d", len(Topologies.Names()), len(wantByName))
 	}
 }
 
@@ -49,13 +49,13 @@ func TestLookupTopologyCaseInsensitive(t *testing.T) {
 }
 
 // TestLookupTopologyUnknownListsNames pins the contract the CLIs rely
-// on: an unknown name enumerates every valid one, like LookupFabric.
+// on: an unknown name enumerates every valid one, like cluster.Fabrics.
 func TestLookupTopologyUnknownListsNames(t *testing.T) {
 	_, err := LookupTopology("dgx99")
 	if err == nil {
 		t.Fatal("LookupTopology(dgx99) succeeded")
 	}
-	for _, name := range TopologyNames() {
+	for _, name := range Topologies.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list valid name %q", err, name)
 		}

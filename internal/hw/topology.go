@@ -145,9 +145,6 @@ func (t *Topology) AggregateNVLinkBW(gpu DeviceID) units.Bandwidth {
 	return units.Bandwidth(float64(t.NVLinkLaneBW) * float64(t.TotalLanes(gpu)))
 }
 
-// GPUMemory returns the per-GPU memory capacity.
-func (t *Topology) GPUMemory() units.Bytes { return t.GPU.Memory }
-
 // TotalGPUMemory returns the server's aggregate GPU memory.
 func (t *Topology) TotalGPUMemory() units.Bytes {
 	return t.GPU.Memory * units.Bytes(t.NumGPUs)

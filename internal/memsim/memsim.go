@@ -62,14 +62,6 @@ func (d *Device) InUse() units.Bytes { return d.inUse }
 // Peak returns the high-water mark.
 func (d *Device) Peak() units.Bytes { return d.peak }
 
-// Free returns remaining capacity, or a very large value if unbounded.
-func (d *Device) Free() units.Bytes {
-	if !d.strict {
-		return units.Bytes(1) << 62
-	}
-	return d.capacity - d.inUse
-}
-
 // Alloc reserves size bytes tagged what. It returns an *OOMError if
 // the device is strict and the allocation would exceed capacity.
 func (d *Device) Alloc(size units.Bytes, what string) error {
@@ -142,9 +134,7 @@ func (d *Device) Stats() Stats {
 type PinnedPool struct {
 	host *Device
 	// free holds retained buffer sizes, sorted ascending.
-	free   []units.Bytes
-	hits   int64
-	misses int64
+	free []units.Bytes
 }
 
 // NewPinnedPool creates a pool drawing from host.
@@ -152,21 +142,19 @@ func NewPinnedPool(host *Device) *PinnedPool {
 	return &PinnedPool{host: host}
 }
 
-// Get acquires a pinned buffer of at least size bytes. Reusing a
-// retained buffer is a hit (no new host allocation); otherwise a new
-// buffer is allocated from host memory.
+// Get acquires a pinned buffer of at least size bytes: the smallest
+// retained one that fits (no new host allocation), otherwise a new
+// buffer allocated from host memory.
 func (p *PinnedPool) Get(size units.Bytes) (units.Bytes, error) {
 	i := sort.Search(len(p.free), func(j int) bool { return p.free[j] >= size })
 	if i < len(p.free) {
 		buf := p.free[i]
 		p.free = append(p.free[:i], p.free[i+1:]...)
-		p.hits++
 		return buf, nil
 	}
 	if err := p.host.Alloc(size, "pinned buffer"); err != nil {
 		return 0, err
 	}
-	p.misses++
 	return size, nil
 }
 
@@ -178,22 +166,3 @@ func (p *PinnedPool) Put(size units.Bytes) {
 	copy(p.free[i+1:], p.free[i:])
 	p.free[i] = size
 }
-
-// Drain releases all retained buffers back to host memory and returns
-// how many bytes were freed.
-func (p *PinnedPool) Drain() units.Bytes {
-	var total units.Bytes
-	for _, b := range p.free {
-		total += b
-	}
-	p.host.Release(total)
-	p.free = p.free[:0]
-	return total
-}
-
-// Hits and Misses report reuse counters.
-func (p *PinnedPool) Hits() int64   { return p.hits }
-func (p *PinnedPool) Misses() int64 { return p.misses }
-
-// Retained reports the number of idle pooled buffers.
-func (p *PinnedPool) Retained() int { return len(p.free) }

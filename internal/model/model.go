@@ -137,11 +137,6 @@ func (c Config) BlockForwardFLOPs(b int) units.FLOPs {
 	return units.FLOPs(float64(b) * perSeq)
 }
 
-// BlockBackwardFLOPs is the standard 2× of the forward cost.
-func (c Config) BlockBackwardFLOPs(b int) units.FLOPs {
-	return 2 * c.BlockForwardFLOPs(b)
-}
-
 // LogitsBytes returns the activation bytes of the output logits tensor
 // (b×s×V) retained by the final stage per microbatch.
 func (c Config) LogitsBytes(b int) units.Bytes {

@@ -1,9 +1,7 @@
 package model
 
 import (
-	"fmt"
-	"sort"
-
+	"mpress/internal/names"
 	"mpress/internal/tensor"
 )
 
@@ -13,28 +11,6 @@ const (
 	bertVocab = 30522
 	gptVocab  = 50257
 )
-
-// BertVariant returns one of the paper's Bert configurations (Table
-// II): 0.35, 0.64, 1.67, 4.0 or 6.2 billion parameters, built by
-// making Bert "deeper and wider" as in the paper's Sec. IV-A. The
-// argument is the nominal size string, e.g. "1.67B".
-func BertVariant(size string) (Config, error) {
-	c, ok := bertVariants[size]
-	if !ok {
-		return Config{}, fmt.Errorf("model: unknown Bert variant %q (have %v)", size, BertSizes())
-	}
-	return c, nil
-}
-
-// GPTVariant returns one of the paper's GPT configurations (Table II):
-// 5.3, 10.3, 15.4, 20.4 or 25.5 billion parameters.
-func GPTVariant(size string) (Config, error) {
-	c, ok := gptVariants[size]
-	if !ok {
-		return Config{}, fmt.Errorf("model: unknown GPT variant %q (have %v)", size, GPTSizes())
-	}
-	return c, nil
-}
 
 func bert(name string, layers, hidden int) Config {
 	return Config{
@@ -66,38 +42,25 @@ func gpt(name string, layers, hidden int) Config {
 	}
 }
 
-var bertVariants = map[string]Config{
-	"0.35B": bert("0.35B", 24, 1024),
-	"0.64B": bert("0.64B", 30, 1280),
-	"1.67B": bert("1.67B", 32, 2048),
-	"4.0B":  bert("4.0B", 50, 2560),
-	"6.2B":  bert("6.2B", 54, 3072),
-}
+// BertVariants holds the paper's Bert configurations (Table II), in
+// ascending size: 0.35, 0.64, 1.67, 4.0 and 6.2 billion parameters,
+// built by making Bert "deeper and wider" as in the paper's Sec. IV-A.
+// Each is named by its nominal size string, e.g. "1.67B".
+var BertVariants = names.New[Config]("model: unknown Bert variant").
+	Add("0.35B", bert("0.35B", 24, 1024)).
+	Add("0.64B", bert("0.64B", 30, 1280)).
+	Add("1.67B", bert("1.67B", 32, 2048)).
+	Add("4.0B", bert("4.0B", 50, 2560)).
+	Add("6.2B", bert("6.2B", 54, 3072))
 
-var gptVariants = map[string]Config{
-	"5.3B":  gpt("5.3B", 25, 4096),
-	"10.3B": gpt("10.3B", 50, 4096),
-	"15.4B": gpt("15.4B", 48, 5120),
-	"20.4B": gpt("20.4B", 64, 5120),
-	"25.5B": gpt("25.5B", 56, 6144),
-}
-
-func sortedKeys(m map[string]Config) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return m[keys[i]].TotalParams() < m[keys[j]].TotalParams()
-	})
-	return keys
-}
-
-// BertSizes lists the Bert variant names in ascending size order.
-func BertSizes() []string { return sortedKeys(bertVariants) }
-
-// GPTSizes lists the GPT variant names in ascending size order.
-func GPTSizes() []string { return sortedKeys(gptVariants) }
+// GPTVariants holds the paper's GPT configurations (Table II), in
+// ascending size: 5.3, 10.3, 15.4, 20.4 and 25.5 billion parameters.
+var GPTVariants = names.New[Config]("model: unknown GPT variant").
+	Add("5.3B", gpt("5.3B", 25, 4096)).
+	Add("10.3B", gpt("10.3B", 50, 4096)).
+	Add("15.4B", gpt("15.4B", 48, 5120)).
+	Add("20.4B", gpt("20.4B", 64, 5120)).
+	Add("25.5B", gpt("25.5B", 56, 6144))
 
 // GPT3_175B returns the GPT-3 configuration used by the Sec. V
 // Grace-Hopper projection.

@@ -9,7 +9,7 @@ import (
 
 func mustBert(t *testing.T, size string) model.Config {
 	t.Helper()
-	cfg, err := model.BertVariant(size)
+	cfg, err := model.BertVariants.Lookup(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func mustBert(t *testing.T, size string) model.Config {
 
 func mustGPT(t *testing.T, size string) model.Config {
 	t.Helper()
-	cfg, err := model.GPTVariant(size)
+	cfg, err := model.GPTVariants.Lookup(size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func mustPartition(t *testing.T, cfg model.Config, stages int) Partition {
 }
 
 func TestComputeBalancedCoversModel(t *testing.T) {
-	for _, size := range model.BertSizes() {
+	for _, size := range model.BertVariants.Names() {
 		cfg := mustBert(t, size)
 		p := mustPartition(t, cfg, 8)
 		if err := p.Validate(cfg); err != nil {

@@ -74,8 +74,8 @@ func TestDemandMonotonicInMicrobatch(t *testing.T) {
 // least as much on its peak stage.
 func TestDemandMonotonicInModelSize(t *testing.T) {
 	prev := units.Bytes(0)
-	for _, size := range model.BertSizes() {
-		cfg, err := model.BertVariant(size)
+	for _, size := range model.BertVariants.Names() {
+		cfg, err := model.BertVariants.Lookup(size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,10 +237,10 @@ func TestProfileConservation(t *testing.T) {
 // against a full re-derivation).
 func TestMultiUseTensorsChained(t *testing.T) {
 	var models []model.Config
-	for _, size := range model.BertSizes()[:2] {
+	for _, size := range model.BertVariants.Names()[:2] {
 		models = append(models, mustBert(t, size))
 	}
-	for _, size := range model.GPTSizes()[:2] {
+	for _, size := range model.GPTVariants.Names()[:2] {
 		models = append(models, mustGPT(t, size))
 	}
 	prec := model.MixedAdam()

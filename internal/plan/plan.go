@@ -360,7 +360,7 @@ func (p *planner) initialAssignment() error {
 	b := p.built
 	S := b.NumStages()
 	kind := b.Cfg.Kind
-	rate := p.rate()
+	rate := p.o.Topo.GPU.EffectiveRate(p.built.Cfg.Model.DType)
 
 	for s := 0; s < S; s++ {
 		need := p.targets[s]
@@ -472,14 +472,6 @@ func (p *planner) parkBudget(s int) units.Bytes {
 	// profiled iteration per minibatch.
 	gap := p.profile.Duration / units.Duration(p.built.Cfg.Minibatches)
 	return units.Bytes(float64(p.o.Topo.PCIeBW) * gap.Secondsf() / 2)
-}
-
-// rate returns the compute rate matching the job's precision.
-func (p *planner) rate() units.FLOPSRate {
-	if p.built.Cfg.Model.DType == tensor.FP32 {
-		return p.o.Topo.GPU.EffectiveFP32()
-	}
-	return p.o.Topo.GPU.EffectiveFP16()
 }
 
 // hostPersistEligible accepts persistent tensors whose every use gap

@@ -302,7 +302,7 @@ func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
 func newRefineCtx(p *planner) *refineCtx {
 	rc := &refineCtx{
 		p:    p,
-		rate: p.rate(),
+		rate: p.o.Topo.GPU.EffectiveRate(p.built.Cfg.Model.DType),
 		base: make([]units.Duration, p.o.Topo.NumGPUs),
 	}
 	g := p.built.Graph

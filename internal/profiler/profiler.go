@@ -153,14 +153,3 @@ func Collect(topo *hw.Topology, built *pipeline.Built, mapping []hw.DeviceID) (*
 	}
 	return p, nil
 }
-
-// WindowBetween returns the profiled idle window of tensor t that ends
-// at op `to`, if any.
-func (p *Profile) WindowBetween(t tensor.ID, to graph.OpID) (Window, bool) {
-	for _, w := range p.Stats[t].Windows {
-		if w.To == to {
-			return w, true
-		}
-	}
-	return Window{From: -1, To: -1}, false
-}

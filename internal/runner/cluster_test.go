@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"mpress/internal/ckpt"
 	"mpress/internal/cluster"
 	"mpress/internal/hw"
+	"mpress/internal/sim"
 )
 
 func clusterCfg(t *testing.T, nodes int, fab cluster.Fabric, sys System) Config {
@@ -191,5 +193,23 @@ func TestClusterResilientReportsIdealTraffic(t *testing.T) {
 	if rep.AllReduces != base.AllReduces || rep.NICBytes != base.NICBytes {
 		t.Errorf("resilient run reports %d all-reduces and %v NIC bytes, its fault-free run %d and %v",
 			rep.AllReduces, rep.NICBytes, base.AllReduces, base.NICBytes)
+	}
+}
+
+// TestNewJobRejectsRingStepsOverBudget: on 1,024 nodes each minibatch
+// posts 8 stages × 4 buckets × 2(1024-1) = 65,472 ring steps, so 4,000
+// minibatches overrun the kernel's event budget on the ring alone. The
+// job must fail validation with sim.ErrRunaway, not minutes into the
+// event loop; at the default 2 minibatches it stays valid.
+func TestNewJobRejectsRingStepsOverBudget(t *testing.T) {
+	cfg := bertCfg(t, "0.35B", SystemPlain)
+	cfg.MicrobatchSize = 4
+	cfg.Cluster = cluster.MustNew(1024, hw.DGX1(), cluster.Ethernet25G())
+	if _, err := NewJob(cfg); err != nil {
+		t.Fatalf("default minibatches rejected: %v", err)
+	}
+	cfg.Minibatches = 4000
+	if _, err := NewJob(cfg); !errors.Is(err, sim.ErrRunaway) {
+		t.Fatalf("NewJob = %v, want sim.ErrRunaway", err)
 	}
 }

@@ -22,8 +22,10 @@ import (
 	"mpress/internal/hw"
 	"mpress/internal/memsim"
 	"mpress/internal/model"
+	"mpress/internal/names"
 	"mpress/internal/pipeline"
 	"mpress/internal/plan"
+	"mpress/internal/sim"
 	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
@@ -101,8 +103,7 @@ type Config struct {
 	Model model.Config
 	// Schedule and Strategy take their zero values when unset:
 	// PipeDream and ComputeBalanced. Values outside the registered
-	// sets (pipeline.ScheduleNames, pipeline.StrategyNames) fail
-	// validation.
+	// sets (pipeline.Schedules, pipeline.Strategies) fail validation.
 	Schedule pipeline.ScheduleKind
 	Strategy pipeline.Strategy
 	// Precision defaults to mixed-precision Adam for fp16 models and
@@ -245,17 +246,14 @@ func (c Config) WithDefaults() (Config, error) {
 	if c.Replicas() > 1 && c.AllReduceBuckets == 0 {
 		c.AllReduceBuckets = 4
 	}
-	if !KnownSystem(c.System) {
-		return c, fmt.Errorf("mpress: unknown system %v (valid systems: %s)",
-			c.System, strings.Join(SystemNames(), ", "))
+	if err := names.Check(Systems, c.System, "mpress: unknown system", "systems"); err != nil {
+		return c, err
 	}
-	if !pipeline.KnownSchedule(c.Schedule) {
-		return c, fmt.Errorf("mpress: unknown schedule %v (valid schedules: %s)",
-			c.Schedule, strings.Join(pipeline.ScheduleNames(), ", "))
+	if err := names.Check(pipeline.Schedules, c.Schedule, "mpress: unknown schedule", "schedules"); err != nil {
+		return c, err
 	}
-	if !pipeline.KnownStrategy(c.Strategy) {
-		return c, fmt.Errorf("mpress: unknown strategy %v (valid strategies: %s)",
-			c.Strategy, strings.Join(pipeline.StrategyNames(), ", "))
+	if err := names.Check(pipeline.Strategies, c.Strategy, "mpress: unknown strategy", "strategies"); err != nil {
+		return c, err
 	}
 	if c.Topology == nil {
 		return c, fmt.Errorf("mpress: Topology is required")
@@ -298,6 +296,16 @@ func (c Config) WithDefaults() (Config, error) {
 	}
 	if c.Minibatches == 0 {
 		c.Minibatches = 2
+	}
+	// Every stage all-reduces its gradients once per minibatch, in
+	// buckets of 2(N-1) ring steps, each one kernel event: a job whose
+	// ring steps alone exceed the kernel's event budget cannot finish.
+	if n := c.Replicas(); n > 1 {
+		steps := float64(c.Stages) * float64(c.Minibatches) * float64(c.AllReduceBuckets) * float64(2*(n-1))
+		if steps > sim.DefaultMaxEvents {
+			return c, fmt.Errorf("%w: %.0f gradient ring steps (%d stages × %d minibatches × %d buckets × 2(%d-1))",
+				sim.ErrRunaway, steps, c.Stages, c.Minibatches, c.AllReduceBuckets, n)
+		}
 	}
 	if c.Precision == nil {
 		p := model.MixedAdam()

@@ -12,7 +12,7 @@ import (
 
 func priceTestConfig(t *testing.T) Config {
 	t.Helper()
-	m, err := model.BertVariant("0.35B")
+	m, err := model.BertVariants.Lookup("0.35B")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // under a second, big enough to exercise the full stage pipeline.
 func bertCfg(t *testing.T, size string, sys System) Config {
 	t.Helper()
-	m, err := model.BertVariant(size)
+	m, err := model.BertVariants.Lookup(size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 
 	"mpress/internal/exec"
 	"mpress/internal/grid"
@@ -203,8 +202,7 @@ func allowedFor(s System) (plan.Allowed, error) {
 	case SystemMPress:
 		return plan.AllMechanisms(), nil
 	default:
-		return plan.Allowed{}, fmt.Errorf("mpress: unknown system %v (valid systems: %s)",
-			s, strings.Join(SystemNames(), ", "))
+		return plan.Allowed{}, fmt.Errorf("mpress: %v does not plan", s)
 	}
 }
 

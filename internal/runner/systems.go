@@ -1,72 +1,35 @@
 package runner
 
 import (
-	"fmt"
-	"strings"
+	"mpress/internal/model"
+	"mpress/internal/names"
+	"mpress/internal/pipeline"
 )
 
-// systemPresets maps the CLI names to systems, in presentation order —
-// the single source the sweep/fleet tools and the capacity planner
-// derive their help text and error messages from.
-var systemPresets = []struct {
-	name string
-	sys  System
-}{
-	{"plain", SystemPlain},
-	{"swap", SystemGPUCPUSwap},
-	{"recompute", SystemRecompute},
-	{"d2d", SystemMPressD2D},
-	{"mpress", SystemMPress},
-	{"zero3", SystemZeRO3},
-	{"offload", SystemZeROOffload},
-	{"infinity", SystemZeROInfinity},
+// Systems maps the CLI names to systems, in presentation order — the
+// single source the sweep/fleet tools and the capacity planner derive
+// their help text and error messages from.
+var Systems = names.New[System]("mpress: unknown system").
+	Add("plain", SystemPlain).
+	Add("swap", SystemGPUCPUSwap).
+	Add("recompute", SystemRecompute).
+	Add("d2d", SystemMPressD2D).
+	Add("mpress", SystemMPress).
+	Add("zero3", SystemZeRO3).
+	Add("offload", SystemZeROOffload).
+	Add("infinity", SystemZeROInfinity)
+
+// Family is one model family of the paper's evaluation: its size
+// variants and the schedule and microbatch size it runs at by default.
+type Family struct {
+	Variants       *names.Table[model.Config]
+	Schedule       pipeline.ScheduleKind
+	MicrobatchSize int
 }
 
-// SystemNames lists every name LookupSystem accepts, in presentation
-// order, for CLI help and error messages.
-func SystemNames() []string {
-	names := make([]string, len(systemPresets))
-	for i, p := range systemPresets {
-		names[i] = p.name
-	}
-	return names
-}
-
-// LookupSystem resolves a training system by CLI name,
-// case-insensitively. Unknown names fail listing every valid one, à la
-// cluster.LookupFabric.
-func LookupSystem(name string) (System, error) {
-	lower := strings.ToLower(name)
-	for _, p := range systemPresets {
-		if lower == p.name {
-			return p.sys, nil
-		}
-	}
-	return 0, fmt.Errorf("mpress: unknown system %q (valid names: %s)",
-		name, strings.Join(SystemNames(), ", "))
-}
-
-// KnownSystem reports whether s is one of the registered training
-// systems — the validation gate behind Config.WithDefaults, so an
-// out-of-range System value (e.g. from hand-built JSON) fails at
-// config time with the full name list instead of deep inside the
-// stage pipeline.
-func KnownSystem(s System) bool {
-	for _, p := range systemPresets {
-		if p.sys == s {
-			return true
-		}
-	}
-	return false
-}
-
-// SystemName returns the CLI name of a system (the inverse of
-// LookupSystem), or its String form for unknown values.
-func SystemName(s System) string {
-	for _, p := range systemPresets {
-		if p.sys == s {
-			return p.name
-		}
-	}
-	return s.String()
-}
+// Families maps the family names to their presets: Bert runs atop
+// PipeDream at microbatch 12 (paper Fig. 7), GPT atop DAPPLE at
+// microbatch 2 (Fig. 8).
+var Families = names.New[Family]("mpress: unknown family").
+	Add("bert", Family{model.BertVariants, pipeline.PipeDream, 12}).
+	Add("gpt", Family{model.GPTVariants, pipeline.DAPPLE, 2})

@@ -3,7 +3,6 @@ package search
 import (
 	"mpress/internal/pipeline"
 	"mpress/internal/runner"
-	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
 
@@ -51,10 +50,7 @@ func lowerBound(c runner.Config, workload int64) units.Duration {
 	}
 	profiles := pipeline.Profile(c.Model, part, c.MicrobatchSize)
 
-	rate := c.Topology.GPU.EffectiveFP16()
-	if c.Model.DType == tensor.FP32 {
-		rate = c.Topology.GPU.EffectiveFP32()
-	}
+	rate := c.Topology.GPU.EffectiveRate(c.Model.DType)
 	hbm := c.Topology.GPU.HBM
 	tp := c.TP()
 	totalMB := int64(c.Microbatches) * int64(c.Minibatches)

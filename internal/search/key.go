@@ -14,6 +14,7 @@ package search
 import (
 	"fmt"
 
+	"mpress/internal/names"
 	"mpress/internal/pipeline"
 	"mpress/internal/runner"
 	"mpress/internal/units"
@@ -59,8 +60,7 @@ func KeyOf(c runner.Config) Key {
 // String is a compact human form for reports ("sys=mpress tp=1 …").
 func (k Key) String() string {
 	s := fmt.Sprintf("sys=%s tp=%d stages=%d part=%s nodes=%d",
-		runner.SystemName(k.System), k.TP, k.Stages,
-		pipeline.StrategyName(k.Partition), k.Nodes)
+		names.NameOf(runner.Systems, k.System), k.TP, k.Stages, k.Partition, k.Nodes)
 	switch {
 	case k.CheckpointNS == 0:
 		s += " ckpt=young-daly"

@@ -19,7 +19,7 @@ import (
 
 func testBase(t *testing.T) runner.Config {
 	t.Helper()
-	m, err := model.BertVariant("0.64B")
+	m, err := model.BertVariants.Lookup("0.64B")
 	if err != nil {
 		t.Fatal(err)
 	}

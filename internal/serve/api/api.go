@@ -229,11 +229,6 @@ func (e *Error) Error() string {
 // the caller should back off RetryAfterDuration and resubmit.
 func (e *Error) IsSaturated() bool { return e.Code == CodeSaturated || e.Status == 429 }
 
-// IsDeadline reports whether the job exceeded its server-side
-// deadline — retrying with a longer timeout may succeed; retrying with
-// the same one will not.
-func (e *Error) IsDeadline() bool { return e.Code == CodeDeadline || e.Status == 504 }
-
 // RetryAfterDuration parses the RetryAfter hint, defaulting to one
 // second.
 func (e *Error) RetryAfterDuration() time.Duration {

@@ -93,7 +93,7 @@ func (tf *testFleet) peerClient(i int) *client.Client {
 // distinct fingerprints, some sharing plan keys.
 func smokeConfigs(t *testing.T) []runner.Config {
 	t.Helper()
-	m35, err := model.BertVariant("0.35B")
+	m35, err := model.BertVariants.Lookup("0.35B")
 	if err != nil {
 		t.Fatal(err)
 	}

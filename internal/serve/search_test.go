@@ -116,7 +116,7 @@ func TestServerPlanUnknownSystem(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("want 400 api.Error, got %v", err)
 	}
-	for _, name := range runner.SystemNames() {
+	for _, name := range runner.Systems.Names() {
 		if !strings.Contains(apiErr.Message, name) {
 			t.Fatalf("error message missing system %q: %v", name, apiErr)
 		}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mpress/internal/cluster"
 	"mpress/internal/hw"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
@@ -26,7 +27,7 @@ import (
 
 func testConfig(t *testing.T, sys runner.System) runner.Config {
 	t.Helper()
-	m, err := model.BertVariant("0.64B")
+	m, err := model.BertVariants.Lookup("0.64B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +415,35 @@ func TestBadRequests(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, tc.want) {
 			t.Errorf("out-of-range enum error = %v, want 400 naming %s", err, tc.want)
 		}
+	}
+	cl.HTTPClient.CloseIdleConnections()
+}
+
+// TestRingStepBudgetIs400: a data-parallel job whose gradient ring
+// steps alone overrun the kernel's event budget (bert-0.35B on 1,024
+// Ethernet25G DGX-1 nodes for 4,000 minibatches) is the caller's
+// mistake: a 400 before any worker runs it.
+func TestRingStepBudgetIs400(t *testing.T) {
+	s := New(Options{Runner: runner.Options{Workers: 1}, Logger: testLogger(t)})
+	cl, cancel, wait := startDaemon(t, s)
+	defer func() { cancel(); _ = wait() }()
+
+	m, err := model.BertVariants.Lookup("0.35B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := runner.Config{
+		Model:          m,
+		Schedule:       pipeline.PipeDream,
+		System:         runner.SystemPlain,
+		MicrobatchSize: 4,
+		Minibatches:    4000,
+		Cluster:        cluster.MustNew(1024, hw.DGX1(), cluster.Ethernet25G()),
+	}
+	_, err = cl.Plan(context.Background(), cfg, "")
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "event budget") {
+		t.Fatalf("over-budget job error = %v, want HTTP 400 naming the event budget", err)
 	}
 	cl.HTTPClient.CloseIdleConnections()
 }

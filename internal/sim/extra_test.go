@@ -26,7 +26,7 @@ func TestRunTwice(t *testing.T) {
 	s.Run()
 	// New events after a completed run continue from the final time.
 	s.Post(5, Event{Arg: 2})
-	end := s.Run()
+	end, _ := s.Run()
 	if end != 5 || len(order) != 2 {
 		t.Errorf("end = %v, order = %v", end, order)
 	}
@@ -54,14 +54,6 @@ func TestQueueZeroDuration(t *testing.T) {
 	}
 	if q.Name() != "q" {
 		t.Error("queue name lost")
-	}
-}
-
-func TestQueueUtilizationDegenerate(t *testing.T) {
-	s := New()
-	q := NewQueue(s, "q")
-	if q.Utilization(0) != 0 {
-		t.Error("zero horizon must be zero utilization")
 	}
 }
 

@@ -26,7 +26,8 @@ func kernelWorkload(s *Sim) Time {
 	for i := 0; i < 32; i++ {
 		s.Post(units.Duration(i), Event{Arg: int32(i)})
 	}
-	return s.Run()
+	end, _ := s.Run()
+	return end
 }
 
 func TestResetReplaysIdentically(t *testing.T) {

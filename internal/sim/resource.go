@@ -15,10 +15,8 @@ type Queue struct {
 	name string
 	// busyUntil is when the queue becomes free.
 	busyUntil Time
-	// busyTime accumulates occupied time, for utilization reporting.
+	// busyTime accumulates occupied time (BusyTime).
 	busyTime units.Duration
-	// tasks counts completed submissions.
-	tasks int64
 }
 
 // NewQueue creates a serial queue attached to s.
@@ -41,23 +39,11 @@ func (q *Queue) Book(dur units.Duration) (start, end Time) {
 	end = start + dur
 	q.busyUntil = end
 	q.busyTime += dur
-	q.tasks++
 	return start, end
 }
 
 // BusyTime reports the total occupied time so far.
 func (q *Queue) BusyTime() units.Duration { return q.busyTime }
-
-// Tasks reports how many tasks have been booked.
-func (q *Queue) Tasks() int64 { return q.tasks }
-
-// Utilization reports busyTime divided by the given horizon.
-func (q *Queue) Utilization(horizon units.Duration) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(q.busyTime) / float64(horizon)
-}
 
 // LaneSet models a pool of identical communication lanes (e.g. the
 // NVLink lanes of one GPU, or the single PCIe channel). Each lane is a

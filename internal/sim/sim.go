@@ -28,6 +28,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -63,9 +64,9 @@ type Sim struct {
 	// pooled Sims hand out timelines without allocating.
 	arena     []Time
 	arenaUsed int
-	// MaxEvents aborts Run (with a panic) if exceeded; zero means the
-	// default of 200M events. It exists to turn accidental infinite
-	// event loops into diagnosable failures.
+	// MaxEvents stops Run with ErrRunaway if exceeded; zero means
+	// DefaultMaxEvents. It exists to turn accidental infinite event
+	// loops, and jobs too large to simulate, into typed failures.
 	MaxEvents int64
 	// Interrupt, when set, is polled every InterruptEvery processed
 	// events; when it returns true, Run stops as if Stop had been
@@ -168,12 +169,21 @@ func (s *Sim) Stop() {
 	s.stopped = true
 }
 
+// DefaultMaxEvents is the runaway guard's default event budget.
+const DefaultMaxEvents = 200_000_000
+
+// ErrRunaway is the error Run returns once a simulation executes more
+// events than its budget (MaxEvents).
+var ErrRunaway = errors.New("sim: event budget exceeded")
+
 // Run processes events until none remain (or Stop is called) and
-// returns the final simulated time.
-func (s *Sim) Run() Time {
+// returns the final simulated time. Past the event budget it stops
+// with an error wrapping ErrRunaway, leaving the event over budget
+// unhandled.
+func (s *Sim) Run() (Time, error) {
 	max := s.MaxEvents
 	if max == 0 {
-		max = 200_000_000
+		max = DefaultMaxEvents
 	}
 	every := s.InterruptEvery
 	if every <= 0 {
@@ -192,11 +202,11 @@ func (s *Sim) Run() Time {
 		s.now = t
 		s.executed++
 		if s.executed > max {
-			panic(fmt.Sprintf("sim: exceeded %d events at t=%v — runaway event loop?", max, s.now))
+			return s.now, fmt.Errorf("%w: more than %d events at t=%v — runaway event loop?", ErrRunaway, max, s.now)
 		}
 		s.Handle(ev)
 	}
-	return s.now
+	return s.now, nil
 }
 
 // Pending returns the number of queued events, for tests.

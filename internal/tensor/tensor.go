@@ -9,7 +9,6 @@ package tensor
 
 import (
 	"fmt"
-	"sort"
 
 	"mpress/internal/units"
 )
@@ -113,19 +112,6 @@ type Tensor struct {
 	Consumers []int
 }
 
-// LiveInterval is the time window between a tensor's generation (or
-// previous use) and its next use, as measured by the profiler. For an
-// activation this is the gap between its forward and backward passes
-// (paper Sec. III-A, footnote 1).
-type LiveInterval struct {
-	Start units.Duration
-	End   units.Duration
-}
-
-// Length returns End-Start, the duration the tensor sits idle and is
-// therefore a candidate for eviction.
-func (l LiveInterval) Length() units.Duration { return l.End - l.Start }
-
 // Registry allocates tensor IDs and stores tensor metadata for one
 // model/graph instance.
 type Registry struct {
@@ -158,40 +144,3 @@ func (r *Registry) Len() int { return len(r.tensors) }
 // All returns the tensors in ID order. The returned slice aliases the
 // registry's storage; callers must not append to it.
 func (r *Registry) All() []Tensor { return r.tensors }
-
-// TotalByClass sums tensor sizes grouped by class.
-func (r *Registry) TotalByClass() map[Class]units.Bytes {
-	m := make(map[Class]units.Bytes)
-	for i := range r.tensors {
-		m[r.tensors[i].Class] += r.tensors[i].Size
-	}
-	return m
-}
-
-// TotalBytes sums all tensor sizes.
-func (r *Registry) TotalBytes() units.Bytes {
-	var total units.Bytes
-	for i := range r.tensors {
-		total += r.tensors[i].Size
-	}
-	return total
-}
-
-// ByStage returns the IDs of tensors owned by the given stage, sorted by
-// descending size (the order in which compaction planners consider them).
-func (r *Registry) ByStage(stage int) []ID {
-	var ids []ID
-	for i := range r.tensors {
-		if r.tensors[i].Stage == stage {
-			ids = append(ids, r.tensors[i].ID)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ta, tb := r.tensors[ids[a]], r.tensors[ids[b]]
-		if ta.Size != tb.Size {
-			return ta.Size > tb.Size
-		}
-		return ta.ID < tb.ID
-	})
-	return ids
-}

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"testing"
-	"testing/quick"
 
 	"mpress/internal/units"
 )
@@ -55,79 +54,5 @@ func TestRegistryAddGet(t *testing.T) {
 	}
 	if got := r.Get(id1); got.Name != "a" || got.ID != id1 {
 		t.Errorf("Get(%d) = %+v", id1, got)
-	}
-}
-
-func TestRegistryTotals(t *testing.T) {
-	r := NewRegistry()
-	r.Add(Tensor{Class: Activation, Size: 100})
-	r.Add(Tensor{Class: Activation, Size: 50})
-	r.Add(Tensor{Class: OptimizerState, Size: 200})
-	byClass := r.TotalByClass()
-	if byClass[Activation] != 150 {
-		t.Errorf("activation total = %d, want 150", byClass[Activation])
-	}
-	if byClass[OptimizerState] != 200 {
-		t.Errorf("optimizer total = %d, want 200", byClass[OptimizerState])
-	}
-	if r.TotalBytes() != 350 {
-		t.Errorf("TotalBytes = %d, want 350", r.TotalBytes())
-	}
-}
-
-func TestByStageSortedBySize(t *testing.T) {
-	r := NewRegistry()
-	r.Add(Tensor{Name: "small", Stage: 2, Size: 10})
-	r.Add(Tensor{Name: "big", Stage: 2, Size: 1000})
-	r.Add(Tensor{Name: "other", Stage: 1, Size: 500})
-	r.Add(Tensor{Name: "mid", Stage: 2, Size: 100})
-	ids := r.ByStage(2)
-	if len(ids) != 3 {
-		t.Fatalf("got %d tensors for stage 2, want 3", len(ids))
-	}
-	names := []string{r.Get(ids[0]).Name, r.Get(ids[1]).Name, r.Get(ids[2]).Name}
-	want := []string{"big", "mid", "small"}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("ByStage order[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-	if got := r.ByStage(7); got != nil {
-		t.Errorf("ByStage(7) = %v, want nil", got)
-	}
-}
-
-func TestByStageTiesStable(t *testing.T) {
-	r := NewRegistry()
-	a := r.Add(Tensor{Name: "a", Stage: 0, Size: 64})
-	b := r.Add(Tensor{Name: "b", Stage: 0, Size: 64})
-	ids := r.ByStage(0)
-	if ids[0] != a || ids[1] != b {
-		t.Errorf("equal-size tensors must keep ID order, got %v", ids)
-	}
-}
-
-func TestLiveInterval(t *testing.T) {
-	l := LiveInterval{Start: units.Milliseconds(2), End: units.Milliseconds(80)}
-	if l.Length() != units.Milliseconds(78) {
-		t.Errorf("Length = %v, want 78ms", l.Length())
-	}
-}
-
-func TestRegistryTotalsProperty(t *testing.T) {
-	// The sum over classes always equals the overall total.
-	f := func(sizes []uint16) bool {
-		r := NewRegistry()
-		for i, s := range sizes {
-			r.Add(Tensor{Class: Class(i % 5), Size: units.Bytes(s)})
-		}
-		var sum units.Bytes
-		for _, v := range r.TotalByClass() {
-			sum += v
-		}
-		return sum == r.TotalBytes()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

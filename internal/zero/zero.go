@@ -26,7 +26,6 @@ import (
 	"mpress/internal/memsim"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
-	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
 
@@ -275,11 +274,7 @@ func (c Config) simulate() units.Duration {
 	var now units.Duration
 	var comm, pcieIn, pcieOut, nvme cursor
 
-	rate := c.Topo.GPU.EffectiveFP16()
-	if c.Model.DType == tensor.FP32 {
-		rate = c.Topo.GPU.EffectiveFP32()
-	}
-	rate = units.FLOPSRate(float64(rate) * computeEfficiency)
+	rate := units.FLOPSRate(float64(c.Topo.GPU.EffectiveRate(c.Model.DType)) * computeEfficiency)
 	fwT := rate.ComputeTime(c.Model.BlockForwardFLOPs(c.MicrobatchSize))
 	headT := rate.ComputeTime(c.Model.HeadForwardFLOPs(c.MicrobatchSize))
 	agT := c.collectiveTime(c.layerParamBytes())

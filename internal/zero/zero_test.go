@@ -10,7 +10,7 @@ import (
 
 func gptCfg(t *testing.T, size string) model.Config {
 	t.Helper()
-	cfg, err := model.GPTVariant(size)
+	cfg, err := model.GPTVariants.Lookup(size)
 	if err != nil {
 		t.Fatal(err)
 	}

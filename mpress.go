@@ -162,9 +162,9 @@ var (
 	Ethernet25G = cluster.Ethernet25G
 	Ethernet10G = cluster.Ethernet10G
 	// LookupFabric resolves CLI names ("fast", "slow", "ib-4x100", …).
-	LookupFabric = cluster.LookupFabric
+	LookupFabric = cluster.Fabrics.Lookup
 	// FabricNames lists every name LookupFabric accepts, for CLI help.
-	FabricNames = cluster.FabricNames
+	FabricNames = cluster.Fabrics.Names
 )
 
 // Resilience building blocks (internal/chaos, internal/ckpt): set
@@ -215,26 +215,21 @@ var (
 	LookupTopology = hw.LookupTopology
 	// TopologyNames lists every name LookupTopology accepts, for CLI
 	// help.
-	TopologyNames = hw.TopologyNames
+	TopologyNames = hw.Topologies.Names
 )
 
 // MustBert returns a paper Bert variant ("0.35B" … "6.2B"), panicking
-// on unknown names (use model.BertVariant for the error form).
-func MustBert(size string) Model {
-	cfg, err := model.BertVariant(size)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
+// on unknown names (use model.BertVariants.Lookup for the error form).
+func MustBert(size string) Model { return must(model.BertVariants.Lookup(size)) }
 
 // MustGPT returns a paper GPT variant ("5.3B" … "25.5B").
-func MustGPT(size string) Model {
-	cfg, err := model.GPTVariant(size)
+func MustGPT(size string) Model { return must(model.GPTVariants.Lookup(size)) }
+
+func must(m Model, err error) Model {
 	if err != nil {
 		panic(err)
 	}
-	return cfg
+	return m
 }
 
 // System selects which training system runs the job — the paper's
@@ -264,10 +259,10 @@ const (
 var (
 	// LookupSystem resolves CLI names ("plain", "swap", "mpress", …);
 	// unknown names fail listing every valid one.
-	LookupSystem = runner.LookupSystem
+	LookupSystem = runner.Systems.Lookup
 	// SystemNames lists every name LookupSystem accepts, in
 	// presentation order, for CLI help.
-	SystemNames = runner.SystemNames
+	SystemNames = runner.Systems.Names
 )
 
 // Config describes one training job; Report is its outcome. Both live
