@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-grid vet-onepath vet-names smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet vet-onepath vet-names smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
 
 # The fleet-smoke, fleet-plan-smoke, autosearch-smoke, sweep-smoke and
 # splice-smoke targets are -race subsets of the tests race already runs
 # (go test -race ./...), so check does not run them a second time; CI
 # runs each as its own step. sim-smoke stays: its allocation half runs
 # without -race.
-check: fmt vet vet-grid vet-onepath vet-names build race benchcheck sim-smoke benchmark-smoke
+check: fmt vet vet-onepath vet-names build race benchcheck sim-smoke benchmark-smoke
 
 # Run every example binary end to end; each must exit 0.
 smoke:
@@ -124,17 +124,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-# Placement discipline: stage → device lookups go through the shard
-# grid (grid.Placement / Plan.Device), never by indexing a raw Mapping
-# slice — direct indexing silently ignores the TP axis.
-vet-grid:
-	@out="$$(grep -rn 'Mapping\[' --include='*.go' cmd internal examples *.go 2>/dev/null \
-		| grep -v '_test\.go' | grep -v '^internal/grid/' || true)"; \
-	if [ -n "$$out" ]; then \
-		echo "direct Mapping[...] indexing outside internal/grid (use grid.Placement):"; \
-		echo "$$out"; exit 1; \
-	fi
 
 # One job path: a plan reaches a graph only through the runner's Apply
 # stage (and the planner's own emulations). Every other driver runs its

@@ -41,7 +41,7 @@ type options struct {
 	family, topo, systems, mb, tp, minibatches, sizes, nodes, fabric string
 	mtbf, ckptInterval, timeout                                      time.Duration
 	faultSeed                                                        uint64
-	jobs, cacheEntries                                               int
+	jobs                                                             int
 	quiet                                                            bool
 }
 
@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&o.ckptInterval, "ckpt-interval", 0, "checkpoint interval (simulated; with -mtbf, 0 means the Young–Daly optimum)")
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "seed for the deterministic fault schedule")
 	fs.IntVar(&o.jobs, "jobs", 0, "concurrent training jobs (default GOMAXPROCS)")
-	fs.IntVar(&o.cacheEntries, "cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort the whole sweep after this long (default none)")
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress the progress line and summary on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -232,8 +231,7 @@ func (o *options) execute(stdout, stderr io.Writer) error {
 	var done atomic.Int64
 	var r *mpress.Runner
 	r = mpress.NewRunner(mpress.RunnerOptions{
-		Workers:          o.jobs,
-		PlanCacheEntries: o.cacheEntries,
+		Workers: o.jobs,
 		OnJobDone: func(jr mpress.JobResult) {
 			if o.quiet {
 				return

@@ -41,7 +41,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7323", "listen address")
 	workers := flag.Int("workers", 0, "concurrent planning jobs (default GOMAXPROCS)")
 	queue := flag.Int("queue", 16, "admission queue depth (in-service + waiting requests)")
-	cacheEntries := flag.Int("cache-entries", 0, "plan cache entry cap (0 default, negative unbounded)")
 	retain := flag.Int("retain", 64, "completed jobs retained for the trace endpoint and the result memo (0 disables both)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "cap on client-requested deadlines")
@@ -68,10 +67,7 @@ func main() {
 		*retain = -1 // Options reads 0 as "default"; the flag's 0 means off
 	}
 	srv := serve.New(serve.Options{
-		Runner: runner.Options{
-			Workers:          *workers,
-			PlanCacheEntries: *cacheEntries,
-		},
+		Runner:         runner.Options{Workers: *workers},
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,

@@ -5,10 +5,10 @@ import (
 
 	"mpress/internal/cluster"
 	"mpress/internal/fabric"
-	"mpress/internal/graph"
 	"mpress/internal/hw"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
+	"mpress/internal/tensor"
 )
 
 // TestEventLoopAllocsFlat: Run's allocations do not grow with the
@@ -53,22 +53,21 @@ func testAllocsFlat(t *testing.T, dp *DPSpec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes := map[graph.OpID][]fabric.Part{}
+		routes := map[tensor.ID][]fabric.Part{}
 		for m := 0; m < b.TotalMicrobatches; m++ {
 			k := pipeline.SlotKey{Stage: 0, Microbatch: m}
 			for i, id := range b.Acts[k] {
 				if _, ok := b.RecomputeFLOPs(id); !ok {
 					continue
 				}
-				pair := b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), "swap")
+				b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), "swap")
 				if i%2 == 0 {
 					size := b.Graph.Tensors.Get(id).Size
-					parts := []fabric.Part{{Peer: 3, Bytes: size / 2}, {Peer: 2, Bytes: size - size/2}}
-					routes[pair.Out], routes[pair.In] = parts, parts
+					routes[id] = []fabric.Part{{Peer: 3, Bytes: size / 2}, {Peer: 2, Bytes: size - size/2}}
 				}
 			}
 		}
-		o := Options{Topo: hw.DGX2(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes, DataParallel: dp}
+		o := Options{Topo: hw.DGX2(), Built: b, Mapping: IdentityMapping(4), D2D: routes, DataParallel: dp}
 		r, err := Run(o)
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"mpress/internal/cluster"
 	"mpress/internal/fabric"
 	"mpress/internal/graph"
-	"mpress/internal/grid"
 	"mpress/internal/hw"
 	"mpress/internal/memsim"
 	"mpress/internal/pipeline"
@@ -50,13 +49,13 @@ type Options struct {
 	// Mapping assigns each pipeline stage to a GPU. len(Mapping) must
 	// equal the stage count and entries must be distinct GPUs.
 	Mapping []hw.DeviceID
-	// D2DRoutes gives the striping plan for D2D swap operators, keyed
-	// by the swap-out AND swap-in op IDs. Swap ops absent from this
-	// map are routed over PCIe to host memory. Run returns an error
-	// for a key that is not a swap op, a part naming no other GPU of
-	// the topology or negative bytes, and a swap pair routed on one op
-	// only or with unequal parts.
-	D2DRoutes map[graph.OpID][]fabric.Part
+	// D2D gives the stripe layout of each D2D-swapped tensor: its
+	// swap-outs scatter these parts to peer GPUs and its swap-ins
+	// gather them back. Swap ops of tensors absent from this map go
+	// over PCIe to host memory. Run returns an error for a key that is
+	// not a tensor of the graph or is also InitiallySwapped, and for a
+	// part naming no other GPU of the topology or negative bytes.
+	D2D map[tensor.ID][]fabric.Part
 	// InitiallySwapped marks persistent tensors that start in host
 	// memory instead of on their GPU (their first use must be
 	// preceded by an instrumented swap-in).
@@ -189,7 +188,6 @@ const (
 
 type engine struct {
 	o       Options
-	place   grid.Placement
 	sim     *sim.Sim
 	fab     *fabric.Fabric
 	gpus    []*memsim.Device
@@ -214,12 +212,10 @@ type engine struct {
 	rate         units.FLOPSRate
 
 	// Gradient-synchronization state (only with Options.DataParallel):
-	// net runs the all-reduces, bwOf maps each backward op to its slot,
-	// bwLeft[s][q] counts stage s's outstanding backward ops for
-	// minibatch q, and gradBytes[s] is the stage's persistent gradient
-	// footprint (the all-reduce payload).
+	// net runs the all-reduces, bwLeft[s][q] counts stage s's
+	// outstanding backward ops for minibatch q, and gradBytes[s] is the
+	// stage's persistent gradient footprint (the all-reduce payload).
 	net       *cluster.Net
-	bwOf      map[graph.OpID]pipeline.SlotKey
 	bwLeft    [][]int
 	gradBytes []units.Bytes
 
@@ -272,7 +268,7 @@ func Run(o Options) (*Result, error) {
 	// spares each run regrowing them. Nothing in a Result aliases sim
 	// state (lane sets only feed scalar counters into stats), so the
 	// instance can be released as soon as Run returns.
-	e := &engine{o: o, place: grid.Flat(o.Mapping), g: o.Built.Graph}
+	e := &engine{o: o, g: o.Built.Graph}
 	if err := e.checkRoutes(); err != nil {
 		return nil, err
 	}
@@ -319,19 +315,15 @@ func Run(o Options) (*Result, error) {
 	return e.result(), nil
 }
 
-// checkRoutes validates Options.D2DRoutes in time linear in the routes.
-// Each key must be a swap-out or swap-in of the graph; each part must
-// name a GPU of the topology other than the one hosting the swapped
-// tensor, with non-negative bytes; and each routed op's partner must be
-// routed with equal parts: a swap-out's swap-in of the same tensor
-// among its successors, a swap-in's swap-out among its predecessors. A
-// routed swap-in must have such a swap-out, or it would read its tensor
-// back from peers that never received it. Of several violations, the
-// one on the smallest op ID is reported.
+// checkRoutes validates Options.D2D in time linear in its entries. Each
+// key must be a tensor of the graph that does not start in host memory;
+// each part must name a GPU of the topology other than the one hosting
+// the tensor, with non-negative bytes. Of several violations, the one
+// on the smallest tensor ID is reported.
 func (e *engine) checkRoutes() error {
-	var bad graph.OpID
+	var bad tensor.ID
 	var err error
-	for id, parts := range e.o.D2DRoutes {
+	for id, parts := range e.o.D2D {
 		if err != nil && id > bad {
 			continue
 		}
@@ -342,49 +334,33 @@ func (e *engine) checkRoutes() error {
 	return err
 }
 
-// checkRoute checks one D2DRoutes entry (see checkRoutes).
-func (e *engine) checkRoute(id graph.OpID, parts []fabric.Part) error {
-	if id < 0 || int(id) >= e.g.Len() {
-		return fmt.Errorf("exec: D2D route for op %d of a %d-op graph", id, e.g.Len())
+// checkRoute checks one Options.D2D entry (see checkRoutes).
+func (e *engine) checkRoute(id tensor.ID, parts []fabric.Part) error {
+	if id < 0 || int(id) >= e.g.Tensors.Len() {
+		return fmt.Errorf("exec: D2D stripes for tensor %d of a %d-tensor graph", id, e.g.Tensors.Len())
 	}
-	op := e.g.Op(id)
-	partners, partner := e.g.Succs(id), graph.SwapIn
-	switch op.Kind {
-	case graph.SwapOut:
-	case graph.SwapIn:
-		partners, partner = e.g.Preds(id), graph.SwapOut
-	default:
-		return fmt.Errorf("exec: D2D route for %v op %s", op.Kind, op.Name)
+	name := e.g.Tensors.Get(id).Name
+	if e.o.InitiallySwapped[id] {
+		return fmt.Errorf("exec: D2D-swapped tensor %s starts in host memory", name)
 	}
-	home := e.gpuOf(op.Subject)
+	home := e.gpuOf(id)
 	for _, p := range parts {
 		if !p.Peer.IsGPU() || int(p.Peer) >= e.o.Topo.NumGPUs || p.Peer == home {
-			return fmt.Errorf("exec: D2D route of %s stripes to %v (tensor on %v, %d GPUs)", op.Name, p.Peer, home, e.o.Topo.NumGPUs)
+			return fmt.Errorf("exec: D2D swap of %s stripes to %v (tensor on %v, %d GPUs)", name, p.Peer, home, e.o.Topo.NumGPUs)
 		}
 		if p.Bytes < 0 {
-			return fmt.Errorf("exec: D2D route of %s stripes %d bytes to %v", op.Name, p.Bytes, p.Peer)
+			return fmt.Errorf("exec: D2D swap of %s stripes %d bytes to %v", name, p.Bytes, p.Peer)
 		}
-	}
-	paired := false
-	for _, q := range partners {
-		if qo := e.g.Op(q); qo.Kind == partner && qo.Subject == op.Subject {
-			if other, ok := e.o.D2DRoutes[q]; !ok || !slices.Equal(other, parts) {
-				return fmt.Errorf("exec: D2D routes of %s and %s differ", op.Name, qo.Name)
-			}
-			paired = true
-		}
-	}
-	if op.Kind == graph.SwapIn && !paired {
-		return fmt.Errorf("exec: D2D route of %s has no routed swap-out", op.Name)
 	}
 	return nil
 }
 
-// init allocates the runtime reserve and persistent state, and builds
-// the dependency bookkeeping. It re-derives nothing the graph caches:
-// dependency counts and successor rows come from its adjacency, and on
-// a certified fork of a frozen lowering the freeing points come from
-// the base's liveness (initFree), with no sort or analysis per run.
+// init allocates the runtime reserve and persistent state, reporting a
+// GPU or host too small for them as OOM, and builds the dependency
+// bookkeeping. It re-derives nothing the graph caches: dependency
+// counts and successor rows come from its adjacency, and on a certified
+// fork of a frozen lowering the freeing points come from the base's
+// liveness (initFree), with no sort or analysis per run.
 func (e *engine) init() error {
 	b := e.o.Built
 	// Allocate spans first: a Result carries graph-length Spans even
@@ -396,11 +372,14 @@ func (e *engine) init() error {
 			continue // co-located stages share one runtime reserve
 		}
 		reserved[d] = true
-		e.gpus[d].MustAlloc(pipeline.RuntimeReserve, "runtime reserve")
+		if err := e.gpus[d].Alloc(pipeline.RuntimeReserve, "runtime reserve"); err != nil {
+			e.fail(err.(*memsim.OOMError))
+			return nil
+		}
 	}
 	e.state = make([]residency, e.g.Tensors.Len())
 	for s, ids := range b.Persistent {
-		dev := e.gpus[e.place.GPU(s)]
+		dev := e.gpus[e.o.Mapping[s]]
 		for _, id := range ids {
 			tn := e.g.Tensors.Get(id)
 			if e.o.InitiallySwapped[id] {
@@ -410,8 +389,7 @@ func (e *engine) init() error {
 					// ones, so planner refinement and degraded-topology
 					// replays see them (host-pressure faults squeeze
 					// this path).
-					e.oom = err.(*memsim.OOMError)
-					e.oomResidents = e.residentsOn(e.oom.Device)
+					e.fail(err.(*memsim.OOMError))
 					return nil
 				}
 				e.pinnedBuf[id] = buf
@@ -419,8 +397,7 @@ func (e *engine) init() error {
 				continue
 			}
 			if err := dev.Alloc(tn.Size, tn.Name); err != nil {
-				e.oom = err.(*memsim.OOMError)
-				e.oomResidents = e.residentsOn(e.oom.Device)
+				e.fail(err.(*memsim.OOMError))
 				return nil
 			}
 			e.state[id] = resOnGPU
@@ -443,24 +420,20 @@ func (e *engine) init() error {
 	if e.net != nil {
 		// Gate every optimizer-step op behind its minibatch's gradient
 		// synchronization: one extra pseudo-dependency, released by
-		// syncDone when the all-reduce completes.
-		e.bwOf = make(map[graph.OpID]pipeline.SlotKey, b.NumStages()*b.TotalMicrobatches)
+		// syncDone when the all-reduce completes. Each minibatch runs
+		// one backward op per microbatch on every stage.
 		S := b.NumStages()
 		e.bwLeft = make([][]int, S)
 		e.gradBytes = make([]units.Bytes, S)
 		for s := 0; s < S; s++ {
 			e.bwLeft[s] = make([]int, b.Cfg.Minibatches)
+			for q := range e.bwLeft[s] {
+				e.bwLeft[s][q] = b.Cfg.Microbatches
+			}
 			for _, id := range b.Persistent[s] {
 				if tn := e.g.Tensors.Get(id); tn.Class == tensor.Gradient {
 					e.gradBytes[s] += tn.Size
 				}
-			}
-		}
-		for s := 0; s < S; s++ {
-			for m := 0; m < b.TotalMicrobatches; m++ {
-				key := pipeline.SlotKey{Stage: s, Microbatch: m}
-				e.bwOf[b.BwOp(key)] = key
-				e.bwLeft[s][m/b.Cfg.Microbatches]++
 			}
 		}
 		for _, perMini := range b.OptOps {
@@ -685,7 +658,7 @@ func (e *engine) handle(ev sim.Event) {
 	case evSwapOutHost:
 		e.releaseSubject(op.Subject, e.gpuOf(op.Subject), resSwappedHost)
 	case evSwapInPeers:
-		for _, p := range e.o.D2DRoutes[id] {
+		for _, p := range e.o.D2D[op.Subject] {
 			e.gpus[p.Peer].Release(p.Bytes)
 		}
 		e.state[op.Subject] = resOnGPU
@@ -739,7 +712,7 @@ func (e *engine) alloc(dev hw.DeviceID, size units.Bytes, what string) bool {
 
 // gpuOf returns the device hosting a tensor.
 func (e *engine) gpuOf(t tensor.ID) hw.DeviceID {
-	return e.place.GPU(e.g.Tensors.Get(t).Stage)
+	return e.o.Mapping[e.g.Tensors.Get(t).Stage]
 }
 
 // dispatch begins executing op: performs its dispatch-time memory
@@ -749,7 +722,7 @@ func (e *engine) dispatch(id graph.OpID) {
 	now := e.sim.Now()
 	switch op.Kind {
 	case graph.Forward, graph.Backward, graph.OptimizerStep, graph.Recompute:
-		gpu := e.place.GPU(op.Stage)
+		gpu := e.o.Mapping[op.Stage]
 		if op.Kind == graph.Recompute {
 			// Rematerialize the dropped activation.
 			if e.state[op.Subject] != resDropped {
@@ -788,8 +761,8 @@ func (e *engine) dispatch(id graph.OpID) {
 	case graph.Transfer:
 		in := e.g.Tensors.Get(op.Inputs[0])
 		out := e.g.Tensors.Get(op.Outputs[0])
-		src := e.place.GPU(in.Stage)
-		dst := e.place.GPU(out.Stage)
+		src := e.o.Mapping[in.Stage]
+		dst := e.o.Mapping[out.Stage]
 		if !e.alloc(dst, out.Size, out.Name) {
 			return
 		}
@@ -806,7 +779,7 @@ func (e *engine) dispatch(id graph.OpID) {
 	case graph.SwapOut:
 		gpu := e.gpuOf(op.Subject)
 		size := e.g.Tensors.Get(op.Subject).Size
-		if parts, ok := e.o.D2DRoutes[id]; ok {
+		if parts, ok := e.o.D2D[op.Subject]; ok {
 			name := e.g.Tensors.Get(op.Subject).Name
 			for _, p := range parts {
 				// The stripe's OOM label is built only when it fails.
@@ -851,7 +824,7 @@ func (e *engine) dispatch(id graph.OpID) {
 		if !e.alloc(gpu, tn.Size, tn.Name) {
 			return
 		}
-		if parts, ok := e.o.D2DRoutes[id]; ok {
+		if parts, ok := e.o.D2D[op.Subject]; ok {
 			if e.state[op.Subject] != resSwappedPeers {
 				panic(fmt.Sprintf("exec: d2d swap-in of %s in state %d", tn.Name, e.state[op.Subject]))
 			}
@@ -945,13 +918,13 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 		}
 	}
 	if e.net != nil {
-		if key, ok := e.bwOf[id]; ok {
-			q := key.Microbatch / e.o.Built.Cfg.Microbatches
-			e.bwLeft[key.Stage][q]--
-			if e.bwLeft[key.Stage][q] == 0 {
+		if op := e.g.Op(id); op.Kind == graph.Backward {
+			s, q := op.Stage, op.Microbatch/e.o.Built.Cfg.Microbatches
+			e.bwLeft[s][q]--
+			if e.bwLeft[s][q] == 0 {
 				// The all-reduce's token is its (stage, minibatch).
-				token := int32(key.Stage*e.o.Built.Cfg.Minibatches + q)
-				if e.net.AllReduce(token, e.gradBytes[key.Stage]) {
+				token := int32(s*e.o.Built.Cfg.Minibatches + q)
+				if e.net.AllReduce(token, e.gradBytes[s]) {
 					e.syncDone(token)
 				}
 			}
@@ -972,7 +945,13 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 // replicas.
 func (e *engine) syncDone(token int32) {
 	m := int32(e.o.Built.Cfg.Minibatches)
-	for _, id := range e.o.Built.OptOps[token/m][token%m] {
+	e.release(e.o.Built.OptOps[token/m][token%m])
+}
+
+// release drops one gate (a pseudo-dependency counted in preds) from
+// each op of ids, dispatching those left with none.
+func (e *engine) release(ids []graph.OpID) {
+	for _, id := range ids {
 		e.preds[id]--
 		if e.preds[id] == 0 {
 			e.dispatch(id)

@@ -252,7 +252,7 @@ func TestRecomputeSavesMemoryCostsTime(t *testing.T) {
 }
 
 // instrumentSwap routes every stage-0 block activation through a swap.
-func instrumentSwap(t *testing.T, b *pipeline.Built, routes map[graph.OpID][]fabric.Part, d2d bool) {
+func instrumentSwap(t *testing.T, b *pipeline.Built, routes map[tensor.ID][]fabric.Part, d2d bool) {
 	t.Helper()
 	for m := 0; m < b.TotalMicrobatches; m++ {
 		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
@@ -264,15 +264,13 @@ func instrumentSwap(t *testing.T, b *pipeline.Built, routes map[graph.OpID][]fab
 			if d2d {
 				route = "d2d"
 			}
-			pair := b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), route)
+			b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), route)
 			if d2d {
 				size := b.Graph.Tensors.Get(id).Size
-				parts := []fabric.Part{
+				routes[id] = []fabric.Part{
 					{Peer: 3, Bytes: size / 2},
 					{Peer: 2, Bytes: size - size/2},
 				}
-				routes[pair.Out] = parts
-				routes[pair.In] = parts
 			}
 		}
 	}
@@ -286,7 +284,7 @@ func TestHostSwapSavesMemory(t *testing.T) {
 	rp, _ := Run(Options{Topo: hw.DGX1(), Built: plain, Mapping: IdentityMapping(4)})
 
 	sw := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[graph.OpID][]fabric.Part{}
+	routes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, sw, routes, false)
 	rs, err := Run(Options{Topo: hw.DGX1(), Built: sw, Mapping: IdentityMapping(4)})
 	if err != nil {
@@ -313,7 +311,7 @@ func TestHostSwapSavesMemory(t *testing.T) {
 
 func TestD2DSwapFasterThanHostSwap(t *testing.T) {
 	host := buildTiny(t, pipeline.DAPPLE, 4)
-	hostRoutes := map[graph.OpID][]fabric.Part{}
+	hostRoutes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, host, hostRoutes, false)
 	rh, err := Run(Options{Topo: hw.DGX1(), Built: host, Mapping: IdentityMapping(4)})
 	if err != nil {
@@ -321,9 +319,9 @@ func TestD2DSwapFasterThanHostSwap(t *testing.T) {
 	}
 
 	d2d := buildTiny(t, pipeline.DAPPLE, 4)
-	d2dRoutes := map[graph.OpID][]fabric.Part{}
+	d2dRoutes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, d2d, d2dRoutes, true)
-	rd, err := Run(Options{Topo: hw.DGX1(), Built: d2d, Mapping: IdentityMapping(4), D2DRoutes: d2dRoutes})
+	rd, err := Run(Options{Topo: hw.DGX1(), Built: d2d, Mapping: IdentityMapping(4), D2D: d2dRoutes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,103 +395,79 @@ func TestIdentityMappingHelper(t *testing.T) {
 // swapped tensor's name.
 func TestD2DImportOOMLabel(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[graph.OpID][]fabric.Part{}
+	routes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, b, routes, true)
-	var first graph.OpID = -1
-	for id := range routes {
-		if b.Graph.Op(id).Kind == graph.SwapOut && (first < 0 || id < first) {
-			first = id
-		}
-	}
+	first := firstSwapped(b)
 	if first < 0 {
 		t.Fatal("no swap-outs instrumented")
 	}
-	// The swap-in pairs with the swap-out, so it carries the same stripe.
 	huge := []fabric.Part{{Peer: 3, Bytes: hw.DGX1().GPU.Memory}}
-	subject := b.Graph.Op(first).Subject
-	for id := range routes {
-		if op := b.Graph.Op(id); op.Subject == subject {
-			routes[id] = huge
-		}
-	}
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes})
+	routes[first] = huge
+	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2D: routes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "d2d import:" + b.Graph.Tensors.Get(b.Graph.Op(first).Subject).Name
+	want := "d2d import:" + b.Graph.Tensors.Get(first).Name
 	if r.OOM == nil || r.OOM.What != want || r.OOM.Requested != huge[0].Bytes {
 		t.Fatalf("OOM = %+v, want %q of %v", r.OOM, want, huge[0].Bytes)
 	}
 }
 
-// TestRunRejectsBadRoutes: Run validates D2DRoutes up front and returns
-// an error, never panics, for each rule: keys are swap ops of the
-// graph, peers are other GPUs of the topology, bytes are non-negative,
-// and a swap pair is routed on both ops with equal parts or on neither.
+// firstSwapped returns the tensor of b's first swap-out, or -1.
+func firstSwapped(b *pipeline.Built) tensor.ID {
+	for _, op := range b.Graph.Ops() {
+		if op.Kind == graph.SwapOut {
+			return op.Subject
+		}
+	}
+	return -1
+}
+
+// TestRunRejectsBadRoutes: Run validates Options.D2D up front and
+// returns an error, never panics, for each rule: keys are tensors of the
+// graph that do not start in host memory, peers are other GPUs of the
+// topology, and bytes are non-negative.
 func TestRunRejectsBadRoutes(t *testing.T) {
 	good := []fabric.Part{{Peer: 3, Bytes: 1 << 20}, {Peer: 2, Bytes: 1 << 20}}
 	cases := []struct {
 		name string
-		edit func(b *pipeline.Built, routes map[graph.OpID][]fabric.Part, out, in graph.OpID)
+		edit func(b *pipeline.Built, o *Options, swapped tensor.ID)
 		want string
 	}{
-		{"key past the graph", func(b *pipeline.Built, r map[graph.OpID][]fabric.Part, _, _ graph.OpID) {
-			r[graph.OpID(b.Graph.Len())] = good
-		}, "-op graph"},
-		{"negative key", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, _, _ graph.OpID) {
-			r[-1] = good
-		}, "-op graph"},
-		{"key is a compute op", func(b *pipeline.Built, r map[graph.OpID][]fabric.Part, _, _ graph.OpID) {
-			r[b.FwOp(pipeline.SlotKey{Stage: 1, Microbatch: 0})] = good
-		}, "D2D route for forward op"},
-		{"peer is the host", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
-			p := []fabric.Part{{Peer: hw.Host, Bytes: 1}}
-			r[out], r[in] = p, p
+		{"key past the graph", func(b *pipeline.Built, o *Options, _ tensor.ID) {
+			o.D2D[tensor.ID(b.Graph.Tensors.Len())] = good
+		}, "-tensor graph"},
+		{"negative key", func(_ *pipeline.Built, o *Options, _ tensor.ID) {
+			o.D2D[-1] = good
+		}, "-tensor graph"},
+		{"peer is the host", func(_ *pipeline.Built, o *Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: hw.Host, Bytes: 1}}
 		}, "stripes to"},
-		{"peer past the topology", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
-			p := []fabric.Part{{Peer: 8, Bytes: 1}}
-			r[out], r[in] = p, p
+		{"peer past the topology", func(_ *pipeline.Built, o *Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: 8, Bytes: 1}}
 		}, "stripes to"},
-		{"peer is the tensor's own GPU", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
-			p := []fabric.Part{{Peer: 0, Bytes: 1}}
-			r[out], r[in] = p, p
+		{"peer is the tensor's own GPU", func(_ *pipeline.Built, o *Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: 0, Bytes: 1}}
 		}, "stripes to"},
-		{"negative bytes", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, in graph.OpID) {
-			p := []fabric.Part{{Peer: 3, Bytes: -1}}
-			r[out], r[in] = p, p
+		{"negative bytes", func(_ *pipeline.Built, o *Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: 3, Bytes: -1}}
 		}, "stripes -1 bytes"},
-		{"swap-in routed, swap-out not", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, out, _ graph.OpID) {
-			delete(r, out)
-		}, "differ"},
-		{"swap-out routed, swap-in not", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, _, in graph.OpID) {
-			delete(r, in)
-		}, "differ"},
-		{"unequal parts", func(_ *pipeline.Built, r map[graph.OpID][]fabric.Part, _, in graph.OpID) {
-			r[in] = good
-		}, "differ"},
-		{"valid routes", func(*pipeline.Built, map[graph.OpID][]fabric.Part, graph.OpID, graph.OpID) {}, ""},
+		{"tensor starts in host memory", func(_ *pipeline.Built, o *Options, id tensor.ID) {
+			o.InitiallySwapped = map[tensor.ID]bool{id: true}
+		}, "starts in host memory"},
+		{"valid routes", func(*pipeline.Built, *Options, tensor.ID) {}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := buildTiny(t, pipeline.DAPPLE, 4)
-			routes := map[graph.OpID][]fabric.Part{}
-			instrumentSwap(t, b, routes, true)
-			var out, in graph.OpID = -1, -1
-			for id := range routes {
-				if b.Graph.Op(id).Kind == graph.SwapOut && (out < 0 || id < out) {
-					out = id
-				}
-			}
-			for id := range routes {
-				if op := b.Graph.Op(id); op.Kind == graph.SwapIn && op.Subject == b.Graph.Op(out).Subject {
-					in = id
-				}
-			}
-			if out < 0 || in < 0 {
+			o := Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2D: map[tensor.ID][]fabric.Part{}}
+			instrumentSwap(t, b, o.D2D, true)
+			swapped := firstSwapped(b)
+			if swapped < 0 {
 				t.Fatal("no routed swap pair")
 			}
-			tc.edit(b, routes, out, in)
-			r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2DRoutes: routes})
+			tc.edit(b, &o, swapped)
+			r, err := Run(o)
 			if tc.want == "" {
 				if err != nil || r.OOM != nil {
 					t.Fatalf("valid routes: err %v, OOM %v", err, r.OOM)

@@ -141,7 +141,7 @@ func (e *engine) boundary(q int) {
 		if bytes <= 0 {
 			continue
 		}
-		if _, e1 := e.fab.HostLink(e.place.GPU(s), bytes, true); e1 > end {
+		if _, e1 := e.fab.HostLink(e.o.Mapping[s], bytes, true); e1 > end {
 			end = e1
 		}
 	}
@@ -174,11 +174,6 @@ func (e *engine) drained(q int, start sim.Time) {
 // optimizer step for minibatch q.
 func (e *engine) releaseOptGate(q int) {
 	for _, perMini := range e.o.Built.OptOps {
-		for _, id := range perMini[q] {
-			e.preds[id]--
-			if e.preds[id] == 0 {
-				e.dispatch(id)
-			}
-		}
+		e.release(perMini[q])
 	}
 }

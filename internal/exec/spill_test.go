@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"mpress/internal/fabric"
-	"mpress/internal/graph"
 	"mpress/internal/hw"
 	"mpress/internal/pipeline"
+	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
 
@@ -16,7 +16,7 @@ func TestHostSwapSpillsToNVMe(t *testing.T) {
 	topo := hw.DGX1WithNVMe()
 	topo.HostMemory = 4 * units.MiB // far below the swapped activations
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[graph.OpID][]fabric.Part{}
+	routes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, b, routes, false)
 	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
 	if err != nil {
@@ -43,7 +43,7 @@ func TestHostSwapWithoutNVMeFails(t *testing.T) {
 	topo := hw.DGX1()
 	topo.HostMemory = 4 * units.MiB
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[graph.OpID][]fabric.Part{}
+	routes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, b, routes, false)
 	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
 	if err != nil {
@@ -61,7 +61,7 @@ func TestHostSwapWithoutNVMeFails(t *testing.T) {
 // plain host swapping.
 func TestNVMeSpillSlowerThanHost(t *testing.T) {
 	host := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[graph.OpID][]fabric.Part{}
+	routes := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, host, routes, false)
 	rh, err := Run(Options{Topo: hw.DGX1WithNVMe(), Built: host, Mapping: IdentityMapping(4)})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestNVMeSpillSlowerThanHost(t *testing.T) {
 	}
 
 	spill := buildTiny(t, pipeline.DAPPLE, 4)
-	routes2 := map[graph.OpID][]fabric.Part{}
+	routes2 := map[tensor.ID][]fabric.Part{}
 	instrumentSwap(t, spill, routes2, false)
 	topo := hw.DGX1WithNVMe()
 	topo.HostMemory = 4 * units.MiB
@@ -145,7 +145,7 @@ func TestFabricStatsInResult(t *testing.T) {
 		t.Errorf("plain run reports PCIe traffic: %v", r.Fabric.PCIeBytes)
 	}
 	sw := buildTiny(t, pipeline.DAPPLE, 4)
-	instrumentSwap(t, sw, map[graph.OpID][]fabric.Part{}, false)
+	instrumentSwap(t, sw, map[tensor.ID][]fabric.Part{}, false)
 	rs, err := Run(Options{Topo: hw.DGX1(), Built: sw, Mapping: IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)

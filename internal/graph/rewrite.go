@@ -24,30 +24,12 @@ type SwapPair struct {
 // start as soon as the swap-out finishes (eager restore).
 //
 // This is the rewriter primitive for both GPU-CPU swap and D2D swap;
-// the executor decides the route by whether the op appears in its
-// D2DRoutes table. route only labels the op names for reports.
+// the executor decides the route by whether the tensor appears in its
+// D2D stripe table. route only labels the op names for reports.
 func (g *Graph) InstrumentSwap(t tensor.ID, afterOp, beforeOp, gate OpID, route string) SwapPair {
-	tn := g.Tensors.Get(t)
-	stage := g.ops[afterOp].Stage
-	out := g.addPlaced(Op{
-		Name:       g.opName(route, "-swapout:", SwapOut, t),
-		Kind:       SwapOut,
-		Stage:      stage,
-		Layer:      tn.Layer,
-		Microbatch: g.ops[afterOp].Microbatch,
-		MoveBytes:  tn.Size,
-		Subject:    t,
-	}, afterOp, +1, afterOp)
-	in := g.addPlaced(Op{
-		Name:       g.opName(route, "-swapin:", SwapIn, t),
-		Kind:       SwapIn,
-		Stage:      stage,
-		Layer:      tn.Layer,
-		Microbatch: g.ops[beforeOp].Microbatch,
-		MoveBytes:  tn.Size,
-		Subject:    t,
-	}, beforeOp, -1, gated(out, gate)...)
-	g.AddDep(beforeOp, in)
+	out := g.InstrumentSwapOut(t, afterOp, route)
+	in := g.InstrumentSwapIn(t, beforeOp, gate, route)
+	g.AddDep(in, out)
 	return SwapPair{Out: out, In: in}
 }
 
@@ -60,10 +42,10 @@ func gated(dep, gate OpID) []OpID {
 	return []OpID{dep}
 }
 
-// InstrumentSwapIn adds a standalone swap-in restoring tensor t before
-// op beforeOp, gated on gate (see InstrumentSwap). It is used for
-// persistent tensors that start the iteration parked in host memory
-// (exec's InitiallySwapped set).
+// InstrumentSwapIn adds a swap-in restoring tensor t before op
+// beforeOp, gated on gate (see InstrumentSwap, whose restore half it
+// is). On its own it restores persistent tensors that start the
+// iteration parked in host memory (exec's InitiallySwapped set).
 func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string) OpID {
 	tn := g.Tensors.Get(t)
 	var deps []OpID
@@ -83,9 +65,9 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 	return in
 }
 
-// InstrumentSwapOut adds a standalone swap-out evicting tensor t after
-// op afterOp with no matching swap-in (the tensor stays off-GPU until
-// the run ends or a later InstrumentSwapIn restores it).
+// InstrumentSwapOut adds a swap-out evicting tensor t after op afterOp
+// (InstrumentSwap's eviction half). On its own the tensor stays off-GPU
+// until the run ends or a later InstrumentSwapIn restores it.
 func (g *Graph) InstrumentSwapOut(t tensor.ID, afterOp OpID, route string) OpID {
 	tn := g.Tensors.Get(t)
 	return g.addPlaced(Op{

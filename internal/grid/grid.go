@@ -18,7 +18,7 @@
 // representatives (Representative). When TP == 1 the plane *is* the
 // original topology (the same pointer), so the entire
 // planner/executor stack runs byte-identically to the pre-grid code.
-// Stages resolve to plane devices through Placement.
+// Stages map to plane devices through the plan's flat Mapping slice.
 package grid
 
 import (

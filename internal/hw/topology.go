@@ -55,11 +55,17 @@ func (t *Topology) Validate() error {
 	if t.NumGPUs <= 0 {
 		return fmt.Errorf("hw: topology %q has %d GPUs", t.Name, t.NumGPUs)
 	}
-	if t.GPU.Memory <= 0 {
-		return fmt.Errorf("hw: topology %q GPU has no memory", t.Name)
+	if g := t.GPU; g.Memory <= 0 || g.PeakFP32 <= 0 || g.PeakFP16 <= 0 || g.HBM <= 0 {
+		return fmt.Errorf("hw: topology %q GPU needs positive memory, peak rates and HBM bandwidth", t.Name)
+	}
+	if e := t.GPU.Efficiency; !(e > 0 && e <= 1) {
+		return fmt.Errorf("hw: topology %q GPU efficiency %v is outside (0, 1]", t.Name, e)
 	}
 	if t.NVLinkLaneBW <= 0 || t.PCIeBW <= 0 {
 		return fmt.Errorf("hw: topology %q has non-positive link bandwidth", t.Name)
+	}
+	if min(t.HostMemory, t.NVMeSize) < 0 || t.NVMeBW < 0 || min(t.NVLinkLatency, t.PCIeLatency, t.NVMeLatency) < 0 {
+		return fmt.Errorf("hw: topology %q has a negative capacity, NVMe bandwidth or latency", t.Name)
 	}
 	if t.Switched {
 		if t.LanesPerGPU <= 0 {

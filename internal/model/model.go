@@ -66,6 +66,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model %s: SeqLen = %d", c.Name, c.SeqLen)
 	case c.Vocab <= 0:
 		return fmt.Errorf("model %s: Vocab = %d", c.Name, c.Vocab)
+	case c.Arch != Bert && c.Arch != GPT:
+		return fmt.Errorf("model %s: unknown %v", c.Name, c.Arch)
+	case c.DType < tensor.FP32 || c.DType > tensor.BF16:
+		return fmt.Errorf("model %s: unknown %v", c.Name, c.DType)
 	}
 	return nil
 }

@@ -488,6 +488,11 @@ func Build(bc BuildConfig) (*Built, error) {
 		b.recomputeFLOPs[id] = blockFLOPs
 	}
 
+	for _, tn := range g.Tensors.All() {
+		if tn.Size < 0 {
+			return nil, fmt.Errorf("pipeline: tensor %s size overflows (%d bytes)", tn.Name, tn.Size)
+		}
+	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: built graph invalid: %w", err)
 	}

@@ -37,7 +37,6 @@ import (
 	"mpress/internal/exec"
 	"mpress/internal/fabric"
 	"mpress/internal/graph"
-	"mpress/internal/grid"
 	"mpress/internal/hw"
 	"mpress/internal/mapping"
 	"mpress/internal/pipeline"
@@ -156,12 +155,6 @@ type Plan struct {
 	Emulations int
 	Baseline   units.Duration
 	Planned    units.Duration
-}
-
-// Device returns the plane GPU hosting stage s — the grid.Placement
-// view over the serialized Mapping slice, which stays the wire format.
-func (pl *Plan) Device(s int) hw.DeviceID {
-	return grid.Flat(pl.Mapping).GPU(s)
 }
 
 // planner carries the working state of one Compute call.
@@ -583,7 +576,7 @@ func (p *planner) applyGroupD2D(stage, blk int) units.Bytes {
 	b := p.built
 	kind := b.Cfg.Kind
 	inflight := kind.InFlight(stage, b.NumStages(), b.Cfg.Microbatches)
-	src := p.plan.Device(stage)
+	src := p.plan.Mapping[stage]
 
 	// Every concurrently swapped-out instance occupies peer memory;
 	// budget one slot per in-flight copy and reuse the layouts
@@ -762,7 +755,7 @@ func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.I
 			if len(parts) == 0 {
 				return nil, nil, invalid(a.id, "D2D swap without stripes")
 			}
-			own := pl.Device(a.slot.Stage)
+			own := pl.Mapping[a.slot.Stage]
 			for _, part := range parts {
 				switch {
 				case !part.Peer.IsGPU() || int(part.Peer) >= topo.NumGPUs:
@@ -836,7 +829,7 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		Topo:             topo,
 		Built:            b,
 		Mapping:          pl.Mapping,
-		D2DRoutes:        make(map[graph.OpID][]fabric.Part),
+		D2D:              make(map[tensor.ID][]fabric.Part),
 		InitiallySwapped: make(map[tensor.ID]bool),
 	}
 
@@ -858,11 +851,8 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		case MechHostSwap:
 			swaps = append(swaps, swap{k, g.InstrumentSwap(a.id, after, before, gate, "h2d")})
 		case MechD2D:
-			parts := pl.Parts[a.id]
-			pair := g.InstrumentSwap(a.id, after, before, gate, "d2d")
-			opts.D2DRoutes[pair.Out] = parts
-			opts.D2DRoutes[pair.In] = parts
-			swaps = append(swaps, swap{k, pair})
+			opts.D2D[a.id] = pl.Parts[a.id]
+			swaps = append(swaps, swap{k, g.InstrumentSwap(a.id, after, before, gate, "d2d")})
 		}
 	}
 

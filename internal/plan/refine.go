@@ -261,12 +261,12 @@ func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
 		switch mech {
 		case MechRecompute:
 			tn := p.built.Graph.Tensors.Get(id)
-			dev := pl.Device(tn.Stage)
+			dev := pl.Mapping[tn.Stage]
 			flops, _ := p.built.RecomputeFLOPs(id)
 			extra[dev] += compaction.RecomputeCost(flops, rc.rate)
 		case MechD2D:
 			tn := p.built.Graph.Tensors.Get(id)
-			src := pl.Device(tn.Stage)
+			src := pl.Mapping[tn.Stage]
 			if link == nil {
 				link = make(map[pair]units.Bytes)
 			}
@@ -310,9 +310,9 @@ func newRefineCtx(p *planner) *refineCtx {
 		op := g.Op(graph.OpID(i))
 		switch op.Kind {
 		case graph.Forward, graph.Backward:
-			rc.base[p.plan.Device(op.Stage)] += rc.rate.ComputeTime(op.FLOPs)
+			rc.base[p.plan.Mapping[op.Stage]] += rc.rate.ComputeTime(op.FLOPs)
 		case graph.OptimizerStep:
-			rc.base[p.plan.Device(op.Stage)] += p.o.Topo.GPU.HBM.TransferTime(op.MoveBytes)
+			rc.base[p.plan.Mapping[op.Stage]] += p.o.Topo.GPU.HBM.TransferTime(op.MoveBytes)
 		}
 	}
 	return rc
@@ -330,7 +330,7 @@ func (p *planner) convertToD2D(t *trial, key groupKey) bool {
 	}
 	b := p.built
 	inflight := b.Cfg.Kind.InFlight(key.Stage, b.NumStages(), b.Cfg.Microbatches)
-	src := t.plan.Device(key.Stage)
+	src := t.plan.Mapping[key.Stage]
 	size := b.Graph.Tensors.Get(ids[0]).Size
 
 	layouts := make([][]fabric.Part, 0, inflight)

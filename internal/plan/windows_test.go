@@ -154,7 +154,7 @@ func TestApplyEmptyPlanIsIdentityRun(t *testing.T) {
 	if b.Graph.Len() != n {
 		t.Errorf("empty plan added %d ops", b.Graph.Len()-n)
 	}
-	if len(opts.D2DRoutes) != 0 || len(opts.InitiallySwapped) != 0 {
+	if len(opts.D2D) != 0 || len(opts.InitiallySwapped) != 0 {
 		t.Error("empty plan produced routes")
 	}
 }
@@ -178,7 +178,7 @@ func TestApplyInstrumentsAllMechanisms(t *testing.T) {
 			swapOps++
 		}
 	}
-	d2dRoutes = len(opts.D2DRoutes)
+	d2dRoutes = len(opts.D2D)
 	actCount := len(pl.Act) + len(pl.HostPersist)
 	if actCount > 0 && swapOps == 0 {
 		t.Error("plan with assignments produced no swap ops")

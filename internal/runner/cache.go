@@ -8,11 +8,11 @@ import (
 	"mpress/internal/units"
 )
 
-// DefaultPlanCacheEntries is the plan cache's default entry cap. It is
-// far above what a typical sweep computes (the full paper grid needs a
-// few dozen plans), so the default behaves like the old unbounded
-// cache for small sweeps while still bounding a long-lived daemon.
-const DefaultPlanCacheEntries = 512
+// defaultPlanCacheEntries is the plan cache's entry cap. It is far
+// above what a typical sweep computes (the full paper grid needs a few
+// dozen plans), so small sweeps never evict, while a long-lived daemon
+// stays bounded.
+const defaultPlanCacheEntries = 512
 
 // planCache memoizes computed plans by Job.PlanKey with singleflight
 // deduplication: when several workers want the same key at once, one
@@ -21,11 +21,11 @@ const DefaultPlanCacheEntries = 512
 // shared across jobs; that is safe because plan.Apply and plan.Rebase
 // only read the plan.
 //
-// The cache is LRU-bounded: at most cap settled entries are retained
-// (negative cap means unbounded), least-recently-used evicted first,
-// with an approximate byte size accounted per entry. In-flight
-// computations never count against the cap and are never evicted —
-// a waiter always receives the plan it blocked on.
+// The cache is LRU-bounded: at most cap settled entries are retained,
+// least-recently-used evicted first, with an approximate byte size
+// accounted per entry. In-flight computations never count against the
+// cap and are never evicted — a waiter always receives the plan it
+// blocked on.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -49,8 +49,8 @@ type cacheEntry struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity == 0 {
-		capacity = DefaultPlanCacheEntries
+	if capacity <= 0 {
+		capacity = defaultPlanCacheEntries
 	}
 	return &planCache{
 		cap:     capacity,
@@ -113,9 +113,6 @@ func (c *planCache) peek(key string) (*plan.Plan, bool) {
 
 // evict trims the settled-entry LRU down to cap. Called with mu held.
 func (c *planCache) evict() {
-	if c.cap < 0 {
-		return
-	}
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		if back == nil {

@@ -67,17 +67,20 @@ func TestPlanCacheLRURecency(t *testing.T) {
 	}
 }
 
+// There is no unbounded cache: a negative cap, which once meant
+// unbounded, gets the default cap like a zero one, and the default cap
+// evicts.
 func TestPlanCacheUnboundedAndDefault(t *testing.T) {
-	c := newPlanCache(-1)
-	var computes int
-	for i := 0; i < 3*DefaultPlanCacheEntries/2; i++ {
-		c.getOrCompute(fmt.Sprint(i), computeCounting(&computes))
-	}
-	if _, _, _, evictions, _, _ := c.stats(); evictions != 0 {
-		t.Fatalf("unbounded cache evicted %d entries", evictions)
-	}
-	if newPlanCache(0).cap != DefaultPlanCacheEntries {
-		t.Fatal("cap 0 should default")
+	for _, capacity := range []int{-1, 0} {
+		c := newPlanCache(capacity)
+		var computes int
+		for i := 0; i < 3*defaultPlanCacheEntries/2; i++ {
+			c.getOrCompute(fmt.Sprint(i), computeCounting(&computes))
+		}
+		if _, _, _, evictions, entries, _ := c.stats(); entries != defaultPlanCacheEntries || evictions != defaultPlanCacheEntries/2 {
+			t.Fatalf("cap %d: cache holds %d entries after %d evictions, want %d after %d",
+				capacity, entries, evictions, defaultPlanCacheEntries, defaultPlanCacheEntries/2)
+		}
 	}
 }
 
@@ -118,7 +121,7 @@ func TestPlanCacheConcurrentEviction(t *testing.T) {
 }
 
 func TestRunnerStatsSurfaceEvictions(t *testing.T) {
-	r := New(Options{Workers: 2, PlanCacheEntries: 1})
+	r := New(Options{Workers: 2, planCacheEntries: 1})
 	jobs := []*Job{
 		mustJob(t, bertCfg(t, "0.64B", SystemRecompute)),
 		mustJob(t, bertCfg(t, "0.64B", SystemGPUCPUSwap)),

@@ -307,6 +307,9 @@ func (c Config) WithDefaults() (Config, error) {
 				sim.ErrRunaway, steps, c.Stages, c.Minibatches, c.AllReduceBuckets, n)
 		}
 	}
+	if p := c.Precision; p != nil && min(p.ParamBytes, p.GradBytes, p.OptBytes) < 0 {
+		return c, fmt.Errorf("mpress: Precision %+v has a negative byte count", *p)
+	}
 	if c.Precision == nil {
 		p := model.MixedAdam()
 		if c.Model.DType == tensor.FP32 {

@@ -27,11 +27,10 @@ type Options struct {
 	// the worker goroutine that ran it, so it must be safe for
 	// concurrent use. Progress meters hang off this.
 	OnJobDone func(JobResult)
-	// PlanCacheEntries caps how many settled plans the runner's LRU
-	// cache retains. 0 means DefaultPlanCacheEntries (large enough
-	// that small sweeps behave as if unbounded); negative means
-	// unbounded.
-	PlanCacheEntries int
+	// planCacheEntries caps how many settled plans the runner's LRU
+	// cache retains; zero or less means defaultPlanCacheEntries. Only
+	// tests set it.
+	planCacheEntries int
 }
 
 // JobResult pairs a job with its outcome.
@@ -99,7 +98,7 @@ func New(opts Options) *Runner {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{opts: opts, cache: newPlanCache(opts.PlanCacheEntries), lowers: newLowerings()}
+	return &Runner{opts: opts, cache: newPlanCache(opts.planCacheEntries), lowers: newLowerings()}
 }
 
 // Workers returns the pool size jobs run at.

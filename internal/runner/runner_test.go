@@ -315,6 +315,53 @@ func TestWithDefaultsRejectsUnknownEnums(t *testing.T) {
 	}
 }
 
+// TestHostileConfigs: caller inputs that used to panic the planner or
+// executor, or to run as if valid, now end in a typed error or an OOM
+// report.
+func TestHostileConfigs(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(c *Config)
+		want string // an error containing want; "" wants an OOM report
+	}{
+		{"zero GPU efficiency", func(c *Config) { c.Topology.GPU.Efficiency = 0 }, "efficiency"},
+		{"negative GPU efficiency", func(c *Config) { c.Topology.GPU.Efficiency = -1 }, "efficiency"},
+		{"zero HBM bandwidth", func(c *Config) { c.Topology.GPU.HBM = 0 }, "HBM"},
+		{"GPU below the runtime reserve", func(c *Config) { c.Topology.GPU.Memory = units.GiB }, ""},
+		{"negative precision", func(c *Config) {
+			c.Precision = &model.Precision{ParamBytes: -2, GradBytes: 2, OptBytes: 12}
+		}, "Precision"},
+		{"overflowing sequence length", func(c *Config) { c.Model.SeqLen = 1 << 30 }, "overflow"},
+		{"unknown dtype", func(c *Config) { c.Model.DType = 9 }, "DType"},
+		{"unknown arch", func(c *Config) { c.Model.Arch = 7 }, "Arch"},
+		{"negative host memory", func(c *Config) { c.Topology.HostMemory = -1 }, "negative"},
+		{"negative NVLink latency", func(c *Config) { c.Topology.NVLinkLatency = -1 }, "negative"},
+		{"negative PCIe latency", func(c *Config) { c.Topology.PCIeLatency = -1 }, "negative"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := bertCfg(t, "0.35B", SystemMPress)
+			tc.edit(&cfg)
+			var rep *Report
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panic: %v", p)
+					}
+				}()
+				rep, err = Train(cfg)
+			}()
+			switch {
+			case tc.want == "" && (err != nil || rep.OOM == nil):
+				t.Fatalf("err %v, report %+v; want an OOM report", err, rep)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestStageTimesRecorded(t *testing.T) {
 	j := mustJob(t, bertCfg(t, "0.64B", SystemRecompute))
 	r := New(Options{Workers: 1})

@@ -30,14 +30,11 @@ type Client struct {
 	// bounds jobs server-side; set a Timeout here only above the
 	// longest job you expect, or rely on the request context.
 	HTTPClient *http.Client
-	// RetrySeed seeds PlanWait's deterministic backoff jitter. Zero
-	// derives a per-client seed (distinct across Client instances in a
-	// process), so a herd of default clients de-synchronizes by
-	// construction; set it explicitly for reproducible schedules.
-	RetrySeed uint64
-	// RetryBackoffCap caps PlanWait's exponential backoff between
-	// resubmissions. Zero means 30s.
-	RetryBackoffCap time.Duration
+	// seed seeds PlanWait's deterministic backoff jitter. Zero derives
+	// a per-client seed (distinct across Client instances in a
+	// process), so a herd of clients de-synchronizes by construction.
+	// Only tests set it, for reproducible schedules.
+	seed uint64
 }
 
 // clientSeq makes default retry seeds distinct per Client instance.
@@ -51,21 +48,17 @@ func New(baseURL string) *Client {
 // retrySeed resolves the jitter seed: explicit, else unique-ish per
 // client instance (URL hash mixed with an instance counter).
 func (c *Client) retrySeed() uint64 {
-	if c.RetrySeed != 0 {
-		return c.RetrySeed
+	if c.seed != 0 {
+		return c.seed
 	}
 	h := fnv.New64a()
 	h.Write([]byte(c.BaseURL))
 	return splitmix64(h.Sum64() ^ (clientSeq.Add(1) << 32))
 }
 
-// retryBackoffCap resolves the backoff ceiling.
-func (c *Client) retryBackoffCap() time.Duration {
-	if c.RetryBackoffCap > 0 {
-		return c.RetryBackoffCap
-	}
-	return 30 * time.Second
-}
+// retryBackoffCap caps PlanWait's exponential backoff between
+// resubmissions.
+const retryBackoffCap = 30 * time.Second
 
 // splitmix64 is the jitter PRNG step — tiny, seedable, and identical
 // everywhere, so retry schedules are reproducible from the seed alone.
@@ -122,7 +115,7 @@ func (c *Client) Plan(ctx context.Context, cfg runner.Config, timeout string) (*
 
 // PlanWait is Plan with bounded backoff: on saturation it resubmits
 // until ctx expires, waiting the server's Retry-After hint grown
-// exponentially (capped at RetryBackoffCap) and scaled by a ±20%
+// exponentially (capped at retryBackoffCap) and scaled by a ±20%
 // deterministic jitter, so a herd of waiters rejected together
 // de-synchronizes instead of re-arriving in lockstep.
 func (c *Client) PlanWait(ctx context.Context, cfg runner.Config, timeout string) (*api.PlanResponse, error) {
@@ -133,7 +126,7 @@ func (c *Client) PlanWait(ctx context.Context, cfg runner.Config, timeout string
 		if err == nil || !errors.As(err, &apiErr) || !apiErr.IsSaturated() {
 			return resp, err
 		}
-		wait := retryDelay(seed, attempt, apiErr.RetryAfterDuration(), c.retryBackoffCap())
+		wait := retryDelay(seed, attempt, apiErr.RetryAfterDuration(), retryBackoffCap)
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("client: gave up waiting for admission: %w (last: %v)", ctx.Err(), err)

@@ -73,14 +73,14 @@ func TestRetryDelaySchedule(t *testing.T) {
 }
 
 // TestDefaultSeedsDistinct: clients constructed without an explicit
-// RetrySeed — even against the same URL — must not share schedules.
+// seed — even against the same URL — must not share schedules.
 func TestDefaultSeedsDistinct(t *testing.T) {
 	a, b := New("http://same:1"), New("http://same:1")
 	if a.retrySeed() == b.retrySeed() {
 		t.Error("two default clients share a retry seed")
 	}
 	c := New("http://same:1")
-	c.RetrySeed = 7
+	c.seed = 7
 	if c.retrySeed() != 7 {
 		t.Error("explicit seed not honored")
 	}
@@ -122,7 +122,7 @@ func TestPlanWaitBackoffAndTypedErrors(t *testing.T) {
 	defer srv.Close()
 
 	cl := New(srv.URL)
-	cl.RetrySeed = 1
+	cl.seed = 1
 	// One direct Plan call surfaces the typed error.
 	_, err := cl.Plan(context.Background(), fleetTestConfig(t), "")
 	var apiErr *api.Error

@@ -40,9 +40,9 @@ import (
 // Options configures a Server. The zero value serves with sensible
 // defaults.
 type Options struct {
-	// Runner configures the embedded runner (worker pool size, plan
-	// cache bound). OnJobDone and KeepArtifacts are owned by the
-	// server and must be left unset.
+	// Runner configures the embedded runner (its worker pool size).
+	// OnJobDone and KeepArtifacts are owned by the server and must be
+	// left unset.
 	Runner runner.Options
 	// QueueDepth bounds how many plan/sweep requests may be in service
 	// or queued at once; beyond it the daemon answers 429. Default 16.
@@ -60,8 +60,9 @@ type Options struct {
 	// DrainTimeout bounds graceful shutdown: how long Serve waits for
 	// in-flight requests after its context is cancelled. Default 30s.
 	DrainTimeout time.Duration
-	// MaxSweepConfigs bounds one sweep request's batch size. Default 4096.
-	MaxSweepConfigs int
+	// maxSweepConfigs bounds one sweep request's batch size; zero or
+	// less means 4096. Only tests set it.
+	maxSweepConfigs int
 	// Fleet, when set, makes this daemon one peer of a planning fleet:
 	// plan and search requests go to the ring owner of their route key
 	// (runner.Job.RouteKey), forwarded one hop and guarded by
@@ -139,8 +140,8 @@ func New(opts Options) *Server {
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = 30 * time.Second
 	}
-	if opts.MaxSweepConfigs <= 0 {
-		opts.MaxSweepConfigs = 4096
+	if opts.maxSweepConfigs <= 0 {
+		opts.maxSweepConfigs = 4096
 	}
 	if opts.Logger == nil {
 		opts.Logger = log.New(os.Stderr, "mpressd: ", log.LstdFlags|log.Lmicroseconds)
@@ -397,9 +398,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "sweep has no configs")
 		return
 	}
-	if len(req.Configs) > s.opts.MaxSweepConfigs {
+	if len(req.Configs) > s.opts.maxSweepConfigs {
 		writeError(w, http.StatusBadRequest, "sweep of %d configs exceeds the %d limit",
-			len(req.Configs), s.opts.MaxSweepConfigs)
+			len(req.Configs), s.opts.maxSweepConfigs)
 		return
 	}
 	timeout, err := s.requestTimeout(req.Timeout)

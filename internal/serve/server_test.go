@@ -365,7 +365,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestBadRequests covers the 400 surface: bad JSON, bad timeout
 // strings, invalid configs, oversized sweeps and bodies.
 func TestBadRequests(t *testing.T) {
-	s := New(Options{Runner: runner.Options{Workers: 1}, MaxSweepConfigs: 2, Logger: testLogger(t)})
+	s := New(Options{Runner: runner.Options{Workers: 1}, maxSweepConfigs: 2, Logger: testLogger(t)})
 	cl, cancel, wait := startDaemon(t, s)
 	defer func() { cancel(); _ = wait() }()
 
@@ -444,6 +444,24 @@ func TestRingStepBudgetIs400(t *testing.T) {
 	var apiErr *api.Error
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "event budget") {
 		t.Fatalf("over-budget job error = %v, want HTTP 400 naming the event budget", err)
+	}
+	cl.HTTPClient.CloseIdleConnections()
+}
+
+// TestNegativePrecisionIs400: a config whose precision counts negative
+// bytes per parameter is the caller's mistake, a 400; it used to panic
+// the worker in the memory simulator and drop the connection.
+func TestNegativePrecisionIs400(t *testing.T) {
+	s := New(Options{Runner: runner.Options{Workers: 1}, Logger: testLogger(t)})
+	cl, cancel, wait := startDaemon(t, s)
+	defer func() { cancel(); _ = wait() }()
+
+	cfg := testConfig(t, runner.SystemMPress)
+	cfg.Precision = &model.Precision{ParamBytes: -2, GradBytes: 2, OptBytes: 12}
+	_, err := cl.Plan(context.Background(), cfg, "")
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "negative") {
+		t.Fatalf("negative precision error = %v, want HTTP 400 naming the negative count", err)
 	}
 	cl.HTTPClient.CloseIdleConnections()
 }

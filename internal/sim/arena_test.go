@@ -17,7 +17,7 @@ func TestInterruptCountsOnlyExecuted(t *testing.T) {
 		s.Post(s.Now()+1, ev)
 	}
 	s.Post(0, Event{})
-	s.InterruptEvery = 10
+	s.interruptEvery = 10
 	polls := 0
 	s.Interrupt = func() bool {
 		polls++

@@ -16,7 +16,7 @@ func chain(s *Sim, n int) {
 
 func TestInterruptStopsRun(t *testing.T) {
 	s := New()
-	s.InterruptEvery = 10
+	s.interruptEvery = 10
 	polls := 0
 	s.Interrupt = func() bool {
 		polls++
@@ -38,7 +38,7 @@ func TestInterruptStopsRun(t *testing.T) {
 
 func TestInterruptedResetsBetweenRuns(t *testing.T) {
 	s := New()
-	s.InterruptEvery = 1
+	s.interruptEvery = 1
 	s.Interrupt = func() bool { return true }
 	chain(s, 10)
 	s.Run()

@@ -48,8 +48,8 @@ func TestResetReplaysIdentically(t *testing.T) {
 
 func TestResetClearsPendingAndFlags(t *testing.T) {
 	s := New()
-	s.MaxEvents = 5
-	s.InterruptEvery = 1
+	s.maxEvents = 5
+	s.interruptEvery = 1
 	s.Interrupt = func() bool { return false }
 	s.Handle = func(ev Event) {
 		if ev.Arg == 2 {
@@ -67,7 +67,7 @@ func TestResetClearsPendingAndFlags(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("Reset left %d pending events", s.Pending())
 	}
-	if s.MaxEvents != 0 || s.Interrupt != nil || s.InterruptEvery != 0 || s.Handle != nil {
+	if s.maxEvents != 0 || s.Interrupt != nil || s.interruptEvery != 0 || s.Handle != nil {
 		t.Fatal("Reset did not clear configuration knobs")
 	}
 }

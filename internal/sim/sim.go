@@ -64,18 +64,19 @@ type Sim struct {
 	// pooled Sims hand out timelines without allocating.
 	arena     []Time
 	arenaUsed int
-	// MaxEvents stops Run with ErrRunaway if exceeded; zero means
-	// DefaultMaxEvents. It exists to turn accidental infinite event
-	// loops, and jobs too large to simulate, into typed failures.
-	MaxEvents int64
-	// Interrupt, when set, is polled every InterruptEvery processed
+	// maxEvents stops Run with ErrRunaway if exceeded; zero means
+	// DefaultMaxEvents, and only tests lower it. The guard turns
+	// accidental infinite event loops, and jobs too large to simulate,
+	// into typed failures.
+	maxEvents int64
+	// Interrupt, when set, is polled every interruptEvery processed
 	// events; when it returns true, Run stops as if Stop had been
 	// called. It exists so a long simulation can honor external
 	// cancellation (a context, a signal) without per-event overhead.
 	Interrupt func() bool
-	// InterruptEvery is the polling stride; zero means the default of
-	// 8192 events.
-	InterruptEvery int64
+	// interruptEvery is the polling stride; zero means the default of
+	// 8192 events. Only tests shorten it.
+	interruptEvery int64
 	// Interrupted reports whether the last Run was halted by the
 	// Interrupt hook (as opposed to draining its events or Stop).
 	Interrupted bool
@@ -119,9 +120,9 @@ func (s *Sim) Reset() {
 	s.executed = 0
 	s.stopped = false
 	s.Interrupted = false
-	s.MaxEvents = 0
+	s.maxEvents = 0
 	s.Interrupt = nil
-	s.InterruptEvery = 0
+	s.interruptEvery = 0
 	s.Handle = nil
 }
 
@@ -173,7 +174,7 @@ func (s *Sim) Stop() {
 const DefaultMaxEvents = 200_000_000
 
 // ErrRunaway is the error Run returns once a simulation executes more
-// events than its budget (MaxEvents).
+// events than its budget (DefaultMaxEvents).
 var ErrRunaway = errors.New("sim: event budget exceeded")
 
 // Run processes events until none remain (or Stop is called) and
@@ -181,11 +182,11 @@ var ErrRunaway = errors.New("sim: event budget exceeded")
 // with an error wrapping ErrRunaway, leaving the event over budget
 // unhandled.
 func (s *Sim) Run() (Time, error) {
-	max := s.MaxEvents
+	max := s.maxEvents
 	if max == 0 {
 		max = DefaultMaxEvents
 	}
-	every := s.InterruptEvery
+	every := s.interruptEvery
 	if every <= 0 {
 		every = 8192
 	}

@@ -99,11 +99,11 @@ func TestStop(t *testing.T) {
 
 func TestRunawayGuard(t *testing.T) {
 	s := New()
-	s.MaxEvents = 100
+	s.maxEvents = 100
 	s.Handle = func(ev Event) { s.Post(s.Now()+1, ev) }
 	s.Post(0, Event{})
 	if _, err := s.Run(); !errors.Is(err, ErrRunaway) {
-		t.Errorf("Run past MaxEvents = %v, want ErrRunaway", err)
+		t.Errorf("Run past maxEvents = %v, want ErrRunaway", err)
 	}
 	if s.Executed() != 101 || s.Pending() != 0 {
 		t.Errorf("executed %d, pending %d; want the 101st event popped unhandled", s.Executed(), s.Pending())
