@@ -56,16 +56,18 @@ autosearch-smoke:
 sweep-smoke:
 	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering' -count=1 ./internal/runner/
 
-# Certified-fork acceptance: every emulation of every planner preset
-# must certify its instrumented fork against the frozen base without a
-# full re-sort, and the def ops and free points exec reads off the base
-# must equal a full Validate + Kahn + liveness derivation; the
-# FuzzSplice seed corpus holds the certifier to the full Validate on
-# random overlays, and TestForkIsolation checks forks of one frozen
-# lowering stay independent — all under the race detector.
+# Fork acceptance: on every emulation of every planner preset, the def
+# ops and free points exec reads off the frozen base must equal a full
+# Validate + Kahn + liveness derivation on an unforked copy; the
+# FuzzSplice seed corpus holds the fork guards (no AddOp, recompute
+# only what the base consumes, deps in range and not on the op itself)
+# to the full Validate on random overlays; TestGraphEquivalence holds a
+# fork's adjacency, order and liveness to reference implementations;
+# and TestForkIsolation checks forks of one frozen lowering stay
+# independent — all under the race detector.
 splice-smoke:
 	$(GO) test -race -run 'TestSpliceDifferential' -count=1 .
-	$(GO) test -race -run 'FuzzSplice|TestForkIsolation' -count=1 ./internal/graph/ ./internal/pipeline/
+	$(GO) test -race -run 'FuzzSplice|TestForkGuards|TestGraphEquivalence|TestForkIsolation' -count=1 ./internal/graph/ ./internal/pipeline/
 
 # Event-loop acceptance: on the FuzzJointStriped seed corpus the
 # sorted joint striped reservation books exactly the lanes, times and

@@ -1,8 +1,6 @@
 // Command mpress-load drives an mpressd planning fleet (or one
 // standalone daemon) with a Zipf-skewed job mix and reports the
-// latency distribution, cache behaviour and forwarding, appending
-// a machine-readable record to a BENCH file for commit-over-commit
-// comparison.
+// latency distribution, cache behaviour and forwarding on stdout.
 //
 // Two load models:
 //
@@ -16,19 +14,17 @@
 // Usage:
 //
 //	mpress-load -peers http://127.0.0.1:7323,http://127.0.0.1:7324,http://127.0.0.1:7325 \
-//	    -requests 200 -concurrency 8 -zipf 1.2 -out BENCH_serve.json
+//	    -requests 200 -concurrency 8 -zipf 1.2 -verify
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -54,12 +50,10 @@ func main() {
 	timeout := flag.String("timeout", "", "server-side per-request timeout (empty: daemon default)")
 	waitHealthy := flag.Duration("wait-healthy", 10*time.Second, "wait up to this long for every peer's /healthz")
 	verify := flag.Bool("verify", false, "recompute every distinct config locally and require byte-identical plans")
-	out := flag.String("out", "", "append the run record to this JSON file (e.g. BENCH_serve.json)")
-	note := flag.String("note", "", "free-form commentary stored with the record")
 	flag.Parse()
 
 	if err := run(*peers, *mode, *concurrency, *rps, *requests, *distinct, *zipfS,
-		*seed, *timeout, *waitHealthy, *verify, *out, *note); err != nil {
+		*seed, *timeout, *waitHealthy, *verify); err != nil {
 		fmt.Fprintf(os.Stderr, "mpress-load: %v\n", err)
 		os.Exit(1)
 	}
@@ -148,38 +142,9 @@ func (a serverCounters) add(b serverCounters) serverCounters {
 	}
 }
 
-// record is the BENCH_serve.json entry one run appends.
-type record struct {
-	Experiment  string  `json:"experiment"`
-	Date        string  `json:"date"`
-	Peers       int     `json:"peers"`
-	Mode        string  `json:"mode"`
-	Concurrency int     `json:"concurrency,omitempty"`
-	TargetRPS   float64 `json:"target_rps,omitempty"`
-	Requests    int     `json:"requests"`
-	Distinct    int     `json:"distinct_jobs"`
-	ZipfS       float64 `json:"zipf_s"`
-	Cores       int     `json:"host_cores"`
-
-	Errors       int     `json:"errors"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	AchievedRPS  float64 `json:"achieved_rps"`
-	P50MS        float64 `json:"p50_ms"`
-	P95MS        float64 `json:"p95_ms"`
-	P99MS        float64 `json:"p99_ms"`
-	PlanHitRate  float64 `json:"plan_cache_hit_rate"`
-	PlanComputes float64 `json:"plan_computes"`
-	MemoHits     float64 `json:"result_memo_hits"`
-	Forwards     float64 `json:"forwards"`
-	ForwardErrs  float64 `json:"forward_errors"`
-	SFWaits      float64 `json:"singleflight_waits"`
-	Verified     bool    `json:"plans_verified_byte_identical,omitempty"`
-	Note         string  `json:"note,omitempty"`
-}
-
 func run(peerList, mode string, concurrency int, rps float64, requests, distinct int,
 	zipfS float64, seed int64, timeout string, waitHealthy time.Duration,
-	verify bool, out, note string) error {
+	verify bool) error {
 	peers := strings.Split(peerList, ",")
 	fc, err := client.NewFleet(peers)
 	if err != nil {
@@ -313,37 +278,9 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 		hitRate = delta.planHits / lookups
 	}
 
-	rec := record{
-		Experiment:  "serve_load",
-		Date:        time.Now().UTC().Format("2006-01-02"),
-		Peers:       len(peers),
-		Mode:        mode,
-		Requests:    requests,
-		Distinct:    distinct,
-		ZipfS:       zipfS,
-		Cores:       runtime.NumCPU(),
-		Errors:      errors,
-		WallSeconds: wall.Seconds(),
-		AchievedRPS: float64(requests) / wall.Seconds(),
-		P50MS:       pct(50), P95MS: pct(95), P99MS: pct(99),
-		PlanHitRate:  hitRate,
-		PlanComputes: delta.planComputes,
-		MemoHits:     delta.memoHits,
-		Forwards:     delta.forwardsSent,
-		ForwardErrs:  delta.forwardErrors,
-		SFWaits:      delta.sfWaits,
-		Verified:     verified,
-		Note:         note,
-	}
-	if mode == "closed" {
-		rec.Concurrency = concurrency
-	} else {
-		rec.TargetRPS = rps
-	}
-
 	fmt.Printf("mpress-load: %d requests, %d errors, %.1fs wall (%.1f req/s) against %d peer(s)\n",
-		requests, errors, wall.Seconds(), rec.AchievedRPS, len(peers))
-	fmt.Printf("  latency  p50 %.1fms  p95 %.1fms  p99 %.1fms\n", rec.P50MS, rec.P95MS, rec.P99MS)
+		requests, errors, wall.Seconds(), float64(requests)/wall.Seconds(), len(peers))
+	fmt.Printf("  latency  p50 %.1fms  p95 %.1fms  p99 %.1fms\n", pct(50), pct(95), pct(99))
 	fmt.Printf("  plan cache hit rate %.1f%% (%d computes)  result memo hits %d  singleflight waits %d\n",
 		hitRate*100, int(delta.planComputes), int(delta.memoHits), int(delta.sfWaits))
 	fmt.Printf("  forwards %d (errors %d)\n", int(delta.forwardsSent), int(delta.forwardErrors))
@@ -354,12 +291,6 @@ func run(peerList, mode string, concurrency int, rps float64, requests, distinct
 		fmt.Printf("  error ×%d: %s\n", n, msg)
 	}
 
-	if out != "" {
-		if err := appendRecord(out, rec); err != nil {
-			return err
-		}
-		fmt.Printf("  appended record to %s\n", out)
-	}
 	if errors > 0 {
 		return fmt.Errorf("%d/%d requests failed", errors, requests)
 	}
@@ -399,24 +330,4 @@ func verifyConfig(fc *client.Fleet, cfg runner.Config, timeout string) error {
 		return fmt.Errorf("plan mismatch: local %d bytes, fleet %d bytes", local.Len(), len(remote))
 	}
 	return nil
-}
-
-// appendRecord appends rec to the JSON array in path (creating it).
-func appendRecord(path string, rec record) error {
-	var records []json.RawMessage
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &records); err != nil {
-			return fmt.Errorf("%s exists but is not a JSON array: %w", path, err)
-		}
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	records = append(records, raw)
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

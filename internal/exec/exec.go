@@ -222,9 +222,10 @@ type engine struct {
 	// Resilience state (resilience.go): ckpt is non-nil when periodic
 	// checkpointing is on; failure records an injected fault; opsLeft
 	// counts graph ops yet to complete so a late FailAt event can tell
-	// a live run from a drained one; lastEnd is the latest real
-	// completion time, the run duration when a spurious FailAt event
-	// advanced the clock past the last op.
+	// a live run from a drained one, and Run a finished event loop from
+	// a stalled one; lastEnd is the latest real completion time, the
+	// run duration when a spurious FailAt event advanced the clock past
+	// the last op.
 	tpBytes units.Bytes
 
 	ckpt    *ckptState
@@ -234,10 +235,10 @@ type engine struct {
 }
 
 // Run simulates the job and returns its result. Configuration errors
-// (bad mapping, mismatched routes), a cancelled Ctx and a run past the
-// kernel's event budget (sim.ErrRunaway) return an error; OOM is
-// reported inside the Result, mirroring how a real job fails at
-// runtime.
+// (bad mapping, mismatched routes), a dependency cycle
+// (*graph.CycleError), a cancelled Ctx and a run past the kernel's
+// event budget (sim.ErrRunaway) return an error; OOM is reported
+// inside the Result, mirroring how a real job fails at runtime.
 //
 // The event loop is closure-free: every op that takes simulated time
 // books its resource and posts one typed completion event (see handle),
@@ -311,8 +312,26 @@ func Run(o Options) (*Result, error) {
 		if e.sim.Interrupted {
 			return nil, o.Ctx.Err()
 		}
+		if e.failure == nil && e.oom == nil && e.opsLeft > 0 {
+			return nil, e.stalled()
+		}
 	}
 	return e.result(), nil
+}
+
+// stalled reports the ops an event loop that drained with no OOM and no
+// injected fault left behind: their dependency count never reached
+// zero. The dispatch counting is Kahn's algorithm, so they sit on or
+// behind a dependency cycle, or behind a data-parallel or checkpoint
+// gate that never released.
+func (e *engine) stalled() error {
+	var left []graph.OpID
+	for id, n := range e.preds {
+		if n > 0 {
+			left = append(left, graph.OpID(id))
+		}
+	}
+	return fmt.Errorf("exec: %w", &graph.CycleError{Remaining: left})
 }
 
 // checkRoutes validates Options.D2D in time linear in its entries. Each
@@ -358,9 +377,9 @@ func (e *engine) checkRoute(id tensor.ID, parts []fabric.Part) error {
 // init allocates the runtime reserve and persistent state, reporting a
 // GPU or host too small for them as OOM, and builds the dependency
 // bookkeeping. It re-derives nothing the graph caches: dependency
-// counts and successor rows come from its adjacency, and on a certified
-// fork of a frozen lowering the freeing points come from the base's
-// liveness (initFree), with no sort or analysis per run.
+// counts and successor rows come from its adjacency, and on a fork of a
+// frozen lowering the freeing points come from the base's liveness
+// (initFree), with no sort or analysis per run.
 func (e *engine) init() error {
 	b := e.o.Built
 	// Allocate spans first: a Result carries graph-length Spans even
@@ -449,25 +468,26 @@ func (e *engine) init() error {
 }
 
 // initFree lays out the freeing points per op, in CSR form with each
-// op's tensors ascending. Def ops and uses come from the frozen base
-// when Validate certified the graph's overlay against it: the overlay
-// then consumes no tensor, so each tensor keeps its base uses, and a
-// lowering chains every multi-use tensor's consumers on one stage's
-// schedule (pipeline's TestMultiUseTensorsChained), so the last use is
-// the same op in any order. That spares every emulation a Kahn sort
-// and a liveness analysis of its fork. Any other graph derives them
-// from its own order and liveness.
+// op's tensors ascending. Any fork of a frozen lowering reads def ops
+// and uses off its base: the graph package lets a fork's overlay
+// consume no tensor and recompute only tensors the base consumes, so
+// each tensor keeps its base uses, and a lowering chains every
+// multi-use tensor's consumers on one stage's schedule (pipeline's
+// TestMultiUseTensorsChained), so the last use is the same op in any
+// order. That spares every emulation a Kahn sort and a liveness
+// analysis of its fork. Any other graph derives them from its own
+// order and liveness, and so reports a cycle here, before running.
 func (e *engine) initFree() error {
 	src := e.g
-	if e.g.Certified() {
-		src = e.g.Base()
+	if b := e.g.Base(); b != nil {
+		src = b
 	}
 	freeAt, err := freePoints(e.o.Built, src)
 	if err != nil {
 		return fmt.Errorf("exec: %w", err)
 	}
-	if SpliceCheck != nil && e.g.Base() != nil {
-		SpliceCheck(checkSplice(e.o.Built, src != e.g, freeAt))
+	if SpliceCheck != nil && src != e.g {
+		SpliceCheck(checkSplice(e.o.Built, freeAt))
 	}
 	n := e.g.Len()
 	e.freeOff = make([]int32, n+1)
@@ -519,41 +539,28 @@ func freePoints(b *pipeline.Built, g *graph.Graph) ([]graph.OpID, error) {
 }
 
 // SpliceCheck, when non-nil, receives the outcome of every Run on a
-// fork of a frozen graph. Tests set it to hold the certified fast path
-// to the slow derivation, at the cost of a full Validate, Kahn sort and
-// liveness analysis of a copy of the graph per run.
-var SpliceCheck func(SpliceOutcome)
-
-// SpliceOutcome compares one run's def ops and free points with the
-// ones derived the slow way.
-type SpliceOutcome struct {
-	// Spliced reports that the run read them off the frozen base.
-	Spliced bool
-	// Err is the full Validate's error (a cycle, say), or names the
-	// first tensor whose def op or free point differs.
-	Err error
-}
+// fork of a frozen graph: nil, or the full Validate's error (a cycle,
+// say), or an error naming the first tensor whose def op or free point
+// differs from the slow derivation's. Tests set it to hold the fork
+// path to that derivation, at the cost of a full Validate, Kahn sort
+// and liveness analysis of a copy of the graph per run.
+var SpliceCheck func(error)
 
 // checkSplice derives b's def ops and free points on an unforked copy of
 // its graph, which Validate checks in full, and compares them with the
-// run's (read off its base when spliced).
-func checkSplice(b *pipeline.Built, spliced bool, freeAt []graph.OpID) SpliceOutcome {
-	out := SpliceOutcome{Spliced: spliced}
-	src := b.Graph
-	if spliced {
-		src = src.Base()
-	}
+// ones the run read off its base.
+func checkSplice(b *pipeline.Built, freeAt []graph.OpID) error {
+	src := b.Graph.Base()
 	cp := graph.New(b.Graph.Tensors)
 	for _, op := range b.Graph.Ops() {
 		cp.AddOp(op)
 	}
-	if out.Err = cp.Validate(); out.Err != nil {
-		return out
+	if err := cp.Validate(); err != nil {
+		return err
 	}
 	want, err := freePoints(b, cp)
 	if err != nil {
-		out.Err = err
-		return out
+		return err
 	}
 	defOp := func(g *graph.Graph, t int) graph.OpID {
 		order, _ := g.TopoOrder()
@@ -565,15 +572,13 @@ func checkSplice(b *pipeline.Built, spliced bool, freeAt []graph.OpID) SpliceOut
 	}
 	for t := range want {
 		if want[t] != freeAt[t] {
-			out.Err = fmt.Errorf("exec: tensor %d frees after op %d, full derivation says %d", t, freeAt[t], want[t])
-			return out
+			return fmt.Errorf("exec: tensor %d frees after op %d, full derivation says %d", t, freeAt[t], want[t])
 		}
 		if got, w := defOp(src, t), defOp(cp, t); got != w {
-			out.Err = fmt.Errorf("exec: tensor %d defined by op %d, full derivation says %d", t, got, w)
-			return out
+			return fmt.Errorf("exec: tensor %d defined by op %d, full derivation says %d", t, got, w)
 		}
 	}
-	return out
+	return nil
 }
 
 // start dispatches every dependency-free op at time zero.

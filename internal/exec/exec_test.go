@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +123,33 @@ func TestRunRejectsBadMapping(t *testing.T) {
 		if _, err := Run(Options{Topo: topo, Built: b, Mapping: m}); err == nil {
 			t.Errorf("mapping %v accepted", m)
 		}
+	}
+}
+
+// TestRunReportsForkCycle: a fork of a frozen lowering runs with no
+// Validate, so a dependency cycle closed on it is the event loop's to
+// find. Run must return a *graph.CycleError naming the stalled ops,
+// not a partial Result.
+func TestRunReportsForkCycle(t *testing.T) {
+	b := buildTiny(t, pipeline.DAPPLE, 4)
+	if err := b.Graph.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	f := b.Fork()
+	order, _ := b.Graph.TopoOrder()
+	first := order[0]
+	next := b.Graph.Succs(first)[0]
+	f.Graph.AddDep(first, next)
+	r, err := Run(Options{Topo: hw.DGX1(), Built: f, Mapping: IdentityMapping(4)})
+	var cyc *graph.CycleError
+	if !errors.As(err, &cyc) || r != nil {
+		t.Fatalf("Run = %v, %v; want a *graph.CycleError and no Result", r, err)
+	}
+	if !slices.Contains(cyc.Remaining, first) || !slices.Contains(cyc.Remaining, next) {
+		t.Errorf("stalled ops %v miss the cycle %d <-> %d", cyc.Remaining, first, next)
+	}
+	if _, err := Run(Options{Topo: hw.DGX1(), Built: b.Fork(), Mapping: IdentityMapping(4)}); err != nil {
+		t.Fatalf("an uninstrumented fork: %v", err)
 	}
 }
 

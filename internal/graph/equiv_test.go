@@ -189,18 +189,19 @@ func randomDAG(src *byteSource) *Graph {
 	return g
 }
 
-// overlay instruments g the way plan.Apply does, plus arbitrary extra
-// deps (which may close a cycle).
+// overlay instruments a fork g of a frozen graph the way plan.Apply
+// does, recomputing only tensors the base consumes, plus arbitrary
+// extra deps (which may close a cycle).
 func overlay(g *Graph, src *byteSource) {
 	n := OpID(g.Len())
 	for k := src.intn(4); k > 0; k-- {
 		t := tensor.ID(src.intn(g.Tensors.Len()))
 		after, before := OpID(src.intn(int(n))), OpID(src.intn(int(n)))
 		gate := OpID(src.intn(int(n)+1)) - 1
-		switch src.intn(3) {
-		case 0:
+		switch mech := src.intn(3); {
+		case mech == 0 && len(g.base.live.Uses[t]) > 0:
 			g.InstrumentRecompute(t, after, before, gate, units.FLOPs(1))
-		case 1:
+		case mech <= 1:
 			g.InstrumentSwap(t, after, before, gate, "h2d")
 		default:
 			g.InstrumentSwapIn(t, before, gate, "h2d")

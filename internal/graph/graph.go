@@ -135,16 +135,12 @@ type Graph struct {
 	// fork's adjacency copies a base op's row from it unless the
 	// overlay touched that op: touched[i] marks base ops that gained a
 	// dep, and inputs whose producer changed are caught by comparing
-	// producer tables. keys[i] is overlay op len(base.ops)+i's
-	// placement key (see certify), zero when the op is unplaced.
+	// producer tables.
 	base    *Graph
 	touched []bool
-	keys    []int32
 
-	// pos[id] is a frozen graph's op id's position in its order, and
-	// names interns the op names its forks' Instrument primitives
-	// build; Freeze sets both.
-	pos   []int32
+	// names interns the op names a frozen graph's forks' Instrument
+	// primitives build; Freeze sets it.
 	names nameCache
 
 	// deps and outs are the arenas Instrument and AddDep carve Deps and
@@ -153,9 +149,8 @@ type Graph struct {
 	outs arena[tensor.ID]
 
 	// frozen forbids mutation (see Freeze); shared marks a fork still
-	// reading its parent's op array (see Fork); certified marks a fork
-	// whose overlay the last Validate certified (see certify).
-	frozen, shared, certified bool
+	// reading its parent's op array (see Fork).
+	frozen, shared bool
 }
 
 // arena hands out small slices carved from one backing array, so an
@@ -237,7 +232,6 @@ func (g *Graph) mutate() {
 		g.own(len(g.ops) / 4)
 	}
 	g.adj, g.order, g.live = nil, nil, nil
-	g.certified = false
 }
 
 // own copies a fork's op array, with room for extra more ops, and clips
@@ -266,41 +260,48 @@ func (g *Graph) Grow(n int) {
 	} else {
 		g.ops = slices.Grow(g.ops, n)
 	}
-	if g.base != nil {
-		g.keys = slices.Grow(g.keys, n)
-	}
 	g.deps.reserve(4 * n)
 	g.outs.reserve(n / 2)
 }
 
-// AddOp appends op (ignoring op.ID) and returns the assigned ID. On a
-// fork the new op is unplaced, so Validate checks the fork in full.
+// AddOp appends op (ignoring op.ID) and returns the assigned ID. It
+// panics on a fork of a frozen graph: ops reach such a fork only
+// through the Instrument primitives, which consume no tensor, so the
+// base's tensor uses stay the fork's.
 func (g *Graph) AddOp(op Op) OpID {
+	if g.base != nil {
+		panic("graph: AddOp on a fork of a frozen graph (use the Instrument primitives)")
+	}
+	return g.add(op)
+}
+
+// add appends op, the part of AddOp the Instrument primitives share.
+func (g *Graph) add(op Op) OpID {
 	g.mutate()
 	op.ID = OpID(len(g.ops))
 	g.ops = append(g.ops, op)
-	if g.base != nil {
-		g.keys = append(g.keys, 0)
-	}
 	return op.ID
 }
 
-// addPlaced adds an Instrument primitive's op: its Deps are carved from
-// the dep arena, and on a fork its placement key puts it just after
-// (side +1) or just before (side -1) the base op anchor.
-func (g *Graph) addPlaced(op Op, anchor OpID, side int32, deps ...OpID) OpID {
-	op.Deps = append(g.deps.take(len(deps)), deps...)
-	id := g.AddOp(op)
-	if b := g.base; b != nil && int(anchor) < len(b.ops) {
-		g.keys[len(g.keys)-1] = b.key(anchor) + side
+// addInstrument adds an Instrument primitive's op, with its Deps carved
+// from the dep arena.
+func (g *Graph) addInstrument(op Op, deps ...OpID) OpID {
+	for _, d := range deps {
+		g.checkDep(OpID(len(g.ops)), d)
 	}
-	return id
+	op.Deps = append(g.deps.take(len(deps)), deps...)
+	return g.add(op)
 }
 
-// key is a frozen graph's op id's placement key: 4·pos+2, so the ops an
-// overlay places just before or after it (4·pos+1, 4·pos+3) sit
-// strictly between it and its neighbours in the order.
-func (g *Graph) key(id OpID) int32 { return 4*g.pos[id] + 2 }
+// checkDep panics on a fork of a frozen graph unless op after may wait
+// for op before: before is one of its ops, and not after itself. No
+// Validate checks such a fork's deps, so they are checked as they are
+// added.
+func (g *Graph) checkDep(after, before OpID) {
+	if g.base != nil && (before < 0 || int(before) >= len(g.ops) || before == after) {
+		panic(fmt.Sprintf("graph: op %d of a %d-op fork cannot depend on op %d", after, len(g.ops), before))
+	}
+}
 
 // opName returns route+infix+the tensor's name. A fork interns it on its
 // frozen base, so re-instrumenting a tensor across emulations builds
@@ -340,8 +341,10 @@ func (g *Graph) Len() int { return len(g.ops) }
 // storage; callers must not append to it.
 func (g *Graph) Ops() []Op { return g.ops }
 
-// AddDep records that op `after` must run after op `before`.
+// AddDep records that op `after` must run after op `before`. On a fork
+// of a frozen graph it panics unless before is another op of the fork.
 func (g *Graph) AddDep(after, before OpID) {
+	g.checkDep(after, before)
 	if slices.Contains(g.ops[after].Deps, before) {
 		return
 	}
@@ -368,19 +371,23 @@ func (g *Graph) AddDep(after, before OpID) {
 // until its first mutation.
 //
 // A fork of a frozen g also remembers g as its base (see Base): it
-// reuses g's adjacency rows for the ops its overlay left alone, and
-// its Validate certifies just the overlay against g's order instead of
-// re-sorting the whole graph. Fork only reads g: forking a frozen graph
+// reuses g's adjacency rows for the ops its overlay left alone. Only
+// the Instrument primitives and AddDep change such a fork, and each
+// guards what it adds: the overlay consumes no tensor, recomputes only
+// tensors g consumes, and adds only deps on other ops of the fork. So
+// g's liveness names every tensor's uses in the fork too, and the
+// executor reads g's free points for it. Whether the overlay stays
+// acyclic is the executor's to find: exec.Run reports a dependency
+// cycle as the stall it is. Fork only reads g: forking a frozen graph
 // from several goroutines at once is safe.
 func (g *Graph) Fork() *Graph {
 	f := &Graph{
-		Tensors:   g.Tensors,
-		ops:       slices.Clip(g.ops),
-		adj:       g.adj,
-		order:     g.order,
-		live:      g.live,
-		shared:    true,
-		certified: g.frozen,
+		Tensors: g.Tensors,
+		ops:     slices.Clip(g.ops),
+		adj:     g.adj,
+		order:   g.order,
+		live:    g.live,
+		shared:  true,
 	}
 	if g.frozen {
 		f.base = g
@@ -391,20 +398,12 @@ func (g *Graph) Fork() *Graph {
 // Base returns the frozen graph g was forked from, or nil.
 func (g *Graph) Base() *Graph { return g.base }
 
-// Certified reports whether g is a fork whose overlay its last Validate
-// certified against its base, with no mutation since. The base's
-// liveness then names every tensor's uses in g as well: a certified
-// overlay consumes no tensor and recomputes only tensors the base
-// consumes.
-func (g *Graph) Certified() bool { return g.certified }
-
 // Freeze validates g, computes every derived view (adjacency,
-// topological order, liveness) plus each op's position in that order,
-// and forbids further mutation: AddOp and AddDep panic on a frozen
-// graph. A frozen graph is safe to read and Fork from many goroutines
-// at once. Freezing an already frozen graph is a no-op that writes
-// nothing, so a shared frozen graph may be handed to code that freezes
-// what it is given.
+// topological order, liveness), and forbids further mutation: AddOp
+// and AddDep panic on a frozen graph. A frozen graph is safe to read
+// and Fork from many goroutines at once. Freezing an already frozen
+// graph is a no-op that writes nothing, so a shared frozen graph may be
+// handed to code that freezes what it is given.
 func (g *Graph) Freeze() error {
 	if g.frozen {
 		return nil
@@ -416,10 +415,6 @@ func (g *Graph) Freeze() error {
 		return err
 	}
 	g.adjacency()
-	g.pos = make([]int32, len(g.ops))
-	for i, id := range g.order {
-		g.pos[id] = int32(i)
-	}
 	g.names = make(nameCache, g.Tensors.Len())
 	g.frozen = true
 	return nil
@@ -634,24 +629,9 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 }
 
 // Validate checks structural invariants: tensor references in range,
-// no self-dependencies, acyclicity, and single-producer tensors.
-//
-// On a fork of a frozen graph it first tries to certify just the
-// overlay (see certify), in time proportional to the overlay, and
-// caches no order: TopoOrder still sorts on demand. Whatever it cannot
-// certify gets the full check, which reports the same errors as on any
-// other graph.
+// no self-dependencies, acyclicity, and single-producer tensors. It
+// runs a producer scan over every op, then Kahn's sort.
 func (g *Graph) Validate() error {
-	if g.certified || g.certify() {
-		g.certified = true
-		return nil
-	}
-	return g.validateAll()
-}
-
-// validateAll is Validate's full check: a producer scan over every op,
-// then Kahn's sort.
-func (g *Graph) validateAll() error {
 	nt := g.Tensors.Len()
 	producer := make([]OpID, nt)
 	for i := range producer {
@@ -685,67 +665,6 @@ func (g *Graph) validateAll() error {
 		return err
 	}
 	return nil
-}
-
-// certify reports whether a fork's overlay provably leaves the graph
-// valid, given that its frozen base is. It looks only at the overlay:
-// the ops the Instrument primitives placed, the deps appended to base
-// ops, and the re-producer edges from each recompute to its tensor's
-// base uses. Every such edge must be in range and run strictly forward
-// in placement-key order (base ops keyed by their order position, each
-// placed op just after or before its anchor). The base's own edges run
-// forward in that order too, so the whole graph is acyclic. The overlay
-// must also consume no tensor and produce only recomputed tensors the
-// base consumes, which keeps every producer rule and tensor use of the
-// base. False means "not shown", not "invalid": an unplaced op, an op
-// with Inputs or a backward edge sends Validate to the full check.
-func (g *Graph) certify() bool {
-	b := g.base
-	if b == nil {
-		return false
-	}
-	nb, n, nt := len(b.ops), len(g.ops), g.Tensors.Len()
-	key := func(id OpID) int32 {
-		if int(id) < nb {
-			return b.key(id)
-		}
-		return g.keys[int(id)-nb]
-	}
-	forward := func(from, to OpID) bool {
-		return from >= 0 && int(from) < n && key(from) < key(to)
-	}
-	for i := nb; i < n; i++ {
-		op := &g.ops[i]
-		if g.keys[i-nb] == 0 || len(op.Inputs) > 0 {
-			return false
-		}
-		for _, d := range op.Deps {
-			if !forward(d, op.ID) {
-				return false
-			}
-		}
-		for _, t := range op.Outputs {
-			if op.Kind != Recompute || t < 0 || int(t) >= nt || len(b.live.Uses[t]) == 0 {
-				return false
-			}
-			for _, u := range b.live.Uses[t] {
-				if !forward(op.ID, u.Op) {
-					return false
-				}
-			}
-		}
-	}
-	for i, touched := range g.touched {
-		if !touched {
-			continue
-		}
-		for _, d := range g.ops[i].Deps[len(b.ops[i].Deps):] {
-			if !forward(d, OpID(i)) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Use marks where in a schedule a tensor is touched.

@@ -52,7 +52,7 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 	if gate >= 0 {
 		deps = []OpID{gate}
 	}
-	in := g.addPlaced(Op{
+	in := g.addInstrument(Op{
 		Name:       g.opName(route, "-swapin:", SwapIn, t),
 		Kind:       SwapIn,
 		Stage:      tn.Stage,
@@ -60,7 +60,7 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 		Microbatch: g.ops[beforeOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-	}, beforeOp, -1, deps...)
+	}, deps...)
 	g.AddDep(beforeOp, in)
 	return in
 }
@@ -70,7 +70,7 @@ func (g *Graph) InstrumentSwapIn(t tensor.ID, beforeOp, gate OpID, route string)
 // until the run ends or a later InstrumentSwapIn restores it.
 func (g *Graph) InstrumentSwapOut(t tensor.ID, afterOp OpID, route string) OpID {
 	tn := g.Tensors.Get(t)
-	return g.addPlaced(Op{
+	return g.addInstrument(Op{
 		Name:       g.opName(route, "-swapout:", SwapOut, t),
 		Kind:       SwapOut,
 		Stage:      tn.Stage,
@@ -78,7 +78,7 @@ func (g *Graph) InstrumentSwapOut(t tensor.ID, afterOp OpID, route string) OpID 
 		Microbatch: g.ops[afterOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-	}, afterOp, +1, afterOp)
+	}, afterOp)
 }
 
 // RecomputePair identifies the two operators created by
@@ -100,8 +100,13 @@ func (g *Graph) InstrumentRecompute(t tensor.ID, afterOp, beforeOp, gate OpID, f
 	if !tn.Class.Recomputable() {
 		panic(fmt.Sprintf("graph: cannot recompute %s tensor %q", tn.Class, tn.Name))
 	}
+	if b := g.base; b != nil && len(b.live.Uses[t]) == 0 {
+		// Only a consumed tensor keeps its base uses, and so its free
+		// point, once a recompute re-produces it.
+		panic(fmt.Sprintf("graph: cannot recompute tensor %q, which the frozen base never consumes", tn.Name))
+	}
 	stage := g.ops[afterOp].Stage
-	drop := g.addPlaced(Op{
+	drop := g.addInstrument(Op{
 		Name:       g.opName("", "drop:", Drop, t),
 		Kind:       Drop,
 		Stage:      stage,
@@ -109,8 +114,8 @@ func (g *Graph) InstrumentRecompute(t tensor.ID, afterOp, beforeOp, gate OpID, f
 		Microbatch: g.ops[afterOp].Microbatch,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-	}, afterOp, +1, afterOp)
-	rec := g.addPlaced(Op{
+	}, afterOp)
+	rec := g.addInstrument(Op{
 		Name:       g.opName("", "recompute:", Recompute, t),
 		Kind:       Recompute,
 		Stage:      stage,
@@ -120,7 +125,7 @@ func (g *Graph) InstrumentRecompute(t tensor.ID, afterOp, beforeOp, gate OpID, f
 		MoveBytes:  tn.Size,
 		Subject:    t,
 		Outputs:    append(g.outs.take(1), t),
-	}, beforeOp, -1, gated(drop, gate)...)
+	}, gated(drop, gate)...)
 	g.AddDep(beforeOp, rec)
 	return RecomputePair{Drop: drop, Recompute: rec}
 }

@@ -85,14 +85,6 @@ func (d *Device) Alloc(size units.Bytes, what string) error {
 	return nil
 }
 
-// MustAlloc is Alloc for callers who have already checked capacity;
-// it panics on OOM.
-func (d *Device) MustAlloc(size units.Bytes, what string) {
-	if err := d.Alloc(size, what); err != nil {
-		panic(err)
-	}
-}
-
 // Release returns size bytes. Releasing more than is in use panics —
 // it always indicates an accounting bug in the caller.
 func (d *Device) Release(size units.Bytes) {

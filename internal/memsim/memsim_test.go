@@ -32,7 +32,9 @@ func TestAllocReleasePeak(t *testing.T) {
 
 func TestOOM(t *testing.T) {
 	d := NewDevice("gpu1", 100)
-	d.MustAlloc(80, "base")
+	if err := d.Alloc(80, "base"); err != nil {
+		t.Fatal(err)
+	}
 	err := d.Alloc(40, "activation t3")
 	var oom *OOMError
 	if !errors.As(err, &oom) {
@@ -59,7 +61,9 @@ func TestUnboundedDevice(t *testing.T) {
 
 func TestReleaseTooMuchPanics(t *testing.T) {
 	d := NewDevice("gpu", 100)
-	d.MustAlloc(10, "x")
+	if err := d.Alloc(10, "x"); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on over-release")
@@ -76,16 +80,6 @@ func TestNegativeAllocPanics(t *testing.T) {
 		}
 	}()
 	_ = d.Alloc(-1, "bad")
-}
-
-func TestMustAllocPanicsOnOOM(t *testing.T) {
-	d := NewDevice("gpu", 10)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	d.MustAlloc(20, "x")
 }
 
 func TestPinnedPoolReuse(t *testing.T) {

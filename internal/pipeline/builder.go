@@ -30,6 +30,18 @@ type BuildConfig struct {
 	TP int
 }
 
+// SizeError reports a tensor whose byte size overflowed while lowering:
+// a model configuration too large to represent (an enormous sequence
+// length, say), which only Build sees.
+type SizeError struct {
+	Tensor string
+	Size   units.Bytes
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("pipeline: tensor %s size overflows (%d bytes)", e.Tensor, e.Size)
+}
+
 // TPDegree normalizes the configured tensor-parallel degree (≥ 1).
 func (bc BuildConfig) TPDegree() int {
 	if bc.TP > 1 {
@@ -490,7 +502,7 @@ func Build(bc BuildConfig) (*Built, error) {
 
 	for _, tn := range g.Tensors.All() {
 		if tn.Size < 0 {
-			return nil, fmt.Errorf("pipeline: tensor %s size overflows (%d bytes)", tn.Name, tn.Size)
+			return nil, &SizeError{Tensor: tn.Name, Size: tn.Size}
 		}
 	}
 	if err := g.Validate(); err != nil {

@@ -925,11 +925,5 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		}
 	}
 
-	// On a fork of a frozen lowering Validate certifies just the
-	// overlay against the base's order; exec then reuses the base's
-	// free points instead of re-sorting the instrumented graph.
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: instrumented graph invalid: %w", err)
-	}
 	return opts, nil
 }

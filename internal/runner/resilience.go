@@ -112,54 +112,41 @@ func (a *aliveSet) relevant(topo *hw.Topology, f chaos.Fault) bool {
 	}
 }
 
-// applyFault degrades topo for the fault, or reports skip=true when
-// the target is already gone (dead GPU, downed link). NIC flaps leave
-// the topology intact — they cost a rollback, nothing more.
-func (a *aliveSet) applyFault(topo *hw.Topology, f chaos.Fault) (newTopo *hw.Topology, skip bool, err error) {
+// applyFault degrades topo for a fault that relevant accepted on the
+// same topology and alive set. NIC flaps leave the topology intact —
+// they cost a rollback, nothing more.
+func (a *aliveSet) applyFault(topo *hw.Topology, f chaos.Fault) (*hw.Topology, error) {
 	switch f.Kind {
 	case chaos.GPUFail:
-		cur, ok := a.current(f.GPU)
-		if !ok {
-			return topo, true, nil
-		}
 		if topo.NumGPUs <= 1 {
-			return nil, false, fmt.Errorf("mpress: fault %v leaves no GPUs", f)
+			return nil, fmt.Errorf("mpress: fault %v leaves no GPUs", f)
 		}
+		cur, _ := a.current(f.GPU)
 		deg, err := topo.WithoutGPU(cur)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		a.alive[f.GPU] = false
-		return deg, false, nil
+		return deg, nil
 	case chaos.NVLinkFail:
-		if a.links[pairKey(f.GPU, f.Peer)] {
-			return topo, true, nil
-		}
-		ca, okA := a.current(f.GPU)
-		cb, okB := a.current(f.Peer)
-		if !okA || !okB || topo.LanesBetween(ca, cb) == 0 {
-			return topo, true, nil
-		}
+		ca, _ := a.current(f.GPU)
+		cb, _ := a.current(f.Peer)
 		deg, err := topo.WithoutNVLink(ca, cb)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		a.links[pairKey(f.GPU, f.Peer)] = true
-		return deg, false, nil
+		return deg, nil
 	case chaos.NICFlap:
-		return topo, false, nil
+		return topo, nil
 	case chaos.HostPressure:
 		mem := topo.HostMemory - f.HostLoss
 		if min := units.GiB; mem < min {
 			mem = min // a starved host still has something
 		}
-		deg, err := topo.WithHostMemory(mem)
-		if err != nil {
-			return nil, false, err
-		}
-		return deg, false, nil
+		return topo.WithHostMemory(mem)
 	default:
-		return nil, false, fmt.Errorf("mpress: unknown fault kind %v", f.Kind)
+		return nil, fmt.Errorf("mpress: unknown fault kind %v", f.Kind)
 	}
 }
 
@@ -301,12 +288,12 @@ func stageResilience(ctx context.Context, st *State) error {
 		timeline.Mark(graph.Failure, fault.String(), wall, wall)
 
 		// Degrade the topology and re-plan on the survivors.
-		newTopo, skip, err := alive.applyFault(seg.topo, *fault)
+		newTopo, err := alive.applyFault(seg.topo, *fault)
 		if err != nil {
 			return err
 		}
 		fi++
-		if !skip && newTopo != seg.topo {
+		if newTopo != seg.topo {
 			if seg, err = replan(ctx, st, newTopo, remaining); err != nil {
 				return err
 			}

@@ -31,6 +31,7 @@ import (
 
 	"mpress/internal/fleet"
 	"mpress/internal/mapping"
+	"mpress/internal/pipeline"
 	"mpress/internal/runner"
 	"mpress/internal/search"
 	"mpress/internal/serve/api"
@@ -444,11 +445,13 @@ func (s *Server) planJob(ctx context.Context, j *runner.Job) (*api.PlanResponse,
 	if res.Err != nil {
 		status := http.StatusUnprocessableEntity
 		var infeasible *mapping.InfeasibleError
-		if errors.As(res.Err, &infeasible) {
-			// More stages than devices is a malformed request, not a
-			// server fault — and historically a crash (the search used
-			// to panic), so the classification doubles as a regression
-			// guard.
+		var oversize *pipeline.SizeError
+		if errors.As(res.Err, &infeasible) || errors.As(res.Err, &oversize) {
+			// More stages than devices, or a tensor too large to
+			// represent, is a malformed request, not a server fault —
+			// one validation cannot see before the search or the build
+			// runs. The search used to panic on the first, so the
+			// classification doubles as a regression guard.
 			status = http.StatusBadRequest
 		} else if errors.Is(res.Err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout

@@ -466,6 +466,25 @@ func TestNegativePrecisionIs400(t *testing.T) {
 	cl.HTTPClient.CloseIdleConnections()
 }
 
+// TestOverflowedSeqLenIs400: a sequence length whose tensor sizes
+// overflow is the caller's mistake, like any config validation
+// rejects, even though only pipeline.Build can see it: a 400, not a
+// 422.
+func TestOverflowedSeqLenIs400(t *testing.T) {
+	s := New(Options{Runner: runner.Options{Workers: 1}, Logger: testLogger(t)})
+	cl, cancel, wait := startDaemon(t, s)
+	defer func() { cancel(); _ = wait() }()
+
+	cfg := testConfig(t, runner.SystemMPress)
+	cfg.Model.SeqLen = 1 << 30
+	_, err := cl.Plan(context.Background(), cfg, "")
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "overflows") {
+		t.Fatalf("overflowed sequence length error = %v, want HTTP 400 naming the overflow", err)
+	}
+	cl.HTTPClient.CloseIdleConnections()
+}
+
 // TestInfeasibleMappingIs400 is the regression test for the crash this
 // used to be: a config that survives validation but has no feasible
 // stage→GPU mapping (8 pipeline stages on the 4-GPU plane a TPDegree=2

@@ -10,31 +10,26 @@ import (
 	"mpress/internal/experiments"
 )
 
-// TestSpliceDifferential holds the certified fork path to the slow one
-// on every emulation of every planner preset. Each emulation forks the
-// frozen lowering and instruments it. Its Validate must certify the
-// overlay without falling back to the full check. The def ops and free
-// points exec reads off the frozen base must equal those a full
-// Validate, Kahn sort and liveness analysis derive on an unforked copy,
-// which must also be acyclic. Every charged arbitration runs exactly
-// one emulation, so each preset's fork runs are its Plan.Emulations
-// plus one for the Execute stage.
+// TestSpliceDifferential holds the fork path to the slow one on every
+// emulation of every planner preset. Each emulation forks the frozen
+// lowering and instruments it, and exec reads def ops and free points
+// off the frozen base. Those must equal what a full Validate, Kahn sort
+// and liveness analysis derive on an unforked copy, which must also be
+// acyclic. Every charged arbitration runs exactly one emulation, so
+// each preset's fork runs are its Plan.Emulations plus one for the
+// Execute stage.
 func TestSpliceDifferential(t *testing.T) {
 	var (
-		mu        sync.Mutex
-		runs      int
-		fallbacks int
-		firstErr  error
+		mu       sync.Mutex
+		runs     int
+		firstErr error
 	)
-	exec.SpliceCheck = func(o exec.SpliceOutcome) {
+	exec.SpliceCheck = func(err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		runs++
-		if !o.Spliced {
-			fallbacks++
-		}
-		if o.Err != nil && firstErr == nil {
-			firstErr = o.Err
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	defer func() { exec.SpliceCheck = nil }()
@@ -55,10 +50,7 @@ func TestSpliceDifferential(t *testing.T) {
 			t.Errorf("%s: %d fork runs checked, want Plan.Emulations+1 = %d", p.Name, got, emulations+1)
 		}
 	}
-	if fallbacks != 0 {
-		t.Errorf("%d of %d fork runs fell back to the full derivation", fallbacks, runs)
-	}
 	if firstErr != nil {
-		t.Errorf("fast path disagrees with the full derivation: %v", firstErr)
+		t.Errorf("fork path disagrees with the full derivation: %v", firstErr)
 	}
 }
