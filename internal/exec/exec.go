@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"mpress/internal/cluster"
 	"mpress/internal/fabric"
@@ -196,13 +197,11 @@ type engine struct {
 	pinned  *memsim.PinnedPool
 	compute []*sim.Queue
 
-	g     *graph.Graph
-	preds []int
-	// The tensors to free after op i completes are
-	// free[freeOff[i]:freeOff[i+1]].
-	freeOff   []int32
-	free      []tensor.ID
-	state     []residency
+	g *graph.Graph
+	// *scratch holds the per-run working slices: dependency counts
+	// (preds) and residency by tensor (state).
+	*scratch
+	frees     *pipeline.FreeRows
 	pinnedBuf map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
 
 	spans        []Span
@@ -232,6 +231,27 @@ type engine struct {
 	failure *Failure
 	opsLeft int
 	lastEnd sim.Time
+}
+
+// scratch is a run's working state, taken from scratchPool the way the
+// kernel comes from sim.Get: the planner runs hundreds of emulations per
+// plan, and each would otherwise allocate these afresh. It holds only
+// pointer-free slices, resized and cleared by length for every run, so
+// the pool keeps no caller state. Nothing a Result carries lives here,
+// because a Result outlives Run.
+type scratch struct {
+	preds []int
+	state []residency
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resize returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Run simulates the job and returns its result. Configuration errors
@@ -273,6 +293,12 @@ func Run(o Options) (*Result, error) {
 	if err := e.checkRoutes(); err != nil {
 		return nil, err
 	}
+	// Reset the scratch before anything reads it: an OOM while booking
+	// the runtime reserve already reports the residents in state.
+	e.scratch = scratchPool.Get().(*scratch)
+	defer scratchPool.Put(e.scratch)
+	e.state = resize(e.state, e.g.Tensors.Len())
+	e.preds = resize(e.preds, e.g.Len())
 	e.sim = sim.Get()
 	defer sim.Put(e.sim)
 	e.sim.Handle = e.handle
@@ -376,10 +402,11 @@ func (e *engine) checkRoute(id tensor.ID, parts []fabric.Part) error {
 
 // init allocates the runtime reserve and persistent state, reporting a
 // GPU or host too small for them as OOM, and builds the dependency
-// bookkeeping. It re-derives nothing the graph caches: dependency
-// counts and successor rows come from its adjacency, and on a fork of a
-// frozen lowering the freeing points come from the base's liveness
-// (initFree), with no sort or analysis per run.
+// bookkeeping in the pooled scratch. It re-derives nothing the graph
+// or its lowering caches: dependency counts and successor rows come
+// from the adjacency, and on a frozen lowering or a fork of one the
+// free rows come from the lowering (initFree), with no sort or analysis
+// per run.
 func (e *engine) init() error {
 	b := e.o.Built
 	// Allocate spans first: a Result carries graph-length Spans even
@@ -396,7 +423,6 @@ func (e *engine) init() error {
 			return nil
 		}
 	}
-	e.state = make([]residency, e.g.Tensors.Len())
 	for s, ids := range b.Persistent {
 		dev := e.gpus[e.o.Mapping[s]]
 		for _, id := range ids {
@@ -431,8 +457,6 @@ func (e *engine) init() error {
 	// completed forward's evictions free space before the next slot
 	// allocates, matching how the runtime issues releases eagerly on
 	// the swap streams.
-	n := e.g.Len()
-	e.preds = make([]int, n)
 	for i := range e.preds {
 		e.preds[i] = len(e.g.Preds(graph.OpID(i)))
 	}
@@ -467,89 +491,42 @@ func (e *engine) init() error {
 	return e.initResilience()
 }
 
-// initFree lays out the freeing points per op, in CSR form with each
-// op's tensors ascending. Any fork of a frozen lowering reads def ops
-// and uses off its base: the graph package lets a fork's overlay
-// consume no tensor and recompute only tensors the base consumes, so
-// each tensor keeps its base uses, and a lowering chains every
-// multi-use tensor's consumers on one stage's schedule (pipeline's
+// initFree finds the free rows. A lowering frozen by
+// pipeline.Built.Freeze carries them, derived once, and so does every
+// fork of it: the graph package lets a fork's overlay consume no tensor
+// and recompute only tensors the base consumes, so each tensor keeps
+// its base uses, and a lowering chains every multi-use tensor's
+// consumers on one stage's schedule (pipeline's
 // TestMultiUseTensorsChained), so the last use is the same op in any
-// order. That spares every emulation a Kahn sort and a liveness
-// analysis of its fork. Any other graph derives them from its own
-// order and liveness, and so reports a cycle here, before running.
+// order. Overlay ops, past the rows, free nothing. That spares every
+// emulation a Kahn sort, a liveness analysis and the rows' layout. Any
+// other graph derives its own rows from its order and liveness, and so
+// reports a cycle here, before running.
 func (e *engine) initFree() error {
-	src := e.g
-	if b := e.g.Base(); b != nil {
-		src = b
-	}
-	freeAt, err := freePoints(e.o.Built, src)
-	if err != nil {
-		return fmt.Errorf("exec: %w", err)
-	}
-	if SpliceCheck != nil && src != e.g {
-		SpliceCheck(checkSplice(e.o.Built, freeAt))
-	}
-	n := e.g.Len()
-	e.freeOff = make([]int32, n+1)
-	for _, at := range freeAt {
-		if at >= 0 {
-			e.freeOff[at+1]++
+	if e.frees = e.o.Built.Frees(); e.frees == nil {
+		var err error
+		if e.frees, err = e.o.Built.DeriveFreeRows(e.g); err != nil {
+			return fmt.Errorf("exec: %w", err)
 		}
 	}
-	for i := 0; i < n; i++ {
-		e.freeOff[i+1] += e.freeOff[i]
-	}
-	e.free = make([]tensor.ID, e.freeOff[n])
-	fill := slices.Clone(e.freeOff[:n])
-	for t, at := range freeAt {
-		if at >= 0 {
-			e.free[fill[at]] = tensor.ID(t)
-			fill[at]++
-		}
+	if SpliceCheck != nil && e.g.Base() != nil {
+		SpliceCheck(checkSplice(e.o.Built, e.frees))
 	}
 	return nil
 }
 
-// freePoints returns, per tensor, the op after which the executor
-// frees it, read off g's order and liveness: its last consumer, or its
-// producer if nothing consumes it; -1 for persistent tensors, which
-// never free, and for tensors nothing defines or uses.
-func freePoints(b *pipeline.Built, g *graph.Graph) ([]graph.OpID, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	live, err := g.Liveness()
-	if err != nil {
-		return nil, err
-	}
-	freeAt := make([]graph.OpID, len(live.Def))
-	for t := range freeAt {
-		id := tensor.ID(t)
-		freeAt[t] = -1
-		switch uses := live.Uses[id]; {
-		case b.PersistentSet[id]:
-		case len(uses) > 0:
-			freeAt[t] = uses[len(uses)-1].Op
-		case live.Def[id] >= 0:
-			freeAt[t] = order[live.Def[id]]
-		}
-	}
-	return freeAt, nil
-}
-
 // SpliceCheck, when non-nil, receives the outcome of every Run on a
 // fork of a frozen graph: nil, or the full Validate's error (a cycle,
-// say), or an error naming the first tensor whose def op or free point
-// differs from the slow derivation's. Tests set it to hold the fork
-// path to that derivation, at the cost of a full Validate, Kahn sort
-// and liveness analysis of a copy of the graph per run.
+// say), or an error naming the first op whose free row, or tensor whose
+// def op, differs from the slow derivation's. Tests set it to hold the
+// fork path to that derivation, at the cost of a full Validate, Kahn
+// sort and liveness analysis of a copy of the graph per run.
 var SpliceCheck func(error)
 
-// checkSplice derives b's def ops and free points on an unforked copy of
+// checkSplice derives b's def ops and free rows on an unforked copy of
 // its graph, which Validate checks in full, and compares them with the
-// ones the run read off its base.
-func checkSplice(b *pipeline.Built, freeAt []graph.OpID) error {
+// ones the run read: the def ops off its base, and its free rows.
+func checkSplice(b *pipeline.Built, rows *pipeline.FreeRows) error {
 	src := b.Graph.Base()
 	cp := graph.New(b.Graph.Tensors)
 	for _, op := range b.Graph.Ops() {
@@ -558,9 +535,14 @@ func checkSplice(b *pipeline.Built, freeAt []graph.OpID) error {
 	if err := cp.Validate(); err != nil {
 		return err
 	}
-	want, err := freePoints(b, cp)
+	want, err := b.DeriveFreeRows(cp)
 	if err != nil {
 		return err
+	}
+	for id := range cp.Len() {
+		if got, w := rows.Row(graph.OpID(id)), want.Row(graph.OpID(id)); !slices.Equal(got, w) {
+			return fmt.Errorf("exec: op %d frees %v, full derivation says %v", id, got, w)
+		}
 	}
 	defOp := func(g *graph.Graph, t int) graph.OpID {
 		order, _ := g.TopoOrder()
@@ -570,10 +552,7 @@ func checkSplice(b *pipeline.Built, freeAt []graph.OpID) error {
 		}
 		return -1
 	}
-	for t := range want {
-		if want[t] != freeAt[t] {
-			return fmt.Errorf("exec: tensor %d frees after op %d, full derivation says %d", t, freeAt[t], want[t])
-		}
+	for t := range b.Graph.Tensors.Len() {
 		if got, w := defOp(src, t), defOp(cp, t); got != w {
 			return fmt.Errorf("exec: tensor %d defined by op %d, full derivation says %d", t, got, w)
 		}
@@ -903,7 +882,7 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 	if end > e.lastEnd {
 		e.lastEnd = end
 	}
-	for _, t := range e.free[e.freeOff[id]:e.freeOff[id+1]] {
+	for _, t := range e.frees.Row(id) {
 		if e.state[t] == resOnGPU {
 			e.gpus[e.gpuOf(t)].Release(e.g.Tensors.Get(t).Size)
 			e.state[t] = resFreed

@@ -132,7 +132,7 @@ func TestRunRejectsBadMapping(t *testing.T) {
 // not a partial Result.
 func TestRunReportsForkCycle(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	if err := b.Graph.Freeze(); err != nil {
+	if err := b.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 	f := b.Fork()

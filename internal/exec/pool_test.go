@@ -1,0 +1,61 @@
+package exec
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	"mpress/internal/cluster"
+	"mpress/internal/fabric"
+	"mpress/internal/hw"
+	"mpress/internal/pipeline"
+	"mpress/internal/tensor"
+)
+
+// TestScratchCarriesNothing: Run's pooled scratch carries nothing from
+// one run to the next. A large job, a smaller one with fewer tensors
+// and ops, a data-parallel one, the large one again and then a job on a
+// GPU smaller than the runtime reserve, whose OOM reports the residents
+// before any staging, run in that order on one pool. Each Result must
+// equal the same job's first run, taken on an empty pool.
+func TestScratchCarriesNothing(t *testing.T) {
+	large := buildTinyM(t, pipeline.PipeDream, 4, 8)
+	routes := map[tensor.ID][]fabric.Part{}
+	instrumentSwap(t, large, routes, true)
+	small := buildTinyM(t, pipeline.DAPPLE, 2, 2)
+	if small.Graph.Len() >= large.Graph.Len() || small.Graph.Tensors.Len() >= large.Graph.Tensors.Len() {
+		t.Fatal("the small job is not smaller")
+	}
+	tiny := hw.DGX1()
+	tiny.GPU.Memory = pipeline.RuntimeReserve / 2
+	jobs := map[string]Options{
+		"large": {Topo: hw.DGX1(), Built: large, Mapping: IdentityMapping(4), D2D: routes},
+		"small": {Topo: hw.DGX1(), Built: small, Mapping: IdentityMapping(2)},
+		"data-parallel": {Topo: hw.DGX2(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: IdentityMapping(4),
+			DataParallel: &DPSpec{Cluster: cluster.MustNew(2, hw.DGX2(), cluster.InfiniBand4x100()), Buckets: 4}},
+		"below-reserve": {Topo: tiny, Built: small, Mapping: IdentityMapping(2)},
+	}
+	run := func(name string) *Result {
+		t.Helper()
+		r, err := Run(jobs[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return r
+	}
+	first := map[string]*Result{}
+	for name := range jobs {
+		scratchPool = sync.Pool{New: scratchPool.New}
+		first[name] = run(name)
+	}
+	scratchPool = sync.Pool{New: scratchPool.New}
+	if r := first["below-reserve"]; r.OOM == nil || len(r.OOMResidents) != 1 {
+		t.Fatalf("below-reserve: OOM %v with residents %v, want an OOM naming only the reserve", r.OOM, r.OOMResidents)
+	}
+	for _, name := range []string{"large", "small", "data-parallel", "large", "below-reserve"} {
+		if got := run(name); !reflect.DeepEqual(got, first[name]) {
+			t.Fatalf("%s: a run on the used pool differs from the first run (%v in %d events, first %v in %d)",
+				name, got.Duration, got.Events, first[name].Duration, first[name].Events)
+		}
+	}
+}

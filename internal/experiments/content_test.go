@@ -6,11 +6,20 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// capture runs one experiment and returns its table text.
+// outputs holds each experiment's table once it has run, so the content
+// tests and TestRunAll share one run of every experiment.
+var outputs = map[string]string{}
+
+// capture runs one experiment, or reuses its earlier run, and returns
+// its table text.
 func capture(t *testing.T, name string) string {
 	t.Helper()
+	if out, ok := outputs[name]; ok {
+		return out
+	}
 	e, err := Registry.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +28,29 @@ func capture(t *testing.T, name string) string {
 	if err := e.Run(&buf); err != nil {
 		t.Fatal(err)
 	}
+	outputs[name] = buf.String()
 	return buf.String()
+}
+
+// cells returns the last n whitespace-separated fields of the table row
+// starting with prefix.
+func cells(t *testing.T, out, prefix string, n int) []string {
+	t.Helper()
+	fields := strings.Fields(row(t, out, prefix))
+	if len(fields) < n {
+		t.Fatalf("row %q has fewer than %d cells", prefix, n)
+	}
+	return fields[len(fields)-n:]
+}
+
+// number parses a numeric table cell.
+func number(t *testing.T, cell string) float64 {
+	t.Helper()
+	var v float64
+	if _, err := fmtSscan(cell, &v); err != nil {
+		t.Fatalf("cell %q is not a number", cell)
+	}
+	return v
 }
 
 // row extracts the first table line starting with the given prefix.
@@ -69,6 +100,66 @@ func TestFigure8bContent(t *testing.T) {
 	}
 	if !(inf < off && off < mp) {
 		t.Errorf("20.4B ordering broken: offload=%v infinity=%v mpress=%v", off, inf, mp)
+	}
+}
+
+// TestFigure8aContent holds the ✓ claims of EXPERIMENTS.md's Figure 8a
+// section (GPT atop DAPPLE on DGX-1; cells are DAPPLE, +Recomp,
+// ZeRO-Offload, ZeRO-Infinity, MPress):
+//   - "DAPPLE dies past 5.3B": DAPPLE trains 5.3B and is OOM at every
+//     larger size, exactly;
+//   - "recompute extends to 10.3B": DAPPLE+Recomp trains 10.3B, exactly;
+//   - "Infinity > Offload": ZeRO-Infinity beats ZeRO-Offload in every
+//     row, by any margin (measured 2.5–2.9%; the paper's 21–24% is a
+//     documented gap);
+//   - "MPress … beats ZeRO-Infinity by 23–38%": MPress beats ZeRO-Infinity
+//     in every row by at least 15%.
+func TestFigure8aContent(t *testing.T) {
+	out := capture(t, "fig8a")
+	sizes := []string{"5.3B", "10.3B", "15.4B", "20.4B"}
+	for i, size := range sizes {
+		c := cells(t, out, size, 5)
+		if oom := c[0] == "OOM"; oom != (i > 0) {
+			t.Errorf("%s: DAPPLE cell %q, want OOM exactly past 5.3B", size, c[0])
+		}
+		if size == "10.3B" && c[1] == "OOM" {
+			t.Errorf("10.3B: DAPPLE+Recomp is OOM, want it to train")
+		}
+		off, inf, mp := number(t, c[2]), number(t, c[3]), number(t, c[4])
+		if inf <= off {
+			t.Errorf("%s: ZeRO-Infinity %.1f does not beat ZeRO-Offload %.1f", size, inf, off)
+		}
+		if mp < 1.15*inf {
+			t.Errorf("%s: MPress %.1f beats ZeRO-Infinity %.1f by less than 15%%", size, mp, inf)
+		}
+	}
+}
+
+// TestFigure9Content holds the ✓ claims of EXPERIMENTS.md's Figure 9
+// section (cells are normalized TFLOPS and mean D2D restore time):
+//   - "mapping+striping cut it 2.6× on DGX-1": DGX-1's "both" cuts the
+//     mean D2D restore time at least 2× against "default";
+//   - "On the symmetric DGX-2, mapping is neutral": every DGX-2 setting
+//     prints normalized TFLOPS 1.000, exactly.
+func TestFigure9Content(t *testing.T) {
+	out := capture(t, "fig9")
+	restore := func(prefix string) time.Duration {
+		t.Helper()
+		d, err := time.ParseDuration(cells(t, out, prefix, 1)[0])
+		if err != nil {
+			t.Fatalf("%s: %v", prefix, err)
+		}
+		return d
+	}
+	def, both := restore("DGX-1 (asymmetric)  default"), restore("DGX-1 (asymmetric)  both")
+	if both <= 0 || 2*both > def {
+		t.Errorf("DGX-1: mapping+striping restores in %v against %v by default, want at least 2x faster", both, def)
+	}
+	for _, setting := range []string{"default", "+device mapping", "+data striping", "both"} {
+		prefix := "DGX-2 (symmetric)   " + setting
+		if c := cells(t, out, prefix, 2)[0]; c != "1.000" {
+			t.Errorf("%s: normalized TFLOPS %s, want 1.000", prefix, c)
+		}
 	}
 }
 

@@ -7,18 +7,15 @@ import (
 	"testing"
 )
 
-// TestRunAll executes every registered experiment and checks each
-// produces a non-trivial table (the exact values are asserted by the
-// focused package tests; this guards the generators end to end).
+// TestRunAll executes every registered experiment, or reads the run a
+// content test already made, and checks each produces a non-trivial
+// table (the exact values are asserted by the focused package tests;
+// this guards the generators end to end).
 func TestRunAll(t *testing.T) {
 	for _, e := range Registry.Values() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
-			}
-			out := buf.String()
+			out := capture(t, e.Name)
 			if len(strings.Split(out, "\n")) < 4 {
 				t.Fatalf("%s produced a degenerate table:\n%s", e.Name, out)
 			}

@@ -268,8 +268,8 @@ func assertMatchesReference(t *testing.T, g *Graph, what string) {
 }
 
 // checkEquivalence builds a random base from data, checks it, freezes
-// it, then checks two forks with different overlays and that the base
-// still matches its snapshot.
+// it, then checks two forks with different overlays, one fork recycled
+// through three more, and that the base still matches its snapshot.
 func checkEquivalence(t *testing.T, data []byte) {
 	src := &byteSource{data: data}
 	base := randomDAG(src)
@@ -292,10 +292,39 @@ func checkEquivalence(t *testing.T, data []byte) {
 		overlay(f, src)
 		assertMatchesReference(t, f, "fork, second overlay")
 	}
+	// A recycled fork, reforked for each of three overlays of varying
+	// size, must match a fresh fork given the same overlay: the same
+	// ops and Deps, adjacency and order, and the same touched flags.
+	var r *Graph
+	for i := 0; i < 3; i++ {
+		r = base.Refork(r)
+		f := base.Fork()
+		twin := *src
+		overlay(f, &twin)
+		overlay(r, src)
+		assertMatchesReference(t, r, "recycled fork")
+		if !reflect.DeepEqual(cloneOps(r.Ops()), cloneOps(f.Ops())) {
+			t.Fatal("a recycled fork's ops differ from a fresh fork's")
+		}
+		if got, want := touchedOps(r), touchedOps(f); !slices.Equal(got, want) {
+			t.Fatalf("recycled fork marks base ops %v touched, a fresh fork %v", got, want)
+		}
+	}
 	if !reflect.DeepEqual(cloneOps(base.Ops()), snapshot) {
 		t.Fatal("forking changed the base graph")
 	}
 	assertMatchesReference(t, base, "base after forks")
+}
+
+// touchedOps lists the base ops g marks as having gained a dep.
+func touchedOps(g *Graph) []OpID {
+	var ids []OpID
+	for i, ok := range g.buf.touched {
+		if ok {
+			ids = append(ids, OpID(i))
+		}
+	}
+	return ids
 }
 
 func cloneOps(ops []Op) []Op {

@@ -133,36 +133,54 @@ type Graph struct {
 	// base is the frozen graph this one was forked from (nil for a
 	// graph made by New or forked from an unfrozen graph). Rebuilding a
 	// fork's adjacency copies a base op's row from it unless the
-	// overlay touched that op: touched[i] marks base ops that gained a
-	// dep, and inputs whose producer changed are caught by comparing
-	// producer tables.
-	base    *Graph
-	touched []bool
+	// overlay touched that op: buf.touched[i] marks base ops that
+	// gained a dep, and inputs whose producer changed are caught by
+	// comparing producer tables.
+	base *Graph
 
 	// names interns the op names a frozen graph's forks' Instrument
 	// primitives build; Freeze sets it.
 	names nameCache
 
-	// deps and outs are the arenas Instrument and AddDep carve Deps and
-	// Outputs slices from.
-	deps arena[OpID]
-	outs arena[tensor.ID]
+	// buf holds the arrays the graph fills itself, which Refork keeps.
+	buf bufs
 
 	// frozen forbids mutation (see Freeze); shared marks a fork still
 	// reading its parent's op array (see Fork).
 	frozen, shared bool
 }
 
+// bufs are the working arrays a graph owns: the op array own copies a
+// fork's ops into, the arenas Instrument and AddDep carve Deps and
+// Outputs slices from, the adjacency's arrays with its seen and fill
+// stamps, and the touched flags. Refork resets them by length for the
+// graph's next life as a fork, so recycling a fork allocates none of
+// them again once they are large enough.
+type bufs struct {
+	ops        []Op
+	deps       arena[OpID]
+	outs       arena[tensor.ID]
+	adj        adjacency
+	seen, fill []int32
+	touched    []bool
+}
+
 // arena hands out small slices carved from one backing array, so an
 // instrumentation pass allocates its overlay's Deps and Outputs in a
 // few chunks instead of one slice per op. Each carved slice is capped,
-// so appending to it never writes into its neighbour.
-type arena[T any] struct{ free []T }
+// so appending to it never writes into its neighbour. chunk is the
+// current backing array, free its uncarved tail, and used counts the
+// elements taken since the last reset.
+type arena[T any] struct {
+	chunk, free []T
+	used        int
+}
 
 // reserve makes room for n more elements in the current chunk.
 func (a *arena[T]) reserve(n int) {
 	if len(a.free) < n {
-		a.free = make([]T, n)
+		a.chunk = make([]T, n)
+		a.free = a.chunk
 	}
 }
 
@@ -173,7 +191,19 @@ func (a *arena[T]) take(c int) []T {
 	}
 	s := a.free[:0:c]
 	a.free = a.free[c:]
+	a.used += c
 	return s
+}
+
+// reset frees the current chunk again for a recycled fork's next pass;
+// every slice carved before must be dead. A pass that outgrew the
+// chunk leaves one chunk sized for all it took, so a recycled arena
+// settles at one chunk its largest pass fits.
+func (a *arena[T]) reset() {
+	if a.used > len(a.chunk) {
+		a.chunk = make([]T, a.used)
+	}
+	a.free, a.used = a.chunk, 0
 }
 
 // nameCache interns, per tensor, the names forks of one frozen graph
@@ -234,12 +264,12 @@ func (g *Graph) mutate() {
 	g.adj, g.order, g.live = nil, nil, nil
 }
 
-// own copies a fork's op array, with room for extra more ops, and clips
-// every Deps slice so AddDep reallocates instead of writing into the
-// parent's arrays.
+// own copies a fork's op array into its own buffer, with room for extra
+// more ops, and clips every Deps slice so AddDep reallocates instead of
+// writing into the parent's arrays.
 func (g *Graph) own(extra int) {
-	ops := make([]Op, len(g.ops), len(g.ops)+extra)
-	copy(ops, g.ops)
+	ops := slices.Grow(g.buf.ops[:0], len(g.ops)+extra)
+	ops = append(ops, g.ops...)
 	for i := range ops {
 		ops[i].Deps = slices.Clip(ops[i].Deps)
 	}
@@ -249,8 +279,9 @@ func (g *Graph) own(extra int) {
 // Grow makes room for n more ops, so an instrumentation pass that knows
 // its overlay size copies a fork's op array exactly once and carves the
 // overlay's Deps (about two per op, plus the deps they add to base ops)
-// and Outputs from one arena each. It changes no op and keeps the
-// derived views.
+// and Outputs from one arena each. On a recycled fork (Refork) all
+// three usually fit the buffers of its last life and nothing is
+// allocated. It changes no op and keeps the derived views.
 func (g *Graph) Grow(n int) {
 	if g.frozen || n <= 0 {
 		return
@@ -260,8 +291,8 @@ func (g *Graph) Grow(n int) {
 	} else {
 		g.ops = slices.Grow(g.ops, n)
 	}
-	g.deps.reserve(4 * n)
-	g.outs.reserve(n / 2)
+	g.buf.deps.reserve(4 * n)
+	g.buf.outs.reserve(n / 2)
 }
 
 // AddOp appends op (ignoring op.ID) and returns the assigned ID. It
@@ -289,7 +320,7 @@ func (g *Graph) addInstrument(op Op, deps ...OpID) OpID {
 	for _, d := range deps {
 		g.checkDep(OpID(len(g.ops)), d)
 	}
-	op.Deps = append(g.deps.take(len(deps)), deps...)
+	op.Deps = append(g.buf.deps.take(len(deps)), deps...)
 	return g.add(op)
 }
 
@@ -351,14 +382,14 @@ func (g *Graph) AddDep(after, before OpID) {
 	g.mutate()
 	op := &g.ops[after]
 	if len(op.Deps) == cap(op.Deps) {
-		op.Deps = append(g.deps.take(max(2*len(op.Deps), 4)), op.Deps...)
+		op.Deps = append(g.buf.deps.take(max(2*len(op.Deps), 4)), op.Deps...)
 	}
 	op.Deps = append(op.Deps, before)
 	if b := g.base; b != nil && int(after) < len(b.ops) {
-		if g.touched == nil {
-			g.touched = make([]bool, len(b.ops))
+		if len(g.buf.touched) != len(b.ops) {
+			g.buf.touched = make([]bool, len(b.ops))
 		}
-		g.touched[after] = true
+		g.buf.touched[after] = true
 	}
 }
 
@@ -367,8 +398,8 @@ func (g *Graph) AddDep(after, before OpID) {
 // clips every Deps slice, so AddDep on the fork reallocates instead of
 // writing into g's arrays; the tensor registry and each op's
 // Inputs/Outputs/Name stay shared, so callers must not add tensors to a
-// fork nor modify ops through Op. The fork shares g's derived views
-// until its first mutation.
+// fork nor modify ops through Op. The fork shares g's order and
+// liveness, and a frozen g's adjacency, until its first mutation.
 //
 // A fork of a frozen g also remembers g as its base (see Base): it
 // reuses g's adjacency rows for the ops its overlay left alone. Only
@@ -376,23 +407,41 @@ func (g *Graph) AddDep(after, before OpID) {
 // guards what it adds: the overlay consumes no tensor, recomputes only
 // tensors g consumes, and adds only deps on other ops of the fork. So
 // g's liveness names every tensor's uses in the fork too, and the
-// executor reads g's free points for it. Whether the overlay stays
-// acyclic is the executor's to find: exec.Run reports a dependency
-// cycle as the stall it is. Fork only reads g: forking a frozen graph
-// from several goroutines at once is safe.
-func (g *Graph) Fork() *Graph {
-	f := &Graph{
-		Tensors: g.Tensors,
-		ops:     slices.Clip(g.ops),
-		adj:     g.adj,
-		order:   g.order,
-		live:    g.live,
-		shared:  true,
+// executor reads g's free rows (pipeline.Built.Freeze) for it. Whether
+// the overlay stays acyclic is the executor's to find: exec.Run reports
+// a dependency cycle as the stall it is. Fork only reads g: forking a
+// frozen graph from several goroutines at once is safe. A planner that
+// emulates many plans recycles one fork per worker with Refork instead.
+func (g *Graph) Fork() *Graph { return g.Refork(nil) }
+
+// Refork makes old, a fork of frozen g that is no longer used, a fresh
+// fork of g again and returns it; with old nil or not a fork of g it
+// returns a new fork. It keeps old's buffers (see bufs), reset by
+// length: the op array, the arenas, the adjacency arrays, the seen and
+// fill stamps and the cleared touched flags. Everything read off old
+// before (its ops, Deps, Preds and Succs rows, and any fork of it) is
+// invalid afterwards. Like Fork it only reads g; old must not be in use
+// on another goroutine.
+func (g *Graph) Refork(old *Graph) *Graph {
+	var b bufs
+	if old != nil && old.base == g {
+		b = old.buf
+		if !old.shared {
+			b.ops = old.ops // add may have outgrown the buffer own filled
+		}
+		b.deps.reset()
+		b.outs.reset()
+		clear(b.touched)
+	} else {
+		old = new(Graph)
 	}
+	// Only a frozen g's adjacency is shared: an unfrozen g rebuilds its
+	// own in place after a mutation.
+	*old = Graph{Tensors: g.Tensors, ops: slices.Clip(g.ops), order: g.order, live: g.live, buf: b, shared: true}
 	if g.frozen {
-		f.base = g
+		old.adj, old.base = g.adj, g
 	}
-	return f
+	return old
 }
 
 // Base returns the frozen graph g was forked from, or nil.
@@ -421,10 +470,10 @@ func (g *Graph) Freeze() error {
 }
 
 // producers maps each tensor to the last op that outputs it (-1 if
-// none). A fork starts from its base's table and scans only its
-// overlay.
+// none), in g's own buffer. A fork starts from its base's table and
+// scans only its overlay.
 func (g *Graph) producers() []OpID {
-	prod := make([]OpID, g.Tensors.Len())
+	prod := slices.Grow(g.buf.adj.prod[:0], g.Tensors.Len())[:g.Tensors.Len()]
 	from, known := 0, []OpID(nil)
 	if b := g.base; b != nil {
 		from, known = len(b.ops), b.adj.prod
@@ -446,17 +495,29 @@ func (g *Graph) producers() []OpID {
 // unfinished dependencies. Each successor row lists memory-releasing
 // ops (Drop, SwapOut) first, then the rest, each group ascending: the
 // order the executor dispatches them in, so it reads rows in place.
+// It builds into the graph's own buffers (bufs), which a recycled fork
+// brings from its last life.
 func (g *Graph) adjacency() *adjacency {
 	if g.adj != nil {
 		return g.adj
 	}
 	n := len(g.ops)
-	a := &adjacency{prod: g.producers(), predOff: make([]int32, n+1)}
+	a := &g.buf.adj
+	a.prod = g.producers()
+	a.predOff = slices.Grow(a.predOff[:0], n+1)[:n+1]
+	a.predOff[0] = 0
+	a.pred = a.pred[:0]
 	if b := g.base; b != nil {
-		a.pred = make([]OpID, 0, len(b.adj.pred)+2*(n-len(b.ops)))
+		a.pred = slices.Grow(a.pred, len(b.adj.pred)+2*(n-len(b.ops)))
 	}
-	// seen[p] == i+1 once p is in op i's row.
-	seen := make([]int32, n)
+	// seen[p] == i+1 once p is in op i's row. The stamps a last build
+	// left (a recycled fork's, or this graph's before a mutation) are
+	// cleared first.
+	if cap(g.buf.seen) < n {
+		g.buf.seen = make([]int32, n)
+	}
+	seen := g.buf.seen[:n]
+	clear(seen)
 	for i := range g.ops {
 		start := len(a.pred)
 		if row, ok := g.baseRow(OpID(i), a.prod); ok {
@@ -482,15 +543,17 @@ func (g *Graph) adjacency() *adjacency {
 	}
 	// Successor rows by counting sort: visiting the releasing ops, then
 	// the others, each in ID order, fills every row in dispatch order.
-	a.succOff = make([]int32, n+1)
+	a.succOff = slices.Grow(a.succOff[:0], n+1)[:n+1]
+	clear(a.succOff)
 	for _, p := range a.pred {
 		a.succOff[p+1]++
 	}
 	for i := 0; i < n; i++ {
 		a.succOff[i+1] += a.succOff[i]
 	}
-	a.succ = make([]OpID, len(a.pred))
-	fill := slices.Clone(a.succOff[:n])
+	a.succ = slices.Grow(a.succ[:0], len(a.pred))[:len(a.pred)]
+	fill := append(g.buf.fill[:0], a.succOff[:n]...)
+	g.buf.fill = fill
 	for _, releasing := range [2]bool{true, false} {
 		for i := 0; i < n; i++ {
 			if g.ops[i].Kind.releases() != releasing {
@@ -513,7 +576,7 @@ func (k OpKind) releases() bool { return k == Drop || k == SwapOut }
 // still exact: id is a base op, gained no dep, and each of its inputs
 // has the same producer as in the base.
 func (g *Graph) baseRow(id OpID, prod []OpID) ([]OpID, bool) {
-	if g.base == nil || int(id) >= len(g.base.ops) || (g.touched != nil && g.touched[id]) {
+	if g.base == nil || int(id) >= len(g.base.ops) || (int(id) < len(g.buf.touched) && g.buf.touched[id]) {
 		return nil, false
 	}
 	b := g.base.adj

@@ -124,7 +124,7 @@ func (g *Graph) InstrumentRecompute(t tensor.ID, afterOp, beforeOp, gate OpID, f
 		FLOPs:      flops,
 		MoveBytes:  tn.Size,
 		Subject:    t,
-		Outputs:    append(g.outs.take(1), t),
+		Outputs:    append(g.buf.outs.take(1), t),
 	}, gated(drop, gate)...)
 	g.AddDep(beforeOp, rec)
 	return RecomputePair{Drop: drop, Recompute: rec}

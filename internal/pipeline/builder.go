@@ -107,6 +107,101 @@ type Built struct {
 	// any recomputation added later), the numerator of the paper's
 	// TFLOPS metric.
 	UsefulFLOPs units.FLOPs
+
+	// frees is the free rows Freeze derived for the graph freesOf, which
+	// that graph's forks share (see Frees); nil until Freeze.
+	frees   *FreeRows
+	freesOf *graph.Graph
+}
+
+// FreeRows lists, per op, the tensors the executor frees once the op
+// completes, in CSR form: op i's are ids[off[i]:off[i+1]], ascending.
+type FreeRows struct {
+	off []int32
+	ids []tensor.ID
+}
+
+// Row returns op id's tensors. Ops past the rows free nothing: they are
+// a fork's overlay, which consumes no tensor.
+func (r *FreeRows) Row(id graph.OpID) []tensor.ID {
+	if int(id)+1 >= len(r.off) {
+		return nil
+	}
+	return r.ids[r.off[id]:r.off[id+1]]
+}
+
+// DeriveFreeRows returns the free rows of g (b's graph, or a copy of
+// it), read off g's order and liveness: a tensor frees after its last
+// consumer, or after its producer if nothing consumes it. Persistent
+// tensors never free, nor do tensors nothing defines or uses.
+func (b *Built) DeriveFreeRows(g *graph.Graph) (*FreeRows, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	live, _ := g.Liveness()
+	freeAt := func(t int) graph.OpID {
+		switch uses := live.Uses[t]; {
+		case b.PersistentSet[tensor.ID(t)]:
+		case len(uses) > 0:
+			return uses[len(uses)-1].Op
+		case live.Def[t] >= 0:
+			return order[live.Def[t]]
+		}
+		return -1
+	}
+	// Counting sort: row a's count goes to off[a+2], so after the prefix
+	// sum off[a+1] is row a's start, and filling advances it to the
+	// row's end, which is row a+1's start.
+	n := g.Len()
+	off := make([]int32, n+2)
+	for t := range live.Def {
+		if at := freeAt(t); at >= 0 {
+			off[at+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	ids := make([]tensor.ID, off[n+1])
+	for t := range live.Def {
+		if at := freeAt(t); at >= 0 {
+			ids[off[at+1]] = tensor.ID(t)
+			off[at+1]++
+		}
+	}
+	return &FreeRows{off: off[:n+1], ids: ids}, nil
+}
+
+// Freeze freezes b's graph (graph.Graph.Freeze) and derives its free
+// rows once, so no run of b or of a fork of it derives them again. It
+// is a no-op on a Built whose graph it froze already, which writes
+// nothing; freeze a Built before sharing it. A fork of a frozen Built
+// gets its own graph frozen and its own rows.
+func (b *Built) Freeze() error {
+	if b.freesOf == b.Graph {
+		return nil
+	}
+	if err := b.Graph.Freeze(); err != nil {
+		return err
+	}
+	r, err := b.DeriveFreeRows(b.Graph)
+	if err != nil {
+		return err
+	}
+	b.frees, b.freesOf = r, b.Graph
+	return nil
+}
+
+// Frees returns the free rows Freeze derived, when b's graph is the
+// graph they were derived for or a fork of it, and nil otherwise: b was
+// never frozen, or its graph is not tied to the rows (an unfrozen
+// fork's fork has no base), so it must derive its own.
+func (b *Built) Frees() *FreeRows {
+	if g := b.Graph; g == b.freesOf || (g.Base() != nil && g.Base() == b.freesOf) {
+		return b.frees
+	}
+	return nil
 }
 
 // NumStages returns the stage count.
@@ -170,11 +265,25 @@ func (b *Built) PrevOnStage(id graph.OpID) graph.OpID {
 
 // Fork returns a shallow copy of b whose Graph is a graph.Fork of b's:
 // instrumenting the fork (plan.Apply) leaves b untouched. Every other
-// field is shared and must be treated as read-only.
+// field, the free rows included (see Frees), is shared and must be
+// treated as read-only.
 func (b *Built) Fork() *Built {
 	f := *b
 	f.Graph = b.Graph.Fork()
 	return &f
+}
+
+// Refork makes old, a fork of b that is no longer used, a fresh fork of
+// b again, keeping its graph's buffers (graph.Graph.Refork), and
+// returns it; with old nil it returns b.Fork().
+func (b *Built) Refork(old *Built) *Built {
+	if old == nil {
+		return b.Fork()
+	}
+	g := b.Graph.Refork(old.Graph)
+	*old = *b
+	old.Graph = g
+	return old
 }
 
 // SamplesProcessed returns the sequences consumed by the whole run.

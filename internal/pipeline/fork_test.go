@@ -112,3 +112,39 @@ func TestForkIsolation(t *testing.T) {
 		b.Graph.AddOp(graph.Op{Name: "late"})
 	}()
 }
+
+// TestFreeRowsFollowTheirGraph: the free rows Freeze derives serve the
+// graph they were derived for and its forks, and no other graph. A
+// second Freeze keeps them; Freeze on a fork freezes the fork's own
+// graph with rows of its own; and a fork of an unfrozen fork, which has
+// no base, gets no rows and so derives its own.
+func TestFreeRowsFollowTheirGraph(t *testing.T) {
+	b := smallBuild(t, DAPPLE, 4, 2)
+	if b.Frees() != nil {
+		t.Fatal("an unfrozen build has free rows")
+	}
+	if err := b.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	rows := b.Frees()
+	if err := b.Freeze(); err != nil || rows == nil || b.Frees() != rows {
+		t.Fatalf("refreezing: rows %p then %p (%v)", rows, b.Frees(), err)
+	}
+	f := b.Fork()
+	if f.Frees() != rows {
+		t.Fatal("a fork does not read its base's rows")
+	}
+	unfrozen := f.Fork()
+	if unfrozen.Graph.Base() != nil || unfrozen.Frees() != nil {
+		t.Fatal("a fork of an unfrozen fork reads rows derived for another graph")
+	}
+	if err := f.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Fork().Graph.Base() != f.Graph {
+		t.Fatal("Freeze on a fork left its graph unfrozen")
+	}
+	if f.Frees() == nil || f.Frees() == rows || b.Frees() != rows {
+		t.Fatal("Freeze on a fork did not give it rows of its own")
+	}
+}

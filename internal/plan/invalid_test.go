@@ -22,7 +22,7 @@ func TestApplyRejectsInvalidPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Graph.Freeze(); err != nil {
+	if err := base.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 	topo := hw.DGX1()

@@ -30,6 +30,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -97,10 +98,10 @@ type Options struct {
 	// Build returns the job's uninstrumented lowering: a fresh one, or
 	// a frozen one shared with other goroutines (the runner hands out
 	// one frozen lowering per distinct BuildConfig). Compute calls it
-	// exactly once and freezes the result (graph.Graph.Freeze, a no-op
-	// on a frozen graph), then only reads it; every emulation
-	// instruments a pipeline.Built.Fork of that base. Build must not
-	// hand out a Built its caller later mutates.
+	// exactly once and freezes the result (pipeline.Built.Freeze, a
+	// no-op on a frozen Built), then only reads it; every emulation
+	// instruments a fork of that base. Build must not hand out a Built
+	// its caller later mutates.
 	Build   func() (*pipeline.Built, error)
 	Allowed Allowed
 	// DisableMappingSearch keeps the identity stage→GPU mapping
@@ -187,8 +188,9 @@ func Compute(o Options) (*Plan, error) {
 		return nil, err
 	}
 	// Lower once, emulate many: the base is frozen with its order,
-	// adjacency and liveness computed, and each emulation forks it.
-	if err = p.built.Graph.Freeze(); err != nil {
+	// adjacency, liveness and free rows computed, and each emulation
+	// forks it.
+	if err = p.built.Freeze(); err != nil {
 		return nil, err
 	}
 	if p.profile, err = profiler.Collect(o.Topo, p.built, nil); err != nil {
@@ -733,7 +735,7 @@ func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.I
 	if len(pl.Mapping) != b.NumStages() {
 		return nil, nil, invalid(-1, "mapping has %d entries for %d stages", len(pl.Mapping), b.NumStages())
 	}
-	ids := sortedIDs(pl.Act)
+	ids := sortedIDs(pl.Act, b.Graph.Tensors.Len())
 	acts := make([]actUse, len(ids))
 	for i, id := range ids {
 		a := &acts[i]
@@ -770,7 +772,7 @@ func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.I
 	}
 	// A HostPersist key means "parked": a false entry is a malformed
 	// plan, not an opt-out.
-	parked := sortedIDs(pl.HostPersist)
+	parked := sortedIDs(pl.HostPersist, b.Graph.Tensors.Len())
 	for _, id := range parked {
 		switch {
 		case !pl.HostPersist[id]:
@@ -782,14 +784,29 @@ func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.I
 	return acts, parked, nil
 }
 
-// sortedIDs returns m's keys in ascending order.
-func sortedIDs[V any](m map[tensor.ID]V) []tensor.ID {
-	ids := make([]tensor.ID, 0, len(m))
+// sortedIDs returns m's keys in ascending order. Keys in [0, n), every
+// key of a valid plan, are read off a bitset in order, so checking a
+// plan needs no comparison sort; only the keys outside it, which name
+// no tensor of the build, are sorted, negative ones first.
+func sortedIDs[V any](m map[tensor.ID]V, n int) []tensor.ID {
+	set := make([]uint64, (n+63)/64)
+	var outside []tensor.ID
 	for id := range m {
-		ids = append(ids, id)
+		if id >= 0 && int(id) < n {
+			set[id/64] |= 1 << (id % 64)
+		} else {
+			outside = append(outside, id)
+		}
 	}
-	slices.Sort(ids)
-	return ids
+	slices.Sort(outside)
+	neg, _ := slices.BinarySearch(outside, 0)
+	ids := append(make([]tensor.ID, 0, len(m)), outside[:neg]...)
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, tensor.ID(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return append(ids, outside[neg:]...)
 }
 
 // Apply instruments b with the plan and assembles the executor

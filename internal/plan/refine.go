@@ -16,6 +16,12 @@
 // duration (acceptance needs emulated duration ≤ current, and the
 // emulated duration can never fall below the busiest serial resource's
 // total work). Every other candidate is settled by one emulation.
+//
+// An emulation pays for its overlay and its event loop, not for
+// re-allocating what the last one had: each wave slot keeps one fork
+// of the frozen base for the whole call and reforks it
+// (pipeline.Built.Refork) for each of its emulations, and exec.Run
+// pools its own per-run slices.
 package plan
 
 import (
@@ -29,6 +35,7 @@ import (
 	"mpress/internal/fabric"
 	"mpress/internal/graph"
 	"mpress/internal/hw"
+	"mpress/internal/pipeline"
 	"mpress/internal/units"
 )
 
@@ -83,9 +90,15 @@ type evalResult struct {
 }
 
 // refineCtx carries one refineWithD2D call's inputs. Workers only
-// read it: each evaluation mutates its own trial snapshot.
+// read it: each evaluation mutates its own trial snapshot and its wave
+// slot's fork.
 type refineCtx struct {
 	p *planner
+	// forks[i] is wave slot i's recycled fork of the base lowering: the
+	// slot's emulations Refork it in turn, reusing its buffers. Waves
+	// are joined before the next one starts, so one goroutine at a time
+	// uses a slot, and the slots go when the call returns.
+	forks []*pipeline.Built
 	// base is per-device serial compute-queue work excluding
 	// recomputation: forward/backward compute plus optimizer HBM
 	// time, from the reference lowering.
@@ -104,6 +117,7 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 		workers = 1
 	}
 	rc := newRefineCtx(p)
+	rc.forks = make([]*pipeline.Built, workers)
 	for round := 0; round < maxRefinements; round++ {
 		cands := rc.rank()
 		if len(cands) == 0 {
@@ -115,14 +129,14 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 			wave := cands[lo:min(lo+workers, len(cands))]
 			results := make([]evalResult, len(wave))
 			if workers == 1 {
-				results[0] = rc.evaluate(wave[0])
+				results[0] = rc.evaluate(&rc.forks[0], wave[0])
 			} else {
 				var wg sync.WaitGroup
 				for i := range wave {
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						results[i] = rc.evaluate(wave[i])
+						results[i] = rc.evaluate(&rc.forks[i], wave[i])
 					}(i)
 				}
 				wg.Wait()
@@ -194,23 +208,24 @@ func (rc *refineCtx) rank() []candidate {
 	return cands
 }
 
-// evaluate prices one candidate: prefer retargeting to D2D (the
-// paper's refinement); when spare memory is exhausted or D2D does not
-// help, fall back to trading the hostswap group for recomputation.
-// Pure with respect to shared planner state — all mutation happens on
-// trial snapshots — so evaluations may run concurrently.
-func (rc *refineCtx) evaluate(c candidate) evalResult {
+// evaluate prices one candidate on its wave slot's fork: prefer
+// retargeting to D2D (the paper's refinement); when spare memory is
+// exhausted or D2D does not help, fall back to trading the hostswap
+// group for recomputation. Pure with respect to shared planner state —
+// all mutation happens on trial snapshots and the slot's fork — so the
+// slots' evaluations may run concurrently.
+func (rc *refineCtx) evaluate(fork **pipeline.Built, c candidate) evalResult {
 	var res evalResult
 	t := rc.p.snapshot()
 	if rc.p.convertToD2D(t, c.key) {
-		if done := rc.arbitrate(t, &res); done {
+		if done := rc.arbitrate(t, fork, &res); done {
 			return res
 		}
 	}
 	if c.recompute {
 		t = rc.p.snapshot()
 		if rc.p.convertToRecompute(t, c.key) {
-			if done := rc.arbitrate(t, &res); done {
+			if done := rc.arbitrate(t, fork, &res); done {
 				return res
 			}
 		}
@@ -218,11 +233,12 @@ func (rc *refineCtx) evaluate(c candidate) evalResult {
 	return res
 }
 
-// arbitrate prices trial t against the incumbent, filling res and
-// reporting whether the candidate is settled (improved or errored).
-// Ties are accepted: an equal-duration D2D route still relieves the
-// PCIe link and GPU compute the other mechanisms consume.
-func (rc *refineCtx) arbitrate(t *trial, res *evalResult) bool {
+// arbitrate prices trial t against the incumbent on the recycled fork
+// *fork, filling res and reporting whether the candidate is settled
+// (improved or errored). Ties are accepted: an equal-duration D2D route
+// still relieves the PCIe link and GPU compute the other mechanisms
+// consume.
+func (rc *refineCtx) arbitrate(t *trial, fork **pipeline.Built, res *evalResult) bool {
 	if rc.lowerBound(t.plan) > rc.current {
 		// Provably cannot improve: skip the emulation entirely. Not
 		// charged as an arbitration — the sequential definition of
@@ -230,7 +246,7 @@ func (rc *refineCtx) arbitrate(t *trial, res *evalResult) bool {
 		// deterministic at any worker count.
 		return false
 	}
-	r, err := rc.p.simulate(t.plan)
+	r, err := rc.p.simulate(t.plan, fork)
 	if err != nil {
 		res.err = err
 		return true
@@ -413,12 +429,18 @@ func (p *planner) convertToRecompute(t *trial, key groupKey) bool {
 	return true
 }
 
-// simulate applies pl to a fork of the frozen base lowering and runs it
-// bounded. Pure with respect to planner state, so refinement workers
-// may call it concurrently; emulate is the sequential counting wrapper
-// the OOM-retry loop uses.
-func (p *planner) simulate(pl *Plan) (*exec.Result, error) {
-	opts, err := Apply(pl, p.built.Fork(), p.o.Topo)
+// simulate applies pl to *fork, reforked from the frozen base lowering
+// (a new fork when *fork is nil), and runs it bounded. Nothing of the
+// Result aliases the fork, so the next simulate may refork it. Pure
+// with respect to planner state, so refinement workers may call it
+// concurrently, each on its own fork; emulate is the sequential
+// counting wrapper the OOM-retry loop uses.
+func (p *planner) simulate(pl *Plan, fork **pipeline.Built) (*exec.Result, error) {
+	if Simulated != nil {
+		Simulated()
+	}
+	*fork = p.built.Refork(*fork)
+	opts, err := Apply(pl, *fork, p.o.Topo)
 	if err != nil {
 		return nil, err
 	}
@@ -426,8 +448,16 @@ func (p *planner) simulate(pl *Plan) (*exec.Result, error) {
 	return exec.Run(*opts)
 }
 
-// emulate is simulate plus the Plan.Emulations charge.
+// Simulated, when non-nil, is called once per emulation, charged or
+// not (a wave's candidates after its first improving one are not), so
+// tests can hold every emulation to exec.SpliceCheck's fork runs. Wave
+// slots call it concurrently.
+var Simulated func()
+
+// emulate is simulate, on a fresh fork, plus the Plan.Emulations
+// charge.
 func (p *planner) emulate(pl *Plan) (*exec.Result, error) {
 	p.emulations++
-	return p.simulate(pl)
+	var fork *pipeline.Built
+	return p.simulate(pl, &fork)
 }

@@ -98,7 +98,7 @@ func (l *lease) get(bc pipeline.BuildConfig) (*pipeline.Built, error) {
 	}
 	e.b, e.err = pipeline.Build(bc)
 	if e.err == nil {
-		e.err = e.b.Graph.Freeze()
+		e.err = e.b.Freeze()
 	}
 	if e.err != nil {
 		e.b = nil
