@@ -42,9 +42,17 @@ fleet-plan-smoke:
 # preset on time-to-fit (cross-checked by full enumeration, so the
 # lower bound's pruning is provably sound), and the winner — strategy,
 # report and plan — must be byte-identical at workers=1 vs 8, under
-# the race detector.
+# the race detector. A search pays its fixed per-plan cost once per
+# lowering: at workers 1 and 4 it builds each distinct lowering once,
+# profiles and maps each distinct (lowering, plane, mapping switch)
+# once, reports identically and holds no lowering after it returns
+# (normal, cancelled or oversize); a frozen lowering planned on a
+# DGX-1 and on it with one NVLink down keeps a basis per plane, and
+# several systems planned at once off one lowering each equal a fresh
+# lowering's plan.
 autosearch-smoke:
 	$(GO) test -race -run 'TestAutoSearch' -count=1 .
+	$(GO) test -race -run 'TestSearchPaysPerLowering|TestBasisKeyedByPlane|TestBasisSharedConcurrently' -count=1 ./internal/search/ ./internal/plan/
 
 # Shared-lowering acceptance: a batch whose jobs share frozen
 # lowerings (scale-out node counts x minibatches 8/32, a plain-system

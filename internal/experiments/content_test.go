@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -65,24 +66,79 @@ func row(t *testing.T, out, prefix string) string {
 	return ""
 }
 
-// TestFigure7Content pins the figure's OOM cells in the rendered table.
+// TestFigure7Content holds the ✓ claims of EXPERIMENTS.md's Figure 7
+// section (Bert atop PipeDream on DGX-1; cells are PipeDream, GPU-CPU
+// swap, Recompute, MPress-D2D, MPress):
+//   - "0.35B: all five identical": every cell of the row prints the
+//     same TFLOPS, exactly;
+//   - "0.64B crossover": plain PipeDream is OOM; swap < recompute <
+//     MPress-D2D ≤ MPress, and MPress-D2D is within 5% of MPress;
+//   - "1.67B: D2D-only dies …; MPress > recompute": exactly PipeDream
+//     and MPress-D2D are OOM, and MPress beats recompute by any margin;
+//   - "4.0B/6.2B: … only swap and MPress survive": exactly the swap and
+//     MPress cells train.
+//
+// The MPress-over-swap factor (1.2–1.3× against the paper's 1.8–3.1×)
+// is a documented gap and is not asserted.
 func TestFigure7Content(t *testing.T) {
 	out := capture(t, "fig7")
-	if oom := strings.Count(row(t, out, "0.35B"), "OOM"); oom != 0 {
-		t.Error("0.35B must train everywhere")
+	const plain, swap, recompute, d2d, mpress = 0, 1, 2, 3, 4
+	trains := func(size string, want ...int) []string {
+		t.Helper()
+		c := cells(t, out, size, 5)
+		for i, v := range c {
+			if oom := v == "OOM"; oom == slices.Contains(want, i) {
+				t.Errorf("%s: cell %d is %q, want exactly cells %v to train", size, i, v, want)
+			}
+		}
+		return c
 	}
-	if oom := strings.Count(row(t, out, "4.0B"), "OOM"); oom != 3 {
-		t.Errorf("4.0B row should show exactly 3 OOMs:\n%s", row(t, out, "4.0B"))
+	if c := trains("0.35B", plain, swap, recompute, d2d, mpress); slices.ContainsFunc(c, func(v string) bool { return v != c[0] }) {
+		t.Errorf("0.35B: cells %v, want all five identical", c)
 	}
-	if oom := strings.Count(row(t, out, "1.67B"), "OOM"); oom != 2 {
-		t.Errorf("1.67B row should show exactly 2 OOMs (plain + D2D-only):\n%s", row(t, out, "1.67B"))
+	if c := trains("0.64B", swap, recompute, d2d, mpress); !t.Failed() {
+		sw, rc, dd, mp := number(t, c[swap]), number(t, c[recompute]), number(t, c[d2d]), number(t, c[mpress])
+		if !(sw < rc && rc < dd && dd <= mp) {
+			t.Errorf("0.64B: want swap < recompute < MPress-D2D <= MPress, got %v", c[1:])
+		}
+		if dd < 0.95*mp {
+			t.Errorf("0.64B: MPress-D2D %.1f is not within 5%% of MPress %.1f", dd, mp)
+		}
 	}
+	if c := trains("1.67B", swap, recompute, mpress); !t.Failed() {
+		if rc, mp := number(t, c[recompute]), number(t, c[mpress]); mp <= rc {
+			t.Errorf("1.67B: MPress %.1f does not beat recompute %.1f", mp, rc)
+		}
+	}
+	trains("4.0B", swap, mpress)
+	trains("6.2B", swap, mpress)
 }
 
-// TestFigure8bContent pins the slow-SSD inversion in the rendered table.
+// TestFigure8bContent holds the ✓ claims of EXPERIMENTS.md's Figure 8b
+// section (GPT atop DAPPLE on DGX-2; cells are DAPPLE, +Recomp,
+// ZeRO-Offload, ZeRO-Infinity, MPress):
+//   - "all systems >2× their DGX-1 numbers": DAPPLE, +Recomp, Offload
+//     and MPress each print more than twice their Fig. 8a cell at every
+//     size both figures train. ZeRO-Infinity reaches only 1.66×, which
+//     EXPERIMENTS.md records as a gap (the slow SSDs), not asserted;
+//   - "the rented server's slow SSDs invert ZeRO-Infinity below
+//     ZeRO-Offload": at 20.4B, Infinity < Offload < MPress.
 func TestFigure8bContent(t *testing.T) {
-	out := capture(t, "fig8b")
-	line := row(t, out, "20.4B")
+	dgx1, dgx2 := capture(t, "fig8a"), capture(t, "fig8b")
+	for _, size := range []string{"5.3B", "10.3B", "15.4B", "20.4B"} {
+		a, b := cells(t, dgx1, size, 5), cells(t, dgx2, size, 5)
+		names := []string{"DAPPLE", "+Recomp", "ZeRO-Offload", "ZeRO-Infinity", "MPress"}
+		for _, i := range []int{0, 1, 2, 4} { // not ZeRO-Infinity, the gap
+			if a[i] == "OOM" || b[i] == "OOM" {
+				continue
+			}
+			if x, y := number(t, a[i]), number(t, b[i]); y <= 2*x {
+				t.Errorf("%s %s: DGX-2 %.1f is not more than 2x DGX-1 %.1f", size, names[i], y, x)
+			}
+		}
+	}
+
+	line := row(t, dgx2, "20.4B")
 	fields := strings.Fields(line)
 	// GPT size, DAPPLE, +Recomp, Offload, Infinity, MPress
 	if len(fields) != 6 {

@@ -252,6 +252,14 @@ func New(reg *tensor.Registry) *Graph {
 	return &Graph{Tensors: reg}
 }
 
+// NewSized is New with room for ops ops, so a builder that knows its op
+// count fills the op array without reallocating it.
+func NewSized(reg *tensor.Registry, ops int) *Graph {
+	g := New(reg)
+	g.ops = make([]Op, 0, ops)
+	return g
+}
+
 // mutate drops the derived views ahead of a structural change, first
 // giving a fork its own op array.
 func (g *Graph) mutate() {

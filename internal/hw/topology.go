@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"strings"
 
 	"mpress/internal/units"
 )
@@ -48,6 +49,28 @@ type Topology struct {
 	NVMeBW      units.Bandwidth
 	NVMeLatency units.Duration
 	NVMeSize    units.Bytes
+}
+
+// Canonical renders the topology's full parameter set — not just its
+// name, so custom and degraded topologies render distinctly (a
+// WithoutNVLink copy keeps its GPU count and name prefix). Two
+// topologies with equal renderings simulate identically.
+func (t *Topology) Canonical() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "topo=%s/g%d/sw%v/lanes%d/nvbw%g/nvlat%d/pcie%g/pcielat%d/host%d/nvmebw%g/nvmelat%d/nvme%d;",
+		t.Name, t.NumGPUs, t.Switched, t.LanesPerGPU,
+		float64(t.NVLinkLaneBW), int64(t.NVLinkLatency),
+		float64(t.PCIeBW), int64(t.PCIeLatency),
+		int64(t.HostMemory), float64(t.NVMeBW), int64(t.NVMeLatency), int64(t.NVMeSize))
+	g := t.GPU
+	fmt.Fprintf(&b, "gpu=%s/mem%d/fp32-%g/fp16-%g/eff%g/hbm%g;",
+		g.Name, int64(g.Memory), float64(g.PeakFP32), float64(g.PeakFP16),
+		g.Efficiency, float64(g.HBM))
+	if !t.Switched {
+		// The lane matrix shapes D2D routing on asymmetric servers.
+		fmt.Fprintf(&b, "lanes=%v;", t.NVLinkLanes)
+	}
+	return b.String()
 }
 
 // Validate checks internal consistency of the topology description.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"mpress/internal/graph"
 	"mpress/internal/model"
@@ -112,6 +113,9 @@ type Built struct {
 	// that graph's forks share (see Frees); nil until Freeze.
 	frees   *FreeRows
 	freesOf *graph.Graph
+	// memo holds what callers derive from the frozen lowering once (see
+	// Memo); Freeze makes it with the free rows.
+	memo *memo
 }
 
 // FreeRows lists, per op, the tensors the executor frees once the op
@@ -173,8 +177,9 @@ func (b *Built) DeriveFreeRows(g *graph.Graph) (*FreeRows, error) {
 	return &FreeRows{off: off[:n+1], ids: ids}, nil
 }
 
-// Freeze freezes b's graph (graph.Graph.Freeze) and derives its free
-// rows once, so no run of b or of a fork of it derives them again. It
+// Freeze freezes b's graph (graph.Graph.Freeze), derives its free rows
+// once, so no run of b or of a fork of it derives them again, and gives
+// b an empty Memo. It
 // is a no-op on a Built whose graph it froze already, which writes
 // nothing; freeze a Built before sharing it. A fork of a frozen Built
 // gets its own graph frozen and its own rows.
@@ -189,8 +194,57 @@ func (b *Built) Freeze() error {
 	if err != nil {
 		return err
 	}
-	b.frees, b.freesOf = r, b.Graph
+	b.frees, b.freesOf, b.memo = r, b.Graph, &memo{entries: make(map[any]*memoEntry)}
 	return nil
+}
+
+// memo is a frozen lowering's keyed store of derived values, filled at
+// most once per key.
+type memo struct {
+	mu      sync.Mutex
+	entries map[any]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// Memo returns the value fill derives from b for key (a comparable
+// value), calling fill at most once per key for the life of b:
+// concurrent callers of one key wait for the first caller's fill, and
+// every caller gets its value or error. Values are shared, so callers
+// must treat them as read-only. Only a Built frozen by Freeze memoizes;
+// on any other, a fork included, fill runs on every call. The planner
+// keeps each plane's profile and device mapping here, so all the plans
+// of one lowering pay for them once; keys and values are opaque here
+// because the profiler and the mapping search import this package.
+func (b *Built) Memo(key any, fill func() (any, error)) (any, error) {
+	m := b.memo
+	if m == nil || b.Graph != b.freesOf {
+		return fill()
+	}
+	m.mu.Lock()
+	e := m.entries[key]
+	if e == nil {
+		e = &memoEntry{}
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = fill() })
+	return e.v, e.err
+}
+
+// Memoized returns how many keys b's Memo has filled or is filling.
+func (b *Built) Memoized() int {
+	m := b.memo
+	if m == nil || b.Graph != b.freesOf {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.entries)
 }
 
 // Frees returns the free rows Freeze derived, when b's graph is the
@@ -291,6 +345,38 @@ func (b *Built) SamplesProcessed() int {
 	return b.Cfg.MicrobatchSize * b.TotalMicrobatches
 }
 
+// lowerSize returns how many tensors and ops Build lowers bc into, so
+// it allocates its tensor registry and op array once.
+func lowerSize(bc BuildConfig) (tensors, ops int) {
+	S := bc.Part.NumStages()
+	total := bc.Microbatches * bc.Minibatches
+	for s, st := range bc.Part.Stages {
+		groups := st.NumBlocks // parameter groups: one per block, plus the embedding
+		acts := st.NumBlocks   // activations of one forward slot
+		if st.HasEmbedding {
+			groups++
+			acts++
+		}
+		if st.HasHead {
+			acts++
+		}
+		tensors += 3 * groups // param, grad, opt
+		if bc.Kind.WeightVersions(s, S) > 1 {
+			tensors++ // the stashed versions
+		}
+		ops += 2*total + groups*bc.Minibatches // forwards, backwards, optimizer steps
+		if s > 0 {
+			acts += 3        // bndin; gbnd and gin of the backward
+			ops += 2 * total // the activation transfer in, the gradient transfer out
+		}
+		if s < S-1 {
+			acts++ // bndout
+		}
+		tensors += acts * total
+	}
+	return tensors, ops
+}
+
 // Build lowers the training job to a dataflow graph with exact
 // schedule-order dependencies (Fig. 1's timing diagram as a DAG).
 func Build(bc BuildConfig) (*Built, error) {
@@ -305,7 +391,10 @@ func Build(bc BuildConfig) (*Built, error) {
 			bc.MicrobatchSize, bc.Microbatches, bc.Minibatches)
 	}
 
-	g := graph.New(nil)
+	tensors, ops := lowerSize(bc)
+	reg := tensor.NewRegistry()
+	reg.Grow(tensors)
+	g := graph.NewSized(reg, ops)
 	S := bc.Part.NumStages()
 	total := bc.Microbatches * bc.Minibatches
 	T := bc.TPDegree()

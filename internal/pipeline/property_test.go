@@ -317,3 +317,35 @@ func chainedUses(b *Built) error {
 	}
 	return nil
 }
+
+// TestLowerSizeExact: Build's presizing counts exactly the tensors and
+// ops it lowers, for every schedule, stage count, TP degree and
+// minibatch count, with and without an embedding or head on a stage.
+func TestLowerSizeExact(t *testing.T) {
+	prec := model.MixedAdam()
+	for _, cfg := range []model.Config{mustBert(t, model.BertVariants.Names()[0]), mustGPT(t, model.GPTVariants.Names()[0])} {
+		for _, kind := range []ScheduleKind{PipeDream, DAPPLE, GPipe} {
+			for _, stages := range []int{1, 2, 5, 8} {
+				part, err := PartitionModel(cfg, stages, ComputeBalanced, kind, prec, 1, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tp := range []int{0, 2} {
+					for mini := 1; mini <= 3; mini++ {
+						bc := BuildConfig{Model: cfg, Prec: prec, Part: part, Kind: kind,
+							MicrobatchSize: 1, Microbatches: 4, Minibatches: mini, TP: tp}
+						b, err := Build(bc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tensors, ops := lowerSize(bc)
+						if g := b.Graph; g.Tensors.Len() != tensors || g.Len() != ops {
+							t.Errorf("%s %v S=%d tp=%d mini=%d: lowered %d tensors and %d ops, presized %d and %d",
+								cfg.Name, kind, stages, tp, mini, g.Tensors.Len(), g.Len(), tensors, ops)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -176,6 +176,47 @@ type planner struct {
 	emulations int
 }
 
+// basisKey names one planner basis of a lowering: the plane, by its
+// full rendering, and whether the device mapping is kept as the
+// identity instead of searched.
+type basisKey struct {
+	topo     string
+	identity bool
+}
+
+// basis is what the planner derives from a frozen lowering and its
+// plane before deciding anything: the unbounded profile (step 1) and
+// the Fig. 6 device mapping (step 2). It rides on the lowering
+// (pipeline.Built.Memo), so it is derived once however many plans the
+// lowering gets, and every plan reads it without writing it.
+type basis struct {
+	profile *profiler.Profile
+	mapping *mapping.Result
+}
+
+// basisOf returns b's basis on topo, deriving it on first use.
+func basisOf(b *pipeline.Built, topo *hw.Topology, identity bool) (*basis, error) {
+	v, err := b.Memo(basisKey{topo.Canonical(), identity}, func() (any, error) {
+		prof, err := profiler.Collect(topo, b, nil)
+		if err != nil {
+			return nil, err
+		}
+		search := mapping.Search
+		if identity {
+			search = mapping.Identity
+		}
+		m, err := search(topo, prof.StagePeak)
+		if err != nil {
+			return nil, err
+		}
+		return &basis{profile: prof, mapping: m}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*basis), nil
+}
+
 // Compute runs the planner.
 func Compute(o Options) (*Plan, error) {
 	if o.Topo == nil || o.Build == nil {
@@ -193,18 +234,13 @@ func Compute(o Options) (*Plan, error) {
 	if err = p.built.Freeze(); err != nil {
 		return nil, err
 	}
-	if p.profile, err = profiler.Collect(o.Topo, p.built, nil); err != nil {
+	// Steps 1 and 2 depend only on the lowering and the plane, so every
+	// plan of the lowering on that plane shares them.
+	bs, err := basisOf(p.built, o.Topo, o.DisableMappingSearch || o.Topo.Switched)
+	if err != nil {
 		return nil, err
 	}
-
-	// Step 2: device mapping (Fig. 6).
-	search := mapping.Search
-	if o.DisableMappingSearch || o.Topo.Switched {
-		search = mapping.Identity
-	}
-	if p.mapRes, err = search(o.Topo, p.profile.StagePeak); err != nil {
-		return nil, err
-	}
+	p.profile, p.mapRes = bs.profile, bs.mapping
 
 	// Walking tensors in ID order keeps each group's instances sorted.
 	p.groups = make(map[groupKey][]tensor.ID)
@@ -273,7 +309,7 @@ func (p *planner) finalizeSummary() {
 // newPlan resets the working plan.
 func (p *planner) newPlan() {
 	p.plan = &Plan{
-		Mapping:     p.mapRes.Mapping,
+		Mapping:     slices.Clone(p.mapRes.Mapping),
 		Act:         make(map[tensor.ID]Mechanism),
 		Parts:       make(map[tensor.ID][]fabric.Part),
 		HostPersist: make(map[tensor.ID]bool),

@@ -225,7 +225,7 @@ func (c Config) WithDefaults() (Config, error) {
 		}
 		if c.Topology == nil {
 			c.Topology = c.Cluster.Server
-		} else if canonicalTopo(c.Topology) != canonicalTopo(c.Cluster.Server) {
+		} else if c.Topology.Canonical() != c.Cluster.Server.Canonical() {
 			return c, fmt.Errorf("mpress: Topology %q differs from Cluster.Server %q", c.Topology.Name, c.Cluster.Server.Name)
 		}
 		if c.Replicas() > 1 && c.System.IsZeRO() {
@@ -474,26 +474,6 @@ func (j *Job) RouteKey() string {
 	return j.fp
 }
 
-// canonicalTopo renders a server topology's full parameter set — not
-// just its name, so custom topologies fingerprint distinctly.
-func canonicalTopo(t *hw.Topology) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "topo=%s/g%d/sw%v/lanes%d/nvbw%g/nvlat%d/pcie%g/pcielat%d/host%d/nvmebw%g/nvmelat%d/nvme%d;",
-		t.Name, t.NumGPUs, t.Switched, t.LanesPerGPU,
-		float64(t.NVLinkLaneBW), int64(t.NVLinkLatency),
-		float64(t.PCIeBW), int64(t.PCIeLatency),
-		int64(t.HostMemory), float64(t.NVMeBW), int64(t.NVMeLatency), int64(t.NVMeSize))
-	g := t.GPU
-	fmt.Fprintf(&b, "gpu=%s/mem%d/fp32-%g/fp16-%g/eff%g/hbm%g;",
-		g.Name, int64(g.Memory), float64(g.PeakFP32), float64(g.PeakFP16),
-		g.Efficiency, float64(g.HBM))
-	if !t.Switched {
-		// The lane matrix shapes D2D routing on asymmetric servers.
-		fmt.Fprintf(&b, "lanes=%v;", t.NVLinkLanes)
-	}
-	return b.String()
-}
-
 // canonical renders the defaulted config as a stable string. Every
 // field that can change the simulation outcome must appear here.
 // withCluster selects whether the scale-out dimension participates
@@ -502,7 +482,7 @@ func canonicalTopo(t *hw.Topology) string {
 // single-server job it is.
 func canonical(c Config, withMinibatches, withCluster bool) string {
 	var b strings.Builder
-	b.WriteString(canonicalTopo(c.Topology))
+	b.WriteString(c.Topology.Canonical())
 	m := c.Model
 	fmt.Fprintf(&b, "model=%s/%v/L%d/H%d/h%d/s%d/v%d/%v;",
 		m.Name, m.Arch, m.Layers, m.Hidden, m.Heads, m.SeqLen, m.Vocab, m.DType)

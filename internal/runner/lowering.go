@@ -26,6 +26,7 @@ type lowerings struct {
 
 	builds int64 // pipeline.Build calls
 	shared int64 // fetches answered by an existing entry
+	bases  int64 // planner bases of dropped entries (pipeline.Built.Memoized)
 }
 
 type lowering struct {
@@ -50,6 +51,15 @@ func newLowerings() *lowerings {
 // to identical graphs.
 func lowerKey(bc pipeline.BuildConfig) string {
 	return digest(fmt.Sprintf("%#v", bc))
+}
+
+// lowerKeys lists the keys of the lowerings j's stages fetch.
+func lowerKeys(j *Job) []string {
+	var keys []string
+	for _, bc := range lowerConfigs(j.Config) {
+		keys = append(keys, lowerKey(bc))
+	}
+	return keys
 }
 
 // lease returns a claim reserving keys up front.
@@ -116,6 +126,7 @@ func (l *lease) release() {
 	for _, k := range l.keys {
 		e := c.entries[k]
 		if e.refs--; e.refs == 0 {
+			c.bases += int64(e.memoized())
 			delete(c.entries, k)
 		}
 	}
@@ -123,8 +134,26 @@ func (l *lease) release() {
 	l.keys = nil
 }
 
-func (c *lowerings) stats() (builds, shared int64) {
+// memoized counts the planner bases e's lowering holds: none until its
+// build has settled.
+func (e *lowering) memoized() int {
+	select { // a nil done (never fetched) is not ready either
+	case <-e.done:
+	default:
+		return 0
+	}
+	if e.b == nil {
+		return 0
+	}
+	return e.b.Memoized()
+}
+
+func (c *lowerings) stats() (builds, shared, bases int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.builds, c.shared
+	bases = c.bases
+	for _, e := range c.entries {
+		bases += int64(e.memoized())
+	}
+	return c.builds, c.shared, bases, len(c.entries)
 }

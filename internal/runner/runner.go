@@ -73,6 +73,15 @@ type Stats struct {
 	// fetches answered by another job's lowering, built or in flight.
 	LoweringBuilds int64
 	LoweringShared int64
+	// LoweringEntries is how many lowerings the runner holds now: zero
+	// whenever no batch, job or Hold needs one.
+	LoweringEntries int
+	// PlannerBases counts the planner's per-plane bases: each is one
+	// profiler run and one device-mapping step (mapping.Search, or the
+	// identity when the search is off or the plane is switched), made
+	// once per distinct (lowering, plane, mapping switch) while the
+	// lowering is held, however many plans read it.
+	PlannerBases int64
 	// PlanTime and ExecTime accumulate real time across jobs in the
 	// planning and execution stages respectively.
 	PlanTime time.Duration
@@ -234,13 +243,11 @@ func (r *Runner) reserve(jobs []*Job) ([]*lease, []int) {
 	first := make(map[string]int)
 	order := make([]int, len(jobs))
 	for i, j := range jobs {
-		var keys []string
-		for _, bc := range lowerConfigs(j.Config) {
-			k := lowerKey(bc)
+		keys := lowerKeys(j)
+		for _, k := range keys {
 			if _, ok := first[k]; !ok {
 				first[k] = len(first)
 			}
-			keys = append(keys, k)
 			ranks[i] = append(ranks[i], first[k])
 		}
 		leases[i] = r.lowers.lease(keys)
@@ -248,6 +255,19 @@ func (r *Runner) reserve(jobs []*Job) ([]*lease, []int) {
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return slices.Compare(ranks[a], ranks[b]) })
 	return leases, order
+}
+
+// Hold reserves the lowerings of jobs until release is called, so the
+// jobs' runs share them across batches as RunAll's share them within
+// one: a lowering and the planner bases on it are made once while held.
+// The search holds its candidates' lowerings this way across its
+// waves. Call release exactly once.
+func (r *Runner) Hold(jobs []*Job) (release func()) {
+	var keys []string
+	for _, j := range jobs {
+		keys = append(keys, lowerKeys(j)...)
+	}
+	return r.lowers.lease(keys).release
 }
 
 // RunConfigs validates the configs into jobs and runs them all. A
@@ -283,7 +303,7 @@ func (r *Runner) RunConfigs(ctx context.Context, cfgs []Config) []JobResult {
 // Stats returns the runner's aggregate counters.
 func (r *Runner) Stats() Stats {
 	hits, misses, computes, evictions, entries, bytes := r.cache.stats()
-	builds, shared := r.lowers.stats()
+	builds, shared, bases, lowerings := r.lowers.stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Stats{
@@ -296,6 +316,8 @@ func (r *Runner) Stats() Stats {
 		PlanCacheBytes:     bytes,
 		LoweringBuilds:     builds,
 		LoweringShared:     shared,
+		LoweringEntries:    lowerings,
+		PlannerBases:       bases,
 		PlanTime:           r.planTime,
 		ExecTime:           r.execTime,
 	}

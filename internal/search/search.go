@@ -179,7 +179,7 @@ type Candidate struct {
 	// Bound is the static lower bound on TimeToFit (0 = no claim).
 	Bound units.Duration `json:"bound_ns,omitempty"`
 
-	cfg  runner.Config     // lowered raw config (not defaulted)
+	job  *runner.Job       // the lowered strategy, validated and defaulted
 	spec *runner.JobResult // speculative evaluation, pre-commit
 }
 
@@ -241,7 +241,10 @@ type Options struct {
 // space: branch-and-bound pruning and memoization never change the
 // winner, only the work done. Ties break to the earliest rank, and
 // every decision is committed in strict rank order, so the Result —
-// counters included — is byte-identical at every worker count.
+// counters included — is byte-identical at every worker count. The
+// runner holds every runnable candidate's lowerings until Run returns,
+// so each distinct lowering, and each planner basis on it, is made once
+// per search rather than once per wave.
 func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result, error) {
 	baseJob, err := runner.NewJob(base)
 	if err != nil {
@@ -273,6 +276,11 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 		Winner:          -1,
 	}
 	pending := enumerate(base, sp.resolve(base), res, workload)
+	jobs := make([]*runner.Job, len(pending))
+	for i, c := range pending {
+		jobs[i] = c.job
+	}
+	defer rnr.Hold(jobs)()
 
 	incumbent := units.MaxDuration
 	reports := make(map[string]*runner.Report)
@@ -299,11 +307,11 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 		if len(evals) > 0 {
 			// Speculative: results are adopted or discarded only by
 			// the rank-order commit loop.
-			cfgs := make([]runner.Config, len(evals))
+			wjobs := make([]*runner.Job, len(evals))
 			for j, c := range evals {
-				cfgs[j] = c.cfg
+				wjobs[j] = c.job
 			}
-			jrs := rnr.RunConfigs(ctx, cfgs)
+			jrs := rnr.RunAll(ctx, wjobs)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -348,17 +356,13 @@ func Run(ctx context.Context, base runner.Config, sp Space, o Options) (*Result,
 	}
 
 	if best := res.Best(); best != nil {
-		wj, err := runner.NewJob(best.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("search: winner re-lower: %w", err)
-		}
-		wc := wj.Config
+		wc := best.job.Config
 		res.WinnerConfig = &wc
 		rep, ok := reports[best.Fingerprint]
 		if !ok {
 			// The winner was served from a warm table; materialize its
 			// full report (and plan) with one deterministic run.
-			jr := rnr.Run(ctx, wj)
+			jr := rnr.Run(ctx, best.job)
 			if jr.Err != nil {
 				return nil, fmt.Errorf("search: winner re-run: %w", jr.Err)
 			}
@@ -455,7 +459,7 @@ func classify(base runner.Config, sp Space, st Strategy, c *Candidate, workload 
 	c.Key = KeyOf(dc)
 	c.Fingerprint = j.Fingerprint()
 	c.Bound = lowerBound(dc, workload)
-	c.cfg = cfg
+	c.job = j
 }
 
 // lower maps one raw strategy onto the base config.

@@ -9,6 +9,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 
 	"mpress/internal/units"
 )
@@ -130,6 +131,10 @@ func (r *Registry) Add(t Tensor) ID {
 	r.tensors = append(r.tensors, t)
 	return t.ID
 }
+
+// Grow makes room for n more tensors, so the next n Adds do not
+// reallocate.
+func (r *Registry) Grow(n int) { r.tensors = slices.Grow(r.tensors, n) }
 
 // Get returns the tensor with the given id. It panics if id is out of
 // range, which always indicates a programming error (IDs are only minted
