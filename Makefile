@@ -64,20 +64,17 @@ autosearch-smoke:
 sweep-smoke:
 	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering' -count=1 ./internal/runner/
 
-# Fork acceptance: on every emulation of every planner preset (and of
-# bertxdgx1 at four refinement workers, whose wave slots recycle their
-# forks concurrently), the def ops exec reads off the frozen base and
-# the free rows it reads off the lowering must equal a full Validate +
-# Kahn + liveness derivation on an unforked copy; the FuzzSplice seed
-# corpus holds the fork guards (no AddOp, recompute only what the base
-# consumes, deps in range and not on the op itself) to the full
-# Validate on random overlays; TestGraphEquivalence holds a fresh and a
-# recycled fork's adjacency, order and liveness to reference
-# implementations; and TestForkIsolation checks forks of one frozen
-# lowering stay independent — all under the race detector.
+# Overlay acceptance: every emulation of every planner preset, planned
+# sequentially and at four refinement workers (whose wave slots rebuild
+# their overlays concurrently), and each preset's final job, run as an
+# overlay on the frozen lowering, must give the Result, and the job the
+# Chrome trace, of its overlay spliced into a plain graph that is
+# validated, ordered, analysed and run in full; TestGraphEquivalence
+# holds the graph's adjacency, order and liveness to reference
+# implementations; all under the race detector.
 splice-smoke:
 	$(GO) test -race -run 'TestSpliceDifferential' -count=1 .
-	$(GO) test -race -run 'FuzzSplice|TestForkGuards|TestGraphEquivalence|TestForkIsolation' -count=1 ./internal/graph/ ./internal/pipeline/
+	$(GO) test -race -run 'TestGraphEquivalence' -count=1 ./internal/graph/
 
 # Event-loop acceptance: on the FuzzJointStriped seed corpus the
 # sorted joint striped reservation books exactly the lanes, times and
@@ -87,7 +84,7 @@ splice-smoke:
 # stay flat as its event count doubles, on one node and as one of two
 # data-parallel replicas (whose gradient all-reduce ring steps are
 # events too), and planning bertxdgx2 must stay within its bytes per
-# emulation (recycled forks and pooled executor state).
+# emulation (recycled wave-slot overlays and pooled executor state).
 sim-smoke:
 	$(GO) test -race -run 'FuzzJointStriped|TestSchedOrderingEquivalence|TestSimSchedulerEquivalence' -count=1 ./internal/sim/
 	$(GO) test -run 'TestEventLoopAllocsFlat/(single-node|data-parallel)$$' -count=1 ./internal/exec/

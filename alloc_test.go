@@ -11,10 +11,10 @@ import (
 )
 
 // maxBytesPerEmulation bounds what planning bertxdgx2 allocates per
-// emulation, about 1.5x the measured ~565 KiB. Recycled forks and the
-// pooled executor state keep an emulation from re-allocating its op
-// array, adjacency, arenas and per-run slices; without them it
-// allocated about 2.7 MB.
+// emulation, about 1.5x the ~565 KiB measured when it was set. Each
+// emulation runs an overlay on the frozen lowering, rebuilt in its wave
+// slot's arrays, and the pooled executor state keeps it from
+// re-allocating its per-run slices.
 const maxBytesPerEmulation = 850 * units.KiB
 
 // TestEmulationAllocBytes plans bertxdgx2 on a fresh single-worker

@@ -223,7 +223,7 @@ func (o *options) execute(w io.Writer) (int, error) {
 	if !o.gantt && o.trace == "" {
 		return 0, nil
 	}
-	tl := trace.Collect(jr.State.Built, jr.State.Exec)
+	tl := trace.Collect(jr.State.ExecOpts, jr.State.Exec)
 	tl.LaneNames = jr.State.TraceLaneNames()
 	if o.gantt {
 		fmt.Fprintln(w)

@@ -135,6 +135,16 @@ func TestRunRejectsPlanlessFlags(t *testing.T) {
 	}
 }
 
+// A negative microbatch size is refused before anything is printed:
+// no header, fingerprint or per-stage demand reaches stdout.
+func TestRunRejectsNegativeMicrobatchSize(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-model", "bert-0.64B", "-mb", "-3"}, &out, &errOut)
+	if code == 0 || out.Len() != 0 || !strings.Contains(errOut.String(), "MicrobatchSize -3 is negative") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want a nonzero exit naming MicrobatchSize and empty stdout", code, out.String(), errOut.String())
+	}
+}
+
 // Model, topology, schedule and system names all resolve under one
 // rule: case is ignored and spaces trimmed, so an upper-case family
 // plans exactly the job its lower-case spelling does. Unknown names

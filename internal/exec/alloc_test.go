@@ -1,13 +1,15 @@
-package exec
+package exec_test
 
 import (
 	"testing"
 
 	"mpress/internal/cluster"
+	"mpress/internal/exec"
 	"mpress/internal/fabric"
 	"mpress/internal/hw"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
+	"mpress/internal/plan"
 	"mpress/internal/tensor"
 )
 
@@ -25,16 +27,16 @@ func TestEventLoopAllocsFlat(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		dp   *DPSpec
+		dp   *exec.DPSpec
 	}{
 		{"single-node", nil},
-		{"data-parallel", &DPSpec{Cluster: cluster.MustNew(2, hw.DGX2(), cluster.InfiniBand4x100()), Buckets: 4}},
+		{"data-parallel", &exec.DPSpec{Cluster: cluster.MustNew(2, hw.DGX2(), cluster.InfiniBand4x100()), Buckets: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { testAllocsFlat(t, tc.dp) })
 	}
 }
 
-func testAllocsFlat(t *testing.T, dp *DPSpec) {
+func testAllocsFlat(t *testing.T, dp *exec.DPSpec) {
 	type run struct {
 		events int64
 		allocs float64
@@ -53,22 +55,29 @@ func testAllocsFlat(t *testing.T, dp *DPSpec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes := map[tensor.ID][]fabric.Part{}
+		pl := &plan.Plan{Mapping: exec.IdentityMapping(4), Act: map[tensor.ID]plan.Mechanism{}, Parts: map[tensor.ID][]fabric.Part{}}
 		for m := 0; m < b.TotalMicrobatches; m++ {
 			k := pipeline.SlotKey{Stage: 0, Microbatch: m}
 			for i, id := range b.Acts[k] {
 				if _, ok := b.RecomputeFLOPs(id); !ok {
 					continue
 				}
-				b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), "swap")
+				pl.Act[id] = plan.MechHostSwap
 				if i%2 == 0 {
 					size := b.Graph.Tensors.Get(id).Size
-					routes[id] = []fabric.Part{{Peer: 3, Bytes: size / 2}, {Peer: 2, Bytes: size - size/2}}
+					pl.Act[id] = plan.MechD2D
+					pl.Parts[id] = []fabric.Part{{Peer: 3, Bytes: size / 2}, {Peer: 2, Bytes: size - size/2}}
 				}
 			}
 		}
-		o := Options{Topo: hw.DGX2(), Built: b, Mapping: IdentityMapping(4), D2D: routes, DataParallel: dp}
-		r, err := Run(o)
+		opts, err := plan.Apply(pl, b, hw.DGX2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := *opts
+		o.DataParallel = dp
+		routes := o.D2D
+		r, err := exec.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +88,7 @@ func testAllocsFlat(t *testing.T, dp *DPSpec) {
 			t.Fatalf("data-parallel run sent nothing over the NICs (%d all-reduces)", r.AllReduces)
 		}
 		return run{r.Events, testing.AllocsPerRun(20, func() {
-			if _, err := Run(o); err != nil {
+			if _, err := exec.Run(o); err != nil {
 				t.Fatal(err)
 			}
 		})}

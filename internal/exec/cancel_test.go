@@ -1,8 +1,9 @@
-package exec
+package exec_test
 
 import (
 	"context"
 	"errors"
+	"mpress/internal/exec"
 	"testing"
 
 	"mpress/internal/hw"
@@ -27,8 +28,8 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)}
-	full, err := Run(o)
+	o := exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)}
+	full, err := exec.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +40,14 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	o.Ctx = ctx
-	if _, err := Run(o); !errors.Is(err, context.Canceled) {
+	if _, err := exec.Run(o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
 func TestRunIgnoresLiveContext(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), Ctx: context.Background()})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4), Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}

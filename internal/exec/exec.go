@@ -47,6 +47,9 @@ type TPSpec struct {
 type Options struct {
 	Topo  *hw.Topology
 	Built *pipeline.Built
+	// Overlay is the plan's memory-saving ops over Built's graph (see
+	// plan.Apply); a job that plans nothing runs with an empty one.
+	Overlay Overlay
 	// Mapping assigns each pipeline stage to a GPU. len(Mapping) must
 	// equal the stage count and entries must be distinct GPUs.
 	Mapping []hw.DeviceID
@@ -59,7 +62,7 @@ type Options struct {
 	D2D map[tensor.ID][]fabric.Part
 	// InitiallySwapped marks persistent tensors that start in host
 	// memory instead of on their GPU (their first use must be
-	// preceded by an instrumented swap-in).
+	// preceded by an overlay swap-in).
 	InitiallySwapped map[tensor.ID]bool
 	// Unbounded disables GPU capacity checks (used by planning passes
 	// that need to measure demand beyond capacity).
@@ -92,6 +95,76 @@ type Options struct {
 	// DataParallel, when non-nil, joins this run to its data-parallel
 	// replicas and synchronizes their gradients (see DPSpec).
 	DataParallel *DPSpec
+}
+
+// Overlay is what a plan adds to a lowering, as plain data beside its
+// graph, which stays as built (frozen, when shared): the swap-out,
+// swap-in, drop and recompute ops and every edge they take part in. Run
+// reads the graph's ops, predecessor counts, successor rows and free
+// rows as they are, and lays out only the overlay's edges.
+type Overlay struct {
+	// Ops are numbered after the graph's: Ops[i] has ID Graph.Len()+i.
+	// Each acts on its Subject tensor and consumes none, so it frees
+	// nothing. Its Name is empty (OpView.Name builds it) and its Deps
+	// nil (its edges are in Deps).
+	Ops []graph.Op
+	// Deps lists each edge once. A recompute re-produces its tensor, so
+	// every consumer of the tensor waits for it.
+	Deps []Dep
+}
+
+// Dep is one edge of an Overlay: op After waits for op Before, and at
+// least one of them is an overlay op.
+type Dep struct{ After, Before graph.OpID }
+
+// OpView reads a run's ops: the lowering's graph, then the overlay's
+// ops numbered after it. Run, trace.Collect and the experiments read
+// ops through it.
+type OpView struct {
+	g   *graph.Graph
+	ov  []graph.Op
+	d2d map[tensor.ID][]fabric.Part
+}
+
+// Ops returns o's op view.
+func (o *Options) Ops() OpView { return OpView{o.Built.Graph, o.Overlay.Ops, o.D2D} }
+
+// Len returns the op count: the graph's plus the overlay's.
+func (v OpView) Len() int { return v.g.Len() + len(v.ov) }
+
+// Op returns op id, which the caller must not modify.
+func (v OpView) Op(id graph.OpID) *graph.Op {
+	if n := graph.OpID(v.g.Len()); id >= n {
+		return &v.ov[id-n]
+	}
+	return v.g.Op(id)
+}
+
+// Name returns op id's name. A graph op has its own; an overlay op's is
+// built here, from its kind, its tensor's name and, for a swap, its
+// route: "d2d" for a tensor striped to peers (Options.D2D), "h2d"
+// otherwise.
+func (v OpView) Name(id graph.OpID) string {
+	op := v.Op(id)
+	if int(id) < v.g.Len() {
+		return op.Name
+	}
+	name := v.g.Tensors.Get(op.Subject).Name
+	route := "h2d"
+	if _, ok := v.d2d[op.Subject]; ok {
+		route = "d2d"
+	}
+	switch op.Kind {
+	case graph.SwapOut:
+		return route + "-swapout:" + name
+	case graph.SwapIn:
+		return route + "-swapin:" + name
+	case graph.Drop:
+		return "drop:" + name
+	case graph.Recompute:
+		return "recompute:" + name
+	}
+	return op.Name
 }
 
 // DPSpec joins a run to its data-parallel replicas, one per node of
@@ -197,9 +270,11 @@ type engine struct {
 	pinned  *memsim.PinnedPool
 	compute []*sim.Queue
 
-	g *graph.Graph
+	g   *graph.Graph // the lowering's
+	ops OpView
 	// *scratch holds the per-run working slices: dependency counts
-	// (preds) and residency by tensor (state).
+	// (preds), residency by tensor (state) and the overlay's successor
+	// rows.
 	*scratch
 	frees     *pipeline.FreeRows
 	pinnedBuf map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
@@ -242,6 +317,12 @@ type engine struct {
 type scratch struct {
 	preds []int
 	state []residency
+	// The overlay's edges in CSR form over every op (see layout): op i
+	// waits on pred[predOff[i]:predOff[i+1]] and unblocks
+	// succ[succOff[i]:succOff[i+1]], releasing ops first, then the rest,
+	// each group ascending. fill is the counting sorts' cursor.
+	predOff, succOff, fill []int32
+	pred, succ             []graph.OpID
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -289,7 +370,7 @@ func Run(o Options) (*Result, error) {
 	// spares each run regrowing them. Nothing in a Result aliases sim
 	// state (lane sets only feed scalar counters into stats), so the
 	// instance can be released as soon as Run returns.
-	e := &engine{o: o, g: o.Built.Graph}
+	e := &engine{o: o, g: o.Built.Graph, ops: o.Ops()}
 	if err := e.checkRoutes(); err != nil {
 		return nil, err
 	}
@@ -298,7 +379,7 @@ func Run(o Options) (*Result, error) {
 	e.scratch = scratchPool.Get().(*scratch)
 	defer scratchPool.Put(e.scratch)
 	e.state = resize(e.state, e.g.Tensors.Len())
-	e.preds = resize(e.preds, e.g.Len())
+	e.preds = resize(e.preds, e.ops.Len())
 	e.sim = sim.Get()
 	defer sim.Put(e.sim)
 	e.sim.Handle = e.handle
@@ -403,15 +484,15 @@ func (e *engine) checkRoute(id tensor.ID, parts []fabric.Part) error {
 // init allocates the runtime reserve and persistent state, reporting a
 // GPU or host too small for them as OOM, and builds the dependency
 // bookkeeping in the pooled scratch. It re-derives nothing the graph
-// or its lowering caches: dependency counts and successor rows come
-// from the adjacency, and on a frozen lowering or a fork of one the
-// free rows come from the lowering (initFree), with no sort or analysis
-// per run.
+// or its lowering caches: the graph's dependency counts and successor
+// rows come from its adjacency, and on a frozen lowering the free rows
+// come from the lowering (initFree), with no sort or analysis per run.
+// Only the overlay's edges are laid out (layout).
 func (e *engine) init() error {
 	b := e.o.Built
-	// Allocate spans first: a Result carries graph-length Spans even
-	// when staging below dies of OOM before anything runs.
-	e.spans = make([]Span, e.g.Len())
+	// Allocate spans first: a Result carries op-length Spans even when
+	// staging below dies of OOM before anything runs.
+	e.spans = make([]Span, e.ops.Len())
 	reserved := make(map[hw.DeviceID]bool)
 	for _, d := range e.o.Mapping {
 		if reserved[d] {
@@ -452,13 +533,11 @@ func (e *engine) init() error {
 	if err := e.initFree(); err != nil {
 		return err
 	}
-	// The adjacency's successor rows list memory-releasing ops (drops,
-	// swap-outs) first, and complete dispatches them in that order: a
-	// completed forward's evictions free space before the next slot
-	// allocates, matching how the runtime issues releases eagerly on
-	// the swap streams.
-	for i := range e.preds {
+	for i := range e.g.Len() {
 		e.preds[i] = len(e.g.Preds(graph.OpID(i)))
+	}
+	if err := e.layout(); err != nil {
+		return err
 	}
 	if e.net != nil {
 		// Gate every optimizer-step op behind its minibatch's gradient
@@ -487,74 +566,82 @@ func (e *engine) init() error {
 			}
 		}
 	}
-	e.opsLeft = e.g.Len()
+	e.opsLeft = e.ops.Len()
 	return e.initResilience()
 }
 
-// initFree finds the free rows. A lowering frozen by
-// pipeline.Built.Freeze carries them, derived once, and so does every
-// fork of it: the graph package lets a fork's overlay consume no tensor
-// and recompute only tensors the base consumes, so each tensor keeps
-// its base uses, and a lowering chains every multi-use tensor's
-// consumers on one stage's schedule (pipeline's
+// layout checks the overlay and adds its edges to the dependency
+// counts, laying out its successor rows by two counting sorts in the
+// pooled scratch. Each row lists releasing ops (drops, swap-outs)
+// first, then the rest, each group ascending, as the graph's own rows
+// do. A lowering has no releasing op, so every releasing op is an
+// overlay op, and complete, dispatching an op's overlay releasing
+// successors, then its graph successors, then its other overlay ones,
+// follows the order of one merged row: a completed forward's evictions
+// free space before the next slot allocates, matching how the runtime
+// issues releases eagerly on the swap streams.
+func (e *engine) layout() error {
+	base, n := e.g.Len(), e.ops.Len()
+	for i, op := range e.o.Overlay.Ops {
+		switch {
+		case op.Kind != graph.SwapOut && op.Kind != graph.SwapIn && op.Kind != graph.Drop && op.Kind != graph.Recompute:
+			return fmt.Errorf("exec: overlay op %d is a %v", base+i, op.Kind)
+		case op.Subject < 0 || int(op.Subject) >= e.g.Tensors.Len():
+			return fmt.Errorf("exec: overlay op %d acts on tensor %d of a %d-tensor graph", base+i, op.Subject, e.g.Tensors.Len())
+		}
+	}
+	deps := e.o.Overlay.Deps
+	e.predOff = resize(e.predOff, n+1)
+	e.succOff = resize(e.succOff, n+1)
+	for _, d := range deps {
+		if d.After < 0 || int(d.After) >= n || d.Before < 0 || int(d.Before) >= n || d.After == d.Before ||
+			max(d.After, d.Before) < graph.OpID(base) {
+			return fmt.Errorf("exec: overlay dep %d -> %d over %d graph and %d overlay ops", d.Before, d.After, base, n-base)
+		}
+		e.preds[d.After]++
+		e.predOff[d.After+1]++
+		e.succOff[d.Before+1]++
+	}
+	for i := range n {
+		e.predOff[i+1] += e.predOff[i]
+		e.succOff[i+1] += e.succOff[i]
+	}
+	e.pred = resize(e.pred, len(deps))
+	e.fill = append(e.fill[:0], e.predOff[:n]...)
+	for _, d := range deps {
+		e.pred[e.fill[d.After]] = d.Before
+		e.fill[d.After]++
+	}
+	e.succ = resize(e.succ, len(deps))
+	e.fill = append(e.fill[:0], e.succOff[:n]...)
+	for _, releasing := range [2]bool{true, false} {
+		for i := range n {
+			if e.ops.Op(graph.OpID(i)).Kind.Releases() != releasing {
+				continue
+			}
+			for _, p := range e.pred[e.predOff[i]:e.predOff[i+1]] {
+				e.succ[e.fill[p]] = graph.OpID(i)
+				e.fill[p]++
+			}
+		}
+	}
+	return nil
+}
+
+// initFree finds the graph's free rows. A lowering frozen by
+// pipeline.Built.Freeze carries them, derived once, which spares every
+// emulation a Kahn sort, a liveness analysis and the rows' layout; an
+// unfrozen one derives its own, and so reports a cycle here, before
+// running. The overlay does not move them: its ops consume no tensor,
+// so each tensor keeps its uses, and a lowering chains every multi-use
+// tensor's consumers on one stage's schedule (pipeline's
 // TestMultiUseTensorsChained), so the last use is the same op in any
-// order. Overlay ops, past the rows, free nothing. That spares every
-// emulation a Kahn sort, a liveness analysis and the rows' layout. Any
-// other graph derives its own rows from its order and liveness, and so
-// reports a cycle here, before running.
+// order. Overlay ops, past the rows, free nothing.
 func (e *engine) initFree() error {
 	if e.frees = e.o.Built.Frees(); e.frees == nil {
 		var err error
 		if e.frees, err = e.o.Built.DeriveFreeRows(e.g); err != nil {
 			return fmt.Errorf("exec: %w", err)
-		}
-	}
-	if SpliceCheck != nil && e.g.Base() != nil {
-		SpliceCheck(checkSplice(e.o.Built, e.frees))
-	}
-	return nil
-}
-
-// SpliceCheck, when non-nil, receives the outcome of every Run on a
-// fork of a frozen graph: nil, or the full Validate's error (a cycle,
-// say), or an error naming the first op whose free row, or tensor whose
-// def op, differs from the slow derivation's. Tests set it to hold the
-// fork path to that derivation, at the cost of a full Validate, Kahn
-// sort and liveness analysis of a copy of the graph per run.
-var SpliceCheck func(error)
-
-// checkSplice derives b's def ops and free rows on an unforked copy of
-// its graph, which Validate checks in full, and compares them with the
-// ones the run read: the def ops off its base, and its free rows.
-func checkSplice(b *pipeline.Built, rows *pipeline.FreeRows) error {
-	src := b.Graph.Base()
-	cp := graph.New(b.Graph.Tensors)
-	for _, op := range b.Graph.Ops() {
-		cp.AddOp(op)
-	}
-	if err := cp.Validate(); err != nil {
-		return err
-	}
-	want, err := b.DeriveFreeRows(cp)
-	if err != nil {
-		return err
-	}
-	for id := range cp.Len() {
-		if got, w := rows.Row(graph.OpID(id)), want.Row(graph.OpID(id)); !slices.Equal(got, w) {
-			return fmt.Errorf("exec: op %d frees %v, full derivation says %v", id, got, w)
-		}
-	}
-	defOp := func(g *graph.Graph, t int) graph.OpID {
-		order, _ := g.TopoOrder()
-		live, _ := g.Liveness()
-		if d := live.Def[t]; d >= 0 {
-			return order[d]
-		}
-		return -1
-	}
-	for t := range b.Graph.Tensors.Len() {
-		if got, w := defOp(src, t), defOp(cp, t); got != w {
-			return fmt.Errorf("exec: tensor %d defined by op %d, full derivation says %d", t, got, w)
 		}
 	}
 	return nil
@@ -625,7 +712,7 @@ func (e *engine) handle(ev sim.Event) {
 		e.drained(int(ev.Arg), ev.Start)
 		return
 	}
-	op := e.g.Op(id)
+	op := e.ops.Op(id)
 	switch ev.Kind {
 	case evComputeTP:
 		// The op is not done until its TP group's collective drains;
@@ -702,7 +789,7 @@ func (e *engine) gpuOf(t tensor.ID) hw.DeviceID {
 // dispatch begins executing op: performs its dispatch-time memory
 // effects and reserves its resource, scheduling completion.
 func (e *engine) dispatch(id graph.OpID) {
-	op := e.g.Op(id)
+	op := e.ops.Op(id)
 	now := e.sim.Now()
 	switch op.Kind {
 	case graph.Forward, graph.Backward, graph.OptimizerStep, graph.Recompute:
@@ -895,14 +982,18 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 		}
 		e.samples = append(e.samples, MemSample{At: end, InUse: snap})
 	}
-	for _, s := range e.g.Succs(id) {
-		e.preds[s]--
-		if e.preds[s] == 0 {
-			e.dispatch(s)
-		}
+	row := e.succ[e.succOff[id]:e.succOff[id+1]]
+	i := 0
+	for i < len(row) && e.ops.Op(row[i]).Kind.Releases() {
+		i++
 	}
+	e.release(row[:i])
+	if int(id) < e.g.Len() {
+		e.release(e.g.Succs(id))
+	}
+	e.release(row[i:])
 	if e.net != nil {
-		if op := e.g.Op(id); op.Kind == graph.Backward {
+		if op := e.ops.Op(id); op.Kind == graph.Backward {
 			s, q := op.Stage, op.Microbatch/e.o.Built.Cfg.Microbatches
 			e.bwLeft[s][q]--
 			if e.bwLeft[s][q] == 0 {
@@ -932,8 +1023,8 @@ func (e *engine) syncDone(token int32) {
 	e.release(e.o.Built.OptOps[token/m][token%m])
 }
 
-// release drops one gate (a pseudo-dependency counted in preds) from
-// each op of ids, dispatching those left with none.
+// release drops one dependency counted in preds (an op's, or a gate)
+// from each op of ids, dispatching those left with none.
 func (e *engine) release(ids []graph.OpID) {
 	for _, id := range ids {
 		e.preds[id]--

@@ -1,7 +1,8 @@
-package exec
+package exec_test
 
 import (
 	"errors"
+	"mpress/internal/exec"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"mpress/internal/hw"
 	"mpress/internal/model"
 	"mpress/internal/pipeline"
+	"mpress/internal/plan"
 	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
@@ -50,7 +52,7 @@ func buildTinyM(t *testing.T, kind pipeline.ScheduleKind, stages, micro int) *pi
 func TestRunCompletes(t *testing.T) {
 	for _, kind := range []pipeline.ScheduleKind{pipeline.PipeDream, pipeline.DAPPLE, pipeline.GPipe} {
 		b := buildTiny(t, kind, 4)
-		r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+		r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -91,11 +93,11 @@ func TestRunCompletes(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	b1 := buildTiny(t, pipeline.DAPPLE, 4)
 	b2 := buildTiny(t, pipeline.DAPPLE, 4)
-	r1, err := Run(Options{Topo: hw.DGX1(), Built: b1, Mapping: IdentityMapping(4)})
+	r1, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b1, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(Options{Topo: hw.DGX1(), Built: b2, Mapping: IdentityMapping(4)})
+	r2, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b2, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,36 +122,55 @@ func TestRunRejectsBadMapping(t *testing.T) {
 		{0, 1, 2, hw.Host}, // not a GPU
 	}
 	for _, m := range cases {
-		if _, err := Run(Options{Topo: topo, Built: b, Mapping: m}); err == nil {
+		if _, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: m}); err == nil {
 			t.Errorf("mapping %v accepted", m)
 		}
 	}
 }
 
-// TestRunReportsForkCycle: a fork of a frozen lowering runs with no
-// Validate, so a dependency cycle closed on it is the event loop's to
-// find. Run must return a *graph.CycleError naming the stalled ops,
-// not a partial Result.
-func TestRunReportsForkCycle(t *testing.T) {
+// TestRunReportsOverlayCycle: an overlay is plain data no Validate
+// checks, so a dependency cycle it closes over a frozen lowering is the
+// event loop's to find. Run must return a *graph.CycleError naming the
+// stalled ops, not a partial Result. An overlay Run can check cheaply
+// (an edge out of range, between two graph ops or on the op itself; an
+// op of another kind or on no tensor) is an error before anything runs.
+func TestRunReportsOverlayCycle(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
 	if err := b.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	f := b.Fork()
 	order, _ := b.Graph.TopoOrder()
 	first := order[0]
 	next := b.Graph.Succs(first)[0]
-	f.Graph.AddDep(first, next)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: f, Mapping: IdentityMapping(4)})
+	// An overlay op that waits for next and that first waits for.
+	x := graph.OpID(b.Graph.Len())
+	ov := exec.Overlay{
+		Ops:  []graph.Op{{ID: x, Kind: graph.SwapIn, Subject: b.Persistent[0][0]}},
+		Deps: []exec.Dep{{After: x, Before: next}, {After: first, Before: x}},
+	}
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Overlay: ov, Mapping: exec.IdentityMapping(4)})
 	var cyc *graph.CycleError
 	if !errors.As(err, &cyc) || r != nil {
 		t.Fatalf("Run = %v, %v; want a *graph.CycleError and no Result", r, err)
 	}
-	if !slices.Contains(cyc.Remaining, first) || !slices.Contains(cyc.Remaining, next) {
-		t.Errorf("stalled ops %v miss the cycle %d <-> %d", cyc.Remaining, first, next)
+	for _, id := range []graph.OpID{first, next, x} {
+		if !slices.Contains(cyc.Remaining, id) {
+			t.Errorf("stalled ops %v miss op %d of the cycle %d -> %d -> %d", cyc.Remaining, id, first, next, x)
+		}
 	}
-	if _, err := Run(Options{Topo: hw.DGX1(), Built: b.Fork(), Mapping: IdentityMapping(4)}); err != nil {
-		t.Fatalf("an uninstrumented fork: %v", err)
+	if _, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)}); err != nil {
+		t.Fatalf("the frozen lowering with an empty overlay: %v", err)
+	}
+	for name, bad := range map[string]exec.Overlay{
+		"a dep past the overlay":  {Ops: ov.Ops, Deps: []exec.Dep{{After: x, Before: x + 1}}},
+		"a dep between graph ops": {Ops: ov.Ops, Deps: []exec.Dep{{After: next, Before: first}}},
+		"a dep on the op itself":  {Ops: ov.Ops, Deps: []exec.Dep{{After: x, Before: x}}},
+		"a forward op":            {Ops: []graph.Op{{ID: x, Kind: graph.Forward}}},
+		"a tensor past the graph": {Ops: []graph.Op{{ID: x, Kind: graph.Drop, Subject: tensor.ID(b.Graph.Tensors.Len())}}},
+	} {
+		if _, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Overlay: bad, Mapping: exec.IdentityMapping(4)}); err == nil {
+			t.Errorf("an overlay with %s ran", name)
+		}
 	}
 }
 
@@ -159,11 +180,11 @@ func TestPipeDreamSlowerSchedulesMoreMemory(t *testing.T) {
 	// stage-0 peak must exceed DAPPLE's (which caps at 4 in flight).
 	gp := buildTinyM(t, pipeline.GPipe, 4, 8)
 	da := buildTinyM(t, pipeline.DAPPLE, 4, 8)
-	rg, err := Run(Options{Topo: hw.DGX1(), Built: gp, Mapping: IdentityMapping(4)})
+	rg, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: gp, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Run(Options{Topo: hw.DGX1(), Built: da, Mapping: IdentityMapping(4)})
+	rd, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: da, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +196,7 @@ func TestPipeDreamSlowerSchedulesMoreMemory(t *testing.T) {
 func TestMemoryImbalanceAcrossStages(t *testing.T) {
 	// Fig. 2: earlier stages peak higher under 1F1B.
 	b := buildTiny(t, pipeline.PipeDream, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +209,7 @@ func TestPeakTracksAnalyticDemand(t *testing.T) {
 	// The simulated peak should approximate the closed-form Demand
 	// model for a synchronous schedule.
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +227,7 @@ func TestOOMDetected(t *testing.T) {
 	topo := hw.DGX1()
 	topo.GPU.Memory = pipeline.RuntimeReserve + 20*units.MiB
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +243,7 @@ func TestUnboundedMeasuresDemand(t *testing.T) {
 	topo := hw.DGX1()
 	topo.GPU.Memory = pipeline.RuntimeReserve + 20*units.MiB
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4), Unbounded: true})
+	r, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: exec.IdentityMapping(4), Unbounded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,34 +255,182 @@ func TestUnboundedMeasuresDemand(t *testing.T) {
 	}
 }
 
-// instrument applies recomputation to every stage-0 block activation
-// of every microbatch.
-func instrumentRecompute(t *testing.T, b *pipeline.Built) {
-	t.Helper()
-	for m := 0; m < b.TotalMicrobatches; m++ {
-		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
-		for _, id := range b.Acts[k] {
-			fl, ok := b.RecomputeFLOPs(id)
-			if !ok {
-				continue
-			}
-			b.Graph.InstrumentRecompute(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), fl)
+func TestInitiallySwappedPersistent(t *testing.T) {
+	b := buildTiny(t, pipeline.DAPPLE, 4)
+	// Start all stage-0 optimizer states on the host and never touch
+	// them (no optimizer use instrumentation here; we only check
+	// placement accounting).
+	swapped := map[tensor.ID]bool{}
+	var optBytes units.Bytes
+	for _, id := range b.Persistent[0] {
+		tn := b.Graph.Tensors.Get(id)
+		if tn.Class == tensor.OptimizerState {
+			swapped[id] = true
+			optBytes += tn.Size
 		}
 	}
-	if err := b.Graph.Validate(); err != nil {
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4), InitiallySwapped: swapped})
+	if err != nil {
 		t.Fatal(err)
 	}
+	plain, _ := exec.Run(exec.Options{Topo: hw.DGX1(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: exec.IdentityMapping(4)})
+	if got, want := plain.GPUs[0].Peak-r.GPUs[0].Peak, optBytes; got != want {
+		t.Errorf("initially-swapped saves %v on gpu0, want %v", got, want)
+	}
+	if r.Host.Peak < optBytes {
+		t.Errorf("host must hold the swapped state: %v < %v", r.Host.Peak, optBytes)
+	}
+}
+
+func TestNonIdentityMapping(t *testing.T) {
+	b := buildTiny(t, pipeline.DAPPLE, 4)
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: []hw.DeviceID{3, 2, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OOM != nil {
+		t.Fatal(r.OOM)
+	}
+	// Stage 0's memory pressure must follow the mapping to gpu3.
+	if r.GPUs[3].Peak <= r.GPUs[0].Peak {
+		t.Errorf("reversed mapping: gpu3 peak %v should exceed gpu0 %v", r.GPUs[3].Peak, r.GPUs[0].Peak)
+	}
+}
+
+func TestIdentityMappingHelper(t *testing.T) {
+	m := exec.IdentityMapping(3)
+	if len(m) != 3 || m[0] != 0 || m[2] != 2 {
+		t.Errorf("IdentityMapping = %v", m)
+	}
+}
+
+// TestD2DImportOOMLabel: a D2D stripe that does not fit its peer
+// reports the OOM against that peer, labelled "d2d import:" plus the
+// swapped tensor's name.
+func TestD2DImportOOMLabel(t *testing.T) {
+	b := buildTiny(t, pipeline.DAPPLE, 4)
+	o := planned(t, b, hw.DGX1(), plan.MechD2D)
+	first := firstSwapped(o)
+	if first < 0 {
+		t.Fatal("no swap-outs planned")
+	}
+	huge := []fabric.Part{{Peer: 3, Bytes: hw.DGX1().GPU.Memory}}
+	o.D2D[first] = huge
+	r, err := exec.Run(*o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "d2d import:" + b.Graph.Tensors.Get(first).Name
+	if r.OOM == nil || r.OOM.What != want || r.OOM.Requested != huge[0].Bytes {
+		t.Fatalf("OOM = %+v, want %q of %v", r.OOM, want, huge[0].Bytes)
+	}
+}
+
+// firstSwapped returns the tensor of o's first swap-out, or -1.
+func firstSwapped(o *exec.Options) tensor.ID {
+	for _, op := range o.Overlay.Ops {
+		if op.Kind == graph.SwapOut {
+			return op.Subject
+		}
+	}
+	return -1
+}
+
+// TestRunRejectsBadRoutes: Run validates Options.D2D up front and
+// returns an error, never panics, for each rule: keys are tensors of the
+// graph that do not start in host memory, peers are other GPUs of the
+// topology, and bytes are non-negative.
+func TestRunRejectsBadRoutes(t *testing.T) {
+	good := []fabric.Part{{Peer: 3, Bytes: 1 << 20}, {Peer: 2, Bytes: 1 << 20}}
+	cases := []struct {
+		name string
+		edit func(b *pipeline.Built, o *exec.Options, swapped tensor.ID)
+		want string
+	}{
+		{"key past the graph", func(b *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			o.D2D[tensor.ID(b.Graph.Tensors.Len())] = good
+		}, "-tensor graph"},
+		{"negative key", func(_ *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			o.D2D[-1] = good
+		}, "-tensor graph"},
+		{"peer is the host", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: hw.Host, Bytes: 1}}
+		}, "stripes to"},
+		{"peer past the topology", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: 8, Bytes: 1}}
+		}, "stripes to"},
+		{"peer is the tensor's own GPU", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: 0, Bytes: 1}}
+		}, "stripes to"},
+		{"negative bytes", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.D2D[id] = []fabric.Part{{Peer: 3, Bytes: -1}}
+		}, "stripes -1 bytes"},
+		{"tensor starts in host memory", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.InitiallySwapped = map[tensor.ID]bool{id: true}
+		}, "starts in host memory"},
+		{"valid routes", func(*pipeline.Built, *exec.Options, tensor.ID) {}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := buildTiny(t, pipeline.DAPPLE, 4)
+			o := planned(t, b, hw.DGX1(), plan.MechD2D)
+			swapped := firstSwapped(o)
+			if swapped < 0 {
+				t.Fatal("no routed swap pair")
+			}
+			tc.edit(b, o, swapped)
+			r, err := exec.Run(*o)
+			if tc.want == "" {
+				if err != nil || r.OOM != nil {
+					t.Fatalf("valid routes: err %v, OOM %v", err, r.OOM)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// planned lays over b a plan that puts every stage-0 block activation
+// of every microbatch under mech, D2D stripes going half to GPU 3 and
+// half to GPU 2, and returns plan.Apply's options for topo with the
+// identity mapping.
+func planned(t *testing.T, b *pipeline.Built, topo *hw.Topology, mech plan.Mechanism) *exec.Options {
+	t.Helper()
+	pl := &plan.Plan{
+		Mapping: exec.IdentityMapping(b.NumStages()),
+		Act:     map[tensor.ID]plan.Mechanism{},
+		Parts:   map[tensor.ID][]fabric.Part{},
+	}
+	for m := 0; m < b.TotalMicrobatches; m++ {
+		for _, id := range b.Acts[pipeline.SlotKey{Stage: 0, Microbatch: m}] {
+			if _, ok := b.RecomputeFLOPs(id); !ok {
+				continue
+			}
+			pl.Act[id] = mech
+			if mech == plan.MechD2D {
+				size := b.Graph.Tensors.Get(id).Size
+				pl.Parts[id] = []fabric.Part{{Peer: 3, Bytes: size / 2}, {Peer: 2, Bytes: size - size/2}}
+			}
+		}
+	}
+	o, err := plan.Apply(pl, b, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
 }
 
 func TestRecomputeSavesMemoryCostsTime(t *testing.T) {
 	plain := buildTiny(t, pipeline.DAPPLE, 4)
-	rp, err := Run(Options{Topo: hw.DGX1(), Built: plain, Mapping: IdentityMapping(4)})
+	rp, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: plain, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := buildTiny(t, pipeline.DAPPLE, 4)
-	instrumentRecompute(t, rec)
-	rr, err := Run(Options{Topo: hw.DGX1(), Built: rec, Mapping: IdentityMapping(4)})
+	rr, err := exec.Run(*planned(t, rec, hw.DGX1(), plan.MechRecompute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,42 +449,12 @@ func TestRecomputeSavesMemoryCostsTime(t *testing.T) {
 	}
 }
 
-// instrumentSwap routes every stage-0 block activation through a swap.
-func instrumentSwap(t *testing.T, b *pipeline.Built, routes map[tensor.ID][]fabric.Part, d2d bool) {
-	t.Helper()
-	for m := 0; m < b.TotalMicrobatches; m++ {
-		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
-		for _, id := range b.Acts[k] {
-			if _, ok := b.RecomputeFLOPs(id); !ok {
-				continue
-			}
-			route := "h2d"
-			if d2d {
-				route = "d2d"
-			}
-			b.Graph.InstrumentSwap(id, b.FwOp(k), b.BwOp(k), b.PrevOnStage(b.BwOp(k)), route)
-			if d2d {
-				size := b.Graph.Tensors.Get(id).Size
-				routes[id] = []fabric.Part{
-					{Peer: 3, Bytes: size / 2},
-					{Peer: 2, Bytes: size - size/2},
-				}
-			}
-		}
-	}
-	if err := b.Graph.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHostSwapSavesMemory(t *testing.T) {
 	plain := buildTiny(t, pipeline.DAPPLE, 4)
-	rp, _ := Run(Options{Topo: hw.DGX1(), Built: plain, Mapping: IdentityMapping(4)})
+	rp, _ := exec.Run(exec.Options{Topo: hw.DGX1(), Built: plain, Mapping: exec.IdentityMapping(4)})
 
 	sw := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, sw, routes, false)
-	rs, err := Run(Options{Topo: hw.DGX1(), Built: sw, Mapping: IdentityMapping(4)})
+	rs, err := exec.Run(*planned(t, sw, hw.DGX1(), plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,17 +479,13 @@ func TestHostSwapSavesMemory(t *testing.T) {
 
 func TestD2DSwapFasterThanHostSwap(t *testing.T) {
 	host := buildTiny(t, pipeline.DAPPLE, 4)
-	hostRoutes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, host, hostRoutes, false)
-	rh, err := Run(Options{Topo: hw.DGX1(), Built: host, Mapping: IdentityMapping(4)})
+	rh, err := exec.Run(*planned(t, host, hw.DGX1(), plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	d2d := buildTiny(t, pipeline.DAPPLE, 4)
-	d2dRoutes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, d2d, d2dRoutes, true)
-	rd, err := Run(Options{Topo: hw.DGX1(), Built: d2d, Mapping: IdentityMapping(4), D2D: d2dRoutes})
+	rd, err := exec.Run(*planned(t, d2d, hw.DGX1(), plan.MechD2D))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,145 +502,5 @@ func TestD2DSwapFasterThanHostSwap(t *testing.T) {
 	}
 	if rd.GPUs[3].Peak <= persistent3+pipeline.RuntimeReserve {
 		t.Error("peer gpu3 shows no imported stripes")
-	}
-}
-
-func TestInitiallySwappedPersistent(t *testing.T) {
-	b := buildTiny(t, pipeline.DAPPLE, 4)
-	// Start all stage-0 optimizer states on the host and never touch
-	// them (no optimizer use instrumentation here; we only check
-	// placement accounting).
-	swapped := map[tensor.ID]bool{}
-	var optBytes units.Bytes
-	for _, id := range b.Persistent[0] {
-		tn := b.Graph.Tensors.Get(id)
-		if tn.Class == tensor.OptimizerState {
-			swapped[id] = true
-			optBytes += tn.Size
-		}
-	}
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), InitiallySwapped: swapped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, _ := Run(Options{Topo: hw.DGX1(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: IdentityMapping(4)})
-	if got, want := plain.GPUs[0].Peak-r.GPUs[0].Peak, optBytes; got != want {
-		t.Errorf("initially-swapped saves %v on gpu0, want %v", got, want)
-	}
-	if r.Host.Peak < optBytes {
-		t.Errorf("host must hold the swapped state: %v < %v", r.Host.Peak, optBytes)
-	}
-}
-
-func TestNonIdentityMapping(t *testing.T) {
-	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: []hw.DeviceID{3, 2, 1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.OOM != nil {
-		t.Fatal(r.OOM)
-	}
-	// Stage 0's memory pressure must follow the mapping to gpu3.
-	if r.GPUs[3].Peak <= r.GPUs[0].Peak {
-		t.Errorf("reversed mapping: gpu3 peak %v should exceed gpu0 %v", r.GPUs[3].Peak, r.GPUs[0].Peak)
-	}
-}
-
-func TestIdentityMappingHelper(t *testing.T) {
-	m := IdentityMapping(3)
-	if len(m) != 3 || m[0] != 0 || m[2] != 2 {
-		t.Errorf("IdentityMapping = %v", m)
-	}
-}
-
-// TestD2DImportOOMLabel: a D2D stripe that does not fit its peer
-// reports the OOM against that peer, labelled "d2d import:" plus the
-// swapped tensor's name.
-func TestD2DImportOOMLabel(t *testing.T) {
-	b := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, b, routes, true)
-	first := firstSwapped(b)
-	if first < 0 {
-		t.Fatal("no swap-outs instrumented")
-	}
-	huge := []fabric.Part{{Peer: 3, Bytes: hw.DGX1().GPU.Memory}}
-	routes[first] = huge
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2D: routes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "d2d import:" + b.Graph.Tensors.Get(first).Name
-	if r.OOM == nil || r.OOM.What != want || r.OOM.Requested != huge[0].Bytes {
-		t.Fatalf("OOM = %+v, want %q of %v", r.OOM, want, huge[0].Bytes)
-	}
-}
-
-// firstSwapped returns the tensor of b's first swap-out, or -1.
-func firstSwapped(b *pipeline.Built) tensor.ID {
-	for _, op := range b.Graph.Ops() {
-		if op.Kind == graph.SwapOut {
-			return op.Subject
-		}
-	}
-	return -1
-}
-
-// TestRunRejectsBadRoutes: Run validates Options.D2D up front and
-// returns an error, never panics, for each rule: keys are tensors of the
-// graph that do not start in host memory, peers are other GPUs of the
-// topology, and bytes are non-negative.
-func TestRunRejectsBadRoutes(t *testing.T) {
-	good := []fabric.Part{{Peer: 3, Bytes: 1 << 20}, {Peer: 2, Bytes: 1 << 20}}
-	cases := []struct {
-		name string
-		edit func(b *pipeline.Built, o *Options, swapped tensor.ID)
-		want string
-	}{
-		{"key past the graph", func(b *pipeline.Built, o *Options, _ tensor.ID) {
-			o.D2D[tensor.ID(b.Graph.Tensors.Len())] = good
-		}, "-tensor graph"},
-		{"negative key", func(_ *pipeline.Built, o *Options, _ tensor.ID) {
-			o.D2D[-1] = good
-		}, "-tensor graph"},
-		{"peer is the host", func(_ *pipeline.Built, o *Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: hw.Host, Bytes: 1}}
-		}, "stripes to"},
-		{"peer past the topology", func(_ *pipeline.Built, o *Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: 8, Bytes: 1}}
-		}, "stripes to"},
-		{"peer is the tensor's own GPU", func(_ *pipeline.Built, o *Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: 0, Bytes: 1}}
-		}, "stripes to"},
-		{"negative bytes", func(_ *pipeline.Built, o *Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: 3, Bytes: -1}}
-		}, "stripes -1 bytes"},
-		{"tensor starts in host memory", func(_ *pipeline.Built, o *Options, id tensor.ID) {
-			o.InitiallySwapped = map[tensor.ID]bool{id: true}
-		}, "starts in host memory"},
-		{"valid routes", func(*pipeline.Built, *Options, tensor.ID) {}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := buildTiny(t, pipeline.DAPPLE, 4)
-			o := Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), D2D: map[tensor.ID][]fabric.Part{}}
-			instrumentSwap(t, b, o.D2D, true)
-			swapped := firstSwapped(b)
-			if swapped < 0 {
-				t.Fatal("no routed swap pair")
-			}
-			tc.edit(b, &o, swapped)
-			r, err := Run(o)
-			if tc.want == "" {
-				if err != nil || r.OOM != nil {
-					t.Fatalf("valid routes: err %v, OOM %v", err, r.OOM)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want one containing %q", err, tc.want)
-			}
-		})
 	}
 }

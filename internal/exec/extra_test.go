@@ -1,6 +1,7 @@
-package exec
+package exec_test
 
 import (
+	"mpress/internal/exec"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestOOMResidentsPopulated(t *testing.T) {
 	topo := hw.DGX1()
 	topo.GPU.Memory = pipeline.RuntimeReserve + 40*units.MiB
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestOOMResidentsPopulated(t *testing.T) {
 		t.Error("no residents recorded")
 	}
 	// A successful run must not carry the diagnostic.
-	ok, err := Run(Options{Topo: hw.DGX1(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: IdentityMapping(4)})
+	ok, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,13 @@ func TestOOMResidentsPopulated(t *testing.T) {
 // pressure that motivates the device-mapping search.
 func TestNonAdjacentMappingPaysPCIe(t *testing.T) {
 	b1 := buildTiny(t, pipeline.DAPPLE, 4)
-	good, err := Run(Options{Topo: hw.DGX1(), Built: b1, Mapping: []hw.DeviceID{0, 1, 2, 3}})
+	good, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b1, Mapping: []hw.DeviceID{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := buildTiny(t, pipeline.DAPPLE, 4)
 	// 0-5, 5-2, 2-7: all NVLink-unreachable hops on the DGX-1.
-	bad, err := Run(Options{Topo: hw.DGX1(), Built: b2, Mapping: []hw.DeviceID{0, 5, 2, 7}})
+	bad, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b2, Mapping: []hw.DeviceID{0, 5, 2, 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestNonAdjacentMappingPaysPCIe(t *testing.T) {
 func TestPipeDreamOverlapsMinibatches(t *testing.T) {
 	pd := buildTiny(t, pipeline.PipeDream, 4)
 	da := buildTiny(t, pipeline.DAPPLE, 4)
-	rp, err := Run(Options{Topo: hw.DGX1(), Built: pd, Mapping: IdentityMapping(4)})
+	rp, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: pd, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Run(Options{Topo: hw.DGX1(), Built: da, Mapping: IdentityMapping(4)})
+	rd, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: da, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestPipeDreamOverlapsMinibatches(t *testing.T) {
 // and the bottleneck stage must be meaningfully utilized.
 func TestComputeBusyBounded(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestComputeBusyBounded(t *testing.T) {
 // TestSamplesPerSecConsistent: samples/s × duration = samples.
 func TestSamplesPerSecConsistent(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +132,12 @@ func TestSamplesPerSecConsistent(t *testing.T) {
 // TestFasterGPUFasterRun: the same job on A100s must finish sooner.
 func TestFasterGPUFasterRun(t *testing.T) {
 	v := buildTiny(t, pipeline.DAPPLE, 4)
-	rv, err := Run(Options{Topo: hw.DGX1(), Built: v, Mapping: IdentityMapping(4)})
+	rv, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: v, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := buildTiny(t, pipeline.DAPPLE, 4)
-	ra, err := Run(Options{Topo: hw.DGX2(), Built: a, Mapping: IdentityMapping(4)})
+	ra, err := exec.Run(exec.Options{Topo: hw.DGX2(), Built: a, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestFasterGPUFasterRun(t *testing.T) {
 // memory never changes timing for an uninstrumented run).
 func TestCapacityMonotonicity(t *testing.T) {
 	base := buildTiny(t, pipeline.DAPPLE, 4)
-	ref, err := Run(Options{Topo: hw.DGX1(), Built: base, Mapping: IdentityMapping(4), Unbounded: true})
+	ref, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: base, Mapping: exec.IdentityMapping(4), Unbounded: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCapacityMonotonicity(t *testing.T) {
 		topo := hw.DGX1()
 		topo.GPU.Memory = capacity
 		b := buildTiny(t, pipeline.DAPPLE, 4)
-		r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+		r, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: exec.IdentityMapping(4)})
 		if err != nil {
 			t.Fatal(err)
 		}

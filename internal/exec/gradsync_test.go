@@ -1,6 +1,7 @@
-package exec
+package exec_test
 
 import (
+	"mpress/internal/exec"
 	"testing"
 
 	"mpress/internal/cluster"
@@ -18,13 +19,13 @@ import (
 func TestGradSyncImmediate(t *testing.T) {
 	for _, kind := range []pipeline.ScheduleKind{pipeline.PipeDream, pipeline.DAPPLE} {
 		b := buildTiny(t, kind, 4)
-		base, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+		base, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Run(Options{
-			Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4),
-			DataParallel: &DPSpec{Cluster: cluster.MustNew(1, hw.DGX1(), cluster.InfiniBand4x100()), Buckets: 4},
+		r, err := exec.Run(exec.Options{
+			Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4),
+			DataParallel: &exec.DPSpec{Cluster: cluster.MustNew(1, hw.DGX1(), cluster.InfiniBand4x100()), Buckets: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -49,15 +50,15 @@ func TestGradSyncImmediate(t *testing.T) {
 // plus the closed-form ring time, and the run gets longer.
 func TestGradSyncDelaysOptimizer(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	base, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+	base, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const buckets = 4
 	c := cluster.MustNew(2, hw.DGX1(), cluster.Ethernet10G())
-	r, err := Run(Options{
-		Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4),
-		DataParallel: &DPSpec{Cluster: c, Buckets: buckets},
+	r, err := exec.Run(exec.Options{
+		Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4),
+		DataParallel: &exec.DPSpec{Cluster: c, Buckets: buckets},
 	})
 	if err != nil {
 		t.Fatal(err)

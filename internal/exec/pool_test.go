@@ -1,15 +1,14 @@
-package exec
+package exec_test
 
 import (
+	"mpress/internal/exec"
 	"reflect"
-	"sync"
 	"testing"
 
 	"mpress/internal/cluster"
-	"mpress/internal/fabric"
 	"mpress/internal/hw"
 	"mpress/internal/pipeline"
-	"mpress/internal/tensor"
+	"mpress/internal/plan"
 )
 
 // TestScratchCarriesNothing: Run's pooled scratch carries nothing from
@@ -20,35 +19,33 @@ import (
 // equal the same job's first run, taken on an empty pool.
 func TestScratchCarriesNothing(t *testing.T) {
 	large := buildTinyM(t, pipeline.PipeDream, 4, 8)
-	routes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, large, routes, true)
 	small := buildTinyM(t, pipeline.DAPPLE, 2, 2)
 	if small.Graph.Len() >= large.Graph.Len() || small.Graph.Tensors.Len() >= large.Graph.Tensors.Len() {
 		t.Fatal("the small job is not smaller")
 	}
 	tiny := hw.DGX1()
 	tiny.GPU.Memory = pipeline.RuntimeReserve / 2
-	jobs := map[string]Options{
-		"large": {Topo: hw.DGX1(), Built: large, Mapping: IdentityMapping(4), D2D: routes},
-		"small": {Topo: hw.DGX1(), Built: small, Mapping: IdentityMapping(2)},
-		"data-parallel": {Topo: hw.DGX2(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: IdentityMapping(4),
-			DataParallel: &DPSpec{Cluster: cluster.MustNew(2, hw.DGX2(), cluster.InfiniBand4x100()), Buckets: 4}},
-		"below-reserve": {Topo: tiny, Built: small, Mapping: IdentityMapping(2)},
+	jobs := map[string]exec.Options{
+		"large": *planned(t, large, hw.DGX1(), plan.MechD2D),
+		"small": {Topo: hw.DGX1(), Built: small, Mapping: exec.IdentityMapping(2)},
+		"data-parallel": {Topo: hw.DGX2(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: exec.IdentityMapping(4),
+			DataParallel: &exec.DPSpec{Cluster: cluster.MustNew(2, hw.DGX2(), cluster.InfiniBand4x100()), Buckets: 4}},
+		"below-reserve": {Topo: tiny, Built: small, Mapping: exec.IdentityMapping(2)},
 	}
-	run := func(name string) *Result {
+	run := func(name string) *exec.Result {
 		t.Helper()
-		r, err := Run(jobs[name])
+		r, err := exec.Run(jobs[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return r
 	}
-	first := map[string]*Result{}
+	first := map[string]*exec.Result{}
 	for name := range jobs {
-		scratchPool = sync.Pool{New: scratchPool.New}
+		exec.ResetScratchPool()
 		first[name] = run(name)
 	}
-	scratchPool = sync.Pool{New: scratchPool.New}
+	exec.ResetScratchPool()
 	if r := first["below-reserve"]; r.OOM == nil || len(r.OOMResidents) != 1 {
 		t.Fatalf("below-reserve: OOM %v with residents %v, want an OOM naming only the reserve", r.OOM, r.OOMResidents)
 	}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package exec
+package exec_test
 
 const raceEnabled = false

@@ -1,6 +1,7 @@
-package exec
+package exec_test
 
 import (
+	"mpress/internal/exec"
 	"reflect"
 	"testing"
 
@@ -33,16 +34,16 @@ func TestCheckpointAtEveryBoundary(t *testing.T) {
 	const M = 6
 	b := buildMini(t, M)
 	topo := hw.DGX1()
-	base, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+	base, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// An interval shorter than any minibatch snapshots at every
 	// boundary: M-1 of them (the final state is never snapshotted).
-	r, err := Run(Options{
-		Topo: topo, Built: b, Mapping: IdentityMapping(4),
-		Checkpoint: &CheckpointSpec{Every: units.Microsecond},
+	r, err := exec.Run(exec.Options{
+		Topo: topo, Built: b, Mapping: exec.IdentityMapping(4),
+		Checkpoint: &exec.CheckpointSpec{Every: units.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +77,9 @@ func TestCheckpointAtEveryBoundary(t *testing.T) {
 	}
 
 	// A huge interval means the first boundary is always too early.
-	quiet, err := Run(Options{
-		Topo: topo, Built: b, Mapping: IdentityMapping(4),
-		Checkpoint: &CheckpointSpec{Every: 3600 * units.Second},
+	quiet, err := exec.Run(exec.Options{
+		Topo: topo, Built: b, Mapping: exec.IdentityMapping(4),
+		Checkpoint: &exec.CheckpointSpec{Every: 3600 * units.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +91,9 @@ func TestCheckpointAtEveryBoundary(t *testing.T) {
 		t.Errorf("idle checkpointing changed duration: %v vs %v", quiet.Duration, base.Duration)
 	}
 
-	if _, err := Run(Options{
-		Topo: topo, Built: b, Mapping: IdentityMapping(4),
-		Checkpoint: &CheckpointSpec{},
+	if _, err := exec.Run(exec.Options{
+		Topo: topo, Built: b, Mapping: exec.IdentityMapping(4),
+		Checkpoint: &exec.CheckpointSpec{},
 	}); err == nil {
 		t.Error("zero checkpoint interval must be rejected")
 	}
@@ -101,15 +102,15 @@ func TestCheckpointAtEveryBoundary(t *testing.T) {
 func TestFailureStopsRun(t *testing.T) {
 	b := buildMini(t, 4)
 	topo := hw.DGX1()
-	base, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+	base, err := exec.Run(exec.Options{Topo: topo, Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	failAt := base.Duration / 2
-	r, err := Run(Options{
-		Topo: topo, Built: b, Mapping: IdentityMapping(4),
-		Checkpoint: &CheckpointSpec{Every: units.Microsecond},
+	r, err := exec.Run(exec.Options{
+		Topo: topo, Built: b, Mapping: exec.IdentityMapping(4),
+		Checkpoint: &exec.CheckpointSpec{Every: units.Microsecond},
 		FailAt:     failAt,
 	})
 	if err != nil {
@@ -132,8 +133,8 @@ func TestFailureStopsRun(t *testing.T) {
 
 	// A fault scheduled after the run drains must not fire — or
 	// stretch the reported duration.
-	late, err := Run(Options{
-		Topo: topo, Built: b, Mapping: IdentityMapping(4),
+	late, err := exec.Run(exec.Options{
+		Topo: topo, Built: b, Mapping: exec.IdentityMapping(4),
 		FailAt: base.Duration * 10,
 	})
 	if err != nil {
@@ -149,16 +150,16 @@ func TestFailureStopsRun(t *testing.T) {
 
 func TestResilienceDeterministic(t *testing.T) {
 	b := buildMini(t, 4)
-	opts := Options{
-		Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4),
-		Checkpoint: &CheckpointSpec{Every: units.Millisecond},
+	opts := exec.Options{
+		Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4),
+		Checkpoint: &exec.CheckpointSpec{Every: units.Millisecond},
 		FailAt:     200 * units.Millisecond,
 	}
-	a, err := Run(opts)
+	a, err := exec.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Run(opts)
+	c, err := exec.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
-package exec
+package exec_test
 
 import (
+	"mpress/internal/exec"
 	"testing"
 
-	"mpress/internal/fabric"
 	"mpress/internal/hw"
 	"mpress/internal/pipeline"
-	"mpress/internal/tensor"
+	"mpress/internal/plan"
 	"mpress/internal/units"
 )
 
@@ -16,9 +16,7 @@ func TestHostSwapSpillsToNVMe(t *testing.T) {
 	topo := hw.DGX1WithNVMe()
 	topo.HostMemory = 4 * units.MiB // far below the swapped activations
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, b, routes, false)
-	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(*planned(t, b, topo, plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +41,7 @@ func TestHostSwapWithoutNVMeFails(t *testing.T) {
 	topo := hw.DGX1()
 	topo.HostMemory = 4 * units.MiB
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, b, routes, false)
-	r, err := Run(Options{Topo: topo, Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(*planned(t, b, topo, plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,20 +57,16 @@ func TestHostSwapWithoutNVMeFails(t *testing.T) {
 // plain host swapping.
 func TestNVMeSpillSlowerThanHost(t *testing.T) {
 	host := buildTiny(t, pipeline.DAPPLE, 4)
-	routes := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, host, routes, false)
-	rh, err := Run(Options{Topo: hw.DGX1WithNVMe(), Built: host, Mapping: IdentityMapping(4)})
+	rh, err := exec.Run(*planned(t, host, hw.DGX1WithNVMe(), plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spill := buildTiny(t, pipeline.DAPPLE, 4)
-	routes2 := map[tensor.ID][]fabric.Part{}
-	instrumentSwap(t, spill, routes2, false)
 	topo := hw.DGX1WithNVMe()
 	topo.HostMemory = 4 * units.MiB
 	topo.NVMeBW = units.GBps(2) // slow SSDs make the difference visible
-	rs, err := Run(Options{Topo: topo, Built: spill, Mapping: IdentityMapping(4)})
+	rs, err := exec.Run(*planned(t, spill, topo, plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +82,7 @@ func TestNVMeSpillSlowerThanHost(t *testing.T) {
 // cover every GPU, and their maxima match the device peaks.
 func TestMemorySampling(t *testing.T) {
 	b := buildTiny(t, pipeline.PipeDream, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4), SampleMemory: true})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4), SampleMemory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +116,7 @@ func TestMemorySampling(t *testing.T) {
 	}
 	// Sampling off => no samples.
 	b2 := buildTiny(t, pipeline.PipeDream, 4)
-	r2, _ := Run(Options{Topo: hw.DGX1(), Built: b2, Mapping: IdentityMapping(4)})
+	r2, _ := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b2, Mapping: exec.IdentityMapping(4)})
 	if r2.MemorySamples != nil {
 		t.Error("samples recorded without SampleMemory")
 	}
@@ -134,7 +126,7 @@ func TestMemorySampling(t *testing.T) {
 // traffic and (with host swaps) PCIe traffic.
 func TestFabricStatsInResult(t *testing.T) {
 	b := buildTiny(t, pipeline.DAPPLE, 4)
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: IdentityMapping(4)})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +137,7 @@ func TestFabricStatsInResult(t *testing.T) {
 		t.Errorf("plain run reports PCIe traffic: %v", r.Fabric.PCIeBytes)
 	}
 	sw := buildTiny(t, pipeline.DAPPLE, 4)
-	instrumentSwap(t, sw, map[tensor.ID][]fabric.Part{}, false)
-	rs, err := Run(Options{Topo: hw.DGX1(), Built: sw, Mapping: IdentityMapping(4)})
+	rs, err := exec.Run(*planned(t, sw, hw.DGX1(), plan.MechHostSwap))
 	if err != nil {
 		t.Fatal(err)
 	}

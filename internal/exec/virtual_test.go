@@ -1,6 +1,7 @@
-package exec
+package exec_test
 
 import (
+	"mpress/internal/exec"
 	"testing"
 
 	"mpress/internal/hw"
@@ -45,7 +46,7 @@ func wraparound(stages, gpus int) []hw.DeviceID {
 func TestVirtualStagesRun(t *testing.T) {
 	b := buildVirtual(t, 8) // 8 stages on 4 GPUs
 	topo := hw.DGX1()
-	r, err := Run(Options{
+	r, err := exec.Run(exec.Options{
 		Topo: topo, Built: b,
 		Mapping:            wraparound(8, 4),
 		AllowSharedDevices: true,
@@ -82,7 +83,7 @@ func TestVirtualStagesRun(t *testing.T) {
 
 func TestSharedDevicesRejectedByDefault(t *testing.T) {
 	b := buildVirtual(t, 8)
-	if _, err := Run(Options{
+	if _, err := exec.Run(exec.Options{
 		Topo: hw.DGX1(), Built: b, Mapping: wraparound(8, 4),
 	}); err == nil {
 		t.Error("duplicate mapping accepted without AllowSharedDevices")
@@ -90,9 +91,9 @@ func TestSharedDevicesRejectedByDefault(t *testing.T) {
 }
 
 func TestVirtualStagesDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func() *exec.Result {
 		b := buildVirtual(t, 8)
-		r, err := Run(Options{
+		r, err := exec.Run(exec.Options{
 			Topo: hw.DGX1(), Built: b,
 			Mapping:            wraparound(8, 4),
 			AllowSharedDevices: true,
@@ -115,7 +116,7 @@ func TestVirtualStagesLocalHandoff(t *testing.T) {
 	// boundary is local.
 	b := buildVirtual(t, 8)
 	m := []hw.DeviceID{0, 0, 1, 1, 2, 2, 3, 3}
-	r, err := Run(Options{Topo: hw.DGX1(), Built: b, Mapping: m, AllowSharedDevices: true})
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: m, AllowSharedDevices: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestVirtualStagesLocalHandoff(t *testing.T) {
 		t.Fatal(r.OOM)
 	}
 	spread := buildVirtual(t, 8)
-	rs, err := Run(Options{Topo: hw.DGX1(), Built: spread, Mapping: IdentityMapping(8)})
+	rs, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: spread, Mapping: exec.IdentityMapping(8)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,9 @@ func TestFigure7Content(t *testing.T) {
 //     size both figures train. ZeRO-Infinity reaches only 1.66×, which
 //     EXPERIMENTS.md records as a gap (the slow SSDs), not asserted;
 //   - "the rented server's slow SSDs invert ZeRO-Infinity below
-//     ZeRO-Offload": at 20.4B, Infinity < Offload < MPress.
+//     ZeRO-Offload": at 20.4B, Infinity < Offload < MPress;
+//   - "Recompute reaches 15.4B thanks to the 40 GB cards": DAPPLE+Recomp
+//     trains 5.3B–15.4B and is OOM at 20.4B and 25.5B, exactly.
 func TestFigure8bContent(t *testing.T) {
 	dgx1, dgx2 := capture(t, "fig8a"), capture(t, "fig8b")
 	for _, size := range []string{"5.3B", "10.3B", "15.4B", "20.4B"} {
@@ -135,6 +137,14 @@ func TestFigure8bContent(t *testing.T) {
 			if x, y := number(t, a[i]), number(t, b[i]); y <= 2*x {
 				t.Errorf("%s %s: DGX-2 %.1f is not more than 2x DGX-1 %.1f", size, names[i], y, x)
 			}
+		}
+	}
+
+	// "Recompute reaches 15.4B": +Recomp trains every size up to 15.4B
+	// and none past it, exactly.
+	for i, size := range []string{"5.3B", "10.3B", "15.4B", "20.4B", "25.5B"} {
+		if oom := cells(t, dgx2, size, 5)[1] == "OOM"; oom != (i > 2) {
+			t.Errorf("%s: DGX-2 +Recomp OOM %v, want it to train exactly up to 15.4B", size, oom)
 		}
 	}
 
@@ -169,7 +179,8 @@ func TestFigure8bContent(t *testing.T) {
 //     row, by any margin (measured 2.5–2.9%; the paper's 21–24% is a
 //     documented gap);
 //   - "MPress … beats ZeRO-Infinity by 23–38%": MPress beats ZeRO-Infinity
-//     in every row by at least 15%.
+//     in every row by at least 15%;
+//   - "ZeRO sustains all sizes": neither ZeRO cell is OOM in any row.
 func TestFigure8aContent(t *testing.T) {
 	out := capture(t, "fig8a")
 	sizes := []string{"5.3B", "10.3B", "15.4B", "20.4B"}
@@ -180,6 +191,10 @@ func TestFigure8aContent(t *testing.T) {
 		}
 		if size == "10.3B" && c[1] == "OOM" {
 			t.Errorf("10.3B: DAPPLE+Recomp is OOM, want it to train")
+		}
+		if c[2] == "OOM" || c[3] == "OOM" {
+			t.Errorf("%s: ZeRO-Offload %s, ZeRO-Infinity %s; want both to train", size, c[2], c[3])
+			continue
 		}
 		off, inf, mp := number(t, c[2]), number(t, c[3]), number(t, c[4])
 		if inf <= off {
@@ -216,6 +231,76 @@ func TestFigure9Content(t *testing.T) {
 		if c := cells(t, out, prefix, 2)[0]; c != "1.000" {
 			t.Errorf("%s: normalized TFLOPS %s, want 1.000", prefix, c)
 		}
+	}
+}
+
+// TestFigure2Content holds the ✓ claims of EXPERIMENTS.md's Figure 2
+// section (GiB per GPU, g0–g7, then max/min):
+//   - "monotonically decreasing": in both rows each GPU's demand is no
+//     more than the one before, exactly;
+//   - "up to 7.9× between the most and least used GPU": PipeDream's
+//     g0/g7 is at least 5× (measured 7.4×), and the printed max/min
+//     agrees with the cells to within its one decimal.
+func TestFigure2Content(t *testing.T) {
+	out := capture(t, "fig2")
+	for _, prefix := range []string{"PipeDream bs=2", "DAPPLE bs=12"} {
+		c := cells(t, out, prefix, 9)
+		gib := make([]float64, 8)
+		for i := range gib {
+			gib[i] = number(t, c[i])
+			if i > 0 && gib[i] > gib[i-1] {
+				t.Errorf("%s: g%d %.1f GiB exceeds g%d %.1f GiB", prefix, i, gib[i], i-1, gib[i-1])
+			}
+		}
+		ratio := number(t, strings.TrimSuffix(c[8], "x"))
+		if r := gib[0] / gib[7]; r < ratio-0.1 || r > ratio+0.1 {
+			t.Errorf("%s: max/min prints %.1fx, the cells give %.2fx", prefix, ratio, r)
+		}
+		if prefix == "PipeDream bs=2" && ratio < 5 {
+			t.Errorf("%s: max/min %.1fx, want at least 5x", prefix, ratio)
+		}
+	}
+}
+
+// TestTableIContent holds the ✓ claim of EXPERIMENTS.md's Table I
+// section (shares of activations, optimizer states, params+grads):
+//   - "parameters+gradients are the smallest class": in the GPT-5.3B
+//     row, params+grads is below both other shares, by any margin. The
+//     Bert-0.64B row is a documented gap (fp32 Adam puts optimizer
+//     states below params+grads there) and is not asserted.
+func TestTableIContent(t *testing.T) {
+	c := cells(t, capture(t, "table1"), "GPT-5.3B", 3)
+	share := make([]float64, 3)
+	for i := range share {
+		share[i] = number(t, strings.TrimSuffix(c[i], "%"))
+	}
+	if act, opt, pg := share[0], share[1], share[2]; pg >= act || pg >= opt {
+		t.Errorf("GPT-5.3B: params+grads %v%% is not below activations %v%% and optimizer states %v%%", pg, act, opt)
+	}
+}
+
+// TestGraceContent holds the ✓ claims of EXPERIMENTS.md's Sec. V
+// Grace-Hopper section:
+//   - "plain pipeline OOMs ✓ (8.1×)": the plain pipeline is OOM with a
+//     demand at least 8× the module's HBM;
+//   - "3.5× the 64 GB/s NVLink-C2C ✓": the bandwidth that hides the swap
+//     is at least 3× C2C's, printed and recomputed from the cells to
+//     within 0.1×;
+//   - "recompute-only wastes 25% of compute ✓ (exact)": 25%, exactly.
+func TestGraceContent(t *testing.T) {
+	out := capture(t, "grace")
+	m := regexp.MustCompile(`OOM \(demand ([0-9.]+)x of HBM\)`).FindStringSubmatch(row(t, out, "plain pipeline"))
+	if m == nil || number(t, m[1]) < 8 {
+		t.Errorf("plain pipeline: %q, want OOM at 8x HBM or more", row(t, out, "plain pipeline"))
+	}
+	shortfall := number(t, strings.TrimSuffix(cells(t, out, "C2C shortfall", 1)[0], "x"))
+	need := number(t, strings.TrimSuffix(strings.Fields(row(t, out, "bandwidth to fully hide swap"))[5], "GB/s"))
+	c2c := number(t, strings.TrimSuffix(cells(t, out, "C2C bandwidth", 1)[0], "GB/s"))
+	if r := need / c2c; shortfall < 3 || r < shortfall-0.1 || r > shortfall+0.1 {
+		t.Errorf("C2C shortfall prints %.1fx, the cells give %.2fx; want at least 3x", shortfall, r)
+	}
+	if c := strings.Fields(row(t, out, "recompute-only wasted compute"))[3]; c != "25%" {
+		t.Errorf("recompute-only wastes %s of compute, want 25%%", c)
 	}
 }
 

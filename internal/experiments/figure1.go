@@ -46,10 +46,11 @@ func Figure1(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := exec.Run(exec.Options{
+		opts := exec.Options{
 			Topo: hw.DGX1(), Built: b,
 			Mapping: exec.IdentityMapping(3), SampleMemory: true,
-		})
+		}
+		res, err := exec.Run(opts)
 		if err != nil {
 			return err
 		}
@@ -58,7 +59,7 @@ func Figure1(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "--- %v (async=%v), 3 workers, 2 minibatches x 6 microbatches ---\n",
 			kind, kind.Async())
-		trace.Collect(b, res).WriteGantt(w)
+		trace.Collect(&opts, res).WriteGantt(w)
 		fmt.Fprintln(w, "\nper-device memory over time (above the runtime reserve):")
 		writeMemoryCurves(w, res, 3)
 		fmt.Fprintln(w)

@@ -210,11 +210,12 @@ func Figure9(w io.Writer) error {
 		if jr.Report.Failed() {
 			return outcome{}, nil
 		}
-		b, res := jr.State.Built, jr.State.Exec
+		ops, res := jr.State.ExecOpts.Ops(), jr.State.Exec
 		var total units.Duration
 		var n int
-		for i, op := range b.Graph.Ops() {
-			if op.Kind == graph.SwapIn && strings.HasPrefix(op.Name, "d2d") {
+		for i := range ops.Len() {
+			id := graph.OpID(i)
+			if ops.Op(id).Kind == graph.SwapIn && strings.HasPrefix(ops.Name(id), "d2d") {
 				sp := res.Spans[i]
 				total += units.Duration(sp.End - sp.Start)
 				n++

@@ -9,13 +9,11 @@ import (
 	"testing"
 
 	"mpress/internal/tensor"
-	"mpress/internal/units"
 )
 
 // The reference implementations below are the original map-based
 // adjacency and sorted-frontier Kahn sort. The CSR adjacency, the heap
-// sort, fork row reuse and the counting-pass liveness must reproduce
-// them exactly.
+// sort and the counting-pass liveness must reproduce them exactly.
 
 // refEdges builds every op's predecessor list with one map per op.
 func refEdges(ops []Op, numTensors int) [][]OpID {
@@ -189,25 +187,8 @@ func randomDAG(src *byteSource) *Graph {
 	return g
 }
 
-// overlay instruments a fork g of a frozen graph the way plan.Apply
-// does, recomputing only tensors the base consumes, plus arbitrary
-// extra deps (which may close a cycle).
-func overlay(g *Graph, src *byteSource) {
-	n := OpID(g.Len())
-	for k := src.intn(4); k > 0; k-- {
-		t := tensor.ID(src.intn(g.Tensors.Len()))
-		after, before := OpID(src.intn(int(n))), OpID(src.intn(int(n)))
-		gate := OpID(src.intn(int(n)+1)) - 1
-		switch mech := src.intn(3); {
-		case mech == 0 && len(g.base.live.Uses[t]) > 0:
-			g.InstrumentRecompute(t, after, before, gate, units.FLOPs(1))
-		case mech <= 1:
-			g.InstrumentSwap(t, after, before, gate, "h2d")
-		default:
-			g.InstrumentSwapIn(t, before, gate, "h2d")
-			g.InstrumentSwapOut(t, after, "h2d")
-		}
-	}
+// addDeps adds arbitrary extra deps to g (which may close a cycle).
+func addDeps(g *Graph, src *byteSource) {
 	for k := src.intn(3); k > 0; k-- {
 		a, b := OpID(src.intn(g.Len())), OpID(src.intn(g.Len()))
 		if a != b {
@@ -267,73 +248,22 @@ func assertMatchesReference(t *testing.T, g *Graph, what string) {
 	}
 }
 
-// checkEquivalence builds a random base from data, checks it, freezes
-// it, then checks two forks with different overlays, one fork recycled
-// through three more, and that the base still matches its snapshot.
+// checkEquivalence builds a random graph from data and checks it, then
+// again after extra deps re-derive its cached views, and once frozen.
 func checkEquivalence(t *testing.T, data []byte) {
 	src := &byteSource{data: data}
-	base := randomDAG(src)
-	assertMatchesReference(t, base, "base")
-	if err := base.Freeze(); err != nil {
+	g := randomDAG(src)
+	assertMatchesReference(t, g, "graph")
+	addDeps(g, src)
+	assertMatchesReference(t, g, "graph with extra deps")
+	if err := g.Freeze(); err != nil {
 		var cyc *CycleError
 		if !errors.As(err, &cyc) {
-			t.Fatalf("random base is invalid: %v", err)
+			t.Fatalf("random graph is invalid: %v", err)
 		}
 		return // the reference check above covered the cycle
 	}
-	snapshot := cloneOps(base.Ops())
-	for i := 0; i < 2; i++ {
-		f := base.Fork()
-		assertMatchesReference(t, f, "unmutated fork")
-		overlay(f, src)
-		assertMatchesReference(t, f, "fork")
-		// A second round of mutation exercises re-deriving a fork's
-		// adjacency after it was already rebuilt once.
-		overlay(f, src)
-		assertMatchesReference(t, f, "fork, second overlay")
-	}
-	// A recycled fork, reforked for each of three overlays of varying
-	// size, must match a fresh fork given the same overlay: the same
-	// ops and Deps, adjacency and order, and the same touched flags.
-	var r *Graph
-	for i := 0; i < 3; i++ {
-		r = base.Refork(r)
-		f := base.Fork()
-		twin := *src
-		overlay(f, &twin)
-		overlay(r, src)
-		assertMatchesReference(t, r, "recycled fork")
-		if !reflect.DeepEqual(cloneOps(r.Ops()), cloneOps(f.Ops())) {
-			t.Fatal("a recycled fork's ops differ from a fresh fork's")
-		}
-		if got, want := touchedOps(r), touchedOps(f); !slices.Equal(got, want) {
-			t.Fatalf("recycled fork marks base ops %v touched, a fresh fork %v", got, want)
-		}
-	}
-	if !reflect.DeepEqual(cloneOps(base.Ops()), snapshot) {
-		t.Fatal("forking changed the base graph")
-	}
-	assertMatchesReference(t, base, "base after forks")
-}
-
-// touchedOps lists the base ops g marks as having gained a dep.
-func touchedOps(g *Graph) []OpID {
-	var ids []OpID
-	for i, ok := range g.buf.touched {
-		if ok {
-			ids = append(ids, OpID(i))
-		}
-	}
-	return ids
-}
-
-func cloneOps(ops []Op) []Op {
-	out := make([]Op, len(ops))
-	for i, op := range ops {
-		op.Deps = append([]OpID(nil), op.Deps...)
-		out[i] = op
-	}
-	return out
+	assertMatchesReference(t, g, "frozen graph")
 }
 
 // TestGraphEquivalence runs the reference comparison over many random
@@ -347,8 +277,9 @@ func TestGraphEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzGraphOrder: for any byte-described graph and fork overlay, the
-// CSR adjacency, heap order and liveness equal the reference ones.
+// FuzzGraphOrder: for any byte-described graph, with extra deps and
+// frozen, the CSR adjacency, heap order and liveness equal the
+// reference ones.
 func FuzzGraphOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 9, 3, 1, 0, 2, 7, 7, 1, 4, 2, 2, 0, 1, 3, 3, 3})

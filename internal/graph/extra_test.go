@@ -1,66 +1,24 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"mpress/internal/tensor"
-	"mpress/internal/units"
 )
 
 // TestValidateAllowsRecomputeReproduction: a Recompute op legitimately
 // re-produces a tensor its forward already produced.
 func TestValidateAllowsRecomputeReproduction(t *testing.T) {
 	g, ops, ts := buildChain(t)
-	g.InstrumentRecompute(ts[0], ops[0], ops[2], -1, units.FLOPs(1))
+	drop := g.AddOp(Op{Kind: Drop, Subject: ts[0], Deps: []OpID{ops[0]}})
+	rec := g.AddOp(Op{Kind: Recompute, Subject: ts[0], Outputs: []tensor.ID{ts[0]}, Deps: []OpID{drop}})
+	g.AddDep(ops[2], rec)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("recompute reproduction rejected: %v", err)
 	}
-}
-
-// TestInstrumentSwapGateOrdering: with a gate, the swap-in cannot
-// precede the gate in any topological order.
-func TestInstrumentSwapGateOrdering(t *testing.T) {
-	g, ops, ts := buildChain(t)
-	gate := ops[1]
-	pair := g.InstrumentSwap(ts[0], ops[0], ops[2], gate, "h2d")
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[OpID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	if pos[pair.In] < pos[gate] {
-		t.Error("gated swap-in sorted before its gate")
-	}
-}
-
-// TestInstrumentSwapInOutStandalone: the standalone primitives wire
-// the expected dependencies.
-func TestInstrumentSwapInOutStandalone(t *testing.T) {
-	g := New(nil)
-	tt := g.Tensors.Add(tensor.Tensor{Name: "opt", Class: tensor.OptimizerState, Size: 64, Stage: 1})
-	a := g.AddOp(Op{Name: "a", Stage: 1})
-	b := g.AddOp(Op{Name: "b", Stage: 1, Deps: []OpID{a}})
-	in := g.InstrumentSwapIn(tt, b, a, "h2d")
-	out := g.InstrumentSwapOut(tt, b, "h2d")
-	if g.Op(in).Kind != SwapIn || g.Op(out).Kind != SwapOut {
-		t.Fatal("wrong kinds")
-	}
-	if g.Op(in).Subject != tt || g.Op(out).Subject != tt {
-		t.Fatal("subjects not set")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	order, _ := g.TopoOrder()
-	pos := map[OpID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	if !(pos[a] < pos[in] && pos[in] < pos[b] && pos[b] < pos[out]) {
-		t.Errorf("standalone swap ordering wrong: %v", order)
+	if !slices.Contains(g.Preds(ops[1]), rec) {
+		t.Errorf("t0's consumer waits on %v, not the recompute %d that re-produced it", g.Preds(ops[1]), rec)
 	}
 }
 
@@ -84,15 +42,5 @@ func TestTopoOrderCachesAndInvalidates(t *testing.T) {
 	}
 	if len(o3) != 2 || o3[1] != b {
 		t.Errorf("stale order after mutation: %v", o3)
-	}
-}
-
-// TestOpMoveBytesFlow: rewriter primitives carry the tensor's size as
-// MoveBytes for the executor's transfer timing.
-func TestOpMoveBytesFlow(t *testing.T) {
-	g, ops, ts := buildChain(t)
-	pair := g.InstrumentSwap(ts[1], ops[1], ops[2], -1, "d2d")
-	if g.Op(pair.Out).MoveBytes != 200 || g.Op(pair.In).MoveBytes != 200 {
-		t.Error("MoveBytes must match the tensor size")
 	}
 }

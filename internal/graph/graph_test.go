@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mpress/internal/tensor"
-	"mpress/internal/units"
 )
 
 // buildChain makes a linear fw graph a->b->c via tensors t0,t1.
@@ -171,68 +170,6 @@ func TestAnalyzeUnusedTensor(t *testing.T) {
 	}
 }
 
-func TestInstrumentSwap(t *testing.T) {
-	g, ops, ts := buildChain(t)
-	pair := g.InstrumentSwap(ts[0], ops[0], ops[2], -1, "d2d")
-	if err := g.Validate(); err != nil {
-		t.Fatalf("instrumented graph invalid: %v", err)
-	}
-	out, in := g.Op(pair.Out), g.Op(pair.In)
-	if out.Kind != SwapOut || in.Kind != SwapIn {
-		t.Fatalf("kinds = %v, %v", out.Kind, in.Kind)
-	}
-	if out.MoveBytes != 100 || in.MoveBytes != 100 {
-		t.Errorf("MoveBytes = %d, %d; want 100", out.MoveBytes, in.MoveBytes)
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[OpID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	if !(pos[ops[0]] < pos[pair.Out] && pos[pair.Out] < pos[pair.In] && pos[pair.In] < pos[ops[2]]) {
-		t.Errorf("swap ordering violated: %v", order)
-	}
-}
-
-func TestInstrumentRecompute(t *testing.T) {
-	g, ops, ts := buildChain(t)
-	pair := g.InstrumentRecompute(ts[0], ops[0], ops[2], -1, units.FLOPs(1e9))
-	if err := g.Validate(); err != nil {
-		t.Fatalf("instrumented graph invalid: %v", err)
-	}
-	rec := g.Op(pair.Recompute)
-	if rec.Kind != Recompute || rec.FLOPs != units.FLOPs(1e9) {
-		t.Errorf("recompute op wrong: %+v", rec)
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[OpID]int{}
-	for i, id := range order {
-		pos[id] = i
-	}
-	if !(pos[pair.Drop] < pos[pair.Recompute] && pos[pair.Recompute] < pos[ops[2]]) {
-		t.Errorf("recompute ordering violated: %v", order)
-	}
-}
-
-func TestInstrumentRecomputeRejectsNonActivation(t *testing.T) {
-	g := New(nil)
-	p := g.Tensors.Add(tensor.Tensor{Name: "w", Class: tensor.Parameter, Size: 10})
-	a := g.AddOp(Op{Name: "a", Outputs: []tensor.ID{p}})
-	b := g.AddOp(Op{Name: "b", Inputs: []tensor.ID{p}})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-activation recompute")
-		}
-	}()
-	g.InstrumentRecompute(p, a, b, -1, 0)
-}
-
 // TestTopoOrderRandomDAGProperty: random DAGs (edges only from lower to
 // higher IDs) must always sort, and every edge must be respected.
 func TestTopoOrderRandomDAGProperty(t *testing.T) {
@@ -269,10 +206,11 @@ func TestTopoOrderRandomDAGProperty(t *testing.T) {
 }
 
 // TestFreezeFrozenIsNoop: re-freezing a frozen graph returns nil and
-// writes nothing, so goroutines sharing one frozen graph may freeze,
-// fork and read it at once (run under -race).
+// writes nothing, so goroutines sharing one frozen graph may freeze and
+// read it at once (run under -race). AddOp and AddDep on a frozen
+// graph panic and leave its ops and cached order as they were.
 func TestFreezeFrozenIsNoop(t *testing.T) {
-	g, _, _ := buildChain(t)
+	g, ids, _ := buildChain(t)
 	if err := g.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +223,10 @@ func TestFreezeFrozenIsNoop(t *testing.T) {
 			if err := g.Freeze(); err != nil {
 				t.Error(err)
 			}
-			f := g.Fork()
-			f.AddDep(2, 0)
-			if _, err := f.TopoOrder(); err != nil {
+			if _, err := g.TopoOrder(); err != nil {
 				t.Error(err)
 			}
-			_ = g.Preds(2)
+			_, _ = g.Preds(2), g.Succs(0)
 		}()
 	}
 	for i := 0; i < 4; i++ {
@@ -301,5 +237,24 @@ func TestFreezeFrozenIsNoop(t *testing.T) {
 	}
 	if l, _ := g.Liveness(); l != live {
 		t.Error("re-freezing rebuilt the cached liveness")
+	}
+	for name, mutate := range map[string]func(){
+		"AddOp":  func() { g.AddOp(Op{Name: "d", Kind: Forward}) },
+		"AddDep": func() { g.AddDep(ids[2], ids[0]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen graph did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+		if g.Len() != len(ids) || len(g.Op(ids[2]).Deps) != 0 {
+			t.Errorf("%s changed a frozen graph's ops", name)
+		}
+		if o, _ := g.TopoOrder(); &o[0] != &order[0] {
+			t.Errorf("%s dropped the frozen graph's cached order", name)
+		}
 	}
 }

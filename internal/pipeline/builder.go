@@ -109,10 +109,9 @@ type Built struct {
 	// TFLOPS metric.
 	UsefulFLOPs units.FLOPs
 
-	// frees is the free rows Freeze derived for the graph freesOf, which
-	// that graph's forks share (see Frees); nil until Freeze.
-	frees   *FreeRows
-	freesOf *graph.Graph
+	// frees is the free rows Freeze derived (see Frees); nil until
+	// Freeze.
+	frees *FreeRows
 	// memo holds what callers derive from the frozen lowering once (see
 	// Memo); Freeze makes it with the free rows.
 	memo *memo
@@ -126,7 +125,7 @@ type FreeRows struct {
 }
 
 // Row returns op id's tensors. Ops past the rows free nothing: they are
-// a fork's overlay, which consumes no tensor.
+// a plan's overlay (exec.Overlay), which consumes no tensor.
 func (r *FreeRows) Row(id graph.OpID) []tensor.ID {
 	if int(id)+1 >= len(r.off) {
 		return nil
@@ -134,8 +133,8 @@ func (r *FreeRows) Row(id graph.OpID) []tensor.ID {
 	return r.ids[r.off[id]:r.off[id+1]]
 }
 
-// DeriveFreeRows returns the free rows of g (b's graph, or a copy of
-// it), read off g's order and liveness: a tensor frees after its last
+// DeriveFreeRows returns the free rows of g (b's graph, or a graph with
+// b's tensors), read off g's order and liveness: a tensor frees after its last
 // consumer, or after its producer if nothing consumes it. Persistent
 // tensors never free, nor do tensors nothing defines or uses.
 func (b *Built) DeriveFreeRows(g *graph.Graph) (*FreeRows, error) {
@@ -178,13 +177,11 @@ func (b *Built) DeriveFreeRows(g *graph.Graph) (*FreeRows, error) {
 }
 
 // Freeze freezes b's graph (graph.Graph.Freeze), derives its free rows
-// once, so no run of b or of a fork of it derives them again, and gives
-// b an empty Memo. It
-// is a no-op on a Built whose graph it froze already, which writes
-// nothing; freeze a Built before sharing it. A fork of a frozen Built
-// gets its own graph frozen and its own rows.
+// once, so no run of b derives them again, and gives b an empty Memo.
+// It is a no-op on a frozen Built, which writes nothing; freeze a Built
+// before sharing it.
 func (b *Built) Freeze() error {
-	if b.freesOf == b.Graph {
+	if b.frees != nil {
 		return nil
 	}
 	if err := b.Graph.Freeze(); err != nil {
@@ -194,7 +191,7 @@ func (b *Built) Freeze() error {
 	if err != nil {
 		return err
 	}
-	b.frees, b.freesOf, b.memo = r, b.Graph, &memo{entries: make(map[any]*memoEntry)}
+	b.frees, b.memo = r, &memo{entries: make(map[any]*memoEntry)}
 	return nil
 }
 
@@ -216,13 +213,13 @@ type memoEntry struct {
 // concurrent callers of one key wait for the first caller's fill, and
 // every caller gets its value or error. Values are shared, so callers
 // must treat them as read-only. Only a Built frozen by Freeze memoizes;
-// on any other, a fork included, fill runs on every call. The planner
+// on any other, fill runs on every call. The planner
 // keeps each plane's profile and device mapping here, so all the plans
 // of one lowering pay for them once; keys and values are opaque here
 // because the profiler and the mapping search import this package.
 func (b *Built) Memo(key any, fill func() (any, error)) (any, error) {
 	m := b.memo
-	if m == nil || b.Graph != b.freesOf {
+	if m == nil {
 		return fill()
 	}
 	m.mu.Lock()
@@ -239,7 +236,7 @@ func (b *Built) Memo(key any, fill func() (any, error)) (any, error) {
 // Memoized returns how many keys b's Memo has filled or is filling.
 func (b *Built) Memoized() int {
 	m := b.memo
-	if m == nil || b.Graph != b.freesOf {
+	if m == nil {
 		return 0
 	}
 	m.mu.Lock()
@@ -247,16 +244,9 @@ func (b *Built) Memoized() int {
 	return len(m.entries)
 }
 
-// Frees returns the free rows Freeze derived, when b's graph is the
-// graph they were derived for or a fork of it, and nil otherwise: b was
-// never frozen, or its graph is not tied to the rows (an unfrozen
-// fork's fork has no base), so it must derive its own.
-func (b *Built) Frees() *FreeRows {
-	if g := b.Graph; g == b.freesOf || (g.Base() != nil && g.Base() == b.freesOf) {
-		return b.frees
-	}
-	return nil
-}
+// Frees returns the free rows Freeze derived, nil on a Built never
+// frozen, whose runs derive their own.
+func (b *Built) Frees() *FreeRows { return b.frees }
 
 // NumStages returns the stage count.
 func (b *Built) NumStages() int { return len(b.Profiles) }
@@ -315,29 +305,6 @@ func (b *Built) PrevOnStage(id graph.OpID) graph.OpID {
 		return -1
 	}
 	return b.prevOnStage[id]
-}
-
-// Fork returns a shallow copy of b whose Graph is a graph.Fork of b's:
-// instrumenting the fork (plan.Apply) leaves b untouched. Every other
-// field, the free rows included (see Frees), is shared and must be
-// treated as read-only.
-func (b *Built) Fork() *Built {
-	f := *b
-	f.Graph = b.Graph.Fork()
-	return &f
-}
-
-// Refork makes old, a fork of b that is no longer used, a fresh fork of
-// b again, keeping its graph's buffers (graph.Graph.Refork), and
-// returns it; with old nil it returns b.Fork().
-func (b *Built) Refork(old *Built) *Built {
-	if old == nil {
-		return b.Fork()
-	}
-	g := b.Graph.Refork(old.Graph)
-	*old = *b
-	old.Graph = g
-	return old
 }
 
 // SamplesProcessed returns the sequences consumed by the whole run.

@@ -230,7 +230,7 @@ func TestProfileConservation(t *testing.T) {
 // TestMultiUseTensorsChained: in every lowering of the grid below, each
 // non-persistent tensor with more than one consumer has all its
 // consumers on one stage's schedule chain, linked by PrevOnStage. The
-// chain's deps then order those uses in every instrumented fork as in
+// chain's deps then order those uses under every plan's overlay as in
 // the base, so the last use — the executor's free point — is the same
 // op in any topological order; exec reads free points off the frozen
 // base on that ground (TestSpliceDifferential checks the result

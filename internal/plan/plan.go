@@ -95,13 +95,13 @@ const (
 // Options configures the planner.
 type Options struct {
 	Topo *hw.Topology
-	// Build returns the job's uninstrumented lowering: a fresh one, or
-	// a frozen one shared with other goroutines (the runner hands out
-	// one frozen lowering per distinct BuildConfig). Compute calls it
-	// exactly once and freezes the result (pipeline.Built.Freeze, a
-	// no-op on a frozen Built), then only reads it; every emulation
-	// instruments a fork of that base. Build must not hand out a Built
-	// its caller later mutates.
+	// Build returns the job's lowering: a fresh one, or a frozen one
+	// shared with other goroutines (the runner hands out one frozen
+	// lowering per distinct BuildConfig). Compute calls it exactly once
+	// and freezes the result (pipeline.Built.Freeze, a no-op on a frozen
+	// Built), then only reads it; every emulation lays its plan over
+	// that base as an overlay. Build must not hand out a Built its
+	// caller later mutates.
 	Build   func() (*pipeline.Built, error)
 	Allowed Allowed
 	// DisableMappingSearch keeps the identity stage→GPU mapping
@@ -128,8 +128,8 @@ type groupKey struct {
 	Block int
 }
 
-// Plan is the planner's output, applicable to any uninstrumented Built
-// (or fork of one) of the same job.
+// Plan is the planner's output, applicable to any lowering of the same
+// job.
 type Plan struct {
 	Mapping []hw.DeviceID
 	// Act assigns a mechanism to individual activation tensors.
@@ -161,7 +161,7 @@ type Plan struct {
 // planner carries the working state of one Compute call.
 type planner struct {
 	o       Options
-	built   *pipeline.Built // the one frozen base lowering (never instrumented)
+	built   *pipeline.Built // the one frozen base lowering
 	profile *profiler.Profile
 	mapRes  *mapping.Result
 	spare   compaction.SpareBudget
@@ -230,7 +230,7 @@ func Compute(o Options) (*Plan, error) {
 	}
 	// Lower once, emulate many: the base is frozen with its order,
 	// adjacency, liveness and free rows computed, and each emulation
-	// forks it.
+	// runs an overlay on it.
 	if err = p.built.Freeze(); err != nil {
 		return nil, err
 	}
@@ -736,7 +736,7 @@ func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]int, []bool)
 
 // InvalidError reports a plan that does not fit the build or topology
 // it is applied to (a corrupted or foreign plan file, for instance).
-// Apply returns it before instrumenting anything.
+// Apply returns it before laying anything over the lowering.
 type InvalidError struct {
 	// Tensor is the offending tensor, or -1 when the fault is not
 	// about one tensor.
@@ -760,7 +760,7 @@ type actUse struct {
 }
 
 // check validates pl against the build and topology Apply is about to
-// instrument, so a bad plan fails with an *InvalidError instead of
+// lay it over, so a bad plan fails with an *InvalidError instead of
 // panicking the executor. It returns pl's activation assignments and
 // its host-parked tensors, each in tensor order; a plan with several
 // faults names its smallest faulty tensor of the first kind checked.
@@ -845,38 +845,44 @@ func sortedIDs[V any](m map[tensor.ID]V, n int) []tensor.ID {
 	return append(ids, outside[neg:]...)
 }
 
-// Apply instruments b with the plan and assembles the executor
-// options. b must be an uninstrumented lowering of the BuildConfig the
-// plan was computed for (tensor and op IDs are positional) — a fresh
-// Build, or a Fork of a frozen one, which is how the planner emulates
-// without ever touching its base. A plan that does not fit b or topo
-// returns an *InvalidError and leaves b untouched.
+// Apply lays the plan over b as an overlay (exec.Overlay) and assembles
+// the executor options. b must be a lowering of the BuildConfig the plan
+// was computed for (tensor and op IDs are positional): a fresh Build or
+// a frozen, shared one, which Apply only reads. A plan that does not
+// fit b or topo returns an *InvalidError.
 func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error) {
+	return apply(pl, b, topo, new(exec.Overlay))
+}
+
+// apply is Apply, building the overlay in ov, whose arrays it reuses.
+func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*exec.Options, error) {
 	g := b.Graph
 	acts, persIDs, err := check(pl, b, topo)
 	if err != nil {
 		return nil, err
 	}
-	overlay := 0 // ops the instrumentation adds: two per mechanism use
+	// The lowering's liveness names each tensor's consumers: a
+	// recompute's, which wait for it, and a host-parked tensor's, around
+	// which it is swapped. The overlay consumes no tensor, so they are
+	// the consumers with the overlay too, and a persistent tensor's
+	// uses, which its stage's schedule chain totally orders, come in
+	// the same order.
+	live, err := g.Liveness()
+	if err != nil {
+		return nil, err
+	}
+	size := 0 // ops the overlay adds: two per mechanism use
 	for _, a := range acts {
 		if a.mech != MechNone {
-			overlay += 2
+			size += 2
 		}
 	}
-	// A persistent tensor is used only by its stage's compute ops,
-	// which the stage's schedule chain totally orders, so the use
-	// sequence read off the uninstrumented graph (cached for a fork) is
-	// the sequence in any instrumented order too.
-	var live *graph.Liveness
-	if len(persIDs) > 0 {
-		if live, err = g.Liveness(); err != nil {
-			return nil, err
-		}
-		for _, id := range persIDs {
-			overlay += 2 * len(live.Uses[id])
-		}
+	for _, id := range persIDs {
+		size += 2 * len(live.Uses[id])
 	}
-	g.Grow(overlay)
+	o := &overlay{Overlay: ov, g: g}
+	o.Ops = slices.Grow(o.Ops[:0], size)
+	o.Deps = slices.Grow(o.Deps[:0], 3*size)
 
 	opts := &exec.Options{
 		Topo:             topo,
@@ -886,11 +892,11 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		InitiallySwapped: make(map[tensor.ID]bool),
 	}
 
-	// Activation instrumentation. swaps pairs each swapped tensor's
+	// Activation mechanisms. swaps pairs each swapped tensor's
 	// slot with its swap ops, in tensor order.
 	type swap struct {
-		slot pipeline.SlotKey
-		pair graph.SwapPair
+		slot    pipeline.SlotKey
+		out, in graph.OpID
 	}
 	var swaps []swap
 	for _, a := range acts {
@@ -900,12 +906,15 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		gate := b.PrevOnStage(before)
 		switch a.mech {
 		case MechRecompute:
-			g.InstrumentRecompute(a.id, after, before, gate, a.flops)
-		case MechHostSwap:
-			swaps = append(swaps, swap{k, g.InstrumentSwap(a.id, after, before, gate, "h2d")})
-		case MechD2D:
-			opts.D2D[a.id] = pl.Parts[a.id]
-			swaps = append(swaps, swap{k, g.InstrumentSwap(a.id, after, before, gate, "d2d")})
+			o.recompute(a.id, after, before, gate, a.flops, live.Uses[a.id])
+		case MechHostSwap, MechD2D:
+			if a.mech == MechD2D {
+				opts.D2D[a.id] = pl.Parts[a.id]
+			}
+			out := o.swapOut(a.id, after)
+			in := o.swapIn(a.id, before, gate)
+			o.dep(in, out)
+			swaps = append(swaps, swap{k, out, in})
 		}
 	}
 
@@ -922,7 +931,7 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		k := sw.slot
 		next := pipeline.SlotKey{Stage: k.Stage, Microbatch: k.Microbatch + windows[k.Stage]}
 		if fw := b.FwOp(next); fw >= 0 {
-			g.AddDep(fw, sw.pair.Out)
+			o.dep(fw, sw.out)
 		}
 	}
 	// Strict mode: the swap-in restoring microbatch m may only begin
@@ -943,7 +952,7 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		fill := slices.Clone(off)
 		for _, sw := range swaps {
 			i := slot(sw.slot)
-			outs[fill[i]] = sw.pair.Out
+			outs[fill[i]] = sw.out
 			fill[i]++
 		}
 		for _, sw := range swaps {
@@ -957,7 +966,9 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 			}
 			i := slot(pipeline.SlotKey{Stage: k.Stage, Microbatch: g.Op(prev).Microbatch})
 			for _, out := range outs[off[i]:off[i+1]] {
-				g.AddDep(sw.pair.In, out)
+				if out != sw.out { // the swap-in waits on its own already
+					o.dep(sw.in, out)
+				}
 			}
 		}
 	}
@@ -967,16 +978,114 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 		opts.InitiallySwapped[id] = true
 		var prevOut graph.OpID = -1
 		for _, u := range live.Uses[id] {
-			gate := b.PrevOnStage(u.Op)
-			in := g.InstrumentSwapIn(id, u.Op, gate, "h2d")
+			in := o.swapIn(id, u.Op, b.PrevOnStage(u.Op))
 			if prevOut >= 0 {
 				// A restore may only begin once the previous
 				// eviction has drained the tensor to the host.
-				g.AddDep(in, prevOut)
+				o.dep(in, prevOut)
 			}
-			prevOut = g.InstrumentSwapOut(id, u.Op, "h2d")
+			prevOut = o.swapOut(id, u.Op)
 		}
 	}
 
+	opts.Overlay = *ov
 	return opts, nil
+}
+
+// overlay builds an exec.Overlay over the lowering graph g: its ops are
+// numbered after g's, and each edge is added once.
+type overlay struct {
+	*exec.Overlay
+	g *graph.Graph
+}
+
+// add appends op, waiting on deps, and returns its ID.
+func (o *overlay) add(op graph.Op, deps ...graph.OpID) graph.OpID {
+	op.ID = graph.OpID(o.g.Len() + len(o.Ops))
+	o.Ops = append(o.Ops, op)
+	for _, d := range deps {
+		o.dep(op.ID, d)
+	}
+	return op.ID
+}
+
+// dep makes op after wait for op before.
+func (o *overlay) dep(after, before graph.OpID) {
+	o.Deps = append(o.Deps, exec.Dep{After: after, Before: before})
+}
+
+// swapOut evicts tensor t once op after completes. Whether it goes to
+// host memory or to peer GPUs is the executor's to read off its D2D
+// stripe table.
+func (o *overlay) swapOut(t tensor.ID, after graph.OpID) graph.OpID {
+	tn := o.g.Tensors.Get(t)
+	return o.add(graph.Op{
+		Kind:       graph.SwapOut,
+		Stage:      tn.Stage,
+		Layer:      tn.Layer,
+		Microbatch: o.g.Op(after).Microbatch,
+		MoveBytes:  tn.Size,
+		Subject:    t,
+	}, after)
+}
+
+// swapIn restores tensor t before op before, once gate completes (with
+// gate >= 0): passing before's predecessor in the device schedule makes
+// the restore overlap it, the just-in-time prefetch the paper's
+// executor runs on separate swap streams (Sec. III-E).
+func (o *overlay) swapIn(t tensor.ID, before, gate graph.OpID) graph.OpID {
+	tn := o.g.Tensors.Get(t)
+	in := o.add(graph.Op{
+		Kind:       graph.SwapIn,
+		Stage:      tn.Stage,
+		Layer:      tn.Layer,
+		Microbatch: o.g.Op(before).Microbatch,
+		MoveBytes:  tn.Size,
+		Subject:    t,
+	})
+	if gate >= 0 {
+		o.dep(in, gate)
+	}
+	o.dep(before, in)
+	return in
+}
+
+// recompute drops activation t once op after completes and re-runs its
+// forward computation (flops) before op before, gated like swapIn
+// (paper Sec. II-D). The recompute re-produces t, so each of t's
+// consumers (uses, before among them in a lowering) waits for it.
+func (o *overlay) recompute(t tensor.ID, after, before, gate graph.OpID, flops units.FLOPs, uses []graph.Use) {
+	tn := o.g.Tensors.Get(t)
+	stage := o.g.Op(after).Stage
+	drop := o.add(graph.Op{
+		Kind:       graph.Drop,
+		Stage:      stage,
+		Layer:      tn.Layer,
+		Microbatch: o.g.Op(after).Microbatch,
+		MoveBytes:  tn.Size,
+		Subject:    t,
+	}, after)
+	rec := o.add(graph.Op{
+		Kind:       graph.Recompute,
+		Stage:      stage,
+		Layer:      tn.Layer,
+		Microbatch: o.g.Op(before).Microbatch,
+		FLOPs:      flops,
+		MoveBytes:  tn.Size,
+		Subject:    t,
+	}, drop)
+	if gate >= 0 {
+		o.dep(rec, gate)
+	}
+	consumed := false
+	for i, u := range uses {
+		if i > 0 && u.Op == uses[i-1].Op {
+			continue // an op consuming t twice waits once
+		}
+		o.dep(u.Op, rec)
+		consumed = consumed || u.Op == before
+	}
+	if !consumed {
+		o.dep(before, rec)
+	}
 }

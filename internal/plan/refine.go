@@ -18,10 +18,10 @@
 // total work). Every other candidate is settled by one emulation.
 //
 // An emulation pays for its overlay and its event loop, not for
-// re-allocating what the last one had: each wave slot keeps one fork
-// of the frozen base for the whole call and reforks it
-// (pipeline.Built.Refork) for each of its emulations, and exec.Run
-// pools its own per-run slices.
+// re-allocating what the last one had: each wave slot keeps one overlay
+// (exec.Overlay) for the whole call and rebuilds it in place for each
+// of its emulations over the frozen base, and exec.Run pools its own
+// per-run slices.
 package plan
 
 import (
@@ -35,7 +35,6 @@ import (
 	"mpress/internal/fabric"
 	"mpress/internal/graph"
 	"mpress/internal/hw"
-	"mpress/internal/pipeline"
 	"mpress/internal/units"
 )
 
@@ -91,14 +90,14 @@ type evalResult struct {
 
 // refineCtx carries one refineWithD2D call's inputs. Workers only
 // read it: each evaluation mutates its own trial snapshot and its wave
-// slot's fork.
+// slot's overlay.
 type refineCtx struct {
 	p *planner
-	// forks[i] is wave slot i's recycled fork of the base lowering: the
-	// slot's emulations Refork it in turn, reusing its buffers. Waves
-	// are joined before the next one starts, so one goroutine at a time
-	// uses a slot, and the slots go when the call returns.
-	forks []*pipeline.Built
+	// overlays[i] is wave slot i's overlay: the slot's emulations
+	// rebuild it in turn, reusing its arrays. Waves are joined before
+	// the next one starts, so one goroutine at a time uses a slot, and
+	// the slots go when the call returns.
+	overlays []exec.Overlay
 	// base is per-device serial compute-queue work excluding
 	// recomputation: forward/backward compute plus optimizer HBM
 	// time, from the reference lowering.
@@ -117,7 +116,7 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 		workers = 1
 	}
 	rc := newRefineCtx(p)
-	rc.forks = make([]*pipeline.Built, workers)
+	rc.overlays = make([]exec.Overlay, workers)
 	for round := 0; round < maxRefinements; round++ {
 		cands := rc.rank()
 		if len(cands) == 0 {
@@ -129,14 +128,14 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 			wave := cands[lo:min(lo+workers, len(cands))]
 			results := make([]evalResult, len(wave))
 			if workers == 1 {
-				results[0] = rc.evaluate(&rc.forks[0], wave[0])
+				results[0] = rc.evaluate(&rc.overlays[0], wave[0])
 			} else {
 				var wg sync.WaitGroup
 				for i := range wave {
 					wg.Add(1)
 					go func(i int) {
 						defer wg.Done()
-						results[i] = rc.evaluate(&rc.forks[i], wave[i])
+						results[i] = rc.evaluate(&rc.overlays[i], wave[i])
 					}(i)
 				}
 				wg.Wait()
@@ -208,24 +207,24 @@ func (rc *refineCtx) rank() []candidate {
 	return cands
 }
 
-// evaluate prices one candidate on its wave slot's fork: prefer
+// evaluate prices one candidate on its wave slot's overlay: prefer
 // retargeting to D2D (the paper's refinement); when spare memory is
 // exhausted or D2D does not help, fall back to trading the hostswap
 // group for recomputation. Pure with respect to shared planner state —
-// all mutation happens on trial snapshots and the slot's fork — so the
-// slots' evaluations may run concurrently.
-func (rc *refineCtx) evaluate(fork **pipeline.Built, c candidate) evalResult {
+// all mutation happens on trial snapshots and the slot's overlay — so
+// the slots' evaluations may run concurrently.
+func (rc *refineCtx) evaluate(ov *exec.Overlay, c candidate) evalResult {
 	var res evalResult
 	t := rc.p.snapshot()
 	if rc.p.convertToD2D(t, c.key) {
-		if done := rc.arbitrate(t, fork, &res); done {
+		if done := rc.arbitrate(t, ov, &res); done {
 			return res
 		}
 	}
 	if c.recompute {
 		t = rc.p.snapshot()
 		if rc.p.convertToRecompute(t, c.key) {
-			if done := rc.arbitrate(t, fork, &res); done {
+			if done := rc.arbitrate(t, ov, &res); done {
 				return res
 			}
 		}
@@ -233,12 +232,12 @@ func (rc *refineCtx) evaluate(fork **pipeline.Built, c candidate) evalResult {
 	return res
 }
 
-// arbitrate prices trial t against the incumbent on the recycled fork
-// *fork, filling res and reporting whether the candidate is settled
+// arbitrate prices trial t against the incumbent, building its overlay
+// in ov, filling res and reporting whether the candidate is settled
 // (improved or errored). Ties are accepted: an equal-duration D2D route
 // still relieves the PCIe link and GPU compute the other mechanisms
 // consume.
-func (rc *refineCtx) arbitrate(t *trial, fork **pipeline.Built, res *evalResult) bool {
+func (rc *refineCtx) arbitrate(t *trial, ov *exec.Overlay, res *evalResult) bool {
 	if rc.lowerBound(t.plan) > rc.current {
 		// Provably cannot improve: skip the emulation entirely. Not
 		// charged as an arbitration — the sequential definition of
@@ -246,7 +245,7 @@ func (rc *refineCtx) arbitrate(t *trial, fork **pipeline.Built, res *evalResult)
 		// deterministic at any worker count.
 		return false
 	}
-	r, err := rc.p.simulate(t.plan, fork)
+	r, err := rc.p.simulate(t.plan, ov)
 	if err != nil {
 		res.err = err
 		return true
@@ -429,35 +428,34 @@ func (p *planner) convertToRecompute(t *trial, key groupKey) bool {
 	return true
 }
 
-// simulate applies pl to *fork, reforked from the frozen base lowering
-// (a new fork when *fork is nil), and runs it bounded. Nothing of the
-// Result aliases the fork, so the next simulate may refork it. Pure
-// with respect to planner state, so refinement workers may call it
-// concurrently, each on its own fork; emulate is the sequential
-// counting wrapper the OOM-retry loop uses.
-func (p *planner) simulate(pl *Plan, fork **pipeline.Built) (*exec.Result, error) {
-	if Simulated != nil {
-		Simulated()
-	}
-	*fork = p.built.Refork(*fork)
-	opts, err := Apply(pl, *fork, p.o.Topo)
+// simulate lays pl over the frozen base lowering, building the overlay
+// in ov, and runs it bounded. Nothing of the Result aliases the
+// overlay, so the next simulate may rebuild it. Pure with respect to
+// planner state, so refinement workers may call it concurrently, each
+// with its own overlay; emulate is the sequential counting wrapper the
+// OOM-retry loop uses.
+func (p *planner) simulate(pl *Plan, ov *exec.Overlay) (*exec.Result, error) {
+	opts, err := apply(pl, p.built, p.o.Topo, ov)
 	if err != nil {
 		return nil, err
 	}
 	opts.Ctx = p.o.Ctx
-	return exec.Run(*opts)
+	res, err := exec.Run(*opts)
+	if Simulated != nil {
+		Simulated(opts, res)
+	}
+	return res, err
 }
 
-// Simulated, when non-nil, is called once per emulation, charged or
-// not (a wave's candidates after its first improving one are not), so
-// tests can hold every emulation to exec.SpliceCheck's fork runs. Wave
-// slots call it concurrently.
-var Simulated func()
+// Simulated, when non-nil, is called with the options and result (nil
+// on an error) of every emulation, charged or not (a wave's candidates
+// after its first improving one are not), so tests can hold each one to
+// a reference run. Wave slots call it concurrently.
+var Simulated func(*exec.Options, *exec.Result)
 
-// emulate is simulate, on a fresh fork, plus the Plan.Emulations
+// emulate is simulate, on a fresh overlay, plus the Plan.Emulations
 // charge.
 func (p *planner) emulate(pl *Plan) (*exec.Result, error) {
 	p.emulations++
-	var fork *pipeline.Built
-	return p.simulate(pl, &fork)
+	return p.simulate(pl, new(exec.Overlay))
 }

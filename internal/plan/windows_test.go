@@ -146,13 +146,12 @@ func TestApplyEmptyPlanIsIdentityRun(t *testing.T) {
 		Parts:       map[tensor.ID][]fabric.Part{},
 		HostPersist: map[tensor.ID]bool{},
 	}
-	n := b.Graph.Len()
 	opts, err := Apply(empty, b, hw.DGX1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Graph.Len() != n {
-		t.Errorf("empty plan added %d ops", b.Graph.Len()-n)
+	if n := len(opts.Overlay.Ops) + len(opts.Overlay.Deps); n != 0 {
+		t.Errorf("empty plan's overlay has %d ops and deps", n)
 	}
 	if len(opts.D2D) != 0 || len(opts.InitiallySwapped) != 0 {
 		t.Error("empty plan produced routes")
@@ -173,7 +172,7 @@ func TestApplyInstrumentsAllMechanisms(t *testing.T) {
 		t.Fatal(err)
 	}
 	var swapOps, d2dRoutes int
-	for _, op := range b.Graph.Ops() {
+	for _, op := range opts.Overlay.Ops {
 		if op.Kind == graph.SwapOut || op.Kind == graph.SwapIn {
 			swapOps++
 		}

@@ -83,7 +83,7 @@ func TestTPDegreeOneEquivalence(t *testing.T) {
 				res JobResult
 				buf *bytes.Buffer
 			}{{rl, &tl}, {re, &te}} {
-				tml := trace.Collect(pair.res.State.Built, pair.res.State.Exec)
+				tml := trace.Collect(pair.res.State.ExecOpts, pair.res.State.Exec)
 				if names := pair.res.State.TraceLaneNames(); names != nil {
 					t.Errorf("degenerate grid names lanes: %v", names)
 				}

@@ -238,6 +238,15 @@ func (c Config) WithDefaults() (Config, error) {
 	if c.PlanWorkers < 0 {
 		return c, fmt.Errorf("mpress: PlanWorkers %d is negative", c.PlanWorkers)
 	}
+	// Zero means the default (below); a negative shape is a mistake.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Stages", c.Stages}, {"MicrobatchSize", c.MicrobatchSize}, {"Microbatches", c.Microbatches}, {"Minibatches", c.Minibatches}} {
+		if f.v < 0 {
+			return c, fmt.Errorf("mpress: %s %d is negative", f.name, f.v)
+		}
+	}
 	if c.Price != nil {
 		if err := c.Price.Validate(); err != nil {
 			return c, err

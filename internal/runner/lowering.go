@@ -12,8 +12,8 @@ import (
 // jobs, so each distinct BuildConfig is lowered once per batch rather
 // than once per job, per plan rebase and per resilience re-plan.
 // Lookups are singleflight: the first job to fetch a key builds and
-// freezes it, and every other job waits for that build. Jobs only ever
-// instrument a Built.Fork of an entry; the entry itself is read-only.
+// freezes it, and every other job waits for that build. Entries are
+// read-only: a job lays its plan over one as an overlay (plan.Apply).
 //
 // Retention is bounded by demand, not by a knob: each entry counts the
 // leases that refer to it. RunAll reserves every job's keys before
@@ -89,7 +89,7 @@ func (l *lease) hold(key string) *lowering {
 }
 
 // get returns the frozen lowering of bc, building it if no lease has
-// yet. The result is shared: callers instrument a Fork, never it.
+// yet. The result is shared and read-only.
 func (l *lease) get(bc pipeline.BuildConfig) (*pipeline.Built, error) {
 	c := l.c
 	c.mu.Lock()

@@ -36,7 +36,7 @@ func jobArtifacts(t *testing.T, res JobResult) (report, planFile, chrome []byte)
 	}
 	tl := res.State.Timeline
 	if tl == nil {
-		tl = trace.Collect(res.State.Built, res.State.Exec)
+		tl = trace.Collect(res.State.ExecOpts, res.State.Exec)
 	}
 	if err := tl.WriteChrome(&tb); err != nil {
 		t.Fatal(err)

@@ -255,7 +255,7 @@ func stageResilience(ctx context.Context, st *State) error {
 		if err != nil {
 			return err
 		}
-		segTL := trace.Collect(seg.state.Built, res)
+		segTL := trace.Collect(&opts, res)
 		timeline.Append(segTL, wall)
 		sum.checkpoints += len(res.Checkpoints)
 		sum.ckptBytes += res.CheckpointBytes

@@ -337,6 +337,10 @@ func TestHostileConfigs(t *testing.T) {
 		{"negative host memory", func(c *Config) { c.Topology.HostMemory = -1 }, "negative"},
 		{"negative NVLink latency", func(c *Config) { c.Topology.NVLinkLatency = -1 }, "negative"},
 		{"negative PCIe latency", func(c *Config) { c.Topology.PCIeLatency = -1 }, "negative"},
+		{"negative stages", func(c *Config) { c.Stages = -2 }, "Stages -2 is negative"},
+		{"negative microbatch size", func(c *Config) { c.MicrobatchSize = -3 }, "MicrobatchSize -3 is negative"},
+		{"negative microbatches", func(c *Config) { c.Microbatches = -1 }, "Microbatches -1 is negative"},
+		{"negative minibatches", func(c *Config) { c.Minibatches = -4 }, "Minibatches -4 is negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

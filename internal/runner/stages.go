@@ -46,8 +46,8 @@ type State struct {
 	Mapping []hw.DeviceID
 	// PlanCacheHit reports that the Plan stage reused a cached plan.
 	PlanCacheHit bool
-	// ExecOpts is the instrumented executor configuration (after
-	// Apply), Exec the raw simulation result (after Execute), and
+	// ExecOpts is the executor configuration with the plan's overlay
+	// (after Apply), Exec the raw simulation result (after Execute), and
 	// Report the job's outcome (after Report).
 	ExecOpts *exec.Options
 	Exec     *exec.Result
@@ -179,15 +179,11 @@ func stagePartition(ctx context.Context, st *State) error {
 	return nil
 }
 
-// stageBuild hands the job a fork of the shared frozen lowering, so
-// the Apply stage instruments the job's own copy.
-func stageBuild(ctx context.Context, st *State) error {
-	b, err := st.lowers.get(buildConfig(st.Job.Config, st.Part, st.Job.Config.Minibatches))
-	if err != nil {
-		return err
-	}
-	st.Built = b.Fork()
-	return nil
+// stageBuild hands the job the shared frozen lowering, which the Apply
+// stage lays the plan over without changing it.
+func stageBuild(ctx context.Context, st *State) (err error) {
+	st.Built, err = st.lowers.get(buildConfig(st.Job.Config, st.Part, st.Job.Config.Minibatches))
+	return err
 }
 
 // allowedFor translates a system into the planner's mechanism set.

@@ -504,7 +504,7 @@ func (s *Server) settle(run runner.JobResult) (*result, error) {
 		// runs collect the executor's.
 		res.timeline = st.Timeline
 		if res.timeline == nil {
-			res.timeline = trace.Collect(st.Built, st.Exec)
+			res.timeline = trace.Collect(st.ExecOpts, st.Exec)
 			res.timeline.LaneNames = st.TraceLaneNames()
 		}
 		res.info.HasTrace = true

@@ -400,20 +400,25 @@ func TestBadRequests(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message == "" {
 		t.Errorf("invalid config error = %v", err)
 	}
-	// Out-of-range enums are 400s that list the valid values, never a
-	// silent run under some other schedule or a late 422.
+	// Out-of-range enums are 400s that list the valid values, and a
+	// negative batch shape is a 400 naming its field: never a silent run
+	// under some other schedule or a late 422.
 	for _, tc := range []struct {
 		mutate func(*runner.Config)
 		want   string
 	}{
 		{func(c *runner.Config) { c.Schedule = 7 }, "valid schedules"},
 		{func(c *runner.Config) { c.Strategy = 7 }, "valid strategies"},
+		{func(c *runner.Config) { c.Stages = -2 }, "Stages -2 is negative"},
+		{func(c *runner.Config) { c.MicrobatchSize = -3 }, "MicrobatchSize -3 is negative"},
+		{func(c *runner.Config) { c.Microbatches = -1 }, "Microbatches -1 is negative"},
+		{func(c *runner.Config) { c.Minibatches = -4 }, "Minibatches -4 is negative"},
 	} {
 		cfg := testConfig(t, runner.SystemMPress)
 		tc.mutate(&cfg)
 		_, err := cl.Plan(context.Background(), cfg, "")
 		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, tc.want) {
-			t.Errorf("out-of-range enum error = %v, want 400 naming %s", err, tc.want)
+			t.Errorf("invalid config error = %v, want 400 naming %s", err, tc.want)
 		}
 	}
 	cl.HTTPClient.CloseIdleConnections()

@@ -14,7 +14,6 @@ import (
 
 	"mpress/internal/exec"
 	"mpress/internal/graph"
-	"mpress/internal/pipeline"
 	"mpress/internal/units"
 )
 
@@ -50,12 +49,13 @@ type Timeline struct {
 	LaneNames []string
 }
 
-// Collect extracts the timeline from an executed run. Zero-length
+// Collect extracts the timeline of the run o configured. Zero-length
 // bookkeeping events (drops) are kept: they mark eviction points.
-func Collect(b *pipeline.Built, res *exec.Result) *Timeline {
-	t := &Timeline{Stages: b.NumStages(), Span: res.Duration}
-	for i, op := range b.Graph.Ops() {
-		sp := res.Spans[i]
+func Collect(o *exec.Options, res *exec.Result) *Timeline {
+	t := &Timeline{Stages: o.Built.NumStages(), Span: res.Duration}
+	ops := o.Ops()
+	for i := range ops.Len() {
+		op, sp := ops.Op(graph.OpID(i)), res.Spans[i]
 		if sp.End == 0 && sp.Start == 0 && op.Kind != graph.Drop {
 			// Never ran (e.g. the run died of OOM first) — keep the
 			// timeline to what actually happened.
@@ -64,7 +64,7 @@ func Collect(b *pipeline.Built, res *exec.Result) *Timeline {
 			}
 		}
 		t.Events = append(t.Events, Event{
-			Name:       op.Name,
+			Name:       ops.Name(graph.OpID(i)),
 			Kind:       op.Kind,
 			Stage:      op.Stage,
 			Microbatch: op.Microbatch,

@@ -14,7 +14,7 @@ import (
 	"mpress/internal/tensor"
 )
 
-func runTiny(t *testing.T) (*pipeline.Built, *exec.Result) {
+func runTiny(t *testing.T) (*exec.Options, *exec.Result) {
 	t.Helper()
 	cfg := model.Config{
 		Name: "Tiny", Arch: model.GPT,
@@ -33,14 +33,15 @@ func runTiny(t *testing.T) (*pipeline.Built, *exec.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)})
+	opts := &exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4)}
+	res, err := exec.Run(*opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.OOM != nil {
 		t.Fatal(res.OOM)
 	}
-	return b, res
+	return opts, res
 }
 
 func TestCollect(t *testing.T) {

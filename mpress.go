@@ -283,8 +283,8 @@ type (
 // hit the runner's fingerprint-keyed plan cache instead of
 // re-searching, and RunAll lowers each distinct job graph once per
 // batch: jobs that lower identically (e.g. the node counts of a
-// scale-out sweep) share one frozen lowering, each instrumenting its
-// own fork, and the runner drops it when the last job needing it
+// scale-out sweep) share one frozen lowering, each laying its plan
+// over it without changing it, and the runner drops it when the last job needing it
 // finishes. See "Running sweeps in parallel" in the README.
 type (
 	// Runner executes jobs through a bounded worker pool over a

@@ -1,98 +1,190 @@
 package mpress_test
 
 import (
+	"bytes"
 	"context"
-	"strings"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"mpress"
 	"mpress/internal/exec"
 	"mpress/internal/experiments"
+	"mpress/internal/graph"
+	"mpress/internal/pipeline"
 	"mpress/internal/plan"
+	"mpress/internal/tensor"
+	"mpress/internal/trace"
 )
 
-// TestSpliceDifferential holds the fork path to the slow one on every
-// emulation of every planner preset. Each emulation instruments a
-// (recycled) fork of the frozen lowering, and exec reads def ops off
-// the frozen base and free rows off the lowering. Those must equal what
-// a full Validate, Kahn sort and liveness analysis derive on an
-// unforked copy, which must also be acyclic. Every emulation runs on
-// a fork, so each preset's fork runs are its emulations plus one for
-// the Execute stage; a sequential plan charges each of its emulations
-// to Plan.Emulations.
+// TestSpliceDifferential holds the overlay path to the materialized one
+// on every emulation of every planner preset, planned sequentially and
+// at four refinement workers, and on each preset's final job. Each run
+// lays its plan over the frozen lowering as an exec.Overlay. The
+// reference is that overlay spliced into the lowering the plain way: a
+// fresh, unfrozen graph with the lowering's ops, then the overlay's
+// (each recompute producing its tensor, so the tensor's consumers wait
+// for it through their inputs), then the overlay's deps, run through
+// the same exec.Run with an empty overlay, so it validates the graph
+// and derives its own order, liveness and free rows. The two Results
+// must agree in duration, spans, events, memory, OOM and fabric
+// traffic, and the final job's Chrome traces byte for byte. The
+// plan.Simulated hook sees every emulation, charged to Plan.Emulations
+// or not; sequentially it must see exactly Plan.Emulations.
 func TestSpliceDifferential(t *testing.T) {
 	var (
 		mu       sync.Mutex
-		runs     int
 		sims     int
 		firstErr error
+		twins    = map[*pipeline.Built]*pipeline.Built{}
 	)
-	plan.Simulated = func() {
+	// twin returns an unfrozen lowering equal to b, whose copies carry
+	// no free rows, so a reference run derives its own.
+	twin := func(b *pipeline.Built) (*pipeline.Built, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if tw := twins[b]; tw != nil {
+			return tw, nil
+		}
+		tw, err := pipeline.Build(b.Cfg)
+		twins[b] = tw
+		return tw, err
+	}
+	reference := func(o *exec.Options, res *exec.Result) (*exec.Options, *exec.Result, error) {
+		tw, err := twin(o.Built)
+		if err != nil {
+			return nil, nil, err
+		}
+		ref := materialize(o, tw)
+		if err := ref.Built.Graph.Validate(); err != nil {
+			return nil, nil, err
+		}
+		want, err := exec.Run(*ref)
+		if err != nil {
+			return nil, nil, err
+		}
+		return ref, want, sameResult(res, want)
+	}
+	plan.Simulated = func(o *exec.Options, res *exec.Result) {
+		var err error
+		if res == nil {
+			err = fmt.Errorf("an emulation failed")
+		} else {
+			_, _, err = reference(o, res)
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		sims++
-	}
-	defer func() { plan.Simulated = nil }()
-	exec.SpliceCheck = func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		runs++
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	defer func() { exec.SpliceCheck = nil }()
+	defer func() { plan.Simulated = nil }()
 
-	// bertxdgx1 reaches refinement; planned again with four workers, its
-	// waves emulate concurrently, each wave slot on its recycled fork.
-	// A wave also emulates the candidates ranked after its first
-	// improving one, which Plan.Emulations does not charge, so there it
-	// must equal the sequential plan's, and the fork runs must count
-	// every emulation, charged or not.
-	type preset struct {
-		name string
-		cfg  mpress.Config
-	}
 	sequential := map[string]int{}
-	var presets []preset
 	for _, p := range experiments.PlannerPresets() {
-		presets = append(presets, preset{p.Name, p.Cfg})
-		if p.Name == "bertxdgx1" {
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s/workers=%d", p.Name, workers)
 			cfg := p.Cfg
-			cfg.PlanWorkers = 4
-			presets = append(presets, preset{p.Name + "/workers=4", cfg})
-		}
-	}
-	for _, p := range presets {
-		before, simsBefore := runs, sims
-		j, err := mpress.NewJob(p.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := mpress.NewRunner(mpress.RunnerOptions{Workers: 1}).Run(context.Background(), j)
-		if res.Err != nil {
-			t.Fatalf("%s: %v", p.name, res.Err)
-		}
-		emulations, got, simulated := res.Report.Plan.Emulations, runs-before, sims-simsBefore
-		t.Logf("%s: %d emulations charged, %d run, %d fork runs checked", p.name, emulations, simulated, got)
-		if got != simulated+1 {
-			t.Errorf("%s: %d fork runs checked, want every emulation + 1 = %d", p.name, got, simulated+1)
-		}
-		if p.cfg.PlanWorkers <= 1 {
-			sequential[p.name] = emulations
-			if simulated != emulations {
-				t.Errorf("%s: %d emulations run, want Plan.Emulations = %d", p.name, simulated, emulations)
+			cfg.PlanWorkers = workers
+			j, err := mpress.NewJob(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		name, _, _ := strings.Cut(p.name, "/")
-		if emulations != sequential[name] || simulated < emulations {
-			t.Errorf("%s: %d emulations charged of %d run, want %d charged as sequentially",
-				p.name, emulations, simulated, sequential[name])
+			before := sims
+			res := mpress.NewRunner(mpress.RunnerOptions{Workers: 1, KeepArtifacts: true}).Run(context.Background(), j)
+			if res.Err != nil {
+				t.Fatalf("%s: %v", name, res.Err)
+			}
+			emulations, simulated := res.Report.Plan.Emulations, sims-before
+			t.Logf("%s: %d emulations charged, %d run and checked", name, emulations, simulated)
+			if workers == 1 {
+				sequential[p.Name] = emulations
+				if simulated != emulations {
+					t.Errorf("%s: %d emulations run, want Plan.Emulations = %d", name, simulated, emulations)
+				}
+			} else if emulations != sequential[p.Name] || simulated < emulations {
+				t.Errorf("%s: %d emulations charged of %d run, want %d charged as sequentially",
+					name, emulations, simulated, sequential[p.Name])
+			}
+
+			// The job's own run, and its Chrome trace.
+			st := res.State
+			ref, want, err := reference(st.ExecOpts, st.Exec)
+			if err != nil {
+				t.Fatalf("%s: final job: %v", name, err)
+			}
+			var got, wantTrace bytes.Buffer
+			if err := trace.Collect(st.ExecOpts, st.Exec).WriteChrome(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.Collect(ref, want).WriteChrome(&wantTrace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), wantTrace.Bytes()) {
+				t.Errorf("%s: the job's Chrome trace differs from the materialized run's", name)
+			}
 		}
 	}
 	if firstErr != nil {
-		t.Errorf("fork path disagrees with the full derivation: %v", firstErr)
+		t.Errorf("an emulation disagrees with its materialized reference: %v", firstErr)
 	}
+}
+
+// materialize splices o's overlay into a copy of tw, an unfrozen twin
+// of o's lowering, and returns o's options over it with an empty
+// overlay. Overlay ops get the names the overlay path builds on read.
+func materialize(o *exec.Options, tw *pipeline.Built) *exec.Options {
+	b := *tw
+	g := graph.New(b.Graph.Tensors)
+	for _, op := range b.Graph.Ops() {
+		g.AddOp(op)
+	}
+	view := o.Ops()
+	for _, op := range o.Overlay.Ops {
+		op.Name = view.Name(op.ID)
+		if op.Kind == graph.Recompute {
+			op.Outputs = []tensor.ID{op.Subject}
+		}
+		g.AddOp(op)
+	}
+	for _, d := range o.Overlay.Deps {
+		g.AddDep(d.After, d.Before)
+	}
+	b.Graph = g
+	ref := *o
+	ref.Built, ref.Overlay = &b, exec.Overlay{}
+	return &ref
+}
+
+// sameResult reports the first of the compared Result fields on which
+// got and want differ.
+func sameResult(got, want *exec.Result) error {
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Duration", got.Duration, want.Duration},
+		{"Events", got.Events, want.Events},
+		{"OOM", got.OOM, want.OOM},
+		{"GPUs", got.GPUs, want.GPUs},
+		{"Fabric", got.Fabric, want.Fabric},
+		{"Spans", got.Spans, want.Spans},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			return fmt.Errorf("%s differs: overlay run %v, materialized %v (%v vs %v events)",
+				f.name, abbrev(f.got), abbrev(f.want), got.Events, want.Events)
+		}
+	}
+	return nil
+}
+
+// abbrev keeps long values out of an error message.
+func abbrev(v any) string {
+	s := fmt.Sprint(v)
+	if len(s) > 120 {
+		s = s[:120] + "…"
+	}
+	return s
 }
