@@ -65,15 +65,18 @@ sweep-smoke:
 	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering' -count=1 ./internal/runner/
 
 # Overlay acceptance: every emulation of every planner preset, planned
-# sequentially and at four refinement workers (whose wave slots rebuild
-# their overlays concurrently), and each preset's final job, run as an
-# overlay on the frozen lowering, must give the Result, and the job the
-# Chrome trace, of its overlay spliced into a plain graph that is
-# validated, ordered, analysed and run in full; TestGraphEquivalence
-# holds the graph's adjacency, order and liveness to reference
-# implementations; all under the race detector.
+# sequentially, at four refinement workers and at the default width
+# (whose workers rebuild their overlays concurrently), and each preset's
+# final job, run as an overlay on the frozen lowering, must give the
+# Result, and the job the Chrome trace, of its overlay spliced into a
+# plain graph that is validated, ordered, analysed and run in full; an
+# emulation may stop early only when its round settled on a winner
+# ranked before it. Plans must be byte-identical at every width. Both
+# run at GOMAXPROCS 1, 2 and 4, so the default width takes several
+# values. TestGraphEquivalence holds the graph's adjacency, order and
+# liveness to reference implementations; all under the race detector.
 splice-smoke:
-	$(GO) test -race -run 'TestSpliceDifferential' -count=1 .
+	$(GO) test -race -run 'TestSpliceDifferential|TestParallelPlannerDeterministic' -cpu 1,2,4 -count=1 .
 	$(GO) test -race -run 'TestGraphEquivalence' -count=1 ./internal/graph/
 
 # Event-loop acceptance: on the FuzzJointStriped seed corpus the

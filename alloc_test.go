@@ -12,15 +12,17 @@ import (
 
 // maxBytesPerEmulation bounds what planning bertxdgx2 allocates per
 // emulation, about 1.5x the ~565 KiB measured when it was set. Each
-// emulation runs an overlay on the frozen lowering, rebuilt in its wave
-// slot's arrays, and the pooled executor state keeps it from
-// re-allocating its per-run slices.
+// emulation runs an overlay on the frozen lowering, rebuilt in its
+// refinement worker's arrays, and the pooled executor state keeps it
+// from re-allocating its per-run slices.
 const maxBytesPerEmulation = 850 * units.KiB
 
 // TestEmulationAllocBytes plans bertxdgx2 on a fresh single-worker
-// runner, as BenchmarkRefine does, and bounds the bytes the whole job
-// allocates (runtime.MemStats.TotalAlloc) divided by its
-// Plan.Emulations. The race detector's instrumentation allocates, so
+// runner at the default refinement width (GOMAXPROCS), as mpress-plan
+// and BenchmarkRefine's workers=0 case do, and bounds the bytes the
+// whole job allocates (runtime.MemStats.TotalAlloc) divided by its
+// Plan.Emulations, so evaluations abandoned after a round's winner
+// count against the bound without being charged. The race detector's instrumentation allocates, so
 // it runs only without -race (make sim-smoke).
 func TestEmulationAllocBytes(t *testing.T) {
 	if raceEnabled {

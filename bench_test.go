@@ -176,8 +176,9 @@ func BenchmarkMPressGPT255BOnDGX2(b *testing.B) {
 // BenchmarkRefine times the planner refinement loop on the planner
 // presets (the same points the determinism acceptance test and the
 // plan-cold benchmark workload use), at sequential and 4-way candidate
-// evaluation. Each iteration plans from scratch on a fresh
-// single-worker runner; plan-ms isolates the refinement stage from
+// evaluation and at the default width (workers=0: on a single-worker
+// runner, GOMAXPROCS, as mpress-plan and plan-cold run). Each
+// iteration plans from scratch on a fresh single-worker runner; plan-ms isolates the refinement stage from
 // build/execute, and emulations is the arbitration count — identical
 // across worker settings by construction, so a change in that metric
 // between sub-benchmarks is a determinism bug, not a perf change.
@@ -185,7 +186,7 @@ func BenchmarkMPressGPT255BOnDGX2(b *testing.B) {
 func BenchmarkRefine(b *testing.B) {
 	for _, p := range experiments.PlannerPresets() {
 		b.Run(p.Name, func(b *testing.B) {
-			for _, workers := range []int{1, 4} {
+			for _, workers := range []int{1, 4, 0} {
 				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 					cfg := p.Cfg
 					cfg.PlanWorkers = workers

@@ -2,8 +2,9 @@ package mpress_test
 
 // Acceptance test for the parallel planner: refinement with a worker
 // pool must be invisible in the artifact. For every planner preset the
-// plan produced at PlanWorkers=8 is byte-for-byte identical to the
-// sequential one — compared through api.CanonicalPlanFile, the same
+// plans produced at PlanWorkers=8 and at the default width (0: the
+// runner's share of GOMAXPROCS, which make splice-smoke varies) are
+// byte-for-byte identical to the sequential one — compared through api.CanonicalPlanFile, the same
 // re-rendering path a client uses to persist a plan fetched from
 // mpressd — and the Emulations accounting (serialized in the plan
 // file) matches too. Under -race this doubles as the data-race check
@@ -59,13 +60,14 @@ func TestParallelPlannerDeterministic(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			seq := p.Cfg
 			seq.PlanWorkers = 1
-			par := p.Cfg
-			par.PlanWorkers = 8
 			want := planFile(t, seq)
-			got := planFile(t, par)
-			if !bytes.Equal(want, got) {
-				t.Errorf("plan differs between PlanWorkers=1 (%d bytes) and PlanWorkers=8 (%d bytes)",
-					len(want), len(got))
+			for _, workers := range []int{8, 0} {
+				par := p.Cfg
+				par.PlanWorkers = workers
+				if got := planFile(t, par); !bytes.Equal(want, got) {
+					t.Errorf("plan differs between PlanWorkers=1 (%d bytes) and PlanWorkers=%d (%d bytes)",
+						len(want), workers, len(got))
+				}
 			}
 		})
 	}

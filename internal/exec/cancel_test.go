@@ -33,7 +33,7 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const stride = 8192 // the kernel's default polling stride
+	const stride = 1024 // the kernel's default polling stride
 	if full.Events <= stride {
 		t.Fatalf("job runs %d events, want more than the %d-event polling stride", full.Events, stride)
 	}

@@ -75,7 +75,7 @@ type Options struct {
 	// memory. Without it, duplicate mapping entries are rejected.
 	AllowSharedDevices bool
 	// Ctx, when non-nil, cancels the run: the event loop polls
-	// ctx.Err() at the simulator's stride (every 8,192 events) and Run
+	// ctx.Err() at the simulator's stride (every 1,024 events) and Run
 	// returns ctx's error instead of a result, so a cancelled sweep
 	// stops mid-simulation instead of finishing a 200M-event run.
 	Ctx context.Context
@@ -320,9 +320,11 @@ type scratch struct {
 	// The overlay's edges in CSR form over every op (see layout): op i
 	// waits on pred[predOff[i]:predOff[i+1]] and unblocks
 	// succ[succOff[i]:succOff[i+1]], releasing ops first, then the rest,
-	// each group ascending. fill is the counting sorts' cursor.
+	// each group ascending. fill is the counting sorts' cursor, and
+	// releases[i] marks overlay op i as releasing.
 	predOff, succOff, fill []int32
 	pred, succ             []graph.OpID
+	releases               []bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -582,13 +584,16 @@ func (e *engine) init() error {
 // issues releases eagerly on the swap streams.
 func (e *engine) layout() error {
 	base, n := e.g.Len(), e.ops.Len()
-	for i, op := range e.o.Overlay.Ops {
+	e.releases = resize(e.releases, n-base)
+	for i := range e.o.Overlay.Ops {
+		op := &e.o.Overlay.Ops[i]
 		switch {
 		case op.Kind != graph.SwapOut && op.Kind != graph.SwapIn && op.Kind != graph.Drop && op.Kind != graph.Recompute:
 			return fmt.Errorf("exec: overlay op %d is a %v", base+i, op.Kind)
 		case op.Subject < 0 || int(op.Subject) >= e.g.Tensors.Len():
 			return fmt.Errorf("exec: overlay op %d acts on tensor %d of a %d-tensor graph", base+i, op.Subject, e.g.Tensors.Len())
 		}
+		e.releases[i] = op.Kind.Releases()
 	}
 	deps := e.o.Overlay.Deps
 	e.predOff = resize(e.predOff, n+1)
@@ -614,15 +619,28 @@ func (e *engine) layout() error {
 	}
 	e.succ = resize(e.succ, len(deps))
 	e.fill = append(e.fill[:0], e.succOff[:n]...)
-	for _, releasing := range [2]bool{true, false} {
-		for i := range n {
-			if e.ops.Op(graph.OpID(i)).Kind.Releases() != releasing {
-				continue
-			}
-			for _, p := range e.pred[e.predOff[i]:e.predOff[i+1]] {
-				e.succ[e.fill[p]] = graph.OpID(i)
-				e.fill[p]++
-			}
+	place := func(i int) {
+		for _, p := range e.pred[e.predOff[i]:e.predOff[i+1]] {
+			e.succ[e.fill[p]] = graph.OpID(i)
+			e.fill[p]++
+		}
+	}
+	// Only overlay ops release, so the releasing pass walks the
+	// overlay alone; the other pass takes the graph's ops that wait on
+	// the overlay, then the overlay's other ops.
+	for i, rel := range e.releases {
+		if rel {
+			place(base + i)
+		}
+	}
+	for i := range base {
+		if e.predOff[i] != e.predOff[i+1] {
+			place(i)
+		}
+	}
+	for i, rel := range e.releases {
+		if !rel {
+			place(base + i)
 		}
 	}
 	return nil
@@ -807,7 +825,7 @@ func (e *engine) dispatch(id graph.OpID) {
 		} else {
 			for _, out := range op.Outputs {
 				tn := e.g.Tensors.Get(out)
-				if e.o.Built.PersistentSet[out] || e.state[out] == resOnGPU {
+				if e.o.Built.Persists(out) || e.state[out] == resOnGPU {
 					continue
 				}
 				if !e.alloc(gpu, tn.Size, tn.Name) {

@@ -69,8 +69,6 @@ type Built struct {
 	// (per-block params/grads/optimizer states, embedding state,
 	// stashed weight versions).
 	Persistent [][]tensor.ID
-	// PersistentSet marks tensors the executor must not free.
-	PersistentSet map[tensor.ID]bool
 
 	// Acts[k] lists the activation tensors (one per block, plus
 	// embedding/logits entries) produced by forward slot k.
@@ -79,14 +77,18 @@ type Built struct {
 	// (absent for stage 0).
 	BoundIn map[SlotKey]tensor.ID
 
-	// The planner's lookups, dense and indexed by ID (see FwOp, BwOp,
-	// ActSlot, RecomputeFLOPs and PrevOnStage): fwOps and bwOps by
-	// slot index s·TotalMicrobatches+m, actSlot and recomputeFLOPs by
-	// tensor, prevOnStage by op.
+	// The planner's and executor's lookups, dense and indexed by ID
+	// (see FwOp, BwOp, ActSlot, RecomputeFLOPs, PrevOnStage and
+	// Persists): fwOps and bwOps by slot index s·TotalMicrobatches+m,
+	// actSlot, recomputeFLOPs and persistent by tensor, prevOnStage by
+	// op.
 	fwOps, bwOps   []graph.OpID
 	actSlot        []SlotKey
 	recomputeFLOPs []units.FLOPs
 	prevOnStage    []graph.OpID
+	// persistent marks, by tensor, the tensors of Persistent (see
+	// Persists).
+	persistent []bool
 
 	// OptOps[s][q] lists stage s's optimizer-step operators for
 	// minibatch q — one per parameter group (block/embedding), run in
@@ -145,7 +147,7 @@ func (b *Built) DeriveFreeRows(g *graph.Graph) (*FreeRows, error) {
 	live, _ := g.Liveness()
 	freeAt := func(t int) graph.OpID {
 		switch uses := live.Uses[t]; {
-		case b.PersistentSet[tensor.ID(t)]:
+		case b.Persists(tensor.ID(t)):
 		case len(uses) > 0:
 			return uses[len(uses)-1].Op
 		case live.Def[t] >= 0:
@@ -297,6 +299,12 @@ func (b *Built) RecomputeFLOPs(t tensor.ID) (flops units.FLOPs, ok bool) {
 	return b.recomputeFLOPs[t], true
 }
 
+// Persists reports whether tensor t is persistent (listed in
+// Persistent): always resident, so the executor never frees it.
+func (b *Built) Persists(t tensor.ID) bool {
+	return t >= 0 && int(t) < len(b.persistent) && b.persistent[t]
+}
+
 // PrevOnStage returns compute op id's predecessor in its stage's local
 // schedule chain, -1 at the head or for an op on no chain. The planner
 // uses it as the prefetch gate for swap-in/recompute instrumentation.
@@ -375,7 +383,6 @@ func Build(bc BuildConfig) (*Built, error) {
 		Graph:             g,
 		Profiles:          profiles,
 		Persistent:        make([][]tensor.ID, S),
-		PersistentSet:     make(map[tensor.ID]bool),
 		Acts:              make(map[SlotKey][]tensor.ID),
 		BoundIn:           make(map[SlotKey]tensor.ID),
 		fwOps:             make([]graph.OpID, S*total),
@@ -409,7 +416,6 @@ func Build(bc BuildConfig) (*Built, error) {
 			Size: size, Stage: s, Layer: layer, Producer: -1,
 		})
 		b.Persistent[s] = append(b.Persistent[s], id)
-		b.PersistentSet[id] = true
 		return id
 	}
 
@@ -663,6 +669,12 @@ func Build(bc BuildConfig) (*Built, error) {
 	}
 	for _, id := range blockActs {
 		b.recomputeFLOPs[id] = blockFLOPs
+	}
+	b.persistent = make([]bool, nt)
+	for _, ids := range b.Persistent {
+		for _, id := range ids {
+			b.persistent[id] = true
+		}
 	}
 
 	for _, tn := range g.Tensors.All() {

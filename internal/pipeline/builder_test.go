@@ -101,8 +101,8 @@ func TestBuildPersistentTensors(t *testing.T) {
 			t.Errorf("stage %d persistent tensors = %d, want %d", s, got, want)
 		}
 		for _, id := range b.Persistent[s] {
-			if !b.PersistentSet[id] {
-				t.Fatalf("tensor %d missing from PersistentSet", id)
+			if !b.Persists(id) {
+				t.Fatalf("tensor %d of Persistent does not persist", id)
 			}
 			if b.Graph.Tensors.Get(id).Stage != s {
 				t.Fatalf("persistent tensor %d on wrong stage", id)

@@ -306,7 +306,7 @@ func chainedUses(b *Built) error {
 		for _, t := range op.Inputs {
 			f := first[t]
 			switch {
-			case b.PersistentSet[t]:
+			case b.Persists(t):
 			case f < 0:
 				first[t] = op.ID
 			case head[f] < 0 || head[f] != head[op.ID]:

@@ -813,7 +813,7 @@ func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.I
 		switch {
 		case !pl.HostPersist[id]:
 			return nil, nil, invalid(id, "host-parking entry is false")
-		case !b.PersistentSet[id]:
+		case !b.Persists(id):
 			return nil, nil, invalid(id, "host-parked tensor is not persistent in this build")
 		}
 	}

@@ -47,7 +47,7 @@ func Rebase(pl *Plan, from, to *pipeline.Built) (*Plan, error) {
 		Planned:     pl.Planned,
 	}
 	for id, parked := range pl.HostPersist {
-		if !to.PersistentSet[id] {
+		if !to.Persists(id) {
 			return nil, fmt.Errorf("plan: rebase: host-parked tensor %d is not persistent in the target build", id)
 		}
 		out.HostPersist[id] = parked // a false entry stays for Apply to reject

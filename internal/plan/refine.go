@@ -1,15 +1,15 @@
 // Refinement (planner step 4) with parallel trial evaluation.
 //
 // Each candidate conversion is evaluated on a copy-on-write snapshot
-// of the planner's mutable state (plan assignment, spare budget, group
+// of the round's incumbent (plan assignment, spare budget, group
 // mechanisms) instead of mutating shared state and undoing on
-// rejection. Snapshots make candidates independent, so a worker pool
-// can emulate a wave of them concurrently; determinism is preserved by
-// arbitrating in rank order, not completion order: the round's winner
-// is the first improving candidate by the (overhead desc, stage,
-// block) ranking — exactly the candidate the sequential scan would
-// have accepted — so plans are byte-identical at any Options.Workers
-// setting.
+// rejection. Snapshots make candidates independent, so a pool of
+// workers can emulate them concurrently, as a sliding window over the
+// ranking; determinism is preserved by settling in rank order, not
+// completion order: the round's winner is the first improving
+// candidate by the (overhead desc, stage, block) ranking — exactly the
+// candidate the sequential scan would have accepted — so plans are
+// byte-identical at any Options.Workers setting.
 //
 // One shortcut skips emulations without changing the outcome: a static
 // lower bound prunes candidates that provably cannot beat the incumbent
@@ -18,7 +18,7 @@
 // total work). Every other candidate is settled by one emulation.
 //
 // An emulation pays for its overlay and its event loop, not for
-// re-allocating what the last one had: each wave slot keeps one overlay
+// re-allocating what the last one had: each worker keeps one overlay
 // (exec.Overlay) for the whole call and rebuilds it in place for each
 // of its emulations over the frozen base, and exec.Run pools its own
 // per-run slices.
@@ -26,6 +26,9 @@ package plan
 
 import (
 	"cmp"
+	"context"
+	"errors"
+	"fmt"
 	"maps"
 	"slices"
 	"sync"
@@ -45,22 +48,6 @@ type trial struct {
 	plan  *Plan
 	spare compaction.SpareBudget
 	inUse map[groupKey]Mechanism
-}
-
-// snapshot clones the refinement-mutable state. Mapping and
-// HostPersist are fixed during refinement and shared; the summary maps
-// are filled only after it (finalizeSummary).
-func (p *planner) snapshot() *trial {
-	return &trial{
-		plan: &Plan{
-			Mapping:     p.plan.Mapping,
-			Act:         maps.Clone(p.plan.Act),
-			Parts:       maps.Clone(p.plan.Parts),
-			HostPersist: p.plan.HostPersist,
-		},
-		spare: p.spare.Clone(),
-		inUse: maps.Clone(p.inUse),
-	}
 }
 
 // adopt replaces the planner's working state with an accepted trial's.
@@ -88,80 +75,173 @@ type evalResult struct {
 	err  error
 }
 
-// refineCtx carries one refineWithD2D call's inputs. Workers only
-// read it: each evaluation mutates its own trial snapshot and its wave
-// slot's overlay.
+// refineCtx carries one refineWithD2D call's fixed inputs. Workers
+// only read it: each evaluation mutates its own trial snapshot and its
+// worker's overlay.
 type refineCtx struct {
 	p *planner
-	// overlays[i] is wave slot i's overlay: the slot's emulations
-	// rebuild it in turn, reusing its arrays. Waves are joined before
-	// the next one starts, so one goroutine at a time uses a slot, and
-	// the slots go when the call returns.
-	overlays []exec.Overlay
 	// base is per-device serial compute-queue work excluding
 	// recomputation: forward/backward compute plus optimizer HBM
 	// time, from the reference lowering.
 	base []units.Duration
 	rate units.FLOPSRate
-	// current is the incumbent duration of the round being evaluated.
-	current units.Duration
 }
 
 // refineWithD2D is step 4: convert the worst-overhead groups to D2D
 // (or trade hostswap for recomputation) while the emulator agrees it
-// helps, evaluating up to Options.Workers ranked candidates per wave.
+// helps. Options.Workers workers, each with its own overlay, evaluate a
+// round's ranked candidates as a sliding window: a free worker takes
+// the next candidate, and the committer settles results in rank order,
+// adopting the first improving candidate once every candidate ranked
+// before it is settled. Evaluations ranked after the winner are
+// abandoned: the round's context is cancelled, their results are
+// discarded uncharged, and the next round starts on the free workers
+// without waiting for them. Every worker has exited when this returns.
 func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) {
-	workers := p.o.Workers
-	if workers < 1 {
-		workers = 1
+	workers := max(1, p.o.Workers)
+	parent := p.o.Ctx
+	if parent == nil {
+		parent = context.Background()
 	}
 	rc := newRefineCtx(p)
-	rc.overlays = make([]exec.Overlay, workers)
-	for round := 0; round < maxRefinements; round++ {
+
+	type job struct {
+		r *round
+		i int
+	}
+	type done struct {
+		job
+		res evalResult
+	}
+	jobs := make(chan job)
+	// At most workers jobs are out at once, so no worker blocks on a
+	// send, even after the committer has returned.
+	results := make(chan done, workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ov exec.Overlay
+			for j := range jobs {
+				results <- done{j, rc.evaluate(&ov, j.r, j.i)}
+			}
+		}()
+	}
+	var r *round
+	defer func() {
+		if r != nil {
+			r.cancel(nil)
+		}
+		close(jobs)
+		wg.Wait()
+	}()
+
+	busy := 0 // jobs out, of this round or an abandoned one
+	// width bounds a round's unsettled candidates. A round whose winner
+	// no emulated rejection preceded gains nothing from running ahead,
+	// and the rank after it only takes a core from the winner, so the
+	// next round opens one candidate at a time; its first emulated
+	// rejection opens the window to every worker again.
+	width := workers
+	for n := 0; n < maxRefinements; n++ {
 		cands := rc.rank()
 		if len(cands) == 0 {
 			return current, nil
 		}
-		rc.current = current
-		improved := false
-		for lo := 0; lo < len(cands) && !improved; lo += workers {
-			wave := cands[lo:min(lo+workers, len(cands))]
-			results := make([]evalResult, len(wave))
-			if workers == 1 {
-				results[0] = rc.evaluate(&rc.overlays[0], wave[0])
-			} else {
-				var wg sync.WaitGroup
-				for i := range wave {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						results[i] = rc.evaluate(&rc.overlays[i], wave[i])
-					}(i)
-				}
-				wg.Wait()
+		r = p.newRound(parent, n, cands, current)
+		res := make([]evalResult, len(cands))
+		got := make([]bool, len(cands))
+		next, head, winner := 0, 0, -1
+		rejected := false
+		for winner < 0 && head < len(cands) {
+			for ; busy < workers && next-head < width && next < len(cands); next++ {
+				jobs <- job{r, next}
+				busy++
 			}
-			// Arbitrate in rank order: charge each candidate's
+			d := <-results
+			busy--
+			if d.r != r {
+				continue // abandoned by an earlier round
+			}
+			res[d.i], got[d.i] = d.res, true
+			// Settle in rank order: charge each candidate's
 			// arbitrations until (and including) the first improving
-			// one — the arbitrations the sequential scan would have
-			// consumed — then adopt it and end the round.
-			for _, res := range results {
-				if res.err != nil {
-					return 0, res.err
+			// one, the arbitrations the sequential scan would have
+			// consumed.
+			for ; winner < 0 && head < len(cands) && got[head]; head++ {
+				if err := res[head].err; err != nil {
+					return 0, err
 				}
-				p.emulations += res.arbs
-				if res.t != nil {
-					p.adopt(res.t)
-					current = res.dur
-					improved = true
-					break
+				p.emulations += res[head].arbs
+				if res[head].t != nil {
+					winner = head
+				} else if res[head].arbs > 0 {
+					rejected, width = true, workers
 				}
 			}
 		}
-		if !improved {
+		r.cancel(&Abandoned{Winner: winner})
+		if winner < 0 {
 			return current, nil
+		}
+		p.adopt(res[winner].t)
+		current = res[winner].dur
+		if !rejected {
+			width = 1
 		}
 	}
 	return current, nil
+}
+
+// round is one refinement round as its workers read it: the ranked
+// candidates and the incumbent they are priced against. The incumbent
+// is held by value and never written, so an evaluation still running
+// after the committer has adopted a winner reads nothing the next round
+// changes.
+type round struct {
+	n       int
+	cands   []candidate
+	inc     Plan
+	spare   compaction.SpareBudget
+	inUse   map[groupKey]Mechanism
+	current units.Duration
+	// ctx is a child of Options.Ctx, cancelled once the round settles.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+}
+
+// Abandoned is the cancel cause of a round's evaluations once the round
+// has settled: each still running is ranked after Winner (-1 when
+// nothing improved), and its result is discarded uncharged. A run it
+// stops reports it to Simulated as its error.
+type Abandoned struct{ Winner int }
+
+func (a *Abandoned) Error() string {
+	return fmt.Sprintf("plan: evaluation abandoned: its round settled on rank %d", a.Winner)
+}
+
+// newRound opens round n over cands against the planner's incumbent.
+func (p *planner) newRound(parent context.Context, n int, cands []candidate, current units.Duration) *round {
+	r := &round{n: n, cands: cands, inc: *p.plan, spare: p.spare, inUse: p.inUse, current: current}
+	r.ctx, r.cancel = context.WithCancelCause(parent)
+	return r
+}
+
+// snapshot clones the refinement-mutable state of the round's
+// incumbent. Mapping and HostPersist are fixed during refinement and
+// shared; the summary maps are filled only after it (finalizeSummary).
+func (r *round) snapshot() *trial {
+	return &trial{
+		plan: &Plan{
+			Mapping:     r.inc.Mapping,
+			Act:         maps.Clone(r.inc.Act),
+			Parts:       maps.Clone(r.inc.Parts),
+			HostPersist: r.inc.HostPersist,
+		},
+		spare: r.spare.Clone(),
+		inUse: maps.Clone(r.inUse),
+	}
 }
 
 // rank enumerates this round's candidates worst static overhead first,
@@ -207,24 +287,25 @@ func (rc *refineCtx) rank() []candidate {
 	return cands
 }
 
-// evaluate prices one candidate on its wave slot's overlay: prefer
+// evaluate prices round r's candidate i on its worker's overlay: prefer
 // retargeting to D2D (the paper's refinement); when spare memory is
 // exhausted or D2D does not help, fall back to trading the hostswap
-// group for recomputation. Pure with respect to shared planner state —
-// all mutation happens on trial snapshots and the slot's overlay — so
-// the slots' evaluations may run concurrently.
-func (rc *refineCtx) evaluate(ov *exec.Overlay, c candidate) evalResult {
+// group for recomputation. It reads the round, never the planner's
+// mutable state, and mutates only trial snapshots and the overlay, so
+// workers may run it concurrently, and past the round's end.
+func (rc *refineCtx) evaluate(ov *exec.Overlay, r *round, i int) evalResult {
 	var res evalResult
-	t := rc.p.snapshot()
+	c := r.cands[i]
+	t := r.snapshot()
 	if rc.p.convertToD2D(t, c.key) {
-		if done := rc.arbitrate(t, ov, &res); done {
+		if done := rc.arbitrate(r, i, t, ov, &res); done {
 			return res
 		}
 	}
 	if c.recompute {
-		t = rc.p.snapshot()
+		t = r.snapshot()
 		if rc.p.convertToRecompute(t, c.key) {
-			if done := rc.arbitrate(t, ov, &res); done {
+			if done := rc.arbitrate(r, i, t, ov, &res); done {
 				return res
 			}
 		}
@@ -232,27 +313,27 @@ func (rc *refineCtx) evaluate(ov *exec.Overlay, c candidate) evalResult {
 	return res
 }
 
-// arbitrate prices trial t against the incumbent, building its overlay
-// in ov, filling res and reporting whether the candidate is settled
-// (improved or errored). Ties are accepted: an equal-duration D2D route
-// still relieves the PCIe link and GPU compute the other mechanisms
-// consume.
-func (rc *refineCtx) arbitrate(t *trial, ov *exec.Overlay, res *evalResult) bool {
-	if rc.lowerBound(t.plan) > rc.current {
+// arbitrate prices trial t, for round r's candidate i, against the
+// incumbent, building its overlay in ov, filling res and reporting
+// whether the candidate is settled (improved or errored). Ties are
+// accepted: an equal-duration D2D route still relieves the PCIe link
+// and GPU compute the other mechanisms consume.
+func (rc *refineCtx) arbitrate(r *round, i int, t *trial, ov *exec.Overlay, res *evalResult) bool {
+	if rc.lowerBound(t.plan) > r.current {
 		// Provably cannot improve: skip the emulation entirely. Not
 		// charged as an arbitration — the sequential definition of
 		// Plan.Emulations counts verdicts, and the prune is
 		// deterministic at any worker count.
 		return false
 	}
-	r, err := rc.p.simulate(t.plan, ov)
+	run, err := rc.p.simulate(r.ctx, t.plan, ov, r.n, i)
 	if err != nil {
 		res.err = err
 		return true
 	}
 	res.arbs++
-	if r.OOM == nil && r.Duration <= rc.current {
-		res.t, res.dur = t, r.Duration
+	if run.OOM == nil && run.Duration <= r.current {
+		res.t, res.dur = t, run.Duration
 		return true
 	}
 	return false
@@ -429,33 +510,61 @@ func (p *planner) convertToRecompute(t *trial, key groupKey) bool {
 }
 
 // simulate lays pl over the frozen base lowering, building the overlay
-// in ov, and runs it bounded. Nothing of the Result aliases the
+// in ov, and runs it bounded by ctx. Nothing of the Result aliases the
 // overlay, so the next simulate may rebuild it. Pure with respect to
 // planner state, so refinement workers may call it concurrently, each
-// with its own overlay; emulate is the sequential counting wrapper the
-// OOM-retry loop uses.
-func (p *planner) simulate(pl *Plan, ov *exec.Overlay) (*exec.Result, error) {
+// with its own overlay; round and rank place it for Simulated. A run
+// stopped because its round settled returns the round's *Abandoned.
+func (p *planner) simulate(ctx context.Context, pl *Plan, ov *exec.Overlay, round, rank int) (*exec.Result, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, cancelled(ctx)
+	}
 	opts, err := apply(pl, p.built, p.o.Topo, ov)
 	if err != nil {
 		return nil, err
 	}
-	opts.Ctx = p.o.Ctx
+	opts.Ctx = ctx
 	res, err := exec.Run(*opts)
+	if err != nil && ctx != nil && ctx.Err() != nil {
+		err = cancelled(ctx)
+	}
 	if Simulated != nil {
-		Simulated(opts, res)
+		Simulated(Emulation{Opts: opts, Result: res, Err: err, Round: round, Rank: rank})
 	}
 	return res, err
 }
 
-// Simulated, when non-nil, is called with the options and result (nil
-// on an error) of every emulation, charged or not (a wave's candidates
-// after its first improving one are not), so tests can hold each one to
-// a reference run. Wave slots call it concurrently.
-var Simulated func(*exec.Options, *exec.Result)
+// cancelled returns the error of a run ctx stopped: the round's
+// *Abandoned, or the caller's own cancellation.
+func cancelled(ctx context.Context) error {
+	var ab *Abandoned
+	if errors.As(context.Cause(ctx), &ab) {
+		return ab
+	}
+	return ctx.Err()
+}
+
+// Emulation is one emulation as Simulated sees it.
+type Emulation struct {
+	Opts *exec.Options
+	// Result is nil when Err is set.
+	Result *exec.Result
+	Err    error
+	// Round and Rank place a refinement emulation: its round and its
+	// candidate's rank there. Both are -1 for the planner's other
+	// emulations.
+	Round, Rank int
+}
+
+// Simulated, when non-nil, is called with every emulation that ran,
+// charged or not (a round's evaluations after its winner are not), so
+// tests can hold each one to a reference run. Refinement workers call
+// it concurrently.
+var Simulated func(Emulation)
 
 // emulate is simulate, on a fresh overlay, plus the Plan.Emulations
 // charge.
 func (p *planner) emulate(pl *Plan) (*exec.Result, error) {
 	p.emulations++
-	return p.simulate(pl, new(exec.Overlay))
+	return p.simulate(p.o.Ctx, pl, new(exec.Overlay), -1, -1)
 }

@@ -5,7 +5,6 @@ import (
 
 	"mpress/internal/exec"
 	"mpress/internal/fabric"
-	"mpress/internal/graph"
 	"mpress/internal/hw"
 	"mpress/internal/pipeline"
 	"mpress/internal/tensor"
@@ -156,31 +155,4 @@ func TestApplyEmptyPlanIsIdentityRun(t *testing.T) {
 	if len(opts.D2D) != 0 || len(opts.InitiallySwapped) != 0 {
 		t.Error("empty plan produced routes")
 	}
-}
-
-func TestApplyInstrumentsAllMechanisms(t *testing.T) {
-	build := smallJob(t, pipeline.PipeDream)
-	peaks := measure(t, build, hw.DGX1())
-	topo := topoWithCapacity(capacityBetween(t, peaks))
-	pl, err := Compute(Options{Topo: topo, Build: build, Allowed: AllMechanisms()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := build()
-	opts, err := Apply(pl, b, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var swapOps, d2dRoutes int
-	for _, op := range opts.Overlay.Ops {
-		if op.Kind == graph.SwapOut || op.Kind == graph.SwapIn {
-			swapOps++
-		}
-	}
-	d2dRoutes = len(opts.D2D)
-	actCount := len(pl.Act) + len(pl.HostPersist)
-	if actCount > 0 && swapOps == 0 {
-		t.Error("plan with assignments produced no swap ops")
-	}
-	_ = d2dRoutes
 }

@@ -186,7 +186,7 @@ func replan(ctx context.Context, st *State, topo *hw.Topology, remaining int) (*
 	if err != nil {
 		return nil, fmt.Errorf("mpress: re-planning on %q: %w", topo.Name, err)
 	}
-	seg := &State{Job: j, cache: st.cache, lowers: st.lowers}
+	seg := &State{Job: j, cache: st.cache, lowers: st.lowers, workers: st.workers}
 	for _, s := range prepStages {
 		if err := s.run(ctx, seg); err != nil {
 			return nil, fmt.Errorf("mpress: re-planning on %q: %w", topo.Name, err)

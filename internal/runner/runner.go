@@ -160,7 +160,7 @@ func (r *Runner) run(ctx context.Context, j *Job, keep bool, l *lease, adopt *pl
 		ctx = context.Background()
 	}
 	start := time.Now()
-	st := &State{Job: j, cache: r.cache, lowers: l, adopt: adopt}
+	st := &State{Job: j, cache: r.cache, lowers: l, adopt: adopt, workers: r.opts.Workers}
 	res := JobResult{Job: j, StageTimes: make(map[string]time.Duration)}
 	for _, s := range stagesFor(j) {
 		if err := ctx.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -483,5 +484,28 @@ func TestRunPlanMatchesPlanned(t *testing.T) {
 		if res := New(Options{Workers: 1}).RunPlan(context.Background(), mustJob(t, bertCfg(t, "0.64B", sys)), pl); res.Err == nil {
 			t.Errorf("RunPlan ran %v, which does not plan", sys)
 		}
+	}
+}
+
+// TestPlanWorkersDefault: a PlanWorkers of 0 takes the runner's share
+// of GOMAXPROCS, at least one, when the Plan stage runs; the job's
+// Config keeps the 0, and a positive setting stands.
+func TestPlanWorkersDefault(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ planWorkers, runnerWorkers, want int }{
+		{0, 1, procs},
+		{0, procs, 1},
+		{0, 2 * procs, 1},
+		{0, 0, procs},
+		{1, 1, 1},
+		{3, procs, 3},
+	} {
+		if got := planWorkers(c.planWorkers, c.runnerWorkers); got != c.want {
+			t.Errorf("planWorkers(%d, %d) = %d, want %d (GOMAXPROCS %d)",
+				c.planWorkers, c.runnerWorkers, got, c.want, procs)
+		}
+	}
+	if j := mustJob(t, bertCfg(t, "0.64B", SystemMPress)); j.Config.PlanWorkers != 0 {
+		t.Errorf("the job's Config has PlanWorkers %d, want the caller's 0", j.Config.PlanWorkers)
 	}
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"mpress/internal/exec"
@@ -71,6 +72,9 @@ type State struct {
 	// adopt, when set, is the plan the Plan stage takes instead of
 	// planning (Runner.RunPlan).
 	adopt *plan.Plan
+	// workers is the runner's pool width, which sets a job's default
+	// refinement width (planWorkers).
+	workers int
 }
 
 // TraceLaneNames labels each stage lane of an exported trace with the
@@ -202,6 +206,20 @@ func allowedFor(s System) (plan.Allowed, error) {
 	}
 }
 
+// planWorkers resolves Config.PlanWorkers against a runner of
+// runnerWorkers: zero takes the runner's share of the host's cores,
+// GOMAXPROCS over the pool width, so a job alone on a one-worker
+// runner refines on every core and a runner with a job per core keeps
+// each job sequential. A positive setting stands. It is resolved here,
+// not in Config.WithDefaults, so echoed configs and fingerprints keep
+// the zero.
+func planWorkers(n, runnerWorkers int) int {
+	if n > 0 {
+		return n
+	}
+	return max(1, runtime.GOMAXPROCS(0)/max(1, runnerWorkers))
+}
+
 func stagePlan(ctx context.Context, st *State) error {
 	c := st.Job.Config
 	plane := st.Grid.Plane()
@@ -237,7 +255,7 @@ func stagePlan(ctx context.Context, st *State) error {
 			Allowed:              allowed,
 			DisableMappingSearch: c.DisableMappingSearch,
 			DisableStriping:      c.DisableStriping,
-			Workers:              c.PlanWorkers,
+			Workers:              planWorkers(c.PlanWorkers, st.workers),
 			Ctx:                  ctx,
 		})
 	}

@@ -75,7 +75,8 @@ type Sim struct {
 	// cancellation (a context, a signal) without per-event overhead.
 	Interrupt func() bool
 	// interruptEvery is the polling stride; zero means the default of
-	// 8192 events. Only tests shorten it.
+	// 1024 events, fine enough to stop a planner emulation (a few
+	// thousand events) whose round has moved on. Only tests shorten it.
 	interruptEvery int64
 	// Interrupted reports whether the last Run was halted by the
 	// Interrupt hook (as opposed to draining its events or Stop).
@@ -188,7 +189,7 @@ func (s *Sim) Run() (Time, error) {
 	}
 	every := s.interruptEvery
 	if every <= 0 {
-		every = 8192
+		every = 1024
 	}
 	s.stopped = false
 	s.Interrupted = false

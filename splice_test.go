@@ -3,6 +3,7 @@ package mpress_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -19,8 +20,10 @@ import (
 )
 
 // TestSpliceDifferential holds the overlay path to the materialized one
-// on every emulation of every planner preset, planned sequentially and
-// at four refinement workers, and on each preset's final job. Each run
+// on every emulation of every planner preset, planned sequentially, at
+// four refinement workers and at the default width (the runner's share
+// of GOMAXPROCS; make splice-smoke runs it at several), and on each
+// preset's final job. Each run
 // lays its plan over the frozen lowering as an exec.Overlay. The
 // reference is that overlay spliced into the lowering the plain way: a
 // fresh, unfrozen graph with the lowering's ops, then the overlay's
@@ -30,14 +33,18 @@ import (
 // and derives its own order, liveness and free rows. The two Results
 // must agree in duration, spans, events, memory, OOM and fabric
 // traffic, and the final job's Chrome traces byte for byte. The
-// plan.Simulated hook sees every emulation, charged to Plan.Emulations
-// or not; sequentially it must see exactly Plan.Emulations.
+// plan.Simulated hook sees every emulation that ran, charged to
+// Plan.Emulations or not; sequentially it must see exactly
+// Plan.Emulations, all run to the end. In parallel, a run may stop
+// early only when its round has settled on a winner ranked before it
+// (*plan.Abandoned); every run that ends otherwise is checked.
 func TestSpliceDifferential(t *testing.T) {
 	var (
-		mu       sync.Mutex
-		sims     int
-		firstErr error
-		twins    = map[*pipeline.Built]*pipeline.Built{}
+		mu        sync.Mutex
+		sims      int
+		abandoned int
+		firstErr  error
+		twins     = map[*pipeline.Built]*pipeline.Built{}
 	)
 	// twin returns an unfrozen lowering equal to b, whose copies carry
 	// no free rows, so a reference run derives its own.
@@ -66,16 +73,26 @@ func TestSpliceDifferential(t *testing.T) {
 		}
 		return ref, want, sameResult(res, want)
 	}
-	plan.Simulated = func(o *exec.Options, res *exec.Result) {
-		var err error
-		if res == nil {
-			err = fmt.Errorf("an emulation failed")
-		} else {
-			_, _, err = reference(o, res)
+	plan.Simulated = func(e plan.Emulation) {
+		var ab *plan.Abandoned
+		err := e.Err
+		stopped := errors.As(err, &ab) && ab.Winner >= 0 && e.Rank > ab.Winner
+		switch {
+		case stopped:
+			err = nil
+		case err != nil:
+			err = fmt.Errorf("round %d rank %d: an emulation failed: %w", e.Round, e.Rank, err)
+		case e.Result == nil:
+			err = fmt.Errorf("round %d rank %d: an emulation returned no result", e.Round, e.Rank)
+		default:
+			_, _, err = reference(e.Opts, e.Result)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		sims++
+		if stopped {
+			abandoned++
+		}
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -84,7 +101,7 @@ func TestSpliceDifferential(t *testing.T) {
 
 	sequential := map[string]int{}
 	for _, p := range experiments.PlannerPresets() {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 4, 0} {
 			name := fmt.Sprintf("%s/workers=%d", p.Name, workers)
 			cfg := p.Cfg
 			cfg.PlanWorkers = workers
@@ -92,21 +109,23 @@ func TestSpliceDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := sims
+			before, stoppedBefore := sims, abandoned
 			res := mpress.NewRunner(mpress.RunnerOptions{Workers: 1, KeepArtifacts: true}).Run(context.Background(), j)
 			if res.Err != nil {
 				t.Fatalf("%s: %v", name, res.Err)
 			}
-			emulations, simulated := res.Report.Plan.Emulations, sims-before
-			t.Logf("%s: %d emulations charged, %d run and checked", name, emulations, simulated)
+			emulations, stopped := res.Report.Plan.Emulations, abandoned-stoppedBefore
+			finished := sims - before - stopped
+			t.Logf("%s: %d emulations charged, %d run to the end and checked, %d abandoned", name, emulations, finished, stopped)
 			if workers == 1 {
 				sequential[p.Name] = emulations
-				if simulated != emulations {
-					t.Errorf("%s: %d emulations run, want Plan.Emulations = %d", name, simulated, emulations)
+				if finished != emulations || stopped != 0 {
+					t.Errorf("%s: %d emulations run to the end and %d abandoned, want Plan.Emulations = %d and none",
+						name, finished, stopped, emulations)
 				}
-			} else if emulations != sequential[p.Name] || simulated < emulations {
-				t.Errorf("%s: %d emulations charged of %d run, want %d charged as sequentially",
-					name, emulations, simulated, sequential[p.Name])
+			} else if emulations != sequential[p.Name] || finished < emulations {
+				t.Errorf("%s: %d emulations charged of %d run to the end, want %d charged as sequentially",
+					name, emulations, finished, sequential[p.Name])
 			}
 
 			// The job's own run, and its Chrome trace.
@@ -134,7 +153,9 @@ func TestSpliceDifferential(t *testing.T) {
 
 // materialize splices o's overlay into a copy of tw, an unfrozen twin
 // of o's lowering, and returns o's options over it with an empty
-// overlay. Overlay ops get the names the overlay path builds on read.
+// overlay and no context: a run that finished is checked even when its
+// refinement round has since been cancelled. Overlay ops get the names
+// the overlay path builds on read.
 func materialize(o *exec.Options, tw *pipeline.Built) *exec.Options {
 	b := *tw
 	g := graph.New(b.Graph.Tensors)
@@ -154,7 +175,7 @@ func materialize(o *exec.Options, tw *pipeline.Built) *exec.Options {
 	}
 	b.Graph = g
 	ref := *o
-	ref.Built, ref.Overlay = &b, exec.Overlay{}
+	ref.Built, ref.Overlay, ref.Ctx = &b, exec.Overlay{}, nil
 	return &ref
 }
 
