@@ -73,10 +73,15 @@ sweep-smoke:
 # emulation may stop early only when its round settled on a winner
 # ranked before it. Plans must be byte-identical at every width. Both
 # run at GOMAXPROCS 1, 2 and 4, so the default width takes several
-# values. TestGraphEquivalence holds the graph's adjacency, order and
-# liveness to reference implementations; all under the race detector.
+# values. TestTrialIsolation, at the same GOMAXPROCS values, holds a
+# refinement trial to a copy of its round's incumbent: conversions on it
+# change neither the incumbent nor a sibling, and a snapshot into a
+# used trial allocates nothing. TestGraphEquivalence holds the graph's
+# adjacency, order and liveness to reference implementations; all under
+# the race detector.
 splice-smoke:
 	$(GO) test -race -run 'TestSpliceDifferential|TestParallelPlannerDeterministic' -cpu 1,2,4 -count=1 .
+	$(GO) test -race -run 'TestTrialIsolation' -cpu 1,2,4 -count=1 ./internal/plan/
 	$(GO) test -race -run 'TestGraphEquivalence' -count=1 ./internal/graph/
 
 # Event-loop acceptance: on the FuzzJointStriped seed corpus the

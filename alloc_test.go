@@ -11,11 +11,14 @@ import (
 )
 
 // maxBytesPerEmulation bounds what planning bertxdgx2 allocates per
-// emulation, about 1.5x the ~565 KiB measured when it was set. Each
-// emulation runs an overlay on the frozen lowering, rebuilt in its
-// refinement worker's arrays, and the pooled executor state keeps it
-// from re-allocating its per-run slices.
-const maxBytesPerEmulation = 850 * units.KiB
+// emulation, about 1.5x the ~200 KiB measured when it was set (at
+// GOMAXPROCS 2; ~183 KiB at 1 and ~233 KiB at 4). Each emulation prices
+// a copy of its round's incumbent in its refinement worker's trial and
+// runs an overlay on the frozen lowering, rebuilt in that worker's
+// arrays and maps, and the pooled executor state keeps it from
+// re-allocating its per-run slices; what is left is mostly the
+// Result's Spans.
+const maxBytesPerEmulation = 300 * units.KiB
 
 // TestEmulationAllocBytes plans bertxdgx2 on a fresh single-worker
 // runner at the default refinement width (GOMAXPROCS), as mpress-plan

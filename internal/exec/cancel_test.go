@@ -12,8 +12,8 @@ import (
 )
 
 // TestRunHonorsCancelledContext: a cancelled context stops the event
-// loop at the kernel's first poll. The job runs more events than the
-// polling stride, so only the mid-run poll can catch the cancellation.
+// loop at the kernel's first poll, on a job that runs more events than
+// the polling stride.
 func TestRunHonorsCancelledContext(t *testing.T) {
 	cfg := tinyModel()
 	prec := model.MixedAdam()
@@ -53,5 +53,25 @@ func TestRunIgnoresLiveContext(t *testing.T) {
 	}
 	if r.OOM != nil || r.Duration <= 0 {
 		t.Errorf("degenerate result under a live context: %+v", r)
+	}
+}
+
+// TestRunCancelledBeforeFirstEvent: the kernel polls the context before
+// its first event, so a run cancelled before it starts stops there, even
+// one shorter than the polling stride, which no later poll would reach.
+func TestRunCancelledBeforeFirstEvent(t *testing.T) {
+	o := exec.Options{Topo: hw.DGX1(), Built: buildTiny(t, pipeline.DAPPLE, 4), Mapping: exec.IdentityMapping(4)}
+	full, err := exec.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Events >= 1024 {
+		t.Fatalf("job runs %d events, want fewer than the 1024-event polling stride", full.Events)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o.Ctx = ctx
+	if _, err := exec.Run(o); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -273,11 +273,10 @@ type engine struct {
 	g   *graph.Graph // the lowering's
 	ops OpView
 	// *scratch holds the per-run working slices: dependency counts
-	// (preds), residency by tensor (state) and the overlay's successor
-	// rows.
+	// (preds), residency by tensor (state), Options' per-tensor entries
+	// and the overlay's successor rows.
 	*scratch
-	frees     *pipeline.FreeRows
-	pinnedBuf map[tensor.ID]units.Bytes // actual pinned buffer backing a host-swapped tensor
+	frees *pipeline.FreeRows
 
 	spans        []Span
 	oom          *memsim.OOMError
@@ -317,6 +316,16 @@ type engine struct {
 type scratch struct {
 	preds []int
 	state []residency
+	// Options' per-tensor entries, by tensor ID (see tensorTables): a
+	// D2D-swapped tensor t stripes to parts[partOff[route[t]-1]:
+	// partOff[route[t]]] (route 0: it swaps over PCIe), swapped marks
+	// the InitiallySwapped ones, and pinnedBuf[t] is the pinned host
+	// buffer backing t while it is swapped to host memory.
+	route     []int32
+	partOff   []int32
+	parts     []fabric.Part
+	swapped   []bool
+	pinnedBuf []units.Bytes
 	// The overlay's edges in CSR form over every op (see layout): op i
 	// waits on pred[predOff[i]:predOff[i+1]] and unblocks
 	// succ[succOff[i]:succOff[i+1]], releasing ops first, then the rest,
@@ -382,6 +391,7 @@ func Run(o Options) (*Result, error) {
 	defer scratchPool.Put(e.scratch)
 	e.state = resize(e.state, e.g.Tensors.Len())
 	e.preds = resize(e.preds, e.ops.Len())
+	e.tensorTables()
 	e.sim = sim.Get()
 	defer sim.Put(e.sim)
 	e.sim.Handle = e.handle
@@ -399,7 +409,6 @@ func Run(o Options) (*Result, error) {
 	e.host = memsim.NewDevice("host", o.Topo.HostMemory)
 	e.nvme = memsim.NewDevice("nvme", o.Topo.NVMeSize)
 	e.pinned = memsim.NewPinnedPool(e.host)
-	e.pinnedBuf = make(map[tensor.ID]units.Bytes)
 
 	e.rate = o.Topo.GPU.EffectiveRate(o.Built.Cfg.Model.DType)
 
@@ -483,6 +492,40 @@ func (e *engine) checkRoute(id tensor.ID, parts []fabric.Part) error {
 	return nil
 }
 
+// tensorTables lays Options.D2D and InitiallySwapped out by tensor in
+// the scratch, in time linear in their entries (past clearing the
+// per-tensor slices), so no op of the run reads a map. checkRoutes has
+// already checked every D2D key; InitiallySwapped is read only for
+// persistent tensors, so a key naming no tensor is ignored.
+func (e *engine) tensorTables() {
+	n := e.g.Tensors.Len()
+	e.route = resize(e.route, n)
+	e.swapped = resize(e.swapped, n)
+	e.pinnedBuf = resize(e.pinnedBuf, n)
+	e.partOff = append(e.partOff[:0], 0)
+	e.parts = e.parts[:0]
+	for id, parts := range e.o.D2D {
+		e.parts = append(e.parts, parts...)
+		e.partOff = append(e.partOff, int32(len(e.parts)))
+		e.route[id] = int32(len(e.partOff) - 1)
+	}
+	for id, on := range e.o.InitiallySwapped {
+		if on && id >= 0 && int(id) < n {
+			e.swapped[id] = true
+		}
+	}
+}
+
+// stripes returns tensor t's D2D stripes and whether it has a D2D
+// route (Options.D2D has an entry for it).
+func (e *engine) stripes(t tensor.ID) ([]fabric.Part, bool) {
+	r := e.route[t]
+	if r == 0 {
+		return nil, false
+	}
+	return e.parts[e.partOff[r-1]:e.partOff[r]], true
+}
+
 // init allocates the runtime reserve and persistent state, reporting a
 // GPU or host too small for them as OOM, and builds the dependency
 // bookkeeping in the pooled scratch. It re-derives nothing the graph
@@ -510,7 +553,7 @@ func (e *engine) init() error {
 		dev := e.gpus[e.o.Mapping[s]]
 		for _, id := range ids {
 			tn := e.g.Tensors.Get(id)
-			if e.o.InitiallySwapped[id] {
+			if e.swapped[id] {
 				buf, err := e.pinned.Get(tn.Size)
 				if err != nil {
 					// Host capacity failures report as OOM like GPU
@@ -747,7 +790,8 @@ func (e *engine) handle(ev sim.Event) {
 	case evSwapOutHost:
 		e.releaseSubject(op.Subject, e.gpuOf(op.Subject), resSwappedHost)
 	case evSwapInPeers:
-		for _, p := range e.o.D2D[op.Subject] {
+		parts, _ := e.stripes(op.Subject)
+		for _, p := range parts {
 			e.gpus[p.Peer].Release(p.Bytes)
 		}
 		e.state[op.Subject] = resOnGPU
@@ -756,7 +800,7 @@ func (e *engine) handle(ev sim.Event) {
 		e.state[op.Subject] = resOnGPU
 	case evSwapInHost:
 		e.pinned.Put(e.pinnedBuf[op.Subject])
-		delete(e.pinnedBuf, op.Subject)
+		e.pinnedBuf[op.Subject] = 0
 		e.state[op.Subject] = resOnGPU
 	}
 	e.complete(id, ev.Start, e.sim.Now())
@@ -868,7 +912,7 @@ func (e *engine) dispatch(id graph.OpID) {
 	case graph.SwapOut:
 		gpu := e.gpuOf(op.Subject)
 		size := e.g.Tensors.Get(op.Subject).Size
-		if parts, ok := e.o.D2D[op.Subject]; ok {
+		if parts, ok := e.stripes(op.Subject); ok {
 			name := e.g.Tensors.Get(op.Subject).Name
 			for _, p := range parts {
 				// The stripe's OOM label is built only when it fails.
@@ -913,7 +957,7 @@ func (e *engine) dispatch(id graph.OpID) {
 		if !e.alloc(gpu, tn.Size, tn.Name) {
 			return
 		}
-		if parts, ok := e.o.D2D[op.Subject]; ok {
+		if parts, ok := e.stripes(op.Subject); ok {
 			if e.state[op.Subject] != resSwappedPeers {
 				panic(fmt.Sprintf("exec: d2d swap-in of %s in state %d", tn.Name, e.state[op.Subject]))
 			}
@@ -1000,9 +1044,11 @@ func (e *engine) complete(id graph.OpID, start, end sim.Time) {
 		}
 		e.samples = append(e.samples, MemSample{At: end, InUse: snap})
 	}
+	// Only overlay ops release (layout marks them).
 	row := e.succ[e.succOff[id]:e.succOff[id+1]]
+	base := graph.OpID(e.g.Len())
 	i := 0
-	for i < len(row) && e.ops.Op(row[i]).Kind.Releases() {
+	for i < len(row) && row[i] >= base && e.releases[row[i]-base] {
 		i++
 	}
 	e.release(row[:i])

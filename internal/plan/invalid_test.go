@@ -60,6 +60,16 @@ func TestApplyRejectsInvalidPlans(t *testing.T) {
 			break
 		}
 	}
+	// late is a tensor after act that is no activation.
+	late := act + 1
+	for ; ; late++ {
+		if _, ok := base.ActSlot(late); !ok {
+			break
+		}
+	}
+	if int(late) >= base.Graph.Tensors.Len() {
+		t.Fatal("no tensor after the activation is a non-activation")
+	}
 	cases := []struct {
 		name   string
 		tensor tensor.ID
@@ -105,6 +115,24 @@ func TestApplyRejectsInvalidPlans(t *testing.T) {
 		}},
 		{"activation mechanism on a persistent tensor", grad, func(pl *Plan) {
 			pl.Act[grad] = MechRecompute
+		}},
+		{"no mechanism on a persistent tensor", grad, func(pl *Plan) {
+			pl.Act[grad] = MechNone
+		}},
+		{"activation key out of range", 1 << 30, func(pl *Plan) {
+			pl.Act[1<<30] = MechRecompute
+		}},
+		{"negative activation key names before a bad stripe", -5, func(pl *Plan) {
+			pl.Act[-5] = MechD2D + 1
+			pl.Parts[act] = []fabric.Part{{Peer: 0, Bytes: size}}
+		}},
+		{"bad stripe names before a key out of range", act, func(pl *Plan) {
+			pl.Act[1<<30] = MechRecompute
+			pl.Parts[act] = []fabric.Part{{Peer: 0, Bytes: size}}
+		}},
+		{"bad stripe names before a no-mechanism entry past it", act, func(pl *Plan) {
+			pl.Act[late] = MechNone
+			pl.Parts[act] = []fabric.Part{{Peer: 0, Bytes: size}}
 		}},
 	}
 	for _, c := range cases {

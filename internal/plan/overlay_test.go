@@ -47,7 +47,7 @@ func TestRecycledOverlayMatchesFresh(t *testing.T) {
 		}
 	}
 	mixed := empty()
-	for i, id := range sortedIDs(swapped.Act, b.Graph.Tensors.Len()) {
+	for i, id := range sortedKeys(swapped.Act) {
 		mixed.Act[id] = MechHostSwap
 		if i%2 == 0 {
 			size := b.Graph.Tensors.Get(id).Size
@@ -55,7 +55,7 @@ func TestRecycledOverlayMatchesFresh(t *testing.T) {
 			mixed.Parts[id] = []fabric.Part{{Peer: 5, Bytes: size / 2}, {Peer: 6, Bytes: size - size/2}}
 		}
 	}
-	if _, serialize := swapWindows(mixed, b, topo); !serialize[0] {
+	if _, serialize := swapWindows(decide(mixed, b), b, topo); !serialize[0] {
 		t.Fatal("the mixed plan does not serialize restores")
 	}
 	recompute := empty()
@@ -85,7 +85,7 @@ func TestRecycledOverlayMatchesFresh(t *testing.T) {
 		}
 		return r
 	}
-	var recycled exec.Overlay
+	var recycled overlay
 	for _, tc := range []struct {
 		name string
 		pl   *Plan
@@ -97,7 +97,7 @@ func TestRecycledOverlayMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused, err := apply(tc.pl, b, topo, &recycled)
+		reused, err := apply(decide(tc.pl, b), b, topo, &recycled)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,16 +21,18 @@
 //     while spare GPU memory lasts, keeping each conversion only if
 //     the emulator reports an improvement.
 //
-// Refinement candidates are evaluated on copy-on-write trial snapshots
-// (see refine.go), which lets Options.Workers emulate several
+// While it plans, the planner holds its per-tensor decisions densely,
+// indexed by tensor ID (trial), and fills the Plan's maps once, at the
+// end. Refinement candidates are evaluated on copies of the round's
+// incumbent (see refine.go), which lets Options.Workers emulate several
 // candidates concurrently while producing byte-identical plans at any
 // worker count.
 package plan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -111,8 +113,8 @@ type Options struct {
 	// of striping across all reachable ones (Fig. 9 ablation).
 	DisableStriping bool
 	// Workers bounds how many refinement candidates are emulated
-	// concurrently (a worker pool over copy-on-write trial snapshots;
-	// see refine.go). Plans are byte-identical at any setting — each
+	// concurrently (a worker pool over trial snapshots; see
+	// refine.go). Plans are byte-identical at any setting — each
 	// round's winner is the first improving candidate in rank order,
 	// not completion order. Zero or one means sequential.
 	Workers int
@@ -164,16 +166,90 @@ type planner struct {
 	built   *pipeline.Built // the one frozen base lowering
 	profile *profiler.Profile
 	mapRes  *mapping.Result
-	spare   compaction.SpareBudget
 
 	// groups indexes each (stage, block) activation group's instances
 	// in microbatch order — precomputed once so the refinement loop's
 	// candidate enumeration does not rescan the build's activations.
-	groups     map[groupKey][]tensor.ID
-	inUse      map[groupKey]Mechanism
-	plan       *Plan
+	groups map[groupKey][]tensor.ID
+	// plan holds the mapping and the host-parked tensors; Compute fills
+	// its Act and Parts from cur once planning is done.
+	plan *Plan
+	// cur is the working assignment: the incumbent, during refinement.
+	cur        *trial
 	targets    []units.Bytes // per-stage savings targets
 	emulations int
+}
+
+// decisions is a plan laid out by tensor ID, the form apply reads: the
+// planner keeps its assignment this way, and Apply converts a Plan to
+// it once. Pricing a candidate then copies two slices and reads no map.
+type decisions struct {
+	mapping []hw.DeviceID
+	// act[id] is tensor id's mechanism, MechNone where there is none.
+	act []Mechanism
+	// A MechD2D tensor's stripes are layouts[layout[id]]. layouts[0] is
+	// nil, so a tensor given no stripes has none. Layouts are shared
+	// between copies and never written.
+	layout  []int32
+	layouts [][]fabric.Part
+	// parked lists the host-parked tensors in tensor order.
+	parked []tensor.ID
+	// A converted Plan's entries the arrays cannot hold, every one a
+	// fault for check to report, each in tensor order: stray holds Act
+	// keys naming no tensor and MechNone entries on a tensor that is no
+	// activation, unparked the HostPersist entries that are false.
+	stray    []actEntry
+	unparked []tensor.ID
+}
+
+// actEntry is one Act entry of a Plan.
+type actEntry struct {
+	id   tensor.ID
+	mech Mechanism
+}
+
+// parts returns tensor id's D2D stripes.
+func (d *decisions) parts(id tensor.ID) []fabric.Part { return d.layouts[d.layout[id]] }
+
+// trial is the planner's per-tensor state, everything a conversion
+// mutates: the decisions and the spare budget they leave. The mapping
+// and the host-parked list are fixed once the initial assignment is
+// made, and a copy shares them.
+type trial struct {
+	decisions
+	spare compaction.SpareBudget
+}
+
+// copyInto copies t into dst, reusing dst's arrays and budget map (a
+// new trial when dst is nil), and returns dst.
+func (t *trial) copyInto(dst *trial) *trial {
+	if dst == nil {
+		dst = &trial{spare: make(compaction.SpareBudget, len(t.spare))}
+	}
+	dst.mapping, dst.parked = t.mapping, t.parked
+	dst.act = append(dst.act[:0], t.act...)
+	dst.layout = append(dst.layout[:0], t.layout...)
+	dst.layouts = append(dst.layouts[:0], t.layouts...)
+	clear(dst.spare)
+	for g, b := range t.spare {
+		dst.spare[g] = b
+	}
+	return dst
+}
+
+// groupMech returns the mechanism of the group whose instances are ids:
+// the one its instances not yet moved to D2D share, MechD2D once all
+// have moved, MechNone while it is unassigned (or has no instances).
+func groupMech(act []Mechanism, ids []tensor.ID) Mechanism {
+	for _, id := range ids {
+		if m := act[id]; m != MechD2D {
+			return m
+		}
+	}
+	if len(ids) == 0 {
+		return MechNone
+	}
+	return MechD2D
 }
 
 // basisKey names one planner basis of a lowering: the plane, by its
@@ -219,6 +295,26 @@ func basisOf(b *pipeline.Built, topo *hw.Topology, identity bool) (*basis, error
 
 // Compute runs the planner.
 func Compute(o Options) (*Plan, error) {
+	p, err := newPlanner(o)
+	if err != nil {
+		return nil, err
+	}
+	// Steps 3-4 with OOM-retry.
+	res, err := p.assignAndRefine()
+	if err != nil {
+		return nil, err
+	}
+	p.plan.Baseline = p.profile.Duration
+	p.plan.Planned = res
+	p.plan.Emulations = p.emulations
+	p.fillActs()
+	p.finalizeSummary()
+	return p.plan, nil
+}
+
+// newPlanner lowers and freezes the job and takes its basis (steps 1
+// and 2), its activation groups and its per-stage savings targets.
+func newPlanner(o Options) (*planner, error) {
 	if o.Topo == nil || o.Build == nil {
 		return nil, fmt.Errorf("plan: Topo and Build are required")
 	}
@@ -262,16 +358,23 @@ func Compute(o Options) (*Plan, error) {
 		}
 	}
 
-	// Steps 3-4 with OOM-retry.
-	res, err := p.assignAndRefine()
-	if err != nil {
-		return nil, err
+	return p, nil
+}
+
+// fillActs writes the working assignment into the Plan's maps: an Act
+// entry for every tensor given a mechanism (the planner never assigns
+// MechNone), and a Parts entry for every D2D-swapped one.
+func (p *planner) fillActs() {
+	for i, m := range p.cur.act {
+		if m == MechNone {
+			continue
+		}
+		id := tensor.ID(i)
+		p.plan.Act[id] = m
+		if m == MechD2D {
+			p.plan.Parts[id] = p.cur.parts(id)
+		}
 	}
-	p.plan.Baseline = p.profile.Duration
-	p.plan.Planned = res
-	p.plan.Emulations = p.emulations
-	p.finalizeSummary()
-	return p.plan, nil
 }
 
 // finalizeSummary computes SavedByMech and StageRange once, from the
@@ -284,11 +387,11 @@ func (p *planner) finalizeSummary() {
 	}
 	b := p.built
 	S := b.NumStages()
-	for id, mech := range p.plan.Act {
+	for id, mech := range p.cur.act {
 		if mech == MechNone {
 			continue
 		}
-		tn := b.Graph.Tensors.Get(id)
+		tn := b.Graph.Tensors.Get(tensor.ID(id))
 		inflight := b.Cfg.Kind.InFlight(tn.Stage, S, b.Cfg.Microbatches)
 		// A group of instances (one per microbatch) jointly reduces
 		// the stage's steady residency by size×(inflight-1); divide
@@ -306,7 +409,7 @@ func (p *planner) finalizeSummary() {
 	}
 }
 
-// newPlan resets the working plan.
+// newPlan resets the working plan and assignment.
 func (p *planner) newPlan() {
 	p.plan = &Plan{
 		Mapping:     slices.Clone(p.mapRes.Mapping),
@@ -314,8 +417,16 @@ func (p *planner) newPlan() {
 		Parts:       make(map[tensor.ID][]fabric.Part),
 		HostPersist: make(map[tensor.ID]bool),
 	}
-	p.inUse = make(map[groupKey]Mechanism)
-	p.spare = compaction.SpareBudget(p.mapRes.Spare).Clone()
+	n := p.built.Graph.Tensors.Len()
+	p.cur = &trial{
+		decisions: decisions{
+			mapping: p.plan.Mapping,
+			act:     make([]Mechanism, n),
+			layout:  make([]int32, n),
+			layouts: [][]fabric.Part{nil},
+		},
+		spare: compaction.SpareBudget(p.mapRes.Spare).Clone(),
+	}
 }
 
 // note adds one tensor's saving to the summary maps.
@@ -336,11 +447,10 @@ func (p *planner) note(mech Mechanism, stage int, saved units.Bytes) {
 func (p *planner) assignAndRefine() (units.Duration, error) {
 	var lastDur units.Duration
 	for attempt := 0; ; attempt++ {
-		p.newPlan()
-		if err := p.initialAssignment(); err != nil {
+		if err := p.assign(); err != nil {
 			return 0, err
 		}
-		res, err := p.emulate(p.plan)
+		res, err := p.emulate(&p.cur.decisions)
 		if err != nil {
 			return 0, err
 		}
@@ -384,6 +494,17 @@ func (p *planner) assignAndRefine() (units.Duration, error) {
 		lastDur = d
 	}
 	return lastDur, nil
+}
+
+// assign makes the initial assignment on a fresh working plan. The
+// host-parked tensors are fixed from then on.
+func (p *planner) assign() error {
+	p.newPlan()
+	if err := p.initialAssignment(); err != nil {
+		return err
+	}
+	p.cur.parked = sortedKeys(p.plan.HostPersist)
+	return nil
 }
 
 // initialAssignment implements step 3.
@@ -456,7 +577,7 @@ func (p *planner) initialAssignment() error {
 		if need > 0 && p.o.Allowed.HostSwap {
 			for i := len(blocks) - 1; i >= 0 && need > 0; i-- {
 				blk := blocks[i]
-				if p.inUse[groupKey{s, blk}] == MechRecompute {
+				if groupMech(p.cur.act, p.groupTensors(s, blk)) == MechRecompute {
 					continue
 				}
 				saved := p.applyGroup(s, blk, MechHostSwap, inflight)
@@ -467,7 +588,7 @@ func (p *planner) initialAssignment() error {
 		if need > 0 && p.o.Allowed.D2D {
 			for i := len(blocks) - 1; i >= 0 && need > 0; i-- {
 				blk := blocks[i]
-				if p.inUse[groupKey{s, blk}] != MechNone {
+				if groupMech(p.cur.act, p.groupTensors(s, blk)) != MechNone {
 					continue
 				}
 				saved := p.applyGroupD2D(s, blk)
@@ -592,9 +713,8 @@ func (p *planner) applyGroup(stage, blk int, mech Mechanism, inflight int) units
 		return 0
 	}
 	for _, id := range ids {
-		p.plan.Act[id] = mech
+		p.cur.act[id] = mech
 	}
-	p.inUse[groupKey{stage, blk}] = mech
 	size := p.built.Graph.Tensors.Get(ids[0]).Size
 	saved := size * units.Bytes(inflight-1)
 	if saved <= 0 {
@@ -614,28 +734,29 @@ func (p *planner) applyGroupD2D(stage, blk int) units.Bytes {
 	b := p.built
 	kind := b.Cfg.Kind
 	inflight := kind.InFlight(stage, b.NumStages(), b.Cfg.Microbatches)
-	src := p.plan.Mapping[stage]
+	src := p.cur.mapping[stage]
 
 	// Every concurrently swapped-out instance occupies peer memory;
 	// budget one slot per in-flight copy and reuse the layouts
 	// round-robin across microbatches.
 	size := b.Graph.Tensors.Get(ids[0]).Size
-	layouts := make([][]fabric.Part, 0, inflight)
+	t := p.cur
+	first := len(t.layouts)
 	for i := 0; i < inflight; i++ {
-		parts := p.planStripes(p.spare, src, size)
+		parts := p.planStripes(t.spare, src, size)
 		if parts == nil {
-			for _, l := range layouts {
-				compaction.UnplanStripes(p.spare, l)
+			for _, l := range t.layouts[first:] {
+				compaction.UnplanStripes(t.spare, l)
 			}
+			t.layouts = t.layouts[:first]
 			return 0
 		}
-		layouts = append(layouts, parts)
+		t.layouts = append(t.layouts, parts)
 	}
 	for i, id := range ids {
-		p.plan.Act[id] = MechD2D
-		p.plan.Parts[id] = layouts[i%len(layouts)]
+		t.act[id] = MechD2D
+		t.layout[id] = int32(first + i%inflight)
 	}
-	p.inUse[groupKey{stage, blk}] = MechD2D
 	saved := size * units.Bytes(inflight-1)
 	if saved <= 0 {
 		saved = size / 2
@@ -644,7 +765,7 @@ func (p *planner) applyGroupD2D(stage, blk int) units.Bytes {
 }
 
 // planStripes honors the DisableStriping ablation. It debits the given
-// budget (the planner's own, or a trial snapshot's clone), which is
+// budget (the planner's own, or a trial snapshot's copy), which is
 // what lets concurrent refinement trials plan stripes independently.
 func (p *planner) planStripes(budget compaction.SpareBudget, src hw.DeviceID, size units.Bytes) []fabric.Part {
 	if !p.o.DisableStriping {
@@ -669,7 +790,7 @@ func (p *planner) planStripes(budget compaction.SpareBudget, src hw.DeviceID, si
 // be in flight (allocated but not yet drained) before the forward must
 // wait, and whether restores must strictly serialize behind evictions
 // (only one evicted instance fits at a time).
-func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]int, []bool) {
+func swapWindows(d *decisions, b *pipeline.Built, topo *hw.Topology) ([]int, []bool) {
 	S := b.NumStages()
 	evictedPerMB := make([]units.Bytes, S)    // bytes leaving per microbatch (hostswap + d2d)
 	recomputedPerMB := make([]units.Bytes, S) // bytes dropped and rematerialized per microbatch
@@ -677,19 +798,22 @@ func swapWindows(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]int, []bool)
 	persistent := make([]units.Bytes, S)      // resident persistent state
 	for s := 0; s < S; s++ {
 		for _, id := range b.Persistent[s] {
-			if !pl.HostPersist[id] {
-				persistent[s] += b.Graph.Tensors.Get(id).Size
-			}
+			persistent[s] += b.Graph.Tensors.Get(id).Size
 		}
+	}
+	// A persistent tensor is on its own stage's list.
+	for _, id := range d.parked {
+		tn := b.Graph.Tensors.Get(id)
+		persistent[tn.Stage] -= tn.Size
 	}
 	// Use microbatch 0's slots as the representative instance set.
 	for s := 0; s < S; s++ {
 		k := pipeline.SlotKey{Stage: s, Microbatch: 0}
 		for _, id := range b.Acts[k] {
-			switch m, ok := pl.Act[id]; {
-			case ok && m == MechRecompute:
+			switch m := d.act[id]; {
+			case m == MechRecompute:
 				recomputedPerMB[k.Stage] += b.Graph.Tensors.Get(id).Size
-			case ok && m != MechNone:
+			case m != MechNone:
 				evictedPerMB[k.Stage] += b.Graph.Tensors.Get(id).Size
 			default:
 				retainedPerMB[k.Stage] += b.Graph.Tensors.Get(id).Size
@@ -751,98 +875,127 @@ func (e *InvalidError) Error() string {
 	return fmt.Sprintf("plan: invalid plan: tensor %d: %s", e.Tensor, e.Reason)
 }
 
-// actUse is one validated activation assignment of a plan.
-type actUse struct {
-	id    tensor.ID
-	mech  Mechanism
-	slot  pipeline.SlotKey
-	flops units.FLOPs // recompute cost, for MechRecompute
+// invalid returns the *InvalidError for tensor id.
+func invalid(id tensor.ID, format string, args ...any) error {
+	return &InvalidError{Tensor: id, Reason: fmt.Sprintf(format, args...)}
 }
 
-// check validates pl against the build and topology Apply is about to
+// check validates d against the build and topology apply is about to
 // lay it over, so a bad plan fails with an *InvalidError instead of
-// panicking the executor. It returns pl's activation assignments and
-// its host-parked tensors, each in tensor order; a plan with several
-// faults names its smallest faulty tensor of the first kind checked.
-func check(pl *Plan, b *pipeline.Built, topo *hw.Topology) ([]actUse, []tensor.ID, error) {
-	invalid := func(id tensor.ID, format string, args ...any) error {
-		return &InvalidError{Tensor: id, Reason: fmt.Sprintf(format, args...)}
+// panicking the executor. A plan with several faults names its smallest
+// faulty tensor of the first kind checked: the mapping, then the
+// activation entries, then the host-parked ones.
+func check(d *decisions, b *pipeline.Built, topo *hw.Topology) error {
+	if len(d.mapping) != b.NumStages() {
+		return invalid(-1, "mapping has %d entries for %d stages", len(d.mapping), b.NumStages())
 	}
-	if len(pl.Mapping) != b.NumStages() {
-		return nil, nil, invalid(-1, "mapping has %d entries for %d stages", len(pl.Mapping), b.NumStages())
+	var err error
+	for id, mech := range d.act {
+		if mech != MechNone {
+			if err = checkAct(d, b, topo, tensor.ID(id), mech); err != nil {
+				break
+			}
+		}
 	}
-	ids := sortedIDs(pl.Act, b.Graph.Tensors.Len())
-	acts := make([]actUse, len(ids))
-	for i, id := range ids {
-		a := &acts[i]
-		a.id, a.mech = id, pl.Act[id]
-		if a.mech < MechNone || a.mech > MechD2D {
-			return nil, nil, invalid(a.id, "mechanism %v is out of range", a.mech)
-		}
-		var ok bool
-		if a.slot, ok = b.ActSlot(a.id); !ok {
-			return nil, nil, invalid(a.id, "not an activation of this build")
-		}
-		switch a.mech {
-		case MechRecompute:
-			if a.flops, ok = b.RecomputeFLOPs(a.id); !ok {
-				return nil, nil, invalid(a.id, "not recomputable")
-			}
-		case MechD2D:
-			parts := pl.Parts[a.id]
-			if len(parts) == 0 {
-				return nil, nil, invalid(a.id, "D2D swap without stripes")
-			}
-			own := pl.Mapping[a.slot.Stage]
-			for _, part := range parts {
-				switch {
-				case !part.Peer.IsGPU() || int(part.Peer) >= topo.NumGPUs:
-					return nil, nil, invalid(a.id, "D2D peer %v is not a GPU of the topology", part.Peer)
-				case part.Peer == own:
-					return nil, nil, invalid(a.id, "D2D peer %v is the tensor's own device", part.Peer)
-				case part.Bytes <= 0:
-					return nil, nil, invalid(a.id, "D2D stripe to %v has %d bytes", part.Peer, part.Bytes)
-				}
-			}
-		}
+	// Every stray entry is a fault; the first counts if it comes first.
+	if len(d.stray) > 0 && (err == nil || d.stray[0].id < err.(*InvalidError).Tensor) {
+		return checkAct(d, b, topo, d.stray[0].id, d.stray[0].mech)
+	}
+	if err != nil {
+		return err
 	}
 	// A HostPersist key means "parked": a false entry is a malformed
 	// plan, not an opt-out.
-	parked := sortedIDs(pl.HostPersist, b.Graph.Tensors.Len())
-	for _, id := range parked {
-		switch {
-		case !pl.HostPersist[id]:
-			return nil, nil, invalid(id, "host-parking entry is false")
-		case !b.Persists(id):
-			return nil, nil, invalid(id, "host-parked tensor is not persistent in this build")
+	for _, id := range d.parked {
+		if !b.Persists(id) {
+			err = invalid(id, "host-parked tensor is not persistent in this build")
+			break
 		}
 	}
-	return acts, parked, nil
+	if len(d.unparked) > 0 && (err == nil || d.unparked[0] < err.(*InvalidError).Tensor) {
+		return invalid(d.unparked[0], "host-parking entry is false")
+	}
+	return err
 }
 
-// sortedIDs returns m's keys in ascending order. Keys in [0, n), every
-// key of a valid plan, are read off a bitset in order, so checking a
-// plan needs no comparison sort; only the keys outside it, which name
-// no tensor of the build, are sorted, negative ones first.
-func sortedIDs[V any](m map[tensor.ID]V, n int) []tensor.ID {
-	set := make([]uint64, (n+63)/64)
-	var outside []tensor.ID
-	for id := range m {
-		if id >= 0 && int(id) < n {
-			set[id/64] |= 1 << (id % 64)
+// checkAct checks one activation entry of d (see check).
+func checkAct(d *decisions, b *pipeline.Built, topo *hw.Topology, id tensor.ID, mech Mechanism) error {
+	if mech < MechNone || mech > MechD2D {
+		return invalid(id, "mechanism %v is out of range", mech)
+	}
+	slot, ok := b.ActSlot(id)
+	if !ok {
+		return invalid(id, "not an activation of this build")
+	}
+	switch mech {
+	case MechRecompute:
+		if _, ok := b.RecomputeFLOPs(id); !ok {
+			return invalid(id, "not recomputable")
+		}
+	case MechD2D:
+		parts := d.parts(id)
+		if len(parts) == 0 {
+			return invalid(id, "D2D swap without stripes")
+		}
+		own := d.mapping[slot.Stage]
+		for _, part := range parts {
+			switch {
+			case !part.Peer.IsGPU() || int(part.Peer) >= topo.NumGPUs:
+				return invalid(id, "D2D peer %v is not a GPU of the topology", part.Peer)
+			case part.Peer == own:
+				return invalid(id, "D2D peer %v is the tensor's own device", part.Peer)
+			case part.Bytes <= 0:
+				return invalid(id, "D2D stripe to %v has %d bytes", part.Peer, part.Bytes)
+			}
+		}
+	}
+	return nil
+}
+
+// decide lays pl out by tensor ID for apply, reading each of its map
+// entries once. The entries no array can hold, all faults, are set
+// aside for check to report in tensor order with the rest.
+func decide(pl *Plan, b *pipeline.Built) *decisions {
+	n := b.Graph.Tensors.Len()
+	d := &decisions{
+		mapping: pl.Mapping,
+		act:     make([]Mechanism, n),
+		layout:  make([]int32, n),
+		layouts: [][]fabric.Part{nil},
+	}
+	for id, mech := range pl.Act {
+		switch _, act := b.ActSlot(id); {
+		case id < 0 || int(id) >= n || (mech == MechNone && !act):
+			d.stray = append(d.stray, actEntry{id, mech})
+		case mech == MechD2D && len(pl.Parts[id]) > 0:
+			d.layouts = append(d.layouts, pl.Parts[id])
+			d.layout[id] = int32(len(d.layouts) - 1)
+			fallthrough
+		default:
+			d.act[id] = mech
+		}
+	}
+	slices.SortFunc(d.stray, func(a, b actEntry) int { return cmp.Compare(a.id, b.id) })
+	for id, parked := range pl.HostPersist {
+		if parked {
+			d.parked = append(d.parked, id)
 		} else {
-			outside = append(outside, id)
+			d.unparked = append(d.unparked, id)
 		}
 	}
-	slices.Sort(outside)
-	neg, _ := slices.BinarySearch(outside, 0)
-	ids := append(make([]tensor.ID, 0, len(m)), outside[:neg]...)
-	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, tensor.ID(w*64+bits.TrailingZeros64(word)))
-		}
+	slices.Sort(d.parked)
+	slices.Sort(d.unparked)
+	return d
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[tensor.ID]V) []tensor.ID {
+	ids := make([]tensor.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	return append(ids, outside[neg:]...)
+	slices.Sort(ids)
+	return ids
 }
 
 // Apply lays the plan over b as an overlay (exec.Overlay) and assembles
@@ -851,14 +1004,16 @@ func sortedIDs[V any](m map[tensor.ID]V, n int) []tensor.ID {
 // a frozen, shared one, which Apply only reads. A plan that does not
 // fit b or topo returns an *InvalidError.
 func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error) {
-	return apply(pl, b, topo, new(exec.Overlay))
+	return apply(decide(pl, b), b, topo, new(overlay))
 }
 
-// apply is Apply, building the overlay in ov, whose arrays it reuses.
-func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*exec.Options, error) {
+// apply is Apply on decisions, building the overlay in o, whose arrays
+// and maps it reuses: the one path from a plan to an executor run, for
+// a loaded plan and for every planner emulation. The options it returns
+// share them, so they last until o's next apply.
+func apply(d *decisions, b *pipeline.Built, topo *hw.Topology, o *overlay) (*exec.Options, error) {
 	g := b.Graph
-	acts, persIDs, err := check(pl, b, topo)
-	if err != nil {
+	if err := check(d, b, topo); err != nil {
 		return nil, err
 	}
 	// The lowering's liveness names each tensor's consumers: a
@@ -872,49 +1027,45 @@ func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*e
 		return nil, err
 	}
 	size := 0 // ops the overlay adds: two per mechanism use
-	for _, a := range acts {
-		if a.mech != MechNone {
+	for _, mech := range d.act {
+		if mech != MechNone {
 			size += 2
 		}
 	}
-	for _, id := range persIDs {
+	for _, id := range d.parked {
 		size += 2 * len(live.Uses[id])
 	}
-	o := &overlay{Overlay: ov, g: g}
-	o.Ops = slices.Grow(o.Ops[:0], size)
-	o.Deps = slices.Grow(o.Deps[:0], 3*size)
-
+	o.reset(g, size)
 	opts := &exec.Options{
 		Topo:             topo,
 		Built:            b,
-		Mapping:          pl.Mapping,
-		D2D:              make(map[tensor.ID][]fabric.Part),
-		InitiallySwapped: make(map[tensor.ID]bool),
+		Mapping:          d.mapping,
+		D2D:              o.d2d,
+		InitiallySwapped: o.swapped,
 	}
 
-	// Activation mechanisms. swaps pairs each swapped tensor's
-	// slot with its swap ops, in tensor order.
-	type swap struct {
-		slot    pipeline.SlotKey
-		out, in graph.OpID
-	}
-	var swaps []swap
-	for _, a := range acts {
-		k := a.slot
+	// Activation mechanisms, in tensor order.
+	for i, mech := range d.act {
+		if mech == MechNone {
+			continue
+		}
+		id := tensor.ID(i)
+		k, _ := b.ActSlot(id)
 		after := b.FwOp(k)
 		before := b.BwOp(k)
 		gate := b.PrevOnStage(before)
-		switch a.mech {
+		switch mech {
 		case MechRecompute:
-			o.recompute(a.id, after, before, gate, a.flops, live.Uses[a.id])
+			flops, _ := b.RecomputeFLOPs(id)
+			o.recompute(id, after, before, gate, flops, live.Uses[id])
 		case MechHostSwap, MechD2D:
-			if a.mech == MechD2D {
-				opts.D2D[a.id] = pl.Parts[a.id]
+			if mech == MechD2D {
+				o.d2d[id] = d.parts(id)
 			}
-			out := o.swapOut(a.id, after)
-			in := o.swapIn(a.id, before, gate)
+			out := o.swapOut(id, after)
+			in := o.swapIn(id, before, gate)
 			o.dep(in, out)
-			swaps = append(swaps, swap{k, out, in})
+			o.swaps = append(o.swaps, swap{k, out, in})
 		}
 	}
 
@@ -926,8 +1077,8 @@ func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*e
 	// W is per stage: how many evicted instance-sets fit in the memory
 	// left after the reserve, resident persistent state and retained
 	// activations.
-	windows, serialize := swapWindows(pl, b, topo)
-	for _, sw := range swaps {
+	windows, serialize := swapWindows(d, b, topo)
+	for _, sw := range o.swaps {
 		k := sw.slot
 		next := pipeline.SlotKey{Stage: k.Stage, Microbatch: k.Microbatch + windows[k.Stage]}
 		if fw := b.FwOp(next); fw >= 0 {
@@ -938,24 +1089,25 @@ func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*e
 	// once the forward instance just ahead of B(m) in the stage order
 	// has fully drained, keeping a single evicted instance resident.
 	// Slot i's swap-outs are outs[off[i]:off[i+1]], in tensor order (a
-	// counting sort: one allocation each, not one per slot).
+	// counting sort, not a list per slot).
 	if slices.Contains(serialize, true) {
 		slot := func(k pipeline.SlotKey) int { return k.Stage*b.TotalMicrobatches + k.Microbatch }
-		off := make([]int32, b.NumStages()*b.TotalMicrobatches+1)
-		for _, sw := range swaps {
+		off := resize(&o.off, b.NumStages()*b.TotalMicrobatches+1)
+		for _, sw := range o.swaps {
 			off[slot(sw.slot)+1]++
 		}
 		for i := 1; i < len(off); i++ {
 			off[i] += off[i-1]
 		}
-		outs := make([]graph.OpID, len(swaps))
-		fill := slices.Clone(off)
-		for _, sw := range swaps {
+		outs := resize(&o.outs, len(o.swaps))
+		fill := append(o.fill[:0], off...)
+		o.fill = fill
+		for _, sw := range o.swaps {
 			i := slot(sw.slot)
 			outs[fill[i]] = sw.out
 			fill[i]++
 		}
-		for _, sw := range swaps {
+		for _, sw := range o.swaps {
 			k := sw.slot
 			if !serialize[k.Stage] {
 				continue
@@ -974,8 +1126,8 @@ func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*e
 	}
 
 	// Persistent host-parking: swap in around each use.
-	for _, id := range persIDs {
-		opts.InitiallySwapped[id] = true
+	for _, id := range d.parked {
+		o.swapped[id] = true
 		var prevOut graph.OpID = -1
 		for _, u := range live.Uses[id] {
 			in := o.swapIn(id, u.Op, b.PrevOnStage(u.Op))
@@ -988,25 +1140,67 @@ func apply(pl *Plan, b *pipeline.Built, topo *hw.Topology, ov *exec.Overlay) (*e
 		}
 	}
 
-	opts.Overlay = *ov
+	opts.Overlay = o.Overlay
 	return opts, nil
 }
 
 // overlay builds an exec.Overlay over the lowering graph g: its ops are
-// numbered after g's, and each edge is added once.
+// numbered after g's, and each edge is added once. Its arrays and maps
+// are reused from one apply to the next, which is why a refinement
+// worker keeps one for all its emulations.
 type overlay struct {
-	*exec.Overlay
+	exec.Overlay
 	g *graph.Graph
+	// d2d and swapped become the options' D2D and InitiallySwapped.
+	d2d     map[tensor.ID][]fabric.Part
+	swapped map[tensor.ID]bool
+	// swaps lists the swapped activations in tensor order; off, outs and
+	// fill are strict mode's counting sort of their swap-outs by slot.
+	swaps     []swap
+	off, fill []int32
+	outs      []graph.OpID
 }
 
-// add appends op, waiting on deps, and returns its ID.
-func (o *overlay) add(op graph.Op, deps ...graph.OpID) graph.OpID {
-	op.ID = graph.OpID(o.g.Len() + len(o.Ops))
-	o.Ops = append(o.Ops, op)
-	for _, d := range deps {
-		o.dep(op.ID, d)
+// swap pairs a swapped activation's slot with its swap ops.
+type swap struct {
+	slot    pipeline.SlotKey
+	out, in graph.OpID
+}
+
+// reset empties o for a plan over g whose overlay takes size ops.
+func (o *overlay) reset(g *graph.Graph, size int) {
+	o.g = g
+	o.Ops = slices.Grow(o.Ops[:0], size)
+	o.Deps = slices.Grow(o.Deps[:0], 3*size)
+	o.swaps = o.swaps[:0]
+	if o.d2d == nil {
+		o.d2d = make(map[tensor.ID][]fabric.Part)
+		o.swapped = make(map[tensor.ID]bool)
 	}
-	return op.ID
+	clear(o.d2d)
+	clear(o.swapped)
+}
+
+// resize sets *s to n zeros, reusing its array when it is large enough,
+// and returns it.
+func resize[T any](s *[]T, n int) []T {
+	*s = slices.Grow((*s)[:0], n)[:n]
+	clear(*s)
+	return *s
+}
+
+// add appends an op of the given kind acting on tensor t, with t's
+// layer and MoveBytes its size, and returns it for the caller to fill
+// in the rest. The op is built in place: a graph.Op is large, and an
+// emulation adds thousands.
+func (o *overlay) add(kind graph.OpKind, t tensor.ID, stage, microbatch int) *graph.Op {
+	tn := o.g.Tensors.Get(t)
+	o.Ops = append(o.Ops, graph.Op{})
+	op := &o.Ops[len(o.Ops)-1]
+	op.ID = graph.OpID(o.g.Len() + len(o.Ops) - 1)
+	op.Kind, op.Stage, op.Layer, op.Microbatch = kind, stage, tn.Layer, microbatch
+	op.MoveBytes, op.Subject = tn.Size, t
+	return op
 }
 
 // dep makes op after wait for op before.
@@ -1018,15 +1212,9 @@ func (o *overlay) dep(after, before graph.OpID) {
 // host memory or to peer GPUs is the executor's to read off its D2D
 // stripe table.
 func (o *overlay) swapOut(t tensor.ID, after graph.OpID) graph.OpID {
-	tn := o.g.Tensors.Get(t)
-	return o.add(graph.Op{
-		Kind:       graph.SwapOut,
-		Stage:      tn.Stage,
-		Layer:      tn.Layer,
-		Microbatch: o.g.Op(after).Microbatch,
-		MoveBytes:  tn.Size,
-		Subject:    t,
-	}, after)
+	out := o.add(graph.SwapOut, t, o.g.Tensors.Get(t).Stage, o.g.Op(after).Microbatch).ID
+	o.dep(out, after)
+	return out
 }
 
 // swapIn restores tensor t before op before, once gate completes (with
@@ -1034,15 +1222,7 @@ func (o *overlay) swapOut(t tensor.ID, after graph.OpID) graph.OpID {
 // the restore overlap it, the just-in-time prefetch the paper's
 // executor runs on separate swap streams (Sec. III-E).
 func (o *overlay) swapIn(t tensor.ID, before, gate graph.OpID) graph.OpID {
-	tn := o.g.Tensors.Get(t)
-	in := o.add(graph.Op{
-		Kind:       graph.SwapIn,
-		Stage:      tn.Stage,
-		Layer:      tn.Layer,
-		Microbatch: o.g.Op(before).Microbatch,
-		MoveBytes:  tn.Size,
-		Subject:    t,
-	})
+	in := o.add(graph.SwapIn, t, o.g.Tensors.Get(t).Stage, o.g.Op(before).Microbatch).ID
 	if gate >= 0 {
 		o.dep(in, gate)
 	}
@@ -1055,25 +1235,13 @@ func (o *overlay) swapIn(t tensor.ID, before, gate graph.OpID) graph.OpID {
 // (paper Sec. II-D). The recompute re-produces t, so each of t's
 // consumers (uses, before among them in a lowering) waits for it.
 func (o *overlay) recompute(t tensor.ID, after, before, gate graph.OpID, flops units.FLOPs, uses []graph.Use) {
-	tn := o.g.Tensors.Get(t)
 	stage := o.g.Op(after).Stage
-	drop := o.add(graph.Op{
-		Kind:       graph.Drop,
-		Stage:      stage,
-		Layer:      tn.Layer,
-		Microbatch: o.g.Op(after).Microbatch,
-		MoveBytes:  tn.Size,
-		Subject:    t,
-	}, after)
-	rec := o.add(graph.Op{
-		Kind:       graph.Recompute,
-		Stage:      stage,
-		Layer:      tn.Layer,
-		Microbatch: o.g.Op(before).Microbatch,
-		FLOPs:      flops,
-		MoveBytes:  tn.Size,
-		Subject:    t,
-	}, drop)
+	drop := o.add(graph.Drop, t, stage, o.g.Op(after).Microbatch).ID
+	o.dep(drop, after)
+	op := o.add(graph.Recompute, t, stage, o.g.Op(before).Microbatch)
+	op.FLOPs = flops
+	rec := op.ID
+	o.dep(rec, drop)
 	if gate >= 0 {
 		o.dep(rec, gate)
 	}

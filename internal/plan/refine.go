@@ -1,10 +1,10 @@
 // Refinement (planner step 4) with parallel trial evaluation.
 //
-// Each candidate conversion is evaluated on a copy-on-write snapshot
-// of the round's incumbent (plan assignment, spare budget, group
-// mechanisms) instead of mutating shared state and undoing on
-// rejection. Snapshots make candidates independent, so a pool of
-// workers can emulate them concurrently, as a sliding window over the
+// Each candidate conversion is evaluated on a snapshot of the round's
+// incumbent trial (its dense per-tensor decisions and spare budget),
+// copied into its worker's own trial, instead of mutating shared state
+// and undoing on rejection. Snapshots make candidates independent, so a
+// pool of workers can emulate them concurrently, as a sliding window over the
 // ranking; determinism is preserved by settling in rank order, not
 // completion order: the round's winner is the first improving
 // candidate by the (overhead desc, stage, block) ranking — exactly the
@@ -18,10 +18,11 @@
 // total work). Every other candidate is settled by one emulation.
 //
 // An emulation pays for its overlay and its event loop, not for
-// re-allocating what the last one had: each worker keeps one overlay
-// (exec.Overlay) for the whole call and rebuilds it in place for each
-// of its emulations over the frozen base, and exec.Run pools its own
-// per-run slices.
+// re-allocating what the last one had: each worker keeps one trial and
+// one overlay builder (the exec.Overlay arrays and the options' maps)
+// for the whole call, copying the incumbent into the one and
+// rebuilding the other in place for each of its emulations over the
+// frozen base, and exec.Run pools its own per-run slices.
 package plan
 
 import (
@@ -29,31 +30,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
 	"mpress/internal/compaction"
 	"mpress/internal/exec"
-	"mpress/internal/fabric"
 	"mpress/internal/graph"
 	"mpress/internal/hw"
+	"mpress/internal/tensor"
 	"mpress/internal/units"
 )
-
-// trial is a copy-on-write snapshot of the planner state a candidate
-// conversion mutates. Map values (stripe layouts, the mapping slice)
-// are shared: conversions replace entries, never mutate them in place.
-type trial struct {
-	plan  *Plan
-	spare compaction.SpareBudget
-	inUse map[groupKey]Mechanism
-}
-
-// adopt replaces the planner's working state with an accepted trial's.
-func (p *planner) adopt(t *trial) {
-	p.plan, p.spare, p.inUse = t.plan, t.spare, t.inUse
-}
 
 // candidate is one potential conversion, ranked worst overhead first.
 type candidate struct {
@@ -76,8 +62,7 @@ type evalResult struct {
 }
 
 // refineCtx carries one refineWithD2D call's fixed inputs. Workers
-// only read it: each evaluation mutates its own trial snapshot and its
-// worker's overlay.
+// only read it: each evaluation mutates only its worker's state.
 type refineCtx struct {
 	p *planner
 	// base is per-device serial compute-queue work excluding
@@ -85,6 +70,14 @@ type refineCtx struct {
 	// time, from the reference lowering.
 	base []units.Duration
 	rate units.FLOPSRate
+}
+
+// worker is one refinement worker's state, reused across its
+// evaluations: the trial it prices candidates on (nil once it has
+// handed an improving one to the committer) and its overlay.
+type worker struct {
+	t  *trial
+	ov overlay
 }
 
 // refineWithD2D is step 4: convert the worst-overhead groups to D2D
@@ -122,9 +115,9 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ov exec.Overlay
+			var w worker
 			for j := range jobs {
-				results <- done{j, rc.evaluate(&ov, j.r, j.i)}
+				results <- done{j, rc.evaluate(&w, j.r, j.i)}
 			}
 		}()
 	}
@@ -185,7 +178,7 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 		if winner < 0 {
 			return current, nil
 		}
-		p.adopt(res[winner].t)
+		p.cur = res[winner].t
 		current = res[winner].dur
 		if !rejected {
 			width = 1
@@ -195,16 +188,14 @@ func (p *planner) refineWithD2D(current units.Duration) (units.Duration, error) 
 }
 
 // round is one refinement round as its workers read it: the ranked
-// candidates and the incumbent they are priced against. The incumbent
-// is held by value and never written, so an evaluation still running
-// after the committer has adopted a winner reads nothing the next round
-// changes.
+// candidates and the incumbent they are priced against. Nothing writes
+// the incumbent: adopting a winner replaces the planner's trial, so an
+// evaluation still running after the committer has adopted one reads
+// nothing the next round changes.
 type round struct {
 	n       int
 	cands   []candidate
-	inc     Plan
-	spare   compaction.SpareBudget
-	inUse   map[groupKey]Mechanism
+	inc     *trial
 	current units.Duration
 	// ctx is a child of Options.Ctx, cancelled once the round settles.
 	ctx    context.Context
@@ -223,25 +214,15 @@ func (a *Abandoned) Error() string {
 
 // newRound opens round n over cands against the planner's incumbent.
 func (p *planner) newRound(parent context.Context, n int, cands []candidate, current units.Duration) *round {
-	r := &round{n: n, cands: cands, inc: *p.plan, spare: p.spare, inUse: p.inUse, current: current}
+	r := &round{n: n, cands: cands, inc: p.cur, current: current}
 	r.ctx, r.cancel = context.WithCancelCause(parent)
 	return r
 }
 
-// snapshot clones the refinement-mutable state of the round's
-// incumbent. Mapping and HostPersist are fixed during refinement and
-// shared; the summary maps are filled only after it (finalizeSummary).
-func (r *round) snapshot() *trial {
-	return &trial{
-		plan: &Plan{
-			Mapping:     r.inc.Mapping,
-			Act:         maps.Clone(r.inc.Act),
-			Parts:       maps.Clone(r.inc.Parts),
-			HostPersist: r.inc.HostPersist,
-		},
-		spare: r.spare.Clone(),
-		inUse: maps.Clone(r.inUse),
-	}
+// snapshot copies the round's incumbent into t, reusing its arrays (a
+// new trial when t is nil), and returns it.
+func (r *round) snapshot(t *trial) *trial {
+	return r.inc.copyInto(t)
 }
 
 // rank enumerates this round's candidates worst static overhead first,
@@ -249,12 +230,9 @@ func (r *round) snapshot() *trial {
 func (rc *refineCtx) rank() []candidate {
 	p := rc.p
 	var cands []candidate
-	for key, mech := range p.inUse {
+	for key, ids := range p.groups {
+		mech := groupMech(p.cur.act, ids)
 		if mech != MechRecompute && mech != MechHostSwap {
-			continue
-		}
-		ids := p.groupTensors(key.Stage, key.Block)
-		if len(ids) == 0 {
 			continue
 		}
 		size := p.built.Graph.Tensors.Get(ids[0]).Size
@@ -287,25 +265,25 @@ func (rc *refineCtx) rank() []candidate {
 	return cands
 }
 
-// evaluate prices round r's candidate i on its worker's overlay: prefer
+// evaluate prices round r's candidate i on worker w's trial: prefer
 // retargeting to D2D (the paper's refinement); when spare memory is
 // exhausted or D2D does not help, fall back to trading the hostswap
 // group for recomputation. It reads the round, never the planner's
-// mutable state, and mutates only trial snapshots and the overlay, so
-// workers may run it concurrently, and past the round's end.
-func (rc *refineCtx) evaluate(ov *exec.Overlay, r *round, i int) evalResult {
+// mutable state, and mutates only w, so workers may run it
+// concurrently, and past the round's end.
+func (rc *refineCtx) evaluate(w *worker, r *round, i int) evalResult {
 	var res evalResult
 	c := r.cands[i]
-	t := r.snapshot()
-	if rc.p.convertToD2D(t, c.key) {
-		if done := rc.arbitrate(r, i, t, ov, &res); done {
+	w.t = r.snapshot(w.t)
+	if rc.p.convertToD2D(w.t, c.key) {
+		if done := rc.arbitrate(r, i, w, &res); done {
 			return res
 		}
 	}
 	if c.recompute {
-		t = r.snapshot()
-		if rc.p.convertToRecompute(t, c.key) {
-			if done := rc.arbitrate(r, i, t, ov, &res); done {
+		w.t = r.snapshot(w.t)
+		if rc.p.convertToRecompute(w.t, c.key) {
+			if done := rc.arbitrate(r, i, w, &res); done {
 				return res
 			}
 		}
@@ -313,20 +291,22 @@ func (rc *refineCtx) evaluate(ov *exec.Overlay, r *round, i int) evalResult {
 	return res
 }
 
-// arbitrate prices trial t, for round r's candidate i, against the
-// incumbent, building its overlay in ov, filling res and reporting
-// whether the candidate is settled (improved or errored). Ties are
+// arbitrate prices w's trial, for round r's candidate i, against the
+// incumbent, building its overlay in w's, filling res and reporting
+// whether the candidate is settled (improved or errored). An improving
+// trial passes to res, and w takes a new one next time. Ties are
 // accepted: an equal-duration D2D route still relieves the PCIe link
 // and GPU compute the other mechanisms consume.
-func (rc *refineCtx) arbitrate(r *round, i int, t *trial, ov *exec.Overlay, res *evalResult) bool {
-	if rc.lowerBound(t.plan) > r.current {
+func (rc *refineCtx) arbitrate(r *round, i int, w *worker, res *evalResult) bool {
+	t := w.t
+	if rc.lowerBound(&t.decisions) > r.current {
 		// Provably cannot improve: skip the emulation entirely. Not
 		// charged as an arbitration — the sequential definition of
 		// Plan.Emulations counts verdicts, and the prune is
 		// deterministic at any worker count.
 		return false
 	}
-	run, err := rc.p.simulate(r.ctx, t.plan, ov, r.n, i)
+	run, err := rc.p.simulate(r.ctx, &t.decisions, &w.ov, r.n, i)
 	if err != nil {
 		res.err = err
 		return true
@@ -334,6 +314,7 @@ func (rc *refineCtx) arbitrate(r *round, i int, t *trial, ov *exec.Overlay, res 
 	res.arbs++
 	if run.OOM == nil && run.Duration <= r.current {
 		res.t, res.dur = t, run.Duration
+		w.t = nil
 		return true
 	}
 	return false
@@ -346,32 +327,28 @@ func (rc *refineCtx) arbitrate(r *round, i int, t *trial, ov *exec.Overlay, res 
 // idle gaps, dependencies and latency terms, so the bound only ever
 // undercounts — a candidate is pruned only when even this undercount
 // exceeds the incumbent.
-func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
+func (rc *refineCtx) lowerBound(d *decisions) units.Duration {
 	p := rc.p
-	extra := make([]units.Duration, len(rc.base))
-	type pair struct{ src, dst hw.DeviceID }
-	var link map[pair]units.Bytes
-	// Integer sums and maxima: the map's iteration order cannot move
-	// the bound.
-	for id, mech := range pl.Act {
-		switch mech {
+	n := len(rc.base) // GPUs
+	extra := make([]units.Duration, n)
+	// link[src*n+dst] is the bytes D2D stripes move from src to dst.
+	link := make([]units.Bytes, n*n)
+	for i, mech := range d.act {
+		switch id := tensor.ID(i); mech {
 		case MechRecompute:
 			tn := p.built.Graph.Tensors.Get(id)
-			dev := pl.Mapping[tn.Stage]
+			dev := d.mapping[tn.Stage]
 			flops, _ := p.built.RecomputeFLOPs(id)
 			extra[dev] += compaction.RecomputeCost(flops, rc.rate)
 		case MechD2D:
 			tn := p.built.Graph.Tensors.Get(id)
-			src := pl.Mapping[tn.Stage]
-			if link == nil {
-				link = make(map[pair]units.Bytes)
-			}
-			for _, part := range pl.Parts[id] {
+			src := int(d.mapping[tn.Stage])
+			for _, part := range d.parts(id) {
 				// One scatter and one gather per instance; count the
 				// scatter direction only (the gather mirrors it on the
 				// reverse lane set) — undercounting keeps the bound
 				// sound.
-				link[pair{src, part.Peer}] += part.Bytes
+				link[src*n+int(part.Peer)] += part.Bytes
 			}
 		}
 	}
@@ -381,8 +358,13 @@ func (rc *refineCtx) lowerBound(pl *Plan) units.Duration {
 			bound = t
 		}
 	}
+	// Every stripe the planner lays carries bytes, so the pairs with
+	// none are the ones no stripe crosses.
 	for k, bytes := range link {
-		lanes := p.o.Topo.LanesBetween(k.src, k.dst)
+		if bytes == 0 {
+			continue
+		}
+		lanes := p.o.Topo.LanesBetween(hw.DeviceID(k/n), hw.DeviceID(k%n))
 		if lanes <= 0 {
 			continue
 		}
@@ -406,9 +388,9 @@ func newRefineCtx(p *planner) *refineCtx {
 		op := g.Op(graph.OpID(i))
 		switch op.Kind {
 		case graph.Forward, graph.Backward:
-			rc.base[p.plan.Mapping[op.Stage]] += rc.rate.ComputeTime(op.FLOPs)
+			rc.base[p.cur.mapping[op.Stage]] += rc.rate.ComputeTime(op.FLOPs)
 		case graph.OptimizerStep:
-			rc.base[p.plan.Mapping[op.Stage]] += p.o.Topo.GPU.HBM.TransferTime(op.MoveBytes)
+			rc.base[p.cur.mapping[op.Stage]] += p.o.Topo.GPU.HBM.TransferTime(op.MoveBytes)
 		}
 	}
 	return rc
@@ -421,68 +403,56 @@ func newRefineCtx(p *planner) *refineCtx {
 // applies D2D tensor by tensor where spare allows).
 func (p *planner) convertToD2D(t *trial, key groupKey) bool {
 	ids := p.groupTensors(key.Stage, key.Block)
-	if len(ids) == 0 || t.inUse[key] == MechD2D {
+	if len(ids) == 0 || groupMech(t.act, ids) == MechD2D {
 		return false
 	}
 	b := p.built
 	inflight := b.Cfg.Kind.InFlight(key.Stage, b.NumStages(), b.Cfg.Microbatches)
-	src := t.plan.Mapping[key.Stage]
+	src := t.mapping[key.Stage]
 	size := b.Graph.Tensors.Get(ids[0]).Size
 
-	layouts := make([][]fabric.Part, 0, inflight)
+	first := len(t.layouts)
 	for i := 0; i < inflight; i++ {
 		parts := p.planStripes(t.spare, src, size)
 		if parts == nil {
 			break
 		}
-		layouts = append(layouts, parts)
+		t.layouts = append(t.layouts, parts)
 	}
-	if len(layouts) == 0 {
+	planned := len(t.layouts)
+	if planned == first {
 		return false
 	}
 	// Instances whose coexistence slot (m mod inflight) lacks a layout
 	// keep their previous mechanism; instances of the same slot never
 	// overlap in time, so they share one layout. Already converted
-	// instances (from an earlier partial pass) are skipped.
+	// instances (from an earlier partial pass) are skipped. slotLayout
+	// holds each slot's layout index, 0 until it takes one.
 	converted := 0
-	slotLayout := make(map[int][]fabric.Part)
-	next := 0
+	slotLayout := make([]int32, inflight)
+	next := first
 	for i, id := range ids {
-		if t.plan.Act[id] == MechD2D {
+		if t.act[id] == MechD2D {
 			continue
 		}
 		slot := i % inflight
-		lay, ok := slotLayout[slot]
-		if !ok {
-			if next >= len(layouts) {
+		if slotLayout[slot] == 0 {
+			if next >= planned {
 				continue
 			}
-			lay = layouts[next]
+			slotLayout[slot] = int32(next)
 			next++
-			slotLayout[slot] = lay
 		}
-		t.plan.Act[id] = MechD2D
-		t.plan.Parts[id] = lay
+		t.act[id] = MechD2D
+		t.layout[id] = slotLayout[slot]
 		converted++
 	}
 	// Return unused layouts to the trial's budget.
-	for _, l := range layouts[next:] {
+	for _, l := range t.layouts[next:] {
 		compaction.UnplanStripes(t.spare, l)
 	}
-	if converted == 0 {
-		return false
-	}
-	allD2D := true
-	for _, id := range ids {
-		if t.plan.Act[id] != MechD2D {
-			allD2D = false
-			break
-		}
-	}
-	if allD2D {
-		t.inUse[key] = MechD2D
-	}
-	return true
+	t.layouts = t.layouts[:next]
+	return converted > 0
 }
 
 // convertToRecompute retargets a hostswap group to recomputation on
@@ -490,38 +460,35 @@ func (p *planner) convertToD2D(t *trial, key groupKey) bool {
 // keep their stripes (their peer memory is paid for; dropping them
 // would leak the trial's spare budget).
 func (p *planner) convertToRecompute(t *trial, key groupKey) bool {
-	ids := p.groupTensors(key.Stage, key.Block)
-	if len(ids) == 0 {
-		return false
-	}
 	converted := 0
-	for _, id := range ids {
-		if t.plan.Act[id] == MechD2D {
+	for _, id := range p.groupTensors(key.Stage, key.Block) {
+		if t.act[id] == MechD2D {
 			continue
 		}
-		t.plan.Act[id] = MechRecompute
+		t.act[id] = MechRecompute
 		converted++
 	}
-	if converted == 0 {
-		return false
-	}
-	t.inUse[key] = MechRecompute
-	return true
+	return converted > 0
 }
 
-// simulate lays pl over the frozen base lowering, building the overlay
+// simulate lays d over the frozen base lowering, building the overlay
 // in ov, and runs it bounded by ctx. Nothing of the Result aliases the
 // overlay, so the next simulate may rebuild it. Pure with respect to
 // planner state, so refinement workers may call it concurrently, each
 // with its own overlay; round and rank place it for Simulated. A run
-// stopped because its round settled returns the round's *Abandoned.
-func (p *planner) simulate(ctx context.Context, pl *Plan, ov *exec.Overlay, round, rank int) (*exec.Result, error) {
+// stopped because its round settled returns the round's *Abandoned; so
+// does one whose round settled while its overlay was being built, which
+// then runs no event.
+func (p *planner) simulate(ctx context.Context, d *decisions, ov *overlay, round, rank int) (*exec.Result, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, cancelled(ctx)
 	}
-	opts, err := apply(pl, p.built, p.o.Topo, ov)
+	opts, err := apply(d, p.built, p.o.Topo, ov)
 	if err != nil {
 		return nil, err
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return nil, cancelled(ctx)
 	}
 	opts.Ctx = ctx
 	res, err := exec.Run(*opts)
@@ -546,6 +513,8 @@ func cancelled(ctx context.Context) error {
 
 // Emulation is one emulation as Simulated sees it.
 type Emulation struct {
+	// Opts, with its overlay and maps, belongs to the refinement
+	// worker, whose next emulation rebuilds it in place.
 	Opts *exec.Options
 	// Result is nil when Err is set.
 	Result *exec.Result
@@ -564,7 +533,7 @@ var Simulated func(Emulation)
 
 // emulate is simulate, on a fresh overlay, plus the Plan.Emulations
 // charge.
-func (p *planner) emulate(pl *Plan) (*exec.Result, error) {
+func (p *planner) emulate(d *decisions) (*exec.Result, error) {
 	p.emulations++
-	return p.simulate(p.o.Ctx, pl, new(exec.Overlay), -1, -1)
+	return p.simulate(p.o.Ctx, d, new(overlay), -1, -1)
 }

@@ -56,7 +56,7 @@ func TestSwapWindowsTightCapacitySerializes(t *testing.T) {
 		}
 	}
 	topo.GPU.Memory = pipeline.RuntimeReserve + persistent + instance + units.GB(1)
-	windows, serialize := swapWindows(pl, b, topo)
+	windows, serialize := swapWindows(decide(pl, b), b, topo)
 	if windows[0] != 1 {
 		t.Errorf("tight capacity window = %d, want 1", windows[0])
 	}
@@ -69,7 +69,7 @@ func TestSwapWindowsAmpleCapacity(t *testing.T) {
 	b, pl := buildForWindows(t)
 	topo := hw.DGX1()
 	topo.GPU.Memory = 512 * units.GiB
-	windows, serialize := swapWindows(pl, b, topo)
+	windows, serialize := swapWindows(decide(pl, b), b, topo)
 	inflight := b.Cfg.Kind.InFlight(0, b.NumStages(), b.Cfg.Microbatches)
 	if windows[0] != inflight {
 		t.Errorf("ample capacity window = %d, want in-flight %d", windows[0], inflight)
@@ -87,7 +87,7 @@ func TestSwapWindowsNoEvictionsUnconstrained(t *testing.T) {
 		Parts:       make(map[tensor.ID][]fabric.Part),
 		HostPersist: make(map[tensor.ID]bool),
 	}
-	windows, serialize := swapWindows(empty, b, hw.DGX1())
+	windows, serialize := swapWindows(decide(empty, b), b, hw.DGX1())
 	for s, w := range windows {
 		inflight := b.Cfg.Kind.InFlight(s, b.NumStages(), b.Cfg.Microbatches)
 		if w != inflight || serialize[s] {

@@ -30,8 +30,9 @@ func TestInterruptStopsRun(t *testing.T) {
 	if s.Executed() >= 1000 {
 		t.Errorf("all %d events ran despite the interrupt", s.Executed())
 	}
-	// The hook is polled on the stride, not per event.
-	if want := int(s.Executed() / 10); polls != want {
+	// The hook is polled before the first event and then on the
+	// stride, not per event.
+	if want := int(s.Executed()/10) + 1; polls != want {
 		t.Errorf("polled %d times over %d events (stride 10), want %d", polls, s.Executed(), want)
 	}
 }
@@ -62,5 +63,18 @@ func TestNoInterruptHookDrains(t *testing.T) {
 	s.Run()
 	if s.Interrupted || s.Pending() != 0 {
 		t.Errorf("interrupted=%v pending=%d after a plain run", s.Interrupted, s.Pending())
+	}
+}
+
+// TestInterruptBeforeFirstEvent: a run whose hook already reports
+// cancellation runs no event, and leaves every event queued.
+func TestInterruptBeforeFirstEvent(t *testing.T) {
+	s := New()
+	s.Interrupt = func() bool { return true }
+	chain(s, 10)
+	s.Run()
+	if !s.Interrupted || s.Executed() != 0 || s.Pending() != 1 {
+		t.Errorf("interrupted=%v executed=%d pending=%d, want an interrupted run with no event run and one queued",
+			s.Interrupted, s.Executed(), s.Pending())
 	}
 }

@@ -69,10 +69,12 @@ type Sim struct {
 	// accidental infinite event loops, and jobs too large to simulate,
 	// into typed failures.
 	maxEvents int64
-	// Interrupt, when set, is polled every interruptEvery processed
-	// events; when it returns true, Run stops as if Stop had been
-	// called. It exists so a long simulation can honor external
-	// cancellation (a context, a signal) without per-event overhead.
+	// Interrupt, when set, is polled before the first event and then
+	// every interruptEvery processed events; when it returns true, Run
+	// stops as if Stop had been called. It exists so a long simulation
+	// can honor external cancellation (a context, a signal) without
+	// per-event overhead, and so a run cancelled before it starts runs
+	// no event.
 	Interrupt func() bool
 	// interruptEvery is the polling stride; zero means the default of
 	// 1024 events, fine enough to stop a planner emulation (a few
@@ -196,7 +198,7 @@ func (s *Sim) Run() (Time, error) {
 	for s.q.len() > 0 && !s.stopped {
 		// Poll before popping: an interrupted Run leaves the unexecuted
 		// event queued and uncounted.
-		if s.Interrupt != nil && s.executed > 0 && s.executed%every == 0 && s.Interrupt() {
+		if s.Interrupt != nil && s.executed%every == 0 && s.Interrupt() {
 			s.Interrupted = true
 			break
 		}
