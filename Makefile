@@ -61,8 +61,13 @@ autosearch-smoke:
 # saved plans and Chrome traces must be byte-identical to each job run
 # alone, each distinct lowering is built once, jobs are dispatched
 # grouped by lowering, and the runner retains none after the batch.
+# Two resilient jobs' wall-clock traces, merged only when asked for
+# (State.Timeline), must keep their committed sha256 digests, and
+# plan.Rebase over the lowerings' dense slot tables must deep-equal
+# the map walk it replaced for every planner preset and sweep
+# scale-out config at 1, 3, 8 and 32 minibatches.
 sweep-smoke:
-	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering' -count=1 ./internal/runner/
+	$(GO) test -race -run 'TestSharedLoweringsMatchAlone|TestLoweringRetention|TestDispatchGroupsByLowering|TestResilientTraceGolden|TestRebaseMatchesMapWalk' -count=1 ./internal/runner/
 
 # Overlay acceptance: every emulation of every planner preset, planned
 # sequentially, at four refinement workers and at the default width

@@ -58,7 +58,7 @@ func testAllocsFlat(t *testing.T, dp *exec.DPSpec) {
 		pl := &plan.Plan{Mapping: exec.IdentityMapping(4), Act: map[tensor.ID]plan.Mechanism{}, Parts: map[tensor.ID][]fabric.Part{}}
 		for m := 0; m < b.TotalMicrobatches; m++ {
 			k := pipeline.SlotKey{Stage: 0, Microbatch: m}
-			for i, id := range b.Acts[k] {
+			for i, id := range b.Acts(k) {
 				if _, ok := b.RecomputeFLOPs(id); !ok {
 					continue
 				}

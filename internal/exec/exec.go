@@ -338,6 +338,9 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// gpuNames and computeNames name each GPU's memory and compute queue.
+var gpuNames, computeNames = fabric.Names{Format: "gpu%d"}, fabric.Names{Format: "gpu%d-compute"}
+
 // resize returns s with length n and every element zero, reusing its
 // array when it is large enough.
 func resize[T any](s []T, n int) []T {
@@ -403,8 +406,8 @@ func Run(o Options) (*Result, error) {
 		capacity = 0
 	}
 	for i := range e.gpus {
-		e.gpus[i] = memsim.NewDevice(fmt.Sprintf("gpu%d", i), capacity)
-		e.compute[i] = sim.NewQueue(e.sim, fmt.Sprintf("gpu%d-compute", i))
+		e.gpus[i] = memsim.NewDevice(gpuNames.Of(i, 0), capacity)
+		e.compute[i] = sim.NewQueue(e.sim, computeNames.Of(i, 0))
 	}
 	e.host = memsim.NewDevice("host", o.Topo.HostMemory)
 	e.nvme = memsim.NewDevice("nvme", o.Topo.NVMeSize)

@@ -405,7 +405,7 @@ func planned(t *testing.T, b *pipeline.Built, topo *hw.Topology, mech plan.Mecha
 		Parts:   map[tensor.ID][]fabric.Part{},
 	}
 	for m := 0; m < b.TotalMicrobatches; m++ {
-		for _, id := range b.Acts[pipeline.SlotKey{Stage: 0, Microbatch: m}] {
+		for _, id := range b.Acts(pipeline.SlotKey{Stage: 0, Microbatch: m}) {
 			if _, ok := b.RecomputeFLOPs(id); !ok {
 				continue
 			}

@@ -71,11 +71,9 @@ func TableIII(w io.Writer) error {
 			k := pipeline.SlotKey{Stage: p.stage, Microbatch: p.mb}
 			chosen := tensor.ID(-1)
 			if p.name == "t-bnd" {
-				if id, ok := b.BoundIn[k]; ok {
-					chosen = id
-				}
+				chosen = b.BoundIn(k)
 			} else {
-				for _, id := range b.Acts[k] {
+				for _, id := range b.Acts(k) {
 					if _, ok := b.RecomputeFLOPs(id); ok {
 						chosen = id
 						break

@@ -15,6 +15,8 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"mpress/internal/hw"
 	"mpress/internal/sim"
@@ -41,6 +43,47 @@ type Fabric struct {
 	nvme *sim.LaneSet
 }
 
+// namedGPUs bounds the GPU indices Names formats once per process.
+const namedGPUs = 16
+
+// Names names one resource of each GPU, or of each ordered GPU pair
+// when Format takes two indices. Every run builds every device's
+// resources, so a name below namedGPUs is formatted once per process.
+type Names struct {
+	Format string
+	once   sync.Once
+	pair   bool
+	names  []string // GPU i's at i, pair i→j's at i·namedGPUs+j
+}
+
+// Of returns the name of GPU i's resource (j is ignored) or of pair
+// i→j's.
+func (n *Names) Of(i, j int) string {
+	n.once.Do(func() {
+		n.pair = strings.Count(n.Format, "%d") == 2
+		for k := range namedGPUs * namedGPUs {
+			switch {
+			case n.pair:
+				n.names = append(n.names, fmt.Sprintf(n.Format, k/namedGPUs, k%namedGPUs))
+			case k < namedGPUs:
+				n.names = append(n.names, fmt.Sprintf(n.Format, k))
+			}
+		}
+	})
+	switch {
+	case !n.pair && i < namedGPUs:
+		return n.names[i]
+	case !n.pair:
+		return fmt.Sprintf(n.Format, i)
+	case i < namedGPUs && j < namedGPUs:
+		return n.names[i*namedGPUs+j]
+	}
+	return fmt.Sprintf(n.Format, i, j)
+}
+
+var egressNames, ingressNames, pairNames, d2hNames, h2dNames = Names{Format: "gpu%d-egress"},
+	Names{Format: "gpu%d-ingress"}, Names{Format: "nv%d->%d"}, Names{Format: "pcie-d2h%d"}, Names{Format: "pcie-h2d%d"}
+
 // New builds the fabric for topo on simulation s.
 func New(s *sim.Sim, topo *hw.Topology) *Fabric {
 	f := &Fabric{
@@ -55,21 +98,21 @@ func New(s *sim.Sim, topo *hw.Topology) *Fabric {
 		f.egress = make([]*sim.LaneSet, n)
 		f.ingress = make([]*sim.LaneSet, n)
 		for g := 0; g < n; g++ {
-			f.egress[g] = sim.NewLaneSet(s, fmt.Sprintf("gpu%d-egress", g), topo.LanesPerGPU)
-			f.ingress[g] = sim.NewLaneSet(s, fmt.Sprintf("gpu%d-ingress", g), topo.LanesPerGPU)
+			f.egress[g] = sim.NewLaneSet(s, egressNames.Of(g, 0), topo.LanesPerGPU)
+			f.ingress[g] = sim.NewLaneSet(s, ingressNames.Of(g, 0), topo.LanesPerGPU)
 		}
 	} else {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if lanes := topo.LanesBetween(hw.DeviceID(i), hw.DeviceID(j)); lanes > 0 {
-					f.pair[i*n+j] = sim.NewLaneSet(s, fmt.Sprintf("nv%d->%d", i, j), lanes)
+					f.pair[i*n+j] = sim.NewLaneSet(s, pairNames.Of(i, j), lanes)
 				}
 			}
 		}
 	}
 	for g := 0; g < n; g++ {
-		f.d2h[g] = sim.NewLaneSet(s, fmt.Sprintf("pcie-d2h%d", g), 1)
-		f.h2d[g] = sim.NewLaneSet(s, fmt.Sprintf("pcie-h2d%d", g), 1)
+		f.d2h[g] = sim.NewLaneSet(s, d2hNames.Of(g, 0), 1)
+		f.h2d[g] = sim.NewLaneSet(s, h2dNames.Of(g, 0), 1)
 	}
 	if topo.NVMeBW > 0 {
 		f.nvme = sim.NewLaneSet(s, "nvme", 1)

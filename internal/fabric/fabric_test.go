@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"mpress/internal/hw"
@@ -230,5 +232,37 @@ func TestFig4Shape(t *testing.T) {
 	}
 	if r := float64(nv6) / float64(pcie); r < 11.5 || r > 13.0 {
 		t.Errorf("NV6/PCIe = %.2f, want ≈12.5", r)
+	}
+}
+
+// TestNamesMatchFormat holds Names to fmt.Sprintf below and past the
+// bound of names formatted once, after a first use from several
+// goroutines at once (concurrent runs share the tables): device names
+// reach error messages such as memsim's "gpu7 out of memory …", which
+// must not change.
+func TestNamesMatchFormat(t *testing.T) {
+	one, pair := Names{Format: "gpu%d"}, Names{Format: "nv%d->%d"}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			one.Of(3, 0)
+			pair.Of(2, 5)
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < namedGPUs+2; i++ {
+		for j := 0; j < namedGPUs+2; j++ {
+			if got, want := one.Of(i, j), fmt.Sprintf("gpu%d", i); got != want {
+				t.Errorf("Of(%d, %d) = %q, want %q", i, j, got, want)
+			}
+			if got, want := pair.Of(i, j), fmt.Sprintf("nv%d->%d", i, j); got != want {
+				t.Errorf("pair Of(%d, %d) = %q, want %q", i, j, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { one.Of(7, 0); pair.Of(3, 5) }); n != 0 {
+		t.Errorf("a name below the bound costs %v allocations, want 0", n)
 	}
 }

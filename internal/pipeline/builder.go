@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mpress/internal/graph"
@@ -70,22 +71,18 @@ type Built struct {
 	// stashed weight versions).
 	Persistent [][]tensor.ID
 
-	// Acts[k] lists the activation tensors (one per block, plus
-	// embedding/logits entries) produced by forward slot k.
-	Acts map[SlotKey][]tensor.ID
-	// BoundIn[k] is the retained stage-input tensor of slot k
-	// (absent for stage 0).
-	BoundIn map[SlotKey]tensor.ID
-
 	// The planner's and executor's lookups, dense and indexed by ID
-	// (see FwOp, BwOp, ActSlot, RecomputeFLOPs, PrevOnStage and
-	// Persists): fwOps and bwOps by slot index s·TotalMicrobatches+m,
-	// actSlot, recomputeFLOPs and persistent by tensor, prevOnStage by
-	// op.
-	fwOps, bwOps   []graph.OpID
-	actSlot        []SlotKey
-	recomputeFLOPs []units.FLOPs
-	prevOnStage    []graph.OpID
+	// (see Acts, BoundIn, FwOp, BwOp, ActSlot, RecomputeFLOPs,
+	// PrevOnStage and Persists): actOff, boundIn, fwOps and bwOps by
+	// slot index s·TotalMicrobatches+m, actSlot, recomputeFLOPs and
+	// persistent by tensor, prevOnStage by op. Slot i's activations
+	// are actIDs[actOff[i]:actOff[i+1]].
+	actOff          []int32
+	actIDs, boundIn []tensor.ID
+	fwOps, bwOps    []graph.OpID
+	actSlot         []SlotKey
+	recomputeFLOPs  []units.FLOPs
+	prevOnStage     []graph.OpID
 	// persistent marks, by tensor, the tensors of Persistent (see
 	// Persists).
 	persistent []bool
@@ -262,6 +259,25 @@ func (b *Built) slot(k SlotKey) int {
 	return k.Stage*b.TotalMicrobatches + k.Microbatch
 }
 
+// Acts returns the activation tensors (one per block, plus
+// embedding/logits entries) forward slot k produces, nil when k is not
+// a slot of the build.
+func (b *Built) Acts(k SlotKey) []tensor.ID {
+	if i := b.slot(k); i >= 0 {
+		return b.actIDs[b.actOff[i]:b.actOff[i+1]:b.actOff[i+1]]
+	}
+	return nil
+}
+
+// BoundIn returns slot k's retained stage-input tensor, -1 on stage 0
+// (which has none) or when k is not a slot of the build.
+func (b *Built) BoundIn(k SlotKey) tensor.ID {
+	if i := b.slot(k); i >= 0 {
+		return b.boundIn[i]
+	}
+	return -1
+}
+
 // FwOp returns slot k's forward op, -1 when k is not a slot of the
 // build.
 func (b *Built) FwOp(k SlotKey) graph.OpID {
@@ -320,6 +336,19 @@ func (b *Built) SamplesProcessed() int {
 	return b.Cfg.MicrobatchSize * b.TotalMicrobatches
 }
 
+// slotActs returns how many activations one forward slot of st
+// produces: one per block, plus the embedding's and the logits.
+func slotActs(st Stage) int {
+	n := st.NumBlocks
+	if st.HasEmbedding {
+		n++
+	}
+	if st.HasHead {
+		n++
+	}
+	return n
+}
+
 // lowerSize returns how many tensors and ops Build lowers bc into, so
 // it allocates its tensor registry and op array once.
 func lowerSize(bc BuildConfig) (tensors, ops int) {
@@ -327,14 +356,10 @@ func lowerSize(bc BuildConfig) (tensors, ops int) {
 	total := bc.Microbatches * bc.Minibatches
 	for s, st := range bc.Part.Stages {
 		groups := st.NumBlocks // parameter groups: one per block, plus the embedding
-		acts := st.NumBlocks   // activations of one forward slot
 		if st.HasEmbedding {
 			groups++
-			acts++
 		}
-		if st.HasHead {
-			acts++
-		}
+		acts := slotActs(st)
 		tensors += 3 * groups // param, grad, opt
 		if bc.Kind.WeightVersions(s, S) > 1 {
 			tensors++ // the stashed versions
@@ -383,8 +408,7 @@ func Build(bc BuildConfig) (*Built, error) {
 		Graph:             g,
 		Profiles:          profiles,
 		Persistent:        make([][]tensor.ID, S),
-		Acts:              make(map[SlotKey][]tensor.ID),
-		BoundIn:           make(map[SlotKey]tensor.ID),
+		actOff:            make([]int32, S*total+1),
 		fwOps:             make([]graph.OpID, S*total),
 		bwOps:             make([]graph.OpID, S*total),
 		OptOps:            make([][][]graph.OpID, S),
@@ -455,22 +479,31 @@ func Build(bc BuildConfig) (*Built, error) {
 		}
 	}
 
-	// Per-slot tensors and ops. The activation handoff of slot
-	// {s,m} connects stage s's boundary output to stage s+1's
-	// retained input; the gradient handoff of {s,m} flows s -> s-1.
-	actOut := make(map[SlotKey]tensor.ID)
-	actIn := make(map[SlotKey]tensor.ID)
-	gradOut := make(map[SlotKey]tensor.ID)
-	gradIn := make(map[SlotKey]tensor.ID)
+	// Per-slot tensors and ops, in slot-indexed tables (-1: none).
+	// Every slot of a stage has the same activation count, so the rows'
+	// offsets are known before any is filled. The activation handoff of
+	// slot {s,m} connects stage s's boundary output (actOut) to stage
+	// s+1's retained input (boundIn); the gradient handoff of {s,m}
+	// flows s -> s-1 (into gradIn).
+	for i := range S * total {
+		b.actOff[i+1] = b.actOff[i] + int32(slotActs(bc.Part.Stages[i/total]))
+	}
+	b.actIDs = make([]tensor.ID, b.actOff[S*total])
+	b.boundIn = make([]tensor.ID, S*total)
+	for i := range b.boundIn {
+		b.boundIn[i] = -1
+	}
+	actOut, gradIn := slices.Clone(b.boundIn), slices.Clone(b.boundIn)
 
 	for m := 0; m < total; m++ {
 		for s := 0; s < S; s++ {
 			k := SlotKey{Stage: s, Microbatch: m}
+			i := b.slot(k)
 			sp := profiles[s]
 			st := bc.Part.Stages[s]
 
 			// Activation tensors this forward produces and retains.
-			var acts []tensor.ID
+			acts := b.actIDs[b.actOff[i]:b.actOff[i]:b.actOff[i+1]]
 			if st.HasEmbedding {
 				acts = append(acts, g.Tensors.Add(tensor.Tensor{
 					Name: fmt.Sprintf("act:emb:mb%d", m), Class: tensor.Activation,
@@ -491,7 +524,6 @@ func Build(bc BuildConfig) (*Built, error) {
 					DType: bc.Model.DType, Size: sp.LogitsBytes, Stage: s, Layer: bc.Model.Layers,
 				}))
 			}
-			b.Acts[k] = acts
 
 			fwIn := append([]tensor.ID(nil), paramT[s]...)
 			if s > 0 {
@@ -499,8 +531,7 @@ func Build(bc BuildConfig) (*Built, error) {
 					Name: fmt.Sprintf("bndin:s%d:mb%d", s, m), Class: tensor.Activation,
 					DType: bc.Model.DType, Size: sp.BoundaryBytes, Stage: s, Layer: st.FirstBlock,
 				})
-				b.BoundIn[k] = bndIn
-				actIn[SlotKey{s - 1, m}] = bndIn
+				b.boundIn[i] = bndIn
 				fwIn = append(fwIn, bndIn)
 			}
 			fwOut := append([]tensor.ID(nil), acts...)
@@ -509,10 +540,10 @@ func Build(bc BuildConfig) (*Built, error) {
 					Name: fmt.Sprintf("bndout:s%d:mb%d", s, m), Class: tensor.Activation,
 					DType: bc.Model.DType, Size: sp.BoundaryBytes, Stage: s, Layer: st.FirstBlock + st.NumBlocks - 1,
 				})
-				actOut[k] = bndOut
+				actOut[i] = bndOut
 				fwOut = append(fwOut, bndOut)
 			}
-			b.fwOps[b.slot(k)] = g.AddOp(graph.Op{
+			b.fwOps[i] = g.AddOp(graph.Op{
 				Name: fmt.Sprintf("F:s%d:mb%d", s, m), Kind: graph.Forward,
 				Stage: s, Layer: -1, Microbatch: m,
 				FLOPs: sp.FwFLOPs, Inputs: fwIn, Outputs: fwOut,
@@ -525,10 +556,8 @@ func Build(bc BuildConfig) (*Built, error) {
 	// sides exist.
 	for m := 0; m < total; m++ {
 		for s := 0; s < S-1; s++ {
-			k := SlotKey{Stage: s, Microbatch: m}
-			out, okOut := actOut[k]
-			in, okIn := actIn[k]
-			if !okOut || !okIn {
+			out, in := actOut[s*total+m], b.boundIn[(s+1)*total+m]
+			if out < 0 || in < 0 {
 				return nil, fmt.Errorf("pipeline: internal: missing handoff s%d mb%d", s, m)
 			}
 			g.AddOp(graph.Op{
@@ -546,21 +575,23 @@ func Build(bc BuildConfig) (*Built, error) {
 	for m := 0; m < total; m++ {
 		for s := S - 1; s >= 0; s-- {
 			k := SlotKey{Stage: s, Microbatch: m}
+			i := b.slot(k)
 			sp := profiles[s]
-			bwIn := append([]tensor.ID(nil), b.Acts[k]...)
+			bwIn := append([]tensor.ID(nil), b.Acts(k)...)
 			bwIn = append(bwIn, paramT[s]...)
 			bwIn = append(bwIn, gradT[s]...)
-			if id, ok := b.BoundIn[k]; ok {
+			if id := b.BoundIn(k); id >= 0 {
 				bwIn = append(bwIn, id)
 			}
 			if s < S-1 {
 				// Gradient arriving from downstream (stage s+1 was
 				// visited first in this descending loop).
-				bwIn = append(bwIn, gradIn[SlotKey{s + 1, m}])
+				bwIn = append(bwIn, gradIn[i+total])
 			}
 			var bwOut []tensor.ID
+			var gout tensor.ID
 			if s > 0 {
-				gout := g.Tensors.Add(tensor.Tensor{
+				gout = g.Tensors.Add(tensor.Tensor{
 					Name: fmt.Sprintf("gbnd:s%d:mb%d", s, m), Class: tensor.Gradient,
 					DType: bc.Model.DType, Size: sp.BoundaryBytes, Stage: s, Layer: -1,
 				})
@@ -568,11 +599,10 @@ func Build(bc BuildConfig) (*Built, error) {
 					Name: fmt.Sprintf("gin:s%d:mb%d", s-1, m), Class: tensor.Gradient,
 					DType: bc.Model.DType, Size: sp.BoundaryBytes, Stage: s - 1, Layer: -1,
 				})
-				gradOut[k] = gout
-				gradIn[k] = gin
+				gradIn[i] = gin
 				bwOut = append(bwOut, gout)
 			}
-			b.bwOps[b.slot(k)] = g.AddOp(graph.Op{
+			b.bwOps[i] = g.AddOp(graph.Op{
 				Name: fmt.Sprintf("B:s%d:mb%d", s, m), Kind: graph.Backward,
 				Stage: s, Layer: -1, Microbatch: m,
 				FLOPs: sp.BwFLOPs, Inputs: bwIn, Outputs: bwOut,
@@ -583,8 +613,8 @@ func Build(bc BuildConfig) (*Built, error) {
 					Name: fmt.Sprintf("Tgrad:s%d->s%d:mb%d", s, s-1, m), Kind: graph.Transfer,
 					Stage: s, Layer: -1, Microbatch: m,
 					MoveBytes: sp.BoundaryBytes,
-					Inputs:    []tensor.ID{gradOut[k]},
-					Outputs:   []tensor.ID{gradIn[k]},
+					Inputs:    []tensor.ID{gout},
+					Outputs:   []tensor.ID{gradIn[i]},
 				})
 			}
 		}
@@ -662,9 +692,9 @@ func Build(bc BuildConfig) (*Built, error) {
 		b.actSlot[t] = SlotKey{-1, -1}
 		b.recomputeFLOPs[t] = -1
 	}
-	for k, acts := range b.Acts {
-		for _, id := range acts {
-			b.actSlot[id] = k
+	for i := range S * total {
+		for _, id := range b.actIDs[b.actOff[i]:b.actOff[i+1]] {
+			b.actSlot[id] = SlotKey{i / total, i % total}
 		}
 	}
 	for _, id := range blockActs {

@@ -127,7 +127,7 @@ func TestBuildActsAndRecomputeFLOPs(t *testing.T) {
 	for m := 0; m < 2; m++ {
 		for s := 0; s < 4; s++ {
 			k := SlotKey{s, m}
-			acts := b.Acts[k]
+			acts := b.Acts(k)
 			st := b.Cfg.Part.Stages[s]
 			want := st.NumBlocks
 			if st.HasEmbedding {
@@ -152,11 +152,14 @@ func TestBuildActsAndRecomputeFLOPs(t *testing.T) {
 			if blockActs != st.NumBlocks {
 				t.Errorf("slot %v: %d recomputable activations, want %d", k, blockActs, st.NumBlocks)
 			}
-			if s > 0 {
-				if _, ok := b.BoundIn[k]; !ok {
-					t.Errorf("slot %v missing BoundIn", k)
-				}
+			if in := b.BoundIn(k); (in >= 0) != (s > 0) {
+				t.Errorf("slot %v: BoundIn %d, want one only past stage 0", k, in)
 			}
+		}
+	}
+	for _, k := range []SlotKey{{-1, 0}, {4, 0}, {0, -1}, {0, 2}} {
+		if b.BoundIn(k) >= 0 || b.Acts(k) != nil {
+			t.Errorf("slot %v is not in the build, yet has activations or a BoundIn", k)
 		}
 	}
 }

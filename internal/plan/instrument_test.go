@@ -93,7 +93,7 @@ func instrument(t *testing.T) *instrumented {
 	t.Helper()
 	b := frozenSmall(t)
 	act := func(m int) tensor.ID {
-		for _, id := range b.Acts[pipeline.SlotKey{Stage: 1, Microbatch: m}] {
+		for _, id := range b.Acts(pipeline.SlotKey{Stage: 1, Microbatch: m}) {
 			if _, ok := b.RecomputeFLOPs(id); ok {
 				return id
 			}

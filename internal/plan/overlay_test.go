@@ -31,7 +31,7 @@ func TestRecycledOverlayMatchesFresh(t *testing.T) {
 	for _, id := range b.Persistent[0] {
 		persistent += b.Graph.Tensors.Get(id).Size
 	}
-	for _, id := range b.Acts[pipeline.SlotKey{Stage: 0, Microbatch: 0}] {
+	for _, id := range b.Acts(pipeline.SlotKey{Stage: 0, Microbatch: 0}) {
 		if _, ok := swapped.Act[id]; ok {
 			instance += b.Graph.Tensors.Get(id).Size
 		}
@@ -60,7 +60,7 @@ func TestRecycledOverlayMatchesFresh(t *testing.T) {
 	}
 	recompute := empty()
 	for m := 0; m < b.TotalMicrobatches; m++ {
-		for _, id := range b.Acts[pipeline.SlotKey{Stage: 1, Microbatch: m}] {
+		for _, id := range b.Acts(pipeline.SlotKey{Stage: 1, Microbatch: m}) {
 			if _, ok := b.RecomputeFLOPs(id); ok {
 				recompute.Act[id] = MechRecompute
 			}

@@ -809,7 +809,7 @@ func swapWindows(d *decisions, b *pipeline.Built, topo *hw.Topology) ([]int, []b
 	// Use microbatch 0's slots as the representative instance set.
 	for s := 0; s < S; s++ {
 		k := pipeline.SlotKey{Stage: s, Microbatch: 0}
-		for _, id := range b.Acts[k] {
+		for _, id := range b.Acts(k) {
 			switch m := d.act[id]; {
 			case m == MechRecompute:
 				recomputedPerMB[k.Stage] += b.Graph.Tensors.Get(id).Size
@@ -819,7 +819,7 @@ func swapWindows(d *decisions, b *pipeline.Built, topo *hw.Topology) ([]int, []b
 				retainedPerMB[k.Stage] += b.Graph.Tensors.Get(id).Size
 			}
 		}
-		if in, ok := b.BoundIn[k]; ok {
+		if in := b.BoundIn(k); in >= 0 {
 			retainedPerMB[k.Stage] += b.Graph.Tensors.Get(in).Size
 		}
 	}

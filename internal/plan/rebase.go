@@ -19,12 +19,13 @@ import (
 // unchanged; and each slot's activation list is built in a fixed
 // block order, so slot {s, m} of the target corresponds index by
 // index to slot {s, (q mod M)·micro + r} of the source, where
-// q = m / micro, r = m % micro and M is the source minibatch count —
-// i.e. minibatch q of the target replays minibatch q mod M of the
-// source. Mechanism assignments are uniform across a (stage, block)
-// group's instances, so the replay preserves the planner's intent;
-// D2D stripe layouts are reused by the corresponding instances (they
-// already rotate round-robin within a minibatch).
+// q = m / micro, r = m % micro and M is the source minibatch count:
+// minibatch q of the target replays the mechanisms and D2D stripe
+// layouts of minibatch q mod M of the source. Rebase walks both
+// lowerings' slot tables in that order. The replay does not make the
+// plan fit the target: a steady-state minibatch that replays a layout
+// chosen during the pipeline fill can run out of memory (ROADMAP item
+// 1: bertxdgx2 is OOM at Minibatches 3 and 4).
 func Rebase(pl *Plan, from, to *pipeline.Built) (*Plan, error) {
 	fc, tc := from.Cfg, to.Cfg
 	if from.NumStages() != to.NumStages() || fc.Microbatches != tc.Microbatches {
@@ -57,8 +58,8 @@ func Rebase(pl *Plan, from, to *pipeline.Built) (*Plan, error) {
 	for s := 0; s < to.NumStages(); s++ {
 		for m := 0; m < to.TotalMicrobatches; m++ {
 			q, r := m/micro, m%micro
-			src := from.Acts[pipeline.SlotKey{Stage: s, Microbatch: (q%fc.Minibatches)*micro + r}]
-			dst := to.Acts[pipeline.SlotKey{Stage: s, Microbatch: m}]
+			src := from.Acts(pipeline.SlotKey{Stage: s, Microbatch: (q%fc.Minibatches)*micro + r})
+			dst := to.Acts(pipeline.SlotKey{Stage: s, Microbatch: m})
 			if len(src) != len(dst) {
 				return nil, fmt.Errorf("plan: rebase: slot s%d/mb%d has %d activations, source has %d",
 					s, m, len(dst), len(src))

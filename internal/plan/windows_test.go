@@ -28,7 +28,7 @@ func buildForWindows(t *testing.T) (*pipeline.Built, *Plan) {
 	}
 	for m := 0; m < b.TotalMicrobatches; m++ {
 		k := pipeline.SlotKey{Stage: 0, Microbatch: m}
-		for _, id := range b.Acts[k] {
+		for _, id := range b.Acts(k) {
 			if _, ok := b.RecomputeFLOPs(id); ok {
 				pl.Act[id] = MechHostSwap
 			}
@@ -50,7 +50,7 @@ func TestSwapWindowsTightCapacitySerializes(t *testing.T) {
 	}
 	var instance units.Bytes
 	k := pipeline.SlotKey{Stage: 0, Microbatch: 0}
-	for _, id := range b.Acts[k] {
+	for _, id := range b.Acts(k) {
 		if _, ok := pl.Act[id]; ok {
 			instance += b.Graph.Tensors.Get(id).Size
 		}

@@ -72,7 +72,7 @@ func TestActivationWindows(t *testing.T) {
 	// B; under 1F1B on stage 0 the gap spans most of the minibatch.
 	k := pipeline.SlotKey{Stage: 0, Microbatch: 0}
 	var checked int
-	for _, id := range b.Acts[k] {
+	for _, id := range b.Acts(k) {
 		if _, ok := b.RecomputeFLOPs(id); !ok {
 			continue
 		}
@@ -108,7 +108,7 @@ func TestLastMicrobatchHasShortWindow(t *testing.T) {
 	last := pipeline.SlotKey{Stage: 3, Microbatch: 0}
 	first := pipeline.SlotKey{Stage: 0, Microbatch: 0}
 	gapOf := func(k pipeline.SlotKey) int64 {
-		for _, id := range b.Acts[k] {
+		for _, id := range b.Acts(k) {
 			if _, ok := b.RecomputeFLOPs(id); ok {
 				return int64(p.Stats[id].LongestWindow().Gap)
 			}
@@ -164,7 +164,7 @@ func TestWindowBetween(t *testing.T) {
 	}
 	k := pipeline.SlotKey{Stage: 0, Microbatch: 1}
 	var act tensor.ID = -1
-	for _, id := range b.Acts[k] {
+	for _, id := range b.Acts(k) {
 		if _, ok := b.RecomputeFLOPs(id); ok {
 			act = id
 			break

@@ -34,7 +34,7 @@ func jobArtifacts(t *testing.T, res JobResult) (report, planFile, chrome []byte)
 			t.Fatal(err)
 		}
 	}
-	tl := res.State.Timeline
+	tl := res.State.Timeline()
 	if tl == nil {
 		tl = trace.Collect(res.State.ExecOpts, res.State.Exec)
 	}

@@ -52,6 +52,40 @@ type resilSummary struct {
 	recoveryTime units.Duration
 	recoveries   []Recovery
 	oom          *memsim.OOMError // degraded-topology OOM, if the run died
+	segments     []resilSegment   // in run order; recoveries[i] follows segments[i]
+}
+
+// resilSegment is one execution segment's options, result and start.
+type resilSegment struct {
+	opts   exec.Options
+	res    *exec.Result
+	offset units.Duration
+}
+
+// Timeline merges a resilient run's segments (after Resilience; nil
+// otherwise) and each fault's failure and recovery marks into one
+// wall-clock trace, on every call: a job pays for it only when read.
+func (st *State) Timeline() *trace.Timeline {
+	sum := st.Resil
+	if sum == nil {
+		return nil
+	}
+	tl := &trace.Timeline{Stages: st.Built.NumStages(), Span: sum.wall}
+	for i, seg := range sum.segments {
+		part := trace.Collect(&seg.opts, seg.res)
+		tl.Stages = max(tl.Stages, part.Stages)
+		for _, e := range part.Events {
+			e.Start, e.End = e.Start+seg.offset, e.End+seg.offset
+			tl.Events = append(tl.Events, e)
+		}
+		if i < len(sum.recoveries) {
+			rec, at := sum.recoveries[i], seg.offset+units.Duration(seg.res.Failure.At)
+			tl.Events = append(tl.Events,
+				trace.Event{Name: rec.Fault.String(), Kind: graph.Failure, Stage: -1, Microbatch: -1, Start: at, End: at},
+				trace.Event{Name: "recovery", Kind: graph.Recovery, Stage: -1, Microbatch: -1, Start: at, End: at + rec.RecoveryTime})
+		}
+	}
+	return tl
 }
 
 // aliveSet tracks which of the original GPUs survive, translating
@@ -198,8 +232,8 @@ func replan(ctx context.Context, st *State, topo *hw.Topology, remaining int) (*
 // stageResilience runs the checkpointed, fault-injected replay. It
 // requires the Execute stage's fault-free result (the ideal baseline)
 // and leaves the final — possibly re-planned — Plan/Mapping on the
-// State, plus the merged wall-clock Timeline and the resilSummary for
-// stageReport.
+// State, plus the resilSummary for stageReport, whose segments
+// State.Timeline merges on request.
 func stageResilience(ctx context.Context, st *State) error {
 	c := st.Job.Config
 	if st.Exec.OOM != nil {
@@ -221,7 +255,6 @@ func stageResilience(ctx context.Context, st *State) error {
 	}
 
 	sum := &resilSummary{}
-	timeline := &trace.Timeline{Stages: st.Built.NumStages()}
 	alive := newAliveSet(c.Topology.NumGPUs)
 	seg := &segment{topo: c.Topology, state: st}
 	remaining := c.Minibatches
@@ -255,8 +288,7 @@ func stageResilience(ctx context.Context, st *State) error {
 		if err != nil {
 			return err
 		}
-		segTL := trace.Collect(&opts, res)
-		timeline.Append(segTL, wall)
+		sum.segments = append(sum.segments, resilSegment{opts, res, wall})
 		sum.checkpoints += len(res.Checkpoints)
 		sum.ckptBytes += res.CheckpointBytes
 		for _, rec := range res.Checkpoints {
@@ -285,7 +317,6 @@ func stageResilience(ctx context.Context, st *State) error {
 		remaining -= durable
 		wall += units.Duration(res.Failure.At)
 		sum.lostWork += lost
-		timeline.Mark(graph.Failure, fault.String(), wall, wall)
 
 		// Degrade the topology and re-plan on the survivors.
 		newTopo, err := alive.applyFault(seg.topo, *fault)
@@ -312,7 +343,6 @@ func stageResilience(ctx context.Context, st *State) error {
 			recovery += ckpt.RestoreCost(seg.topo, ckpt.StageBytes(seg.state.Built))
 		}
 		sum.recoveryTime += recovery
-		timeline.Mark(graph.Recovery, "recovery", wall, wall+recovery)
 		wall += recovery
 		sum.recoveries = append(sum.recoveries, Recovery{
 			Fault:            *fault,
@@ -323,9 +353,7 @@ func stageResilience(ctx context.Context, st *State) error {
 		})
 	}
 
-	timeline.Span = sum.wall
 	st.Resil = sum
-	st.Timeline = timeline
 	// Report the plan the job ended on: after a degradation this is the
 	// re-planned one whose striping excludes the dead hardware.
 	if seg.state != st {

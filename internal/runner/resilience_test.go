@@ -107,7 +107,7 @@ func TestNVLinkFailureReplansStriping(t *testing.T) {
 	if recovered[victim] {
 		t.Errorf("recovered plan still stripes across downed pair %v-%v", victim[0], victim[1])
 	}
-	if res.State.Timeline == nil || res.State.Timeline.Span != rep.Duration {
+	if tl := res.State.Timeline(); tl == nil || tl.Span != rep.Duration {
 		t.Error("resilient timeline missing or span mismatch")
 	}
 }

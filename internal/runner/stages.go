@@ -12,7 +12,6 @@ import (
 	"mpress/internal/mapping"
 	"mpress/internal/pipeline"
 	"mpress/internal/plan"
-	"mpress/internal/trace"
 	"mpress/internal/units"
 	"mpress/internal/zero"
 )
@@ -53,10 +52,9 @@ type State struct {
 	ExecOpts *exec.Options
 	Exec     *exec.Result
 	Report   *Report
-	// Timeline is the merged wall-clock trace of a resilient run
-	// (after Resilience; nil otherwise), and Resil its accounting.
-	Timeline *trace.Timeline
-	Resil    *resilSummary
+	// Resil is a resilient run's accounting (after Resilience; nil
+	// otherwise); Timeline merges its segments into one trace.
+	Resil *resilSummary
 	// Recovered is the lowered job of the final recovered segment when
 	// a failure forced a re-plan (nil otherwise); a resilient State's
 	// Plan/Mapping refer to its tensors and stages, not Built's.

@@ -502,7 +502,7 @@ func (s *Server) settle(run runner.JobResult) (*result, error) {
 		// Resilient runs carry their merged wall-clock timeline
 		// (failures, recoveries and checkpoints marked); fault-free
 		// runs collect the executor's.
-		res.timeline = st.Timeline
+		res.timeline = st.Timeline()
 		if res.timeline == nil {
 			res.timeline = trace.Collect(st.ExecOpts, st.Exec)
 			res.timeline.LaneNames = st.TraceLaneNames()

@@ -6,10 +6,11 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"mpress/internal/exec"
@@ -52,16 +53,13 @@ type Timeline struct {
 // Collect extracts the timeline of the run o configured. Zero-length
 // bookkeeping events (drops) are kept: they mark eviction points.
 func Collect(o *exec.Options, res *exec.Result) *Timeline {
-	t := &Timeline{Stages: o.Built.NumStages(), Span: res.Duration}
 	ops := o.Ops()
+	t := &Timeline{Stages: o.Built.NumStages(), Span: res.Duration,
+		Events: make([]Event, 0, ops.Len()+len(res.Checkpoints)+1)}
 	for i := range ops.Len() {
 		op, sp := ops.Op(graph.OpID(i)), res.Spans[i]
-		if sp.End == 0 && sp.Start == 0 && op.Kind != graph.Drop {
-			// Never ran (e.g. the run died of OOM first) — keep the
-			// timeline to what actually happened.
-			if i != 0 {
-				continue
-			}
+		if sp.End == 0 && sp.Start == 0 && op.Kind != graph.Drop && i != 0 {
+			continue // never ran (the run died of OOM first, say)
 		}
 		t.Events = append(t.Events, Event{
 			Name:       ops.Name(graph.OpID(i)),
@@ -89,41 +87,10 @@ func Collect(o *exec.Options, res *exec.Result) *Timeline {
 			Start: at, End: at,
 		})
 	}
-	sort.SliceStable(t.Events, func(a, b int) bool {
-		if t.Events[a].Stage != t.Events[b].Stage {
-			return t.Events[a].Stage < t.Events[b].Stage
-		}
-		return t.Events[a].Start < t.Events[b].Start
+	slices.SortStableFunc(t.Events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Start, b.Start))
 	})
 	return t
-}
-
-// Append merges other's events into t shifted by offset, extending the
-// span and lane count as needed — how a resilient run's per-segment
-// timelines become one wall-clock trace.
-func (t *Timeline) Append(other *Timeline, offset units.Duration) {
-	for _, e := range other.Events {
-		e.Start += offset
-		e.End += offset
-		t.Events = append(t.Events, e)
-	}
-	if end := offset + other.Span; end > t.Span {
-		t.Span = end
-	}
-	if other.Stages > t.Stages {
-		t.Stages = other.Stages
-	}
-}
-
-// Mark adds one synthetic run-wide span (failure, recovery) and grows
-// the timeline to cover it.
-func (t *Timeline) Mark(kind graph.OpKind, name string, start, end units.Duration) {
-	t.Events = append(t.Events, Event{
-		Name: name, Kind: kind, Stage: -1, Microbatch: -1, Start: start, End: end,
-	})
-	if end > t.Span {
-		t.Span = end
-	}
 }
 
 // chromeEvent is the trace-event JSON schema (phase "X" = complete).
@@ -255,24 +222,14 @@ type Stats struct {
 
 // Summarize aggregates per-kind activity, ordered by kind.
 func (t *Timeline) Summarize() []Stats {
-	agg := map[graph.OpKind]*Stats{}
+	var out []Stats
 	for _, e := range t.Events {
-		s, ok := agg[e.Kind]
+		i, ok := slices.BinarySearchFunc(out, e.Kind, func(s Stats, k graph.OpKind) int { return cmp.Compare(s.Kind, k) })
 		if !ok {
-			s = &Stats{Kind: e.Kind}
-			agg[e.Kind] = s
+			out = slices.Insert(out, i, Stats{Kind: e.Kind})
 		}
-		s.Count++
-		s.Busy += e.Duration()
-	}
-	var kinds []graph.OpKind
-	for k := range agg {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	out := make([]Stats, 0, len(kinds))
-	for _, k := range kinds {
-		out = append(out, *agg[k])
+		out[i].Count++
+		out[i].Busy += e.Duration()
 	}
 	return out
 }
