@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race fmt vet vet-onepath vet-names smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
+.PHONY: check build test race fmt vet loc vet-onepath vet-names smoke fleet-smoke fleet-plan-smoke autosearch-smoke sweep-smoke splice-smoke sim-smoke benchmark-smoke bench benchcheck profile
 
 # The fleet-smoke, fleet-plan-smoke, autosearch-smoke, sweep-smoke and
 # splice-smoke targets are -race subsets of the tests race already runs
@@ -134,6 +134,11 @@ profile:
 
 build:
 	$(GO) build ./...
+
+# The size of the program: non-test Go lines outside benchmark/, the
+# count ROADMAP.md tracks, so every change reports the same number.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
 test:
 	$(GO) test ./...

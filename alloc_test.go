@@ -15,7 +15,7 @@ import (
 // GOMAXPROCS 2; ~183 KiB at 1 and ~233 KiB at 4). Each emulation prices
 // a copy of its round's incumbent in its refinement worker's trial and
 // runs an overlay on the frozen lowering, rebuilt in that worker's
-// arrays and maps, and the pooled executor state keeps it from
+// arrays, and the pooled executor state keeps it from
 // re-allocating its per-run slices; what is left is mostly the
 // Result's Spans.
 const maxBytesPerEmulation = 300 * units.KiB

@@ -45,7 +45,6 @@ import (
 	"mpress/internal/plan"
 	"mpress/internal/runner"
 	"mpress/internal/serve/client"
-	"mpress/internal/trace"
 )
 
 func main() {
@@ -223,8 +222,7 @@ func (o *options) execute(w io.Writer) (int, error) {
 	if !o.gantt && o.trace == "" {
 		return 0, nil
 	}
-	tl := trace.Collect(jr.State.ExecOpts, jr.State.Exec)
-	tl.LaneNames = jr.State.TraceLaneNames()
+	tl := jr.State.Timeline()
 	if o.gantt {
 		fmt.Fprintln(w)
 		tl.WriteGantt(w)

@@ -76,13 +76,12 @@ func testAllocsFlat(t *testing.T, dp *exec.DPSpec) {
 		}
 		o := *opts
 		o.DataParallel = dp
-		routes := o.D2D
 		r, err := exec.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.OOM != nil || len(routes) == 0 {
-			t.Fatalf("degenerate run: OOM %v, %d routes", r.OOM, len(routes))
+		if r.OOM != nil || len(o.Stripes.Layouts) < 2 {
+			t.Fatalf("degenerate run: OOM %v, %d stripe layouts", r.OOM, len(o.Stripes.Layouts)-1)
 		}
 		if dp != nil && r.NICBytes == 0 {
 			t.Fatalf("data-parallel run sent nothing over the NICs (%d all-reduces)", r.AllReduces)

@@ -53,17 +53,19 @@ type Options struct {
 	// Mapping assigns each pipeline stage to a GPU. len(Mapping) must
 	// equal the stage count and entries must be distinct GPUs.
 	Mapping []hw.DeviceID
-	// D2D gives the stripe layout of each D2D-swapped tensor: its
-	// swap-outs scatter these parts to peer GPUs and its swap-ins
-	// gather them back. Swap ops of tensors absent from this map go
-	// over PCIe to host memory. Run returns an error for a key that is
-	// not a tensor of the graph or is also InitiallySwapped, and for a
-	// part naming no other GPU of the topology or negative bytes.
-	D2D map[tensor.ID][]fabric.Part
-	// InitiallySwapped marks persistent tensors that start in host
-	// memory instead of on their GPU (their first use must be
-	// preceded by an overlay swap-in).
-	InitiallySwapped map[tensor.ID]bool
+	// Stripes routes each D2D-swapped tensor's swaps to peer GPUs (see
+	// Stripes); swap ops of the tensors it does not route go over PCIe
+	// to host memory. Run returns an error for a table whose length is
+	// neither zero nor the graph's tensor count, a layout index past
+	// Layouts, a route of a Parked tensor, and a part naming no other
+	// GPU of the topology or negative bytes.
+	Stripes Stripes
+	// Parked lists, ascending, the persistent tensors that start in host
+	// memory instead of on their GPU (their first use must be preceded
+	// by an overlay swap-in). Run returns an error for an ID naming no
+	// tensor of the graph or out of order, and ignores a tensor that is
+	// not persistent.
+	Parked []tensor.ID
 	// Unbounded disables GPU capacity checks (used by planning passes
 	// that need to measure demand beyond capacity).
 	Unbounded bool
@@ -117,17 +119,35 @@ type Overlay struct {
 // least one of them is an overlay op.
 type Dep struct{ After, Before graph.OpID }
 
+// Stripes is a plan's D2D stripe table by tensor ID, the form the
+// planner holds it in: tensor t's swap-outs scatter Layouts[Of[t]] to
+// peer GPUs and its swap-ins gather them back, and Of[t] == 0 sends its
+// swaps over PCIe. Layouts[0] is nil. An empty table routes every swap
+// over PCIe. Run reads it in place and never writes it.
+type Stripes struct {
+	Of      []int32
+	Layouts [][]fabric.Part
+}
+
+// route returns tensor t's stripes and whether its swaps go to peers.
+func (s *Stripes) route(t tensor.ID) ([]fabric.Part, bool) {
+	if int(t) >= len(s.Of) || s.Of[t] == 0 {
+		return nil, false
+	}
+	return s.Layouts[s.Of[t]], true
+}
+
 // OpView reads a run's ops: the lowering's graph, then the overlay's
 // ops numbered after it. Run, trace.Collect and the experiments read
 // ops through it.
 type OpView struct {
-	g   *graph.Graph
-	ov  []graph.Op
-	d2d map[tensor.ID][]fabric.Part
+	g       *graph.Graph
+	ov      []graph.Op
+	stripes Stripes
 }
 
 // Ops returns o's op view.
-func (o *Options) Ops() OpView { return OpView{o.Built.Graph, o.Overlay.Ops, o.D2D} }
+func (o *Options) Ops() OpView { return OpView{o.Built.Graph, o.Overlay.Ops, o.Stripes} }
 
 // Len returns the op count: the graph's plus the overlay's.
 func (v OpView) Len() int { return v.g.Len() + len(v.ov) }
@@ -142,7 +162,7 @@ func (v OpView) Op(id graph.OpID) *graph.Op {
 
 // Name returns op id's name. A graph op has its own; an overlay op's is
 // built here, from its kind, its tensor's name and, for a swap, its
-// route: "d2d" for a tensor striped to peers (Options.D2D), "h2d"
+// route: "d2d" for a tensor striped to peers (Options.Stripes), "h2d"
 // otherwise.
 func (v OpView) Name(id graph.OpID) string {
 	op := v.Op(id)
@@ -151,7 +171,7 @@ func (v OpView) Name(id graph.OpID) string {
 	}
 	name := v.g.Tensors.Get(op.Subject).Name
 	route := "h2d"
-	if _, ok := v.d2d[op.Subject]; ok {
+	if _, ok := v.stripes.route(op.Subject); ok {
 		route = "d2d"
 	}
 	switch op.Kind {
@@ -273,7 +293,7 @@ type engine struct {
 	g   *graph.Graph // the lowering's
 	ops OpView
 	// *scratch holds the per-run working slices: dependency counts
-	// (preds), residency by tensor (state), Options' per-tensor entries
+	// (preds), residency and pinned buffers by tensor (state, pinnedBuf)
 	// and the overlay's successor rows.
 	*scratch
 	frees *pipeline.FreeRows
@@ -316,16 +336,12 @@ type engine struct {
 type scratch struct {
 	preds []int
 	state []residency
-	// Options' per-tensor entries, by tensor ID (see tensorTables): a
-	// D2D-swapped tensor t stripes to parts[partOff[route[t]-1]:
-	// partOff[route[t]]] (route 0: it swaps over PCIe), swapped marks
-	// the InitiallySwapped ones, and pinnedBuf[t] is the pinned host
-	// buffer backing t while it is swapped to host memory.
-	route     []int32
-	partOff   []int32
-	parts     []fabric.Part
-	swapped   []bool
+	// pinnedBuf[t] is the pinned host buffer backing tensor t while it
+	// is swapped to host memory.
 	pinnedBuf []units.Bytes
+	// marks flags GPUs: those hosting a stage while Run checks the
+	// mapping, then those whose runtime reserve init has booked.
+	marks []bool
 	// The overlay's edges in CSR form over every op (see layout): op i
 	// waits on pred[predOff[i]:predOff[i+1]] and unblocks
 	// succ[succOff[i]:succOff[i+1]], releasing ops first, then the rest,
@@ -368,33 +384,32 @@ func Run(o Options) (*Result, error) {
 	if len(o.Mapping) != S {
 		return nil, fmt.Errorf("exec: mapping has %d entries for %d stages", len(o.Mapping), S)
 	}
-	seen := make(map[hw.DeviceID]bool)
+	e := &engine{o: o, g: o.Built.Graph, ops: o.Ops()}
+	// Reset the scratch before anything reads it: an OOM while booking
+	// the runtime reserve already reports the residents in state.
+	e.scratch = scratchPool.Get().(*scratch)
+	defer scratchPool.Put(e.scratch)
+	e.marks = resize(e.marks, o.Topo.NumGPUs)
 	for s, d := range o.Mapping {
 		if !d.IsGPU() || int(d) >= o.Topo.NumGPUs {
 			return nil, fmt.Errorf("exec: stage %d mapped to %v", s, d)
 		}
-		if seen[d] && !o.AllowSharedDevices {
+		if e.marks[d] && !o.AllowSharedDevices {
 			return nil, fmt.Errorf("exec: %v hosts two stages", d)
 		}
-		seen[d] = true
+		e.marks[d] = true
 	}
-
+	if err := e.checkRoutes(); err != nil {
+		return nil, err
+	}
+	e.state = resize(e.state, e.g.Tensors.Len())
+	e.preds = resize(e.preds, e.ops.Len())
+	e.pinnedBuf = resize(e.pinnedBuf, e.g.Tensors.Len())
 	// The kernel is pooled: the planner emulates hundreds of candidate
 	// plans per job, and recycling the event heap and lane timelines
 	// spares each run regrowing them. Nothing in a Result aliases sim
 	// state (lane sets only feed scalar counters into stats), so the
 	// instance can be released as soon as Run returns.
-	e := &engine{o: o, g: o.Built.Graph, ops: o.Ops()}
-	if err := e.checkRoutes(); err != nil {
-		return nil, err
-	}
-	// Reset the scratch before anything reads it: an OOM while booking
-	// the runtime reserve already reports the residents in state.
-	e.scratch = scratchPool.Get().(*scratch)
-	defer scratchPool.Put(e.scratch)
-	e.state = resize(e.state, e.g.Tensors.Len())
-	e.preds = resize(e.preds, e.ops.Len())
-	e.tensorTables()
 	e.sim = sim.Get()
 	defer sim.Put(e.sim)
 	e.sim.Handle = e.handle
@@ -455,78 +470,55 @@ func (e *engine) stalled() error {
 	return fmt.Errorf("exec: %w", &graph.CycleError{Remaining: left})
 }
 
-// checkRoutes validates Options.D2D in time linear in its entries. Each
-// key must be a tensor of the graph that does not start in host memory;
-// each part must name a GPU of the topology other than the one hosting
-// the tensor, with non-negative bytes. Of several violations, the one
-// on the smallest tensor ID is reported.
+// checkRoutes validates Options.Stripes and Parked. The parked list
+// must name tensors of the graph, ascending. The stripe table must be
+// empty or hold an entry per tensor, and an in-order scan checks each
+// routed tensor: its layout index names a layout, it does not start in
+// host memory, and each part names a GPU of the topology other than the
+// one hosting the tensor, with non-negative bytes. Of several faulty
+// routes, the one on the smallest tensor ID is reported.
 func (e *engine) checkRoutes() error {
-	var bad tensor.ID
-	var err error
-	for id, parts := range e.o.D2D {
-		if err != nil && id > bad {
+	n, st, parked := e.g.Tensors.Len(), &e.o.Stripes, e.o.Parked
+	for i, id := range parked {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("exec: parked tensor %d of a %d-tensor graph", id, n)
+		}
+		if i > 0 && id <= parked[i-1] {
+			return fmt.Errorf("exec: parked tensor %d listed after %d", id, parked[i-1])
+		}
+	}
+	if len(st.Of) != 0 && len(st.Of) != n {
+		return fmt.Errorf("exec: stripe table has %d entries for a %d-tensor graph", len(st.Of), n)
+	}
+	for t, l := range st.Of {
+		if l == 0 {
 			continue
 		}
-		if rerr := e.checkRoute(id, parts); rerr != nil {
-			bad, err = id, rerr
+		id := tensor.ID(t)
+		name := e.g.Tensors.Get(id).Name
+		if l < 0 || int(l) >= len(st.Layouts) {
+			return fmt.Errorf("exec: D2D swap of %s takes layout %d of %d", name, l, len(st.Layouts))
 		}
-	}
-	return err
-}
-
-// checkRoute checks one Options.D2D entry (see checkRoutes).
-func (e *engine) checkRoute(id tensor.ID, parts []fabric.Part) error {
-	if id < 0 || int(id) >= e.g.Tensors.Len() {
-		return fmt.Errorf("exec: D2D stripes for tensor %d of a %d-tensor graph", id, e.g.Tensors.Len())
-	}
-	name := e.g.Tensors.Get(id).Name
-	if e.o.InitiallySwapped[id] {
-		return fmt.Errorf("exec: D2D-swapped tensor %s starts in host memory", name)
-	}
-	home := e.gpuOf(id)
-	for _, p := range parts {
-		if !p.Peer.IsGPU() || int(p.Peer) >= e.o.Topo.NumGPUs || p.Peer == home {
-			return fmt.Errorf("exec: D2D swap of %s stripes to %v (tensor on %v, %d GPUs)", name, p.Peer, home, e.o.Topo.NumGPUs)
+		if e.parked(id) {
+			return fmt.Errorf("exec: D2D-swapped tensor %s starts in host memory", name)
 		}
-		if p.Bytes < 0 {
-			return fmt.Errorf("exec: D2D swap of %s stripes %d bytes to %v", name, p.Bytes, p.Peer)
+		home := e.gpuOf(id)
+		for _, p := range st.Layouts[l] {
+			if !p.Peer.IsGPU() || int(p.Peer) >= e.o.Topo.NumGPUs || p.Peer == home {
+				return fmt.Errorf("exec: D2D swap of %s stripes to %v (tensor on %v, %d GPUs)", name, p.Peer, home, e.o.Topo.NumGPUs)
+			}
+			if p.Bytes < 0 {
+				return fmt.Errorf("exec: D2D swap of %s stripes %d bytes to %v", name, p.Bytes, p.Peer)
+			}
 		}
 	}
 	return nil
 }
 
-// tensorTables lays Options.D2D and InitiallySwapped out by tensor in
-// the scratch, in time linear in their entries (past clearing the
-// per-tensor slices), so no op of the run reads a map. checkRoutes has
-// already checked every D2D key; InitiallySwapped is read only for
-// persistent tensors, so a key naming no tensor is ignored.
-func (e *engine) tensorTables() {
-	n := e.g.Tensors.Len()
-	e.route = resize(e.route, n)
-	e.swapped = resize(e.swapped, n)
-	e.pinnedBuf = resize(e.pinnedBuf, n)
-	e.partOff = append(e.partOff[:0], 0)
-	e.parts = e.parts[:0]
-	for id, parts := range e.o.D2D {
-		e.parts = append(e.parts, parts...)
-		e.partOff = append(e.partOff, int32(len(e.parts)))
-		e.route[id] = int32(len(e.partOff) - 1)
-	}
-	for id, on := range e.o.InitiallySwapped {
-		if on && id >= 0 && int(id) < n {
-			e.swapped[id] = true
-		}
-	}
-}
-
-// stripes returns tensor t's D2D stripes and whether it has a D2D
-// route (Options.D2D has an entry for it).
-func (e *engine) stripes(t tensor.ID) ([]fabric.Part, bool) {
-	r := e.route[t]
-	if r == 0 {
-		return nil, false
-	}
-	return e.parts[e.partOff[r-1]:e.partOff[r]], true
+// parked reports whether tensor t starts in host memory (Options.Parked).
+func (e *engine) parked(t tensor.ID) bool {
+	_, ok := slices.BinarySearch(e.o.Parked, t)
+	return ok
 }
 
 // init allocates the runtime reserve and persistent state, reporting a
@@ -541,12 +533,12 @@ func (e *engine) init() error {
 	// Allocate spans first: a Result carries op-length Spans even when
 	// staging below dies of OOM before anything runs.
 	e.spans = make([]Span, e.ops.Len())
-	reserved := make(map[hw.DeviceID]bool)
+	e.marks = resize(e.marks, len(e.gpus))
 	for _, d := range e.o.Mapping {
-		if reserved[d] {
+		if e.marks[d] {
 			continue // co-located stages share one runtime reserve
 		}
-		reserved[d] = true
+		e.marks[d] = true
 		if err := e.gpus[d].Alloc(pipeline.RuntimeReserve, "runtime reserve"); err != nil {
 			e.fail(err.(*memsim.OOMError))
 			return nil
@@ -556,7 +548,7 @@ func (e *engine) init() error {
 		dev := e.gpus[e.o.Mapping[s]]
 		for _, id := range ids {
 			tn := e.g.Tensors.Get(id)
-			if e.swapped[id] {
+			if e.parked(id) {
 				buf, err := e.pinned.Get(tn.Size)
 				if err != nil {
 					// Host capacity failures report as OOM like GPU
@@ -793,7 +785,7 @@ func (e *engine) handle(ev sim.Event) {
 	case evSwapOutHost:
 		e.releaseSubject(op.Subject, e.gpuOf(op.Subject), resSwappedHost)
 	case evSwapInPeers:
-		parts, _ := e.stripes(op.Subject)
+		parts, _ := e.o.Stripes.route(op.Subject)
 		for _, p := range parts {
 			e.gpus[p.Peer].Release(p.Bytes)
 		}
@@ -915,7 +907,7 @@ func (e *engine) dispatch(id graph.OpID) {
 	case graph.SwapOut:
 		gpu := e.gpuOf(op.Subject)
 		size := e.g.Tensors.Get(op.Subject).Size
-		if parts, ok := e.stripes(op.Subject); ok {
+		if parts, ok := e.o.Stripes.route(op.Subject); ok {
 			name := e.g.Tensors.Get(op.Subject).Name
 			for _, p := range parts {
 				// The stripe's OOM label is built only when it fails.
@@ -960,7 +952,7 @@ func (e *engine) dispatch(id graph.OpID) {
 		if !e.alloc(gpu, tn.Size, tn.Name) {
 			return
 		}
-		if parts, ok := e.stripes(op.Subject); ok {
+		if parts, ok := e.o.Stripes.route(op.Subject); ok {
 			if e.state[op.Subject] != resSwappedPeers {
 				panic(fmt.Sprintf("exec: d2d swap-in of %s in state %d", tn.Name, e.state[op.Subject]))
 			}

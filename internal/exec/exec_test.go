@@ -260,16 +260,17 @@ func TestInitiallySwappedPersistent(t *testing.T) {
 	// Start all stage-0 optimizer states on the host and never touch
 	// them (no optimizer use instrumentation here; we only check
 	// placement accounting).
-	swapped := map[tensor.ID]bool{}
+	var swapped []tensor.ID
 	var optBytes units.Bytes
 	for _, id := range b.Persistent[0] {
 		tn := b.Graph.Tensors.Get(id)
 		if tn.Class == tensor.OptimizerState {
-			swapped[id] = true
+			swapped = append(swapped, id)
 			optBytes += tn.Size
 		}
 	}
-	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4), InitiallySwapped: swapped})
+	slices.Sort(swapped)
+	r, err := exec.Run(exec.Options{Topo: hw.DGX1(), Built: b, Mapping: exec.IdentityMapping(4), Parked: swapped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestD2DImportOOMLabel(t *testing.T) {
 		t.Fatal("no swap-outs planned")
 	}
 	huge := []fabric.Part{{Peer: 3, Bytes: hw.DGX1().GPU.Memory}}
-	o.D2D[first] = huge
+	o.Stripes = routeTo(o.Stripes, first, huge)
 	r, err := exec.Run(*o)
 	if err != nil {
 		t.Fatal(err)
@@ -336,10 +337,20 @@ func firstSwapped(o *exec.Options) tensor.ID {
 	return -1
 }
 
-// TestRunRejectsBadRoutes: Run validates Options.D2D up front and
-// returns an error, never panics, for each rule: keys are tensors of the
-// graph that do not start in host memory, peers are other GPUs of the
-// topology, and bytes are non-negative.
+// routeTo returns st with tensor id routed over parts, a layout added
+// after st's; st's arrays, which the plan's decisions share, stay as
+// they are.
+func routeTo(st exec.Stripes, id tensor.ID, parts []fabric.Part) exec.Stripes {
+	of := slices.Clone(st.Of)
+	of[id] = int32(len(st.Layouts))
+	return exec.Stripes{Of: of, Layouts: append(slices.Clip(st.Layouts), parts)}
+}
+
+// TestRunRejectsBadRoutes: Run validates Options.Stripes and Parked up
+// front and returns an error, never panics, for each rule: the table
+// has an entry per tensor of the graph (or none), each index names a
+// layout, peers are other GPUs of the topology, bytes are non-negative,
+// and parked IDs are tensors of the graph, ascending, with no route.
 func TestRunRejectsBadRoutes(t *testing.T) {
 	good := []fabric.Part{{Peer: 3, Bytes: 1 << 20}, {Peer: 2, Bytes: 1 << 20}}
 	cases := []struct {
@@ -347,28 +358,48 @@ func TestRunRejectsBadRoutes(t *testing.T) {
 		edit func(b *pipeline.Built, o *exec.Options, swapped tensor.ID)
 		want string
 	}{
-		{"key past the graph", func(b *pipeline.Built, o *exec.Options, _ tensor.ID) {
-			o.D2D[tensor.ID(b.Graph.Tensors.Len())] = good
-		}, "-tensor graph"},
-		{"negative key", func(_ *pipeline.Built, o *exec.Options, _ tensor.ID) {
-			o.D2D[-1] = good
-		}, "-tensor graph"},
+		{"key past the graph", func(_ *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			o.Stripes.Of = append(slices.Clone(o.Stripes.Of), 1)
+		}, "stripe table has"},
+		{"table short of the graph", func(_ *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			o.Stripes.Of = o.Stripes.Of[:len(o.Stripes.Of)-1]
+		}, "stripe table has"},
+		{"layout past the layouts", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.Stripes.Of = slices.Clone(o.Stripes.Of)
+			o.Stripes.Of[id] = int32(len(o.Stripes.Layouts))
+		}, "takes layout"},
+		{"negative layout", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.Stripes.Of = slices.Clone(o.Stripes.Of)
+			o.Stripes.Of[id] = -1
+		}, "takes layout"},
 		{"peer is the host", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: hw.Host, Bytes: 1}}
+			o.Stripes = routeTo(o.Stripes, id, []fabric.Part{{Peer: hw.Host, Bytes: 1}})
 		}, "stripes to"},
 		{"peer past the topology", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: 8, Bytes: 1}}
+			o.Stripes = routeTo(o.Stripes, id, []fabric.Part{{Peer: 8, Bytes: 1}})
 		}, "stripes to"},
 		{"peer is the tensor's own GPU", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: 0, Bytes: 1}}
+			o.Stripes = routeTo(o.Stripes, id, []fabric.Part{{Peer: 0, Bytes: 1}})
 		}, "stripes to"},
 		{"negative bytes", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
-			o.D2D[id] = []fabric.Part{{Peer: 3, Bytes: -1}}
+			o.Stripes = routeTo(o.Stripes, id, []fabric.Part{{Peer: 3, Bytes: -1}})
 		}, "stripes -1 bytes"},
 		{"tensor starts in host memory", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
-			o.InitiallySwapped = map[tensor.ID]bool{id: true}
+			o.Parked = []tensor.ID{id}
 		}, "starts in host memory"},
-		{"valid routes", func(*pipeline.Built, *exec.Options, tensor.ID) {}, ""},
+		{"parked past the graph", func(b *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			o.Parked = []tensor.ID{tensor.ID(b.Graph.Tensors.Len())}
+		}, "-tensor graph"},
+		{"negative parked", func(_ *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			o.Parked = []tensor.ID{-1}
+		}, "-tensor graph"},
+		{"parked out of order", func(b *pipeline.Built, o *exec.Options, _ tensor.ID) {
+			p := b.Persistent[0]
+			o.Parked = []tensor.ID{max(p[0], p[1]), min(p[0], p[1])}
+		}, "listed after"},
+		{"valid routes", func(_ *pipeline.Built, o *exec.Options, id tensor.ID) {
+			o.Stripes = routeTo(o.Stripes, id, good)
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,9 +19,8 @@ import (
 // host memory, a smaller job with fewer tensors and ops, a data-parallel
 // one, the large D2D and host-swap jobs again and then a job on a GPU
 // smaller than the runtime reserve, whose OOM reports the residents
-// before any staging, run in that order on one pool: each run's stripe
-// routes, initially swapped flags and pinned buffers by tensor must not
-// reach the next. Each Result must equal the same job's first run,
+// before any staging, run in that order on one pool: each run's
+// residency and pinned buffers by tensor must not reach the next. Each Result must equal the same job's first run,
 // taken on an empty pool.
 func TestScratchCarriesNothing(t *testing.T) {
 	large := buildTinyM(t, pipeline.PipeDream, 4, 8)
@@ -60,7 +59,7 @@ func TestScratchCarriesNothing(t *testing.T) {
 	if r := first["host-swap"]; r.Host.Peak == 0 {
 		t.Fatal("host-swap: nothing was swapped to host memory")
 	}
-	if o := jobs["parked"]; len(o.InitiallySwapped) == 0 {
+	if o := jobs["parked"]; len(o.Parked) == 0 {
 		t.Fatal("parked: no persistent tensor starts in host memory")
 	}
 	for _, name := range []string{"large", "host-swap", "parked", "small", "data-parallel", "large", "host-swap", "below-reserve"} {

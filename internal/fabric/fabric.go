@@ -28,9 +28,9 @@ type Fabric struct {
 	topo *hw.Topology
 	sim  *sim.Sim
 
-	// Direct topologies: one lane set per unordered GPU pair and
-	// direction. Key packs src*n+dst.
-	pair map[int]*sim.LaneSet
+	// Direct topologies: one lane set per GPU pair and direction, at
+	// src*n+dst, nil where the pair has no lanes.
+	pair []*sim.LaneSet
 	// Switched topologies: pooled egress/ingress lanes per GPU.
 	egress  []*sim.LaneSet
 	ingress []*sim.LaneSet
@@ -89,7 +89,6 @@ func New(s *sim.Sim, topo *hw.Topology) *Fabric {
 	f := &Fabric{
 		topo: topo,
 		sim:  s,
-		pair: make(map[int]*sim.LaneSet),
 		d2h:  make([]*sim.LaneSet, topo.NumGPUs),
 		h2d:  make([]*sim.LaneSet, topo.NumGPUs),
 	}
@@ -102,6 +101,7 @@ func New(s *sim.Sim, topo *hw.Topology) *Fabric {
 			f.ingress[g] = sim.NewLaneSet(s, ingressNames.Of(g, 0), topo.LanesPerGPU)
 		}
 	} else {
+		f.pair = make([]*sim.LaneSet, n*n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if lanes := topo.LanesBetween(hw.DeviceID(i), hw.DeviceID(j)); lanes > 0 {
@@ -139,6 +139,9 @@ type Stats struct {
 func (f *Fabric) Stats() Stats {
 	var s Stats
 	for _, set := range f.pair {
+		if set == nil {
+			continue
+		}
 		s.NVLinkBytes += set.Moved()
 		s.NVLinkBusy += set.BusyTime()
 	}

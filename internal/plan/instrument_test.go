@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mpress/internal/exec"
@@ -212,8 +213,10 @@ func applySwap(t *testing.T) {
 			t.Errorf("swap-in named %q, want route %s", got, c.route)
 		}
 	}
-	if in.opts.D2D[in.striped] == nil || in.opts.D2D[in.swapped] != nil {
-		t.Error("Apply's stripes do not route exactly the D2D-swapped tensor")
+	st := in.opts.Stripes
+	if st.Of[in.striped] == 0 || !slices.Equal(st.Layouts[st.Of[in.striped]], []fabric.Part{{Peer: 5, Bytes: in.b.Graph.Tensors.Get(in.striped).Size}}) ||
+		st.Of[in.swapped] != 0 || st.Of[in.dropped] != 0 {
+		t.Error("Apply's stripe table does not route exactly the D2D-swapped tensor, over its parts")
 	}
 }
 
@@ -259,7 +262,7 @@ func applySwapInOutStandalone(t *testing.T) {
 			in.before(t, ops[2*i-1], swapIn)
 		}
 	}
-	if !in.opts.InitiallySwapped[in.parked] {
+	if !slices.Equal(in.opts.Parked, []tensor.ID{in.parked}) {
 		t.Error("the parked tensor does not start the run swapped out")
 	}
 }

@@ -188,11 +188,15 @@ type decisions struct {
 	// act[id] is tensor id's mechanism, MechNone where there is none.
 	act []Mechanism
 	// A MechD2D tensor's stripes are layouts[layout[id]]. layouts[0] is
-	// nil, so a tensor given no stripes has none. Layouts are shared
-	// between copies and never written.
+	// nil, and layout[id] is 0 for every tensor that is not MechD2D (the
+	// planner, convertToD2D and decide give a layout to MechD2D tensors
+	// only), so apply hands the pair to the executor as its stripe table
+	// (exec.Stripes). Layouts are shared between copies and never
+	// written.
 	layout  []int32
 	layouts [][]fabric.Part
-	// parked lists the host-parked tensors in tensor order.
+	// parked lists the host-parked tensors in tensor order, as
+	// exec.Options.Parked takes them.
 	parked []tensor.ID
 	// A converted Plan's entries the arrays cannot hold, every one a
 	// fault for check to report, each in tensor order: stray holds Act
@@ -1008,9 +1012,10 @@ func Apply(pl *Plan, b *pipeline.Built, topo *hw.Topology) (*exec.Options, error
 }
 
 // apply is Apply on decisions, building the overlay in o, whose arrays
-// and maps it reuses: the one path from a plan to an executor run, for
-// a loaded plan and for every planner emulation. The options it returns
-// share them, so they last until o's next apply.
+// it reuses: the one path from a plan to an executor run, for a loaded
+// plan and for every planner emulation. The options it returns share
+// o's arrays, so they last until o's next apply, and d's stripe table
+// and parked list, which they pass on as they are.
 func apply(d *decisions, b *pipeline.Built, topo *hw.Topology, o *overlay) (*exec.Options, error) {
 	g := b.Graph
 	if err := check(d, b, topo); err != nil {
@@ -1037,11 +1042,11 @@ func apply(d *decisions, b *pipeline.Built, topo *hw.Topology, o *overlay) (*exe
 	}
 	o.reset(g, size)
 	opts := &exec.Options{
-		Topo:             topo,
-		Built:            b,
-		Mapping:          d.mapping,
-		D2D:              o.d2d,
-		InitiallySwapped: o.swapped,
+		Topo:    topo,
+		Built:   b,
+		Mapping: d.mapping,
+		Stripes: exec.Stripes{Of: d.layout, Layouts: d.layouts},
+		Parked:  d.parked,
 	}
 
 	// Activation mechanisms, in tensor order.
@@ -1059,9 +1064,6 @@ func apply(d *decisions, b *pipeline.Built, topo *hw.Topology, o *overlay) (*exe
 			flops, _ := b.RecomputeFLOPs(id)
 			o.recompute(id, after, before, gate, flops, live.Uses[id])
 		case MechHostSwap, MechD2D:
-			if mech == MechD2D {
-				o.d2d[id] = d.parts(id)
-			}
 			out := o.swapOut(id, after)
 			in := o.swapIn(id, before, gate)
 			o.dep(in, out)
@@ -1127,7 +1129,6 @@ func apply(d *decisions, b *pipeline.Built, topo *hw.Topology, o *overlay) (*exe
 
 	// Persistent host-parking: swap in around each use.
 	for _, id := range d.parked {
-		o.swapped[id] = true
 		var prevOut graph.OpID = -1
 		for _, u := range live.Uses[id] {
 			in := o.swapIn(id, u.Op, b.PrevOnStage(u.Op))
@@ -1145,15 +1146,12 @@ func apply(d *decisions, b *pipeline.Built, topo *hw.Topology, o *overlay) (*exe
 }
 
 // overlay builds an exec.Overlay over the lowering graph g: its ops are
-// numbered after g's, and each edge is added once. Its arrays and maps
-// are reused from one apply to the next, which is why a refinement
-// worker keeps one for all its emulations.
+// numbered after g's, and each edge is added once. Its arrays are
+// reused from one apply to the next, which is why a refinement worker
+// keeps one for all its emulations.
 type overlay struct {
 	exec.Overlay
 	g *graph.Graph
-	// d2d and swapped become the options' D2D and InitiallySwapped.
-	d2d     map[tensor.ID][]fabric.Part
-	swapped map[tensor.ID]bool
 	// swaps lists the swapped activations in tensor order; off, outs and
 	// fill are strict mode's counting sort of their swap-outs by slot.
 	swaps     []swap
@@ -1173,12 +1171,6 @@ func (o *overlay) reset(g *graph.Graph, size int) {
 	o.Ops = slices.Grow(o.Ops[:0], size)
 	o.Deps = slices.Grow(o.Deps[:0], 3*size)
 	o.swaps = o.swaps[:0]
-	if o.d2d == nil {
-		o.d2d = make(map[tensor.ID][]fabric.Part)
-		o.swapped = make(map[tensor.ID]bool)
-	}
-	clear(o.d2d)
-	clear(o.swapped)
 }
 
 // resize sets *s to n zeros, reusing its array when it is large enough,

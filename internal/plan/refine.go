@@ -19,10 +19,10 @@
 //
 // An emulation pays for its overlay and its event loop, not for
 // re-allocating what the last one had: each worker keeps one trial and
-// one overlay builder (the exec.Overlay arrays and the options' maps)
-// for the whole call, copying the incumbent into the one and
-// rebuilding the other in place for each of its emulations over the
-// frozen base, and exec.Run pools its own per-run slices.
+// one overlay builder (the exec.Overlay arrays) for the whole call,
+// copying the incumbent into the one and rebuilding the other in place
+// for each of its emulations over the frozen base, and exec.Run pools
+// its own per-run slices.
 package plan
 
 import (
@@ -513,8 +513,8 @@ func cancelled(ctx context.Context) error {
 
 // Emulation is one emulation as Simulated sees it.
 type Emulation struct {
-	// Opts, with its overlay and maps, belongs to the refinement
-	// worker, whose next emulation rebuilds it in place.
+	// Opts, with its overlay and stripe table, belongs to the
+	// refinement worker, whose next emulation rebuilds it in place.
 	Opts *exec.Options
 	// Result is nil when Err is set.
 	Result *exec.Result

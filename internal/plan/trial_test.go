@@ -134,3 +134,50 @@ func TestAbandonedBeforeEventLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestLayoutsOnlyOnD2D: apply hands a trial's layouts to the executor
+// as its stripe table, so a tensor takes a layout exactly when it is
+// MechD2D: in the initial assignment of a full and of a D2D-only
+// planner, and after each first-round candidate's D2D and recompute
+// conversions.
+func TestLayoutsOnlyOnD2D(t *testing.T) {
+	check := func(what string, d *decisions) {
+		t.Helper()
+		for id, l := range d.layout {
+			if (l != 0) != (d.act[id] == MechD2D) {
+				t.Fatalf("%s: tensor %d takes layout %d under %v", what, id, l, d.act[id])
+			}
+		}
+	}
+	only, err := newPlanner(Options{Topo: hw.DGX1(), Build: bertJob(t), Allowed: Allowed{D2D: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := only.assign(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(only.cur.act, MechD2D) {
+		t.Fatal("the D2D-only assignment D2D-swaps nothing")
+	}
+	check("D2D-only assignment", &only.cur.decisions)
+
+	p := incumbent(t, bertJob(t))
+	check("initial assignment", &p.cur.decisions)
+	cands := newRefineCtx(p).rank()
+	r := p.newRound(context.Background(), 0, cands, 0)
+	var tr *trial
+	converted := 0
+	for _, c := range cands {
+		tr = r.snapshot(tr)
+		if p.convertToD2D(tr, c.key) {
+			converted++
+			check("D2D conversion", &tr.decisions)
+		}
+		if p.convertToRecompute(tr, c.key) {
+			check("recompute conversion", &tr.decisions)
+		}
+	}
+	if converted == 0 {
+		t.Fatal("no candidate converts to D2D")
+	}
+}

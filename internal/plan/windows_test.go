@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"mpress/internal/exec"
@@ -152,7 +153,7 @@ func TestApplyEmptyPlanIsIdentityRun(t *testing.T) {
 	if n := len(opts.Overlay.Ops) + len(opts.Overlay.Deps); n != 0 {
 		t.Errorf("empty plan's overlay has %d ops and deps", n)
 	}
-	if len(opts.D2D) != 0 || len(opts.InitiallySwapped) != 0 {
+	if slices.ContainsFunc(opts.Stripes.Of, func(l int32) bool { return l != 0 }) || len(opts.Parked) != 0 {
 		t.Error("empty plan produced routes")
 	}
 }

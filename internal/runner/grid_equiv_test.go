@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-
-	"mpress/internal/trace"
 )
 
 // TestTPDegreeOneEquivalence is the refactor's compatibility promise:
@@ -83,8 +81,8 @@ func TestTPDegreeOneEquivalence(t *testing.T) {
 				res JobResult
 				buf *bytes.Buffer
 			}{{rl, &tl}, {re, &te}} {
-				tml := trace.Collect(pair.res.State.ExecOpts, pair.res.State.Exec)
-				if names := pair.res.State.TraceLaneNames(); names != nil {
+				tml := pair.res.State.Timeline()
+				if names := tml.LaneNames; names != nil {
 					t.Errorf("degenerate grid names lanes: %v", names)
 				}
 				if err := tml.WriteChrome(pair.buf); err != nil {

@@ -12,7 +12,6 @@ import (
 	"mpress/internal/chaos"
 	"mpress/internal/ckpt"
 	"mpress/internal/cluster"
-	"mpress/internal/trace"
 	"mpress/internal/units"
 )
 
@@ -35,9 +34,6 @@ func jobArtifacts(t *testing.T, res JobResult) (report, planFile, chrome []byte)
 		}
 	}
 	tl := res.State.Timeline()
-	if tl == nil {
-		tl = trace.Collect(res.State.ExecOpts, res.State.Exec)
-	}
 	if err := tl.WriteChrome(&tb); err != nil {
 		t.Fatal(err)
 	}

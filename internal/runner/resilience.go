@@ -62,13 +62,20 @@ type resilSegment struct {
 	offset units.Duration
 }
 
-// Timeline merges a resilient run's segments (after Resilience; nil
-// otherwise) and each fault's failure and recovery marks into one
-// wall-clock trace, on every call: a job pays for it only when read.
+// Timeline returns a finished job's trace, built on every call: a job
+// pays for it only when read. A resilient run's segments (after
+// Resilience) and each fault's failure and recovery marks merge into
+// one wall-clock trace; a fault-free run's is the executor's, with its
+// lane names. It is nil for a job the executor did not run.
 func (st *State) Timeline() *trace.Timeline {
 	sum := st.Resil
 	if sum == nil {
-		return nil
+		if st.Exec == nil {
+			return nil
+		}
+		tl := trace.Collect(st.ExecOpts, st.Exec)
+		tl.LaneNames = st.laneNames()
+		return tl
 	}
 	tl := &trace.Timeline{Stages: st.Built.NumStages(), Span: sum.wall}
 	for i, seg := range sum.segments {

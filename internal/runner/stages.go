@@ -75,12 +75,12 @@ type State struct {
 	workers int
 }
 
-// TraceLaneNames labels each stage lane of an exported trace with the
+// laneNames labels each stage lane of an exported trace with the
 // physical devices it stands for. Only tensor-parallel runs produce
 // names — each simulated lane is then a whole TP group, identified by
 // its rank-0 representative and group index (e.g. "n0/gpu2 tp1") —
 // so TP-free traces stay byte-identical to the pre-grid format.
-func (st *State) TraceLaneNames() []string {
+func (st *State) laneNames() []string {
 	if st.Grid == nil || st.Grid.Shape.TP <= 1 || len(st.Mapping) == 0 {
 		return nil
 	}

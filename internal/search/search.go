@@ -149,7 +149,7 @@ const (
 type SkipReason string
 
 const (
-	// SkipGrid: the shard grid is impossible — TP·PP·DP·CP does not
+	// SkipGrid: the shard grid is impossible — TP·PP·DP does not
 	// factor the world size, or a TP group spans NVLink islands.
 	SkipGrid SkipReason = "grid"
 	// SkipConfig: the lowered config fails validation (e.g. TP with

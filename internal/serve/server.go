@@ -35,7 +35,6 @@ import (
 	"mpress/internal/runner"
 	"mpress/internal/search"
 	"mpress/internal/serve/api"
-	"mpress/internal/trace"
 )
 
 // Options configures a Server. The zero value serves with sensible
@@ -498,16 +497,9 @@ func (s *Server) settle(run runner.JobResult) (*result, error) {
 		}
 		res.plan = buf.Bytes()
 	}
-	if st := run.State; st != nil && st.Built != nil && st.Exec != nil {
-		// Resilient runs carry their merged wall-clock timeline
-		// (failures, recoveries and checkpoints marked); fault-free
-		// runs collect the executor's.
+	if st := run.State; st != nil {
 		res.timeline = st.Timeline()
-		if res.timeline == nil {
-			res.timeline = trace.Collect(st.ExecOpts, st.Exec)
-			res.timeline.LaneNames = st.TraceLaneNames()
-		}
-		res.info.HasTrace = true
+		res.info.HasTrace = res.timeline != nil
 	}
 	return res, nil
 }
